@@ -11,6 +11,8 @@ lambda-deformations and the secant/cotangent Taylor carriers
 self-verification suites (verify), and a CLI (cli).
 """
 
+from types import ModuleType as _ModuleType
+
 from .exact_core import (
     InternalConsistencyError,
     PiScalar,
@@ -94,79 +96,10 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # exact_core
-    "InternalConsistencyError",
-    "PiScalar",
-    "Poly",
-    "Rational",
-    "binomial",
-    "collapse_pi_terms",
-    "format_pi_scalar",
-    "format_rational",
-    "poly_derivative",
-    "poly_eval",
-    "poly_integral_01",
-    "poly_reflect",
-    # classical_polys
-    "bernoulli_number",
-    "bernoulli_poly",
-    "euler_number",
-    "euler_poly",
-    "precompute",
-    # apostol_polys
-    "CPoly",
-    "TruncSeries",
-    "apostol_bernoulli_poly",
-    "apostol_euler_poly",
-    "cot_taylor_coeffs",
-    "ek_mu",
-    "ek_mu_imag_residue",
-    "ektilde_mu",
-    "ektilde_mu_imag_residue",
-    "sec_taylor_coeffs",
-    # closed_forms
-    "Z",
-    "Z_TABLE",
-    "ZTILDE_TABLE",
-    "Z_table",
-    "Ztilde",
-    "Ztilde0",
-    "Ztilde_table",
-    "beta_odd",
-    "eta_even",
-    "lambda_even",
-    "zeta_even",
-    # oracles
-    "SumResult",
-    "ToleranceUnreachable",
-    "cospi",
-    "herglotz_limit",
-    "herglotz_residual",
-    "hurwitz_partial",
-    "sinpi",
-    "sum_Z",
-    "sum_Ztilde",
-    "sum_beta",
-    "sum_cotangent",
-    "sum_inverse_square",
-    "sum_zeta",
-    # quadrature
-    "OscKernel",
-    "QuadratureError",
-    "adaptive_integrate",
-    "beta_even_integral",
-    "exact_apostol_integral",
-    "exact_poly_trig_integral",
-    "j_integral",
-    "zeta_odd_integral",
-    # verify
-    "CheckResult",
-    "format_report",
-    "run_all",
-    "run_closed_vs_oracle",
-    "run_hurwitz",
-    "run_identities",
-    "run_integrals",
-]
+# Every public name imported above; the submodules those imports bind are
+# not exports.
+__all__ = ["__version__"] + sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

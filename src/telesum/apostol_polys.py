@@ -2,9 +2,15 @@
 parameter, plus the real Taylor-coefficient engines for the expansions of
 sec(w/2) and -cot(w/2) about a real center.
 
+The deformed families come from the Apostol-Euler numbers e_n(lam) of the
+number recurrence shared with classical_polys; a polynomial is expanded from
+them only when one is asked for, and the carriers ek_mu (x = 1/2) and
+ektilde_mu (x = 1) read the numbers directly.  The Taylor carriers use none
+of this: they are the independent second route for the lattice sums.
+
 All complex work runs in mpmath at a configurable working precision
 (DEFAULT_DPS significant digits).  Double precision is not enough here: the
-coefficient recurrence and the final combination i**k * e^(i mu/2) * E_k(1/2)
+number recurrence and the final combination i**k * e^(i mu/2) * E_k(1/2)
 suffer factorial-scale growth, and downstream consumers need small *absolute*
 error on values that reach 1e7 near the poles of sec(mu/2).  Results are
 converted to float only at the API boundary.
@@ -17,7 +23,7 @@ from typing import List, Optional, Sequence, Union
 
 import mpmath
 
-from .classical_polys import bernoulli_poly, euler_poly
+from .classical_polys import _appell_numbers, bernoulli_poly
 from .exact_core import InternalConsistencyError, binomial
 
 __all__ = [
@@ -94,24 +100,10 @@ class CPoly:
         return "CPoly(%r)" % (list(self.coeffs),)
 
 
-def _apostol_euler_rows(k: int, lam: mpmath.mpc) -> List[List[mpmath.mpc]]:
-    """Coefficient rows of the lambda-deformed Euler polynomials 0..k.
-
-    Row n solves 2 x**n = E_n(x) + lam * sum_{j<=n} C(n,j) E_j(x), i.e.
-    E_n = (2 x**n - lam * sum_{j<n} C(n,j) E_j) / (1 + lam).
-    """
-    inv = 1 / (1 + lam)
-    rows: List[List[mpmath.mpc]] = []
-    for n in range(k + 1):
-        acc = [mpmath.mpc(0)] * (n + 1)
-        for j in range(n):
-            cnj = binomial(n, j)
-            for i, c in enumerate(rows[j]):
-                acc[i] += cnj * c
-        row = [-lam * a for a in acc]
-        row[n] += 2
-        rows.append([c * inv for c in row])
-    return rows
+def _apostol_euler_coeffs(k: int, lam: mpmath.mpc) -> List[mpmath.mpc]:
+    """Coefficients, low to high, of E_k(x; lam) = sum_i C(k,i) e_{k-i} x**i."""
+    numbers = _appell_numbers([], k, lam)
+    return [binomial(k, i) * numbers[k - i] for i in range(k + 1)]
 
 
 def apostol_euler_poly(
@@ -131,7 +123,7 @@ def apostol_euler_poly(
     if lam == -1:
         raise ValueError("parameter lambda = -1 is excluded (pole)")
     with mpmath.workdps(dps or DEFAULT_DPS):
-        return CPoly(_apostol_euler_rows(k, lam)[k])
+        return CPoly(_apostol_euler_coeffs(k, lam))
 
 
 def apostol_bernoulli_poly(
@@ -156,9 +148,8 @@ def apostol_bernoulli_poly(
                     for c in bernoulli_poly(k).coeffs
                 ]
             )
-        rows = _apostol_euler_rows(k - 1, -lam)
         scale = -mpmath.mpf(k) / 2
-        return CPoly([scale * c for c in rows[k - 1]])
+        return CPoly([scale * c for c in _apostol_euler_coeffs(k - 1, -lam)])
 
 
 def _check_sec_domain(mu: float) -> float:
@@ -192,23 +183,19 @@ _I_POWERS = (mpmath.mpc(1), mpmath.mpc(0, 1), mpmath.mpc(-1), mpmath.mpc(0, -1))
 def _ek_complex(k: int, mu: float) -> mpmath.mpc:
     # i**k * e^(i mu / 2) * E_k(1/2; e^(i mu)), in the active precision
     lam = mpmath.expj(mpmath.mpf(mu))
-    row = _apostol_euler_rows(k, lam)[k]
     acc = mpmath.mpc(0)
     half = mpmath.mpf(1) / 2
-    for c in reversed(row):
+    for c in reversed(_apostol_euler_coeffs(k, lam)):
         acc = acc * half + c
     return _I_POWERS[k % 4] * mpmath.expj(mpmath.mpf(mu) / 2) * acc
 
 
 def _ektilde_complex(k: int, mu: float) -> mpmath.mpc:
-    # i**(k+1) * e^(i mu) * E_k(1; -e^(i mu)), in the active precision
+    # i**(k+1) * e^(i mu) * E_k(1; -e^(i mu)), in the active precision; for
+    # k >= 1 the difference equation lam E_k(1; lam) = -e_k(lam), taken at
+    # -lam, turns lam * E_k(1; -lam) into the number e_k(-lam)
     lam = mpmath.expj(mpmath.mpf(mu))
-    row = _apostol_euler_rows(k, -lam)[k]
-    # evaluation at x = 1 is just the coefficient sum
-    acc = mpmath.mpc(0)
-    for c in row:
-        acc += c
-    return _I_POWERS[(k + 1) % 4] * lam * acc
+    return _I_POWERS[(k + 1) % 4] * _appell_numbers([], k, -lam)[k]
 
 
 def _real_part_checked(
@@ -267,6 +254,8 @@ def ektilde_mu(
 
 def ek_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> float:
     """Scaled imaginary residue |Im z| / max(1, |z|) of the ek_mu combination."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     mu = _check_sec_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
         z = _ek_complex(k, mu)
@@ -355,11 +344,12 @@ class TruncSeries:
         return "TruncSeries(center=%r, order=%d)" % (self.center, self.order)
 
 
-def _cos_half_series(mu: float, order: int) -> TruncSeries:
-    """Taylor coefficients of t |-> cos((mu + t)/2) through ``order``.
+def _half_angle_series(mu: float, order: int, quarter_turns: int) -> TruncSeries:
+    """Taylor coefficients of t |-> cos((mu + t)/2 - quarter_turns*pi/2)
+    through ``order``: quarter_turns = 0 gives cos((mu + t)/2), 1 gives sin.
 
-    Coefficient j is cos(mu/2 + j*pi/2) / (2**j * j!), i.e. the cyclic
-    pattern cos, -sin, -cos, sin of the half-angle.
+    Coefficient j is cos(mu/2 + (j - quarter_turns)*pi/2) / (2**j * j!), i.e.
+    the cyclic pattern cos, -sin, -cos, sin of the half-angle.
     """
     c = mpmath.cos(mpmath.mpf(mu) / 2)
     s = mpmath.sin(mpmath.mpf(mu) / 2)
@@ -367,20 +357,7 @@ def _cos_half_series(mu: float, order: int) -> TruncSeries:
     out = []
     scale = mpmath.mpf(1)
     for j in range(order + 1):
-        out.append(cycle[j % 4] * scale)
-        scale /= 2 * (j + 1)
-    return TruncSeries(mu, out)
-
-
-def _sin_half_series(mu: float, order: int) -> TruncSeries:
-    """Taylor coefficients of t |-> sin((mu + t)/2) through ``order``."""
-    c = mpmath.cos(mpmath.mpf(mu) / 2)
-    s = mpmath.sin(mpmath.mpf(mu) / 2)
-    cycle = (s, c, -s, -c)
-    out = []
-    scale = mpmath.mpf(1)
-    for j in range(order + 1):
-        out.append(cycle[j % 4] * scale)
+        out.append(cycle[(j - quarter_turns) % 4] * scale)
         scale /= 2 * (j + 1)
     return TruncSeries(mu, out)
 
@@ -395,7 +372,7 @@ def sec_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[floa
         raise ValueError("K must be >= 0")
     mu = _check_sec_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
-        rec = _cos_half_series(mu, K).reciprocal()
+        rec = _half_angle_series(mu, K, 0).reciprocal()
         out = []
         fact = 1
         for j, c in enumerate(rec.coeffs):
@@ -415,7 +392,7 @@ def cot_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[floa
         raise ValueError("K must be >= 0")
     mu = _check_cot_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
-        quot = _cos_half_series(mu, K) / _sin_half_series(mu, K)
+        quot = _half_angle_series(mu, K, 0) / _half_angle_series(mu, K, 1)
         out = []
         fact = 1
         for j, c in enumerate(quot.coeffs):

@@ -1,15 +1,18 @@
 """Bernoulli and Euler polynomials and numbers, computed exactly.
 
-Both families are Appell sequences generated by power-series recurrences,
-obtained by multiplying the defining generating series through by
-(e^z - 1)/z, respectively (e^z + 1)/2, and matching coefficients of z^n:
+Both families are Appell sequences, P_n(x) = sum_i C(n, i) p_{n-i} x**i, so
+each is fixed by its numbers p_n = P_n(0).  One number recurrence serves the
+classical and the parameter-deformed (Apostol) families: the Apostol-Euler
+numbers e_n = E_n(0; lam) of the generating function 2 / (lam e^z + 1) obey
 
-    B_n(x) = x**n - 1/(n+1) * sum_{j<n} C(n+1, j) * B_j(x)
-    E_n(x) = x**n - 1/2     * sum_{j<n} C(n, j)   * E_j(x)
+    e_n = (2 [n == 0] - lam * sum_{j<n} C(n, j) e_j) / (1 + lam),
 
-The recurrences are O(n^2) with memoization, so both caches are eagerly
-precomputed to DEFAULT_CACHE_DEPTH at import and grow on demand under a lock;
-readers always observe a consistent, fully-built prefix.
+which is O(n^2).  At lam = 1 it runs on Fractions and gives the classical
+E_n(0); the Bernoulli numbers follow from E_{n-1}(0) = -2 (2**n - 1) B_n / n.
+
+Only the numbers E_n(0) are cached, in an append-only list grown on demand
+under a lock, so readers always observe a fully built prefix.  Polynomials
+are expanded from the numbers when asked for.
 """
 
 from __future__ import annotations
@@ -32,75 +35,57 @@ __all__ = [
 DEFAULT_CACHE_DEPTH = 64
 
 _lock = threading.Lock()
-_bernoulli: List[Poly] = []
-_euler: List[Poly] = []
+_euler_at_zero: List[Fraction] = []
 
 
-def _extend_bernoulli(upto: int) -> None:
-    # caller holds _lock
-    coeff_rows: List[List[Fraction]] = [list(p.coeffs) for p in _bernoulli]
-    for n in range(len(coeff_rows), upto + 1):
-        acc = [Fraction(0)] * n  # sum_{j<n} C(n+1, j) B_j, degree < n
-        for j in range(n):
-            cnj = binomial(n + 1, j)
-            for i, c in enumerate(coeff_rows[j]):
-                acc[i] += cnj * c
-        inv = Fraction(1, n + 1)
-        row = [-a * inv for a in acc]
-        row.append(Fraction(1))  # monic x**n term
-        coeff_rows.append(row)
-        _bernoulli.append(Poly(row))
+def _appell_numbers(numbers: list, upto: int, lam) -> list:
+    """Extend ``numbers`` with the Apostol-Euler numbers e_n(lam) through
+    index ``upto`` and return it.
+
+    ``lam`` fixes the arithmetic: a Fraction gives exact numbers, an mpmath
+    value gives numbers at the active working precision.
+    """
+    for n in range(len(numbers), upto + 1):
+        acc = sum(binomial(n, j) * numbers[j] for j in range(n))
+        numbers.append(((2 if n == 0 else 0) - lam * acc) / (1 + lam))
+    return numbers
 
 
-def _extend_euler(upto: int) -> None:
-    # caller holds _lock
-    coeff_rows: List[List[Fraction]] = [list(p.coeffs) for p in _euler]
-    half = Fraction(1, 2)
-    for n in range(len(coeff_rows), upto + 1):
-        acc = [Fraction(0)] * n
-        for j in range(n):
-            cnj = binomial(n, j)
-            for i, c in enumerate(coeff_rows[j]):
-                acc[i] += cnj * c
-        row = [-a * half for a in acc]
-        row.append(Fraction(1))
-        coeff_rows.append(row)
-        _euler.append(Poly(row))
+def _euler_zero(k: int) -> Fraction:
+    if k >= len(_euler_at_zero):
+        with _lock:
+            _appell_numbers(_euler_at_zero, k, Fraction(1))
+    return _euler_at_zero[k]
 
 
 def precompute(depth: int = DEFAULT_CACHE_DEPTH) -> None:
-    """Eagerly fill both polynomial caches through index ``depth``."""
+    """Fill the number cache behind both families through index ``depth``."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    with _lock:
-        _extend_bernoulli(depth)
-        _extend_euler(depth)
+    _euler_zero(depth)
+
+
+def bernoulli_number(k: int) -> Fraction:
+    """Bernoulli number B_k = B_k(0), exactly."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return Fraction(1)
+    return -k * _euler_zero(k - 1) / (2 * (2 ** k - 1))
 
 
 def bernoulli_poly(k: int) -> Poly:
     """Exact Bernoulli polynomial B_k(x); monic of degree k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= len(_bernoulli):
-        with _lock:
-            _extend_bernoulli(k)
-    return _bernoulli[k]
+    return Poly(binomial(k, i) * bernoulli_number(k - i) for i in range(k + 1))
 
 
 def euler_poly(k: int) -> Poly:
     """Exact Euler polynomial E_k(x); monic of degree k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= len(_euler):
-        with _lock:
-            _extend_euler(k)
-    return _euler[k]
-
-
-def bernoulli_number(k: int) -> Fraction:
-    """Bernoulli number B_k = B_k(0), exactly."""
-    p = bernoulli_poly(k)
-    return p.coeffs[0] if p.coeffs else Fraction(0)
+    return Poly(binomial(k, i) * _euler_zero(k - i) for i in range(k + 1))
 
 
 def euler_number(k: int) -> Fraction:
@@ -120,6 +105,3 @@ def euler_number(k: int) -> Fraction:
             "Euler number at index %d is not an integer: %s" % (k, value)
         )
     return value
-
-
-precompute()

@@ -175,6 +175,8 @@ def test_imaginary_residue_is_tiny():
     for mu in (-2.0, 0.0, 1.5):
         for k in range(0, 13):
             assert ek_mu_imag_residue(k, mu) <= 1e-12
+    with pytest.raises(ValueError):
+        ek_mu_imag_residue(-1, 0.0)
 
 
 def test_carrier_domain_guards():

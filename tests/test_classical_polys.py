@@ -5,6 +5,9 @@ generating functions (and cross-checked against mpmath's bernpoly/eulerpoly
 at the bottom of the file); the library must reproduce them exactly.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -64,6 +67,8 @@ def test_bernoulli_numbers():
     assert bernoulli_number(20) == F(-174611, 330)
     for odd in range(3, 31, 2):
         assert bernoulli_number(odd) == 0
+    for n in range(0, 201):
+        assert bernoulli_number(n) == F(*mpmath.bernfrac(n)), n
 
 
 def test_euler_numbers():
@@ -73,8 +78,8 @@ def test_euler_numbers():
     assert euler_number(6) == -61
     assert euler_number(8) == 1385
     assert euler_number(10) == -50521
-    for k in range(0, 21, 2):
-        assert euler_number(k).denominator == 1
+    for k in range(0, 201, 2):
+        assert euler_number(k) == mpmath.eulernum(k, exact=True), k
     # odd indices are rejected in this normalization, not zero
     for odd in (1, 3, 7):
         with pytest.raises(ValueError):
@@ -96,12 +101,13 @@ def test_reflection_symmetry():
 
 
 def test_vanishing_points():
-    for k in range(1, 13):
-        b = bernoulli_poly(2 * k + 1)
+    for n in range(3, 201, 2):
+        b = bernoulli_poly(n)
         assert poly_eval(b, F(0)) == 0
         assert poly_eval(b, F(1, 2)) == 0
         assert poly_eval(b, F(1)) == 0
-        e = euler_poly(2 * k)
+    for n in range(2, 201, 2):
+        e = euler_poly(n)
         assert poly_eval(e, F(0)) == 0
         assert poly_eval(e, F(1)) == 0
 
@@ -117,11 +123,11 @@ def test_unit_interval_normalizations():
 
 def test_midpoint_values():
     # 2^n E_n(1/2) is the n-th Euler number, B_n(1/2) = (2^(1-n) - 1) B_n
-    for n in range(0, 21, 2):
+    for n in range(0, 201, 2):
         assert poly_eval(euler_poly(n), F(1, 2)) * 2**n == euler_number(n)
-    for n in range(1, 21, 2):
+    for n in range(1, 201, 2):
         assert poly_eval(euler_poly(n), F(1, 2)) * 2**n == 0
-    for n in range(0, 21):
+    for n in range(0, 201):
         assert poly_eval(bernoulli_poly(n), F(1, 2)) == (
             F(2) ** (1 - n) - 1
         ) * bernoulli_number(n)
@@ -150,3 +156,53 @@ def test_cache_grows_past_precomputed_depth():
     # classical von Staudt-Clausen denominator check at depth 70
     denom = bernoulli_number(70).denominator
     assert denom % 6 == 0
+
+
+_CONCURRENT_GROWTH = """
+import hashlib, sys, threading
+import telesum
+
+threaded = sys.argv[1] == "threaded"
+calls = [
+    ("bernoulli_poly", range(151)),
+    ("euler_poly", range(151)),
+    ("bernoulli_number", range(151)),
+    ("euler_number", range(0, 151, 2)),
+]
+results = {}
+barrier = threading.Barrier(len(calls) if threaded else 1)
+
+def run(name, indices):
+    barrier.wait(timeout=60)
+    fn = getattr(telesum, name)
+    results[name] = [fn(n) for n in indices]
+
+if threaded:
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=run, args=c) for c in calls]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+else:
+    for c in calls:
+        run(*c)
+print(hashlib.sha256(repr(sorted(results.items())).encode()).hexdigest())
+"""
+
+
+def test_concurrent_growth_from_cold_start():
+    # each run is a fresh interpreter, so the number cache starts empty
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+    def digest(mode):
+        done = subprocess.run(
+            [sys.executable, "-c", _CONCURRENT_GROWTH, mode],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    assert digest("threaded") == digest("serial")

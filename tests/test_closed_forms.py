@@ -118,6 +118,35 @@ def test_lattice_sums_are_scaled_carrier_derivatives():
                 / (2 * mpmath.factorial(k))
             )
             assert Ztilde(k, mu) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    # deep k, where numeric differentiation is out of reach: Hurwitz zeta
+    with mpmath.workdps(50):
+        for k in (40, 60):
+            for mu in (-1.8, -0.4, 0.9, 2.3):
+                want = float(_z_hurwitz(k, mpmath.mpf(mu)))
+                assert Z(k, mu) == pytest.approx(want, rel=1e-12), (k, mu)
+            for mu in (0.7, 1.9, 3.6, 5.1):
+                want = float(_ztilde_hurwitz(k, mpmath.mpf(mu)))
+                assert Ztilde(k, mu) == pytest.approx(want, rel=1e-12), (k, mu)
+
+
+def _z_hurwitz(k, mu):
+    # the m >= 0 half is alternating with step 2 pi, i.e. two Hurwitz zetas
+    # of step 4 pi; the m < 0 half is the same at -mu, times (-1)**k
+    s = k + 1
+
+    def half(nu):
+        a = (mpmath.pi - nu) / (4 * mpmath.pi)
+        return (mpmath.zeta(s, a) - mpmath.zeta(s, a + 0.5)) / (4 * mpmath.pi) ** s
+
+    return half(mu) + (-1) ** k * half(-mu)
+
+
+def _ztilde_hurwitz(k, mu):
+    # m >= 1 and m <= 0 halves, with b = mu / (2 pi) reduced into (0, 1)
+    s = k + 1
+    b = mu / (2 * mpmath.pi)
+    b -= mpmath.floor(b)
+    return (mpmath.zeta(s, 1 - b) + (-1) ** s * mpmath.zeta(s, b)) / (2 * mpmath.pi) ** s
 
 
 def test_method_routes_agree():

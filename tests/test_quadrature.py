@@ -158,6 +158,19 @@ def test_exponential_kernel_ladder_against_mpmath():
                         )
                     )
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (k, m, mu)
+    # Near lambda = -1 the coefficients of E_k exceed the integral by up to
+    # 1e108, so integrate them exactly at 160 digits instead, each monomial
+    # by int_0^1 x**i e^(a x) dx = gammainc(i + 1, 0, -a) / (-a)**(i + 1).
+    with mpmath.workdps(160):
+        for k, m, mu in ((30, -6, 3.13), (20, -6, 3.0), (30, 6, -3.13)):
+            q = apostol_euler_poly(k, mpmath.expj(mpmath.mpf(mu)), dps=160)
+            a = 1j * (mpmath.mpf(mu) - (2 * m + 1) * mpmath.pi)
+            want = complex(sum(
+                c * mpmath.gammainc(i + 1, 0, -a) / (-a) ** (i + 1)
+                for i, c in enumerate(q.coeffs)
+            ))
+            got = exact_apostol_integral(k, m, mu)
+            assert abs(got - want) <= 1e-10 * abs(want), (k, m, mu)
 
 
 def test_exponential_kernel_closed_form_grid():
