@@ -107,9 +107,43 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_options(args: argparse.Namespace, family: str, least: Dict[str, Optional[int]]) -> None:
+    """Each named option must be given and, unless its bound is None, at least that."""
+    for name, low in least.items():
+        value = getattr(args, name)
+        _require(
+            value is not None and (low is None or value >= low),
+            "%s needs --%s%s" % (family, name, "" if low is None else " >= %d" % low),
+        )
+
+
+_POLYS = {"bernoulli": bernoulli_poly, "euler": euler_poly}
+
+# The exact constant families: family -> (value at k, least k, usage message).
+_CONSTANTS = {
+    "zeta": (closed_forms.zeta_even, 1, "zeta needs --k >= 1 (value is zeta(2k))"),
+    "beta": (closed_forms.beta_odd, 0, "beta needs --k >= 0 (value is beta(2k+1))"),
+    "eta": (closed_forms.eta_even, 1, "eta needs --k >= 1 (value is eta(2k))"),
+    "lambda": (closed_forms.lambda_even, 1, "lambda needs --k >= 1 (value is lambda(2k))"),
+}
+
+_LATTICE = {"Z": closed_forms.Z, "Ztilde": closed_forms.Ztilde}
+
+# family -> (oracle, its leading options, default --terms, or None when the
+# oracle meets --tol instead of summing a fixed window)
+_SERIES = {
+    "zeta": (oracles.sum_zeta, ("s",), None),
+    "beta": (oracles.sum_beta, ("s",), None),
+    "Z": (oracles.sum_Z, ("k", "mu"), 10000),
+    "Ztilde": (oracles.sum_Ztilde, ("k", "mu"), 10000),
+    "theta2": (oracles.sum_inverse_square, ("theta",), 100000),
+    "cot": (oracles.sum_cotangent, ("theta",), 100000),
+}
+
+
 def cmd_poly(args: argparse.Namespace) -> int:
     _require(args.k >= 0, "k must be >= 0")
-    p = bernoulli_poly(args.k) if args.family == "bernoulli" else euler_poly(args.k)
+    p = _POLYS[args.family](args.k)
     coeffs = [format_rational(c) for c in p.coeffs]
     if args.format == "json":
         print(_dump_json({
@@ -167,40 +201,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     family = args.family
     exact: Optional[PiScalar] = None
     method = "closed_form"
-    if family == "zeta":
-        _require(args.k is not None and args.k >= 1, "zeta needs --k >= 1 (value is zeta(2k))")
-        exact = closed_forms.zeta_even(args.k)
+    if family in _CONSTANTS:
+        value_at, least, message = _CONSTANTS[family]
+        _require(args.k is not None and args.k >= least, message)
+        exact = value_at(args.k)
         value = float(exact)
         params: Dict[str, object] = {"k": args.k}
-    elif family == "beta":
-        _require(args.k is not None and args.k >= 0, "beta needs --k >= 0 (value is beta(2k+1))")
-        exact = closed_forms.beta_odd(args.k)
-        value = float(exact)
-        params = {"k": args.k}
-    elif family == "eta":
-        _require(args.k is not None and args.k >= 1, "eta needs --k >= 1 (value is eta(2k))")
-        exact = closed_forms.eta_even(args.k)
-        value = float(exact)
-        params = {"k": args.k}
-    elif family == "lambda":
-        _require(args.k is not None and args.k >= 1, "lambda needs --k >= 1 (value is lambda(2k))")
-        exact = closed_forms.lambda_even(args.k)
-        value = float(exact)
-        params = {"k": args.k}
-    elif family == "Z":
-        _require(args.k is not None, "Z needs --k")
-        _require(args.mu is not None, "Z needs --mu")
-        value = closed_forms.Z(args.k, args.mu, method=args.method)
-        method = args.method
-        params = {"k": args.k, "mu": args.mu}
-    elif family == "Ztilde":
-        _require(args.k is not None, "Ztilde needs --k")
-        _require(args.mu is not None, "Ztilde needs --mu")
-        value = closed_forms.Ztilde(args.k, args.mu, method=args.method)
+    elif family in _LATTICE:
+        _require_options(args, family, {"k": None, "mu": None})
+        value = _LATTICE[family](args.k, args.mu, method=args.method)
         method = args.method
         params = {"k": args.k, "mu": args.mu}
     else:  # Ztilde0
-        _require(args.mu is not None, "Ztilde0 needs --mu")
+        _require_options(args, family, {"mu": None})
         _require(args.k in (None, 0), "Ztilde0 takes no --k (or --k 0)")
         value = closed_forms.Ztilde0(args.mu)
         params = {"mu": args.mu}
@@ -225,39 +238,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "zeta":
-        _require(args.s is not None, "series zeta needs --s")
-        result = oracles.sum_zeta(args.s, args.tol)
-        params: Dict[str, object] = {"s": args.s, "target_tol": args.tol}
-    elif family == "beta":
-        _require(args.s is not None, "series beta needs --s")
-        result = oracles.sum_beta(args.s, args.tol)
-        params = {"s": args.s, "target_tol": args.tol}
-    elif family == "Z":
-        _require(args.k is not None and args.mu is not None, "series Z needs --k and --mu")
-        n = args.terms if args.terms is not None else 10000
-        result = oracles.sum_Z(args.k, args.mu, N=n)
-        params = {"k": args.k, "mu": args.mu, "N": n}
-    elif family == "Ztilde":
-        _require(args.k is not None and args.mu is not None, "series Ztilde needs --k and --mu")
-        n = args.terms if args.terms is not None else 10000
-        result = oracles.sum_Ztilde(args.k, args.mu, N=n)
-        params = {"k": args.k, "mu": args.mu, "N": n}
-    elif family == "theta2":
-        _require(args.theta is not None, "series theta2 needs --theta")
-        n = args.terms if args.terms is not None else 100000
-        result = oracles.sum_inverse_square(args.theta, n)
-        params = {"theta": args.theta, "N": n}
-    else:  # cot
-        _require(args.theta is not None, "series cot needs --theta")
-        n = args.terms if args.terms is not None else 100000
-        result = oracles.sum_cotangent(args.theta, n)
-        params = {"theta": args.theta, "N": n}
+    oracle, names, default_terms = _SERIES[args.family]
+    params: Dict[str, object] = {name: getattr(args, name) for name in names}
+    _require(
+        None not in params.values(),
+        "series %s needs %s" % (args.family, " and ".join("--" + name for name in names)),
+    )
+    if default_terms is None:
+        params["target_tol"] = args.tol
+    else:
+        params["N"] = args.terms if args.terms is not None else default_terms
+    result = oracle(*params.values())
 
     if args.format == "json":
         print(_dump_json({
-            "kind": family,
+            "kind": args.family,
             "params": params,
             "value": result.value,
             "error_bound": result.error_bound,
@@ -303,78 +298,70 @@ def _print_exact_record(
             ))
 
 
+def _print_complex(
+    args: argparse.Namespace, kind: str, params: Dict[str, object], z: complex
+) -> None:
+    if args.format == "json":
+        print(_dump_json({
+            "kind": kind,
+            "params": params,
+            "value": [z.real, z.imag],
+            "method": "exact_ladder",
+        }))
+    else:
+        print("%s %s" % (_fmt(z.real, args.digits), _fmt(z.imag, args.digits)))
+
+
+def _print_quadrature(
+    args: argparse.Namespace, kind: str, params: Dict[str, object], v: float
+) -> None:
+    rec = OutputRecord(
+        kind=kind,
+        params=params,
+        approx=_fmt(v, args.digits),
+        error_bound=_fmt(args.tol, 3),
+        method="adaptive_quadrature",
+    )
+    if args.format == "json":
+        print(_dump_json(rec.as_dict()))
+    else:
+        print("%s (tol %s)" % (rec.approx, rec.error_bound))
+
+
+def _poly_trig(poly, kernel):
+    return lambda k, m: quadrature.exact_poly_trig_integral(poly(2 * k), kernel(m))
+
+
+# family -> (required options and their least values, further options,
+# evaluator taking all the options in order, printer, JSON kind)
+_INTEGRALS = {
+    "poly-cos": ({"k": 1, "m": 1}, (), _poly_trig(bernoulli_poly, quadrature.OscKernel.cos),
+                 _print_exact_record, "poly_cos_integral"),
+    "poly-sin": ({"k": 0, "m": 1}, (), _poly_trig(euler_poly, quadrature.OscKernel.sin),
+                 _print_exact_record, "poly_sin_integral"),
+    "apostol": ({"k": 0, "m": None}, ("mu",), quadrature.exact_apostol_integral,
+                _print_complex, "apostol_exp_integral"),
+    "zeta-odd": ({"k": 1}, ("tol",), quadrature.zeta_odd_integral,
+                 _print_quadrature, "zeta_odd_integral"),
+    "beta-even": ({"k": 0}, ("tol",), quadrature.beta_even_integral,
+                  _print_quadrature, "beta_even_integral"),
+}
+
+
 def cmd_integrals(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "poly-cos":
-        _require(args.k >= 1, "poly-cos needs --k >= 1")
-        _require(args.m is not None and args.m >= 1, "poly-cos needs --m >= 1")
-        value = quadrature.exact_poly_trig_integral(
-            bernoulli_poly(2 * args.k), quadrature.OscKernel.cos(args.m)
-        )
-        _print_exact_record(args, "poly_cos_integral", {"k": args.k, "m": args.m}, value)
-    elif family == "poly-sin":
-        _require(args.k >= 0, "poly-sin needs --k >= 0")
-        _require(args.m is not None and args.m >= 1, "poly-sin needs --m >= 1")
-        value = quadrature.exact_poly_trig_integral(
-            euler_poly(2 * args.k), quadrature.OscKernel.sin(args.m)
-        )
-        _print_exact_record(args, "poly_sin_integral", {"k": args.k, "m": args.m}, value)
-    elif family == "apostol":
-        _require(args.k >= 0, "apostol needs --k >= 0")
-        _require(args.m is not None, "apostol needs --m")
-        z = quadrature.exact_apostol_integral(args.k, args.m, args.mu)
-        if args.format == "json":
-            print(_dump_json({
-                "kind": "apostol_exp_integral",
-                "params": {"k": args.k, "m": args.m, "mu": args.mu},
-                "value": [z.real, z.imag],
-                "method": "exact_ladder",
-            }))
-        else:
-            print("%s %s" % (_fmt(z.real, args.digits), _fmt(z.imag, args.digits)))
-    elif family == "zeta-odd":
-        _require(args.k >= 1, "zeta-odd needs --k >= 1")
-        v = quadrature.zeta_odd_integral(args.k, args.tol)
-        rec = OutputRecord(
-            kind="zeta_odd_integral",
-            params={"k": args.k, "tol": args.tol},
-            approx=_fmt(v, args.digits),
-            error_bound=_fmt(args.tol, 3),
-            method="adaptive_quadrature",
-        )
-        if args.format == "json":
-            print(_dump_json(rec.as_dict()))
-        else:
-            print("%s (tol %s)" % (rec.approx, rec.error_bound))
-    else:  # beta-even
-        _require(args.k >= 0, "beta-even needs --k >= 0")
-        v = quadrature.beta_even_integral(args.k, args.tol)
-        rec = OutputRecord(
-            kind="beta_even_integral",
-            params={"k": args.k, "tol": args.tol},
-            approx=_fmt(v, args.digits),
-            error_bound=_fmt(args.tol, 3),
-            method="adaptive_quadrature",
-        )
-        if args.format == "json":
-            print(_dump_json(rec.as_dict()))
-        else:
-            print("%s (tol %s)" % (rec.approx, rec.error_bound))
+    least, further, evaluate, show, kind = _INTEGRALS[args.family]
+    _require_options(args, args.family, least)
+    params = {name: getattr(args, name) for name in (*least, *further)}
+    show(args, kind, params, evaluate(*params.values()))
     return 0
 
 
 def _table_rows(family: str, max_k: int):
-    if family == "zeta":
-        return [(k, closed_forms.zeta_even(k)) for k in range(1, max_k + 1)]
-    if family == "beta":
-        return [(k, closed_forms.beta_odd(k)) for k in range(0, max_k + 1)]
-    if family == "eta":
-        return [(k, closed_forms.eta_even(k)) for k in range(1, max_k + 1)]
-    if family == "lambda":
-        return [(k, closed_forms.lambda_even(k)) for k in range(1, max_k + 1)]
-    if family == "bernoulli":
-        return [(k, bernoulli_poly(k)) for k in range(0, max_k + 1)]
-    return [(k, euler_poly(k)) for k in range(0, max_k + 1)]
+    if family in _CONSTANTS:
+        value_at, least, _ = _CONSTANTS[family]
+    else:
+        value_at, least = _POLYS[family], 0
+    return [(k, value_at(k)) for k in range(least, max_k + 1)]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -385,7 +372,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         "--max-k %d exceeds the cap %d (override with TELESUM_MAX_K)" % (args.max_k, cap),
     )
     rows = _table_rows(args.family, args.max_k)
-    scalar = args.family in ("zeta", "beta", "eta", "lambda")
+    scalar = args.family in _CONSTANTS
 
     if args.format == "json":
         if scalar:
@@ -470,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("poly", help="classical polynomial coefficients, exact rationals")
-    sp.add_argument("family", choices=["bernoulli", "euler"])
+    sp.add_argument("family", choices=list(_POLYS))
     sp.add_argument("k", type=int)
     _add_format(sp)
     sp.set_defaults(func=cmd_poly)
@@ -492,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_coeffs)
 
     sp = sub.add_parser("eval", help="closed-form values: series constants and lattice sums")
-    sp.add_argument("family", choices=["zeta", "beta", "eta", "lambda", "Z", "Ztilde", "Ztilde0"])
+    sp.add_argument("family", choices=[*_CONSTANTS, *_LATTICE, "Ztilde0"])
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--method", default="auto")
@@ -500,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("series", help="brute-force series oracles with certified bounds")
-    sp.add_argument("family", choices=["zeta", "beta", "Z", "Ztilde", "theta2", "cot"])
+    sp.add_argument("family", choices=list(_SERIES))
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--mu", type=float, default=None)
@@ -511,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_series)
 
     sp = sub.add_parser("integrals", help="exact oscillatory integrals and numeric integral routes")
-    sp.add_argument("family", choices=["poly-cos", "poly-sin", "apostol", "zeta-odd", "beta-even"])
+    sp.add_argument("family", choices=list(_INTEGRALS))
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--mu", type=float, default=0.0)
@@ -520,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_integrals)
 
     sp = sub.add_parser("table", help="value tables for the series families and polynomial families")
-    sp.add_argument("family", choices=["zeta", "beta", "eta", "lambda", "bernoulli", "euler"])
+    sp.add_argument("family", choices=[*_CONSTANTS, *_POLYS])
     sp.add_argument("--max-k", type=int, required=True)
     _add_format(sp, ("plain", "json", "csv", "latex"))
     sp.set_defaults(func=cmd_table)

@@ -31,6 +31,7 @@ from .apostol_polys import (
 )
 from .classical_polys import bernoulli_number, euler_number
 from .exact_core import InternalConsistencyError, PiScalar, Rational
+from .oracles import _check_lattice_distance
 
 __all__ = [
     "ROUTE_TOL",
@@ -162,13 +163,7 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
 
 def Ztilde0(mu: float) -> float:
     """Symmetric-limit value of the k = 0 even-lattice sum: -1/(2*tan(mu/2))."""
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
-    if abs(math.remainder(mu, _TWO_PI)) <= GUARD_BAND:
-        raise ValueError(
-            "mu must stay at least 1e-9 away from multiples of 2*pi"
-        )
+    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     return -1.0 / (2.0 * math.tan(mu / 2.0))
 
 
@@ -273,11 +268,5 @@ def Ztilde_table(k: int, mu: float) -> float:
     """Evaluate Ztilde(k; mu) from the explicit trig-ratio table, k = 1..7."""
     if k not in ZTILDE_TABLE:
         raise ValueError("table covers k = 1..7 only")
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
-    if abs(math.remainder(mu, _TWO_PI)) <= GUARD_BAND:
-        raise ValueError(
-            "mu must stay at least 1e-9 away from multiples of 2*pi"
-        )
+    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     return _eval_entry(ZTILDE_TABLE[k], mu)

@@ -3,10 +3,11 @@
 Every oracle returns a SumResult whose error_bound is an honest bound on
 |value - true sum|: an analytic tail bound (Euler-Maclaurin integral plus
 half-term for monotone tails, the Leibniz-interval midpoint for alternating
-tails) plus a floating-point roundoff floor.  All accumulation goes through
-math.fsum, which is exactly rounded, so results are independent of
-summation order and the roundoff floor only has to cover the rounding of
-the individual terms.
+tails) plus a floating-point roundoff floor.  Each oracle builds its terms
+and tail; one kernel sums them through math.fsum, fed chunk by chunk as one
+stream, so the sum is exactly rounded at any length, independent of order,
+and the roundoff floor only has to cover the rounding of the individual
+terms.  A sum beyond the double range raises ToleranceUnreachable.
 
 Terms that suffer cancellation against an irrational lattice (multiples of
 pi minus the shift) are recomputed in mpmath and patched into the term
@@ -16,15 +17,16 @@ because a single float addition is exactly rounded even when it cancels.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 import numpy as np
 
-from .apostol_polys import DEFAULT_DPS
+from .apostol_polys import DEFAULT_DPS, GUARD_BAND
 
 __all__ = [
     "SumResult",
@@ -44,7 +46,6 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 _TWO_PI = 2.0 * math.pi
-_LATTICE_BAND = 1e-9
 
 # Hard caps on term counts; tolerances that would need more raise
 # ToleranceUnreachable instead of thrashing memory.
@@ -102,24 +103,22 @@ def cospi(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return out
 
 
-def _roundoff_floor(abs_accum: float, value: float, per_term: float = 16.0) -> float:
-    # per_term * eps covers the relative rounding of each summand; fsum
-    # itself contributes only the final rounding, covered by the value term.
-    return per_term * _EPS * abs_accum + 4.0 * _EPS * abs(value)
-
-
 def _power_tail(a: float, b: float, p: float, A: int) -> Tuple[float, float]:
     """Certified tail of sum_{m >= A} (a*m + b)**(-p) for a > 0, p > 1.
 
     Estimate is the integral plus half-term; the trapezoid-defect bound
     (|f'(A)| + f''(A)) / 12 is valid because f is convex decreasing with
-    decreasing second derivative.
+    decreasing second derivative.  A tail beyond the double range comes back
+    as (inf, inf), which the summation kernel reports as unreachable.
     """
     y = a * A + b
     if y <= 0:
         raise ValueError("tail start a*A + b must be positive")
-    est = y ** (1.0 - p) / (a * (p - 1.0)) + 0.5 * y ** (-p)
-    bound = (p * a * y ** (-p - 1.0) + p * (p + 1.0) * a * a * y ** (-p - 2.0)) / 12.0
+    try:
+        est = y ** (1.0 - p) / (a * (p - 1.0)) + 0.5 * y ** (-p)
+        bound = (p * a * y ** (-p - 1.0) + p * (p + 1.0) * a * a * y ** (-p - 2.0)) / 12.0
+    except OverflowError:
+        return math.inf, math.inf
     return est, bound
 
 
@@ -135,22 +134,127 @@ def _alternating_tail(h0: float, h1: float) -> Tuple[float, float]:
     return est, bound
 
 
-def _fsum_chunked(values: np.ndarray) -> float:
-    if values.size <= _CHUNK:
-        return math.fsum(values.tolist())
-    parts = []
-    for start in range(0, values.size, _CHUNK):
-        parts.append(math.fsum(values[start : start + _CHUNK].tolist()))
-    return math.fsum(parts)
+def _exact_sum(values: np.ndarray) -> float:
+    # one chunk's Python list is alive at a time; fsum sees a single stream,
+    # so the result is exactly rounded however long the array is
+    return math.fsum(itertools.chain.from_iterable(
+        values[i : i + _CHUNK].tolist() for i in range(0, values.size, _CHUNK)
+    ))
 
 
-def _check_tol(target_tol: float) -> float:
+def _certified_sum(
+    terms: np.ndarray,
+    tail: Sequence[float],
+    tail_bound: float,
+    terms_used: int,
+    *,
+    magnitudes: Optional[np.ndarray] = None,
+    per_term: float = 16.0,
+    reverse: bool = False,
+    tail_in_floor: bool = True,
+) -> SumResult:
+    """value = exactly rounded sum of the terms, then each tail estimate
+    added in order; error_bound = tail_bound + roundoff floor over |terms|
+    (or magnitudes) and, when tail_in_floor, |tail|."""
+    if reverse:
+        terms = terms[::-1]
+    try:
+        partial = _exact_sum(terms)
+        # nonnegative terms are their own magnitudes: skip the second sum
+        if magnitudes is None and np.signbit(terms).any():
+            magnitudes = np.abs(terms)
+        abs_accum = partial if magnitudes is None else _exact_sum(magnitudes)
+    except (OverflowError, ValueError):
+        # fsum raises on an overflowing sum and on infinities of both signs
+        partial = abs_accum = math.inf
+    value = partial
+    for t in tail:
+        value += t
+        if tail_in_floor:
+            abs_accum += abs(t)
+    # per_term * eps covers the relative rounding of each summand; fsum
+    # itself contributes only the final rounding, covered by the value term.
+    bound = tail_bound + (per_term * _EPS * abs_accum + 4.0 * _EPS * abs(value))
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ToleranceUnreachable(
+            "the terms or the tail leave the double-precision range",
+            achieved=math.inf,
+        )
+    return SumResult(value=value, error_bound=bound, terms_used=terms_used)
+
+
+def _mp_floats(exact: Callable[[int], "mpmath.mpf"], ms: Iterable[int]) -> List[float]:
+    # exact(m) at DEFAULT_DPS, rounded once: for values that cancel in doubles
+    with mpmath.workdps(DEFAULT_DPS):
+        return [float(exact(m)) for m in ms]
+
+
+def _check_int(value: int, least: int, name: str) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError("%s must be an integer >= %d" % (name, least))
+    return int(value)
+
+
+def _check_order(order: str) -> bool:
+    if order not in ("ascending", "descending"):
+        raise ValueError("order must be 'ascending' or 'descending'")
+    return order == "descending"
+
+
+def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("%s must be finite" % what)
+    if abs(math.remainder(x, spacing)) <= GUARD_BAND:
+        raise ValueError(
+            "%s must stay at least 1e-9 away from multiples of %s"
+            % (what, "2*pi" if spacing == _TWO_PI else "1")
+        )
+    return x
+
+
+def _check_theta_window(theta: float, N: int) -> Tuple[float, int]:
+    theta = _check_lattice_distance(theta, 1.0, "theta")
+    N = _check_int(N, 1, "N")
+    if N + 1 <= abs(theta):
+        raise ValueError("N too small: need N + 1 > |theta|")
+    return theta, N
+
+
+def _to_tolerance(target_tol: float, start: Callable[[float], int], cap: int,
+                  cap_name: str, attempt: Callable[[int], SumResult]) -> SumResult:
+    """attempt(n) from n = start(tol), doubling n up to cap, until it certifies target_tol."""
     target_tol = float(target_tol)
     if not (target_tol > 0.0) or not math.isfinite(target_tol):
         raise ValueError("target_tol must be a positive finite real")
-    return target_tol
+    # cheapest possible bound: roundoff floor at abs sum ~ 1
+    if 16.0 * _EPS > target_tol:
+        raise ToleranceUnreachable(
+            "tolerance %.3e is below the double-precision roundoff floor"
+            % target_tol,
+            achieved=16.0 * _EPS,
+        )
+    n = start(target_tol)
+    while True:
+        n = min(n, cap)
+        result = attempt(n)
+        if result.error_bound <= target_tol:
+            return result
+        if n >= cap:
+            raise ToleranceUnreachable(
+                "tolerance %.3e unreachable at the %s (achieved %.3e)"
+                % (target_tol, cap_name, result.error_bound),
+                achieved=result.error_bound,
+            )
+        n *= 2
 
 
+# Every oracle builds its terms with floating-point warnings off: overflow
+# shows up as a non-finite sum, which _certified_sum reports.
+_quiet = np.errstate(all="ignore")
+
+
+@_quiet
 def sum_zeta(s: int, target_tol: float = 1e-10) -> SumResult:
     """Partial sum of m**(-s) over m >= 1 with a certified tail correction.
 
@@ -158,41 +262,18 @@ def sum_zeta(s: int, target_tol: float = 1e-10) -> SumResult:
     N**(1-s)/(s-1) + N**(-s)/2; N is chosen so the certified remainder
     (trapezoid defect plus roundoff floor) is at most target_tol.
     """
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ValueError("s must be an integer >= 2")
-    if s < 2:
-        raise ValueError("s must be an integer >= 2")
-    target_tol = _check_tol(target_tol)
-    s = int(s)
+    s = _check_int(s, 2, "s")
 
-    # cheapest possible bound: roundoff floor at abs sum ~ zeta(s) >= 1
-    if 16.0 * _EPS > target_tol:
-        raise ToleranceUnreachable(
-            "tolerance %.3e is below the double-precision roundoff floor"
-            % target_tol,
-            achieved=16.0 * _EPS,
-        )
-
-    N = max(10, int(math.ceil((s / (6.0 * target_tol)) ** (1.0 / (s + 1)))))
-    while True:
-        N = min(N, _ZETA_N_CAP)
-        m = np.arange(1, N, dtype=np.float64)
-        terms = m ** float(-s)
-        partial = _fsum_chunked(terms)
+    def attempt(N: int) -> SumResult:
         tail_est, tail_bound = _power_tail(1.0, 0.0, float(s), N)
-        value = partial + tail_est
-        bound = tail_bound + _roundoff_floor(partial + abs(tail_est), value)
-        if bound <= target_tol:
-            return SumResult(value=value, error_bound=bound, terms_used=N - 1)
-        if N >= _ZETA_N_CAP:
-            raise ToleranceUnreachable(
-                "tolerance %.3e unreachable at the N cap %d (achieved %.3e)"
-                % (target_tol, _ZETA_N_CAP, bound),
-                achieved=bound,
-            )
-        N *= 2
+        terms = np.arange(1, N, dtype=np.float64) ** float(-s)
+        return _certified_sum(terms, (tail_est,), tail_bound, N - 1)
+
+    start = lambda tol: max(10, int(math.ceil((s / (6.0 * tol)) ** (1.0 / (s + 1)))))
+    return _to_tolerance(target_tol, start, _ZETA_N_CAP, "N cap %d" % _ZETA_N_CAP, attempt)
 
 
+@_quiet
 def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
     """Alternating sum of (-1)**m (2m+1)**(-s) with a certified tail.
 
@@ -200,57 +281,25 @@ def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
     positive decreasing terms; the remaining alternating tail is certified
     by the Leibniz interval around its half-term midpoint.
     """
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ValueError("s must be an integer >= 1")
-    if s < 1:
-        raise ValueError("s must be an integer >= 1")
-    target_tol = _check_tol(target_tol)
-    s = int(s)
+    s = _check_int(s, 1, "s")
 
-    if 16.0 * _EPS > target_tol:
-        raise ToleranceUnreachable(
-            "tolerance %.3e is below the double-precision roundoff floor"
-            % target_tol,
-            achieved=16.0 * _EPS,
-        )
-
-    # bound ~ (s/2)(2M+1)^(-s-1); solve for the anchor 2M+1
-    anchor = (s / target_tol) ** (1.0 / (s + 1))
-    J = max(8, int(math.ceil((anchor - 1.0) / 4.0)) + 2)
-    while True:
-        J = min(J, _BETA_M_CAP // 2)
+    def attempt(J: int) -> SumResult:
         M = 2 * J
         j = np.arange(J, dtype=np.float64)
         lo = (4.0 * j + 1.0) ** float(-s)
         hi = (4.0 * j + 3.0) ** float(-s)
-        groups = lo - hi
-        partial = _fsum_chunked(groups)
-        fM = (2.0 * M + 1.0) ** float(-s)
-        fM1 = (2.0 * M + 3.0) ** float(-s)
-        tail_est, tail_bound = _alternating_tail(fM, fM1)
         # tail anchor M is even, so the omitted tail starts with + sign
-        value = partial + tail_est
-        abs_accum = _fsum_chunked(lo + hi) + tail_est
-        bound = tail_bound + _roundoff_floor(abs_accum, value)
-        if bound <= target_tol:
-            return SumResult(value=value, error_bound=bound, terms_used=M)
-        if M >= _BETA_M_CAP:
-            raise ToleranceUnreachable(
-                "tolerance %.3e unreachable at the term cap %d (achieved %.3e)"
-                % (target_tol, _BETA_M_CAP, bound),
-                achieved=bound,
-            )
-        J *= 2
+        tail_est, tail_bound = _alternating_tail(
+            (2.0 * M + 1.0) ** float(-s), (2.0 * M + 3.0) ** float(-s)
+        )
+        return _certified_sum(lo - hi, (tail_est,), tail_bound, M, magnitudes=lo + hi)
+
+    # bound ~ (s/2)(2M+1)^(-s-1); solve for the anchor 2M+1
+    start = lambda tol: max(8, int(math.ceil(((s / tol) ** (1.0 / (s + 1)) - 1.0) / 4.0)) + 2)
+    return _to_tolerance(target_tol, start, _BETA_M_CAP // 2, "term cap %d" % _BETA_M_CAP, attempt)
 
 
-def _check_order(order: str) -> bool:
-    if order == "ascending":
-        return False
-    if order == "descending":
-        return True
-    raise ValueError("order must be 'ascending' or 'descending'")
-
-
+@_quiet
 def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumResult:
     """Bilateral alternating lattice sum (-1)**m / ((2m+1)*pi - mu)**(k+1).
 
@@ -261,67 +310,39 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     magnitude, certified by the Leibniz midpoint.  The first few pairs are
     recomputed in mpmath because (2m+1)*pi - mu cancels against float pi.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be an integer >= 0")
-    k = int(k)
+    k = _check_int(k, 0, "k")
     mu = float(mu)
     if not (abs(mu) < math.pi):
         raise ValueError("mu must satisfy |mu| < pi")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("N must be an integer >= 1")
-    N = int(N)
+    N = _check_int(N, 1, "N")
     reverse = _check_order(order)
 
     p = k + 1
     sgnk = 1.0 if k % 2 == 0 else -1.0
-
     m = np.arange(N, dtype=np.float64)
     base = (2.0 * m + 1.0) * np.pi
     pair = (base - mu) ** (-p) + sgnk * (base + mu) ** (-p)
     signs = 1.0 - 2.0 * (m.astype(np.int64) % 2).astype(np.float64)
-    terms = (signs * pair).tolist()
+    terms = signs * pair
+    mmu = mpmath.mpf(mu)
 
-    with mpmath.workdps(DEFAULT_DPS):
-        mmu = mpmath.mpf(mu)
-        for j in range(min(3, N)):
-            b = (2 * j + 1) * mpmath.pi
-            tj = (b - mmu) ** (-p) + sgnk * (b + mmu) ** (-p)
-            terms[j] = float((-1) ** j * tj)
-        hb = (2 * N + 1) * mpmath.pi
-        hb1 = (2 * N + 3) * mpmath.pi
-        h0 = float(abs((hb - mmu) ** (-p) + sgnk * (hb + mmu) ** (-p)))
-        h1 = float(abs((hb1 - mmu) ** (-p) + sgnk * (hb1 + mmu) ** (-p)))
+    def exact(j: int) -> "mpmath.mpf":
+        b = (2 * j + 1) * mpmath.pi
+        return (-1) ** j * ((b - mmu) ** (-p) + sgnk * (b + mmu) ** (-p))
 
-    if reverse:
-        terms.reverse()
-    partial = math.fsum(terms)
-    abs_accum = math.fsum(abs(t) for t in terms)
-
-    if k % 2 == 0:
-        sigma = 1.0
-    else:
-        sigma = 0.0 if mu == 0.0 else math.copysign(1.0, mu)
-    tail_mag, tail_bound = _alternating_tail(h0, h1)
-    sign_N = 1.0 if N % 2 == 0 else -1.0
-    value = partial + sigma * sign_N * tail_mag
-    if sigma == 0.0:
-        tail_bound = 0.0
-    bound = tail_bound + _roundoff_floor(abs_accum, value, per_term=16.0 + 4.0 * k)
-    return SumResult(value=value, error_bound=bound, terms_used=2 * N)
+    terms[:3] = _mp_floats(exact, range(min(3, N)))
+    # every pair has the sign of mu (k odd) or is positive (k even), so the
+    # paired tail has the sign of its first term; at k odd, mu = 0 it is 0
+    t0, t1 = _mp_floats(exact, (N, N + 1))
+    tail_mag, tail_bound = _alternating_tail(abs(t0), abs(t1))
+    # the Leibniz bound already carries the rounding of the tail estimate
+    return _certified_sum(
+        terms, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
+        per_term=16.0 + 4.0 * k, reverse=reverse, tail_in_floor=False,
+    )
 
 
-def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("%s must be finite" % what)
-    if abs(math.remainder(x, spacing)) <= _LATTICE_BAND:
-        raise ValueError(
-            "%s must stay at least 1e-9 away from multiples of %s"
-            % (what, "2*pi" if spacing == _TWO_PI else "1")
-        )
-    return x
-
-
+@_quiet
 def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumResult:
     """Bilateral lattice sum 1 / (2*m*pi - mu)**(k+1) over m = -N..N.
 
@@ -331,94 +352,68 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> S
     pairing m with -m, which yields terms 2*mu/((2*m*pi)^2 - mu^2).  Terms
     nearest the lattice singularity are recomputed in mpmath.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be an integer >= 0")
-    k = int(k)
+    k = _check_int(k, 0, "k")
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("N must be an integer >= 1")
-    N = int(N)
+    N = _check_int(N, 1, "N")
     reverse = _check_order(order)
     A = N + 1
     if A <= abs(mu) / _TWO_PI:
         raise ValueError("N too small: need N + 1 > |mu| / (2*pi)")
 
     p = k + 1
+    mmu = mpmath.mpf(mu)
     if k == 0:
         m = np.arange(1, N + 1, dtype=np.float64)
         lo = _TWO_PI * m - mu
         hi = _TWO_PI * m + mu
-        terms = (2.0 * mu / (lo * hi)).tolist()
+        terms = np.append(2.0 * mu / (lo * hi), -1.0 / mu)
+
         near = int(round(abs(mu) / _TWO_PI))
-        with mpmath.workdps(DEFAULT_DPS):
-            mmu = mpmath.mpf(mu)
-            for mm in range(max(1, near - 1), min(N, near + 1) + 1):
-                b = 2 * mm * mpmath.pi
-                terms[mm - 1] = float(2 * mmu / ((b - mmu) * (b + mmu)))
-        terms.append(-1.0 / mu)
-        if reverse:
-            terms.reverse()
-        partial = math.fsum(terms)
-        abs_accum = math.fsum(abs(t) for t in terms)
+        ms = range(max(1, near - 1), min(N, near + 1) + 1)
+        terms[ms.start - 1 : ms.stop - 1] = _mp_floats(
+            lambda mm: 2 * mmu / ((2 * mm * mpmath.pi - mmu) * (2 * mm * mpmath.pi + mmu)), ms
+        )
 
         yl = _TWO_PI * A - mu
         yh = _TWO_PI * A + mu
-        tail_est = math.log1p(2.0 * mu / yl) / _TWO_PI + 0.5 * (1.0 / yl - 1.0 / yh)
+        tail = (math.log1p(2.0 * mu / yl) / _TWO_PI + 0.5 * (1.0 / yl - 1.0 / yh),)
         hp = _TWO_PI * abs(yl ** -2 - yh ** -2)
         hpp = 8.0 * math.pi ** 2 * abs(yl ** -3 - yh ** -3)
         tail_bound = (hp + hpp) / 12.0
-        value = partial + tail_est
-        bound = tail_bound + _roundoff_floor(abs_accum + abs(tail_est), value)
-        return SumResult(value=value, error_bound=bound, terms_used=2 * N + 1)
-
-    m = np.arange(-N, N + 1, dtype=np.float64)
-    denom = _TWO_PI * m - mu
-    terms = (1.0 / denom ** p).tolist()
-    near = int(round(mu / _TWO_PI))
-    with mpmath.workdps(DEFAULT_DPS):
-        mmu = mpmath.mpf(mu)
-        for mm in range(max(-N, near - 1), min(N, near + 1) + 1):
-            terms[mm + N] = float((2 * mm * mpmath.pi - mmu) ** (-p))
-    if reverse:
-        terms.reverse()
-    partial = math.fsum(terms)
-    abs_accum = math.fsum(abs(t) for t in terms)
-
-    up_est, up_bound = _power_tail(_TWO_PI, -mu, float(p), A)
-    dn_est, dn_bound = _power_tail(_TWO_PI, mu, float(p), A)
-    sign_low = 1.0 if p % 2 == 0 else -1.0
-    value = partial + up_est + sign_low * dn_est
-    bound = up_bound + dn_bound + _roundoff_floor(
-        abs_accum + up_est + dn_est, value, per_term=16.0 + 4.0 * k
+    else:
+        m = np.arange(-N, N + 1, dtype=np.float64)
+        terms = 1.0 / (_TWO_PI * m - mu) ** p
+        near = int(round(mu / _TWO_PI))
+        ms = range(max(-N, near - 1), min(N, near + 1) + 1)
+        terms[ms.start + N : ms.stop + N] = _mp_floats(
+            lambda mm: (2 * mm * mpmath.pi - mmu) ** (-p), ms
+        )
+        up_est, up_bound = _power_tail(_TWO_PI, -mu, float(p), A)
+        dn_est, dn_bound = _power_tail(_TWO_PI, mu, float(p), A)
+        tail = (up_est, (1.0 if p % 2 == 0 else -1.0) * dn_est)
+        tail_bound = up_bound + dn_bound
+    return _certified_sum(
+        terms, tail, tail_bound, 2 * N + 1, per_term=16.0 + 4.0 * k, reverse=reverse
     )
-    return SumResult(value=value, error_bound=bound, terms_used=2 * N + 1)
 
 
+@_quiet
 def sum_inverse_square(theta: float, N: int = 100000) -> SumResult:
     """Bilateral sum of (n + theta)**(-2) over n = -N..N with certified tails.
 
     Converges to pi**2 / sin(pi*theta)**2.  Integer-lattice terms need no
     extended precision: n + theta is a single exactly-rounded addition.
     """
-    theta = _check_lattice_distance(theta, 1.0, "theta")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("N must be an integer >= 1")
-    N = int(N)
-    A = N + 1
-    if A <= abs(theta):
-        raise ValueError("N too small: need N + 1 > |theta|")
-
+    theta, N = _check_theta_window(theta, N)
     n = np.arange(-N, N + 1, dtype=np.float64)
-    terms = 1.0 / (n + theta) ** 2
-    partial = _fsum_chunked(terms)
-
-    up_est, up_bound = _power_tail(1.0, theta, 2.0, A)
-    dn_est, dn_bound = _power_tail(1.0, -theta, 2.0, A)
-    value = partial + up_est + dn_est
-    bound = up_bound + dn_bound + _roundoff_floor(value, value)
-    return SumResult(value=value, error_bound=bound, terms_used=2 * N + 1)
+    up_est, up_bound = _power_tail(1.0, theta, 2.0, N + 1)
+    dn_est, dn_bound = _power_tail(1.0, -theta, 2.0, N + 1)
+    return _certified_sum(
+        1.0 / (n + theta) ** 2, (up_est, dn_est), up_bound + dn_bound, 2 * N + 1
+    )
 
 
+@_quiet
 def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
     """Symmetrically paired partial-fraction sum 1/theta + sum 2*theta/(theta^2 - n^2).
 
@@ -426,28 +421,16 @@ def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
     integral-plus-half-term estimate uses the exact antiderivative
     log((x - theta)/(x + theta)).
     """
-    theta = _check_lattice_distance(theta, 1.0, "theta")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("N must be an integer >= 1")
-    N = int(N)
-    A = N + 1
-    if A <= abs(theta):
-        raise ValueError("N too small: need N + 1 > |theta|")
-
+    theta, N = _check_theta_window(theta, N)
     n = np.arange(1, N + 1, dtype=np.float64)
-    paired = (2.0 * theta / ((theta - n) * (theta + n))).tolist()
-    paired.append(1.0 / theta)
-    partial = math.fsum(paired)
-    abs_accum = math.fsum(abs(t) for t in paired)
+    terms = np.append(2.0 * theta / ((theta - n) * (theta + n)), 1.0 / theta)
 
+    A = N + 1
     hA = 1.0 / (A - theta) - 1.0 / (A + theta)
     tail_est = -(math.log1p(2.0 * theta / (A - theta)) + 0.5 * hA)
     hp = abs((A + theta) ** -2 - (A - theta) ** -2)
     hpp = 2.0 * abs((A - theta) ** -3 - (A + theta) ** -3)
-    tail_bound = (hp + hpp) / 12.0
-    value = partial + tail_est
-    bound = tail_bound + _roundoff_floor(abs_accum + abs(tail_est), value)
-    return SumResult(value=value, error_bound=bound, terms_used=2 * N + 1)
+    return _certified_sum(terms, (tail_est,), (hp + hpp) / 12.0, 2 * N + 1)
 
 
 _HURWITZ_KINDS = ("B_even", "B_odd", "E_even", "E_odd")
@@ -464,32 +447,28 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
     """
     if kind not in _HURWITZ_KINDS:
         raise ValueError("kind must be one of %s" % (_HURWITZ_KINDS,))
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError("k must be an integer >= 1")
-    k = int(k)
+    k = _check_int(k, 1, "k")
     x = float(x)
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    if not isinstance(M, (int, np.integer)) or M < 1:
-        raise ValueError("M must be an integer >= 1")
-    M = int(M)
+    M = _check_int(M, 1, "M")
 
     sign = -1.0 if k % 2 == 0 else 1.0  # (-1)**(k-1)
     if kind == "B_even":
         m = np.arange(1, M + 1, dtype=np.float64)
-        s = math.fsum((cospi(2.0 * x * m) / m ** (2 * k)).tolist())
+        s = _exact_sum(cospi(2.0 * x * m) / m ** (2 * k))
         const = 2.0 * sign * math.factorial(2 * k) / _TWO_PI ** (2 * k)
     elif kind == "B_odd":
         m = np.arange(1, M + 1, dtype=np.float64)
-        s = math.fsum((sinpi(2.0 * x * m) / m ** (2 * k + 1)).tolist())
+        s = _exact_sum(sinpi(2.0 * x * m) / m ** (2 * k + 1))
         const = 2.0 * sign * math.factorial(2 * k + 1) / _TWO_PI ** (2 * k + 1)
     elif kind == "E_even":
         odd = 2.0 * np.arange(M, dtype=np.float64) + 1.0
-        s = math.fsum((sinpi(odd * x) / odd ** (2 * k + 1)).tolist())
+        s = _exact_sum(sinpi(odd * x) / odd ** (2 * k + 1))
         const = -4.0 * sign * math.factorial(2 * k) / math.pi ** (2 * k + 1)
     else:  # E_odd, target E_{2k-1}
         odd = 2.0 * np.arange(M, dtype=np.float64) + 1.0
-        s = math.fsum((cospi(odd * x) / odd ** (2 * k)).tolist())
+        s = _exact_sum(cospi(odd * x) / odd ** (2 * k))
         const = -4.0 * sign * math.factorial(2 * k - 1) / math.pi ** (2 * k)
     return const * s
 

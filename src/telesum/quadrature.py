@@ -86,24 +86,25 @@ class QuadratureError(ArithmeticError):
         self.achieved = achieved
 
 
-def _cos_ladder(p: Poly, m: int) -> Dict[int, Fraction]:
-    # sin(m*pi*x) vanishes at both endpoints, so only the recursion survives
-    if p.is_zero:
-        return {}
-    sub = _sin_ladder(poly_derivative(p), m)
-    return {power - 1: -coeff / m for power, coeff in sub.items()}
-
-
-def _sin_ladder(p: Poly, m: int) -> Dict[int, Fraction]:
-    if p.is_zero:
-        return {}
+def _parts_ladder(p: Poly, m: int, cos: bool) -> Dict[int, Fraction]:
+    # Step j integrates the j-th derivative by parts against cos or sin,
+    # alternating.  Every step divides by m*pi, a cos step flips the sign of
+    # all later ones, and only sin steps leave a boundary term, because
+    # sin(m*pi*x) vanishes at both endpoints.
     out: Dict[int, Fraction] = {}
-    boundary = poly_eval(p, 0) - (-1) ** m * poly_eval(p, 1)
-    if boundary:
-        out[-1] = Fraction(boundary) / m
-    for power, coeff in _cos_ladder(poly_derivative(p), m).items():
-        key = power - 1
-        out[key] = out.get(key, Fraction(0)) + coeff / m
+    scale = Fraction(1)
+    power = -1
+    while not p.is_zero:
+        scale /= m
+        if cos:
+            scale = -scale
+        else:
+            boundary = p.coeffs[0] - (-1) ** m * sum(p.coeffs)  # p(0) - (-1)^m p(1)
+            if boundary:
+                out[power] = boundary * scale
+        p = poly_derivative(p)
+        power -= 1
+        cos = not cos
     return out
 
 
@@ -122,11 +123,7 @@ def exact_poly_trig_integral(
         raise ValueError("complex_exp kernels go through exact_apostol_integral")
     if kernel.m < 1:
         raise ValueError("kernel m must be >= 1")
-    if kernel.kind == "cos":
-        terms = _cos_ladder(p, kernel.m)
-    else:
-        terms = _sin_ladder(p, kernel.m)
-    return collapse_pi_terms(terms)
+    return collapse_pi_terms(_parts_ladder(p, kernel.m, kernel.kind == "cos"))
 
 
 def exact_apostol_integral(k: int, m: int, mu: float, dps: int = None) -> complex:

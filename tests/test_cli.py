@@ -168,6 +168,43 @@ def test_usage_errors_exit_2(capsys):
     )
     assert run_cli(capsys, ["nonsense"])[0] == 2
     assert run_cli(capsys, ["series", "Ztilde", "--k", "1", "--mu", "1e6", "--terms", "10"])[0] == 2
+    # every family's missing or out-of-range argument, message word for word
+    for argv, message in [
+        ("eval zeta", "zeta needs --k >= 1 (value is zeta(2k))"),
+        ("eval beta --k -1", "beta needs --k >= 0 (value is beta(2k+1))"),
+        ("eval eta", "eta needs --k >= 1 (value is eta(2k))"),
+        ("eval lambda --k 0", "lambda needs --k >= 1 (value is lambda(2k))"),
+        ("eval Z --mu 0.5", "Z needs --k"),
+        ("eval Z --k 1", "Z needs --mu"),
+        ("eval Ztilde --mu 0.5", "Ztilde needs --k"),
+        ("eval Ztilde --k 1", "Ztilde needs --mu"),
+        ("eval Ztilde0", "Ztilde0 needs --mu"),
+        ("eval Ztilde0 --mu 1 --k 2", "Ztilde0 takes no --k (or --k 0)"),
+        ("series zeta", "series zeta needs --s"),
+        ("series beta", "series beta needs --s"),
+        ("series Z --k 1", "series Z needs --k and --mu"),
+        ("series Ztilde --mu 0.5", "series Ztilde needs --k and --mu"),
+        ("series theta2", "series theta2 needs --theta"),
+        ("series cot", "series cot needs --theta"),
+        ("integrals poly-cos --k 0 --m 1", "poly-cos needs --k >= 1"),
+        ("integrals poly-cos --k 1", "poly-cos needs --m >= 1"),
+        ("integrals poly-sin --k -1 --m 1", "poly-sin needs --k >= 0"),
+        ("integrals poly-sin --k 0 --m 0", "poly-sin needs --m >= 1"),
+        ("integrals apostol --k -1 --m 0", "apostol needs --k >= 0"),
+        ("integrals apostol --k 0", "apostol needs --m"),
+        ("integrals zeta-odd --k 0", "zeta-odd needs --k >= 1"),
+        ("integrals beta-even --k -1", "beta-even needs --k >= 0"),
+    ]:
+        code, out, err = run_cli(capsys, argv.split())
+        assert (code, out, err) == (2, "", "error: %s\n" % message), argv
+
+
+def test_overflowing_series_exits_1(capsys):
+    # the terms exceed the double range: an unreachable certificate, not inf
+    code, out, err = run_cli(capsys, ["series", "Z", "--k", "70", "--mu", "3.14159"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_table_cap_from_environment(capsys, monkeypatch):

@@ -7,8 +7,10 @@ forms, never by the code under test.
 
 import dataclasses
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from telesum import (
@@ -33,6 +35,8 @@ from telesum import (
     poly_eval,
 )
 from fractions import Fraction
+
+from telesum.oracles import _CHUNK, _certified_sum
 
 
 def _beta_truth(s):
@@ -170,6 +174,28 @@ def test_lattice_sum_guards():
         sum_Ztilde(1, 1e-12, N=100)  # m = 0 pole
     with pytest.raises(ValueError):
         sum_Ztilde(1, 1000.0, N=10)  # window too small to clear the pole
+    # the m = 0 term alone is beyond the double range: raise, never return inf
+    with mpmath.workdps(30):
+        m0_terms = (
+            (sum_Z, 3.14159, 1 / (mpmath.pi - mpmath.mpf(3.14159)) ** 71),
+            (sum_Ztilde, 2e-8, 1 / mpmath.mpf(-2e-8) ** 71),
+        )
+    for oracle, mu, m0_term in m0_terms:
+        assert abs(m0_term) > sys.float_info.max
+        with pytest.raises(ToleranceUnreachable) as exc:
+            oracle(70, mu)
+        assert exc.value.achieved == math.inf
+
+
+def test_kernel_sum_is_exactly_rounded_across_chunks():
+    # rounding each chunk first would lose both 2**-53: chunk 1 rounds to 1.0
+    # and 1.0 + 2**-53 rounds to 1.0 again
+    terms = np.zeros(_CHUNK + 10)
+    terms[:2] = (1.0, 2.0**-53)
+    terms[_CHUNK] = 2.0**-53
+    r = _certified_sum(terms, (), 0.0, terms.size)
+    assert r.value == 1.0 + 2.0**-52
+    assert _certified_sum(terms, (), 0.0, terms.size, reverse=True).value == r.value
 
 
 # ---------------------------------------------------------------- theta sums

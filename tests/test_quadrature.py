@@ -96,6 +96,20 @@ def test_exact_ladder_against_mpmath_quadrature():
             assert got_f == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_exact_ladder_at_degree_1200():
+    # one integration by parts per degree: a recursive ladder overflows the
+    # default recursion limit here, so this runs without raising it
+    terms = exact_poly_trig_integral(Poly.monomial(1200), OscKernel.cos(3))
+    # terms up to ~1e2796 in size cancel to ~1e-3, hence 4000 digits
+    with mpmath.workdps(4000):
+        got = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.pi**n for c, n in terms)
+    with mpmath.workdps(60):
+        want = mpmath.quad(
+            lambda x: x**1200 * mpmath.cos(3 * mpmath.pi * x), mpmath.linspace(0, 1, 21)
+        )
+        assert abs(got - want) <= mpmath.mpf(10) ** -20 * abs(want)
+
+
 def test_j_integral_tables():
     # odd-degree first family against sine kernels
     for k in range(0, 5):
