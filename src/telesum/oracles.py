@@ -4,10 +4,14 @@ Every oracle returns a SumResult whose error_bound is an honest bound on
 |value - true sum|: an analytic tail bound (Euler-Maclaurin integral plus
 half-term for monotone tails, the Leibniz-interval midpoint for alternating
 tails) plus a floating-point roundoff floor.  Each oracle builds its terms
-and tail; one kernel sums them through math.fsum, fed chunk by chunk as one
-stream, so the sum is exactly rounded at any length, independent of order,
-and the roundoff floor only has to cover the rounding of the individual
-terms.  A sum beyond the double range raises ToleranceUnreachable.
+and tail; one kernel sums them exactly, so the sum is exactly rounded at any
+length, independent of order, and the roundoff floor only has to cover the
+rounding of the individual terms.  The kernel bins the terms by exponent
+(Demmel & Hida 2003): it splits each significand into two integer limbs
+below 2**27, sums the limbs per exponent with numpy in blocks of fewer than
+2**26 terms, where every partial sum is an integer below 2**53 and hence
+exact, and rounds the combined integer once.  A sum beyond the double range
+raises ToleranceUnreachable.
 
 Terms that suffer cancellation against an irrational lattice (multiples of
 pi minus the shift) are recomputed in mpmath and patched into the term
@@ -17,7 +21,6 @@ because a single float addition is exactly rounded even when it cancels.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,7 +54,6 @@ _TWO_PI = 2.0 * math.pi
 # ToleranceUnreachable instead of thrashing memory.
 _ZETA_N_CAP = 20_000_000
 _BETA_M_CAP = 20_000_000
-_CHUNK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,56 @@ def _alternating_tail(h0: float, h1: float) -> Tuple[float, float]:
     return est, bound
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    # one chunk's Python list is alive at a time; fsum sees a single stream,
-    # so the result is exactly rounded however long the array is
-    return math.fsum(itertools.chain.from_iterable(
-        values[i : i + _CHUNK].tolist() for i in range(0, values.size, _CHUNK)
-    ))
+# Every oracle builds its terms with floating-point warnings off: overflow
+# shows up as a non-finite sum, which _certified_sum reports.  The summation
+# kernel runs with them off too and reports a non-finite term as ValueError.
+_quiet = np.errstate(all="ignore")
+
+
+# Exponent-binned exact summation (Demmel & Hida, SIAM J. Sci. Comput. 25,
+# 2003).  Each double is |m| * 2**e * sign with |m| in [1/2, 1) from frexp;
+# |m| * 2**27 splits exactly into an integer hi < 2**27 and a fraction that,
+# times 2**26, is an integer lo < 2**26.  bincount sums the limbs per
+# (exponent, sign) bin; a bin total stays an integer below 2**53, hence exact
+# in float64, while a block holds fewer than 2**26 terms, and the totals of
+# all blocks add up in int64 (exact below 2**36 terms).  The bins meet as one
+# Python int, rounded once.  Fixed blocks keep every temporary array small.
+_BLOCK = 1 << 16
+_EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
+_BINS = 2 * (1024 + _EXP_BIAS + 1)  # bin 2 * (e + _EXP_BIAS) + sign bit
+
+
+@_quiet
+def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
+    """(sum of values, sum of |values|), each exactly rounded to the nearest
+    double whatever the length or order.  Raises ValueError on a non-finite
+    value and OverflowError on a sum beyond the double range."""
+    values = np.asarray(values, dtype=np.float64)
+    totals = np.zeros((2, _BINS), dtype=np.int64)  # hi, lo limb sums per bin
+    for i in range(0, values.size, _BLOCK):
+        m, e = np.frexp(values[i : i + _BLOCK])
+        bins = 2 * (e + _EXP_BIAS) + np.signbit(m)
+        scaled = np.abs(m) * 2.0**27
+        hi = np.trunc(scaled)
+        lo = (scaled - hi) * 2.0**26
+        limb_sums = [np.bincount(bins, weights=limb) for limb in (hi, lo)]
+        # an infinite or nan value leaves a nan low limb (inf - inf)
+        if np.isnan(limb_sums[1]).any():
+            raise ValueError("non-finite term")
+        for row, sums in zip(totals, limb_sums):
+            row[: sums.size] += sums.astype(np.int64)
+    pos, neg = totals[:, 0::2], totals[:, 1::2]
+    return _round_bins(pos - neg), _round_bins(pos + neg)
+
+
+def _round_bins(limbs: np.ndarray) -> float:
+    # exponent bin b holds (hi * 2**26 + lo) * 2**(b - _EXP_BIAS - 53); int true
+    # division rounds correctly and raises OverflowError past the double range
+    hi, lo = limbs
+    nz = np.flatnonzero(hi | lo)
+    per_bin = zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist())
+    total = sum(((h << 26) + l) << b for b, h, l in per_bin)
+    return total / (1 << (_EXP_BIAS + 53))
 
 
 def _certified_sum(
@@ -159,21 +205,19 @@ def _certified_sum(
     if reverse:
         terms = terms[::-1]
     try:
-        partial = _exact_sum(terms)
-        # nonnegative terms are their own magnitudes: skip the second sum
-        if magnitudes is None and np.signbit(terms).any():
-            magnitudes = np.abs(terms)
-        abs_accum = partial if magnitudes is None else _exact_sum(magnitudes)
+        partial, abs_accum = _exact_sum(terms)
+        if magnitudes is not None:
+            abs_accum = _exact_sum(magnitudes)[0]
     except (OverflowError, ValueError):
-        # fsum raises on an overflowing sum and on infinities of both signs
+        # a non-finite term or a sum beyond the double range
         partial = abs_accum = math.inf
     value = partial
     for t in tail:
         value += t
         if tail_in_floor:
             abs_accum += abs(t)
-    # per_term * eps covers the relative rounding of each summand; fsum
-    # itself contributes only the final rounding, covered by the value term.
+    # per_term * eps covers the relative rounding of each summand; the exact
+    # kernel contributes only its one final rounding, covered by the value term.
     bound = tail_bound + (per_term * _EPS * abs_accum + 4.0 * _EPS * abs(value))
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ToleranceUnreachable(
@@ -214,10 +258,12 @@ def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
 
 
 def _check_theta_window(theta: float, N: int) -> Tuple[float, int]:
+    # the window n = -N..N must hold the pole's nearest lattice point, or
+    # the dominant term would fall into the tail estimate
     theta = _check_lattice_distance(theta, 1.0, "theta")
     N = _check_int(N, 1, "N")
-    if N + 1 <= abs(theta):
-        raise ValueError("N too small: need N + 1 > |theta|")
+    if N < round(abs(theta)):
+        raise ValueError("N too small: need N >= round(|theta|)")
     return theta, N
 
 
@@ -247,11 +293,6 @@ def _to_tolerance(target_tol: float, start: Callable[[float], int], cap: int,
                 achieved=result.error_bound,
             )
         n *= 2
-
-
-# Every oracle builds its terms with floating-point warnings off: overflow
-# shows up as a non-finite sum, which _certified_sum reports.
-_quiet = np.errstate(all="ignore")
 
 
 @_quiet
@@ -356,9 +397,10 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> S
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     N = _check_int(N, 1, "N")
     reverse = _check_order(order)
+    near = int(round(abs(mu) / _TWO_PI))
+    if N < near:  # the nearest pole's term must not fall into the tail
+        raise ValueError("N too small: need N >= round(|mu| / (2*pi))")
     A = N + 1
-    if A <= abs(mu) / _TWO_PI:
-        raise ValueError("N too small: need N + 1 > |mu| / (2*pi)")
 
     p = k + 1
     mmu = mpmath.mpf(mu)
@@ -368,7 +410,6 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> S
         hi = _TWO_PI * m + mu
         terms = np.append(2.0 * mu / (lo * hi), -1.0 / mu)
 
-        near = int(round(abs(mu) / _TWO_PI))
         ms = range(max(1, near - 1), min(N, near + 1) + 1)
         terms[ms.start - 1 : ms.stop - 1] = _mp_floats(
             lambda mm: 2 * mmu / ((2 * mm * mpmath.pi - mmu) * (2 * mm * mpmath.pi + mmu)), ms
@@ -433,9 +474,23 @@ def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
     return _certified_sum(terms, (tail_est,), (hp + hpp) / 12.0, 2 * N + 1)
 
 
-_HURWITZ_KINDS = ("B_even", "B_odd", "E_even", "E_odd")
+# kind -> (p - 2k, Euler kind): even powers p pair with cosines, odd ones
+# with sines; the Bernoulli kinds run over every harmonic of 2*pi*x, the
+# Euler kinds over the odd harmonics of pi*x
+_HURWITZ = {"B_even": (0, False), "B_odd": (1, False), "E_even": (1, True), "E_odd": (0, True)}
 
 
+def _factorial_over(n: int, denom: float) -> float:
+    """n! / denom rounded exactly as float(n!) / denom rounds it, without the
+    OverflowError of float(n!) past 170!: 2**-t * n! is rounded to a double
+    instead, divided, and scaled back by 2**t (exact in the normal range).
+    Raises OverflowError when the quotient is beyond the double range."""
+    n_fact = math.factorial(n)
+    t = max(0, n_fact.bit_length() - 64)
+    return math.ldexp(n_fact / (1 << t) / denom, t)
+
+
+@_quiet
 def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
     """Truncated trigonometric expansion of a Bernoulli/Euler polynomial.
 
@@ -443,34 +498,38 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
     E_even -> E_{2k}(x), E_odd -> E_{2k-1}(x), each valid for k >= 1 and
     x in [0, 1].  Returns the M-term partial sum including the leading
     constant (applied after the exactly-rounded summation, so lattice points
-    where every term vanishes come out as exact zeros).
+    where every term vanishes come out as exact zeros).  Raises
+    ToleranceUnreachable when the result is beyond the double range.
     """
-    if kind not in _HURWITZ_KINDS:
-        raise ValueError("kind must be one of %s" % (_HURWITZ_KINDS,))
+    if kind not in _HURWITZ:
+        raise ValueError("kind must be one of %s" % (tuple(_HURWITZ),))
     k = _check_int(k, 1, "k")
     x = float(x)
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     M = _check_int(M, 1, "M")
 
+    extra, euler = _HURWITZ[kind]
+    p = 2 * k + extra
+    trig = sinpi if extra else cospi
     sign = -1.0 if k % 2 == 0 else 1.0  # (-1)**(k-1)
-    if kind == "B_even":
-        m = np.arange(1, M + 1, dtype=np.float64)
-        s = _exact_sum(cospi(2.0 * x * m) / m ** (2 * k))
-        const = 2.0 * sign * math.factorial(2 * k) / _TWO_PI ** (2 * k)
-    elif kind == "B_odd":
-        m = np.arange(1, M + 1, dtype=np.float64)
-        s = _exact_sum(sinpi(2.0 * x * m) / m ** (2 * k + 1))
-        const = 2.0 * sign * math.factorial(2 * k + 1) / _TWO_PI ** (2 * k + 1)
-    elif kind == "E_even":
-        odd = 2.0 * np.arange(M, dtype=np.float64) + 1.0
-        s = _exact_sum(sinpi(odd * x) / odd ** (2 * k + 1))
-        const = -4.0 * sign * math.factorial(2 * k) / math.pi ** (2 * k + 1)
-    else:  # E_odd, target E_{2k-1}
-        odd = 2.0 * np.arange(M, dtype=np.float64) + 1.0
-        s = _exact_sum(cospi(odd * x) / odd ** (2 * k))
-        const = -4.0 * sign * math.factorial(2 * k - 1) / math.pi ** (2 * k)
-    return const * s
+    if euler:  # E_{p-1}(x): -4 sign (p-1)! / pi**p times sum_h trig(pi h x) / h**p, h odd
+        h = 2.0 * np.arange(M, dtype=np.float64) + 1.0
+        scale, c, n, base = x, -4.0, p - 1, math.pi
+    else:  # B_p(x): 2 sign p! / (2 pi)**p times sum_h trig(2 pi h x) / h**p, h >= 1
+        h = np.arange(1, M + 1, dtype=np.float64)
+        scale, c, n, base = 2.0 * x, 2.0, p, _TWO_PI
+    s = _exact_sum(trig(scale * h) / h ** p)[0]
+    try:
+        value = c * sign * _factorial_over(n, base ** p) * s
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ToleranceUnreachable(
+            "hurwitz_partial(%r, %d) leaves the double-precision range" % (kind, k),
+            achieved=math.inf,
+        )
+    return value
 
 
 def herglotz_residual(theta: float, N: int = 10000) -> Tuple[float, float]:

@@ -6,6 +6,7 @@ forms, never by the code under test.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -36,7 +37,7 @@ from telesum import (
 )
 from fractions import Fraction
 
-from telesum.oracles import _CHUNK, _certified_sum
+from telesum.oracles import _BLOCK, _TWO_PI, _certified_sum, _exact_sum
 
 
 def _beta_truth(s):
@@ -136,7 +137,7 @@ def test_sum_Z_order_reversal_is_bitwise_stable():
     for k, mu in [(0, 0.0), (2, 0.7), (4, -2.8)]:
         up = sum_Z(k, mu, N=3000, order="ascending")
         down = sum_Z(k, mu, N=3000, order="descending")
-        assert up.value == down.value  # fsum is order-invariant, exactly
+        assert up.value == down.value  # the exactly rounded sum is order-invariant
 
 
 def test_sum_Z_known_anchor_values():
@@ -187,15 +188,89 @@ def test_lattice_sum_guards():
         assert exc.value.achieved == math.inf
 
 
+def test_windows_must_hold_the_nearest_pole():
+    # the pole sits 1e-6 before lattice point 11: a window that stops at 10
+    # would leave the dominant term to the tail estimate
+    mu = _TWO_PI * 11 - 1e-6
+    theta = 11 - 1e-6
+    with pytest.raises(ValueError, match="N too small"):
+        sum_Ztilde(3, mu, N=10)
+    with pytest.raises(ValueError, match="N too small"):
+        sum_inverse_square(theta, N=10)
+    with pytest.raises(ValueError, match="N too small"):
+        sum_cotangent(theta, N=10)
+    with mpmath.workdps(40):
+        # Hurwitz halves m >= 1 and m <= 0, b = mu / (2 pi) reduced into (0, 1)
+        b = mpmath.mpf(mu) / (2 * mpmath.pi)
+        b -= mpmath.floor(b)
+        ztilde = (mpmath.zeta(4, 1 - b) + mpmath.zeta(4, b)) / (2 * mpmath.pi) ** 4
+        sine = mpmath.sinpi(mpmath.mpf(theta))
+        truths = (
+            (sum_Ztilde(3, mu, N=11), float(ztilde)),
+            (sum_inverse_square(theta, N=11), float(mpmath.pi**2 / sine**2)),
+            (sum_cotangent(theta, N=11), float(mpmath.pi * mpmath.cospi(theta) / sine)),
+        )
+    for r, want in truths:
+        assert abs(r.value - want) <= r.error_bound <= 1e-3 * abs(want), (r, want)
+
+
 def test_kernel_sum_is_exactly_rounded_across_chunks():
-    # rounding each chunk first would lose both 2**-53: chunk 1 rounds to 1.0
+    # rounding each block first would lose both 2**-53: block 1 rounds to 1.0
     # and 1.0 + 2**-53 rounds to 1.0 again
-    terms = np.zeros(_CHUNK + 10)
+    terms = np.zeros(_BLOCK + 10)
     terms[:2] = (1.0, 2.0**-53)
-    terms[_CHUNK] = 2.0**-53
+    terms[_BLOCK] = 2.0**-53
     r = _certified_sum(terms, (), 0.0, terms.size)
     assert r.value == 1.0 + 2.0**-52
     assert _certified_sum(terms, (), 0.0, terms.size, reverse=True).value == r.value
+
+
+def _fraction_sum(xs):
+    # independent exact reference: rational sum, rounded once by Fraction
+    return float(sum(map(Fraction, xs.tolist())))
+
+
+def test_kernel_matches_exact_rational_sum():
+    rng = np.random.default_rng(20031)
+    # every kind at a few short lengths and at one length about a block boundary
+    long = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+    for kind, n in itertools.product(range(4), (1, 2, 7, 1000, None)):
+        n = n or long[kind]
+        if kind == 0:  # exponents over the whole range, subnormal to 2**1000
+            xs = np.ldexp(rng.standard_normal(n), rng.integers(-1074, 1000, n))
+        elif kind == 1:  # subnormals and the least normals
+            xs = np.ldexp(rng.standard_normal(n), rng.integers(-1080, -1015, n))
+        elif kind == 2:  # heavy cancellation: pairs up to 2**1000 that cancel
+            # exactly, and one or two tiny survivors
+            pairs = (n - 1) // 2
+            big = np.ldexp(rng.standard_normal(pairs), rng.integers(-30, 1000, pairs))
+            tiny = rng.choice([2.0**-1074, -3e-300, 1e-20], n - 2 * big.size)
+            xs = np.concatenate([big, -big, tiny])
+        else:  # signed zeros among a few ones and tiny values
+            xs = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0**-60, -(2.0**-1074)], n)
+        rng.shuffle(xs)
+        value, magnitude = _exact_sum(xs)
+        want = _fraction_sum(xs)
+        assert value == want, (n, kind)
+        assert math.copysign(1.0, value) == math.copysign(1.0, math.fsum(xs.tolist()))
+        assert magnitude == _fraction_sum(np.abs(xs)), (n, kind)
+    for zeros in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0]):
+        got = _exact_sum(np.array(zeros))[0]
+        assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, math.fsum(zeros))
+
+
+def test_kernel_non_finite_terms_are_unreachable():
+    finite = np.linspace(-1.0, 1.0, 101)
+    cases = (
+        np.append(finite, np.inf),
+        np.concatenate([finite, [np.inf, -np.inf]]),
+        np.append(finite, np.nan),
+        np.array([1.7e308, 1.7e308]),  # finite terms whose exact sum overflows
+    )
+    for terms in cases:
+        with pytest.raises(ToleranceUnreachable) as exc:
+            _certified_sum(terms, (), 0.0, terms.size)
+        assert exc.value.achieved == math.inf
 
 
 # ---------------------------------------------------------------- theta sums
@@ -255,6 +330,24 @@ def test_hurwitz_degenerate_rows_are_exact_zeros():
     assert hurwitz_partial("E_even", 1, 0.0, M=10**3) == 0.0
     assert hurwitz_partial("E_even", 2, 1.0, M=10**3) == 0.0
     assert hurwitz_partial("E_odd", 1, 0.5, M=10**3) == 0.0
+
+
+def test_hurwitz_factorial_past_the_double_range():
+    # (2k)! and (2k+1)! pass 170! here while the polynomial values stay in range
+    with mpmath.workdps(40):
+        cases = (
+            ("B_even", 90, 0.3, mpmath.bernpoly(180, 0.3)),
+            ("B_odd", 85, 0.8, mpmath.bernpoly(171, 0.8)),
+            ("E_even", 86, 0.7, mpmath.eulerpoly(172, 0.7)),
+            ("E_odd", 86, 0.3, mpmath.eulerpoly(171, 0.3)),
+        )
+    for kind, k, x, want in cases:
+        got = hurwitz_partial(kind, k, x, M=100)
+        assert got == pytest.approx(float(want), rel=1e-13), (kind, k, x)
+    assert abs(float(cases[0][3])) > 1e185
+    # B_300 is beyond the double range: a typed error, never inf
+    with pytest.raises(ToleranceUnreachable):
+        hurwitz_partial("B_even", 150, 0.3, M=100)
 
 
 def test_hurwitz_rejects_unknown_kind():
