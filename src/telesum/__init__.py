@@ -9,8 +9,13 @@ lambda-deformations and the secant/cotangent Taylor carriers
 (closed_forms), brute-force summation oracles with certified error bounds
 (oracles), exact and adaptive integration (quadrature), seeded
 self-verification suites (verify), and a CLI (cli).
+
+``import telesum`` loads the exact layers and quadrature, which need only
+mpmath.  The oracle and verify layers need numpy; each loads, with numpy,
+the first time one of its names is used.
 """
 
+import importlib as _importlib
 from types import ModuleType as _ModuleType
 
 from .exact_core import (
@@ -59,21 +64,6 @@ from .closed_forms import (
     lambda_even,
     zeta_even,
 )
-from .oracles import (
-    SumResult,
-    ToleranceUnreachable,
-    cospi,
-    herglotz_limit,
-    herglotz_residual,
-    hurwitz_partial,
-    sinpi,
-    sum_Z,
-    sum_Ztilde,
-    sum_beta,
-    sum_cotangent,
-    sum_inverse_square,
-    sum_zeta,
-)
 from .quadrature import (
     OscKernel,
     QuadratureError,
@@ -84,22 +74,66 @@ from .quadrature import (
     j_integral,
     zeta_odd_integral,
 )
-from .verify import (
-    CheckResult,
-    format_report,
-    run_all,
-    run_closed_vs_oracle,
-    run_hurwitz,
-    run_identities,
-    run_integrals,
-)
 
 __version__ = "0.1.0"
 
-# Every public name imported above; the submodules those imports bind are
-# not exports.
+# Public name -> the numpy layer that defines it, loaded on first use.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "SumResult",
+            "ToleranceUnreachable",
+            "cospi",
+            "herglotz_limit",
+            "herglotz_residual",
+            "hurwitz_partial",
+            "sinpi",
+            "sum_Z",
+            "sum_Ztilde",
+            "sum_beta",
+            "sum_cotangent",
+            "sum_inverse_square",
+            "sum_zeta",
+        ),
+        "oracles",
+    ),
+    **dict.fromkeys(
+        (
+            "CheckResult",
+            "format_report",
+            "run_all",
+            "run_closed_vs_oracle",
+            "run_hurwitz",
+            "run_identities",
+            "run_integrals",
+        ),
+        "verify",
+    ),
+}
+
+# Every public name imported above, and the lazy ones; the submodules those
+# imports bind are not exports.
 __all__ = ["__version__"] + sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
+    [
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, _ModuleType)
+    ]
+    + list(_LAZY)
 )
+
+
+def __getattr__(name: str):
+    # A lazy layer is reachable by its own name too, as it was when the
+    # package imported it eagerly.
+    layer = name if name in _LAZY.values() else _LAZY.get(name)
+    if layer is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = _importlib.import_module("." + layer, __name__)
+    value = module if layer == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

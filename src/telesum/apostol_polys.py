@@ -53,6 +53,19 @@ GUARD_BAND = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 
+
+def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("%s must be finite" % what)
+    if abs(math.remainder(x, spacing)) <= GUARD_BAND:
+        raise ValueError(
+            "%s must stay at least 1e-9 away from multiples of %s"
+            % (what, "2*pi" if spacing == _TWO_PI else "1")
+        )
+    return x
+
+
 ComplexLike = Union[complex, float, int, "mpmath.mpc", "mpmath.mpf"]
 
 

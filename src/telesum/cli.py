@@ -19,8 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from . import closed_forms, oracles, quadrature
-from . import verify as verify_mod
+from . import closed_forms, quadrature
 from .apostol_polys import (
     apostol_bernoulli_poly,
     apostol_euler_poly,
@@ -102,6 +101,12 @@ def _latex_pi(x: PiScalar) -> str:
     return sign + core + pi
 
 
+def _public(name: str):
+    """The package's public ``name``, looked up at each call: the oracle and
+    verify layers load, with numpy, only for the commands that use them."""
+    return getattr(sys.modules[__package__], name)
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
@@ -129,15 +134,15 @@ _CONSTANTS = {
 
 _LATTICE = {"Z": closed_forms.Z, "Ztilde": closed_forms.Ztilde}
 
-# family -> (oracle, its leading options, default --terms, or None when the
-# oracle meets --tol instead of summing a fixed window)
+# family -> (public name of the oracle, its leading options, default --terms,
+# or None when the oracle meets --tol instead of summing a fixed window)
 _SERIES = {
-    "zeta": (oracles.sum_zeta, ("s",), None),
-    "beta": (oracles.sum_beta, ("s",), None),
-    "Z": (oracles.sum_Z, ("k", "mu"), 10000),
-    "Ztilde": (oracles.sum_Ztilde, ("k", "mu"), 10000),
-    "theta2": (oracles.sum_inverse_square, ("theta",), 100000),
-    "cot": (oracles.sum_cotangent, ("theta",), 100000),
+    "zeta": ("sum_zeta", ("s",), None),
+    "beta": ("sum_beta", ("s",), None),
+    "Z": ("sum_Z", ("k", "mu"), 10000),
+    "Ztilde": ("sum_Ztilde", ("k", "mu"), 10000),
+    "theta2": ("sum_inverse_square", ("theta",), 100000),
+    "cot": ("sum_cotangent", ("theta",), 100000),
 }
 
 
@@ -248,7 +253,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         params["target_tol"] = args.tol
     else:
         params["N"] = args.terms if args.terms is not None else default_terms
-    result = oracle(*params.values())
+    result = _public(oracle)(*params.values())
 
     if args.format == "json":
         print(_dump_json({
@@ -365,7 +370,11 @@ def _table_rows(family: str, max_k: int):
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cap = int(os.environ.get("TELESUM_MAX_K", str(DEFAULT_MAX_K)))
+    raw_cap = os.environ.get("TELESUM_MAX_K", str(DEFAULT_MAX_K))
+    try:
+        cap = int(raw_cap)
+    except ValueError:
+        raise ValueError("TELESUM_MAX_K must be an integer, not %r" % raw_cap) from None
     _require(args.max_k >= 0, "--max-k must be >= 0")
     _require(
         args.max_k <= cap,
@@ -425,18 +434,19 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# suite -> public name of its runner
 _SUITES = {
-    "identities": verify_mod.run_identities,
-    "closed-vs-oracle": verify_mod.run_closed_vs_oracle,
-    "integrals": verify_mod.run_integrals,
-    "hurwitz": verify_mod.run_hurwitz,
-    "all": verify_mod.run_all,
+    "identities": "run_identities",
+    "closed-vs-oracle": "run_closed_vs_oracle",
+    "integrals": "run_integrals",
+    "hurwitz": "run_hurwitz",
+    "all": "run_all",
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = _SUITES[args.suite](tol=args.tol, seed=args.seed)
-    print(verify_mod.format_report(results))
+    results = _public(_SUITES[args.suite])(tol=args.tol, seed=args.seed)
+    print(_public("format_report")(results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -528,6 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
+        _require(getattr(args, "digits", 1) >= 1, "--digits must be >= 1")
         return int(args.func(args))
     except ValueError as exc:
         print("error: %s" % (exc,), file=sys.stderr)

@@ -24,6 +24,7 @@ from typing import Dict, Tuple
 
 from .apostol_polys import (
     GUARD_BAND,
+    _check_lattice_distance,
     cot_taylor_coeffs,
     ek_mu,
     ektilde_mu,
@@ -31,7 +32,6 @@ from .apostol_polys import (
 )
 from .classical_polys import bernoulli_number, euler_number
 from .exact_core import InternalConsistencyError, PiScalar, Rational
-from .oracles import _check_lattice_distance
 
 __all__ = [
     "ROUTE_TOL",

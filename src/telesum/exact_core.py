@@ -5,7 +5,8 @@ the canonical lowest-terms form (positive denominator, gcd 1) and exact
 closed arithmetic; this module layers on top of them:
 
 * ``PiScalar`` -- exact scalars of the form (rational) * pi**n, the result
-  type of every closed-form evaluation in this package;
+  type of every closed-form evaluation in this package; ``float()`` of one
+  is correctly rounded;
 * ``Poly`` -- dense univariate polynomials with rational coefficients;
 * serialization helpers shared by the CLI renderers.
 
@@ -15,9 +16,12 @@ concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, Union
+
+from mpmath.libmp import mpf_pi, mpf_pow_int, round_ceiling, round_floor
 
 __all__ = [
     "Rational",
@@ -132,13 +136,65 @@ class PiScalar:
         return NotImplemented
 
     def __float__(self) -> float:
-        return float(self.coeff) * math.pi ** self.pi_power
+        """The double nearest to coeff * pi**pi_power: +-inf or +-0.0 only
+        when the exact value lies beyond the double range."""
+        num = self.coeff.numerator
+        value = _pi_power_float(abs(num), self.coeff.denominator, self.pi_power)
+        return -value if num < 0 else value
 
     def __repr__(self) -> str:
         return "PiScalar(%s, %d)" % (self.coeff, self.pi_power)
 
     def __str__(self) -> str:
         return format_pi_scalar(self)
+
+
+def _nearest_float(num: int, den: int) -> float:
+    # int / int is correctly rounded, subnormals included.
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+_LOG2_PI = math.log2(math.pi)
+
+
+def _pi_power_float(num: int, den: int, n: int) -> float:
+    """The double nearest to (num/den) * pi**n for num >= 0, den > 0.
+
+    Ziv's strategy: bound the value from below and above; when both bounds
+    round to the same double so does the value between them, otherwise
+    retry with pi**n to twice the precision.  For n != 0 the value is
+    irrational, so the loop ends; for n = 0 the bounds are exact.
+    """
+    log2 = num.bit_length() - den.bit_length() + n * _LOG2_PI  # within 1
+    if log2 > 1026:
+        return math.inf
+    if log2 < -1077:
+        return 0.0
+    # pi**n magnifies the error of the rounded pi n-fold: log2(n) more bits.
+    prec = 64 + abs(n).bit_length()
+    while True:
+        (a, b), (c, d) = _pi_power_bounds(n, prec)
+        lower = _nearest_float(num * a, den * b)
+        if lower == _nearest_float(num * c, den * d):
+            return lower
+        prec *= 2
+
+
+@functools.lru_cache(maxsize=256)
+def _pi_power_bounds(n: int, prec: int) -> Tuple[Tuple[int, int], ...]:
+    """Integer ratios a/b <= pi**n <= c/d to about prec bits, as
+    [(a, b), (c, d)]: pi**|n| with directed rounding throughout, inverted
+    for n < 0."""
+    bounds = []
+    for rnd in (round_floor, round_ceiling) if n > 0 else (round_ceiling, round_floor):
+        _, man, exp, _ = mpf_pow_int(mpf_pi(prec, rnd), abs(n), prec, rnd)
+        # int(): mpmath's mantissas are gmpy integers when gmpy is installed.
+        ratio = (int(man) << exp, 1) if exp >= 0 else (int(man), 1 << -exp)
+        bounds.append(ratio if n > 0 else ratio[::-1])
+    return tuple(bounds)
 
 
 class Poly:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import mpmath
 import numpy as np
 
-from .apostol_polys import DEFAULT_DPS, GUARD_BAND
+from .apostol_polys import DEFAULT_DPS, _check_lattice_distance
 
 __all__ = [
     "SumResult",
@@ -245,18 +245,6 @@ def _check_order(order: str) -> bool:
     return order == "descending"
 
 
-def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("%s must be finite" % what)
-    if abs(math.remainder(x, spacing)) <= GUARD_BAND:
-        raise ValueError(
-            "%s must stay at least 1e-9 away from multiples of %s"
-            % (what, "2*pi" if spacing == _TWO_PI else "1")
-        )
-    return x
-
-
 def _check_theta_window(theta: float, N: int) -> Tuple[float, int]:
     # the window n = -N..N must hold the pole's nearest lattice point, or
     # the dominant term would fall into the tail estimate
@@ -350,6 +338,8 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     m = -N..N-1; the paired tail is alternating with a convex decreasing
     magnitude, certified by the Leibniz midpoint.  The first few pairs are
     recomputed in mpmath because (2m+1)*pi - mu cancels against float pi.
+    The sum is exactly rounded, so ``order`` ("ascending" or "descending")
+    cannot change the result; it is kept for API compatibility.
     """
     k = _check_int(k, 0, "k")
     mu = float(mu)
@@ -391,7 +381,8 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> S
     one-sided tails get integral-plus-half-term corrections.  For k = 0 the
     conditionally convergent sum is given its symmetric-limit meaning by
     pairing m with -m, which yields terms 2*mu/((2*m*pi)^2 - mu^2).  Terms
-    nearest the lattice singularity are recomputed in mpmath.
+    nearest the lattice singularity are recomputed in mpmath.  As in sum_Z,
+    ``order`` cannot change the result and is kept for API compatibility.
     """
     k = _check_int(k, 0, "k")
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")

@@ -15,13 +15,13 @@ with their exact limits and become forced panel boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import mpmath
-import numpy as np
 
 from .apostol_polys import DEFAULT_DPS
 from .classical_polys import bernoulli_poly, euler_poly
@@ -33,7 +33,6 @@ from .exact_core import (
     poly_eval,
     poly_integral_01,
 )
-from .oracles import cospi, sinpi
 
 __all__ = [
     "OscKernel",
@@ -172,14 +171,19 @@ def j_integral(
     return exact_poly_trig_integral(euler_poly(2 * k + 1), OscKernel.cos(m))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+@functools.lru_cache(maxsize=None)
+def _gl_pairs() -> Tuple[Tuple[float, float], ...]:
+    # numpy loads with the first adaptive integral, not with this module.
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
 def _gl15(f: Callable[[float], float], a: float, b: float) -> float:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * math.fsum(w * f(mid + half * t) for t, w in _GL_PAIRS)
+    return half * math.fsum(w * f(mid + half * t) for t, w in _gl_pairs())
 
 
 def adaptive_integrate(
@@ -261,6 +265,8 @@ def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be an integer >= 1")
+    from .oracles import cospi, sinpi
+
     coeffs = _float_poly(bernoulli_poly(2 * k + 1))
     limit = (2.0 / math.pi) * (2 * k + 1) * float(poly_eval(bernoulli_poly(2 * k), 0))
     sign = 1.0 if k % 2 == 1 else -1.0
@@ -284,6 +290,8 @@ def beta_even_integral(k: int, tol: float = 1e-8) -> float:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be an integer >= 0")
+    from .oracles import cospi
+
     coeffs = _float_poly(euler_poly(2 * k + 1))
     elim = float(poly_eval(euler_poly(2 * k), Fraction(1, 2)))
     limit = -(2 * k + 1) * elim / math.pi

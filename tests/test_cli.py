@@ -159,7 +159,7 @@ def test_verify_impossible_tolerance_fails_cleanly(capsys):
 # --------------------------------------------------------------- exit codes
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
     assert run_cli(capsys, ["eval", "zeta", "--k", "0"])[0] == 2
     assert run_cli(capsys, ["eval", "Z", "--k", "1"])[0] == 2  # missing --mu
     assert (
@@ -194,9 +194,26 @@ def test_usage_errors_exit_2(capsys):
         ("integrals apostol --k 0", "apostol needs --m"),
         ("integrals zeta-odd --k 0", "zeta-odd needs --k >= 1"),
         ("integrals beta-even --k -1", "beta-even needs --k >= 0"),
+        ("eval zeta --k 2 --digits 0", "--digits must be >= 1"),
+        ("eval zeta --k 2 --digits -3", "--digits must be >= 1"),
+        ("poly euler 3 --digits 0", "--digits must be >= 1"),
     ]:
         code, out, err = run_cli(capsys, argv.split())
         assert (code, out, err) == (2, "", "error: %s\n" % message), argv
+    # a malformed cap is named, not reported as a bare int() failure
+    monkeypatch.setenv("TELESUM_MAX_K", "abc")
+    code, out, err = run_cli(capsys, ["table", "zeta", "--max-k", "3"])
+    assert (code, out, err) == (2, "", "error: TELESUM_MAX_K must be an integer, not 'abc'\n")
+
+
+def test_eval_far_past_the_pi_power_overflow(capsys):
+    # pi**800 overflows a double, zeta(800) rounds to 1
+    code, out, err = run_cli(capsys, ["eval", "zeta", "--k", "400"])
+    assert (code, err) == (0, "")
+    assert out.endswith(" * pi^800 = 1\n")
+    code, out, _ = run_cli(capsys, ["eval", "beta", "--k", "200"])
+    assert code == 0
+    assert out.endswith(" * pi^401 = 1\n")
 
 
 def test_overflowing_series_exits_1(capsys):

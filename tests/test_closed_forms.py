@@ -85,6 +85,20 @@ def test_eta_lambda_scalings_against_mpmath():
             )
 
 
+def test_constant_floats_are_correctly_rounded():
+    # the double nearest to the true value, not float(coeff) * math.pi ** n
+    with mpmath.workprec(400):
+        for k in range(1, 101):
+            z = mpmath.zeta(2 * k)
+            assert float(zeta_even(k)) == float(z), k
+            assert float(eta_even(k)) == float(mpmath.altzeta(2 * k)), k
+            assert float(lambda_even(k)) == float((1 - mpmath.mpf(2) ** (-2 * k)) * z), k
+        for k in range(0, 101):
+            assert float(beta_odd(k)) == float(_dirichlet_beta(2 * k + 1)), k
+    assert float(zeta_even(1)).hex() == "0x1.a51a6625307d3p+0"
+    assert float(zeta_even(32)) == 1.0
+
+
 # ------------------------------------------------------------- lattice sums
 
 

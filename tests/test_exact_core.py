@@ -7,6 +7,7 @@ equalities; no tolerances appear anywhere.
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +70,48 @@ def test_pi_scalar_arithmetic():
 def test_pi_scalar_cross_power_addition_rejected():
     with pytest.raises(ValueError):
         PiScalar(Fraction(1, 2), 2) + PiScalar(Fraction(1, 5), 3)
+
+
+def _nearest_double(coeff, pi_power):
+    """The double nearest to coeff * pi**pi_power, from mpmath at 400 bits
+    (normal range only: mpmath rounds twice below it)."""
+    with mpmath.workprec(400):
+        return float(mpmath.mpf(coeff.numerator) / coeff.denominator * mpmath.pi ** pi_power)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, st.integers(min_value=-120, max_value=120))
+def test_pi_scalar_float_is_correctly_rounded(coeff, pi_power):
+    assert float(PiScalar(coeff, pi_power)) == _nearest_double(coeff, pi_power)
+
+
+def test_pi_scalar_float_when_the_first_bounds_disagree():
+    # lie so close to a rounding boundary that the first working precision
+    # leaves both neighbouring doubles possible; the retry decides
+    for coeff, pi_power in [
+        (Fraction(25402, 659225), 2),
+        (Fraction(387245, 690716), 8),
+        (Fraction(298825, 400747), 5),
+    ]:
+        assert float(PiScalar(coeff, pi_power)) == _nearest_double(coeff, pi_power)
+
+
+def test_pi_scalar_float_at_the_edges_of_the_double_range():
+    # tiny coefficient, huge pi power: finite, although 1/3**700 underflows
+    x = Fraction(1, 3 ** 700)
+    assert float(PiScalar(x, 700)) == _nearest_double(x, 700)
+    assert math.isfinite(float(PiScalar(x, 700)))
+    # huge coefficient, negative pi power: finite, although 10**400 overflows
+    assert float(PiScalar(10 ** 400, -500)) == _nearest_double(Fraction(10 ** 400), -500)
+    # the value itself is out of range: infinities and signed zeros
+    assert float(PiScalar(10 ** 300, 20)) == math.inf
+    assert float(PiScalar(-(10 ** 300), 20)) == -math.inf
+    assert float(PiScalar(10 ** 400)) == math.inf
+    assert float(PiScalar(Fraction(1, 10 ** 300), -50)) == 0.0
+    assert math.copysign(1.0, float(PiScalar(Fraction(-1, 10 ** 400), 2))) == -1.0
+    # subnormal results round once, like int / int
+    assert float(PiScalar(Fraction(1, 10 ** 320), 0)) == 1 / 10 ** 320
+    assert float(PiScalar(0, 3)) == 0.0
 
 
 def test_format_pi_scalar():
