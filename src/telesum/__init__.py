@@ -23,6 +23,7 @@ from .exact_core import (
     PiScalar,
     Poly,
     Rational,
+    ToleranceUnreachable,
     binomial,
     collapse_pi_terms,
     format_pi_scalar,
@@ -82,7 +83,6 @@ _LAZY = {
     **dict.fromkeys(
         (
             "SumResult",
-            "ToleranceUnreachable",
             "cospi",
             "herglotz_limit",
             "herglotz_residual",

@@ -6,7 +6,7 @@ The deformed families come from the Apostol-Euler numbers e_n(lam) of the
 number recurrence shared with classical_polys; a polynomial is expanded from
 them only when one is asked for, and the carriers ek_mu (x = 1/2) and
 ektilde_mu (x = 1) read the numbers directly.  The Taylor carriers use none
-of this: they are the independent second route for the lattice sums.
+of this: they are the lattice sums' independent "taylor" route.
 
 All complex work runs in mpmath at a configurable working precision
 (DEFAULT_DPS significant digits).  Double precision is not enough here: the
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Union
 import mpmath
 
 from .classical_polys import _appell_numbers, bernoulli_poly
-from .exact_core import InternalConsistencyError, binomial
+from .exact_core import InternalConsistencyError, ToleranceUnreachable, binomial
 
 __all__ = [
     "DEFAULT_DPS",
@@ -214,13 +214,22 @@ def _ektilde_complex(k: int, mu: float) -> mpmath.mpc:
 def _real_part_checked(
     z: mpmath.mpc, tol_imag: float, what: str
 ) -> float:
-    scale = max(1.0, float(abs(z)))
+    # compared in mpmath, so a value past the double range cannot overflow
+    # the check; the value itself then raises a typed error
+    scale = max(1, abs(z))
     if abs(z.imag) > tol_imag * scale:
         raise InternalConsistencyError(
             "%s should be real; imaginary residue %.3e exceeds %.1e * %.3e"
-            % (what, float(abs(z.imag)), tol_imag, scale)
+            % (what, abs(z.imag), tol_imag, scale)
         )
-    return float(z.real)
+    value = float(z.real)
+    if not math.isfinite(value):
+        raise ToleranceUnreachable(
+            "%s %s lies beyond the double-precision range"
+            % (what, mpmath.nstr(z.real, 5)),
+            achieved=math.inf,
+        )
+    return value
 
 
 def ek_mu(
@@ -233,7 +242,9 @@ def ek_mu(
 
     Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) at working precision and
     returns the real part after checking that the imaginary residue is below
-    tol_imag * max(1, |value|).
+    tol_imag * max(1, |value|).  A value beyond the double range raises
+    ToleranceUnreachable; Z divides by 2*k! before it rounds, so it stays
+    finite where this one cannot.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -375,6 +386,27 @@ def _half_angle_series(mu: float, order: int, quarter_turns: int) -> TruncSeries
     return TruncSeries(mu, out)
 
 
+def _sec_taylor_mp(mu: float, K: int) -> list:
+    # derivatives 0..K of sec(mu/2), in the active precision
+    return _times_factorials(_half_angle_series(mu, K, 0).reciprocal().coeffs)
+
+
+def _cot_taylor_mp(mu: float, K: int) -> list:
+    # derivatives 0..K of -cot(mu/2), in the active precision
+    quot = _half_angle_series(mu, K, 0) / _half_angle_series(mu, K, 1)
+    return [-c for c in _times_factorials(quot.coeffs)]
+
+
+def _times_factorials(coeffs: Sequence) -> list:
+    out = []
+    fact = 1
+    for j, c in enumerate(coeffs):
+        if j:
+            fact *= j
+        out.append(fact * c)
+    return out
+
+
 def sec_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[float]:
     """Derivatives 0..K of sec(mu/2) via truncated-series reciprocal.
 
@@ -385,14 +417,7 @@ def sec_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[floa
         raise ValueError("K must be >= 0")
     mu = _check_sec_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
-        rec = _half_angle_series(mu, K, 0).reciprocal()
-        out = []
-        fact = 1
-        for j, c in enumerate(rec.coeffs):
-            if j:
-                fact *= j
-            out.append(float(fact * c))
-        return out
+        return [float(c) for c in _sec_taylor_mp(mu, K)]
 
 
 def cot_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[float]:
@@ -405,11 +430,4 @@ def cot_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[floa
         raise ValueError("K must be >= 0")
     mu = _check_cot_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
-        quot = _half_angle_series(mu, K, 0) / _half_angle_series(mu, K, 1)
-        out = []
-        fact = 1
-        for j, c in enumerate(quot.coeffs):
-            if j:
-                fact *= j
-            out.append(float(-fact * c))
-        return out
+        return [float(c) for c in _cot_taylor_mp(mu, K)]

@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from . import closed_forms, quadrature
 from .apostol_polys import (
     apostol_bernoulli_poly,
     apostol_euler_poly,
@@ -124,15 +123,16 @@ def _require_options(args: argparse.Namespace, family: str, least: Dict[str, Opt
 
 _POLYS = {"bernoulli": bernoulli_poly, "euler": euler_poly}
 
-# The exact constant families: family -> (value at k, least k, usage message).
+# The exact constant families: family -> (public name of the value at k,
+# least k, usage message).
 _CONSTANTS = {
-    "zeta": (closed_forms.zeta_even, 1, "zeta needs --k >= 1 (value is zeta(2k))"),
-    "beta": (closed_forms.beta_odd, 0, "beta needs --k >= 0 (value is beta(2k+1))"),
-    "eta": (closed_forms.eta_even, 1, "eta needs --k >= 1 (value is eta(2k))"),
-    "lambda": (closed_forms.lambda_even, 1, "lambda needs --k >= 1 (value is lambda(2k))"),
+    "zeta": ("zeta_even", 1, "zeta needs --k >= 1 (value is zeta(2k))"),
+    "beta": ("beta_odd", 0, "beta needs --k >= 0 (value is beta(2k+1))"),
+    "eta": ("eta_even", 1, "eta needs --k >= 1 (value is eta(2k))"),
+    "lambda": ("lambda_even", 1, "lambda needs --k >= 1 (value is lambda(2k))"),
 }
 
-_LATTICE = {"Z": closed_forms.Z, "Ztilde": closed_forms.Ztilde}
+_LATTICE = ("Z", "Ztilde")
 
 # family -> (public name of the oracle, its leading options, default --terms,
 # or None when the oracle meets --tol instead of summing a fixed window)
@@ -207,20 +207,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     exact: Optional[PiScalar] = None
     method = "closed_form"
     if family in _CONSTANTS:
-        value_at, least, message = _CONSTANTS[family]
+        name, least, message = _CONSTANTS[family]
         _require(args.k is not None and args.k >= least, message)
-        exact = value_at(args.k)
+        exact = _public(name)(args.k)
         value = float(exact)
         params: Dict[str, object] = {"k": args.k}
     elif family in _LATTICE:
         _require_options(args, family, {"k": None, "mu": None})
-        value = _LATTICE[family](args.k, args.mu, method=args.method)
+        value = _public(family)(args.k, args.mu, method=args.method)
         method = args.method
         params = {"k": args.k, "mu": args.mu}
     else:  # Ztilde0
         _require_options(args, family, {"mu": None})
         _require(args.k in (None, 0), "Ztilde0 takes no --k (or --k 0)")
-        value = closed_forms.Ztilde0(args.mu)
+        value = _public("Ztilde0")(args.mu)
         params = {"mu": args.mu}
 
     rec = OutputRecord(
@@ -333,22 +333,31 @@ def _print_quadrature(
         print("%s (tol %s)" % (rec.approx, rec.error_bound))
 
 
-def _poly_trig(poly, kernel):
-    return lambda k, m: quadrature.exact_poly_trig_integral(poly(2 * k), kernel(m))
+def _poly_trig(poly: str, kernel: str):
+    def evaluate(k: int, m: int):
+        osc = getattr(_public("OscKernel"), kernel)(m)
+        return _public("exact_poly_trig_integral")(_public(poly)(2 * k), osc)
+
+    return evaluate
+
+
+def _by_name(name: str):
+    return lambda *args: _public(name)(*args)
 
 
 # family -> (required options and their least values, further options,
-# evaluator taking all the options in order, printer, JSON kind)
+# evaluator taking all the options in order, printer, JSON kind); the
+# evaluators look their public functions up at each call
 _INTEGRALS = {
-    "poly-cos": ({"k": 1, "m": 1}, (), _poly_trig(bernoulli_poly, quadrature.OscKernel.cos),
+    "poly-cos": ({"k": 1, "m": 1}, (), _poly_trig("bernoulli_poly", "cos"),
                  _print_exact_record, "poly_cos_integral"),
-    "poly-sin": ({"k": 0, "m": 1}, (), _poly_trig(euler_poly, quadrature.OscKernel.sin),
+    "poly-sin": ({"k": 0, "m": 1}, (), _poly_trig("euler_poly", "sin"),
                  _print_exact_record, "poly_sin_integral"),
-    "apostol": ({"k": 0, "m": None}, ("mu",), quadrature.exact_apostol_integral,
+    "apostol": ({"k": 0, "m": None}, ("mu",), _by_name("exact_apostol_integral"),
                 _print_complex, "apostol_exp_integral"),
-    "zeta-odd": ({"k": 1}, ("tol",), quadrature.zeta_odd_integral,
+    "zeta-odd": ({"k": 1}, ("tol",), _by_name("zeta_odd_integral"),
                  _print_quadrature, "zeta_odd_integral"),
-    "beta-even": ({"k": 0}, ("tol",), quadrature.beta_even_integral,
+    "beta-even": ({"k": 0}, ("tol",), _by_name("beta_even_integral"),
                   _print_quadrature, "beta_even_integral"),
 }
 
@@ -363,7 +372,8 @@ def cmd_integrals(args: argparse.Namespace) -> int:
 
 def _table_rows(family: str, max_k: int):
     if family in _CONSTANTS:
-        value_at, least, _ = _CONSTANTS[family]
+        name, least, _ = _CONSTANTS[family]
+        value_at = _public(name)
     else:
         value_at, least = _POLYS[family], 0
     return [(k, value_at(k)) for k in range(least, max_k + 1)]

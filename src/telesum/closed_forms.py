@@ -8,33 +8,57 @@ evaluators for two bilateral lattice sums:
   Ztilde(k; mu) = sum over all integers m of 1 / (2*m*pi - mu)**(k+1)
 
 Z equals the k-th derivative of sec(mu/2) divided by 2*k!, and Ztilde (for
-k >= 1) the k-th derivative of -cot(mu/2) divided by 2*k!.  Both are
-computed by two independent routes (a complex polynomial identity and a
-truncated-series expansion) that are cross-checked on every call; a small
-table of explicit trigonometric ratios is available as a third, independent
-fixture for low k.
+k >= 1) the k-th derivative of -cot(mu/2) divided by 2*k!.  Each value
+comes from one of two mpmath routes -- the paper's complex Apostol-Euler
+identity, or a truncated-series expansion -- and every call checks it
+against a third, certified route: the derivative polynomials
+
+  sec^(k)(x) = sec(x) Q_k(tan x),  Q_0 = 1,  Q_{k+1} = t Q_k + (1 + t^2) Q_k'
+  cot^(k)(x) = P_k(cot x),         P_0 = u,  P_{k+1} = -(1 + u^2) P_k'
+
+(M. E. Hoffman, Amer. Math. Monthly 102 (1995) 23-30; K. Boyadzhiev,
+Int. J. Math. Math. Sci. 2007).  Their integer coefficients have one sign
+and fixed parity, so a float Horner evaluation at |tan(mu/2)| or
+|cot(mu/2)| adds terms of one sign and carries an a-priori relative error
+bound; it costs microseconds.  A small table of explicit trigonometric
+ratios is a further, independent fixture for low k.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
+
+import mpmath
+from mpmath.libmp import from_int, normalize, round_nearest
 
 from .apostol_polys import (
+    DEFAULT_DPS,
     GUARD_BAND,
+    TOL_IMAG,
+    _check_cot_domain,
     _check_lattice_distance,
-    cot_taylor_coeffs,
-    ek_mu,
-    ektilde_mu,
-    sec_taylor_coeffs,
+    _check_sec_domain,
+    _cot_taylor_mp,
+    _ek_complex,
+    _ektilde_complex,
+    _sec_taylor_mp,
 )
 from .classical_polys import bernoulli_number, euler_number
-from .exact_core import InternalConsistencyError, PiScalar, Rational
+from .exact_core import (
+    InternalConsistencyError,
+    PiScalar,
+    Rational,
+    ToleranceUnreachable,
+    _nearest_float,
+)
 
 __all__ = [
     "ROUTE_TOL",
+    "MAX_K",
     "zeta_even",
     "beta_odd",
     "eta_even",
@@ -49,11 +73,24 @@ __all__ = [
     "Ztilde_table",
 ]
 
-# Mutual-agreement tolerance between the two computational routes, applied
-# relative to max(1, |value|).
+# Kept for compatibility: the relative tolerance, against max(1, |value|),
+# of the check before the certified route.  The certified tolerance is
+# below ROUTE_TOL * max(1, |value|) for every k <= MAX_K and mu.
 ROUTE_TOL = 1e-9
 
+# Largest k of Z and Ztilde: past it the scaled coefficients of Q_k and P_k
+# (down to about 2 / pi**(k+1)) leave the normal double range and the
+# certified bound would no longer hold.
+MAX_K = 618
+
 _TWO_PI = 2.0 * math.pi
+_U = 2.0 ** -53
+# Assumed bound on the relative error of the platform's tan and cos: 2 ulp.
+_LIBM = 2.0 ** -51
+# Absolute error the two results can pick up when rounded into the
+# subnormal range.
+_SUBNORMAL_FLOOR = 2.0 ** -1072
+_LN10 = math.log(10.0)
 
 
 def zeta_even(k: int) -> PiScalar:
@@ -105,12 +142,143 @@ def _normalize_method(method: str) -> str:
         ) from None
 
 
-def _cross_check(a: float, b: float, what: str) -> None:
-    scale = max(1.0, abs(a), abs(b))
-    if abs(a - b) > ROUTE_TOL * scale:
+class _DerivativeRows:
+    """One derivative-polynomial family, grown on demand.
+
+    ``exact[k]`` holds the integer coefficients of the k-th polynomial,
+    lowest degree first; ``scaled[k]`` holds the magnitudes of those that
+    parity allows, highest degree first, each divided by 2**(k+1) * k! and
+    correctly rounded.  Row k + 1 has coefficients
+    sign * ((j - shift) * row[j-1] + (j+1) * row[j+1]).  Both lists only
+    grow, under a lock, so readers always see a fully built prefix; nothing
+    past the seed row is built until a value asks for it.
+    """
+
+    def __init__(self, seed: Tuple[int, ...], shift: int, sign: int) -> None:
+        self.exact: List[Tuple[int, ...]] = [seed]
+        self.scaled: List[Tuple[float, ...]] = [_scaled_row(seed, 0)]
+        self._shift = shift
+        self._sign = sign
+        self._lock = threading.Lock()
+
+    def _grow(self, k: int) -> None:
+        with self._lock:
+            while len(self.scaled) <= k:
+                row = self.exact[-1]
+                padded = (0, *row, 0, 0)
+                new = tuple(
+                    self._sign * ((j - self._shift) * padded[j] + (j + 1) * padded[j + 2])
+                    for j in range(len(row) + 1)
+                )
+                self.exact.append(new)
+                self.scaled.append(_scaled_row(new, len(self.scaled)))
+
+    def value(self, k: int, t: float) -> Tuple[float, float]:
+        """Row k at t over 2**(k+1) * k!, up to sign, and its relative error bound.
+
+        Horner runs in s = t*t over coefficients of one sign, so every
+        partial sum is at most max(sum of the coefficients, |result|): a
+        result in range never overflows on the way.  The bound covers the
+        rounded coefficients, s and Horner (3 roundings per step, allowing
+        for underflow in a product), the final products, and the libm error
+        in t amplified by the degree d, plus one libm call for the caller's
+        prefactor; 1.01 covers the terms of second order.
+        """
+        if k >= len(self.scaled):
+            self._grow(k)
+        coeffs = self.scaled[k]
+        s = t * t
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * s + c
+        d = len(self.exact[k]) - 1
+        if d % 2:
+            acc *= t
+        n = len(coeffs)
+        return acc, 1.01 * ((4 * n + d + 4) * _U + (d + 1) * _LIBM)
+
+
+def _scaled_row(row: Tuple[int, ...], k: int) -> Tuple[float, ...]:
+    norm = math.factorial(k) << (k + 1)
+    return tuple(abs(c) / norm for c in row[::-2])
+
+
+# sec^(k)(x) = sec(x) Q_k(tan x) and cot^(k)(x) = P_k(cot x)
+_SEC_ROWS = _DerivativeRows((1,), 0, 1)
+_COT_ROWS = _DerivativeRows((0, 1), 1, -1)
+
+
+def _float_quotient(x: mpmath.mpf, scale: int) -> float:
+    """float(x) / scale, rounded exactly as Python rounds it whenever
+    float(x) is a normal double and float(scale) is finite -- x and scale
+    each rounded to 53 bits, then the quotient once -- but with no exponent
+    limit on x or scale, so a quotient in range stays finite for k >= 171."""
+    sign, man, exp, bc = x._mpf_
+    if not man:
+        return float(x)
+    _, man, exp, _ = normalize(sign, man, exp, bc, 53, round_nearest)
+    _, sman, sexp, _ = from_int(scale, 53, round_nearest)
+    num, den = int(man), int(sman)
+    if exp >= sexp:
+        num <<= exp - sexp
+    else:
+        den <<= sexp - exp
+    value = _nearest_float(num, den)
+    return -value if sign else value
+
+
+def _mp_floor(k: int, dist: float) -> float:
+    """Absolute error allowance for an mpmath route at DEFAULT_DPS digits.
+
+    The terms of either lattice sum add up in absolute value to at most
+    4 * dist**-(k+1), where dist is the distance from mu to the nearest
+    pole; both mpmath routes stay below 10**-DEFAULT_DPS * (k+1) times that
+    by more than a factor of ten (measured against Hurwitz-zeta truth at
+    90 digits for k <= 250).  It only matters near zeros of the sum: next to
+    its value it is at most 1e-37 relative.
+    """
+    log = math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
+    return math.exp(min(log, 700.0))
+
+
+def _checked(
+    k: int, z: mpmath.mpc, check: float, rel: float, dist: float, what: str
+) -> float:
+    """The real part of an mpmath route's value z of 2*k! times the sum,
+    over 2*k!, checked against the certified value ``check``.
+
+    They must agree to |value - check| <= (rel + 4u) * |check| + floor:
+    rel bounds the certified value's error, 4u the rounding of this one,
+    and the floor the mpmath route's own error and subnormal rounding.  The imaginary residue of
+    the complex route must stay within TOL_IMAG of the real part plus the
+    same floor.
+    """
+    scale = 2 * math.factorial(k)
+    floor = _mp_floor(k, dist)
+    if abs(z.imag) > TOL_IMAG * abs(z.real) + mpmath.mpf(floor) * scale:
         raise InternalConsistencyError(
-            "%s: independent routes disagree (%r vs %r, allowed %.1e * %.3e)"
-            % (what, a, b, ROUTE_TOL, scale)
+            "%s should be real; imaginary residue %s is too large next to %s"
+            % (what, mpmath.nstr(z.imag / scale, 5), mpmath.nstr(z.real / scale, 5))
+        )
+    value = _float_quotient(z.real, scale)
+    if not (math.isfinite(value) and math.isfinite(check)):
+        raise ToleranceUnreachable(
+            "%s lies beyond the double-precision range" % what, achieved=math.inf
+        )
+    allowed = (rel + 4 * _U) * abs(check) + floor + _SUBNORMAL_FLOOR
+    if abs(value - check) > allowed:
+        raise InternalConsistencyError(
+            "%s: the route gives %r, the certified derivative-polynomial route "
+            "%r (allowed difference %.3e)" % (what, value, check, allowed)
+        )
+    return value
+
+
+def _check_max_k(k: int) -> None:
+    if k > MAX_K:
+        raise ValueError(
+            "k must be <= %d, where the certified route's coefficients leave "
+            "the double range" % MAX_K
         )
 
 
@@ -120,22 +288,33 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     Returns sum over all integers m of (-1)**m / ((2m+1)*pi - mu)**(k+1),
     which equals the k-th derivative of sec(mu/2) divided by 2*k!.
 
-    The computational routes require -pi < mu < pi (away from the endpoint
-    poles); method="table" uses the explicit trig-ratio fixtures for
-    k = 0..6 and accepts any mu away from odd multiples of pi.  Methods
-    "complex" and "taylor" still cross-check against each other; "auto"
-    behaves like "complex".
+    "auto" and "complex" return the paper's complex Apostol-Euler value,
+    "taylor" the truncated-series value; both are computed in mpmath and
+    scaled by 2*k! before rounding.  Each is checked against the certified
+    derivative-polynomial value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!)
+    to within its error bound (see _checked).  These methods need
+    0 <= k <= MAX_K and -pi < mu < pi (at least 1e-9 from the endpoint
+    poles).  method="table" uses the explicit trig-ratio fixtures for
+    k = 0..6 unchecked, and accepts any mu away from odd multiples of pi.
+
+    Raises ValueError outside the domain, ToleranceUnreachable (achieved =
+    inf) when the sum lies beyond the double range, and
+    InternalConsistencyError when the routes disagree.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     method = _normalize_method(method)
     if method == "table":
         return Z_table(k, mu)
-    scale = 2 * math.factorial(k)
-    a = ek_mu(k, mu) / scale
-    b = sec_taylor_coeffs(mu, k)[k] / scale
-    _cross_check(a, b, "Z(%d, %r)" % (k, mu))
-    return b if method == "taylor" else a
+    _check_max_k(k)
+    mu = _check_sec_domain(mu)
+    half = mu / 2.0
+    check, rel = _SEC_ROWS.value(k, math.tan(half))
+    with mpmath.workdps(DEFAULT_DPS):
+        z = _sec_taylor_mp(mu, k)[k] if method == "taylor" else _ek_complex(k, mu)
+    return _checked(
+        k, z, check / math.cos(half), rel, math.pi - abs(mu), "Z(%d, %r)" % (k, mu)
+    )
 
 
 def Ztilde(k: int, mu: float, method: str = "auto") -> float:
@@ -145,6 +324,10 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     equals the k-th derivative of -cot(mu/2) divided by 2*k!.  Requires mu
     away from multiples of 2*pi (the m = 0 pole).  The k = 0 sum does not
     converge pointwise; its symmetric-limit convention lives in Ztilde0.
+
+    Methods, checks and errors are those of Z, with the certified value
+    -P_k(cot(mu/2)) / (2**(k+1) k!) and 1 <= k <= MAX_K; method="table"
+    covers k = 1..7.
     """
     if k < 1:
         raise ValueError(
@@ -154,11 +337,16 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     method = _normalize_method(method)
     if method == "table":
         return Ztilde_table(k, mu)
-    scale = 2 * math.factorial(k)
-    a = ektilde_mu(k, mu) / scale
-    b = cot_taylor_coeffs(mu, k)[k] / scale
-    _cross_check(a, b, "Ztilde(%d, %r)" % (k, mu))
-    return b if method == "taylor" else a
+    _check_max_k(k)
+    mu = _check_cot_domain(mu)
+    check, rel = _COT_ROWS.value(k, 1.0 / math.tan(mu / 2.0))
+    with mpmath.workdps(DEFAULT_DPS):
+        z = _cot_taylor_mp(mu, k)[k] if method == "taylor" else _ektilde_complex(k, mu)
+    # -P_k = (-1)**(k+1) |P_k|
+    return _checked(
+        k, z, check if k % 2 else -check, rel, abs(math.remainder(mu, _TWO_PI)),
+        "Ztilde(%d, %r)" % (k, mu),
+    )
 
 
 def Ztilde0(mu: float) -> float:

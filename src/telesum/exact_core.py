@@ -27,6 +27,7 @@ __all__ = [
     "Rational",
     "RationalLike",
     "InternalConsistencyError",
+    "ToleranceUnreachable",
     "binomial",
     "PiScalar",
     "Poly",
@@ -47,6 +48,17 @@ RationalLike = Union[Fraction, int]
 
 class InternalConsistencyError(ArithmeticError):
     """Two independent computations of the same quantity disagree."""
+
+
+class ToleranceUnreachable(ArithmeticError):
+    """Requested tolerance cannot be certified; .achieved holds the best bound.
+
+    Also raised, with achieved = inf, for a value beyond the double range.
+    """
+
+    def __init__(self, message: str, achieved: float) -> None:
+        super().__init__(message)
+        self.achieved = achieved
 
 
 def binomial(n: int, k: int) -> int:

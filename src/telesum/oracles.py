@@ -30,6 +30,7 @@ import mpmath
 import numpy as np
 
 from .apostol_polys import DEFAULT_DPS, _check_lattice_distance
+from .exact_core import ToleranceUnreachable
 
 __all__ = [
     "SumResult",
@@ -63,14 +64,6 @@ class SumResult:
     value: float
     error_bound: float
     terms_used: int
-
-
-class ToleranceUnreachable(ArithmeticError):
-    """Requested tolerance cannot be certified; .achieved holds the best bound."""
-
-    def __init__(self, message: str, achieved: float) -> None:
-        super().__init__(message)
-        self.achieved = achieved
 
 
 def sinpi(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:

@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 from telesum import (
+    ToleranceUnreachable,
     TruncSeries,
     apostol_bernoulli_poly,
     apostol_euler_poly,
@@ -192,6 +193,15 @@ def test_carrier_domain_guards():
         sec_taylor_coeffs(math.pi, 4)
     with pytest.raises(ValueError):
         cot_taylor_coeffs(2 * math.pi, 4)
+
+
+def test_carriers_past_the_double_range_raise_a_typed_error():
+    # 2 * 171! * Z(171, 0.7) = 5.19e242 is in range; the k = 250 value is not
+    assert ek_mu(171, 0.7) == pytest.approx(5.188192231325938e242, rel=1e-13)
+    for carrier, k, mu in ((ek_mu, 250, 0.7), (ektilde_mu, 200, 1.0)):
+        with pytest.raises(ToleranceUnreachable) as info:
+            carrier(k, mu)
+        assert info.value.achieved == math.inf
 
 
 def test_trunc_series_reciprocal_roundtrip():

@@ -224,6 +224,26 @@ def test_overflowing_series_exits_1(capsys):
     assert err.startswith("error: ")
 
 
+def test_eval_lattice_sums_past_170_factorial(capsys):
+    # 2 * 171! is past the double range, but the sum is not
+    code, out, err = run_cli(capsys, ["eval", "Z", "--k", "171", "--mu", "0.7"])
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(2.0902968118812e-67, rel=1e-12)
+    code, out, _ = run_cli(capsys, ["eval", "Ztilde", "--k", "171", "--mu", "1.0"])
+    assert code == 0
+    assert float(out) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_eval_beyond_the_double_range_exits_1(capsys):
+    # Z(150, 3.14) is about 1e422: a typed error, not inf
+    for method in ("auto", "complex", "taylor"):
+        code, out, err = run_cli(
+            capsys, ["eval", "Z", "--k", "150", "--mu", "3.14", "--method", method]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Z(150, 3.14) lies beyond the double-precision range")
+
+
 def test_table_cap_from_environment(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["table", "zeta", "--max-k", "31"])
     assert code == 2

@@ -6,20 +6,27 @@ exact anchors (values at 0, pi/2, pi).
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from telesum import (
+    InternalConsistencyError,
     PiScalar,
+    ToleranceUnreachable,
     Z,
     Z_table,
     Ztilde,
     Ztilde0,
     Ztilde_table,
     beta_odd,
+    bernoulli_number,
+    closed_forms,
     eta_even,
+    euler_number,
     lambda_even,
     zeta_even,
 )
@@ -212,3 +219,163 @@ def test_domain_and_argument_errors():
         Z(1, 0.5, method="newton")
     # the table route accepts wide mu (it is the documented way out there)
     assert math.isfinite(Z(2, 3.5, method="table"))
+
+
+# ------------------------------------------- the certified derivative route
+
+_EDGE_K = (0, 1, 30, 60, 100, 140, 170, 171)
+_Z_EDGE_MU = (0.0, 0.7, -0.7, 3.0, -3.0, 3.1, -3.1, 3.14, -3.14)
+_ZTILDE_EDGE_MU = (
+    1e-3, -0.05, 0.3,                                # near 0
+    math.pi, math.pi - 1e-3, math.pi + 0.2,          # near pi
+    2 * math.pi - 0.01, 2 * math.pi + 1e-4,          # near 2 pi
+)
+
+
+def _truth_or_out_of_range(f, k, mu, want):
+    """f(k, mu) matches want to 1e-15 relative, or raises the typed error
+    exactly when want lies beyond the double range ("complex" runs the same
+    code as "auto")."""
+    for method in ("auto", "taylor"):
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(ToleranceUnreachable) as info:
+                f(k, mu, method=method)
+            assert info.value.achieved == math.inf
+        else:
+            got = f(k, mu, method=method)
+            assert abs(got - want) <= 1e-15 * abs(want), (f.__name__, k, mu, method, got)
+
+
+def test_lattice_sums_match_hurwitz_truth_at_the_edges():
+    with mpmath.workdps(50):
+        for k in _EDGE_K:
+            for mu in _Z_EDGE_MU:
+                m = mpmath.mpf(mu)
+                want = mpmath.sec(m / 2) / 2 if k == 0 else _z_hurwitz(k, m)
+                _truth_or_out_of_range(Z, k, mu, want)
+            for mu in _ZTILDE_EDGE_MU if k else ():
+                _truth_or_out_of_range(Ztilde, k, mu, _ztilde_hurwitz(k, mpmath.mpf(mu)))
+
+
+def test_odd_alternating_sums_vanish_at_zero():
+    # the terms at m and -1 - m cancel exactly; the complex route's rounding
+    # noise at k >= 51 is all imaginary and below the check's floor
+    for k in (1, 31, 51, 61, 171):
+        for method in ("auto", "complex", "taylor"):
+            assert Z(k, 0.0, method=method) == 0.0
+
+
+def test_k_past_the_certified_range_is_a_domain_error():
+    assert closed_forms.MAX_K == 618
+    with pytest.raises(ValueError, match="618"):
+        Z(619, 0.5)
+    with pytest.raises(ValueError, match="618"):
+        Ztilde(619, 1.0)
+
+
+def test_derivative_polynomial_rows_are_secant_and_tangent_numbers():
+    # Q_k(0) = sec^(k)(0) = |E_k| for even k; P_k(0) = cot^(k)(pi/2) =
+    # -tan^(k)(0) = -T_k for odd k, with T_k the tangent numbers
+    closed_forms._SEC_ROWS.value(40, 0.0)
+    closed_forms._COT_ROWS.value(40, 0.0)
+    for k in range(0, 41):
+        q = closed_forms._SEC_ROWS.exact[k]
+        p = closed_forms._COT_ROWS.exact[k]
+        assert len(q) == k + 1 and len(p) == k + 2
+        assert all(c >= 0 for c in q) and all(c * (-1) ** k >= 0 for c in p)
+        assert q[-1] == p[-1] * (-1) ** k == math.factorial(k)
+        if k % 2 == 0:
+            assert q[0] == abs(euler_number(k))
+        else:
+            n = k + 1
+            tangent = (-1) ** (n // 2 - 1) * 2 ** n * (2 ** n - 1) * bernoulli_number(n) / n
+            assert p[0] == -tangent
+
+
+def test_certified_bound_holds_against_hurwitz_truth():
+    # the derivative-polynomial value alone, against 60-digit truth
+    rows = closed_forms._SEC_ROWS, closed_forms._COT_ROWS
+    with mpmath.workdps(60):
+        for k in (1, 2, 7, 20, 41, 80, 150, 250):
+            for mu in (0.3, -1.3, 2.2, 3.05, -3.1):
+                value, rel = rows[0].value(k, math.tan(mu / 2))
+                value /= math.cos(mu / 2)
+                want = _z_hurwitz(k, mpmath.mpf(mu))
+                if abs(want) < sys.float_info.max:
+                    assert abs(value - want) <= rel * abs(want), (k, mu)
+            for mu in (0.02, 1.1, math.pi, 4.0, -6.2):
+                value, rel = rows[1].value(k, 1 / math.tan(mu / 2))
+                value = value if k % 2 else -value
+                want = _ztilde_hurwitz(k, mpmath.mpf(mu))
+                if abs(want) < sys.float_info.max:
+                    assert abs(value - want) <= rel * abs(want), (k, mu)
+
+
+def _perturbed(route, factor):
+    def perturbed(*args):
+        return route(*args) * factor
+
+    return perturbed
+
+
+def test_route_check_catches_a_perturbed_complex_value(monkeypatch):
+    # 1e-10 relative at Z(60, 0.7) ~ 2.2e-24 is far inside the old
+    # ROUTE_TOL * max(1, |value|) = 1e-9 check, and far outside the new one
+    assert 1e-24 < Z(60, 0.7) < 1e-23
+    assert Ztilde(60, 1.0) == pytest.approx(-1.0, rel=1e-12)
+    for name, f, k, mu in (("_ek_complex", Z, 60, 0.7), ("_ektilde_complex", Ztilde, 60, 1.0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(closed_forms, name, _perturbed(getattr(closed_forms, name), 1 + 1e-10))
+            with pytest.raises(InternalConsistencyError, match="certified"):
+                f(k, mu)
+            with pytest.raises(InternalConsistencyError, match="certified"):
+                f(k, mu, method="complex")
+            f(k, mu, method="taylor")  # the Taylor route is untouched
+
+
+def test_route_check_catches_an_altered_row_coefficient():
+    for rows, f, k, mu, t in (
+        (closed_forms._SEC_ROWS, Z, 60, 0.7, math.tan(0.35)),
+        (closed_forms._COT_ROWS, Ztilde, 60, 1.0, 1 / math.tan(0.5)),
+    ):
+        f(k, mu)
+        saved = rows.scaled[k]
+        exact = list(rows.exact[k])
+        # one part in 1e9 on the coefficient of the largest term
+        j = max(range(len(exact)), key=lambda i: abs(exact[i]) * t ** i)
+        exact[j] += exact[j] // 10**9
+        rows.scaled[k] = closed_forms._scaled_row(tuple(exact), k)
+        try:
+            with pytest.raises(InternalConsistencyError, match="certified"):
+                f(k, mu)
+            with pytest.raises(InternalConsistencyError, match="certified"):
+                f(k, mu, method="taylor")
+        finally:
+            rows.scaled[k] = saved
+        f(k, mu)
+
+
+def test_concurrent_row_growth_matches_serial_growth():
+    # more threads than cores, each growing a fresh cache to its own depth
+    serial = closed_forms._DerivativeRows((0, 1), 1, -1)
+    serial.value(48, 0.5)
+    shared = closed_forms._DerivativeRows((0, 1), 1, -1)
+    results = {}
+
+    def work(k):
+        results[k] = shared.value(k, 0.5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(48, 0, -3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert shared.exact == serial.exact[: len(shared.exact)]
+    assert shared.scaled == serial.scaled[: len(shared.scaled)]
+    assert results == {k: serial.value(k, 0.5) for k in range(48, 0, -3)}

@@ -70,6 +70,24 @@ def test_the_verify_layer_loads_on_first_use():
     assert seen == [False, True, True, True]
 
 
+def test_import_builds_no_derivative_polynomial_rows():
+    seen = _fresh(
+        "import json, sys, telesum\n"
+        "from telesum import closed_forms as cf\n"
+        "print(json.dumps([cf._SEC_ROWS.exact, cf._COT_ROWS.exact,\n"
+        "                  len(cf._SEC_ROWS.scaled), len(cf._COT_ROWS.scaled),\n"
+        "                  'numpy' in sys.modules]))\n"
+    )
+    assert seen == [[[1]], [[0, 1]], 1, 1, False]
+
+
+def test_tolerance_unreachable_is_one_class():
+    from telesum import exact_core, oracles
+
+    assert telesum.ToleranceUnreachable is exact_core.ToleranceUnreachable
+    assert oracles.ToleranceUnreachable is exact_core.ToleranceUnreachable
+
+
 def test_public_names_are_unchanged():
     assert telesum.__all__ == PUBLIC_NAMES
 
