@@ -276,14 +276,18 @@ def ektilde_mu(
         return _real_part_checked(z, tol_imag, "cot-derivative value")
 
 
+def _scaled_residue(z: mpmath.mpc) -> float:
+    # formed in mpmath and rounded once: |z| itself may be past the double range
+    return float(abs(z.imag) / max(1, abs(z)))
+
+
 def ek_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> float:
     """Scaled imaginary residue |Im z| / max(1, |z|) of the ek_mu combination."""
     if k < 0:
         raise ValueError("k must be >= 0")
     mu = _check_sec_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
-        z = _ek_complex(k, mu)
-        return float(abs(z.imag)) / max(1.0, float(abs(z)))
+        return _scaled_residue(_ek_complex(k, mu))
 
 
 def ektilde_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> float:
@@ -292,8 +296,7 @@ def ektilde_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> flo
         raise ValueError("k must be >= 1")
     mu = _check_cot_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
-        z = _ektilde_complex(k, mu)
-        return float(abs(z.imag)) / max(1.0, float(abs(z)))
+        return _scaled_residue(_ektilde_complex(k, mu))
 
 
 class TruncSeries:
@@ -407,27 +410,41 @@ def _times_factorials(coeffs: Sequence) -> list:
     return out
 
 
+def _finite_floats(values: Sequence, what: str) -> List[float]:
+    out = [float(c) for c in values]
+    for j, c in enumerate(out):
+        if not math.isfinite(c):
+            raise ToleranceUnreachable(
+                "derivative %d of %s(mu/2), %s, lies beyond the double-precision range"
+                % (j, what, mpmath.nstr(values[j], 5)),
+                achieved=math.inf,
+            )
+    return out
+
+
 def sec_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[float]:
     """Derivatives 0..K of sec(mu/2) via truncated-series reciprocal.
 
     Entry j equals j! times the j-th Taylor coefficient of sec((mu + t)/2)
     at t = 0, i.e. the j-th derivative of sec(mu/2) with respect to mu.
+    An entry beyond the double range raises ToleranceUnreachable.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     mu = _check_sec_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
-        return [float(c) for c in _sec_taylor_mp(mu, K)]
+        return _finite_floats(_sec_taylor_mp(mu, K), "sec")
 
 
 def cot_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[float]:
     """Derivatives 0..K of -cot(mu/2) via a truncated-series quotient.
 
     Entry j is -j! times the j-th Taylor coefficient of
-    cos((mu+t)/2) / sin((mu+t)/2); entry 0 is -1/tan(mu/2).
+    cos((mu+t)/2) / sin((mu+t)/2); entry 0 is -1/tan(mu/2).  An entry
+    beyond the double range raises ToleranceUnreachable.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     mu = _check_cot_domain(mu)
     with mpmath.workdps(dps or DEFAULT_DPS):
-        return [float(c) for c in _cot_taylor_mp(mu, K)]
+        return _finite_floats(_cot_taylor_mp(mu, K), "-cot")

@@ -10,8 +10,11 @@ rounding of the individual terms.  The kernel bins the terms by exponent
 (Demmel & Hida 2003): it splits each significand into two integer limbs
 below 2**27, sums the limbs per exponent with numpy in blocks of fewer than
 2**26 terms, where every partial sum is an integer below 2**53 and hence
-exact, and rounds the combined integer once.  A sum beyond the double range
-raises ToleranceUnreachable.
+exact, and rounds the combined integer once.  Consecutive terms go to
+different lane slots of their exponent bin, so a monotone series, whose
+terms share a bin in long runs, does not serialise the per-bin additions;
+the lanes are folded in exact integer arithmetic.  A sum beyond the double
+range raises ToleranceUnreachable.
 
 Terms that suffer cancellation against an irrational lattice (multiples of
 pi minus the shift) are recomputed in mpmath and patched into the term
@@ -66,11 +69,20 @@ class SumResult:
     terms_used: int
 
 
+def _mod2(arr: np.ndarray) -> np.ndarray:
+    # arr mod 2 in [0, 2) from element-wise steps numpy vectorises (np.mod
+    # is several times slower): halving, floor and doubling are exact and the
+    # difference is rounded once, so the bits are np.mod(arr, 2.0)'s, signed
+    # zeros included, except at -2**-1074, whose half underflows to -0.0: it
+    # stays itself, where np.mod rounds 2 - 2**-1074 up to 2.0
+    return arr - 2.0 * np.floor(0.5 * arr)
+
+
 def sinpi(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """sin(pi*y) with exact zeros at integer y and full relative accuracy
     near them, via range reduction of y rather than of pi*y."""
     arr = np.asarray(y, dtype=np.float64)
-    r = np.mod(arr, 2.0)
+    r = _mod2(arr)
     s = np.where(r > 1.0, -1.0, 1.0)
     r = np.where(r > 1.0, r - 1.0, r)
     r = np.where(r > 0.5, 1.0 - r, r)
@@ -88,7 +100,7 @@ def cospi(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     subtraction is exact (Sterbenz), then evaluate sin(pi*(1/2 - r)).
     """
     arr = np.asarray(y, dtype=np.float64)
-    r = np.mod(arr, 2.0)
+    r = _mod2(arr)
     r = np.where(r > 1.0, 2.0 - r, r)
     s = np.where(r > 0.5, -1.0, 1.0)
     r = np.where(r > 0.5, 1.0 - r, r)
@@ -139,11 +151,17 @@ _quiet = np.errstate(all="ignore")
 # 2003).  Each double is |m| * 2**e * sign with |m| in [1/2, 1) from frexp;
 # |m| * 2**27 splits exactly into an integer hi < 2**27 and a fraction that,
 # times 2**26, is an integer lo < 2**26.  bincount sums the limbs per
-# (exponent, sign) bin; a bin total stays an integer below 2**53, hence exact
-# in float64, while a block holds fewer than 2**26 terms, and the totals of
-# all blocks add up in int64 (exact below 2**36 terms).  The bins meet as one
-# Python int, rounded once.  Fixed blocks keep every temporary array small.
+# (exponent, sign) bin and lane: term i of a block goes to lane i % _LANES of
+# its bin, because terms of a monotone series fall into one bin in long runs
+# and a single accumulator slot would make each addition wait for the one
+# before.  A slot total stays an integer below 2**53, hence exact in float64,
+# while a block holds fewer than 2**26 terms, and the totals of all blocks add
+# up in int64 (exact below 2**36 terms); integer sums are exact in any
+# grouping, so folding the lanes changes no bit.  The bins meet as one Python
+# int, rounded once.  Fixed blocks keep every temporary array small.
 _BLOCK = 1 << 16
+_LANES = 4
+_LANE = np.arange(_BLOCK, dtype=np.int32) % _LANES
 _EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
 _BINS = 2 * (1024 + _EXP_BIAS + 1)  # bin 2 * (e + _EXP_BIAS) + sign bit
 
@@ -154,19 +172,25 @@ def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
     double whatever the length or order.  Raises ValueError on a non-finite
     value and OverflowError on a sum beyond the double range."""
     values = np.asarray(values, dtype=np.float64)
-    totals = np.zeros((2, _BINS), dtype=np.int64)  # hi, lo limb sums per bin
+    totals = np.zeros((2, _BINS * _LANES), dtype=np.int64)  # hi, lo limb sums per slot
+    used = 0
     for i in range(0, values.size, _BLOCK):
         m, e = np.frexp(values[i : i + _BLOCK])
-        bins = 2 * (e + _EXP_BIAS) + np.signbit(m)
+        slots = (2 * (e + _EXP_BIAS) + np.signbit(m)) * _LANES + _LANE[: m.size]
         scaled = np.abs(m) * 2.0**27
         hi = np.trunc(scaled)
         lo = (scaled - hi) * 2.0**26
-        limb_sums = [np.bincount(bins, weights=limb) for limb in (hi, lo)]
+        limb_sums = [np.bincount(slots, weights=limb) for limb in (hi, lo)]
         # an infinite or nan value leaves a nan low limb (inf - inf)
         if np.isnan(limb_sums[1]).any():
             raise ValueError("non-finite term")
         for row, sums in zip(totals, limb_sums):
             row[: sums.size] += sums.astype(np.int64)
+        used = max(used, limb_sums[0].size)
+    # fold the lanes of the occupied (+, -) bin pairs only: strided adds, as a
+    # reduction over the short lane axis is several times slower
+    occupied = totals[:, : -(-used // (2 * _LANES)) * 2 * _LANES]
+    totals = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
     pos, neg = totals[:, 0::2], totals[:, 1::2]
     return _round_bins(pos - neg), _round_bins(pos + neg)
 
@@ -343,11 +367,15 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
 
     p = k + 1
     sgnk = 1.0 if k % 2 == 0 else -1.0
-    m = np.arange(N, dtype=np.float64)
-    base = (2.0 * m + 1.0) * np.pi
-    pair = (base - mu) ** (-p) + sgnk * (base + mu) ** (-p)
-    signs = 1.0 - 2.0 * (m.astype(np.int64) % 2).astype(np.float64)
-    terms = signs * pair
+    base = (2.0 * np.arange(N, dtype=np.float64) + 1.0) * np.pi
+    lo = (base - mu) ** (-p)
+    hi = np.add(base, mu, out=base)
+    hi **= -p
+    terms = lo - hi if k % 2 else lo + hi
+    terms[1::2] *= -1.0
+    # at odd k the pair lo - hi cancels, so each term's rounding is relative
+    # to lo + hi, not to the term; at even k the two are the same sum
+    magnitudes = np.add(lo, hi, out=lo) if k % 2 else None
     mmu = mpmath.mpf(mu)
 
     def exact(j: int) -> "mpmath.mpf":
@@ -362,7 +390,8 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     # the Leibniz bound already carries the rounding of the tail estimate
     return _certified_sum(
         terms, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
-        per_term=16.0 + 4.0 * k, reverse=reverse, tail_in_floor=False,
+        magnitudes=magnitudes, per_term=16.0 + 4.0 * k, reverse=reverse,
+        tail_in_floor=False,
     )
 
 
@@ -406,8 +435,17 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> S
         hpp = 8.0 * math.pi ** 2 * abs(yl ** -3 - yh ** -3)
         tail_bound = (hp + hpp) / 12.0
     else:
-        m = np.arange(-N, N + 1, dtype=np.float64)
-        terms = 1.0 / (_TWO_PI * m - mu) ** p
+        # numpy's vectorised pow takes only positive bases (a negative one
+        # falls back to scalar libm), so raise |x| and restore the sign;
+        # in place, as the arrays are the largest any oracle builds
+        x = np.arange(-N, N + 1, dtype=np.float64)
+        x *= _TWO_PI
+        x -= mu
+        terms = np.abs(x)
+        terms **= p
+        np.divide(1.0, terms, out=terms)
+        if p % 2:
+            np.copysign(terms, x, out=terms)
         near = int(round(mu / _TWO_PI))
         ms = range(max(-N, near - 1), min(N, near + 1) + 1)
         terms[ms.start + N : ms.stop + N] = _mp_floats(

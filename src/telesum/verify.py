@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 import mpmath
+import numpy as np
 
 from . import closed_forms, oracles, quadrature
 from .apostol_polys import (
@@ -340,16 +341,22 @@ def run_identities(tol: Optional[float] = None, seed: int = 42) -> List[CheckRes
 
     _add(out, "table denominator structure", _pick(0.0, tol), table_denominators)
 
-    def order_invariance() -> float:
-        a = oracles.sum_Z(3, 1.1, N=2000, order="ascending")
-        b = oracles.sum_Z(3, 1.1, N=2000, order="descending")
-        c = oracles.sum_Ztilde(2, 2.3, N=2000, order="ascending")
-        d = oracles.sum_Ztilde(2, 2.3, N=2000, order="descending")
-        worst = max(abs(a.value - b.value), abs(c.value - d.value))
-        return worst
+    def kernel_vs_fsum() -> float:
+        # math.fsum is an independent exactly rounded sum, so the two must
+        # agree bit for bit; the single-exponent run is longer than a kernel
+        # block, so it crosses a block boundary and fills every lane slot
+        gen = np.random.default_rng(rng.getrandbits(64))
+        n = 5000
+        mixed = np.ldexp(gen.standard_normal(n), gen.integers(-80, 80, n))
+        run = gen.uniform(1.0, 2.0, oracles._BLOCK + 17)
+        xs = np.concatenate([mixed, run, -run[: n // 2], mixed[::3]])
+        value, magnitude = oracles._exact_sum(xs)
+        return _exact01(
+            value == math.fsum(xs.tolist()) and magnitude == math.fsum(np.abs(xs).tolist())
+        )
 
-    _add(out, "paired-term summation order invariance", _pick(1e-15, tol), order_invariance,
-         note="exactly rounded accumulation makes reversal a no-op")
+    _add(out, "exact summation kernel against math.fsum", _pick(0.0, tol), kernel_vs_fsum,
+         note="mixed signs and exponents, one run longer than a kernel block")
 
     return out
 

@@ -21,6 +21,7 @@ from telesum import (
     ek_mu,
     ek_mu_imag_residue,
     ektilde_mu,
+    ektilde_mu_imag_residue,
     euler_poly,
     sec_taylor_coeffs,
 )
@@ -178,6 +179,23 @@ def test_imaginary_residue_is_tiny():
             assert ek_mu_imag_residue(k, mu) <= 1e-12
     with pytest.raises(ValueError):
         ek_mu_imag_residue(-1, 0.0)
+
+
+def test_imaginary_residue_past_the_double_range_is_finite():
+    # |z| is far past the double range here; the ratio is formed before rounding
+    for residue, k, mu in ((ek_mu_imag_residue, 250, 3.0), (ektilde_mu_imag_residue, 250, 6.2)):
+        got = residue(k, mu)
+        assert math.isfinite(got) and 0.0 <= got <= 1e-12, (k, mu, got)
+
+
+def test_taylor_coefficients_past_the_double_range_raise_a_typed_error():
+    # the sec derivatives pass 1.8e308 at j = 72 for mu = 3.14; -cot's at j = 78
+    # for mu = 6.28; in range, the same calls return finite lists
+    for coeffs, mu in ((sec_taylor_coeffs, 3.14), (cot_taylor_coeffs, 6.28)):
+        assert all(math.isfinite(c) for c in coeffs(mu, 60))
+        with pytest.raises(ToleranceUnreachable) as info:
+            coeffs(mu, 150)
+        assert info.value.achieved == math.inf
 
 
 def test_carrier_domain_guards():

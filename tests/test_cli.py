@@ -224,6 +224,14 @@ def test_overflowing_series_exits_1(capsys):
     assert err.startswith("error: ")
 
 
+def test_taylor_coefficients_past_the_double_range_exit_1(capsys):
+    # derivative 72 of sec(mu/2) at mu = 3.14 is 2.15e308: a typed error, not inf
+    for family, mu in (("sec", "3.14"), ("cot", "6.28")):
+        code, out, err = run_cli(capsys, ["coeffs", family, "--mu", mu, "--order", "150"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: derivative ") and "beyond the double-precision range" in err
+
+
 def test_eval_lattice_sums_past_170_factorial(capsys):
     # 2 * 171! is past the double range, but the sum is not
     code, out, err = run_cli(capsys, ["eval", "Z", "--k", "171", "--mu", "0.7"])

@@ -50,6 +50,28 @@ def _zeta_truth(s):
         return float(mpmath.zeta(s))
 
 
+def _z_truth(k, mu):
+    # sum (-1)**m / ((2m+1) pi - mu)**(k+1) over all m, k >= 1, in the active
+    # precision: each half is alternating with step 2 pi, i.e. two Hurwitz
+    # zetas of step 4 pi, and the m < 0 half is the m >= 0 one at -mu times (-1)**k
+    s = k + 1
+
+    def half(nu):
+        a = (mpmath.pi - nu) / (4 * mpmath.pi)
+        return (mpmath.zeta(s, a) - mpmath.zeta(s, a + 0.5)) / (4 * mpmath.pi) ** s
+
+    return half(mpmath.mpf(mu)) + (-1) ** k * half(-mpmath.mpf(mu))
+
+
+def _ztilde_truth(k, mu):
+    # sum 1 / (2 m pi - mu)**(k+1) over all m, k >= 1: the m >= 1 and m <= 0
+    # halves with b = mu / (2 pi) reduced into (0, 1)
+    s = k + 1
+    b = mpmath.mpf(mu) / (2 * mpmath.pi)
+    b -= mpmath.floor(b)
+    return (mpmath.zeta(s, 1 - b) + (-1) ** s * mpmath.zeta(s, b)) / (2 * mpmath.pi) ** s
+
+
 # -------------------------------------------------------------- half-angle
 
 
@@ -78,6 +100,46 @@ def test_sinpi_large_arguments_stay_bounded():
         assert abs(sinpi(x)) <= 1.0
         assert abs(cospi(x)) <= 1.0
         assert sinpi(x) ** 2 + cospi(x) ** 2 == pytest.approx(1.0, rel=1e-12)
+
+
+def _sinpi_np_mod(y):
+    # sinpi reduced with np.mod: the reference for the bits
+    r = np.mod(y, 2.0)
+    s = np.where(r > 1.0, -1.0, 1.0)
+    r = np.where(r > 1.0, r - 1.0, r)
+    r = np.where(r > 0.5, 1.0 - r, r)
+    return s * np.sin(np.pi * r)
+
+
+def _cospi_np_mod(y):
+    r = np.mod(y, 2.0)
+    r = np.where(r > 1.0, 2.0 - r, r)
+    s = np.where(r > 0.5, -1.0, 1.0)
+    r = np.where(r > 0.5, 1.0 - r, r)
+    return s * np.sin(np.pi * (0.5 - r))
+
+
+def test_sinpi_cospi_match_the_np_mod_reduction_bit_for_bit():
+    rng = np.random.default_rng(7)
+    edges = [-0.0, 0.0, -1e-300, 1e-300, 2.0**53, -(2.0**53), 2.0**52 + 1.0,
+             -(2.0**52 + 1.0), 1e300, -1e300, 2.0**-1074, np.nextafter(2.0, 0.0),
+             -np.nextafter(2.0, 0.0), 0.5, -0.5, 1.0, -1.0, 1.5, -1.5]
+    ys = np.concatenate([
+        edges,
+        rng.standard_normal(20000) * rng.choice([1e-300, 1e-8, 1.0, 1e6, 1e17], 20000),
+        rng.integers(-4000, 4000, 2000) / 8.0,
+    ])
+    for fast, reference in ((sinpi, _sinpi_np_mod), (cospi, _cospi_np_mod)):
+        got, want = fast(ys), reference(ys)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), fast.__name__
+        for y in edges:
+            assert math.copysign(1.0, fast(y)) == math.copysign(1.0, float(reference(y)))
+    # the one input whose bits differ: -2**-1074 halves to -0.0, so it is not
+    # moved to 2 - 2**-1074 = 2.0 and sinpi keeps its tiny, correct value
+    y = -(2.0**-1074)
+    assert _sinpi_np_mod(y) == 0.0
+    assert sinpi(y) == float(mpmath.sinpi(y)) == -3 * 2.0**-1074
+    assert cospi(y) == _cospi_np_mod(y) == 1.0
 
 
 # ------------------------------------------------------------------ results
@@ -155,6 +217,31 @@ def test_sum_Ztilde_within_certified_bound_of_closed_form():
             r = sum_Ztilde(k, mu, N=4000)
             want = Ztilde(k, mu)
             assert abs(r.value - want) <= r.error_bound, (k, mu)
+
+
+def test_sum_Ztilde_signs_of_both_halves_against_mpmath():
+    # odd and even p = k + 1, mu of both signs: the m < 0 terms take their
+    # sign from the base, so a wrong sign moves the sum far past the bound
+    for k in (1, 2, 3, 4, 7, 10):
+        for mu in (-7.0, -2.5, -0.4, 0.4, 2.5, 7.0):
+            r = sum_Ztilde(k, mu, N=1000)
+            with mpmath.workdps(40):
+                want = float(_ztilde_truth(k, mu))
+            assert abs(r.value - want) <= r.error_bound <= 1e-6 * abs(want) + 1e-12, (k, mu)
+
+
+def test_sum_Z_bound_is_honest_at_odd_k():
+    # at odd k each pair (base - mu)**-p - (base + mu)**-p cancels, so its
+    # rounding is relative to the two powers, not to their small difference
+    for k in (1, 3, 5, 9, 21):
+        for mu in (-1e-12, 1e-10, -1e-6, 1e-3, -0.5, 2.0, 3.1):
+            with mpmath.workdps(60):
+                want = _z_truth(k, mu)
+            for N in (10, 10**3, 10**4):
+                r = sum_Z(k, mu, N=N)
+                with mpmath.workdps(60):
+                    err = abs(mpmath.mpf(r.value) - want)
+                assert err <= r.error_bound, (k, mu, N, float(err), r.error_bound)
 
 
 def test_sum_Ztilde_pairing_at_k0():
@@ -254,6 +341,14 @@ def test_kernel_matches_exact_rational_sum():
         assert value == want, (n, kind)
         assert math.copysign(1.0, value) == math.copysign(1.0, math.fsum(xs.tolist()))
         assert magnitude == _fraction_sum(np.abs(xs)), (n, kind)
+    # one exponent bin for more than a block (every lane slot of it used
+    # across block boundaries), and a monotone run whose bins change slowly
+    below_one = np.full(3 * _BLOCK + 5, np.nextafter(1.0, 0.0))
+    monotone = 1.0 / np.arange(1.0, 2 * _BLOCK + 40) ** 2
+    for xs in (below_one, -below_one, monotone, -monotone[::-1]):
+        value, magnitude = _exact_sum(xs)
+        assert value == _fraction_sum(xs), xs[:2]
+        assert magnitude == _fraction_sum(np.abs(xs)), xs[:2]
     for zeros in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0]):
         got = _exact_sum(np.array(zeros))[0]
         assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, math.fsum(zeros))
