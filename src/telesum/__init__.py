@@ -4,7 +4,7 @@ generate them.
 
 Layers, bottom up: exact rational/pi-power arithmetic (exact_core),
 classical Bernoulli/Euler polynomials (classical_polys), their complex
-lambda-deformations and the secant/cotangent Taylor carriers
+lambda-deformations and the derivative polynomials of sec and cot
 (apostol_polys), exact closed forms with cross-checked routes
 (closed_forms), brute-force summation oracles with certified error bounds
 (oracles), exact and adaptive integration (quadrature), seeded
@@ -42,7 +42,6 @@ from .classical_polys import (
 )
 from .apostol_polys import (
     CPoly,
-    TruncSeries,
     apostol_bernoulli_poly,
     apostol_euler_poly,
     cot_taylor_coeffs,

@@ -1,12 +1,19 @@
 """Apostol-Euler and Apostol-Bernoulli polynomials at a fixed complex
-parameter, plus the real Taylor-coefficient engines for the expansions of
-sec(w/2) and -cot(w/2) about a real center.
+parameter, and the derivative polynomials of sec and cot, the one engine
+for the derivatives of sec(w/2) and -cot(w/2) about a real center.
 
 The deformed families come from the Apostol-Euler numbers e_n(lam) of the
 number recurrence shared with classical_polys; a polynomial is expanded from
 them only when one is asked for, and the carriers ek_mu (x = 1/2) and
-ektilde_mu (x = 1) read the numbers directly.  The Taylor carriers use none
-of this: they are the lattice sums' independent "taylor" route.
+ektilde_mu (x = 1) read the numbers directly.
+
+The derivative polynomials of sec and cot use none of this.  Their exact
+integer rows -- sec^(k) x = sec x Q_k(tan x), Q_{k+1} = t Q_k + (1 + t^2) Q_k',
+and cot^(k) x = P_k(cot x), P_{k+1} = -(1 + u^2) P_k' (M. E. Hoffman, Amer.
+Math. Monthly 102 (1995) 23-30; K. Boyadzhiev, IJMMS 2007) -- grow on demand
+and have one sign and fixed parity.  In mpmath they give the Taylor
+coefficients and the lattice sums' "taylor" route; in doubles, closed_forms'
+certified route.
 
 All complex work runs in mpmath at a configurable working precision
 (DEFAULT_DPS significant digits).  Double precision is not enough here: the
@@ -19,7 +26,8 @@ converted to float only at the API boundary.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+import threading
+from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
@@ -31,7 +39,6 @@ __all__ = [
     "TOL_IMAG",
     "GUARD_BAND",
     "CPoly",
-    "TruncSeries",
     "apostol_euler_poly",
     "apostol_bernoulli_poly",
     "ek_mu",
@@ -52,6 +59,10 @@ TOL_IMAG = 1e-9
 GUARD_BAND = 1e-9
 
 _TWO_PI = 2.0 * math.pi
+_U = 2.0 ** -53
+# Assumed bound on the relative error of the platform's tan and cos: 2 ulp.
+_LIBM = 2.0 ** -51
+_LN10 = math.log(10.0)
 
 
 def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
@@ -211,25 +222,42 @@ def _ektilde_complex(k: int, mu: float) -> mpmath.mpc:
     return _I_POWERS[(k + 1) % 4] * _appell_numbers([], k, -lam)[k]
 
 
-def _real_part_checked(
-    z: mpmath.mpc, tol_imag: float, what: str
-) -> float:
-    # compared in mpmath, so a value past the double range cannot overflow
-    # the check; the value itself then raises a typed error
-    scale = max(1, abs(z))
-    if abs(z.imag) > tol_imag * scale:
+def _mp_floor(k: int, dist: float, dps: int = DEFAULT_DPS) -> float:
+    """Absolute error allowance for an mpmath route at dps digits.
+
+    The terms of either lattice sum add up in absolute value to at most
+    4 * dist**-(k+1), where dist is the distance from mu to the nearest
+    pole; both mpmath routes stay below 10**-dps * (k+1) times that by more
+    than a factor of ten (measured against Hurwitz-zeta truth at 90 digits
+    for k <= 250 and dps = DEFAULT_DPS).  It only matters near zeros of the
+    sum: next to its value it is at most 1e-37 relative at DEFAULT_DPS.
+    """
+    log = math.log(4.0 * (k + 1)) - dps * _LN10 - (k + 1) * math.log(dist)
+    return math.exp(min(log, 700.0))
+
+
+def _check_residue(
+    z: mpmath.mpc, k: int, dist: float, tol_imag: float, what: str, dps: int = DEFAULT_DPS
+) -> None:
+    """Raise InternalConsistencyError unless z, 2*k! times a lattice sum from
+    an mpmath route, has |Im z| <= tol_imag * |Re z| + 2*k! * _mp_floor: the
+    floor is the route's own noise, all that is left where the value is 0."""
+    allowed = tol_imag * abs(z.real) + mpmath.mpf(_mp_floor(k, dist, dps)) * 2 * math.factorial(k)
+    if abs(z.imag) > allowed:
         raise InternalConsistencyError(
-            "%s should be real; imaginary residue %.3e exceeds %.1e * %.3e"
-            % (what, abs(z.imag), tol_imag, scale)
+            "%s should be real; imaginary residue %s exceeds the allowed %s"
+            % (what, mpmath.nstr(abs(z.imag), 5), mpmath.nstr(allowed, 5))
         )
-    value = float(z.real)
-    if not math.isfinite(value):
+
+
+def _finite_float(value: mpmath.mpf, what: str) -> float:
+    out = float(value)
+    if not math.isfinite(out):
         raise ToleranceUnreachable(
-            "%s %s lies beyond the double-precision range"
-            % (what, mpmath.nstr(z.real, 5)),
+            "%s, %s, lies beyond the double-precision range" % (what, mpmath.nstr(value, 5)),
             achieved=math.inf,
         )
-    return value
+    return out
 
 
 def ek_mu(
@@ -241,17 +269,19 @@ def ek_mu(
     """k-th derivative of sec(mu/2) via the complex polynomial route.
 
     Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) at working precision and
-    returns the real part after checking that the imaginary residue is below
-    tol_imag * max(1, |value|).  A value beyond the double range raises
+    returns the real part after checking the imaginary residue by Z's rule
+    (_check_residue).  A value beyond the double range raises
     ToleranceUnreachable; Z divides by 2*k! before it rounds, so it stays
     finite where this one cannot.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     mu = _check_sec_domain(mu)
-    with mpmath.workdps(dps or DEFAULT_DPS):
+    dps = dps or DEFAULT_DPS
+    with mpmath.workdps(dps):
         z = _ek_complex(k, mu)
-        return _real_part_checked(z, tol_imag, "sec-derivative value")
+        _check_residue(z, k, math.pi - abs(mu), tol_imag, "sec-derivative value", dps)
+        return _finite_float(z.real, "sec-derivative value")
 
 
 def ektilde_mu(
@@ -264,16 +294,19 @@ def ektilde_mu(
 
     The k = 0 combination i * e^(i mu) * E_0(1; -e^(i mu)) is not real (its
     imaginary part is identically -1), so k = 0 is rejected; use the direct
-    convention -1/tan(mu/2) instead.
+    convention -1/tan(mu/2) instead.  The residue check is ek_mu's.
     """
     if k < 1:
         raise ValueError(
             "k must be >= 1; the k = 0 value is the convention -1/tan(mu/2)"
         )
     mu = _check_cot_domain(mu)
-    with mpmath.workdps(dps or DEFAULT_DPS):
+    dps = dps or DEFAULT_DPS
+    with mpmath.workdps(dps):
         z = _ektilde_complex(k, mu)
-        return _real_part_checked(z, tol_imag, "cot-derivative value")
+        dist = abs(math.remainder(mu, _TWO_PI))
+        _check_residue(z, k, dist, tol_imag, "cot-derivative value", dps)
+        return _finite_float(z.real, "cot-derivative value")
 
 
 def _scaled_residue(z: mpmath.mpc) -> float:
@@ -299,152 +332,121 @@ def ektilde_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> flo
         return _scaled_residue(_ektilde_complex(k, mu))
 
 
-class TruncSeries:
-    """Taylor polynomial of fixed order about a real center.
+class _DerivativeRows:
+    """One derivative-polynomial family, grown on demand.
 
-    coeffs[j] is the j-th Taylor coefficient (j-th derivative over j!).
-    Binary operations require matching center and order; products and
-    quotients are computed exactly through the stated order, with no order
-    loss.  Coefficients may be floats or mpmath reals.
+    ``exact[k]`` holds the integer coefficients of the k-th polynomial,
+    lowest degree first; ``scaled[k]`` holds the magnitudes of those that
+    parity allows, highest degree first, each divided by 2**(k+1) * k! and
+    correctly rounded.  Row k + 1 has coefficients
+    sign * ((j - shift) * row[j-1] + (j+1) * row[j+1]).  Both lists only
+    grow, under a lock, so readers always see a fully built prefix; nothing
+    past the seed row is built until a value asks for it.
     """
 
-    __slots__ = ("center", "coeffs", "order")
+    def __init__(self, seed: Tuple[int, ...], shift: int, sign: int) -> None:
+        self.exact: List[Tuple[int, ...]] = [seed]
+        self.scaled: List[Tuple[float, ...]] = [_scaled_row(seed, 0)]
+        self._shift = shift
+        self._sign = sign
+        self._lock = threading.Lock()
 
-    def __init__(self, center: float, coeffs: Sequence) -> None:
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "center", float(center))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "order", len(coeffs) - 1)
+    def _grow(self, k: int) -> None:
+        with self._lock:
+            while len(self.scaled) <= k:
+                row = self.exact[-1]
+                padded = (0, *row, 0, 0)
+                new = tuple(
+                    self._sign * ((j - self._shift) * padded[j] + (j + 1) * padded[j + 2])
+                    for j in range(len(row) + 1)
+                )
+                self.exact.append(new)
+                self.scaled.append(_scaled_row(new, len(self.scaled)))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TruncSeries is immutable")
+    def row(self, k: int) -> Tuple[int, ...]:
+        """The exact row k, built through k on first use."""
+        if k >= len(self.scaled):
+            self._grow(k)
+        return self.exact[k]
 
-    def _check_compatible(self, other: "TruncSeries") -> None:
-        if self.center != other.center or self.order != other.order:
-            raise ValueError("series centers and orders must match")
+    def value(self, k: int, t: float) -> Tuple[float, float]:
+        """Row k at t over 2**(k+1) * k!, up to sign, and its relative error bound.
 
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for j in range(n + 1):
-            out.append(sum(a[i] * b[j - i] for i in range(j + 1)))
-        return TruncSeries(self.center, out)
-
-    def reciprocal(self) -> "TruncSeries":
-        """Multiplicative inverse through the stated order (long division)."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        inv0 = 1 / c0
-        out = [inv0]
-        for j in range(1, self.order + 1):
-            s = sum(self.coeffs[i] * out[j - i] for i in range(1, j + 1))
-            out.append(-inv0 * s)
-        return TruncSeries(self.center, out)
-
-    def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        b0 = other.coeffs[0]
-        if b0 == 0:
-            raise ZeroDivisionError("divisor series has zero constant term")
-        inv0 = 1 / b0
-        out = []
-        for j in range(self.order + 1):
-            s = self.coeffs[j]
-            for i in range(1, j + 1):
-                s = s - other.coeffs[i] * out[j - i]
-            out.append(s * inv0)
-        return TruncSeries(self.center, out)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.center, [-c for c in self.coeffs])
-
-    def __repr__(self) -> str:
-        return "TruncSeries(center=%r, order=%d)" % (self.center, self.order)
+        Horner runs in s = t*t over coefficients of one sign, so every
+        partial sum is at most max(sum of the coefficients, |result|): a
+        result in range never overflows on the way.  The bound covers the
+        rounded coefficients, s and Horner (3 roundings per step, allowing
+        for underflow in a product), the final products, and the libm error
+        in t amplified by the degree d, plus one libm call for the caller's
+        prefactor; 1.01 covers the terms of second order.
+        """
+        d = len(self.row(k)) - 1
+        coeffs = self.scaled[k]
+        s = t * t
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * s + c
+        if d % 2:
+            acc *= t
+        n = len(coeffs)
+        return acc, 1.01 * ((4 * n + d + 4) * _U + (d + 1) * _LIBM)
 
 
-def _half_angle_series(mu: float, order: int, quarter_turns: int) -> TruncSeries:
-    """Taylor coefficients of t |-> cos((mu + t)/2 - quarter_turns*pi/2)
-    through ``order``: quarter_turns = 0 gives cos((mu + t)/2), 1 gives sin.
-
-    Coefficient j is cos(mu/2 + (j - quarter_turns)*pi/2) / (2**j * j!), i.e.
-    the cyclic pattern cos, -sin, -cos, sin of the half-angle.
-    """
-    c = mpmath.cos(mpmath.mpf(mu) / 2)
-    s = mpmath.sin(mpmath.mpf(mu) / 2)
-    cycle = (c, -s, -c, s)
-    out = []
-    scale = mpmath.mpf(1)
-    for j in range(order + 1):
-        out.append(cycle[(j - quarter_turns) % 4] * scale)
-        scale /= 2 * (j + 1)
-    return TruncSeries(mu, out)
+def _scaled_row(row: Tuple[int, ...], k: int) -> Tuple[float, ...]:
+    norm = math.factorial(k) << (k + 1)
+    return tuple(abs(c) / norm for c in row[::-2])
 
 
-def _sec_taylor_mp(mu: float, K: int) -> list:
-    # derivatives 0..K of sec(mu/2), in the active precision
-    return _times_factorials(_half_angle_series(mu, K, 0).reciprocal().coeffs)
+# sec^(k)(x) = sec(x) Q_k(tan x) and cot^(k)(x) = P_k(cot x)
+_SEC_ROWS = _DerivativeRows((1,), 0, 1)
+_COT_ROWS = _DerivativeRows((0, 1), 1, -1)
 
 
-def _cot_taylor_mp(mu: float, K: int) -> list:
-    # derivatives 0..K of -cot(mu/2), in the active precision
-    quot = _half_angle_series(mu, K, 0) / _half_angle_series(mu, K, 1)
-    return [-c for c in _times_factorials(quot.coeffs)]
+def _row_value(rows: _DerivativeRows, j: int, x: mpmath.mpf, scale) -> mpmath.mpf:
+    # scale * 2**-j * row j at x, in the active precision: the j-th derivative
+    # in mu of sec(mu/2) (x = tan(mu/2), scale = sec(mu/2)) or of -cot(mu/2)
+    # (x = cot(mu/2), scale = -1).  Once x**j is taken into account the terms
+    # of a row share one sign, so Horner does not cancel.
+    return mpmath.ldexp(scale * mpmath.polyval(rows.row(j)[::-1], x), -j)
 
 
-def _times_factorials(coeffs: Sequence) -> list:
-    out = []
-    fact = 1
-    for j, c in enumerate(coeffs):
-        if j:
-            fact *= j
-        out.append(fact * c)
-    return out
+# (x, scale) of _row_value at mu; the domain is checked here, after K
+def _sec_point(mu: float) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    half = mpmath.mpf(_check_sec_domain(mu)) / 2
+    return mpmath.tan(half), mpmath.sec(half)
 
 
-def _finite_floats(values: Sequence, what: str) -> List[float]:
-    out = [float(c) for c in values]
-    for j, c in enumerate(out):
-        if not math.isfinite(c):
-            raise ToleranceUnreachable(
-                "derivative %d of %s(mu/2), %s, lies beyond the double-precision range"
-                % (j, what, mpmath.nstr(values[j], 5)),
-                achieved=math.inf,
-            )
-    return out
+def _cot_point(mu: float) -> Tuple[mpmath.mpf, int]:
+    return mpmath.cot(mpmath.mpf(_check_cot_domain(mu)) / 2), -1
+
+
+def _taylor(rows: _DerivativeRows, point, mu: float, K: int, dps, what: str) -> List[float]:
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    with mpmath.workdps(dps or DEFAULT_DPS):
+        x, scale = point(mu)
+        # rounded one at a time: no row past the first out-of-range entry is built
+        values = (_row_value(rows, j, x, scale) for j in range(K + 1))
+        what = "derivative %d of " + what + "(mu/2)"
+        return [_finite_float(v, what % j) for j, v in enumerate(values)]
 
 
 def sec_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[float]:
-    """Derivatives 0..K of sec(mu/2) via truncated-series reciprocal.
+    """Derivatives 0..K of sec(mu/2), read from the derivative polynomials.
 
-    Entry j equals j! times the j-th Taylor coefficient of sec((mu + t)/2)
-    at t = 0, i.e. the j-th derivative of sec(mu/2) with respect to mu.
-    An entry beyond the double range raises ToleranceUnreachable.
+    Entry j, the j-th derivative with respect to mu (j! times the j-th
+    Taylor coefficient of sec((mu + t)/2) at t = 0), is
+    2**-j sec(mu/2) Q_j(tan(mu/2)) from the exact row Q_j at dps
+    (DEFAULT_DPS) digits, rounded once.  The first entry beyond the double
+    range raises ToleranceUnreachable.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    mu = _check_sec_domain(mu)
-    with mpmath.workdps(dps or DEFAULT_DPS):
-        return _finite_floats(_sec_taylor_mp(mu, K), "sec")
+    return _taylor(_SEC_ROWS, _sec_point, mu, K, dps, "sec")
 
 
 def cot_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[float]:
-    """Derivatives 0..K of -cot(mu/2) via a truncated-series quotient.
+    """Derivatives 0..K of -cot(mu/2), read from the derivative polynomials.
 
-    Entry j is -j! times the j-th Taylor coefficient of
-    cos((mu+t)/2) / sin((mu+t)/2); entry 0 is -1/tan(mu/2).  An entry
-    beyond the double range raises ToleranceUnreachable.
+    Entry j is -2**-j P_j(cot(mu/2)) from the exact row P_j, computed as in
+    sec_taylor_coeffs; entry 0 is -1/tan(mu/2).
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    mu = _check_cot_domain(mu)
-    with mpmath.workdps(dps or DEFAULT_DPS):
-        return _finite_floats(_cot_taylor_mp(mu, K), "-cot")
+    return _taylor(_COT_ROWS, _cot_point, mu, K, dps, "-cot")

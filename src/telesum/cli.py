@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
@@ -465,8 +466,16 @@ def _add_format(sp: argparse.ArgumentParser, choices=("plain", "json")) -> None:
     sp.add_argument("--digits", type=int, default=15, help="decimal digits for plain output")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e-10 as a negative number, not a flag; subparsers share the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="telesum",
         description=(
             "Exact closed forms, certified series oracles, and integral "

@@ -10,16 +10,11 @@ evaluators for two bilateral lattice sums:
 Z equals the k-th derivative of sec(mu/2) divided by 2*k!, and Ztilde (for
 k >= 1) the k-th derivative of -cot(mu/2) divided by 2*k!.  Each value
 comes from one of two mpmath routes -- the paper's complex Apostol-Euler
-identity, or a truncated-series expansion -- and every call checks it
-against a third, certified route: the derivative polynomials
-
-  sec^(k)(x) = sec(x) Q_k(tan x),  Q_0 = 1,  Q_{k+1} = t Q_k + (1 + t^2) Q_k'
-  cot^(k)(x) = P_k(cot x),         P_0 = u,  P_{k+1} = -(1 + u^2) P_k'
-
-(M. E. Hoffman, Amer. Math. Monthly 102 (1995) 23-30; K. Boyadzhiev,
-Int. J. Math. Math. Sci. 2007).  Their integer coefficients have one sign
-and fixed parity, so a float Horner evaluation at |tan(mu/2)| or
-|cot(mu/2)| adds terms of one sign and carries an a-priori relative error
+identity, or the exact rows of the derivative polynomials of apostol_polys
+(sec^(k) x = sec x Q_k(tan x), cot^(k) x = P_k(cot x)) -- and every call
+checks it against the certified route: the same rows over 2**(k+1) k!,
+rounded to doubles and evaluated by a float Horner at |tan(mu/2)| or
+|cot(mu/2)| whose terms share one sign, with an a-priori relative error
 bound; it costs microseconds.  A small table of explicit trigonometric
 ratios is a further, independent fixture for low k.
 """
@@ -27,25 +22,30 @@ ratios is a further, independent fixture for low k.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import mpmath
 from mpmath.libmp import from_int, normalize, round_nearest
 
 from .apostol_polys import (
+    _COT_ROWS,
+    _SEC_ROWS,
+    _U,
     DEFAULT_DPS,
     GUARD_BAND,
     TOL_IMAG,
     _check_cot_domain,
     _check_lattice_distance,
+    _check_residue,
     _check_sec_domain,
-    _cot_taylor_mp,
+    _cot_point,
     _ek_complex,
     _ektilde_complex,
-    _sec_taylor_mp,
+    _mp_floor,
+    _row_value,
+    _sec_point,
 )
 from .classical_polys import bernoulli_number, euler_number
 from .exact_core import (
@@ -84,13 +84,9 @@ ROUTE_TOL = 1e-9
 MAX_K = 618
 
 _TWO_PI = 2.0 * math.pi
-_U = 2.0 ** -53
-# Assumed bound on the relative error of the platform's tan and cos: 2 ulp.
-_LIBM = 2.0 ** -51
 # Absolute error the two results can pick up when rounded into the
 # subnormal range.
 _SUBNORMAL_FLOOR = 2.0 ** -1072
-_LN10 = math.log(10.0)
 
 
 def zeta_even(k: int) -> PiScalar:
@@ -142,72 +138,6 @@ def _normalize_method(method: str) -> str:
         ) from None
 
 
-class _DerivativeRows:
-    """One derivative-polynomial family, grown on demand.
-
-    ``exact[k]`` holds the integer coefficients of the k-th polynomial,
-    lowest degree first; ``scaled[k]`` holds the magnitudes of those that
-    parity allows, highest degree first, each divided by 2**(k+1) * k! and
-    correctly rounded.  Row k + 1 has coefficients
-    sign * ((j - shift) * row[j-1] + (j+1) * row[j+1]).  Both lists only
-    grow, under a lock, so readers always see a fully built prefix; nothing
-    past the seed row is built until a value asks for it.
-    """
-
-    def __init__(self, seed: Tuple[int, ...], shift: int, sign: int) -> None:
-        self.exact: List[Tuple[int, ...]] = [seed]
-        self.scaled: List[Tuple[float, ...]] = [_scaled_row(seed, 0)]
-        self._shift = shift
-        self._sign = sign
-        self._lock = threading.Lock()
-
-    def _grow(self, k: int) -> None:
-        with self._lock:
-            while len(self.scaled) <= k:
-                row = self.exact[-1]
-                padded = (0, *row, 0, 0)
-                new = tuple(
-                    self._sign * ((j - self._shift) * padded[j] + (j + 1) * padded[j + 2])
-                    for j in range(len(row) + 1)
-                )
-                self.exact.append(new)
-                self.scaled.append(_scaled_row(new, len(self.scaled)))
-
-    def value(self, k: int, t: float) -> Tuple[float, float]:
-        """Row k at t over 2**(k+1) * k!, up to sign, and its relative error bound.
-
-        Horner runs in s = t*t over coefficients of one sign, so every
-        partial sum is at most max(sum of the coefficients, |result|): a
-        result in range never overflows on the way.  The bound covers the
-        rounded coefficients, s and Horner (3 roundings per step, allowing
-        for underflow in a product), the final products, and the libm error
-        in t amplified by the degree d, plus one libm call for the caller's
-        prefactor; 1.01 covers the terms of second order.
-        """
-        if k >= len(self.scaled):
-            self._grow(k)
-        coeffs = self.scaled[k]
-        s = t * t
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * s + c
-        d = len(self.exact[k]) - 1
-        if d % 2:
-            acc *= t
-        n = len(coeffs)
-        return acc, 1.01 * ((4 * n + d + 4) * _U + (d + 1) * _LIBM)
-
-
-def _scaled_row(row: Tuple[int, ...], k: int) -> Tuple[float, ...]:
-    norm = math.factorial(k) << (k + 1)
-    return tuple(abs(c) / norm for c in row[::-2])
-
-
-# sec^(k)(x) = sec(x) Q_k(tan x) and cot^(k)(x) = P_k(cot x)
-_SEC_ROWS = _DerivativeRows((1,), 0, 1)
-_COT_ROWS = _DerivativeRows((0, 1), 1, -1)
-
-
 def _float_quotient(x: mpmath.mpf, scale: int) -> float:
     """float(x) / scale, rounded exactly as Python rounds it whenever
     float(x) is a normal double and float(scale) is finite -- x and scale
@@ -227,20 +157,6 @@ def _float_quotient(x: mpmath.mpf, scale: int) -> float:
     return -value if sign else value
 
 
-def _mp_floor(k: int, dist: float) -> float:
-    """Absolute error allowance for an mpmath route at DEFAULT_DPS digits.
-
-    The terms of either lattice sum add up in absolute value to at most
-    4 * dist**-(k+1), where dist is the distance from mu to the nearest
-    pole; both mpmath routes stay below 10**-DEFAULT_DPS * (k+1) times that
-    by more than a factor of ten (measured against Hurwitz-zeta truth at
-    90 digits for k <= 250).  It only matters near zeros of the sum: next to
-    its value it is at most 1e-37 relative.
-    """
-    log = math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
-    return math.exp(min(log, 700.0))
-
-
 def _checked(
     k: int, z: mpmath.mpc, check: float, rel: float, dist: float, what: str
 ) -> float:
@@ -249,18 +165,13 @@ def _checked(
 
     They must agree to |value - check| <= (rel + 4u) * |check| + floor:
     rel bounds the certified value's error, 4u the rounding of this one,
-    and the floor the mpmath route's own error and subnormal rounding.  The imaginary residue of
-    the complex route must stay within TOL_IMAG of the real part plus the
-    same floor.
+    and the floor the mpmath route's own error and subnormal rounding.  The
+    imaginary residue of the complex route must pass _check_residue, the
+    rule of ek_mu and ektilde_mu.
     """
-    scale = 2 * math.factorial(k)
+    _check_residue(z, k, dist, TOL_IMAG, what)
     floor = _mp_floor(k, dist)
-    if abs(z.imag) > TOL_IMAG * abs(z.real) + mpmath.mpf(floor) * scale:
-        raise InternalConsistencyError(
-            "%s should be real; imaginary residue %s is too large next to %s"
-            % (what, mpmath.nstr(z.imag / scale, 5), mpmath.nstr(z.real / scale, 5))
-        )
-    value = _float_quotient(z.real, scale)
+    value = _float_quotient(z.real, 2 * math.factorial(k))
     if not (math.isfinite(value) and math.isfinite(check)):
         raise ToleranceUnreachable(
             "%s lies beyond the double-precision range" % what, achieved=math.inf
@@ -289,10 +200,14 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     which equals the k-th derivative of sec(mu/2) divided by 2*k!.
 
     "auto" and "complex" return the paper's complex Apostol-Euler value,
-    "taylor" the truncated-series value; both are computed in mpmath and
+    "taylor" the derivative polynomial 2**-k sec(mu/2) Q_k(tan(mu/2)) from
+    its exact row at DEFAULT_DPS digits; both are computed in mpmath and
     scaled by 2*k! before rounding.  Each is checked against the certified
-    derivative-polynomial value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!)
-    to within its error bound (see _checked).  These methods need
+    value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!), the same row rounded to
+    doubles, to within its error bound (see _checked).  For "auto" and
+    "complex" that compares two independent algorithms; for "taylor" it
+    compares one row in two precisions, which tests the certified bound
+    (verify's dual-route checks compare the routes).  These methods need
     0 <= k <= MAX_K and -pi < mu < pi (at least 1e-9 from the endpoint
     poles).  method="table" uses the explicit trig-ratio fixtures for
     k = 0..6 unchecked, and accepts any mu away from odd multiples of pi.
@@ -311,7 +226,7 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     half = mu / 2.0
     check, rel = _SEC_ROWS.value(k, math.tan(half))
     with mpmath.workdps(DEFAULT_DPS):
-        z = _sec_taylor_mp(mu, k)[k] if method == "taylor" else _ek_complex(k, mu)
+        z = _row_value(_SEC_ROWS, k, *_sec_point(mu)) if method == "taylor" else _ek_complex(k, mu)
     return _checked(
         k, z, check / math.cos(half), rel, math.pi - abs(mu), "Z(%d, %r)" % (k, mu)
     )
@@ -325,7 +240,8 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     away from multiples of 2*pi (the m = 0 pole).  The k = 0 sum does not
     converge pointwise; its symmetric-limit convention lives in Ztilde0.
 
-    Methods, checks and errors are those of Z, with the certified value
+    Methods, checks and errors are those of Z, with "taylor" the value
+    -2**-k P_k(cot(mu/2)) from the exact row, the certified value
     -P_k(cot(mu/2)) / (2**(k+1) k!) and 1 <= k <= MAX_K; method="table"
     covers k = 1..7.
     """
@@ -341,7 +257,8 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     mu = _check_cot_domain(mu)
     check, rel = _COT_ROWS.value(k, 1.0 / math.tan(mu / 2.0))
     with mpmath.workdps(DEFAULT_DPS):
-        z = _cot_taylor_mp(mu, k)[k] if method == "taylor" else _ektilde_complex(k, mu)
+        z = (_row_value(_COT_ROWS, k, *_cot_point(mu)) if method == "taylor"
+             else _ektilde_complex(k, mu))
     # -P_k = (-1)**(k+1) |P_k|
     return _checked(
         k, z, check if k % 2 else -check, rel, abs(math.remainder(mu, _TWO_PI)),

@@ -213,14 +213,11 @@ def _certified_sum(
     *,
     magnitudes: Optional[np.ndarray] = None,
     per_term: float = 16.0,
-    reverse: bool = False,
     tail_in_floor: bool = True,
 ) -> SumResult:
     """value = exactly rounded sum of the terms, then each tail estimate
     added in order; error_bound = tail_bound + roundoff floor over |terms|
     (or magnitudes) and, when tail_in_floor, |tail|."""
-    if reverse:
-        terms = terms[::-1]
     try:
         partial, abs_accum = _exact_sum(terms)
         if magnitudes is not None:
@@ -256,10 +253,9 @@ def _check_int(value: int, least: int, name: str) -> int:
     return int(value)
 
 
-def _check_order(order: str) -> bool:
+def _check_order(order: str) -> None:
     if order not in ("ascending", "descending"):
         raise ValueError("order must be 'ascending' or 'descending'")
-    return order == "descending"
 
 
 def _check_theta_window(theta: float, N: int) -> Tuple[float, int]:
@@ -363,7 +359,7 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     if not (abs(mu) < math.pi):
         raise ValueError("mu must satisfy |mu| < pi")
     N = _check_int(N, 1, "N")
-    reverse = _check_order(order)
+    _check_order(order)
 
     p = k + 1
     sgnk = 1.0 if k % 2 == 0 else -1.0
@@ -390,8 +386,7 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     # the Leibniz bound already carries the rounding of the tail estimate
     return _certified_sum(
         terms, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
-        magnitudes=magnitudes, per_term=16.0 + 4.0 * k, reverse=reverse,
-        tail_in_floor=False,
+        magnitudes=magnitudes, per_term=16.0 + 4.0 * k, tail_in_floor=False,
     )
 
 
@@ -409,7 +404,7 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> S
     k = _check_int(k, 0, "k")
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     N = _check_int(N, 1, "N")
-    reverse = _check_order(order)
+    _check_order(order)
     near = int(round(abs(mu) / _TWO_PI))
     if N < near:  # the nearest pole's term must not fall into the tail
         raise ValueError("N too small: need N >= round(|mu| / (2*pi))")
@@ -455,9 +450,7 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> S
         dn_est, dn_bound = _power_tail(_TWO_PI, mu, float(p), A)
         tail = (up_est, (1.0 if p % 2 == 0 else -1.0) * dn_est)
         tail_bound = up_bound + dn_bound
-    return _certified_sum(
-        terms, tail, tail_bound, 2 * N + 1, per_term=16.0 + 4.0 * k, reverse=reverse
-    )
+    return _certified_sum(terms, tail, tail_bound, 2 * N + 1, per_term=16.0 + 4.0 * k)
 
 
 @_quiet

@@ -13,8 +13,8 @@ import pytest
 
 from telesum import (
     ToleranceUnreachable,
-    TruncSeries,
     apostol_bernoulli_poly,
+    apostol_polys,
     apostol_euler_poly,
     bernoulli_poly,
     cot_taylor_coeffs,
@@ -151,15 +151,19 @@ def test_cot_derivatives_at_right_angle():
 def test_carriers_against_mpmath_differentiation():
     """Independent oracle: mpmath numeric differentiation of sec/cot."""
     for mu in (-2.2, -0.9, 0.3, 1.7):
+        sec = sec_taylor_coeffs(mu, 5)
         for k in range(0, 6):
             want = float(mpmath.diff(lambda u: mpmath.sec(u / 2), mpmath.mpf(mu), k))
             assert ek_mu(k, mu) == pytest.approx(want, rel=1e-9, abs=1e-10)
+            assert sec[k] == pytest.approx(want, rel=1e-9, abs=1e-10)
     for mu in (0.5, 1.1, 2.8, 4.0):
+        cot = cot_taylor_coeffs(mu, 5)
         for k in range(1, 6):
             want = float(
                 mpmath.diff(lambda u: -mpmath.cot(u / 2), mpmath.mpf(mu), k)
             )
             assert ektilde_mu(k, mu) == pytest.approx(want, rel=1e-9, abs=1e-10)
+            assert cot[k] == pytest.approx(want, rel=1e-9, abs=1e-10)
 
 
 def test_dual_routes_agree():
@@ -181,6 +185,13 @@ def test_imaginary_residue_is_tiny():
         ek_mu_imag_residue(-1, 0.0)
 
 
+def test_odd_sec_derivatives_vanish_at_zero():
+    # the value is exactly 0; the residue is rounding noise that grows with
+    # k!, and the check allows for it as Z's does
+    for k in range(51, 100, 2):
+        assert ek_mu(k, 0.0) == 0.0
+
+
 def test_imaginary_residue_past_the_double_range_is_finite():
     # |z| is far past the double range here; the ratio is formed before rounding
     for residue, k, mu in ((ek_mu_imag_residue, 250, 3.0), (ektilde_mu_imag_residue, 250, 6.2)):
@@ -196,6 +207,16 @@ def test_taylor_coefficients_past_the_double_range_raise_a_typed_error():
         with pytest.raises(ToleranceUnreachable) as info:
             coeffs(mu, 150)
         assert info.value.achieved == math.inf
+
+
+def test_taylor_coefficients_stop_growing_rows_at_the_first_overflow():
+    # the entries pass the double range near j = 207; the exact rows take
+    # memory that grows like K**3 log K, so none past that one is built
+    rows = apostol_polys._SEC_ROWS
+    before = len(rows.exact)
+    with pytest.raises(ToleranceUnreachable):
+        sec_taylor_coeffs(0.7, 10_000)
+    assert len(rows.exact) <= max(before, 300)
 
 
 def test_carrier_domain_guards():
@@ -220,18 +241,3 @@ def test_carriers_past_the_double_range_raise_a_typed_error():
         with pytest.raises(ToleranceUnreachable) as info:
             carrier(k, mu)
         assert info.value.achieved == math.inf
-
-
-def test_trunc_series_reciprocal_roundtrip():
-    s = TruncSeries(0.0, [1.0, 0.5, -0.25, 0.125])
-    prod = s * s.reciprocal()
-    assert prod.coeffs[0] == pytest.approx(1.0, rel=1e-15)
-    for c in prod.coeffs[1:]:
-        assert abs(c) <= 1e-15
-
-
-def test_trunc_series_requires_matching_shape():
-    s = TruncSeries(0.0, [1.0, 2.0])
-    t = TruncSeries(1.0, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        s * t

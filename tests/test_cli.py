@@ -206,6 +206,18 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: TELESUM_MAX_K must be an integer, not 'abc'\n")
 
 
+def test_negative_option_values_in_exponent_form(capsys):
+    # argparse's own pattern has no exponent, so -1e-10 was read as a flag
+    for argv, option, value in (
+        (["series", "Z", "--k", "1"], "--mu", "-1e-10"),
+        (["series", "Z", "--k", "1"], "--mu", "-2.5e-1"),
+        (["apostol", "euler", "3", "--lambda-im", "0.5"], "--lambda-re", "-1e0"),
+    ):
+        joined = run_cli(capsys, argv + ["%s=%s" % (option, value)])
+        assert joined[0] == 0 and joined[1], (option, value)
+        assert run_cli(capsys, argv + [option, value]) == joined, (option, value)
+
+
 def test_eval_far_past_the_pi_power_overflow(capsys):
     # pi**800 overflows a double, zeta(800) rounds to 1
     code, out, err = run_cli(capsys, ["eval", "zeta", "--k", "400"])

@@ -5,6 +5,7 @@ Dirichlet L-series implementations, plus a handful of hand-derivable
 exact anchors (values at 0, pi/2, pi).
 """
 
+import hashlib
 import math
 import sys
 import threading
@@ -22,12 +23,15 @@ from telesum import (
     Ztilde,
     Ztilde0,
     Ztilde_table,
+    apostol_polys,
     beta_odd,
     bernoulli_number,
     closed_forms,
+    cot_taylor_coeffs,
     eta_even,
     euler_number,
     lambda_even,
+    sec_taylor_coeffs,
     zeta_even,
 )
 
@@ -265,6 +269,45 @@ def test_odd_alternating_sums_vanish_at_zero():
             assert Z(k, 0.0, method=method) == 0.0
 
 
+def _hexes(values):
+    return hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+
+
+def test_taylor_route_bits_are_pinned():
+    # recorded from the truncated-series route the derivative-polynomial rows
+    # replaced: mid-range mu and mu within 1e-6 of a pole
+    near_sec, near_cot = math.pi - 1e-6, 1e-6
+    digests = (
+        (sec_taylor_coeffs, 0.7, "97adc03fea1ce08c52fd0eb55240f56e6313a34b24e234223a5461f97e60bb57"),
+        (sec_taylor_coeffs, near_sec, "ddd30255cca6848cbbf3285f33b084debed46c25850d9e81e979744a98ba618a"),
+        (cot_taylor_coeffs, 1.0, "df3c2e7f050c793af0cd85fc65461a594c7aa0e8b341638846e08f99884e0083"),
+        (cot_taylor_coeffs, near_cot, "f052f68b163884f6dd0b5fa514bb56ed2d9b17a904a2a779752acc3613a0ebdf"),
+    )
+    for coeffs, mu, digest in digests:
+        assert _hexes(coeffs(mu, 40)) == digest, (coeffs.__name__, mu)
+    pinned = {
+        (Z, 0, 0.7): "0x1.1085b498e8f2cp-1",
+        (Z, 7, 0.7): "0x1.9410fd7c3190fp-11",
+        (Z, 30, 0.7): "0x1.0e20eed91be2ep-40",
+        (Z, 171, 0.7): "0x1.68aadea2587e8p-222",
+        (Z, 0, near_sec): "0x1.e847fffdda1ffp+19",
+        (Z, 7, near_sec): "0x1.5e5319fdc7e5ap+159",
+        (Z, 30, near_sec): "0x1.d6affe05c58f1p+617",
+        (Ztilde, 1, 1.0): "0x1.1671a0c0f69f0p+0",
+        (Ztilde, 7, 1.0): "0x1.00001dd463a26p+0",
+        (Ztilde, 30, 1.0): "-0x1.0000000000000p+0",
+        (Ztilde, 171, 1.0): "0x1.0000000000000p+0",
+        (Ztilde, 1, near_cot): "0x1.d1a94a20002abp+39",
+        (Ztilde, 7, near_cot): "0x1.5e531a0a1c875p+159",
+        (Ztilde, 30, near_cot): "-0x1.d6affe45f819ap+617",
+    }
+    for (f, k, mu), bits in pinned.items():
+        assert f(k, mu, method="taylor").hex() == bits, (f.__name__, k, mu)
+    for f, mu in ((Z, near_sec), (Ztilde, near_cot)):
+        with pytest.raises(ToleranceUnreachable):
+            f(171, mu, method="taylor")
+
+
 def test_k_past_the_certified_range_is_a_domain_error():
     assert closed_forms.MAX_K == 618
     with pytest.raises(ValueError, match="618"):
@@ -344,7 +387,7 @@ def test_route_check_catches_an_altered_row_coefficient():
         # one part in 1e9 on the coefficient of the largest term
         j = max(range(len(exact)), key=lambda i: abs(exact[i]) * t ** i)
         exact[j] += exact[j] // 10**9
-        rows.scaled[k] = closed_forms._scaled_row(tuple(exact), k)
+        rows.scaled[k] = apostol_polys._scaled_row(tuple(exact), k)
         try:
             with pytest.raises(InternalConsistencyError, match="certified"):
                 f(k, mu)
@@ -357,9 +400,9 @@ def test_route_check_catches_an_altered_row_coefficient():
 
 def test_concurrent_row_growth_matches_serial_growth():
     # more threads than cores, each growing a fresh cache to its own depth
-    serial = closed_forms._DerivativeRows((0, 1), 1, -1)
+    serial = apostol_polys._DerivativeRows((0, 1), 1, -1)
     serial.value(48, 0.5)
-    shared = closed_forms._DerivativeRows((0, 1), 1, -1)
+    shared = apostol_polys._DerivativeRows((0, 1), 1, -1)
     results = {}
 
     def work(k):

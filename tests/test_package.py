@@ -16,7 +16,7 @@ import telesum
 PUBLIC_NAMES = [
     "__version__", "CPoly", "CheckResult", "InternalConsistencyError", "OscKernel",
     "PiScalar", "Poly", "QuadratureError", "Rational", "SumResult",
-    "ToleranceUnreachable", "TruncSeries", "Z", "ZTILDE_TABLE", "Z_TABLE", "Z_table",
+    "ToleranceUnreachable", "Z", "ZTILDE_TABLE", "Z_TABLE", "Z_table",
     "Ztilde", "Ztilde0", "Ztilde_table", "adaptive_integrate", "apostol_bernoulli_poly",
     "apostol_euler_poly", "bernoulli_number", "bernoulli_poly", "beta_even_integral",
     "beta_odd", "binomial", "collapse_pi_terms", "cospi", "cot_taylor_coeffs", "ek_mu",
