@@ -4,10 +4,21 @@ for the derivatives of sec(w/2) and -cot(w/2) about a real center.
 
 The deformed families come from the Apostol-Euler numbers e_n(lam) of the
 number recurrence shared with classical_polys; a polynomial is expanded from
-them only when one is asked for, and the carriers ek_mu (x = 1/2) and
-ektilde_mu (x = 1) read the numbers directly.
+them only when one is asked for.  The carriers ek_mu, i**k e^(i mu/2)
+E_k(1/2; e^(i mu)), and ektilde_mu, i**(k+1) e_k(-e^(i mu)), use the explicit
+form instead: expanding 2 / (lam e^z + 1) as a geometric series in
+w (e^z - 1) (cf. Q.-M. Luo, Taiwanese J. Math. 10 (2006) 917-925) gives
 
-The derivative polynomials of sec and cot use none of this.  Their exact
+    e^(i mu/2) E_k(1/2; e^(i mu)) = 2**-k sec(mu/2) sum_j T_k(j) w**j,
+        w = -e^(i mu/2) / (2 cos(mu/2)),
+    e_k(-e^(i mu)) = i e^(-i mu/2) / sin(mu/2) sum_j j! S(k, j) v**j,
+        v = i e^(i mu/2) / (2 sin(mu/2)),
+
+where T_k(j) and j! S(k, j) are the j-th forward differences at 0 of
+(2i + 1)**k and i**k.  Both rows are exact integers, so a value is one
+Horner over k + 1 terms, formed from the half angle, never from 1 +- lam.
+
+The derivative polynomials of sec and cot are the other route.  Their exact
 integer rows -- sec^(k) x = sec x Q_k(tan x), Q_{k+1} = t Q_k + (1 + t^2) Q_k',
 and cot^(k) x = P_k(cot x), P_{k+1} = -(1 + u^2) P_k' (M. E. Hoffman, Amer.
 Math. Monthly 102 (1995) 23-30; K. Boyadzhiev, IJMMS 2007) -- grow on demand
@@ -17,9 +28,10 @@ certified route.
 
 All complex work runs in mpmath at a configurable working precision
 (DEFAULT_DPS significant digits).  Double precision is not enough here: the
-number recurrence and the final combination i**k * e^(i mu/2) * E_k(1/2)
-suffer factorial-scale growth, and downstream consumers need small *absolute*
-error on values that reach 1e7 near the poles of sec(mu/2).  Results are
+explicit sums cancel, by up to hundreds of digits at large k, and downstream
+consumers need small *absolute* error on values that reach 1e7 near the
+poles of sec(mu/2).  The carriers therefore add to the caller's precision
+the digits their largest term asks for (_route_precision).  Results are
 converted to float only at the API boundary.
 """
 
@@ -63,6 +75,7 @@ _U = 2.0 ** -53
 # Assumed bound on the relative error of the platform's tan and cos: 2 ulp.
 _LIBM = 2.0 ** -51
 _LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 
 
 def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
@@ -204,22 +217,58 @@ def _check_cot_domain(mu: float) -> float:
 _I_POWERS = (mpmath.mpc(1), mpmath.mpc(0, 1), mpmath.mpc(-1), mpmath.mpc(0, -1))
 
 
+def _difference_row(k: int, start: int, step: int) -> List[int]:
+    """Forward differences 0..k at 0 of f(i) = (start + step*i)**k, exactly."""
+    values = [(start + step * i) ** k for i in range(k + 1)]
+    row = [values[0]]
+    for _ in range(k):
+        values = [b - a for a, b in zip(values, values[1:])]
+        row.append(values[0])
+    return row
+
+
+def _route_precision(k: int, row: List[int], x_abs: float, log_scale: float, dist: float):
+    """Working precision for scale * sum_j row[j] x**j, with |scale| =
+    e**log_scale: the active digits plus enough that the error stays under a
+    tenth of the 2*k! * _mp_floor allowance.
+
+    Horner, the rounding of x and the scale err by at most 8(k+1) u times
+    |scale| sum_j |row[j]| |x|**j <= (k+1) max_j, and u < 10**-dps / 7, so
+    adding log10 of 2(k+1) |scale| max_j over k! dist**-(k+1) digits is
+    enough; max_j is bounded from the integers' bit lengths.
+    """
+    log_x = math.log(x_abs)
+    top = max(c.bit_length() * _LN2 + j * log_x for j, c in enumerate(row) if c)
+    excess = log_scale + top + math.log(2 * (k + 1)) - math.lgamma(k + 1)
+    excess += (k + 1) * math.log(dist)
+    return mpmath.workdps(mpmath.mp.dps + max(0, math.ceil(excess / _LN10)))
+
+
 def _ek_complex(k: int, mu: float) -> mpmath.mpc:
-    # i**k * e^(i mu / 2) * E_k(1/2; e^(i mu)), in the active precision
-    lam = mpmath.expj(mpmath.mpf(mu))
-    acc = mpmath.mpc(0)
-    half = mpmath.mpf(1) / 2
-    for c in reversed(_apostol_euler_coeffs(k, lam)):
-        acc = acc * half + c
-    return _I_POWERS[k % 4] * mpmath.expj(mpmath.mpf(mu) / 2) * acc
+    # i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) within the active precision's
+    # allowance: i**k 2**-k sec(mu/2) sum_j T_k(j) w**j
+    row = _difference_row(k, 1, 2)
+    sec = 1 / math.cos(mu / 2)
+    with _route_precision(k, row, sec / 2, math.log(sec) - k * _LN2, math.pi - abs(mu)):
+        half = mpmath.mpf(mu) / 2
+        cos = mpmath.cos(half)
+        total = mpmath.polyval(row[::-1], -mpmath.expj(half) / (2 * cos))
+        return _I_POWERS[k % 4] * total * mpmath.ldexp(1 / cos, -k)
 
 
 def _ektilde_complex(k: int, mu: float) -> mpmath.mpc:
-    # i**(k+1) * e^(i mu) * E_k(1; -e^(i mu)), in the active precision; for
-    # k >= 1 the difference equation lam E_k(1; lam) = -e_k(lam), taken at
-    # -lam, turns lam * E_k(1; -lam) into the number e_k(-lam)
-    lam = mpmath.expj(mpmath.mpf(mu))
-    return _I_POWERS[(k + 1) % 4] * _appell_numbers([], k, -lam)[k]
+    # i**(k+1) * e^(i mu) * E_k(1; -e^(i mu)), k >= 1, within the same
+    # allowance; the difference equation lam E_k(1; lam) = -e_k(lam), taken
+    # at -lam, makes it i**(k+1) e_k(-e^(i mu)) =
+    # i**(k+2) e^(-i mu/2) / sin(mu/2) sum_j j! S(k, j) v**j
+    row = _difference_row(k, 0, 1)
+    csc = abs(1 / math.sin(mu / 2))
+    with _route_precision(k, row, csc / 2, math.log(csc), abs(math.remainder(mu, _TWO_PI))):
+        half = mpmath.mpf(mu) / 2
+        sin = mpmath.sin(half)
+        turn = mpmath.expj(half)
+        total = mpmath.polyval(row[::-1], _I_POWERS[1] * turn / (2 * sin))
+        return -_I_POWERS[k % 4] * total / (turn * sin)
 
 
 def _mp_floor(k: int, dist: float, dps: int = DEFAULT_DPS) -> float:
@@ -227,10 +276,13 @@ def _mp_floor(k: int, dist: float, dps: int = DEFAULT_DPS) -> float:
 
     The terms of either lattice sum add up in absolute value to at most
     4 * dist**-(k+1), where dist is the distance from mu to the nearest
-    pole; both mpmath routes stay below 10**-dps * (k+1) times that by more
-    than a factor of ten (measured against Hurwitz-zeta truth at 90 digits
-    for k <= 250 and dps = DEFAULT_DPS).  It only matters near zeros of the
-    sum: next to its value it is at most 1e-37 relative at DEFAULT_DPS.
+    pole; the allowance is 10**-dps * (k+1) times that.  The complex route
+    picks its working precision to stay under a tenth of it
+    (_route_precision); measured against Hurwitz-zeta truth at 100 digits
+    for k <= 250 and dps = DEFAULT_DPS, it stays under 3e-4 of it, within
+    1e-8 of the poles too.  The Taylor route's terms share one sign and do
+    not cancel.  It only matters near zeros of the sum: next to its value
+    it is at most 1e-37 relative at DEFAULT_DPS.
     """
     log = math.log(4.0 * (k + 1)) - dps * _LN10 - (k + 1) * math.log(dist)
     return math.exp(min(log, 700.0))
@@ -268,11 +320,13 @@ def ek_mu(
 ) -> float:
     """k-th derivative of sec(mu/2) via the complex polynomial route.
 
-    Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) at working precision and
-    returns the real part after checking the imaginary residue by Z's rule
-    (_check_residue).  A value beyond the double range raises
-    ToleranceUnreachable; Z divides by 2*k! before it rounds, so it stays
-    finite where this one cannot.
+    Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) from its explicit form
+    and returns the real part after checking the imaginary residue by Z's
+    rule (_check_residue).  dps (DEFAULT_DPS) is the target: the route adds
+    the digits its cancelling sum needs to keep the error under that
+    precision's allowance (_mp_floor).  A value beyond the double range
+    raises ToleranceUnreachable; Z divides by 2*k! before it rounds, so it
+    stays finite where this one cannot.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -294,7 +348,8 @@ def ektilde_mu(
 
     The k = 0 combination i * e^(i mu) * E_0(1; -e^(i mu)) is not real (its
     imaginary part is identically -1), so k = 0 is rejected; use the direct
-    convention -1/tan(mu/2) instead.  The residue check is ek_mu's.
+    convention -1/tan(mu/2) instead.  The value is i**(k+1) * e_k(-e^(i mu))
+    from its explicit form; dps and the residue check are ek_mu's.
     """
     if k < 1:
         raise ValueError(
@@ -406,8 +461,13 @@ def _row_value(rows: _DerivativeRows, j: int, x: mpmath.mpf, scale) -> mpmath.mp
     # scale * 2**-j * row j at x, in the active precision: the j-th derivative
     # in mu of sec(mu/2) (x = tan(mu/2), scale = sec(mu/2)) or of -cot(mu/2)
     # (x = cot(mu/2), scale = -1).  Once x**j is taken into account the terms
-    # of a row share one sign, so Horner does not cancel.
-    return mpmath.ldexp(scale * mpmath.polyval(rows.row(j)[::-1], x), -j)
+    # of a row share one sign, so Horner does not cancel; it runs in x**2
+    # over the coefficients that parity allows, times x at odd degree.
+    row = rows.row(j)
+    value = mpmath.polyval(row[::-2], x * x)
+    if len(row) % 2 == 0:
+        value *= x
+    return mpmath.ldexp(scale * value, -j)
 
 
 # (x, scale) of _row_value at mu; the domain is checked here, after K

@@ -116,6 +116,19 @@ def test_derivative_ladder_of_deformed_family():
                 assert abs(d.coeffs[j] - k * c) <= 1e-18 * max(1.0, abs(k * c))
 
 
+def test_difference_rows_are_stirling_and_binomial_sums():
+    # j! S(k, j) = forward differences of i**k, T_k(j) = those of (2i + 1)**k
+    with mpmath.workdps(150):
+        for k in range(61):
+            assert apostol_polys._difference_row(k, 0, 1) == [
+                math.factorial(j) * int(mpmath.stirling2(k, j)) for j in range(k + 1)
+            ]
+            assert apostol_polys._difference_row(k, 1, 2) == [
+                sum((-1) ** (j - i) * math.comb(j, i) * (2 * i + 1) ** k for i in range(j + 1))
+                for j in range(k + 1)
+            ]
+
+
 def test_excluded_parameters():
     with pytest.raises(ValueError):
         apostol_euler_poly(3, 0)

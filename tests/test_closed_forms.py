@@ -28,6 +28,7 @@ from telesum import (
     bernoulli_number,
     closed_forms,
     cot_taylor_coeffs,
+    ek_mu,
     eta_even,
     euler_number,
     lambda_even,
@@ -354,6 +355,57 @@ def test_certified_bound_holds_against_hurwitz_truth():
                     assert abs(value - want) <= rel * abs(want), (k, mu)
 
 
+def _scaled_allowance(k, dist, dps):
+    # 2*k! times _mp_floor's allowance, unclamped: near a pole at large k it
+    # passes exp(700), where _mp_floor stops
+    return 2 * math.factorial(k) * 4 * (k + 1) * mpmath.mpf(10) ** -dps * mpmath.mpf(dist) ** -(k + 1)
+
+
+def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
+    # absolute error of 2*k! times each sum, against 100-digit truth; the
+    # explicit sums cancel most next to the poles at +-pi (Z) and 0, +-2 pi
+    # (Ztilde), and the working precision rises to match
+    near = 1e-7
+    cases = (
+        (apostol_polys._ek_complex, _z_hurwitz,
+         (math.pi - near, -(math.pi - near), 1e-6, 1e-8, 0.7, -3.0),
+         lambda mu: math.pi - abs(mu)),
+        (apostol_polys._ektilde_complex, _ztilde_hurwitz,
+         (1e-6, 1e-8, -near, 2 * math.pi - near, -(2 * math.pi - near), math.pi, 4.0),
+         lambda mu: abs(math.remainder(mu, 2 * math.pi))),
+    )
+    for route, truth, mus, dist in cases:
+        for k in (1, 21, 60, 160, 250):
+            for mu in mus:
+                with mpmath.workdps(apostol_polys.DEFAULT_DPS):
+                    z = route(k, mu)
+                with mpmath.workdps(100):
+                    want = 2 * math.factorial(k) * truth(k, mpmath.mpf(mu))
+                    allowed = _scaled_allowance(k, dist(mu), apostol_polys.DEFAULT_DPS) / 10
+                    assert abs(z - want) <= allowed, (route.__name__, k, mu)
+
+
+def test_carrier_meets_the_floor_of_its_own_precision():
+    # dps is the target the route adds its own digits to, not a cap
+    with mpmath.workdps(20):
+        z = apostol_polys._ek_complex(30, 0.7)
+        assert mpmath.mp.dps == 20
+    with mpmath.workdps(60):
+        want = 2 * math.factorial(30) * _z_hurwitz(30, mpmath.mpf(0.7))
+        assert abs(z - want) <= _scaled_allowance(30, math.pi - 0.7, 20)
+    assert ek_mu(30, 0.7, dps=20) == pytest.approx(float(want), rel=1e-15)
+
+
+def test_lattice_sums_at_the_largest_k_match_hurwitz_truth():
+    # Z(618, -3.0) ~ 3.2e525 is past the double range, Z(618, 0) ~ 3.7e-308
+    # just above the smallest normal double
+    with mpmath.workdps(50):
+        for mu in (0.0, 0.5, -3.0):
+            _truth_or_out_of_range(Z, 618, mu, _z_hurwitz(618, mpmath.mpf(mu)))
+        for mu in (1.0, 3.0):
+            _truth_or_out_of_range(Ztilde, 618, mu, _ztilde_hurwitz(618, mpmath.mpf(mu)))
+
+
 def _perturbed(route, factor):
     def perturbed(*args):
         return route(*args) * factor
@@ -396,6 +448,32 @@ def test_route_check_catches_an_altered_row_coefficient():
         finally:
             rows.scaled[k] = saved
         f(k, mu)
+
+
+def test_route_check_catches_an_altered_difference_row(monkeypatch):
+    # one part in 1e9 on the entry of the largest term of the k = 60 row;
+    # the sum cancels, so the value moves by far more than that, and the
+    # imaginary part with it: the residue check fires before the certified one
+    build = apostol_polys._difference_row
+    for start, step, f, mu, x in (
+        (1, 2, Z, 0.7, 1 / (2 * math.cos(0.35))),
+        (0, 1, Ztilde, 1.0, 1 / (2 * math.sin(0.5))),
+    ):
+        def altered(k, a, b, start=start, step=step, x=x):
+            row = build(k, a, b)
+            if (k, a, b) == (60, start, step):
+                j = max(range(len(row)), key=lambda i: abs(row[i]) * x ** i)
+                row[j] += row[j] // 10**9
+            return row
+
+        with monkeypatch.context() as patch:
+            patch.setattr(apostol_polys, "_difference_row", altered)
+            with pytest.raises(InternalConsistencyError):
+                f(60, mu)
+            with pytest.raises(InternalConsistencyError):
+                f(60, mu, method="complex")
+            f(60, mu, method="taylor")  # the Taylor route is untouched
+        f(60, mu)
 
 
 def test_concurrent_row_growth_matches_serial_growth():
