@@ -3,11 +3,15 @@ parameter, and the derivative polynomials of sec and cot, the one engine
 for the derivatives of sec(w/2) and -cot(w/2) about a real center.
 
 The deformed families come from the Apostol-Euler numbers e_n(lam) of the
-number recurrence shared with classical_polys; a polynomial is expanded from
-them only when one is asked for.  The carriers ek_mu, i**k e^(i mu/2)
-E_k(1/2; e^(i mu)), and ektilde_mu, i**(k+1) e_k(-e^(i mu)), use the explicit
-form instead: expanding 2 / (lam e^z + 1) as a geometric series in
-w (e^z - 1) (cf. Q.-M. Luo, Taiwanese J. Math. 10 (2006) 917-925) gives
+generating function 2 / (lam e^z + 1), which obey the O(n^2) recurrence
+
+    e_n = (2 [n == 0] - lam * sum_{j<n} C(n, j) e_j) / (1 + lam);
+
+a polynomial is expanded from them only when one is asked for.  The
+carriers ek_mu, i**k e^(i mu/2) E_k(1/2; e^(i mu)), and ektilde_mu,
+i**(k+1) e_k(-e^(i mu)), use the explicit form instead: expanding
+2 / (lam e^z + 1) as a geometric series in w (e^z - 1) (cf. Q.-M. Luo,
+Taiwanese J. Math. 10 (2006) 917-925) gives
 
     e^(i mu/2) E_k(1/2; e^(i mu)) = 2**-k sec(mu/2) sum_j T_k(j) w**j,
         w = -e^(i mu/2) / (2 cos(mu/2)),
@@ -43,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from .classical_polys import _appell_numbers, bernoulli_poly
+from .classical_polys import bernoulli_poly
 from .exact_core import InternalConsistencyError, ToleranceUnreachable, binomial
 
 __all__ = [
@@ -137,9 +141,19 @@ class CPoly:
         return "CPoly(%r)" % (list(self.coeffs),)
 
 
+def _appell_numbers(upto: int, lam: mpmath.mpc) -> List[mpmath.mpc]:
+    """The Apostol-Euler numbers e_0(lam) .. e_upto(lam), at the active
+    working precision."""
+    numbers: List[mpmath.mpc] = []
+    for n in range(upto + 1):
+        acc = sum(binomial(n, j) * numbers[j] for j in range(n))
+        numbers.append(((2 if n == 0 else 0) - lam * acc) / (1 + lam))
+    return numbers
+
+
 def _apostol_euler_coeffs(k: int, lam: mpmath.mpc) -> List[mpmath.mpc]:
     """Coefficients, low to high, of E_k(x; lam) = sum_i C(k,i) e_{k-i} x**i."""
-    numbers = _appell_numbers([], k, lam)
+    numbers = _appell_numbers(k, lam)
     return [binomial(k, i) * numbers[k - i] for i in range(k + 1)]
 
 
@@ -288,13 +302,18 @@ def _mp_floor(k: int, dist: float, dps: int = DEFAULT_DPS) -> float:
     return math.exp(min(log, 700.0))
 
 
+def _allowance(k: int, dist: float, dps: int) -> mpmath.mpf:
+    # 2*k! * _mp_floor: the route's own noise on 2*k! times a lattice sum
+    return mpmath.mpf(_mp_floor(k, dist, dps)) * 2 * math.factorial(k)
+
+
 def _check_residue(
     z: mpmath.mpc, k: int, dist: float, tol_imag: float, what: str, dps: int = DEFAULT_DPS
 ) -> None:
     """Raise InternalConsistencyError unless z, 2*k! times a lattice sum from
     an mpmath route, has |Im z| <= tol_imag * |Re z| + 2*k! * _mp_floor: the
     floor is the route's own noise, all that is left where the value is 0."""
-    allowed = tol_imag * abs(z.real) + mpmath.mpf(_mp_floor(k, dist, dps)) * 2 * math.factorial(k)
+    allowed = tol_imag * abs(z.real) + _allowance(k, dist, dps)
     if abs(z.imag) > allowed:
         raise InternalConsistencyError(
             "%s should be real; imaginary residue %s exceeds the allowed %s"
@@ -364,18 +383,22 @@ def ektilde_mu(
         return _finite_float(z.real, "cot-derivative value")
 
 
-def _scaled_residue(z: mpmath.mpc) -> float:
-    # formed in mpmath and rounded once: |z| itself may be past the double range
-    return float(abs(z.imag) / max(1, abs(z)))
+def _scaled_residue(z: mpmath.mpc, k: int, dist: float, dps: int) -> float:
+    """|Im z| / max(1, |z|, allowance / TOL_IMAG), formed in mpmath and
+    rounded once (|z| itself may be past the double range).  The allowance
+    term keeps the noise at a zero of the sum from reading as a fully
+    imaginary value: whatever passes _check_residue reports <= 2 * TOL_IMAG."""
+    return float(abs(z.imag) / max(1, abs(z), _allowance(k, dist, dps) / TOL_IMAG))
 
 
 def ek_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> float:
-    """Scaled imaginary residue |Im z| / max(1, |z|) of the ek_mu combination."""
+    """Scaled imaginary residue of the ek_mu combination (_scaled_residue)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     mu = _check_sec_domain(mu)
-    with mpmath.workdps(dps or DEFAULT_DPS):
-        return _scaled_residue(_ek_complex(k, mu))
+    dps = dps or DEFAULT_DPS
+    with mpmath.workdps(dps):
+        return _scaled_residue(_ek_complex(k, mu), k, math.pi - abs(mu), dps)
 
 
 def ektilde_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> float:
@@ -383,8 +406,10 @@ def ektilde_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> flo
     if k < 1:
         raise ValueError("k must be >= 1")
     mu = _check_cot_domain(mu)
-    with mpmath.workdps(dps or DEFAULT_DPS):
-        return _scaled_residue(_ektilde_complex(k, mu))
+    dps = dps or DEFAULT_DPS
+    with mpmath.workdps(dps):
+        z = _ektilde_complex(k, mu)
+        return _scaled_residue(z, k, abs(math.remainder(mu, _TWO_PI)), dps)
 
 
 class _DerivativeRows:

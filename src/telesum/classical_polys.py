@@ -1,27 +1,36 @@
 """Bernoulli and Euler polynomials and numbers, computed exactly.
 
 Both families are Appell sequences, P_n(x) = sum_i C(n, i) p_{n-i} x**i, so
-each is fixed by its numbers p_n = P_n(0).  One number recurrence serves the
-classical and the parameter-deformed (Apostol) families: the Apostol-Euler
-numbers e_n = E_n(0; lam) of the generating function 2 / (lam e^z + 1) obey
+each is fixed by its numbers p_n = P_n(0).  Those numbers are all read from
+the zigzag numbers A_n (1, 1, 1, 2, 5, 16, 61, ...; sec x + tan x =
+sum_n A_n x**n / n!), which the Seidel-Entringer boustrophedon triangle
+gives by additions alone (D. E. Knuth and T. J. Buckholtz, Math. Comp. 21
+(1967) 663-688; J. Millar, N. J. A. Sloane and N. E. Young, J. Combin.
+Theory Ser. A 76 (1996) 44-54): row n starts at 0 and each next entry adds
+the previous one to row n - 1 read backwards,
 
-    e_n = (2 [n == 0] - lam * sum_{j<n} C(n, j) e_j) / (1 + lam),
+    T(n, 0) = 0,  T(n, j) = T(n, j-1) + T(n-1, n-j),  A_n = T(n, n).
 
-which is O(n^2).  At lam = 1 it runs on Fractions and gives the classical
-E_n(0); the Bernoulli numbers follow from E_{n-1}(0) = -2 (2**n - 1) B_n / n.
+With m >= 1:
 
-Only the numbers E_n(0) are cached, in an append-only list grown on demand
-under a lock, so readers always observe a fully built prefix.  Polynomials
-are expanded from the numbers when asked for.
+    E_{2m-1}(0) = (-1)**m A_{2m-1} / 2**(2m-1),  E_{2m}(0) = 0,
+    B_{2m} = (-1)**(m-1) 2m A_{2m-1} / (2**(2m) (2**(2m) - 1)),
+    Euler number E_{2m} = (-1)**m A_{2m}.
+
+The zigzag numbers and the last triangle row are the only cache: an
+append-only list and one row, grown on demand under one lock, so readers
+always observe a fully built prefix.  Nothing is built at import, and
+polynomials are expanded from the numbers when asked for.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from fractions import Fraction
 from typing import List
 
-from .exact_core import InternalConsistencyError, Poly, binomial, poly_eval
+from .exact_core import Poly, binomial
 
 __all__ = [
     "DEFAULT_CACHE_DEPTH",
@@ -35,34 +44,32 @@ __all__ = [
 DEFAULT_CACHE_DEPTH = 64
 
 _lock = threading.Lock()
-_euler_at_zero: List[Fraction] = []
+_zigzag: List[int] = [1]
+_row: List[int] = [1]  # the triangle row that ends in _zigzag[-1]; guarded by _lock
 
 
-def _appell_numbers(numbers: list, upto: int, lam) -> list:
-    """Extend ``numbers`` with the Apostol-Euler numbers e_n(lam) through
-    index ``upto`` and return it.
-
-    ``lam`` fixes the arithmetic: a Fraction gives exact numbers, an mpmath
-    value gives numbers at the active working precision.
-    """
-    for n in range(len(numbers), upto + 1):
-        acc = sum(binomial(n, j) * numbers[j] for j in range(n))
-        numbers.append(((2 if n == 0 else 0) - lam * acc) / (1 + lam))
-    return numbers
+def _zigzag_number(n: int) -> int:
+    global _row
+    if n >= len(_zigzag):
+        with _lock:
+            while len(_zigzag) <= n:
+                _row = list(itertools.accumulate(reversed(_row), initial=0))
+                _zigzag.append(_row[-1])
+    return _zigzag[n]
 
 
 def _euler_zero(k: int) -> Fraction:
-    if k >= len(_euler_at_zero):
-        with _lock:
-            _appell_numbers(_euler_at_zero, k, Fraction(1))
-    return _euler_at_zero[k]
+    if k % 2 == 0:
+        return Fraction(1 if k == 0 else 0)
+    sign = 1 if k % 4 == 3 else -1
+    return Fraction(sign * _zigzag_number(k), 1 << k)
 
 
 def precompute(depth: int = DEFAULT_CACHE_DEPTH) -> None:
     """Fill the number cache behind both families through index ``depth``."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    _euler_zero(depth)
+    _zigzag_number(depth)
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -71,7 +78,12 @@ def bernoulli_number(k: int) -> Fraction:
         raise ValueError("k must be >= 0")
     if k == 0:
         return Fraction(1)
-    return -k * _euler_zero(k - 1) / (2 * (2 ** k - 1))
+    if k == 1:
+        return Fraction(-1, 2)
+    if k % 2:
+        return Fraction(0)
+    sign = 1 if k % 4 == 2 else -1
+    return Fraction(sign * k * _zigzag_number(k - 1), ((1 << k) - 1) << k)
 
 
 def bernoulli_poly(k: int) -> Poly:
@@ -99,9 +111,4 @@ def euler_number(k: int) -> Fraction:
         raise ValueError("k must be >= 0")
     if k % 2:
         raise ValueError("Euler number index must be even")
-    value = 2 ** k * poly_eval(euler_poly(k), Fraction(1, 2))
-    if value.denominator != 1:
-        raise InternalConsistencyError(
-            "Euler number at index %d is not an integer: %s" % (k, value)
-        )
-    return value
+    return Fraction(_zigzag_number(k) if k % 4 == 0 else -_zigzag_number(k))

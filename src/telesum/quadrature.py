@@ -2,10 +2,10 @@
 
 The exact half: integrals of a rational-coefficient polynomial against
 cos(m*pi*x) or sin(m*pi*x) on [0, 1] via the full integration-by-parts
-ladder, carried out entirely in Fraction arithmetic so results are exact
-finite sums of rational multiples of powers of pi.  For the Apostol-Euler
-polynomials against the exponential kernel lambda^x e^(-(2m+1) pi i x) the
-same ladder telescopes to a closed form.
+ladder, carried out in integers over one common denominator so results
+are exact finite sums of rational multiples of powers of pi.  For the
+Apostol-Euler polynomials against the exponential kernel
+lambda^x e^(-(2m+1) pi i x) the same ladder telescopes to a closed form.
 
 The numeric half: adaptive bisection with a 15-point Gauss-Legendre rule
 per panel, used for the non-elementary integral representations of
@@ -24,13 +24,11 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 import mpmath
 
 from .apostol_polys import DEFAULT_DPS
-from .classical_polys import bernoulli_poly, euler_poly
+from .classical_polys import bernoulli_number, bernoulli_poly, euler_number, euler_poly
 from .exact_core import (
     PiScalar,
     Poly,
     collapse_pi_terms,
-    poly_derivative,
-    poly_eval,
     poly_integral_01,
 )
 
@@ -89,19 +87,24 @@ def _parts_ladder(p: Poly, m: int, cos: bool) -> Dict[int, Fraction]:
     # Step j integrates the j-th derivative by parts against cos or sin,
     # alternating.  Every step divides by m*pi, a cos step flips the sign of
     # all later ones, and only sin steps leave a boundary term, because
-    # sin(m*pi*x) vanishes at both endpoints.
+    # sin(m*pi*x) vanishes at both endpoints.  The derivatives are carried as
+    # integer numerators over one denominator, the lcm of p's, which every
+    # step multiplies by m.
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    parity = -1 if m % 2 else 1
     out: Dict[int, Fraction] = {}
-    scale = Fraction(1)
+    sign = 1
     power = -1
-    while not p.is_zero:
-        scale /= m
+    while nums:
+        den *= m
         if cos:
-            scale = -scale
+            sign = -sign
         else:
-            boundary = p.coeffs[0] - (-1) ** m * sum(p.coeffs)  # p(0) - (-1)^m p(1)
+            boundary = nums[0] - parity * sum(nums)  # p(0) - (-1)^m p(1)
             if boundary:
-                out[power] = boundary * scale
-        p = poly_derivative(p)
+                out[power] = Fraction(sign * boundary, den)
+        nums = [i * c for i, c in enumerate(nums)][1:]
         power -= 1
         cos = not cos
     return out
@@ -268,7 +271,7 @@ def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
     from .oracles import cospi, sinpi
 
     coeffs = _float_poly(bernoulli_poly(2 * k + 1))
-    limit = (2.0 / math.pi) * (2 * k + 1) * float(poly_eval(bernoulli_poly(2 * k), 0))
+    limit = (2.0 / math.pi) * (2 * k + 1) * float(bernoulli_number(2 * k))
     sign = 1.0 if k % 2 == 1 else -1.0
     scale = sign * 2.0 ** (2 * k) * math.pi ** (2 * k + 1) / math.factorial(2 * k + 1)
 
@@ -293,7 +296,7 @@ def beta_even_integral(k: int, tol: float = 1e-8) -> float:
     from .oracles import cospi
 
     coeffs = _float_poly(euler_poly(2 * k + 1))
-    elim = float(poly_eval(euler_poly(2 * k), Fraction(1, 2)))
+    elim = float(euler_number(2 * k) / 4 ** k)
     limit = -(2 * k + 1) * elim / math.pi
     sign = 1.0 if k % 2 == 1 else -1.0
     scale = sign * math.pi ** (2 * k + 2) / (4.0 * math.factorial(2 * k + 1))

@@ -200,9 +200,11 @@ def test_imaginary_residue_is_tiny():
 
 def test_odd_sec_derivatives_vanish_at_zero():
     # the value is exactly 0; the residue is rounding noise that grows with
-    # k!, and the check allows for it as Z's does
+    # k!, and the check allows for it as Z's does.  |z| is then noise too, so
+    # the scaled residue is held to the allowance, not to |z|
     for k in range(51, 100, 2):
         assert ek_mu(k, 0.0) == 0.0
+        assert ek_mu_imag_residue(k, 0.0) <= 2 * apostol_polys.TOL_IMAG, k
 
 
 def test_imaginary_residue_past_the_double_range_is_finite():

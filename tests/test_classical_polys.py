@@ -160,7 +160,10 @@ def test_cache_grows_past_precomputed_depth():
 
 _CONCURRENT_GROWTH = """
 import hashlib, sys, threading
+from fractions import Fraction
+import mpmath
 import telesum
+from telesum import classical_polys
 
 threaded = sys.argv[1] == "threaded"
 calls = [
@@ -168,32 +171,46 @@ calls = [
     ("euler_poly", range(151)),
     ("bernoulli_number", range(151)),
     ("euler_number", range(0, 151, 2)),
+    ("bernoulli_number", range(150, -1, -1)),
+    ("precompute", range(0, 151, 25)),
 ]
 results = {}
 barrier = threading.Barrier(len(calls) if threaded else 1)
 
-def run(name, indices):
+def run(i, name, indices):
     barrier.wait(timeout=60)
     fn = getattr(telesum, name)
-    results[name] = [fn(n) for n in indices]
+    results[i, name] = [fn(n) for n in indices]
 
 if threaded:
-    sys.setswitchinterval(1e-5)
-    threads = [threading.Thread(target=run, args=c) for c in calls]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i, *c)) for i, c in enumerate(calls)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
 else:
-    for c in calls:
-        run(*c)
-print(hashlib.sha256(repr(sorted(results.items())).encode()).hexdigest())
+    for i, c in enumerate(calls):
+        run(i, *c)
+
+# the numbers against mpmath, and the cache: one zigzag number per row
+# built, the kept row the one that ends in the last of them
+assert results[2, "bernoulli_number"] == [Fraction(*mpmath.bernfrac(n)) for n in range(151)]
+assert results[3, "euler_number"] == [mpmath.eulernum(n, exact=True) for n in range(0, 151, 2)]
+zigzag, row = classical_polys._zigzag, classical_polys._row
+assert len(row) == len(zigzag) and row[-1] == zigzag[-1] and row[0] == 0
+print(hashlib.sha256(repr((sorted(results.items()), zigzag, row)).encode()).hexdigest())
 """
 
 
 def test_concurrent_growth_from_cold_start():
-    # each run is a fresh interpreter, so the number cache starts empty
+    # each run is a fresh interpreter, so the number cache starts cold; six
+    # threads grow the zigzag list and the triangle row at once
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
 

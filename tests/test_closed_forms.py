@@ -26,6 +26,7 @@ from telesum import (
     apostol_polys,
     beta_odd,
     bernoulli_number,
+    classical_polys,
     closed_forms,
     cot_taylor_coeffs,
     ek_mu,
@@ -319,21 +320,24 @@ def test_k_past_the_certified_range_is_a_domain_error():
 
 def test_derivative_polynomial_rows_are_secant_and_tangent_numbers():
     # Q_k(0) = sec^(k)(0) = |E_k| for even k; P_k(0) = cot^(k)(pi/2) =
-    # -tan^(k)(0) = -T_k for odd k, with T_k the tangent numbers
-    closed_forms._SEC_ROWS.value(40, 0.0)
-    closed_forms._COT_ROWS.value(40, 0.0)
-    for k in range(0, 41):
+    # -tan^(k)(0) = -T_k for odd k, with T_k the tangent numbers.  The rows
+    # are an engine independent of classical_polys' triangle, so this checks
+    # the Euler and Bernoulli numbers and E_k(0) = (-1)**((k+1)/2) T_k / 2**k
+    closed_forms._SEC_ROWS.value(300, 0.0)
+    closed_forms._COT_ROWS.value(300, 0.0)
+    for k in range(0, 301):
         q = closed_forms._SEC_ROWS.exact[k]
         p = closed_forms._COT_ROWS.exact[k]
         assert len(q) == k + 1 and len(p) == k + 2
         assert all(c >= 0 for c in q) and all(c * (-1) ** k >= 0 for c in p)
         assert q[-1] == p[-1] * (-1) ** k == math.factorial(k)
         if k % 2 == 0:
-            assert q[0] == abs(euler_number(k))
+            assert q[0] == abs(euler_number(k)), k
         else:
             n = k + 1
             tangent = (-1) ** (n // 2 - 1) * 2 ** n * (2 ** n - 1) * bernoulli_number(n) / n
-            assert p[0] == -tangent
+            assert p[0] == -tangent, k
+            assert classical_polys._euler_zero(k) == F(p[0] * (-1) ** (n // 2 - 1), 2 ** k), k
 
 
 def test_certified_bound_holds_against_hurwitz_truth():

@@ -6,6 +6,7 @@ integrals with known values, including removable singularities.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -20,10 +21,12 @@ from telesum import (
     apostol_euler_poly,
     bernoulli_poly,
     beta_even_integral,
+    collapse_pi_terms,
     euler_poly,
     exact_apostol_integral,
     exact_poly_trig_integral,
     j_integral,
+    poly_derivative,
     poly_integral_01,
     sum_beta,
     sum_zeta,
@@ -108,6 +111,40 @@ def test_exact_ladder_at_degree_1200():
             lambda x: x**1200 * mpmath.cos(3 * mpmath.pi * x), mpmath.linspace(0, 1, 21)
         )
         assert abs(got - want) <= mpmath.mpf(10) ** -20 * abs(want)
+
+
+def _fraction_ladder(p, m, cos):
+    # the ladder as first written, one Fraction per coefficient per step
+    out = {}
+    scale = F(1)
+    power = -1
+    while not p.is_zero:
+        scale /= m
+        if cos:
+            scale = -scale
+        else:
+            boundary = p.coeffs[0] - (-1) ** m * sum(p.coeffs)
+            if boundary:
+                out[power] = boundary * scale
+        p = poly_derivative(p)
+        power -= 1
+        cos = not cos
+    return collapse_pi_terms(out)
+
+
+def test_integer_ladder_matches_the_fraction_ladder():
+    rng = random.Random(20230)
+    polys = [Poly()]
+    for degree in range(0, 61):
+        polys.append(
+            Poly(F(rng.randint(-999, 999), rng.randint(1, 720)) for _ in range(degree + 1))
+        )
+    for p in polys:
+        for m in range(1, 14):
+            for kernel, cos in ((OscKernel.cos(m), True), (OscKernel.sin(m), False)):
+                assert exact_poly_trig_integral(p, kernel) == _fraction_ladder(p, m, cos), (
+                    p.degree, m, kernel.kind,
+                )
 
 
 def test_j_integral_tables():
