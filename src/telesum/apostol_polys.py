@@ -30,13 +30,14 @@ and have one sign and fixed parity.  In mpmath they give the Taylor
 coefficients and the lattice sums' "taylor" route; in doubles, closed_forms'
 certified route.
 
-All complex work runs in mpmath at a configurable working precision
-(DEFAULT_DPS significant digits).  Double precision is not enough here: the
-explicit sums cancel, by up to hundreds of digits at large k, and downstream
-consumers need small *absolute* error on values that reach 1e7 near the
-poles of sec(mu/2).  The carriers therefore add to the caller's precision
-the digits their largest term asks for (_route_precision).  Results are
-converted to float only at the API boundary.
+All complex work runs in mpmath at a configurable working precision: a dps
+argument is None, for DEFAULT_DPS significant digits, or an integer >= 1.
+Double precision is not enough here: the explicit sums cancel, by up to
+hundreds of digits at large k, and downstream consumers need small
+*absolute* error on values that reach 1e7 near the poles of sec(mu/2).
+The carriers therefore add to the caller's precision the digits their
+largest term asks for (_route_precision).  Results are converted to float
+only at the API boundary.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ _U = 2.0 ** -53
 _LIBM = 2.0 ** -51
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
+
+
+def _working_dps(dps: Optional[int]) -> int:
+    """The working precision a dps argument asks for: DEFAULT_DPS for None,
+    otherwise an integer >= 1 (anything else raises ValueError)."""
+    if dps is None:
+        return DEFAULT_DPS
+    if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
+        raise ValueError("dps must be an integer >= 1, got %r" % (dps,))
+    return dps
 
 
 def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
@@ -164,7 +175,8 @@ def apostol_euler_poly(
 
     lam = -1 is a pole of the generating function and lam = 0 degenerates it;
     both are rejected.  At lam = 1 the classical Euler polynomial is
-    recovered.
+    recovered.  The coefficients are computed at dps digits (DEFAULT_DPS if
+    None, otherwise an integer >= 1).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -173,7 +185,7 @@ def apostol_euler_poly(
         raise ValueError("parameter lambda = 0 is excluded")
     if lam == -1:
         raise ValueError("parameter lambda = -1 is excluded (pole)")
-    with mpmath.workdps(dps or DEFAULT_DPS):
+    with mpmath.workdps(_working_dps(dps)):
         return CPoly(_apostol_euler_coeffs(k, lam))
 
 
@@ -191,7 +203,7 @@ def apostol_bernoulli_poly(
     lam = _as_mpc(lam)
     if lam == 0:
         raise ValueError("parameter lambda = 0 is excluded")
-    with mpmath.workdps(dps or DEFAULT_DPS):
+    with mpmath.workdps(_working_dps(dps)):
         if lam == 1:
             return CPoly(
                 [
@@ -341,16 +353,16 @@ def ek_mu(
 
     Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) from its explicit form
     and returns the real part after checking the imaginary residue by Z's
-    rule (_check_residue).  dps (DEFAULT_DPS) is the target: the route adds
-    the digits its cancelling sum needs to keep the error under that
-    precision's allowance (_mp_floor).  A value beyond the double range
-    raises ToleranceUnreachable; Z divides by 2*k! before it rounds, so it
-    stays finite where this one cannot.
+    rule (_check_residue).  dps (DEFAULT_DPS if None, else an integer >= 1)
+    is the target: the route adds the digits its cancelling sum needs to
+    keep the error under that precision's allowance (_mp_floor).  A value
+    beyond the double range raises ToleranceUnreachable; Z divides by 2*k!
+    before it rounds, so it stays finite where this one cannot.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     mu = _check_sec_domain(mu)
-    dps = dps or DEFAULT_DPS
+    dps = _working_dps(dps)
     with mpmath.workdps(dps):
         z = _ek_complex(k, mu)
         _check_residue(z, k, math.pi - abs(mu), tol_imag, "sec-derivative value", dps)
@@ -375,7 +387,7 @@ def ektilde_mu(
             "k must be >= 1; the k = 0 value is the convention -1/tan(mu/2)"
         )
     mu = _check_cot_domain(mu)
-    dps = dps or DEFAULT_DPS
+    dps = _working_dps(dps)
     with mpmath.workdps(dps):
         z = _ektilde_complex(k, mu)
         dist = abs(math.remainder(mu, _TWO_PI))
@@ -396,7 +408,7 @@ def ek_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> float:
     if k < 0:
         raise ValueError("k must be >= 0")
     mu = _check_sec_domain(mu)
-    dps = dps or DEFAULT_DPS
+    dps = _working_dps(dps)
     with mpmath.workdps(dps):
         return _scaled_residue(_ek_complex(k, mu), k, math.pi - abs(mu), dps)
 
@@ -406,7 +418,7 @@ def ektilde_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> flo
     if k < 1:
         raise ValueError("k must be >= 1")
     mu = _check_cot_domain(mu)
-    dps = dps or DEFAULT_DPS
+    dps = _working_dps(dps)
     with mpmath.workdps(dps):
         z = _ektilde_complex(k, mu)
         return _scaled_residue(z, k, abs(math.remainder(mu, _TWO_PI)), dps)
@@ -508,7 +520,7 @@ def _cot_point(mu: float) -> Tuple[mpmath.mpf, int]:
 def _taylor(rows: _DerivativeRows, point, mu: float, K: int, dps, what: str) -> List[float]:
     if K < 0:
         raise ValueError("K must be >= 0")
-    with mpmath.workdps(dps or DEFAULT_DPS):
+    with mpmath.workdps(_working_dps(dps)):
         x, scale = point(mu)
         # rounded one at a time: no row past the first out-of-range entry is built
         values = (_row_value(rows, j, x, scale) for j in range(K + 1))
@@ -522,8 +534,8 @@ def sec_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[floa
     Entry j, the j-th derivative with respect to mu (j! times the j-th
     Taylor coefficient of sec((mu + t)/2) at t = 0), is
     2**-j sec(mu/2) Q_j(tan(mu/2)) from the exact row Q_j at dps
-    (DEFAULT_DPS) digits, rounded once.  The first entry beyond the double
-    range raises ToleranceUnreachable.
+    digits (DEFAULT_DPS if None, else an integer >= 1), rounded once.  The
+    first entry beyond the double range raises ToleranceUnreachable.
     """
     return _taylor(_SEC_ROWS, _sec_point, mu, K, dps, "sec")
 

@@ -496,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("k", type=int)
     sp.add_argument("--lambda-re", type=float, required=True)
     sp.add_argument("--lambda-im", type=float, default=0.0)
-    sp.add_argument("--dps", type=int, default=None)
+    sp.add_argument("--dps", type=int, default=None,
+                    help="working decimal digits, >= 1 (default 40)")
     _add_format(sp)
     sp.set_defaults(func=cmd_apostol)
 

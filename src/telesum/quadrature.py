@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import mpmath
 
-from .apostol_polys import DEFAULT_DPS
+from .apostol_polys import _working_dps
 from .classical_polys import bernoulli_number, bernoulli_poly, euler_number, euler_poly
 from .exact_core import (
     PiScalar,
@@ -137,7 +137,8 @@ def exact_apostol_integral(k: int, m: int, mu: float, dps: int = None) -> comple
     q^(j) = k!/(k-j)! E_{k-j} and the difference equation
     lambda E_n(1) + E_n(0) = 2 [n == 0], every boundary term but the last is
     zero, so the ladder telescopes to 2 k! / ((2m+1) pi i - mu i)^(k+1),
-    which is evaluated at ``dps`` digits (DEFAULT_DPS if not given).
+    which is evaluated at ``dps`` digits (DEFAULT_DPS if not given, otherwise
+    an integer >= 1).
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be an integer >= 0")
@@ -146,7 +147,7 @@ def exact_apostol_integral(k: int, m: int, mu: float, dps: int = None) -> comple
     mu = float(mu)
     if not (abs(mu) < math.pi):
         raise ValueError("mu must satisfy |mu| < pi")
-    with mpmath.workdps(dps or DEFAULT_DPS):
+    with mpmath.workdps(_working_dps(dps)):
         a = 1j * (mpmath.mpf(mu) - (2 * m + 1) * mpmath.pi)
         return complex(2 * mpmath.factorial(k) / (-a) ** (k + 1))
 

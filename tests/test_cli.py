@@ -197,6 +197,10 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         ("eval zeta --k 2 --digits 0", "--digits must be >= 1"),
         ("eval zeta --k 2 --digits -3", "--digits must be >= 1"),
         ("poly euler 3 --digits 0", "--digits must be >= 1"),
+        ("verify identities --tol -1", "tol must be a positive finite real, got -1.0"),
+        ("verify all --tol inf", "tol must be a positive finite real, got inf"),
+        ("apostol euler 3 --lambda-re 0.5 --dps -5", "dps must be an integer >= 1, got -5"),
+        ("apostol bernoulli 2 --lambda-re 0.5 --dps 0", "dps must be an integer >= 1, got 0"),
     ]:
         code, out, err = run_cli(capsys, argv.split())
         assert (code, out, err) == (2, "", "error: %s\n" % message), argv

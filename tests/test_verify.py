@@ -1,0 +1,84 @@
+"""The verify layer: one ordered table of checks per suite, one runner.
+
+The suites run in-process; a full suite takes well under a second.
+"""
+
+import math
+
+import pytest
+
+from telesum import cli, oracles, verify
+from telesum.classical_polys import bernoulli_poly
+from telesum.exact_core import Poly, ToleranceUnreachable
+
+EXACT_ROWS = {
+    "derivative ladders, both classical families, n <= 30",
+    "reflection symmetry about 1/2, n <= 24",
+    "odd/even vanishing points of the classical families",
+    "unit-interval mean zero and equal endpoints",
+    "scaled midpoint values are integers, k <= 20",
+    "table denominator structure",
+    "exact summation kernel against math.fsum",
+    "even-degree polynomial vs cosine kernel, exact table",
+    "even-degree polynomial vs sine kernel, exact table",
+    "odd-degree integral tables, both families",
+    "two-step reduction recurrence of the exact ladder",
+}
+
+
+def test_exact_checks_ignore_an_explicit_tolerance(monkeypatch):
+    # B_n + 1 breaks four exact identities; a loose tolerance must not pass them
+    monkeypatch.setattr(verify, "bernoulli_poly", lambda n: bernoulli_poly(n) + Poly([1]))
+    rows = verify.run_identities(tol=1.0) + verify.run_integrals(tol=1.0)
+    exact = {r.name: r for r in rows if r.tol == 0.0}
+    assert set(exact) == EXACT_ROWS
+    assert all(r.tol == 1.0 for r in rows if r.name not in EXACT_ROWS)
+    failed = {name: r.defect for name, r in exact.items() if not r.passed}
+    assert failed == {
+        "derivative ladders, both classical families, n <= 30": 1.0,
+        "reflection symmetry about 1/2, n <= 24": 1.0,
+        "odd/even vanishing points of the classical families": 1.0,
+        "unit-interval mean zero and equal endpoints": 1.0,
+    }
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_a_tolerance_that_is_not_positive_and_finite_is_rejected(tol):
+    for run in (verify.run_identities, verify.run_closed_vs_oracle, verify.run_integrals,
+                verify.run_hurwitz, verify.run_all):
+        with pytest.raises(ValueError, match="tol must be a positive finite real"):
+            run(tol=tol)
+
+
+def test_an_arithmetic_failure_fails_its_row_and_the_suite_goes_on(monkeypatch):
+    def unreachable(s, tol):
+        raise ToleranceUnreachable("no certificate for s = %d" % s, achieved=math.inf)
+
+    monkeypatch.setattr(oracles, "sum_zeta", unreachable)
+    rows = verify.run_closed_vs_oracle()
+    assert [r.name for r in rows] == [c.name for c in verify._TABLES["closed-vs-oracle"]]
+    failed = {r.name: (r.defect, r.note) for r in rows if not r.passed}
+    assert failed == {
+        "even zeta closed forms vs series oracle, k <= 10": (math.inf, "no certificate for s = 2"),
+        "eta and lambda closed forms vs scaled zeta oracle": (math.inf, "no certificate for s = 2"),
+    }
+
+
+def test_run_all_is_the_four_suites_in_order():
+    suites = (verify.run_identities, verify.run_closed_vs_oracle, verify.run_integrals,
+              verify.run_hurwitz)
+    assert verify.run_all(seed=7) == [r for run in suites for r in run(seed=7)]
+
+
+def test_forty_one_checks_with_unique_names():
+    names = [c.name for table in verify._TABLES.values() for c in table]
+    assert len(names) == len(set(names)) == 41
+
+
+def test_the_cli_suites_are_the_verify_tables(monkeypatch):
+    assert set(cli._SUITES) == set(verify._TABLES) | {"all"}
+    monkeypatch.setattr(verify, "_run", lambda table, tol, seed: list(table))
+    for suite, table in verify._TABLES.items():
+        assert getattr(verify, cli._SUITES[suite])() == table, suite
+    everything = [c for table in verify._TABLES.values() for c in table]
+    assert getattr(verify, cli._SUITES["all"])() == everything
