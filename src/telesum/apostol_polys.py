@@ -14,13 +14,15 @@ i**(k+1) e_k(-e^(i mu)), use the explicit form instead: expanding
 Taiwanese J. Math. 10 (2006) 917-925) gives
 
     e^(i mu/2) E_k(1/2; e^(i mu)) = 2**-k sec(mu/2) sum_j T_k(j) w**j,
-        w = -e^(i mu/2) / (2 cos(mu/2)),
+        w = -e^(i mu/2) / (2 cos(mu/2)) = -1/2 - (i/2) tan(mu/2),
     e_k(-e^(i mu)) = i e^(-i mu/2) / sin(mu/2) sum_j j! S(k, j) v**j,
-        v = i e^(i mu/2) / (2 sin(mu/2)),
+        v = i e^(i mu/2) / (2 sin(mu/2)) = -1/2 + (i/2) cot(mu/2),
 
 where T_k(j) and j! S(k, j) are the j-th forward differences at 0 of
-(2i + 1)**k and i**k.  Both rows are exact integers, so a value is one
-Horner over k + 1 terms, formed from the half angle, never from 1 +- lam.
+(2i + 1)**k and i**k.  Both rows are exact integers, built once per process
+and memoised, and the point's one real number is tan or cot of the half
+angle, so a value is one Horner over k + 1 integers in fixed point, never
+formed from 1 +- lam.
 
 The derivative polynomials of sec and cot are the other route.  Their exact
 integer rows -- sec^(k) x = sec x Q_k(tan x), Q_{k+1} = t Q_k + (1 + t^2) Q_k',
@@ -30,23 +32,38 @@ and have one sign and fixed parity.  In mpmath they give the Taylor
 coefficients and the lattice sums' "taylor" route; in doubles, closed_forms'
 certified route.
 
-All complex work runs in mpmath at a configurable working precision: a dps
-argument is None, for DEFAULT_DPS significant digits, or an integer >= 1.
-Double precision is not enough here: the explicit sums cancel, by up to
-hundreds of digits at large k, and downstream consumers need small
-*absolute* error on values that reach 1e7 near the poles of sec(mu/2).
-The carriers therefore add to the caller's precision the digits their
-largest term asks for (_route_precision).  Results are converted to float
-only at the API boundary.
+The complex work runs at a configurable working precision: a dps argument
+is None, for DEFAULT_DPS significant digits, or an integer >= 1.  Double
+precision is not enough here: the explicit sums cancel, by up to hundreds of
+digits at large k, and downstream consumers need small *absolute* error on
+values that reach 1e7 near the poles of sec(mu/2).  The carriers therefore
+run their Horner on Gaussian integers with P fraction bits, the caller's
+bits plus those their largest term asks for (_route_precision): tan or cot
+is rounded once to P bits with mpmath.libmp, and each step is an integer
+multiply and shift.  The value comes back as an mpmath mpc and is converted
+to float only at the API boundary; the polynomials and the Taylor route run
+in mpmath.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_man_exp,
+    mpf_cos_sin,
+    mpf_div,
+    mpf_mul,
+    mpf_shift,
+    round_nearest,
+    to_fixed,
+)
 
 from .classical_polys import bernoulli_poly
 from .exact_core import InternalConsistencyError, ToleranceUnreachable, binomial
@@ -240,72 +257,110 @@ def _check_cot_domain(mu: float) -> float:
     return mu
 
 
-_I_POWERS = (mpmath.mpc(1), mpmath.mpc(0, 1), mpmath.mpc(-1), mpmath.mpc(0, -1))
+@functools.cache
+def _difference_row(k: int, start: int, step: int) -> Tuple[int, ...]:
+    """Forward differences 0..k at 0 of f(i) = (start + step*i)**k, exactly.
+
+    Memoised: each row a route asks for is built once per process (about
+    35 ms at k = MAX_K) and kept (under 0.5 MB at that k).  No other row is
+    built: every row through MAX_K would hold about 160 MB.
+    """
+    row = [(start + step * i) ** k for i in range(k + 1)]
+    for n in range(k):
+        # row[n + 1:] becomes the (n + 1)-th differences
+        for i in range(k, n, -1):
+            row[i] -= row[i - 1]
+    return tuple(row)
 
 
-def _difference_row(k: int, start: int, step: int) -> List[int]:
-    """Forward differences 0..k at 0 of f(i) = (start + step*i)**k, exactly."""
-    values = [(start + step * i) ** k for i in range(k + 1)]
-    row = [values[0]]
-    for _ in range(k):
-        values = [b - a for a, b in zip(values, values[1:])]
-        row.append(values[0])
-    return row
+def _route_precision(k: int, row: Sequence[int], x_abs: float, log_scale: float, dist: float) -> int:
+    """Fraction bits P of the fixed-point route scale * sum_j row[j] x**j,
+    x = -1/2 -+ (i/2) tan or cot of the half angle, with |x| = x_abs and
+    |scale| = e**log_scale: the active precision's bits plus enough that the
+    error stays under a tenth of the 2*k! * _mp_floor allowance.
 
-
-def _route_precision(k: int, row: List[int], x_abs: float, log_scale: float, dist: float):
-    """Working precision for scale * sum_j row[j] x**j, with |scale| =
-    e**log_scale: the active digits plus enough that the error stays under a
-    tenth of the 2*k! * _mp_floor allowance.
-
-    Horner, the rounding of x and the scale err by at most 8(k+1) u times
-    |scale| sum_j |row[j]| |x|**j <= (k+1) max_j, and u < 10**-dps / 7, so
-    adding log10 of 2(k+1) |scale| max_j over k! dist**-(k+1) digits is
-    enough; max_j is bounded from the integers' bit lengths.
+    With M = max_j |row[j]| |x|**j, bounded from the integers' bit lengths,
+    M >= max(1/2, |x|**k) and |x| >= 1/2, so the route errs by at most:
+    2**(1/2 - P) per Horner product truncated, amplified by |x|**j, in all
+    2**1.5 k M 2**-P; the rounded point, off by under 1.01 * 2**-P,
+    amplified by sum_j j |row[j]| |x|**(j-1) <= k(k+1) M; and a few units
+    of 2**-P relative from the prefactor and the last rounding, on
+    |sum| <= (k+1) M.  That is under |scale| 2(k+1)(k+8) M 2**-P, and
+    2**-prec < 10**-dps / 7, so adding log2 of (k+8) |scale| M dist**(k+1)
+    over k! bits is enough.
     """
     log_x = math.log(x_abs)
     top = max(c.bit_length() * _LN2 + j * log_x for j, c in enumerate(row) if c)
-    excess = log_scale + top + math.log(2 * (k + 1)) - math.lgamma(k + 1)
+    excess = log_scale + top + math.log(k + 8) - math.lgamma(k + 1)
     excess += (k + 1) * math.log(dist)
-    return mpmath.workdps(mpmath.mp.dps + max(0, math.ceil(excess / _LN10)))
+    return mpmath.mp.prec + max(0, math.ceil(excess / _LN2))
+
+
+def _half_angle(mu: float, bits: int, ratio_max: float):
+    """(cos(mu/2), sin(mu/2)) as libmp values and their precision, enough
+    that tan or cot of mu/2, at most ratio_max in size, comes out within
+    2**-(bits + 6) absolutely."""
+    prec = bits + 8 + max(0, math.frexp(ratio_max)[1])
+    return mpf_cos_sin(mpf_shift(from_float(mu), -1), prec), prec
+
+
+def _fixed_horner(row: Sequence[int], y: int, bits: int) -> Tuple[int, int]:
+    """sum_j row[j] x**j at x = -1/2 + i y 2**-bits, as the real and
+    imaginary parts of its value times 2**bits, each product truncated once."""
+    half = bits - 1
+    re, im = row[-1] << bits, 0
+    for c in row[-2::-1]:
+        re, im = ((-(re << half) - im * y) >> bits) + (c << bits), (re * y - (im << half)) >> bits
+    return re, im
+
+
+def _gaussian_mpc(quarter_turns: int, re: int, im: int, exp: int, factor, prec: int) -> mpmath.mpc:
+    """i**quarter_turns (re + i im) 2**exp times the real libmp factor, with
+    prec-bit parts."""
+    for _ in range(quarter_turns % 4):
+        re, im = -im, re
+    return mpmath.mp.make_mpc(
+        tuple(mpf_mul(from_man_exp(n, exp), factor, prec, round_nearest) for n in (re, im))
+    )
 
 
 def _ek_complex(k: int, mu: float) -> mpmath.mpc:
     # i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) within the active precision's
-    # allowance: i**k 2**-k sec(mu/2) sum_j T_k(j) w**j
+    # allowance: i**k 2**-k sec(mu/2) sum_j T_k(j) w**j,
+    # w = -1/2 - (i/2) tan(mu/2)
     row = _difference_row(k, 1, 2)
     sec = 1 / math.cos(mu / 2)
-    with _route_precision(k, row, sec / 2, math.log(sec) - k * _LN2, math.pi - abs(mu)):
-        half = mpmath.mpf(mu) / 2
-        cos = mpmath.cos(half)
-        total = mpmath.polyval(row[::-1], -mpmath.expj(half) / (2 * cos))
-        return _I_POWERS[k % 4] * total * mpmath.ldexp(1 / cos, -k)
+    bits = _route_precision(k, row, sec / 2, math.log(sec) - k * _LN2, math.pi - abs(mu))
+    (cos, sin), prec = _half_angle(mu, bits, sec)
+    re, im = _fixed_horner(row, -to_fixed(mpf_div(sin, cos, prec), bits - 1), bits)
+    return _gaussian_mpc(k, re, im, -bits - k, mpf_div(fone, cos, prec), bits)
 
 
 def _ektilde_complex(k: int, mu: float) -> mpmath.mpc:
     # i**(k+1) * e^(i mu) * E_k(1; -e^(i mu)), k >= 1, within the same
     # allowance; the difference equation lam E_k(1; lam) = -e_k(lam), taken
     # at -lam, makes it i**(k+1) e_k(-e^(i mu)) =
-    # i**(k+2) e^(-i mu/2) / sin(mu/2) sum_j j! S(k, j) v**j
+    # -i**k (cot(mu/2) - i) sum_j j! S(k, j) v**j, v = -1/2 + (i/2) cot(mu/2)
     row = _difference_row(k, 0, 1)
     csc = abs(1 / math.sin(mu / 2))
-    with _route_precision(k, row, csc / 2, math.log(csc), abs(math.remainder(mu, _TWO_PI))):
-        half = mpmath.mpf(mu) / 2
-        sin = mpmath.sin(half)
-        turn = mpmath.expj(half)
-        total = mpmath.polyval(row[::-1], _I_POWERS[1] * turn / (2 * sin))
-        return -_I_POWERS[k % 4] * total / (turn * sin)
+    bits = _route_precision(k, row, csc / 2, math.log(csc), abs(math.remainder(mu, _TWO_PI)))
+    (cos, sin), prec = _half_angle(mu, bits, csc)
+    y = to_fixed(mpf_div(cos, sin, prec), bits - 1)
+    re, im = _fixed_horner(row, y, bits)
+    # times cot(mu/2) - i, with cot(mu/2) = 2 y 2**-bits
+    re, im = ((y * re) >> (bits - 1)) + im, ((y * im) >> (bits - 1)) - re
+    return _gaussian_mpc(k + 2, re, im, -bits, fone, bits)
 
 
 def _mp_floor(k: int, dist: float, dps: int = DEFAULT_DPS) -> float:
-    """Absolute error allowance for an mpmath route at dps digits.
+    """Absolute error allowance for a high-precision route at dps digits.
 
     The terms of either lattice sum add up in absolute value to at most
     4 * dist**-(k+1), where dist is the distance from mu to the nearest
     pole; the allowance is 10**-dps * (k+1) times that.  The complex route
-    picks its working precision to stay under a tenth of it
+    picks its fixed-point bits to stay under a tenth of it
     (_route_precision); measured against Hurwitz-zeta truth at 100 digits
-    for k <= 250 and dps = DEFAULT_DPS, it stays under 3e-4 of it, within
+    for k <= 250 and dps = DEFAULT_DPS, it stays under 5e-4 of it, within
     1e-8 of the poles too.  The Taylor route's terms share one sign and do
     not cancel.  It only matters near zeros of the sum: next to its value
     it is at most 1e-37 relative at DEFAULT_DPS.

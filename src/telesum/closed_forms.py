@@ -9,10 +9,11 @@ evaluators for two bilateral lattice sums:
 
 Z equals the k-th derivative of sec(mu/2) divided by 2*k!, and Ztilde (for
 k >= 1) the k-th derivative of -cot(mu/2) divided by 2*k!.  Each value
-comes from one of two mpmath routes -- the paper's complex Apostol-Euler
-identity, evaluated from its explicit finite-difference form (one Horner
-over an exact integer row), or the exact rows of the derivative polynomials
-of apostol_polys (sec^(k) x = sec x Q_k(tan x), cot^(k) x = P_k(cot x)) --
+comes from one of two high-precision routes -- the paper's complex
+Apostol-Euler identity, evaluated from its explicit finite-difference form
+(one fixed-point Horner over an exact integer row), or the exact rows of the
+derivative polynomials of apostol_polys (sec^(k) x = sec x Q_k(tan x),
+cot^(k) x = P_k(cot x)) in mpmath --
 and every call checks it against the certified route: the same rows over
 2**(k+1) k!, rounded to doubles and evaluated by a float Horner at
 |tan(mu/2)| or |cot(mu/2)| whose terms share one sign, with an a-priori

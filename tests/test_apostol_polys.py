@@ -121,13 +121,20 @@ def test_difference_rows_are_stirling_and_binomial_sums():
     # j! S(k, j) = forward differences of i**k, T_k(j) = those of (2i + 1)**k
     with mpmath.workdps(150):
         for k in range(61):
-            assert apostol_polys._difference_row(k, 0, 1) == [
+            assert apostol_polys._difference_row(k, 0, 1) == tuple(
                 math.factorial(j) * int(mpmath.stirling2(k, j)) for j in range(k + 1)
-            ]
-            assert apostol_polys._difference_row(k, 1, 2) == [
+            )
+            assert apostol_polys._difference_row(k, 1, 2) == tuple(
                 sum((-1) ** (j - i) * math.comb(j, i) * (2 * i + 1) ** k for i in range(j + 1))
                 for j in range(k + 1)
-            ]
+            )
+
+
+def test_difference_rows_are_memoised_tuples():
+    for start, step in ((0, 1), (1, 2)):
+        row = apostol_polys._difference_row(97, start, step)
+        assert type(row) is tuple and len(row) == 98
+        assert apostol_polys._difference_row(97, start, step) is row
 
 
 def test_excluded_parameters():

@@ -30,6 +30,7 @@ from telesum import (
     closed_forms,
     cot_taylor_coeffs,
     ek_mu,
+    ektilde_mu,
     eta_even,
     euler_number,
     lambda_even,
@@ -264,9 +265,10 @@ def test_lattice_sums_match_hurwitz_truth_at_the_edges():
 
 
 def test_odd_alternating_sums_vanish_at_zero():
-    # the terms at m and -1 - m cancel exactly; the complex route's rounding
-    # noise at k >= 51 is all imaginary and below the check's floor
-    for k in (1, 31, 51, 61, 171):
+    # the terms at m and -1 - m cancel exactly; at mu = 0 the complex route's
+    # point is -1/2, where its fixed-point Horner is exact, so the sum comes
+    # out 0 also at k >= 577, where the residue check's allowance is 0
+    for k in (1, 31, 51, 61, 171, 577, 617):
         for method in ("auto", "complex", "taylor"):
             assert Z(k, 0.0, method=method) == 0.0
 
@@ -457,14 +459,15 @@ def test_route_check_catches_an_altered_row_coefficient():
 def test_route_check_catches_an_altered_difference_row(monkeypatch):
     # one part in 1e9 on the entry of the largest term of the k = 60 row;
     # the sum cancels, so the value moves by far more than that, and the
-    # imaginary part with it: the residue check fires before the certified one
+    # imaginary part with it: the residue check fires before the certified one.
+    # The memoised row is a tuple; the altered copy is a list
     build = apostol_polys._difference_row
     for start, step, f, mu, x in (
         (1, 2, Z, 0.7, 1 / (2 * math.cos(0.35))),
         (0, 1, Ztilde, 1.0, 1 / (2 * math.sin(0.5))),
     ):
         def altered(k, a, b, start=start, step=step, x=x):
-            row = build(k, a, b)
+            row = list(build(k, a, b))
             if (k, a, b) == (60, start, step):
                 j = max(range(len(row)), key=lambda i: abs(row[i]) * x ** i)
                 row[j] += row[j] // 10**9
@@ -478,6 +481,41 @@ def test_route_check_catches_an_altered_difference_row(monkeypatch):
                 f(60, mu, method="complex")
             f(60, mu, method="taylor")  # the Taylor route is untouched
         f(60, mu)
+
+
+def test_fixed_point_routes_match_hurwitz_truth_at_low_k():
+    # 2*k! times each sum within a tenth of the floor of 100-digit truth, and
+    # the lattice sums to 1e-15 relative, next to 0 and to every pole
+    near = 1e-7
+    cases = (
+        (Z, apostol_polys._ek_complex, _z_hurwitz,
+         (near, -near, 1e-12, math.pi - near, -(math.pi - near)),
+         lambda mu: math.pi - abs(mu)),
+        (Ztilde, apostol_polys._ektilde_complex, _ztilde_hurwitz,
+         (near, -near, math.pi - near, math.pi + near, 2 * math.pi - near, -(2 * math.pi - near)),
+         lambda mu: abs(math.remainder(mu, 2 * math.pi))),
+    )
+    for f, route, truth, mus, dist in cases:
+        for k in (1, 2, 3, 39, 40):
+            for mu in mus:
+                with mpmath.workdps(apostol_polys.DEFAULT_DPS):
+                    z = route(k, mu)
+                with mpmath.workdps(100):
+                    want = truth(k, mpmath.mpf(mu))
+                    allowed = _scaled_allowance(k, dist(mu), apostol_polys.DEFAULT_DPS) / 10
+                    assert abs(z - 2 * math.factorial(k) * want) <= allowed, (route.__name__, k, mu)
+                assert abs(f(k, mu) - want) <= 1e-15 * abs(want), (f.__name__, k, mu)
+
+
+def test_the_complex_route_does_not_use_mpmath_polyval(monkeypatch):
+    cases = ((Z, 7, 0.7), (Ztilde, 8, 1.0), (ek_mu, 9, -2.0), (ektilde_mu, 10, 4.0))
+    want = [f(k, mu) for f, k, mu in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.polyval called")
+
+    monkeypatch.setattr(mpmath, "polyval", refuse)
+    assert [f(k, mu) for f, k, mu in cases] == want
 
 
 def test_concurrent_row_growth_matches_serial_growth():

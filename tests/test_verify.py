@@ -82,3 +82,21 @@ def test_the_cli_suites_are_the_verify_tables(monkeypatch):
         assert getattr(verify, cli._SUITES[suite])() == table, suite
     everything = [c for table in verify._TABLES.values() for c in table]
     assert getattr(verify, cli._SUITES["all"])() == everything
+
+
+def test_a_nan_defect_fails_its_check(monkeypatch):
+    # a NaN must not vanish in a running maximum, wherever it comes
+    ek_mu = verify.ek_mu
+
+    def nan_at_three(k, mu, *args, **kwargs):
+        return math.nan if k == 3 else ek_mu(k, mu, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "ek_mu", nan_at_three)
+    failed = {r.name for r in verify.run_identities() if not r.passed}
+    assert failed == {
+        "secant/cotangent carrier dual routes",
+        "finite-difference consistency of carrier ladder",
+    }
+    for defects in ([math.nan, 1.0], [1.0, math.nan, 2.0], [2.0, math.nan]):
+        assert math.isnan(verify._worst(defects))
+    assert verify._worst([0.5, 2.0, 1.0]) == 2.0
