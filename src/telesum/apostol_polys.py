@@ -19,10 +19,9 @@ Taiwanese J. Math. 10 (2006) 917-925) gives
         v = i e^(i mu/2) / (2 sin(mu/2)) = -1/2 + (i/2) cot(mu/2),
 
 where T_k(j) and j! S(k, j) are the j-th forward differences at 0 of
-(2i + 1)**k and i**k.  Both rows are exact integers, built once per process
-and memoised, and the point's one real number is tan or cot of the half
-angle, so a value is one Horner over k + 1 integers in fixed point, never
-formed from 1 +- lam.
+(2i + 1)**k and i**k.  Both rows are exact integers, and the point's one
+real number is tan or cot of the half angle, so a value is one Horner over
+k + 1 integers in fixed point, never formed from 1 +- lam.
 
 The derivative polynomials of sec and cot are the other route.  Their exact
 integer rows -- sec^(k) x = sec x Q_k(tan x), Q_{k+1} = t Q_k + (1 + t^2) Q_k',
@@ -47,7 +46,6 @@ in mpmath.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from typing import List, Optional, Sequence, Tuple, Union
@@ -257,14 +255,8 @@ def _check_cot_domain(mu: float) -> float:
     return mu
 
 
-@functools.cache
 def _difference_row(k: int, start: int, step: int) -> Tuple[int, ...]:
-    """Forward differences 0..k at 0 of f(i) = (start + step*i)**k, exactly.
-
-    Memoised: each row a route asks for is built once per process (about
-    35 ms at k = MAX_K) and kept (under 0.5 MB at that k).  No other row is
-    built: every row through MAX_K would hold about 160 MB.
-    """
+    """Forward differences 0..k at 0 of f(i) = (start + step*i)**k, exactly."""
     row = [(start + step * i) ** k for i in range(k + 1)]
     for n in range(k):
         # row[n + 1:] becomes the (n + 1)-th differences

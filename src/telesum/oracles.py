@@ -164,32 +164,14 @@ _LANES = 4
 _LANE = np.arange(_BLOCK, dtype=np.int32) % _LANES
 _EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
 _BINS = 2 * (1024 + _EXP_BIAS + 1)  # bin 2 * (e + _EXP_BIAS) + sign bit
-# Below this many terms math.fsum over a list, exactly rounded as well, is
-# faster than the kernel's fixed cost of about 40 us; the two are even at
-# about 1000 random terms (the kernel at 46 us, fsum at 47 us).
-_SMALL = 1000
 
 
+@_quiet
 def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
     """(sum of values, sum of |values|), each exactly rounded to the nearest
     double whatever the length or order.  Raises ValueError on a non-finite
     value and OverflowError on a sum beyond the double range."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size < _SMALL:
-        # fsum raises OverflowError when a partial sum leaves the double
-        # range; no partial sum exceeds the sum of magnitudes, so the kernel
-        # raises it there too
-        small = values.tolist()
-        sums = math.fsum(small), math.fsum(map(abs, small))
-        if not math.isfinite(sums[1]):
-            raise ValueError("non-finite term")
-        return sums
-    return _binned_sum(values)
-
-
-@_quiet
-def _binned_sum(values: np.ndarray) -> Tuple[float, float]:
-    # _exact_sum's kernel, for any length
     totals = np.zeros((2, _BINS * _LANES), dtype=np.int64)  # hi, lo limb sums per slot
     used = 0
     for i in range(0, values.size, _BLOCK):

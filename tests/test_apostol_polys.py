@@ -130,13 +130,6 @@ def test_difference_rows_are_stirling_and_binomial_sums():
             )
 
 
-def test_difference_rows_are_memoised_tuples():
-    for start, step in ((0, 1), (1, 2)):
-        row = apostol_polys._difference_row(97, start, step)
-        assert type(row) is tuple and len(row) == 98
-        assert apostol_polys._difference_row(97, start, step) is row
-
-
 def test_excluded_parameters():
     with pytest.raises(ValueError):
         apostol_euler_poly(3, 0)

@@ -391,6 +391,53 @@ def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
                     assert abs(z - want) <= allowed, (route.__name__, k, mu)
 
 
+def test_fixed_point_bits_cover_the_a_priori_bound(monkeypatch):
+    # _route_precision's bound, formed from exact sums over the row rather
+    # than from bit lengths, at the P the Horner runs at: k truncated
+    # products of 2**(1/2 - P), amplified by |x|**j; the point off by
+    # 1.01 * 2**-P, amplified by sum_j j |c_j| |x|**(j-1); four units of
+    # 2**-P on the sum; all times |scale|, under a tenth of the allowance.
+    # The measured error stays far below it (the test above), so this is
+    # the test that holds the guard bits
+    runs = []
+    horner = apostol_polys._fixed_horner
+
+    def recording(row, y, bits):
+        runs.append((row, bits))
+        return horner(row, y, bits)
+
+    def ek_geometry(k, mu):  # |w|, |scale| and the distance to the pole
+        return 1 / (2 * abs(mpmath.cos(mu / 2))), 2**-k / abs(mpmath.cos(mu / 2)), math.pi - abs(mu)
+
+    def ektilde_geometry(k, mu):
+        csc = 1 / abs(mpmath.sin(mu / 2))
+        return csc / 2, csc, abs(math.remainder(mu, 2 * math.pi))
+
+    monkeypatch.setattr(apostol_polys, "_fixed_horner", recording)
+    near = 1e-7
+    cases = (
+        (apostol_polys._ek_complex, (0.0, 0.7, -2.2, math.pi - near), ek_geometry),
+        (apostol_polys._ektilde_complex, (near, 1.0, math.pi, -4.0, 2 * math.pi - near), ektilde_geometry),
+    )
+    for route, mus, geometry in cases:
+        for k in (1, 21, 60, 160, 250):
+            for mu in mus:
+                runs.clear()
+                with mpmath.workdps(apostol_polys.DEFAULT_DPS):
+                    route(k, mu)
+                ((row, bits),) = runs
+                with mpmath.workdps(30):
+                    x, scale, dist = geometry(k, mpmath.mpf(mu))
+                    power = [x**j for j in range(k + 1)]
+                    error = mpmath.fsum([
+                        mpmath.sqrt(2) * mpmath.fsum(power[:k]),
+                        1.01 * mpmath.fsum(j * abs(c) * power[j - 1] for j, c in enumerate(row) if j),
+                        4 * mpmath.fsum(abs(c) * p for c, p in zip(row, power)),
+                    ]) * scale * mpmath.ldexp(1, -bits)
+                    allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
+                    assert error <= allowed, (route.__name__, k, mu)
+
+
 def test_carrier_meets_the_floor_of_its_own_precision():
     # dps is the target the route adds its own digits to, not a cap
     with mpmath.workdps(20):
@@ -460,7 +507,7 @@ def test_route_check_catches_an_altered_difference_row(monkeypatch):
     # one part in 1e9 on the entry of the largest term of the k = 60 row;
     # the sum cancels, so the value moves by far more than that, and the
     # imaginary part with it: the residue check fires before the certified one.
-    # The memoised row is a tuple; the altered copy is a list
+    # The row is a tuple; the altered copy is a list
     build = apostol_polys._difference_row
     for start, step, f, mu, x in (
         (1, 2, Z, 0.7, 1 / (2 * math.cos(0.35))),

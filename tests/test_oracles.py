@@ -37,7 +37,7 @@ from telesum import (
 )
 from fractions import Fraction
 
-from telesum.oracles import _BLOCK, _SMALL, _TWO_PI, _binned_sum, _certified_sum, _exact_sum
+from telesum.oracles import _BLOCK, _TWO_PI, _certified_sum, _exact_sum
 
 
 def _beta_truth(s):
@@ -319,10 +319,9 @@ def _fraction_sum(xs):
 
 def test_kernel_matches_exact_rational_sum():
     rng = np.random.default_rng(20031)
-    # every kind at a few short lengths, on both sides of the math.fsum
-    # cutoff, and at one length about a block boundary
+    # every kind at a few short lengths and at one length about a block boundary
     long = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
-    for kind, n in itertools.product(range(4), (1, 2, 7, _SMALL - 1, _SMALL, None)):
+    for kind, n in itertools.product(range(4), (1, 2, 7, 1000, None)):
         n = n or long[kind]
         if kind == 0:  # exponents over the whole range, subnormal to 2**1000
             xs = np.ldexp(rng.standard_normal(n), rng.integers(-1074, 1000, n))
@@ -351,20 +350,18 @@ def test_kernel_matches_exact_rational_sum():
         assert value == _fraction_sum(xs), xs[:2]
         assert magnitude == _fraction_sum(np.abs(xs)), xs[:2]
     for zeros in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0]):
-        for n in (1, _SMALL):  # the math.fsum path and the kernel
+        for n in (1, 1000):
             got = _exact_sum(np.array(zeros * n))[0]
             assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, math.fsum(zeros))
-    # both paths raise alike past the double range, the sum of magnitudes
-    # included, and on a non-finite term
-    for pad in ([], [0.0] * _SMALL):
+    # past the double range, the sum of magnitudes included, and on a
+    # non-finite term, short and long
+    for pad in ([], [0.0] * 1000):
         for big in ([1.7e308, 1.7e308], [1e308, 1e308, -1e308]):
-            for path in (_exact_sum, _binned_sum):
-                with pytest.raises(OverflowError):
-                    path(np.array(big + pad))
+            with pytest.raises(OverflowError):
+                _exact_sum(np.array(big + pad))
         for bad in ([1.0, math.inf], [-math.inf, 1.0], [math.nan], [math.inf, -math.inf]):
-            for path in (_exact_sum, _binned_sum):
-                with pytest.raises(ValueError):
-                    path(np.array(bad + pad))
+            with pytest.raises(ValueError):
+                _exact_sum(np.array(bad + pad))
 
 
 def test_kernel_non_finite_terms_are_unreachable():
