@@ -17,15 +17,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apostol_polys import (
-    apostol_bernoulli_poly,
-    apostol_euler_poly,
-    cot_taylor_coeffs,
-    sec_taylor_coeffs,
-)
 from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import PiScalar, format_pi_scalar, format_rational
 
@@ -58,21 +52,22 @@ class OutputRecord:
     method: str = "closed_form"
 
     def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "kind": self.kind,
-            "params": self.params,
-            "approx": self.approx,
-            "method": self.method,
-        }
-        if self.exact is not None:
-            out["exact"] = self.exact
-        if self.error_bound is not None:
-            out["error_bound"] = self.error_bound
-        return out
+        """The record as a JSON document, without the absent fields."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
-def _dump_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True)
+# What a command shows: its JSON document and its text lines.
+_Shown = Tuple[Dict[str, object], List[str]]
+
+
+def _emit(args: argparse.Namespace, doc: Dict[str, object], lines: Sequence[str]) -> None:
+    """The one output path of every command but ``verify``: ``doc`` as
+    canonical JSON for ``--format json``, otherwise the text ``lines``."""
+    if args.format == "json":
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -124,6 +119,12 @@ def _require_options(args: argparse.Namespace, family: str, least: Dict[str, Opt
 
 _POLYS = {"bernoulli": bernoulli_poly, "euler": euler_poly}
 
+# family -> (public name of the deformed polynomial, least k)
+_APOSTOL = {
+    "euler": ("apostol_euler_poly", 0),
+    "bernoulli": ("apostol_bernoulli_poly", 1),
+}
+
 # The exact constant families: family -> (public name of the value at k,
 # least k, usage message).
 _CONSTANTS = {
@@ -149,97 +150,72 @@ _SERIES = {
 
 def cmd_poly(args: argparse.Namespace) -> int:
     _require(args.k >= 0, "k must be >= 0")
-    p = _POLYS[args.family](args.k)
-    coeffs = [format_rational(c) for c in p.coeffs]
-    if args.format == "json":
-        print(_dump_json({
-            "kind": "%s_poly" % args.family,
-            "params": {"k": args.k},
-            "coeffs": coeffs,
-        }))
-    else:
-        print(" ".join(coeffs))
+    coeffs = [format_rational(c) for c in _POLYS[args.family](args.k).coeffs]
+    doc = {"kind": "%s_poly" % args.family, "params": {"k": args.k}, "coeffs": coeffs}
+    _emit(args, doc, [" ".join(coeffs)])
     return 0
 
 
 def cmd_apostol(args: argparse.Namespace) -> int:
-    lam = complex(args.lambda_re, args.lambda_im)
-    if args.family == "euler":
-        _require(args.k >= 0, "k must be >= 0")
-        p = apostol_euler_poly(args.k, lam, dps=args.dps)
-    else:
-        _require(args.k >= 1, "k must be >= 1")
-        p = apostol_bernoulli_poly(args.k, lam, dps=args.dps)
+    name, least = _APOSTOL[args.family]
+    _require(args.k >= least, "k must be >= %d" % least)
+    p = _public(name)(args.k, complex(args.lambda_re, args.lambda_im), dps=args.dps)
     coeffs = [complex(c) for c in p.coeffs]
-    if args.format == "json":
-        print(_dump_json({
-            "kind": "apostol_%s_poly" % args.family,
-            "params": {"k": args.k, "lambda_re": args.lambda_re, "lambda_im": args.lambda_im},
-            "coeffs": [[c.real, c.imag] for c in coeffs],
-        }))
-    else:
-        for j, c in enumerate(coeffs):
-            print("%d %s %s" % (j, _fmt(c.real, args.digits), _fmt(c.imag, args.digits)))
+    doc = {
+        "kind": "apostol_%s_poly" % args.family,
+        "params": {"k": args.k, "lambda_re": args.lambda_re, "lambda_im": args.lambda_im},
+        "coeffs": [[c.real, c.imag] for c in coeffs],
+    }
+    _emit(args, doc, [
+        "%d %s %s" % (j, _fmt(c.real, args.digits), _fmt(c.imag, args.digits))
+        for j, c in enumerate(coeffs)
+    ])
     return 0
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     _require(args.order >= 0, "order must be >= 0")
-    if args.family == "sec":
-        values = sec_taylor_coeffs(args.mu, args.order)
-        kind = "sec_taylor"
-    else:
-        values = cot_taylor_coeffs(args.mu, args.order)
-        kind = "cot_taylor"
-    if args.format == "json":
-        print(_dump_json({
-            "kind": kind,
-            "params": {"mu": args.mu, "order": args.order},
-            "coeffs": list(values),
-        }))
-    else:
-        for j, v in enumerate(values):
-            print("%d %s" % (j, _fmt(v, args.digits)))
+    values = _public("%s_taylor_coeffs" % args.family)(args.mu, args.order)
+    doc = {
+        "kind": "%s_taylor" % args.family,
+        "params": {"mu": args.mu, "order": args.order},
+        "coeffs": list(values),
+    }
+    _emit(args, doc, ["%d %s" % (j, _fmt(v, args.digits)) for j, v in enumerate(values)])
     return 0
+
+
+def _show_exact(
+    args: argparse.Namespace, kind: str, params: Dict[str, object], x: PiScalar, method: str
+) -> _Shown:
+    """An exact value: its record, and "exact = decimal" or its LaTeX."""
+    rec = OutputRecord(kind, params, _fmt(float(x), args.digits), _exact_dict(x), method=method)
+    if args.format == "latex":
+        return rec.as_dict(), [_latex_pi(x)]
+    return rec.as_dict(), ["%s = %s" % (format_pi_scalar(x), rec.approx)]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     family = args.family
-    exact: Optional[PiScalar] = None
-    method = "closed_form"
     if family in _CONSTANTS:
         name, least, message = _CONSTANTS[family]
         _require(args.k is not None and args.k >= least, message)
         exact = _public(name)(args.k)
-        value = float(exact)
-        params: Dict[str, object] = {"k": args.k}
-    elif family in _LATTICE:
+        _emit(args, *_show_exact(args, family, {"k": args.k}, exact, "closed_form"))
+        return 0
+    if family in _LATTICE:
         _require_options(args, family, {"k": None, "mu": None})
+        params: Dict[str, object] = {"k": args.k, "mu": args.mu}
         value = _public(family)(args.k, args.mu, method=args.method)
         method = args.method
-        params = {"k": args.k, "mu": args.mu}
     else:  # Ztilde0
         _require_options(args, family, {"mu": None})
         _require(args.k in (None, 0), "Ztilde0 takes no --k (or --k 0)")
-        value = _public("Ztilde0")(args.mu)
         params = {"mu": args.mu}
-
-    rec = OutputRecord(
-        kind=family,
-        params=params,
-        approx=_fmt(value, args.digits),
-        exact=_exact_dict(exact) if exact is not None else None,
-        method=method,
-    )
-    if args.format == "json":
-        print(_dump_json(rec.as_dict()))
-    elif args.format == "latex":
-        print(_latex_pi(exact) if exact is not None else rec.approx)
-    else:
-        if exact is not None:
-            print("%s = %s" % (format_pi_scalar(exact), rec.approx))
-        else:
-            print(rec.approx)
+        value = _public("Ztilde0")(args.mu)
+        method = "closed_form"
+    rec = OutputRecord(family, params, _fmt(value, args.digits), method=method)
+    _emit(args, rec.as_dict(), [rec.approx])
     return 0
 
 
@@ -255,83 +231,44 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         params["N"] = args.terms if args.terms is not None else default_terms
     result = _public(oracle)(*params.values())
-
-    if args.format == "json":
-        print(_dump_json({
-            "kind": args.family,
-            "params": params,
-            "value": result.value,
-            "error_bound": result.error_bound,
-            "terms_used": result.terms_used,
-        }))
-    else:
-        print("value = %s" % _fmt(result.value, args.digits))
-        print("error_bound = %s" % _fmt(result.error_bound, 3))
-        print("terms_used = %d" % result.terms_used)
+    doc = {"kind": args.family, "params": params, **asdict(result)}
+    _emit(args, doc, [
+        "value = %s" % _fmt(result.value, args.digits),
+        "error_bound = %s" % _fmt(result.error_bound, 3),
+        "terms_used = %d" % result.terms_used,
+    ])
     return 0
 
 
-def _print_exact_record(
-    args: argparse.Namespace, kind: str, params: Dict[str, object], value: object
-) -> None:
+def _show_ladder(
+    args: argparse.Namespace, kind: str, params: Dict[str, object], value
+) -> _Shown:
     if isinstance(value, PiScalar):
-        rec = OutputRecord(
-            kind=kind,
-            params=params,
-            approx=_fmt(float(value), args.digits),
-            exact=_exact_dict(value),
-            method="exact_ladder",
-        )
-        if args.format == "json":
-            print(_dump_json(rec.as_dict()))
-        else:
-            print("%s = %s" % (format_pi_scalar(value), rec.approx))
-    else:
-        # multi-power exact value: finite list of (coefficient, pi_power)
-        if args.format == "json":
-            print(_dump_json({
-                "kind": kind,
-                "params": params,
-                "terms": [
-                    {"num": c.numerator, "den": c.denominator, "pi_power": p}
-                    for c, p in value
-                ],
-                "method": "exact_ladder",
-            }))
-        else:
-            print(" + ".join(
-                format_pi_scalar(PiScalar(c, p)) for c, p in value
-            ))
+        return _show_exact(args, kind, params, value, "exact_ladder")
+    # multi-power exact value: finite list of (coefficient, pi_power)
+    terms = [PiScalar(c, p) for c, p in value]
+    doc = {
+        "kind": kind,
+        "params": params,
+        "terms": [_exact_dict(t) for t in terms],
+        "method": "exact_ladder",
+    }
+    return doc, [" + ".join(format_pi_scalar(t) for t in terms)]
 
 
-def _print_complex(
+def _show_complex(
     args: argparse.Namespace, kind: str, params: Dict[str, object], z: complex
-) -> None:
-    if args.format == "json":
-        print(_dump_json({
-            "kind": kind,
-            "params": params,
-            "value": [z.real, z.imag],
-            "method": "exact_ladder",
-        }))
-    else:
-        print("%s %s" % (_fmt(z.real, args.digits), _fmt(z.imag, args.digits)))
+) -> _Shown:
+    doc = {"kind": kind, "params": params, "value": [z.real, z.imag], "method": "exact_ladder"}
+    return doc, ["%s %s" % (_fmt(z.real, args.digits), _fmt(z.imag, args.digits))]
 
 
-def _print_quadrature(
+def _show_quadrature(
     args: argparse.Namespace, kind: str, params: Dict[str, object], v: float
-) -> None:
-    rec = OutputRecord(
-        kind=kind,
-        params=params,
-        approx=_fmt(v, args.digits),
-        error_bound=_fmt(args.tol, 3),
-        method="adaptive_quadrature",
-    )
-    if args.format == "json":
-        print(_dump_json(rec.as_dict()))
-    else:
-        print("%s (tol %s)" % (rec.approx, rec.error_bound))
+) -> _Shown:
+    rec = OutputRecord(kind, params, _fmt(v, args.digits), error_bound=_fmt(args.tol, 3),
+                       method="adaptive_quadrature")
+    return rec.as_dict(), ["%s (tol %s)" % (rec.approx, rec.error_bound)]
 
 
 def _poly_trig(poly: str, kernel: str):
@@ -347,19 +284,19 @@ def _by_name(name: str):
 
 
 # family -> (required options and their least values, further options,
-# evaluator taking all the options in order, printer, JSON kind); the
+# evaluator taking all the options in order, what to show, JSON kind); the
 # evaluators look their public functions up at each call
 _INTEGRALS = {
     "poly-cos": ({"k": 1, "m": 1}, (), _poly_trig("bernoulli_poly", "cos"),
-                 _print_exact_record, "poly_cos_integral"),
+                 _show_ladder, "poly_cos_integral"),
     "poly-sin": ({"k": 0, "m": 1}, (), _poly_trig("euler_poly", "sin"),
-                 _print_exact_record, "poly_sin_integral"),
+                 _show_ladder, "poly_sin_integral"),
     "apostol": ({"k": 0, "m": None}, ("mu",), _by_name("exact_apostol_integral"),
-                _print_complex, "apostol_exp_integral"),
+                _show_complex, "apostol_exp_integral"),
     "zeta-odd": ({"k": 1}, ("tol",), _by_name("zeta_odd_integral"),
-                 _print_quadrature, "zeta_odd_integral"),
+                 _show_quadrature, "zeta_odd_integral"),
     "beta-even": ({"k": 0}, ("tol",), _by_name("beta_even_integral"),
-                  _print_quadrature, "beta_even_integral"),
+                  _show_quadrature, "beta_even_integral"),
 }
 
 
@@ -367,17 +304,19 @@ def cmd_integrals(args: argparse.Namespace) -> int:
     least, further, evaluate, show, kind = _INTEGRALS[args.family]
     _require_options(args, args.family, least)
     params = {name: getattr(args, name) for name in (*least, *further)}
-    show(args, kind, params, evaluate(*params.values()))
+    _emit(args, *show(args, kind, params, evaluate(*params.values())))
     return 0
 
 
-def _table_rows(family: str, max_k: int):
-    if family in _CONSTANTS:
-        name, least, _ = _CONSTANTS[family]
-        value_at = _public(name)
-    else:
-        value_at, least = _POLYS[family], 0
-    return [(k, value_at(k)) for k in range(least, max_k + 1)]
+# (LaTeX?, constant family?) -> (header lines, row template, footer lines)
+_TEXT_TABLES = {
+    (False, True): ((), "k=%d  %s  %s", ()),
+    (False, False): ((), "k=%d  %s", ()),
+    (True, True): ((r"\begin{tabular}{rll}", r"k & exact & decimal \\"),
+                   r"%d & $%s$ & %s \\", (r"\end{tabular}",)),
+    (True, False): ((r"\begin{tabular}{rl}", r"k & coefficients \\"),
+                    r"%d & %s \\", (r"\end{tabular}",)),
+}
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -391,57 +330,32 @@ def cmd_table(args: argparse.Namespace) -> int:
         args.max_k <= cap,
         "--max-k %d exceeds the cap %d (override with TELESUM_MAX_K)" % (args.max_k, cap),
     )
-    rows = _table_rows(args.family, args.max_k)
     scalar = args.family in _CONSTANTS
-
-    if args.format == "json":
-        if scalar:
-            body = [
-                {"k": k, "exact": _exact_dict(v), "approx": _fmt(float(v), args.digits)}
-                for k, v in rows
-            ]
-        else:
-            body = [
-                {"k": k, "coeffs": [format_rational(c) for c in v.coeffs]}
-                for k, v in rows
-            ]
-        print(_dump_json({
-            "kind": "table",
-            "params": {"family": args.family, "max_k": args.max_k},
-            "rows": body,
-        }))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if scalar:
-            writer.writerow(["k", "exact", "approx"])
-            for k, v in rows:
-                writer.writerow([k, format_pi_scalar(v), _fmt(float(v), args.digits)])
-        else:
-            writer.writerow(["k", "coeffs"])
-            for k, v in rows:
-                writer.writerow([k, " ".join(format_rational(c) for c in v.coeffs)])
-        sys.stdout.write(buf.getvalue())
-    elif args.format == "latex":
-        if scalar:
-            print(r"\begin{tabular}{rll}")
-            print(r"k & exact & decimal \\")
-            for k, v in rows:
-                print(r"%d & $%s$ & %s \\" % (k, _latex_pi(v), _fmt(float(v), args.digits)))
-            print(r"\end{tabular}")
-        else:
-            print(r"\begin{tabular}{rl}")
-            print(r"k & coefficients \\")
-            for k, v in rows:
-                print(r"%d & %s \\" % (k, " ".join(format_rational(c) for c in v.coeffs)))
-            print(r"\end{tabular}")
+    rows, body = [], []
+    if scalar:
+        name, least, _ = _CONSTANTS[args.family]
+        show = _latex_pi if args.format == "latex" else format_pi_scalar
+        for k in range(least, args.max_k + 1):
+            v = _public(name)(k)
+            approx = _fmt(float(v), args.digits)
+            rows.append((k, show(v), approx))
+            body.append({"k": k, "exact": _exact_dict(v), "approx": approx})
+        columns = ("k", "exact", "approx")
     else:
-        if scalar:
-            for k, v in rows:
-                print("k=%d  %s  %s" % (k, format_pi_scalar(v), _fmt(float(v), args.digits)))
-        else:
-            for k, v in rows:
-                print("k=%d  %s" % (k, " ".join(format_rational(c) for c in v.coeffs)))
+        for k in range(args.max_k + 1):
+            coeffs = [format_rational(c) for c in _POLYS[args.family](k).coeffs]
+            rows.append((k, " ".join(coeffs)))
+            body.append({"k": k, "coeffs": coeffs})
+        columns = ("k", "coeffs")
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+        lines = buf.getvalue().splitlines()
+    else:
+        head, template, foot = _TEXT_TABLES[args.format == "latex", scalar]
+        lines = [*head, *(template % row for row in rows), *foot]
+    doc = {"kind": "table", "params": {"family": args.family, "max_k": args.max_k}, "rows": body}
+    _emit(args, doc, lines)
     return 0
 
 
@@ -492,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_poly)
 
     sp = sub.add_parser("apostol", help="deformed polynomial coefficients at a complex parameter")
-    sp.add_argument("family", choices=["euler", "bernoulli"])
+    sp.add_argument("family", choices=list(_APOSTOL))
     sp.add_argument("k", type=int)
     sp.add_argument("--lambda-re", type=float, required=True)
     sp.add_argument("--lambda-im", type=float, default=0.0)
