@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)  # 2**-1074, the least subnormal
 _TWO_PI = 2.0 * math.pi
 
 # Hard caps on term counts; tolerances that would need more raise
@@ -232,7 +233,10 @@ def _certified_sum(
             abs_accum += abs(t)
     # per_term * eps covers the relative rounding of each summand; the exact
     # kernel contributes only its one final rounding, covered by the value term.
+    # Below the normal range neither rounding is relative: a term may err by
+    # up to 2**-1074 absolutely, and each later rounding by half that.
     bound = tail_bound + (per_term * _EPS * abs_accum + 4.0 * _EPS * abs(value))
+    bound += (terms.size + len(tail) + 1) * _TINY
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ToleranceUnreachable(
             "the terms or the tail leave the double-precision range",
@@ -349,10 +353,30 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     part of the contract: it is what gives the conditionally convergent
     k = 0 case its symmetric-limit meaning).  N pairs cover the window
     m = -N..N-1; the paired tail is alternating with a convex decreasing
-    magnitude, certified by the Leibniz midpoint.  The first few pairs are
-    recomputed in mpmath because (2m+1)*pi - mu cancels against float pi.
+    magnitude, certified by the Leibniz midpoint.  The first three pairs
+    are computed in mpmath because (2m+1)*pi - mu cancels against float pi.
     The sum is exactly rounded, so ``order`` ("ascending" or "descending")
     cannot change the result; it is kept for API compatibility.
+
+    With b = (2m+1)*pi and p = k + 1, a pair is (b-mu)**-p + (b+mu)**-p at
+    even k.  At odd k it is the difference, formed without cancellation as
+    -sign(mu) * (b-|mu|)**-p * expm1(-2p*atanh(|mu|/b)): the farther power
+    over the nearer one is ((b-|mu|)/(b+|mu|))**p = exp(-2p*atanh(|mu|/b)),
+    and expm1 of an argument <= 0 neither overflows nor amplifies its
+    argument's error.  So the rounding floor of each float pair is relative
+    to the pair itself.  In units of eps = 2**-52, with 4 eps for each of
+    numpy's atanh, expm1 and pow, and m >= 3, so b >= 7*pi > 7|mu|, the
+    accumulated relative errors are:
+      b = (2m+1)*pi rounded                      0.7
+      |mu|/b                                     1.2
+      atanh(|mu|/b), condition < 49/48           5.3
+      y = 2p*atanh(|mu|/b)                       5.8
+      expm1(-y), condition y/(e**y - 1) <= 1     9.8
+      b - |mu|, cancelling by < 7/6              1.4
+      (b-|mu|)**-p                               1.4p + 4
+      their product                              9.8 + 1.4p + 4 + 0.5
+    that is 15.7 + 1.4k; at even k each power is 1.4p + 4 and their sum
+    5.9 + 1.4k.  Both stay under the 16 + 4k of the other lattice sums.
     """
     k = _check_int(k, 0, "k")
     mu = float(mu)
@@ -362,21 +386,32 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     _check_order(order)
 
     p = k + 1
-    sgnk = 1.0 if k % 2 == 0 else -1.0
     base = (2.0 * np.arange(N, dtype=np.float64) + 1.0) * np.pi
-    lo = (base - mu) ** (-p)
-    hi = np.add(base, mu, out=base)
-    hi **= -p
-    terms = lo - hi if k % 2 else lo + hi
-    terms[1::2] *= -1.0
-    # at odd k the pair lo - hi cancels, so each term's rounding is relative
-    # to lo + hi, not to the term; at even k the two are the same sum
-    magnitudes = np.add(lo, hi, out=lo) if k % 2 else None
+    if k % 2:
+        terms = np.divide(abs(mu), base)
+        np.arctanh(terms, out=terms)
+        terms *= -2.0 * p
+        np.expm1(terms, out=terms)
+        base -= abs(mu)
+        base **= -p
+        terms *= base
+    else:
+        terms = (base - mu) ** (-p)
+        base += mu
+        base **= -p
+        terms += base
+    # term m is (-1)**m times its pair: negate the odd ones, except that at
+    # odd k the pairs came out as -|pair|, so for mu > 0 negate the even ones
+    terms[0 if k % 2 and mu > 0 else 1::2] *= -1.0
     mmu = mpmath.mpf(mu)
 
     def exact(j: int) -> "mpmath.mpf":
         b = (2 * j + 1) * mpmath.pi
-        return (-1) ** j * ((b - mmu) ** (-p) + sgnk * (b + mmu) ** (-p))
+        if k % 2:  # the difference, without cancellation, as above
+            pair = -(b - mmu) ** (-p) * mpmath.expm1(-2 * p * mpmath.atanh(mmu / b))
+        else:
+            pair = (b - mmu) ** (-p) + (b + mmu) ** (-p)
+        return (-1) ** j * pair
 
     terms[:3] = _mp_floats(exact, range(min(3, N)))
     # every pair has the sign of mu (k odd) or is positive (k even), so the
@@ -386,7 +421,7 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     # the Leibniz bound already carries the rounding of the tail estimate
     return _certified_sum(
         terms, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
-        magnitudes=magnitudes, per_term=16.0 + 4.0 * k, tail_in_floor=False,
+        per_term=16.0 + 4.0 * k, tail_in_floor=False,
     )
 
 

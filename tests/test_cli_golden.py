@@ -115,12 +115,12 @@ CASES = [
     ('series Z --k 1 --mu 0.7 --terms 10000', 0,
      (
          'value = 0.0971468752067453\n'
-         'error_bound = 1.35e-15\n'
+         'error_bound = 5.52e-16\n'
          'terms_used = 20000\n'
      ),
      ''),
     ('series Z --k 3 --mu -1e-10 --terms 1000 --format json', 0,
-     '{"error_bound": 1.2952601953925525e-16, "kind": "Z", "params": {"N": 1000, "k": 3, "mu": -1e-10}, "terms_used": 2000, "value": -2.6041666679513536e-12}\n',
+     '{"error_bound": 1.8639791794731047e-26, "kind": "Z", "params": {"N": 1000, "k": 3, "mu": -1e-10}, "terms_used": 2000, "value": -2.604166666666667e-12}\n',
      ''),
     ('series Z --k 2 --mu 0.7 --terms 1000', 0,
      (

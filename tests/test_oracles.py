@@ -231,8 +231,8 @@ def test_sum_Ztilde_signs_of_both_halves_against_mpmath():
 
 
 def test_sum_Z_bound_is_honest_at_odd_k():
-    # at odd k each pair (base - mu)**-p - (base + mu)**-p cancels, so its
-    # rounding is relative to the two powers, not to their small difference
+    # at odd k each pair is the difference (base - mu)**-p - (base + mu)**-p,
+    # which cancels when formed directly
     for k in (1, 3, 5, 9, 21):
         for mu in (-1e-12, 1e-10, -1e-6, 1e-3, -0.5, 2.0, 3.1):
             with mpmath.workdps(60):
@@ -242,6 +242,30 @@ def test_sum_Z_bound_is_honest_at_odd_k():
                 with mpmath.workdps(60):
                     err = abs(mpmath.mpf(r.value) - want)
                 assert err <= r.error_bound, (k, mu, N, float(err), r.error_bound)
+
+
+def test_sum_Z_odd_k_pairs_are_accurate_and_tight():
+    # the pairs are formed without cancellation, so the value is good to
+    # about an ulp against Hurwitz truth and the bound is a small multiple
+    # of eps, where the cancelling pairs lost up to 2.4e-6 relative
+    for k in (1, 3, 5, 11, 21, 39):
+        for mu in (1e-12, -1e-10, 1e-6, 1e-3, 0.3, -1.7, 3.1):
+            with mpmath.workdps(80):
+                want = _z_truth(k, mu)
+            for N in (3, 100, 10**4):
+                r = sum_Z(k, mu, N=N)
+                with mpmath.workdps(80):
+                    err = abs(mpmath.mpf(r.value) - want)
+                    rel_err = float(err / abs(want))
+                assert err <= r.error_bound, (k, mu, N, rel_err, r.error_bound)
+            assert rel_err <= 1e-14, (k, mu, rel_err)
+            assert r.error_bound <= 1e-13 * abs(want), (k, mu, r.error_bound)
+    # sums below the normal range: the bound keeps an absolute floor
+    for k, mu in ((1, 1e-300), (1, -1e-310), (3, -1e-315), (1, 5e-324)):
+        r = sum_Z(k, mu, N=100)
+        with mpmath.workdps(400):
+            err = abs(mpmath.mpf(r.value) - _z_truth(k, mu))
+        assert err <= r.error_bound <= 1e-6 * abs(mu) + 1e-320, (k, mu, r.error_bound)
 
 
 def test_sum_Ztilde_pairing_at_k0():
