@@ -43,24 +43,21 @@ __all__ = [
     "beta_even_integral",
 ]
 
-_KERNEL_KINDS = ("cos", "sin", "complex_exp")
+_KERNEL_KINDS = ("cos", "sin")
 
 
 @dataclass(frozen=True)
 class OscKernel:
-    """Oscillatory factor on [0, 1]: cos(m*pi*x), sin(m*pi*x), or e^(a*x)."""
+    """Oscillatory factor on [0, 1]: cos(m*pi*x) or sin(m*pi*x)."""
 
     kind: str
     m: int = 0
-    exponent: complex = 0j
 
     def __post_init__(self) -> None:
         if self.kind not in _KERNEL_KINDS:
             raise ValueError("kind must be one of %s" % (_KERNEL_KINDS,))
         if not isinstance(self.m, int) or isinstance(self.m, bool):
             raise ValueError("m must be an integer")
-        if self.kind == "complex_exp" and self.exponent == 0:
-            raise ValueError("complex_exp kernel needs a nonzero exponent")
 
     @staticmethod
     def cos(m: int) -> "OscKernel":
@@ -69,10 +66,6 @@ class OscKernel:
     @staticmethod
     def sin(m: int) -> "OscKernel":
         return OscKernel(kind="sin", m=m)
-
-    @staticmethod
-    def complex_exp(exponent: complex) -> "OscKernel":
-        return OscKernel(kind="complex_exp", exponent=exponent)
 
 
 class QuadratureError(ArithmeticError):
@@ -121,8 +114,6 @@ def exact_poly_trig_integral(
     powers.  Returns a single PiScalar when one power survives (the usual
     case here), otherwise the sorted coefficient list.
     """
-    if kernel.kind == "complex_exp":
-        raise ValueError("complex_exp kernels go through exact_apostol_integral")
     if kernel.m < 1:
         raise ValueError("kernel m must be >= 1")
     return collapse_pi_terms(_parts_ladder(p, kernel.m, kernel.kind == "cos"))
