@@ -6,8 +6,10 @@ test at the bottom proves the installed entry point works end to end.
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +301,29 @@ def test_parser_covers_all_subcommands():
         "table",
         "verify",
     }
+
+
+def test_readme_command_block_runs(capsys):
+    # every `telesum ...` line of the README's "Command line" block exits 0,
+    # and a comment that quotes output is found in that command's stdout
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    quoted = {"1/90 * pi^4 = 1.08232323371114", r"\frac{1}{90}\pi^{4}", "-3/2 * pi^-4"}
+    seen, commands = set(), set()
+    for line in block.splitlines():
+        if not line.startswith("telesum "):
+            continue
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), line
+        commands.add(argv[0])
+        for text in quoted:
+            if text in comment:
+                assert text in out, (line, out)
+                seen.add(text)
+    assert seen == quoted
+    assert commands == {"poly", "apostol", "coeffs", "eval", "series", "integrals", "table", "verify"}
 
 
 def test_installed_entry_point_roundtrip():
