@@ -241,19 +241,11 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def _show_ladder(
-    args: argparse.Namespace, kind: str, params: Dict[str, object], value
+    args: argparse.Namespace, kind: str, params: Dict[str, object], x: PiScalar
 ) -> _Shown:
-    if isinstance(value, PiScalar):
-        return _show_exact(args, kind, params, value, "exact_ladder")
-    # multi-power exact value: finite list of (coefficient, pi_power)
-    terms = [PiScalar(c, p) for c, p in value]
-    doc = {
-        "kind": kind,
-        "params": params,
-        "terms": [_exact_dict(t) for t in terms],
-        "method": "exact_ladder",
-    }
-    return doc, [" + ".join(format_pi_scalar(t) for t in terms)]
+    # B_2k against cos(m*pi*x) and E_2k against sin(m*pi*x) leave a single
+    # power of pi: every other boundary term of the ladder is zero
+    return _show_exact(args, kind, params, x, "exact_ladder")
 
 
 def _show_complex(
