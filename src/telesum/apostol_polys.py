@@ -31,17 +31,17 @@ and have one sign and fixed parity.  In mpmath they give the Taylor
 coefficients and the lattice sums' "taylor" route; in doubles, closed_forms'
 certified route.
 
-The complex work runs at a configurable working precision: a dps argument
-is None, for DEFAULT_DPS significant digits, or an integer >= 1.  Double
-precision is not enough here: the explicit sums cancel, by up to hundreds of
-digits at large k, and downstream consumers need small *absolute* error on
-values that reach 1e7 near the poles of sec(mu/2).  The carriers therefore
-run their Horner on Gaussian integers with P fraction bits, the caller's
-bits plus those their largest term asks for (_route_precision): tan or cot
-is rounded once to P bits with mpmath.libmp, and each step is an integer
-multiply and shift.  The value comes back as an mpmath mpc and is converted
-to float only at the API boundary; the polynomials and the Taylor route run
-in mpmath.
+The carriers, their residues and the Taylor coefficients work at
+DEFAULT_DPS significant digits; only the deformed polynomials take a dps
+argument, None for DEFAULT_DPS or an integer >= 1.  Double precision is not
+enough here: the explicit sums cancel, by up to hundreds of digits at large
+k, and downstream consumers need small *absolute* error on values that reach
+1e7 near the poles of sec(mu/2).  The carriers therefore run their Horner on
+Gaussian integers with P fraction bits, the active precision's bits plus
+those their largest term asks for (_route_precision): tan or cot is rounded
+once to P bits with mpmath.libmp, and each step is an integer multiply and
+shift.  The value comes back as an mpmath mpc and is converted to float only
+at the API boundary; the polynomials and the Taylor route run in mpmath.
 """
 
 from __future__ import annotations
@@ -344,35 +344,33 @@ def _ektilde_complex(k: int, mu: float) -> mpmath.mpc:
     return _gaussian_mpc(k + 2, re, im, -bits, fone, bits)
 
 
-def _mp_floor(k: int, dist: float, dps: int = DEFAULT_DPS) -> float:
-    """Absolute error allowance for a high-precision route at dps digits.
+def _mp_floor(k: int, dist: float) -> float:
+    """Absolute error allowance for a high-precision route at DEFAULT_DPS.
 
     The terms of either lattice sum add up in absolute value to at most
     4 * dist**-(k+1), where dist is the distance from mu to the nearest
-    pole; the allowance is 10**-dps * (k+1) times that.  The complex route
-    picks its fixed-point bits to stay under a tenth of it
+    pole; the allowance is 10**-DEFAULT_DPS * (k+1) times that.  The complex
+    route picks its fixed-point bits to stay under a tenth of it
     (_route_precision); measured against Hurwitz-zeta truth at 100 digits
-    for k <= 250 and dps = DEFAULT_DPS, it stays under 5e-4 of it, within
-    1e-8 of the poles too.  The Taylor route's terms share one sign and do
-    not cancel.  It only matters near zeros of the sum: next to its value
-    it is at most 1e-37 relative at DEFAULT_DPS.
+    for k <= 250, it stays under 5e-4 of it, within 1e-8 of the poles too.
+    The Taylor route's terms share one sign and do not cancel.  It only
+    matters near zeros of the sum: next to its value it is at most 1e-37
+    relative.
     """
-    log = math.log(4.0 * (k + 1)) - dps * _LN10 - (k + 1) * math.log(dist)
+    log = math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
     return math.exp(min(log, 700.0))
 
 
-def _allowance(k: int, dist: float, dps: int) -> mpmath.mpf:
+def _allowance(k: int, dist: float) -> mpmath.mpf:
     # 2*k! * _mp_floor: the route's own noise on 2*k! times a lattice sum
-    return mpmath.mpf(_mp_floor(k, dist, dps)) * 2 * math.factorial(k)
+    return mpmath.mpf(_mp_floor(k, dist)) * 2 * math.factorial(k)
 
 
-def _check_residue(
-    z: mpmath.mpc, k: int, dist: float, tol_imag: float, what: str, dps: int = DEFAULT_DPS
-) -> None:
+def _check_residue(z: mpmath.mpc, k: int, dist: float, what: str) -> None:
     """Raise InternalConsistencyError unless z, 2*k! times a lattice sum from
-    an mpmath route, has |Im z| <= tol_imag * |Re z| + 2*k! * _mp_floor: the
+    an mpmath route, has |Im z| <= TOL_IMAG * |Re z| + 2*k! * _mp_floor: the
     floor is the route's own noise, all that is left where the value is 0."""
-    allowed = tol_imag * abs(z.real) + _allowance(k, dist, dps)
+    allowed = TOL_IMAG * abs(z.real) + _allowance(k, dist)
     if abs(z.imag) > allowed:
         raise InternalConsistencyError(
             "%s should be real; imaginary residue %s exceeds the allowed %s"
@@ -390,85 +388,78 @@ def _finite_float(value: mpmath.mpf, what: str) -> float:
     return out
 
 
-def ek_mu(
-    k: int,
-    mu: float,
-    tol_imag: float = TOL_IMAG,
-    dps: Optional[int] = None,
-) -> float:
+def _finite_complex(value: mpmath.mpc, what: str) -> complex:
+    """value rounded to a complex, each part through _finite_float."""
+    return complex(
+        _finite_float(value.real, "the real part of " + what),
+        _finite_float(value.imag, "the imaginary part of " + what),
+    )
+
+
+def ek_mu(k: int, mu: float) -> float:
     """k-th derivative of sec(mu/2) via the complex polynomial route.
 
     Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) from its explicit form
     and returns the real part after checking the imaginary residue by Z's
-    rule (_check_residue).  dps (DEFAULT_DPS if None, else an integer >= 1)
-    is the target: the route adds the digits its cancelling sum needs to
-    keep the error under that precision's allowance (_mp_floor).  A value
-    beyond the double range raises ToleranceUnreachable; Z divides by 2*k!
-    before it rounds, so it stays finite where this one cannot.
+    rule (_check_residue).  The route adds the digits its cancelling sum
+    needs to keep the error under DEFAULT_DPS's allowance (_mp_floor).  A
+    value beyond the double range raises ToleranceUnreachable; Z divides by
+    2*k! before it rounds, so it stays finite where this one cannot.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     mu = _check_sec_domain(mu)
-    dps = _working_dps(dps)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         z = _ek_complex(k, mu)
-        _check_residue(z, k, math.pi - abs(mu), tol_imag, "sec-derivative value", dps)
+        _check_residue(z, k, math.pi - abs(mu), "sec-derivative value")
         return _finite_float(z.real, "sec-derivative value")
 
 
-def ektilde_mu(
-    k: int,
-    mu: float,
-    tol_imag: float = TOL_IMAG,
-    dps: Optional[int] = None,
-) -> float:
+def ektilde_mu(k: int, mu: float) -> float:
     """k-th derivative of -cot(mu/2) via the complex polynomial route, k >= 1.
 
     The k = 0 combination i * e^(i mu) * E_0(1; -e^(i mu)) is not real (its
     imaginary part is identically -1), so k = 0 is rejected; use the direct
     convention -1/tan(mu/2) instead.  The value is i**(k+1) * e_k(-e^(i mu))
-    from its explicit form; dps and the residue check are ek_mu's.
+    from its explicit form; the precision and the residue check are ek_mu's.
     """
     if k < 1:
         raise ValueError(
             "k must be >= 1; the k = 0 value is the convention -1/tan(mu/2)"
         )
     mu = _check_cot_domain(mu)
-    dps = _working_dps(dps)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         z = _ektilde_complex(k, mu)
         dist = abs(math.remainder(mu, _TWO_PI))
-        _check_residue(z, k, dist, tol_imag, "cot-derivative value", dps)
+        _check_residue(z, k, dist, "cot-derivative value")
         return _finite_float(z.real, "cot-derivative value")
 
 
-def _scaled_residue(z: mpmath.mpc, k: int, dist: float, dps: int) -> float:
+def _scaled_residue(z: mpmath.mpc, k: int, dist: float) -> float:
     """|Im z| / max(1, |z|, allowance / TOL_IMAG), formed in mpmath and
     rounded once (|z| itself may be past the double range).  The allowance
     term keeps the noise at a zero of the sum from reading as a fully
     imaginary value: whatever passes _check_residue reports <= 2 * TOL_IMAG."""
-    return float(abs(z.imag) / max(1, abs(z), _allowance(k, dist, dps) / TOL_IMAG))
+    return float(abs(z.imag) / max(1, abs(z), _allowance(k, dist) / TOL_IMAG))
 
 
-def ek_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> float:
+def ek_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ek_mu combination (_scaled_residue)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     mu = _check_sec_domain(mu)
-    dps = _working_dps(dps)
-    with mpmath.workdps(dps):
-        return _scaled_residue(_ek_complex(k, mu), k, math.pi - abs(mu), dps)
+    with mpmath.workdps(DEFAULT_DPS):
+        return _scaled_residue(_ek_complex(k, mu), k, math.pi - abs(mu))
 
 
-def ektilde_mu_imag_residue(k: int, mu: float, dps: Optional[int] = None) -> float:
+def ektilde_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ektilde_mu combination, k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
     mu = _check_cot_domain(mu)
-    dps = _working_dps(dps)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         z = _ektilde_complex(k, mu)
-        return _scaled_residue(z, k, abs(math.remainder(mu, _TWO_PI)), dps)
+        return _scaled_residue(z, k, abs(math.remainder(mu, _TWO_PI)))
 
 
 class _DerivativeRows:
@@ -564,10 +555,10 @@ def _cot_point(mu: float) -> Tuple[mpmath.mpf, int]:
     return mpmath.cot(mpmath.mpf(_check_cot_domain(mu)) / 2), -1
 
 
-def _taylor(rows: _DerivativeRows, point, mu: float, K: int, dps, what: str) -> List[float]:
+def _taylor(rows: _DerivativeRows, point, mu: float, K: int, what: str) -> List[float]:
     if K < 0:
         raise ValueError("K must be >= 0")
-    with mpmath.workdps(_working_dps(dps)):
+    with mpmath.workdps(DEFAULT_DPS):
         x, scale = point(mu)
         # rounded one at a time: no row past the first out-of-range entry is built
         values = (_row_value(rows, j, x, scale) for j in range(K + 1))
@@ -575,22 +566,22 @@ def _taylor(rows: _DerivativeRows, point, mu: float, K: int, dps, what: str) -> 
         return [_finite_float(v, what % j) for j, v in enumerate(values)]
 
 
-def sec_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[float]:
+def sec_taylor_coeffs(mu: float, K: int) -> List[float]:
     """Derivatives 0..K of sec(mu/2), read from the derivative polynomials.
 
     Entry j, the j-th derivative with respect to mu (j! times the j-th
     Taylor coefficient of sec((mu + t)/2) at t = 0), is
-    2**-j sec(mu/2) Q_j(tan(mu/2)) from the exact row Q_j at dps
-    digits (DEFAULT_DPS if None, else an integer >= 1), rounded once.  The
-    first entry beyond the double range raises ToleranceUnreachable.
+    2**-j sec(mu/2) Q_j(tan(mu/2)) from the exact row Q_j at DEFAULT_DPS
+    digits, rounded once.  The first entry beyond the double range raises
+    ToleranceUnreachable.
     """
-    return _taylor(_SEC_ROWS, _sec_point, mu, K, dps, "sec")
+    return _taylor(_SEC_ROWS, _sec_point, mu, K, "sec")
 
 
-def cot_taylor_coeffs(mu: float, K: int, dps: Optional[int] = None) -> List[float]:
+def cot_taylor_coeffs(mu: float, K: int) -> List[float]:
     """Derivatives 0..K of -cot(mu/2), read from the derivative polynomials.
 
     Entry j is -2**-j P_j(cot(mu/2)) from the exact row P_j, computed as in
     sec_taylor_coeffs; entry 0 is -1/tan(mu/2).
     """
-    return _taylor(_COT_ROWS, _cot_point, mu, K, dps, "-cot")
+    return _taylor(_COT_ROWS, _cot_point, mu, K, "-cot")

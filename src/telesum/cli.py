@@ -20,6 +20,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .apostol_polys import _finite_complex
 from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import PiScalar, format_pi_scalar, format_rational
 
@@ -160,7 +161,7 @@ def cmd_apostol(args: argparse.Namespace) -> int:
     name, least = _APOSTOL[args.family]
     _require(args.k >= least, "k must be >= %d" % least)
     p = _public(name)(args.k, complex(args.lambda_re, args.lambda_im), dps=args.dps)
-    coeffs = [complex(c) for c in p.coeffs]
+    coeffs = [_finite_complex(c, "coefficient %d" % j) for j, c in enumerate(p.coeffs)]
     doc = {
         "kind": "apostol_%s_poly" % args.family,
         "params": {"k": args.k, "lambda_re": args.lambda_re, "lambda_im": args.lambda_im},
@@ -369,7 +370,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_format(sp: argparse.ArgumentParser, choices=("plain", "json")) -> None:
     sp.add_argument("--format", choices=list(choices), default="plain")
-    sp.add_argument("--digits", type=int, default=15, help="decimal digits for plain output")
+    sp.add_argument("--digits", type=int, default=15,
+                    help="significant digits of each printed decimal and of the JSON approx strings")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -37,7 +37,6 @@ from .apostol_polys import (
     _U,
     DEFAULT_DPS,
     GUARD_BAND,
-    TOL_IMAG,
     _check_cot_domain,
     _check_lattice_distance,
     _check_residue,
@@ -59,7 +58,6 @@ from .exact_core import (
 )
 
 __all__ = [
-    "ROUTE_TOL",
     "MAX_K",
     "zeta_even",
     "beta_odd",
@@ -74,11 +72,6 @@ __all__ = [
     "Z_table",
     "Ztilde_table",
 ]
-
-# Kept for compatibility: the relative tolerance, against max(1, |value|),
-# of the check before the certified route.  The certified tolerance is
-# below ROUTE_TOL * max(1, |value|) for every k <= MAX_K and mu.
-ROUTE_TOL = 1e-9
 
 # Largest k of Z and Ztilde: past it the scaled coefficients of Q_k and P_k
 # (down to about 2 / pi**(k+1)) leave the normal double range and the
@@ -123,21 +116,11 @@ def lambda_even(k: int) -> PiScalar:
     return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k)))
 
 
-def _normalize_method(method: str) -> str:
-    aliases = {
-        "auto": "auto",
-        "complex": "complex",
-        "complex_route": "complex",
-        "taylor": "taylor",
-        "taylor_route": "taylor",
-        "table": "table",
-    }
-    try:
-        return aliases[method]
-    except KeyError:
+def _check_method(method: str) -> None:
+    if method not in {"auto", "complex", "taylor", "table"}:
         raise ValueError(
             "unknown method %r; expected auto, complex, taylor, or table" % (method,)
-        ) from None
+        )
 
 
 def _float_quotient(x: mpmath.mpf, scale: int) -> float:
@@ -171,7 +154,7 @@ def _checked(
     imaginary residue of the complex route must pass _check_residue, the
     rule of ek_mu and ektilde_mu.
     """
-    _check_residue(z, k, dist, TOL_IMAG, what)
+    _check_residue(z, k, dist, what)
     floor = _mp_floor(k, dist)
     value = _float_quotient(z.real, 2 * math.factorial(k))
     if not (math.isfinite(value) and math.isfinite(check)):
@@ -220,7 +203,7 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    method = _normalize_method(method)
+    _check_method(method)
     if method == "table":
         return Z_table(k, mu)
     _check_max_k(k)
@@ -252,7 +235,7 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
             "k must be >= 1; for k = 0 use Ztilde0, the symmetric-limit "
             "convention -1/(2*tan(mu/2))"
         )
-    method = _normalize_method(method)
+    _check_method(method)
     if method == "table":
         return Ztilde_table(k, mu)
     _check_max_k(k)
@@ -341,19 +324,14 @@ ZTILDE_TABLE: Dict[int, TableEntry] = {
 }
 
 
+# term kind or base -> its function of the angle
+_TRIG = {"const": lambda _: 1.0, "cos": math.cos, "sin": math.sin}
+
+
 def _eval_entry(entry: TableEntry, mu: float) -> float:
     half = mu / 2.0
-    parts = []
-    for coeff, kind, j in entry.terms:
-        if kind == "const":
-            parts.append(float(coeff))
-        elif kind == "cos":
-            parts.append(float(coeff) * math.cos(j * half))
-        elif kind == "sin":
-            parts.append(float(coeff) * math.sin(j * half))
-        else:
-            raise InternalConsistencyError("unknown term kind %r" % (kind,))
-    base = math.cos(half) if entry.trig_base == "cos" else math.sin(half)
+    parts = [float(coeff) * _TRIG[kind](j * half) for coeff, kind, j in entry.terms]
+    base = _TRIG[entry.trig_base](half)
     return math.fsum(parts) / (entry.denominator_constant * base ** entry.trig_power)
 
 

@@ -257,11 +257,6 @@ def _check_int(value: int, least: int, name: str) -> int:
     return int(value)
 
 
-def _check_order(order: str) -> None:
-    if order not in ("ascending", "descending"):
-        raise ValueError("order must be 'ascending' or 'descending'")
-
-
 def _check_theta_window(theta: float, N: int) -> Tuple[float, int]:
     # the window n = -N..N must hold the pole's nearest lattice point, or
     # the dominant term would fall into the tail estimate
@@ -346,7 +341,7 @@ def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
 
 
 @_quiet
-def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumResult:
+def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     """Bilateral alternating lattice sum (-1)**m / ((2m+1)*pi - mu)**(k+1).
 
     Lattice indices m and -m-1 are paired before summation (the pairing is
@@ -355,8 +350,6 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     m = -N..N-1; the paired tail is alternating with a convex decreasing
     magnitude, certified by the Leibniz midpoint.  The first three pairs
     are computed in mpmath because (2m+1)*pi - mu cancels against float pi.
-    The sum is exactly rounded, so ``order`` ("ascending" or "descending")
-    cannot change the result; it is kept for API compatibility.
 
     With b = (2m+1)*pi and p = k + 1, a pair is (b-mu)**-p + (b+mu)**-p at
     even k.  At odd k it is the difference, formed without cancellation as
@@ -383,7 +376,6 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
     if not (abs(mu) < math.pi):
         raise ValueError("mu must satisfy |mu| < pi")
     N = _check_int(N, 1, "N")
-    _check_order(order)
 
     p = k + 1
     base = (2.0 * np.arange(N, dtype=np.float64) + 1.0) * np.pi
@@ -426,20 +418,18 @@ def sum_Z(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumRes
 
 
 @_quiet
-def sum_Ztilde(k: int, mu: float, N: int = 10000, order: str = "ascending") -> SumResult:
+def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
     """Bilateral lattice sum 1 / (2*m*pi - mu)**(k+1) over m = -N..N.
 
     For k >= 1 the terms are summed directly (absolute convergence); both
     one-sided tails get integral-plus-half-term corrections.  For k = 0 the
     conditionally convergent sum is given its symmetric-limit meaning by
     pairing m with -m, which yields terms 2*mu/((2*m*pi)^2 - mu^2).  Terms
-    nearest the lattice singularity are recomputed in mpmath.  As in sum_Z,
-    ``order`` cannot change the result and is kept for API compatibility.
+    nearest the lattice singularity are recomputed in mpmath.
     """
     k = _check_int(k, 0, "k")
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     N = _check_int(N, 1, "N")
-    _check_order(order)
     near = int(round(abs(mu) / _TWO_PI))
     if N < near:  # the nearest pole's term must not fall into the tail
         raise ValueError("N too small: need N >= round(|mu| / (2*pi))")

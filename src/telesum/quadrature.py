@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import mpmath
 
-from .apostol_polys import _working_dps
+from .apostol_polys import DEFAULT_DPS, _finite_complex
 from .classical_polys import bernoulli_number, bernoulli_poly, euler_number, euler_poly
 from .exact_core import (
     PiScalar,
@@ -39,11 +39,19 @@ __all__ = [
     "exact_apostol_integral",
     "j_integral",
     "adaptive_integrate",
+    "MAX_INTEGRAL_K",
     "zeta_odd_integral",
     "beta_even_integral",
 ]
 
 _KERNEL_KINDS = ("cos", "sin")
+
+# Bisection depth at which adaptive_integrate gives up on a panel.
+_MAX_DEPTH = 40
+
+# Largest k of zeta_odd_integral and beta_even_integral: their scale divides
+# by the double (2k+1)!, and 171! leaves the double range.
+MAX_INTEGRAL_K = 84
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ def exact_poly_trig_integral(
     return collapse_pi_terms(_parts_ladder(p, kernel.m, kernel.kind == "cos"))
 
 
-def exact_apostol_integral(k: int, m: int, mu: float, dps: int = None) -> complex:
+def exact_apostol_integral(k: int, m: int, mu: float) -> complex:
     """Integral over [0, 1] of lambda^x * (Apostol-Euler poly of degree k at
     lambda = e^(i*mu)) * e^(-(2m+1) pi i x), in closed form.
 
@@ -128,8 +136,8 @@ def exact_apostol_integral(k: int, m: int, mu: float, dps: int = None) -> comple
     q^(j) = k!/(k-j)! E_{k-j} and the difference equation
     lambda E_n(1) + E_n(0) = 2 [n == 0], every boundary term but the last is
     zero, so the ladder telescopes to 2 k! / ((2m+1) pi i - mu i)^(k+1),
-    which is evaluated at ``dps`` digits (DEFAULT_DPS if not given, otherwise
-    an integer >= 1).
+    which is evaluated at DEFAULT_DPS digits.  A part beyond the double range
+    raises ToleranceUnreachable.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be an integer >= 0")
@@ -138,9 +146,9 @@ def exact_apostol_integral(k: int, m: int, mu: float, dps: int = None) -> comple
     mu = float(mu)
     if not (abs(mu) < math.pi):
         raise ValueError("mu must satisfy |mu| < pi")
-    with mpmath.workdps(_working_dps(dps)):
+    with mpmath.workdps(DEFAULT_DPS):
         a = 1j * (mpmath.mpf(mu) - (2 * m + 1) * mpmath.pi)
-        return complex(2 * mpmath.factorial(k) / (-a) ** (k + 1))
+        return _finite_complex(2 * mpmath.factorial(k) / (-a) ** (k + 1), "the Apostol integral")
 
 
 def j_integral(
@@ -185,7 +193,6 @@ def adaptive_integrate(
     f: Callable[[float], float],
     tol: float,
     singular_points: Sequence[Tuple[float, float]] = (),
-    max_depth: int = 40,
 ) -> float:
     """Adaptive bisection quadrature of f over [0, 1], absolute tolerance.
 
@@ -194,7 +201,7 @@ def adaptive_integrate(
     limit is substituted should a node land exactly on it (Gauss-Legendre
     nodes are interior, so panels never probe the singularity itself).
     A panel is accepted when its 1-vs-2 subdivision defect is within the
-    width-proportional share of tol; panels still unsettled at max_depth
+    width-proportional share of tol; panels still unsettled at depth 40
     raise QuadratureError carrying the best estimate.
     """
     tol = float(tol)
@@ -226,7 +233,7 @@ def adaptive_integrate(
         if defect <= tol * (b - a):
             pieces.append(fine)
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             achieved = math.fsum(pieces) + fine + math.fsum(
                 _gl15(g, pa, pb) for pa, pb, _ in panels
             )
@@ -251,15 +258,24 @@ def _horner(coeffs: List[float], x: float) -> float:
     return acc
 
 
+def _check_integral_k(k: int, least: int) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or k < least:
+        raise ValueError("k must be an integer >= %d" % least)
+    if k > MAX_INTEGRAL_K:
+        raise ValueError(
+            "k must be <= %d, where (2k+1)! leaves the double range" % MAX_INTEGRAL_K
+        )
+
+
 def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
     """zeta(2k+1) from its half-angle cotangent integral representation.
 
     Evaluates (-1)^(k-1) 2^(2k) pi^(2k+1) / (2k+1)! times the integral over
     [0, 1] of B_{2k+1}(x) * cot(pi x / 2), whose x = 0 singularity is
-    removable with exact limit (2/pi) (2k+1) B_{2k}(0).
+    removable with exact limit (2/pi) (2k+1) B_{2k}(0).  Needs
+    1 <= k <= MAX_INTEGRAL_K.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError("k must be an integer >= 1")
+    _check_integral_k(k, 1)
     from .oracles import cospi, sinpi
 
     coeffs = _float_poly(bernoulli_poly(2 * k + 1))
@@ -281,10 +297,10 @@ def beta_even_integral(k: int, tol: float = 1e-8) -> float:
 
     Evaluates (-1)^(k-1) pi^(2k+2) / (4 (2k+1)!) times the integral over
     [0, 1] of E_{2k+1}(x) / cos(pi x), whose x = 1/2 singularity is
-    removable with exact limit -(2k+1) E_{2k}(1/2) / pi.
+    removable with exact limit -(2k+1) E_{2k}(1/2) / pi.  Needs
+    0 <= k <= MAX_INTEGRAL_K.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be an integer >= 0")
+    _check_integral_k(k, 0)
     from .oracles import cospi
 
     coeffs = _float_poly(euler_poly(2 * k + 1))

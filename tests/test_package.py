@@ -5,6 +5,7 @@ oracle and verify layers do, and load on first use.  Each import check runs
 in a fresh interpreter, since this one has long since loaded everything.
 """
 
+import inspect
 import json
 import subprocess
 import sys
@@ -29,6 +30,75 @@ PUBLIC_NAMES = [
     "sec_taylor_coeffs", "sinpi", "sum_Z", "sum_Ztilde", "sum_beta", "sum_cotangent",
     "sum_inverse_square", "sum_zeta", "zeta_even", "zeta_odd_integral",
 ]
+
+
+# The parameter names of every public callable the package defines, so that a
+# parameter cannot be added, dropped or renamed unnoticed.  None marks a class
+# that keeps its builtin base's constructor.
+PUBLIC_SIGNATURES = {
+    "CPoly": ("coeffs",),
+    "CheckResult": ("name", "defect", "tol", "passed", "note"),
+    "InternalConsistencyError": None,
+    "OscKernel": ("kind", "m"),
+    "PiScalar": ("coeff", "pi_power"),
+    "Poly": ("coeffs",),
+    "QuadratureError": ("message", "achieved"),
+    "SumResult": ("value", "error_bound", "terms_used"),
+    "ToleranceUnreachable": ("message", "achieved"),
+    "Z": ("k", "mu", "method"),
+    "Z_table": ("k", "mu"),
+    "Ztilde": ("k", "mu", "method"),
+    "Ztilde0": ("mu",),
+    "Ztilde_table": ("k", "mu"),
+    "adaptive_integrate": ("f", "tol", "singular_points"),
+    "apostol_bernoulli_poly": ("k", "lam", "dps"),
+    "apostol_euler_poly": ("k", "lam", "dps"),
+    "bernoulli_number": ("k",),
+    "bernoulli_poly": ("k",),
+    "beta_even_integral": ("k", "tol"),
+    "beta_odd": ("k",),
+    "binomial": ("n", "k"),
+    "collapse_pi_terms": ("terms",),
+    "cospi": ("y",),
+    "cot_taylor_coeffs": ("mu", "K"),
+    "ek_mu": ("k", "mu"),
+    "ek_mu_imag_residue": ("k", "mu"),
+    "ektilde_mu": ("k", "mu"),
+    "ektilde_mu_imag_residue": ("k", "mu"),
+    "eta_even": ("k",),
+    "euler_number": ("k",),
+    "euler_poly": ("k",),
+    "exact_apostol_integral": ("k", "m", "mu"),
+    "exact_poly_trig_integral": ("p", "kernel"),
+    "format_pi_scalar": ("x",),
+    "format_rational": ("q",),
+    "format_report": ("results",),
+    "herglotz_limit": ("theta", "N"),
+    "herglotz_residual": ("theta", "N"),
+    "hurwitz_partial": ("kind", "k", "x", "M"),
+    "j_integral": ("k", "m", "family"),
+    "lambda_even": ("k",),
+    "poly_derivative": ("p",),
+    "poly_eval": ("p", "x"),
+    "poly_integral_01": ("p",),
+    "poly_reflect": ("p",),
+    "precompute": ("depth",),
+    "run_all": ("tol", "seed"),
+    "run_closed_vs_oracle": ("tol", "seed"),
+    "run_hurwitz": ("tol", "seed"),
+    "run_identities": ("tol", "seed"),
+    "run_integrals": ("tol", "seed"),
+    "sec_taylor_coeffs": ("mu", "K"),
+    "sinpi": ("y",),
+    "sum_Z": ("k", "mu", "N"),
+    "sum_Ztilde": ("k", "mu", "N"),
+    "sum_beta": ("s", "target_tol"),
+    "sum_cotangent": ("theta", "N"),
+    "sum_inverse_square": ("theta", "N"),
+    "sum_zeta": ("s", "target_tol"),
+    "zeta_even": ("k",),
+    "zeta_odd_integral": ("k", "tol"),
+}
 
 
 def _fresh(code: str) -> dict:
@@ -90,6 +160,24 @@ def test_tolerance_unreachable_is_one_class():
 
 def test_public_names_are_unchanged():
     assert telesum.__all__ == PUBLIC_NAMES
+
+
+def _parameters(value):
+    try:
+        return tuple(inspect.signature(value).parameters)
+    except ValueError:  # no signature of its own
+        return None
+
+
+def test_public_signatures_are_pinned():
+    # Rational is the standard library's Fraction, whose signature is not ours
+    defined_here = {
+        name: getattr(telesum, name)
+        for name in telesum.__all__
+        if callable(getattr(telesum, name))
+        and getattr(telesum, name).__module__.startswith("telesum")
+    }
+    assert {name: _parameters(value) for name, value in defined_here.items()} == PUBLIC_SIGNATURES
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -17,6 +17,7 @@ from telesum import (
     PiScalar,
     Poly,
     QuadratureError,
+    ToleranceUnreachable,
     adaptive_integrate,
     apostol_euler_poly,
     bernoulli_poly,
@@ -32,6 +33,7 @@ from telesum import (
     sum_zeta,
     zeta_odd_integral,
 )
+from telesum.quadrature import MAX_INTEGRAL_K
 
 F = Fraction
 
@@ -231,6 +233,16 @@ def test_exponential_kernel_closed_form_grid():
                 assert abs(got - want) <= 1e-10 * abs(want), (k, m, mu)
 
 
+def test_exponential_kernel_beyond_the_double_range_raises():
+    # 2 * 500! / (pi - 0.1)**501 is about 2e892: a typed error, never -infj;
+    # at mu = 3.1 the first k past the range is 104
+    for k, mu in ((500, 0.1), (104, 3.1)):
+        with pytest.raises(ToleranceUnreachable, match="the imaginary part of the Apostol integral") as exc:
+            exact_apostol_integral(k, 0, mu)
+        assert exc.value.achieved == math.inf
+    assert abs(exact_apostol_integral(103, 0, 3.1)) < 1.8e308
+
+
 # ------------------------------------------------------------------ adaptive
 
 
@@ -267,6 +279,19 @@ def test_zeta_odd_integrals_match_series_oracle():
         want = sum_zeta(2 * k + 1, 1e-10).value
         got = zeta_odd_integral(k, tol=1e-8)
         assert got == pytest.approx(want, abs=1e-7), k
+
+
+def test_integral_routes_stop_where_the_factorial_leaves_the_double_range():
+    # (2k+1)! is a double up to k = 84; past it the scale once raised a bare OverflowError
+    assert MAX_INTEGRAL_K == 84
+    with mpmath.workdps(30):
+        zeta = float(mpmath.zeta(169))
+        beta = float(mpmath.dirichlet(170, [0, 1, 0, -1]))
+    assert abs(zeta_odd_integral(84) - zeta) <= 1e-13
+    assert abs(beta_even_integral(84) - beta) <= 1e-13
+    for route in (zeta_odd_integral, beta_even_integral):
+        with pytest.raises(ValueError, match="k must be <= 84"):
+            route(85)
 
 
 def test_beta_even_integrals_match_series_oracle():
