@@ -357,13 +357,21 @@ def _mp_floor(k: int, dist: float) -> float:
     matters near zeros of the sum: next to its value it is at most 1e-37
     relative.
     """
-    log = math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
-    return math.exp(min(log, 700.0))
+    return math.exp(min(_log_floor(k, dist), 700.0))
+
+
+def _log_floor(k: int, dist: float) -> float:
+    return math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
 
 
 def _allowance(k: int, dist: float) -> mpmath.mpf:
-    # 2*k! * _mp_floor: the route's own noise on 2*k! times a lattice sum
-    return mpmath.mpf(_mp_floor(k, dist)) * 2 * math.factorial(k)
+    # 2*k! * _mp_floor: the route's own noise on 2*k! times a lattice sum,
+    # unclamped, since the float floor underflows to 0 from k = 577 at
+    # dist = pi and stops at exp(700) near a pole: e**log = 2**n e**(log - n ln 2)
+    # is scaled in mpmath, a few times cheaper than its exp
+    log = _log_floor(k, dist)
+    n = math.floor(log / _LN2)
+    return mpmath.ldexp(math.exp(log - n * _LN2), n) * 2 * math.factorial(k)
 
 
 def _check_residue(z: mpmath.mpc, k: int, dist: float, what: str) -> None:

@@ -6,15 +6,20 @@ half-term for monotone tails, the Leibniz-interval midpoint for alternating
 tails) plus a floating-point roundoff floor.  Each oracle builds its terms
 and tail; one kernel sums them exactly, so the sum is exactly rounded at any
 length, independent of order, and the roundoff floor only has to cover the
-rounding of the individual terms.  The kernel bins the terms by exponent
-(Demmel & Hida 2003): it splits each significand into two integer limbs
-below 2**27, sums the limbs per exponent with numpy in blocks of fewer than
-2**26 terms, where every partial sum is an integer below 2**53 and hence
-exact, and rounds the combined integer once.  Consecutive terms go to
-different lane slots of their exponent bin, so a monotone series, whose
-terms share a bin in long runs, does not serialise the per-bin additions;
-the lanes are folded in exact integer arithmetic.  A sum beyond the double
-range raises ToleranceUnreachable.
+rounding of the individual terms.  The kernel takes the terms in blocks of
+2**16 and picks a path for each block from the block's own range.  Let 2**e
+be the power of two above the block's largest magnitude.  A narrow block,
+whose nonzero terms all have their lowest bit within 2 * 37 bits below 2**e
+(the least term within 21 binades of the top), is cut at that scale into two
+fixed-point slices of 37 bits (Rump, Ogita & Oishi 2008), and each slice is
+added with a plain numpy sum: a slice is below 2**37 and a block holds at
+most 2**16 of them, so every partial sum is an integer below 2**53 and hence
+exact.  Every other block is binned by exponent (Demmel & Hida 2003): each
+significand splits into two integer limbs below 2**27, summed per exponent
+and lane slot with numpy, again as integers below 2**53; the lanes keep a
+monotone series, whose terms share a bin in long runs, from serialising the
+per-bin additions.  Both paths meet as one integer, rounded once.  A sum
+beyond the double range raises ToleranceUnreachable.
 
 Terms that suffer cancellation against an irrational lattice (multiples of
 pi minus the shift) are recomputed in mpmath and patched into the term
@@ -148,7 +153,23 @@ def _alternating_tail(h0: float, h1: float) -> Tuple[float, float]:
 _quiet = np.errstate(all="ignore")
 
 
-# Exponent-binned exact summation (Demmel & Hida, SIAM J. Sci. Comput. 25,
+# Exact summation in blocks of _BLOCK terms, each block by one of two paths
+# chosen from what the block itself shows.  Every total is an integer in
+# units of 2**-_UNIT, below the lowest bit of any double; all of them meet
+# as one Python int, rounded once.
+#
+# Narrow blocks (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): let
+# 2**e be the power of two just above the block's largest magnitude.  When
+# every nonzero term's lowest bit lies within 2 * _SLICE bits below 2**e,
+# each term p is exactly t_1 * 2**(e - 37) + t_2 * 2**(e - 74) with
+# t_1 = trunc(p * 2**(37 - e)) and t_2 = (p * 2**(37 - e) - t_1) * 2**37,
+# both integers.  Every |t_r| < 2**37 and a block holds at most 2**16 terms,
+# so every partial sum of a plain numpy sum of a slice is an integer below
+# 2**53, hence exact in any order.  A mixed-sign block sums |t_r| the same
+# way for its magnitude.
+#
+# Wide blocks, and blocks whose scale 2**(37 - e) would leave the normal
+# range, are binned by exponent (Demmel & Hida, SIAM J. Sci. Comput. 25,
 # 2003).  Each double is |m| * 2**e * sign with |m| in [1/2, 1) from frexp;
 # |m| * 2**27 splits exactly into an integer hi < 2**27 and a fraction that,
 # times 2**26, is an integer lo < 2**26.  bincount sums the limbs per
@@ -158,13 +179,53 @@ _quiet = np.errstate(all="ignore")
 # before.  A slot total stays an integer below 2**53, hence exact in float64,
 # while a block holds fewer than 2**26 terms, and the totals of all blocks add
 # up in int64 (exact below 2**36 terms); integer sums are exact in any
-# grouping, so folding the lanes changes no bit.  The bins meet as one Python
-# int, rounded once.  Fixed blocks keep every temporary array small.
+# grouping, so folding the lanes changes no bit.  Fixed blocks keep every
+# temporary array small.
 _BLOCK = 1 << 16
+_SLICE = 37
 _LANES = 4
 _LANE = np.arange(_BLOCK, dtype=np.int32) % _LANES
 _EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
 _BINS = 2 * (1024 + _EXP_BIAS + 1)  # bin 2 * (e + _EXP_BIAS) + sign bit
+_UNIT = _EXP_BIAS + 53
+
+
+def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(sum, sum of magnitudes) of a narrow block in units of 2**-_UNIT, or
+    None for a block the slices cannot hold exactly, a non-finite one
+    included.  scratch holds two rows at least as long as the block."""
+    top, bottom = float(block.max()), float(block.min())
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        return None
+    if top == bottom == 0.0:
+        return 0, 0
+    e = math.frexp(max(top, -bottom))[1]
+    if bottom > 0.0:
+        least = bottom
+    elif top < 0.0:
+        least = -top
+    else:
+        magnitudes = np.abs(block, out=scratch[0, : block.size])
+        least = float(magnitudes.min())
+        if least == 0.0:
+            least = float(magnitudes[magnitudes > 0.0].min())
+    # the least term's lowest bit is 2**(f - 53) or coarser; the scale
+    # 2**(_SLICE - e) must be a normal double
+    if math.frexp(least)[1] - 53 < e - 2 * _SLICE or _SLICE - e > 1023:
+        return None
+    rows = scratch[:, : block.size]
+    scaled, high = rows
+    np.multiply(block, 2.0 ** (_SLICE - e), out=scaled)
+    np.trunc(scaled, out=high)
+    scaled -= high  # the low slice times 2**-_SLICE, exact
+    value = (int(high.sum()) << _SLICE) + int(scaled.sum() * 2.0**_SLICE)
+    if bottom >= 0.0 or top <= 0.0:
+        magnitude = abs(value)
+    else:
+        np.abs(rows, out=rows)
+        magnitude = (int(high.sum()) << _SLICE) + int(scaled.sum() * 2.0**_SLICE)
+    shift = e - 2 * _SLICE + _UNIT
+    return value << shift, magnitude << shift
 
 
 @_quiet
@@ -173,10 +234,22 @@ def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
     double whatever the length or order.  Raises ValueError on a non-finite
     value and OverflowError on a sum beyond the double range."""
     values = np.asarray(values, dtype=np.float64)
-    totals = np.zeros((2, _BINS * _LANES), dtype=np.int64)  # hi, lo limb sums per slot
+    value = magnitude = 0  # exact totals in units of 2**-_UNIT
+    totals = None  # hi, lo limb sums per slot of the wide blocks
     used = 0
+    # the narrow path works in place: fresh temporaries for every block cost
+    # about as much in page faults as its arithmetic
+    scratch = np.empty((2, min(values.size, _BLOCK)))
     for i in range(0, values.size, _BLOCK):
-        m, e = np.frexp(values[i : i + _BLOCK])
+        block = values[i : i + _BLOCK]
+        fixed = _fixed_block(block, scratch)
+        if fixed is not None:
+            value += fixed[0]
+            magnitude += fixed[1]
+            continue
+        if totals is None:
+            totals = np.zeros((2, _BINS * _LANES), dtype=np.int64)
+        m, e = np.frexp(block)
         slots = (2 * (e + _EXP_BIAS) + np.signbit(m)) * _LANES + _LANE[: m.size]
         scaled = np.abs(m) * 2.0**27
         hi = np.trunc(scaled)
@@ -188,22 +261,25 @@ def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
         for row, sums in zip(totals, limb_sums):
             row[: sums.size] += sums.astype(np.int64)
         used = max(used, limb_sums[0].size)
-    # fold the lanes of the occupied (+, -) bin pairs only: strided adds, as a
-    # reduction over the short lane axis is several times slower
-    occupied = totals[:, : -(-used // (2 * _LANES)) * 2 * _LANES]
-    totals = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
-    pos, neg = totals[:, 0::2], totals[:, 1::2]
-    return _round_bins(pos - neg), _round_bins(pos + neg)
+    if totals is not None:
+        # fold the lanes of the occupied (+, -) bin pairs only: strided adds, as
+        # a reduction over the short lane axis is several times slower
+        occupied = totals[:, : -(-used // (2 * _LANES)) * 2 * _LANES]
+        totals = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
+        pos, neg = totals[:, 0::2], totals[:, 1::2]
+        value += _bin_total(pos - neg)
+        magnitude += _bin_total(pos + neg)
+    # int true division rounds correctly and raises OverflowError past the
+    # double range
+    return value / (1 << _UNIT), magnitude / (1 << _UNIT)
 
 
-def _round_bins(limbs: np.ndarray) -> float:
-    # exponent bin b holds (hi * 2**26 + lo) * 2**(b - _EXP_BIAS - 53); int true
-    # division rounds correctly and raises OverflowError past the double range
+def _bin_total(limbs: np.ndarray) -> int:
+    # exponent bin b holds (hi * 2**26 + lo) * 2**(b - _UNIT)
     hi, lo = limbs
     nz = np.flatnonzero(hi | lo)
     per_bin = zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist())
-    total = sum(((h << 26) + l) << b for b, h, l in per_bin)
-    return total / (1 << (_EXP_BIAS + 53))
+    return sum(((h << 26) + l) << b for b, h, l in per_bin)
 
 
 def _certified_sum(

@@ -368,6 +368,16 @@ def _scaled_allowance(k, dist, dps):
     return 2 * math.factorial(k) * 4 * (k + 1) * mpmath.mpf(10) ** -dps * mpmath.mpf(dist) ** -(k + 1)
 
 
+def test_residue_allowance_neither_underflows_nor_saturates():
+    # the float floor is 0 from k = 577 at dist = pi and stops at exp(700)
+    # near a pole; the allowance the residue rule reads does neither
+    for k in (0, 1, 40, 576, 577, 600, closed_forms.MAX_K):
+        for dist in (math.pi, 3.0, 1.0, 1e-3, 1e-9):
+            got = apostol_polys._allowance(k, dist)
+            want = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS)
+            assert got > 0 and abs(got / want - 1) < 1e-9, (k, dist)
+
+
 def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
     # absolute error of 2*k! times each sum, against 100-digit truth; the
     # explicit sums cancel most next to the poles at +-pi (Z) and 0, +-2 pi

@@ -13,6 +13,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from telesum import (
     SumResult,
@@ -37,7 +38,7 @@ from telesum import (
 )
 from fractions import Fraction
 
-from telesum.oracles import _BLOCK, _TWO_PI, _certified_sum, _exact_sum
+from telesum.oracles import _BLOCK, _TWO_PI, _certified_sum, _exact_sum, _fixed_block
 
 
 def _beta_truth(s):
@@ -377,6 +378,102 @@ def test_kernel_matches_exact_rational_sum():
         for bad in ([1.0, math.inf], [-math.inf, 1.0], [math.nan], [math.inf, -math.inf]):
             with pytest.raises(ValueError):
                 _exact_sum(np.array(bad + pad))
+
+
+def _is_narrow(block):
+    return _fixed_block(block, np.empty((2, block.size))) is not None
+
+
+def _assert_exact(xs, label):
+    # math.fsum is exactly rounded too, and quicker than Fraction on full blocks
+    value, magnitude = _exact_sum(xs)
+    assert value == math.fsum(xs.tolist()), label
+    assert magnitude == math.fsum(np.abs(xs).tolist()), label
+
+
+def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
+    rng = np.random.default_rng(2008)
+    # a full block of full-width significands just below 2**e: the high
+    # slices sum to just under 2**53, so one bit more per slice would round
+    for e in (1, 300, -900):
+        top = np.ldexp(1.0 - rng.random(_BLOCK) * 2.0**-20, e)
+        for xs in (top, -top):
+            assert _is_narrow(xs)
+            _assert_exact(xs, e)
+    # the least term exactly 21 binades below the top, its lowest bit set, is
+    # the widest narrow block; at 22 binades the bit falls below both slices.
+    # Cancelling tops leave the least term as the sum, and a tie at 2**e
+    # between the two nearest doubles is broken by that one bit.
+    for e in (0, 50, -950):
+        for span, narrow in ((21, True), (22, False)):
+            least = math.ldexp(0.5 + 2.0**-53, e - span)
+            cancel = np.array([0.75, -0.75, least / 2.0**e]) * 2.0**e
+            tie = np.array([0.5 + 2.0**-53, 0.5, least / 2.0**e]) * 2.0**e
+            for xs in (cancel, tie, -tie):
+                assert _is_narrow(xs) == narrow, (e, span)
+                _assert_exact(xs, (e, span))
+    # a mixed-sign narrow block with zeros of both signs
+    xs = np.ldexp(rng.uniform(0.5, 1.0, _BLOCK), rng.integers(-20, 1, _BLOCK))
+    xs *= rng.choice([-1.0, 1.0], _BLOCK)
+    xs[rng.random(_BLOCK) < 0.1] = rng.choice([0.0, -0.0])
+    assert _is_narrow(xs)
+    _assert_exact(xs, "mixed")
+    # the scale 2**(37 - e) leaves the normal range below e = -986, so the
+    # block goes to the bins there; at the top the slices take terms near
+    # 2**1024, whose sums may still overflow or cancel
+    for e, narrow in ((-986, True), (-987, False), (-1000, False)):
+        xs = np.ldexp(rng.uniform(0.5, 1.0, 1000), e - rng.integers(0, 21, 1000))
+        assert _is_narrow(xs) == narrow, e
+        _assert_exact(xs, e)
+    huge = np.array([8e307, -8e307, 1e303, 1.7e308, 9e307])
+    assert _is_narrow(huge)
+    _assert_exact(huge[:3], "cancel")
+    with pytest.raises(OverflowError):
+        _exact_sum(huge)
+    # a wide block next to a narrow one: 1 + 2**-53 from the first is a tie
+    # that rounds to 1, and the narrow 2**-53 of the second lifts it to the
+    # next double above 1 in the one rounding both paths meet in
+    xs = np.zeros(2 * _BLOCK)
+    xs[:3] = (1.0, 2.0**-53, 2.0**-80)
+    xs[_BLOCK : _BLOCK + 2] = (2.0**-53, 2.0**-54)
+    assert not _is_narrow(xs[:_BLOCK]) and _is_narrow(xs[_BLOCK:])
+    _assert_exact(xs, "wide then narrow")
+    _assert_exact(xs[::-1], "narrow then wide")
+
+
+def _kernel_outcome(xs):
+    # (value, magnitude), or OverflowError when either is past the double range
+    try:
+        return _exact_sum(xs)
+    except OverflowError:
+        return OverflowError
+
+
+def _fraction_outcome(xs):
+    try:
+        return _fraction_sum(xs), _fraction_sum(np.abs(xs))
+    except OverflowError:
+        return OverflowError
+
+
+@st.composite
+def _narrow_windows(draw):
+    # full-width significands at most 24 binades below a random top, so that
+    # lists fall on both sides of the span rule, with signed zeros among them
+    top = draw(st.integers(-1050, 1023))
+    term = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.builds(lambda m, d: math.ldexp(m, top - d - 53),
+                  st.integers(-(2**53) + 1, 2**53 - 1), st.integers(0, 24)),
+    )
+    return draw(st.lists(term, max_size=40))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_narrow_windows(), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40)))
+def test_kernel_matches_fraction_sum_on_drawn_terms(terms):
+    xs = np.array(terms, dtype=np.float64)
+    assert _kernel_outcome(xs) == _fraction_outcome(xs)
 
 
 def test_kernel_non_finite_terms_are_unreachable():
