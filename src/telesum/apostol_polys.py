@@ -64,7 +64,7 @@ from mpmath.libmp import (
 )
 
 from .classical_polys import bernoulli_poly
-from .exact_core import InternalConsistencyError, ToleranceUnreachable, binomial
+from .exact_core import InternalConsistencyError, ToleranceUnreachable, _check_int
 
 __all__ = [
     "DEFAULT_DPS",
@@ -90,22 +90,17 @@ TOL_IMAG = 1e-9
 # Half-width of the excluded neighbourhoods around parameter singularities.
 GUARD_BAND = 1e-9
 
+# Largest k of Z and Ztilde: past it the scaled coefficients of Q_k and P_k
+# (down to about 2 / pi**(k+1)) leave the normal double range and the
+# certified bound would no longer hold.
+MAX_K = 618
+
 _TWO_PI = 2.0 * math.pi
 _U = 2.0 ** -53
 # Assumed bound on the relative error of the platform's tan and cos: 2 ulp.
 _LIBM = 2.0 ** -51
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
-
-
-def _working_dps(dps: Optional[int]) -> int:
-    """The working precision a dps argument asks for: DEFAULT_DPS for None,
-    otherwise an integer >= 1 (anything else raises ValueError)."""
-    if dps is None:
-        return DEFAULT_DPS
-    if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
-        raise ValueError("dps must be an integer >= 1, got %r" % (dps,))
-    return dps
 
 
 def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
@@ -172,7 +167,7 @@ def _appell_numbers(upto: int, lam: mpmath.mpc) -> List[mpmath.mpc]:
     working precision."""
     numbers: List[mpmath.mpc] = []
     for n in range(upto + 1):
-        acc = sum(binomial(n, j) * numbers[j] for j in range(n))
+        acc = sum(math.comb(n, j) * numbers[j] for j in range(n))
         numbers.append(((2 if n == 0 else 0) - lam * acc) / (1 + lam))
     return numbers
 
@@ -180,7 +175,7 @@ def _appell_numbers(upto: int, lam: mpmath.mpc) -> List[mpmath.mpc]:
 def _apostol_euler_coeffs(k: int, lam: mpmath.mpc) -> List[mpmath.mpc]:
     """Coefficients, low to high, of E_k(x; lam) = sum_i C(k,i) e_{k-i} x**i."""
     numbers = _appell_numbers(k, lam)
-    return [binomial(k, i) * numbers[k - i] for i in range(k + 1)]
+    return [math.comb(k, i) * numbers[k - i] for i in range(k + 1)]
 
 
 def apostol_euler_poly(
@@ -193,14 +188,13 @@ def apostol_euler_poly(
     recovered.  The coefficients are computed at dps digits (DEFAULT_DPS if
     None, otherwise an integer >= 1).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _check_int(k, "k", 0)
     lam = _as_mpc(lam)
     if lam == 0:
         raise ValueError("parameter lambda = 0 is excluded")
     if lam == -1:
         raise ValueError("parameter lambda = -1 is excluded (pole)")
-    with mpmath.workdps(_working_dps(dps)):
+    with mpmath.workdps(DEFAULT_DPS if dps is None else _check_int(dps, "dps", 1)):
         return CPoly(_apostol_euler_coeffs(k, lam))
 
 
@@ -213,12 +207,11 @@ def apostol_bernoulli_poly(
     at parameter -lam (and has degree k-1); at lam = 1 the classical
     Bernoulli polynomial is returned, lifted to complex coefficients.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _check_int(k, "k", 1)
     lam = _as_mpc(lam)
     if lam == 0:
         raise ValueError("parameter lambda = 0 is excluded")
-    with mpmath.workdps(_working_dps(dps)):
+    with mpmath.workdps(DEFAULT_DPS if dps is None else _check_int(dps, "dps", 1)):
         if lam == 1:
             return CPoly(
                 [
@@ -242,19 +235,6 @@ def _check_sec_domain(mu: float) -> float:
     return mu
 
 
-def _check_cot_domain(mu: float) -> float:
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
-    r = abs(math.fmod(mu, _TWO_PI))
-    if min(r, _TWO_PI - r) <= GUARD_BAND:
-        raise ValueError(
-            "mu must stay at least 1e-9 away from multiples of 2*pi, "
-            "where cot(mu/2) blows up"
-        )
-    return mu
-
-
 def _difference_row(k: int, start: int, step: int) -> Tuple[int, ...]:
     """Forward differences 0..k at 0 of f(i) = (start + step*i)**k, exactly."""
     row = [(start + step * i) ** k for i in range(k + 1)]
@@ -269,7 +249,7 @@ def _route_precision(k: int, row: Sequence[int], x_abs: float, log_scale: float,
     """Fraction bits P of the fixed-point route scale * sum_j row[j] x**j,
     x = -1/2 -+ (i/2) tan or cot of the half angle, with |x| = x_abs and
     |scale| = e**log_scale: the active precision's bits plus enough that the
-    error stays under a tenth of the 2*k! * _mp_floor allowance.
+    error stays under a tenth of the 2*k! * e**_log_floor allowance.
 
     With M = max_j |row[j]| |x|**j, bounded from the integers' bit lengths,
     M >= max(1/2, |x|**k) and |x| >= 1/2, so the route errs by at most:
@@ -316,13 +296,17 @@ def _gaussian_mpc(quarter_turns: int, re: int, im: int, exp: int, factor, prec: 
     )
 
 
-def _ek_complex(k: int, mu: float) -> mpmath.mpc:
+def _ek_complex(k: int, mu: float, log_floor: Optional[float] = None) -> mpmath.mpc:
     # i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) within the active precision's
-    # allowance: i**k 2**-k sec(mu/2) sum_j T_k(j) w**j,
+    # allowance, or within e**log_floor on Z when that is smaller, by as many
+    # more bits (_sec_certified): i**k 2**-k sec(mu/2) sum_j T_k(j) w**j,
     # w = -1/2 - (i/2) tan(mu/2)
     row = _difference_row(k, 1, 2)
     sec = 1 / math.cos(mu / 2)
-    bits = _route_precision(k, row, sec / 2, math.log(sec) - k * _LN2, math.pi - abs(mu))
+    dist = math.pi - abs(mu)
+    bits = _route_precision(k, row, sec / 2, math.log(sec) - k * _LN2, dist)
+    if log_floor is not None:
+        bits += max(0, math.ceil((_log_floor(k, dist) - log_floor) / _LN2))
     (cos, sin), prec = _half_angle(mu, bits, sec)
     re, im = _fixed_horner(row, -to_fixed(mpf_div(sin, cos, prec), bits - 1), bits)
     return _gaussian_mpc(k, re, im, -bits - k, mpf_div(fone, cos, prec), bits)
@@ -344,8 +328,8 @@ def _ektilde_complex(k: int, mu: float) -> mpmath.mpc:
     return _gaussian_mpc(k + 2, re, im, -bits, fone, bits)
 
 
-def _mp_floor(k: int, dist: float) -> float:
-    """Absolute error allowance for a high-precision route at DEFAULT_DPS.
+def _log_floor(k: int, dist: float) -> float:
+    """Log of the absolute error allowance of a high-precision route.
 
     The terms of either lattice sum add up in absolute value to at most
     4 * dist**-(k+1), where dist is the distance from mu to the nearest
@@ -354,20 +338,39 @@ def _mp_floor(k: int, dist: float) -> float:
     (_route_precision); measured against Hurwitz-zeta truth at 100 digits
     for k <= 250, it stays under 5e-4 of it, within 1e-8 of the poles too.
     The Taylor route's terms share one sign and do not cancel.  It only
-    matters near zeros of the sum: next to its value it is at most 1e-37
-    relative.
+    matters near zeros of the sum, where Z's routes are held to less
+    (_sec_certified): next to its value it is at most 1e-37 relative.
     """
-    return math.exp(min(_log_floor(k, dist), 700.0))
-
-
-def _log_floor(k: int, dist: float) -> float:
     return math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
 
 
+def _sec_certified(k: int, mu: float) -> Tuple[float, float, float]:
+    """Z(k, mu) from the certified route, sec(mu/2) Q_k(tan(mu/2)) over
+    2**(k+1) k! in doubles, its relative error bound rel, and the log of the
+    absolute error the high-precision routes of Z and ek_mu are held to:
+    the _log_floor allowance, or rel |Z| where that is smaller.
+
+    Only odd k gets near the second: there Z vanishes like mu, and next to
+    mu = 0 the allowance alone leaves no relative accuracy.  |Z| is at least
+    its lowest term c |tan(mu/2)| >= c |mu| / 2, which stays in range where
+    the value underflows, as ek_mu = 2*k! Z may not.  At mu = 0 the
+    allowance stays: there the complex route is exact."""
+    half = mu / 2.0
+    value, rel = _SEC_ROWS.value(k, math.tan(half))
+    value /= math.cos(half)
+    log_floor = _log_floor(k, math.pi - abs(mu))
+    if k % 2 and mu:
+        log_z = math.log(_SEC_ROWS.scaled[k][-1]) + math.log(abs(mu)) - _LN2
+        if value:
+            log_z = max(log_z, math.log(abs(value)))
+        log_floor = min(log_floor, math.log(rel) + log_z)
+    return value, rel, log_floor
+
+
 def _allowance(k: int, dist: float) -> mpmath.mpf:
-    # 2*k! * _mp_floor: the route's own noise on 2*k! times a lattice sum,
-    # unclamped, since the float floor underflows to 0 from k = 577 at
-    # dist = pi and stops at exp(700) near a pole: e**log = 2**n e**(log - n ln 2)
+    # 2*k! * e**_log_floor: the route's own noise on 2*k! times a lattice
+    # sum, whose float underflows to 0 from k = 577 at dist = pi and
+    # overflows near a pole: e**log = 2**n e**(log - n ln 2)
     # is scaled in mpmath, a few times cheaper than its exp
     log = _log_floor(k, dist)
     n = math.floor(log / _LN2)
@@ -376,7 +379,7 @@ def _allowance(k: int, dist: float) -> mpmath.mpf:
 
 def _check_residue(z: mpmath.mpc, k: int, dist: float, what: str) -> None:
     """Raise InternalConsistencyError unless z, 2*k! times a lattice sum from
-    an mpmath route, has |Im z| <= TOL_IMAG * |Re z| + 2*k! * _mp_floor: the
+    an mpmath route, has |Im z| <= TOL_IMAG * |Re z| + 2*k! * e**_log_floor: the
     floor is the route's own noise, all that is left where the value is 0."""
     allowed = TOL_IMAG * abs(z.real) + _allowance(k, dist)
     if abs(z.imag) > allowed:
@@ -410,15 +413,15 @@ def ek_mu(k: int, mu: float) -> float:
     Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) from its explicit form
     and returns the real part after checking the imaginary residue by Z's
     rule (_check_residue).  The route adds the digits its cancelling sum
-    needs to keep the error under DEFAULT_DPS's allowance (_mp_floor).  A
-    value beyond the double range raises ToleranceUnreachable; Z divides by
-    2*k! before it rounds, so it stays finite where this one cannot.
+    needs to keep the error under the bound of _sec_certified.  A value
+    beyond the double range raises ToleranceUnreachable; Z divides by 2*k!
+    before it rounds, so it stays finite where this one cannot.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _check_int(k, "k", 0)
     mu = _check_sec_domain(mu)
     with mpmath.workdps(DEFAULT_DPS):
-        z = _ek_complex(k, mu)
+        # from k = 381 on, the value is past the double range at every mu != 0
+        z = _ek_complex(k, mu, _sec_certified(k, mu)[2] if k <= MAX_K else None)
         _check_residue(z, k, math.pi - abs(mu), "sec-derivative value")
         return _finite_float(z.real, "sec-derivative value")
 
@@ -431,11 +434,12 @@ def ektilde_mu(k: int, mu: float) -> float:
     convention -1/tan(mu/2) instead.  The value is i**(k+1) * e_k(-e^(i mu))
     from its explicit form; the precision and the residue check are ek_mu's.
     """
+    k = _check_int(k, "k")
     if k < 1:
         raise ValueError(
             "k must be >= 1; the k = 0 value is the convention -1/tan(mu/2)"
         )
-    mu = _check_cot_domain(mu)
+    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     with mpmath.workdps(DEFAULT_DPS):
         z = _ektilde_complex(k, mu)
         dist = abs(math.remainder(mu, _TWO_PI))
@@ -453,8 +457,7 @@ def _scaled_residue(z: mpmath.mpc, k: int, dist: float) -> float:
 
 def ek_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ek_mu combination (_scaled_residue)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _check_int(k, "k", 0)
     mu = _check_sec_domain(mu)
     with mpmath.workdps(DEFAULT_DPS):
         return _scaled_residue(_ek_complex(k, mu), k, math.pi - abs(mu))
@@ -462,9 +465,8 @@ def ek_mu_imag_residue(k: int, mu: float) -> float:
 
 def ektilde_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ektilde_mu combination, k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mu = _check_cot_domain(mu)
+    k = _check_int(k, "k", 1)
+    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     with mpmath.workdps(DEFAULT_DPS):
         z = _ektilde_complex(k, mu)
         return _scaled_residue(z, k, abs(math.remainder(mu, _TWO_PI)))
@@ -560,12 +562,11 @@ def _sec_point(mu: float) -> Tuple[mpmath.mpf, mpmath.mpf]:
 
 
 def _cot_point(mu: float) -> Tuple[mpmath.mpf, int]:
-    return mpmath.cot(mpmath.mpf(_check_cot_domain(mu)) / 2), -1
+    return mpmath.cot(mpmath.mpf(_check_lattice_distance(mu, _TWO_PI, "mu")) / 2), -1
 
 
 def _taylor(rows: _DerivativeRows, point, mu: float, K: int, what: str) -> List[float]:
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    K = _check_int(K, "K", 0)
     with mpmath.workdps(DEFAULT_DPS):
         x, scale = point(mu)
         # rounded one at a time: no row past the first out-of-range entry is built

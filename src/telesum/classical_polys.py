@@ -26,11 +26,12 @@ polynomials are expanded from the numbers when asked for.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from fractions import Fraction
 from typing import List
 
-from .exact_core import Poly, binomial
+from .exact_core import Poly, _check_int
 
 __all__ = [
     "DEFAULT_CACHE_DEPTH",
@@ -67,15 +68,10 @@ def _euler_zero(k: int) -> Fraction:
 
 def precompute(depth: int = DEFAULT_CACHE_DEPTH) -> None:
     """Fill the number cache behind both families through index ``depth``."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    _zigzag_number(depth)
+    _zigzag_number(_check_int(depth, "depth", 0))
 
 
-def bernoulli_number(k: int) -> Fraction:
-    """Bernoulli number B_k = B_k(0), exactly."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def _bernoulli(k: int) -> Fraction:
     if k == 0:
         return Fraction(1)
     if k == 1:
@@ -86,18 +82,21 @@ def bernoulli_number(k: int) -> Fraction:
     return Fraction(sign * k * _zigzag_number(k - 1), ((1 << k) - 1) << k)
 
 
+def bernoulli_number(k: int) -> Fraction:
+    """Bernoulli number B_k = B_k(0), exactly."""
+    return _bernoulli(_check_int(k, "k", 0))
+
+
 def bernoulli_poly(k: int) -> Poly:
     """Exact Bernoulli polynomial B_k(x); monic of degree k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return Poly(binomial(k, i) * bernoulli_number(k - i) for i in range(k + 1))
+    k = _check_int(k, "k", 0)
+    return Poly(math.comb(k, i) * _bernoulli(k - i) for i in range(k + 1))
 
 
 def euler_poly(k: int) -> Poly:
     """Exact Euler polynomial E_k(x); monic of degree k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return Poly(binomial(k, i) * _euler_zero(k - i) for i in range(k + 1))
+    k = _check_int(k, "k", 0)
+    return Poly(math.comb(k, i) * _euler_zero(k - i) for i in range(k + 1))
 
 
 def euler_number(k: int) -> Fraction:
@@ -107,8 +106,7 @@ def euler_number(k: int) -> Fraction:
     rejected (their value would be 0 in the secant-series convention, but the
     closed forms downstream never use them).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _check_int(k, "k", 0)
     if k % 2:
         raise ValueError("Euler number index must be even")
     return Fraction(_zigzag_number(k) if k % 4 == 0 else -_zigzag_number(k))

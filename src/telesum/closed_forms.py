@@ -37,15 +37,16 @@ from .apostol_polys import (
     _U,
     DEFAULT_DPS,
     GUARD_BAND,
-    _check_cot_domain,
+    MAX_K,
     _check_lattice_distance,
     _check_residue,
     _check_sec_domain,
     _cot_point,
     _ek_complex,
     _ektilde_complex,
-    _mp_floor,
+    _log_floor,
     _row_value,
+    _sec_certified,
     _sec_point,
 )
 from .classical_polys import bernoulli_number, euler_number
@@ -54,6 +55,7 @@ from .exact_core import (
     PiScalar,
     Rational,
     ToleranceUnreachable,
+    _check_int,
     _nearest_float,
 )
 
@@ -73,11 +75,6 @@ __all__ = [
     "Ztilde_table",
 ]
 
-# Largest k of Z and Ztilde: past it the scaled coefficients of Q_k and P_k
-# (down to about 2 / pi**(k+1)) leave the normal double range and the
-# certified bound would no longer hold.
-MAX_K = 618
-
 _TWO_PI = 2.0 * math.pi
 # Absolute error the two results can pick up when rounded into the
 # subnormal range.
@@ -86,8 +83,7 @@ _SUBNORMAL_FLOOR = 2.0 ** -1072
 
 def zeta_even(k: int) -> PiScalar:
     """zeta(2k) = sum n**(-2k) as an exact rational multiple of pi**(2k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _check_int(k, "k", 1)
     sign = -1 if k % 2 == 0 else 1
     coeff = sign * Fraction(2 ** (2 * k - 1), math.factorial(2 * k)) * bernoulli_number(2 * k)
     return PiScalar(coeff, 2 * k)
@@ -95,8 +91,7 @@ def zeta_even(k: int) -> PiScalar:
 
 def beta_odd(k: int) -> PiScalar:
     """beta(2k+1) = sum (-1)**n (2n+1)**(-2k-1) as a rational multiple of pi**(2k+1)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _check_int(k, "k", 0)
     sign = -1 if k % 2 == 1 else 1
     coeff = Fraction(sign * euler_number(2 * k), 2 ** (2 * k + 2) * math.factorial(2 * k))
     return PiScalar(coeff, 2 * k + 1)
@@ -104,15 +99,13 @@ def beta_odd(k: int) -> PiScalar:
 
 def eta_even(k: int) -> PiScalar:
     """eta(2k) = sum (-1)**(n-1) n**(-2k), via (1 - 2**(1-2k)) * zeta(2k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _check_int(k, "k", 1)
     return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k - 1)))
 
 
 def lambda_even(k: int) -> PiScalar:
     """lambda(2k) = sum over odd n of n**(-2k), via (1 - 2**(-2k)) * zeta(2k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _check_int(k, "k", 1)
     return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k)))
 
 
@@ -143,19 +136,20 @@ def _float_quotient(x: mpmath.mpf, scale: int) -> float:
 
 
 def _checked(
-    k: int, z: mpmath.mpc, check: float, rel: float, dist: float, what: str
+    k: int, z: mpmath.mpc, check: float, rel: float, dist: float, log_floor: float, what: str
 ) -> float:
     """The real part of an mpmath route's value z of 2*k! times the sum,
     over 2*k!, checked against the certified value ``check``.
 
     They must agree to |value - check| <= (rel + 4u) * |check| + floor:
     rel bounds the certified value's error, 4u the rounding of this one,
-    and the floor the mpmath route's own error and subnormal rounding.  The
-    imaginary residue of the complex route must pass _check_residue, the
-    rule of ek_mu and ektilde_mu.
+    and the floor, e**log_floor (_log_floor, or for Z the one of
+    _sec_certified) up to exp(700), the mpmath route's own error and
+    subnormal rounding.  The imaginary residue of the complex route must
+    pass _check_residue, the rule of ek_mu and ektilde_mu.
     """
     _check_residue(z, k, dist, what)
-    floor = _mp_floor(k, dist)
+    floor = math.exp(min(log_floor, 700.0))
     value = _float_quotient(z.real, 2 * math.factorial(k))
     if not (math.isfinite(value) and math.isfinite(check)):
         raise ToleranceUnreachable(
@@ -201,19 +195,18 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     inf) when the sum lies beyond the double range, and
     InternalConsistencyError when the routes disagree.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _check_int(k, "k", 0)
     _check_method(method)
     if method == "table":
         return Z_table(k, mu)
     _check_max_k(k)
     mu = _check_sec_domain(mu)
-    half = mu / 2.0
-    check, rel = _SEC_ROWS.value(k, math.tan(half))
+    check, rel, log_floor = _sec_certified(k, mu)
     with mpmath.workdps(DEFAULT_DPS):
-        z = _row_value(_SEC_ROWS, k, *_sec_point(mu)) if method == "taylor" else _ek_complex(k, mu)
+        z = (_row_value(_SEC_ROWS, k, *_sec_point(mu)) if method == "taylor"
+             else _ek_complex(k, mu, log_floor))
     return _checked(
-        k, z, check / math.cos(half), rel, math.pi - abs(mu), "Z(%d, %r)" % (k, mu)
+        k, z, check, rel, math.pi - abs(mu), log_floor, "Z(%d, %r)" % (k, mu)
     )
 
 
@@ -230,6 +223,7 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     -P_k(cot(mu/2)) / (2**(k+1) k!) and 1 <= k <= MAX_K; method="table"
     covers k = 1..7.
     """
+    k = _check_int(k, "k")
     if k < 1:
         raise ValueError(
             "k must be >= 1; for k = 0 use Ztilde0, the symmetric-limit "
@@ -239,14 +233,15 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     if method == "table":
         return Ztilde_table(k, mu)
     _check_max_k(k)
-    mu = _check_cot_domain(mu)
+    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     check, rel = _COT_ROWS.value(k, 1.0 / math.tan(mu / 2.0))
     with mpmath.workdps(DEFAULT_DPS):
         z = (_row_value(_COT_ROWS, k, *_cot_point(mu)) if method == "taylor"
              else _ektilde_complex(k, mu))
+    dist = abs(math.remainder(mu, _TWO_PI))
     # -P_k = (-1)**(k+1) |P_k|
     return _checked(
-        k, z, check if k % 2 else -check, rel, abs(math.remainder(mu, _TWO_PI)),
+        k, z, check if k % 2 else -check, rel, dist, _log_floor(k, dist),
         "Ztilde(%d, %r)" % (k, mu),
     )
 
@@ -337,6 +332,7 @@ def _eval_entry(entry: TableEntry, mu: float) -> float:
 
 def Z_table(k: int, mu: float) -> float:
     """Evaluate Z(k; mu) from the explicit trig-ratio table, k = 0..6."""
+    k = _check_int(k, "k")
     if k not in Z_TABLE:
         raise ValueError("table covers k = 0..6 only")
     mu = float(mu)
@@ -351,6 +347,7 @@ def Z_table(k: int, mu: float) -> float:
 
 def Ztilde_table(k: int, mu: float) -> float:
     """Evaluate Ztilde(k; mu) from the explicit trig-ratio table, k = 1..7."""
+    k = _check_int(k, "k")
     if k not in ZTILDE_TABLE:
         raise ValueError("table covers k = 1..7 only")
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")

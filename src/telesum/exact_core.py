@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from mpmath.libmp import mpf_pi, mpf_pow_int, round_ceiling, round_floor
 
@@ -61,10 +62,26 @@ class ToleranceUnreachable(ArithmeticError):
         self.achieved = achieved
 
 
+def _check_int(value: object, name: str, least: Optional[int] = None) -> int:
+    """value as a Python int, for every integer parameter of the package.
+
+    An int or anything with __index__ (numpy integers) passes, when it is at
+    least ``least``; a bool, a float, a Fraction, a string or a smaller
+    integer raises ValueError, so one bad index gets one answer everywhere.
+    """
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or least is not None and n < least:
+        bound = "" if least is None else " >= %d" % least
+        raise ValueError("%s must be an integer%s, got %r" % (name, bound, value))
+    return n
+
+
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k); zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be >= 0")
+    n, k = _check_int(n, "n", 0), _check_int(k, "k", 0)
     return math.comb(n, k) if k <= n else 0
 
 
@@ -82,7 +99,7 @@ class PiScalar:
 
     def __init__(self, coeff: RationalLike, pi_power: int = 0) -> None:
         coeff = Fraction(coeff)
-        pi_power = int(pi_power)
+        pi_power = _check_int(pi_power, "pi_power")
         if coeff == 0:
             pi_power = 0
         object.__setattr__(self, "coeff", coeff)
@@ -229,9 +246,7 @@ class Poly:
 
     @staticmethod
     def monomial(n: int, c: RationalLike = 1) -> "Poly":
-        if n < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return Poly([0] * n + [c])
+        return Poly([0] * _check_int(n, "n", 0) + [c])
 
     @property
     def degree(self) -> int:
@@ -321,7 +336,7 @@ def poly_reflect(p: Poly) -> Poly:
         # expand c * (1 - x)**i
         for j in range(i + 1):
             sign = -1 if j % 2 else 1
-            out[j] += sign * binomial(i, j) * c
+            out[j] += sign * math.comb(i, j) * c
     return Poly(out)
 
 

@@ -38,7 +38,7 @@ import mpmath
 import numpy as np
 
 from .apostol_polys import DEFAULT_DPS, _check_lattice_distance
-from .exact_core import ToleranceUnreachable
+from .exact_core import ToleranceUnreachable, _check_int
 
 __all__ = [
     "SumResult",
@@ -327,17 +327,11 @@ def _mp_floats(exact: Callable[[int], "mpmath.mpf"], ms: Iterable[int]) -> List[
         return [float(exact(m)) for m in ms]
 
 
-def _check_int(value: int, least: int, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        raise ValueError("%s must be an integer >= %d" % (name, least))
-    return int(value)
-
-
 def _check_theta_window(theta: float, N: int) -> Tuple[float, int]:
     # the window n = -N..N must hold the pole's nearest lattice point, or
     # the dominant term would fall into the tail estimate
     theta = _check_lattice_distance(theta, 1.0, "theta")
-    N = _check_int(N, 1, "N")
+    N = _check_int(N, "N", 1)
     if N < round(abs(theta)):
         raise ValueError("N too small: need N >= round(|theta|)")
     return theta, N
@@ -379,7 +373,7 @@ def sum_zeta(s: int, target_tol: float = 1e-10) -> SumResult:
     N**(1-s)/(s-1) + N**(-s)/2; N is chosen so the certified remainder
     (trapezoid defect plus roundoff floor) is at most target_tol.
     """
-    s = _check_int(s, 2, "s")
+    s = _check_int(s, "s", 2)
 
     def attempt(N: int) -> SumResult:
         tail_est, tail_bound = _power_tail(1.0, 0.0, float(s), N)
@@ -398,7 +392,7 @@ def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
     positive decreasing terms; the remaining alternating tail is certified
     by the Leibniz interval around its half-term midpoint.
     """
-    s = _check_int(s, 1, "s")
+    s = _check_int(s, "s", 1)
 
     def attempt(J: int) -> SumResult:
         M = 2 * J
@@ -447,11 +441,11 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     that is 15.7 + 1.4k; at even k each power is 1.4p + 4 and their sum
     5.9 + 1.4k.  Both stay under the 16 + 4k of the other lattice sums.
     """
-    k = _check_int(k, 0, "k")
+    k = _check_int(k, "k", 0)
     mu = float(mu)
     if not (abs(mu) < math.pi):
         raise ValueError("mu must satisfy |mu| < pi")
-    N = _check_int(N, 1, "N")
+    N = _check_int(N, "N", 1)
 
     p = k + 1
     base = (2.0 * np.arange(N, dtype=np.float64) + 1.0) * np.pi
@@ -503,9 +497,9 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
     pairing m with -m, which yields terms 2*mu/((2*m*pi)^2 - mu^2).  Terms
     nearest the lattice singularity are recomputed in mpmath.
     """
-    k = _check_int(k, 0, "k")
+    k = _check_int(k, "k", 0)
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    N = _check_int(N, 1, "N")
+    N = _check_int(N, "N", 1)
     near = int(round(abs(mu) / _TWO_PI))
     if N < near:  # the nearest pole's term must not fall into the tail
         raise ValueError("N too small: need N >= round(|mu| / (2*pi))")
@@ -619,11 +613,11 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
     """
     if kind not in _HURWITZ:
         raise ValueError("kind must be one of %s" % (tuple(_HURWITZ),))
-    k = _check_int(k, 1, "k")
+    k = _check_int(k, "k", 1)
     x = float(x)
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    M = _check_int(M, 1, "M")
+    M = _check_int(M, "M", 1)
 
     extra, euler = _HURWITZ[kind]
     p = 2 * k + extra

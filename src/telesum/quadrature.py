@@ -28,6 +28,7 @@ from .classical_polys import bernoulli_number, bernoulli_poly, euler_number, eul
 from .exact_core import (
     PiScalar,
     Poly,
+    _check_int,
     collapse_pi_terms,
     poly_integral_01,
 )
@@ -64,8 +65,7 @@ class OscKernel:
     def __post_init__(self) -> None:
         if self.kind not in _KERNEL_KINDS:
             raise ValueError("kind must be one of %s" % (_KERNEL_KINDS,))
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise ValueError("m must be an integer")
+        object.__setattr__(self, "m", _check_int(self.m, "m"))
 
     @staticmethod
     def cos(m: int) -> "OscKernel":
@@ -139,10 +139,7 @@ def exact_apostol_integral(k: int, m: int, mu: float) -> complex:
     which is evaluated at DEFAULT_DPS digits.  A part beyond the double range
     raises ToleranceUnreachable.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be an integer >= 0")
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError("m must be an integer")
+    k, m = _check_int(k, "k", 0), _check_int(m, "m")
     mu = float(mu)
     if not (abs(mu) < math.pi):
         raise ValueError("mu must satisfy |mu| < pi")
@@ -159,10 +156,7 @@ def j_integral(
     """
     if family not in ("bernoulli_odd", "euler_odd"):
         raise ValueError("family must be 'bernoulli_odd' or 'euler_odd'")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be an integer >= 0")
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError("m must be an integer")
+    k, m = _check_int(k, "k", 0), _check_int(m, "m")
     if family == "bernoulli_odd":
         if m < 1:
             raise ValueError("bernoulli_odd requires m >= 1")
@@ -258,13 +252,13 @@ def _horner(coeffs: List[float], x: float) -> float:
     return acc
 
 
-def _check_integral_k(k: int, least: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < least:
-        raise ValueError("k must be an integer >= %d" % least)
+def _check_integral_k(k: int, least: int) -> int:
+    k = _check_int(k, "k", least)
     if k > MAX_INTEGRAL_K:
         raise ValueError(
             "k must be <= %d, where (2k+1)! leaves the double range" % MAX_INTEGRAL_K
         )
+    return k
 
 
 def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
@@ -275,7 +269,7 @@ def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
     removable with exact limit (2/pi) (2k+1) B_{2k}(0).  Needs
     1 <= k <= MAX_INTEGRAL_K.
     """
-    _check_integral_k(k, 1)
+    k = _check_integral_k(k, 1)
     from .oracles import cospi, sinpi
 
     coeffs = _float_poly(bernoulli_poly(2 * k + 1))
@@ -300,7 +294,7 @@ def beta_even_integral(k: int, tol: float = 1e-8) -> float:
     removable with exact limit -(2k+1) E_{2k}(1/2) / pi.  Needs
     0 <= k <= MAX_INTEGRAL_K.
     """
-    _check_integral_k(k, 0)
+    k = _check_integral_k(k, 0)
     from .oracles import cospi
 
     coeffs = _float_poly(euler_poly(2 * k + 1))

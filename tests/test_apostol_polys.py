@@ -26,6 +26,8 @@ from telesum import (
     sec_taylor_coeffs,
 )
 
+from hurwitz_truth import z_truth
+
 LAMBDAS = [
     mpmath.mpc(2, 0),
     mpmath.mpc(-3, 0),
@@ -262,9 +264,15 @@ def test_carrier_domain_guards():
 
 
 def test_carriers_past_the_double_range_raise_a_typed_error():
-    # 2 * 171! * Z(171, 0.7) = 5.19e242 is in range; the k = 250 value is not
+    # 2 * 171! * Z(171, 0.7) = 5.19e242 is in range; the k = 250 value is not,
+    # and from k = 381 on no value at mu != 0 is, the least subnormal mu and
+    # k past the certified rows included
     assert ek_mu(171, 0.7) == pytest.approx(5.188192231325938e242, rel=1e-13)
-    for carrier, k, mu in ((ek_mu, 250, 0.7), (ektilde_mu, 200, 1.0)):
+    with mpmath.workdps(30):
+        want = 2 * math.factorial(379) * z_truth(379, 5e-324)  # 7.19e304
+        assert abs(ek_mu(379, 5e-324) - want) <= 1e-13 * want
+    for carrier, k, mu in ((ek_mu, 250, 0.7), (ek_mu, 381, 5e-324), (ek_mu, 701, 1e-61),
+                           (ektilde_mu, 200, 1.0)):
         with pytest.raises(ToleranceUnreachable) as info:
             carrier(k, mu)
         assert info.value.achieved == math.inf

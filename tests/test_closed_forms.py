@@ -35,8 +35,11 @@ from telesum import (
     euler_number,
     lambda_even,
     sec_taylor_coeffs,
+    sum_Z,
     zeta_even,
 )
+
+from hurwitz_truth import z_truth, ztilde_truth
 
 F = Fraction
 
@@ -150,31 +153,11 @@ def test_lattice_sums_are_scaled_carrier_derivatives():
     with mpmath.workdps(50):
         for k in (40, 60):
             for mu in (-1.8, -0.4, 0.9, 2.3):
-                want = float(_z_hurwitz(k, mpmath.mpf(mu)))
+                want = float(z_truth(k, mpmath.mpf(mu)))
                 assert Z(k, mu) == pytest.approx(want, rel=1e-12), (k, mu)
             for mu in (0.7, 1.9, 3.6, 5.1):
-                want = float(_ztilde_hurwitz(k, mpmath.mpf(mu)))
+                want = float(ztilde_truth(k, mpmath.mpf(mu)))
                 assert Ztilde(k, mu) == pytest.approx(want, rel=1e-12), (k, mu)
-
-
-def _z_hurwitz(k, mu):
-    # the m >= 0 half is alternating with step 2 pi, i.e. two Hurwitz zetas
-    # of step 4 pi; the m < 0 half is the same at -mu, times (-1)**k
-    s = k + 1
-
-    def half(nu):
-        a = (mpmath.pi - nu) / (4 * mpmath.pi)
-        return (mpmath.zeta(s, a) - mpmath.zeta(s, a + 0.5)) / (4 * mpmath.pi) ** s
-
-    return half(mu) + (-1) ** k * half(-mu)
-
-
-def _ztilde_hurwitz(k, mu):
-    # m >= 1 and m <= 0 halves, with b = mu / (2 pi) reduced into (0, 1)
-    s = k + 1
-    b = mu / (2 * mpmath.pi)
-    b -= mpmath.floor(b)
-    return (mpmath.zeta(s, 1 - b) + (-1) ** s * mpmath.zeta(s, b)) / (2 * mpmath.pi) ** s
 
 
 def test_method_routes_agree():
@@ -259,10 +242,10 @@ def test_lattice_sums_match_hurwitz_truth_at_the_edges():
         for k in _EDGE_K:
             for mu in _Z_EDGE_MU:
                 m = mpmath.mpf(mu)
-                want = mpmath.sec(m / 2) / 2 if k == 0 else _z_hurwitz(k, m)
+                want = mpmath.sec(m / 2) / 2 if k == 0 else z_truth(k, m)
                 _truth_or_out_of_range(Z, k, mu, want)
             for mu in _ZTILDE_EDGE_MU if k else ():
-                _truth_or_out_of_range(Ztilde, k, mu, _ztilde_hurwitz(k, mpmath.mpf(mu)))
+                _truth_or_out_of_range(Ztilde, k, mu, ztilde_truth(k, mpmath.mpf(mu)))
 
 
 def test_odd_alternating_sums_vanish_at_zero():
@@ -272,6 +255,24 @@ def test_odd_alternating_sums_vanish_at_zero():
     for k in (1, 31, 51, 61, 171, 577, 617):
         for method in ("auto", "complex", "taylor"):
             assert Z(k, 0.0, method=method) == 0.0
+
+
+def test_odd_sums_keep_their_relative_accuracy_next_to_mu_zero():
+    # at odd k Z vanishes like mu: a route held to an absolute allowance
+    # alone gives 0.0 for Z(1, 1e-61) and ek_mu(1, 1e-61), is off by 1.2e-13
+    # at Z(1, 1e-30), and gives -5.5e-81 for Z(41, -3e-310), whose value is
+    # below the double range.  Subnormal results add half their unit
+    half_unit = mpmath.ldexp(1, -1075)
+    for k in (1, 3, 41):
+        for mu in (1e-30, -1e-30, 1e-61, -1e-61, 1e-200, -1e-200, 3e-310, -3e-310):
+            rel = closed_forms._SEC_ROWS.value(k, math.tan(mu / 2))[1]
+            r = sum_Z(k, mu)
+            with mpmath.workdps(30):
+                want = z_truth(k, mu)
+                assert abs(r.value - want) <= r.error_bound, (k, mu)
+                assert abs(Z(k, mu) - want) <= rel * abs(want) + half_unit, (k, mu)
+                want *= 2 * math.factorial(k)
+                assert abs(ek_mu(k, mu) - want) <= rel * abs(want) + half_unit, (k, mu)
 
 
 def _hexes(values):
@@ -351,20 +352,20 @@ def test_certified_bound_holds_against_hurwitz_truth():
             for mu in (0.3, -1.3, 2.2, 3.05, -3.1):
                 value, rel = rows[0].value(k, math.tan(mu / 2))
                 value /= math.cos(mu / 2)
-                want = _z_hurwitz(k, mpmath.mpf(mu))
+                want = z_truth(k, mpmath.mpf(mu))
                 if abs(want) < sys.float_info.max:
                     assert abs(value - want) <= rel * abs(want), (k, mu)
             for mu in (0.02, 1.1, math.pi, 4.0, -6.2):
                 value, rel = rows[1].value(k, 1 / math.tan(mu / 2))
                 value = value if k % 2 else -value
-                want = _ztilde_hurwitz(k, mpmath.mpf(mu))
+                want = ztilde_truth(k, mpmath.mpf(mu))
                 if abs(want) < sys.float_info.max:
                     assert abs(value - want) <= rel * abs(want), (k, mu)
 
 
 def _scaled_allowance(k, dist, dps):
-    # 2*k! times _mp_floor's allowance, unclamped: near a pole at large k it
-    # passes exp(700), where _mp_floor stops
+    # 2*k! times the _log_floor allowance, unclamped: near a pole at large k
+    # it passes exp(700), where the float floor of Z and Ztilde stops
     return 2 * math.factorial(k) * 4 * (k + 1) * mpmath.mpf(10) ** -dps * mpmath.mpf(dist) ** -(k + 1)
 
 
@@ -384,10 +385,10 @@ def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
     # (Ztilde), and the working precision rises to match
     near = 1e-7
     cases = (
-        (apostol_polys._ek_complex, _z_hurwitz,
+        (apostol_polys._ek_complex, z_truth,
          (math.pi - near, -(math.pi - near), 1e-6, 1e-8, 0.7, -3.0),
          lambda mu: math.pi - abs(mu)),
-        (apostol_polys._ektilde_complex, _ztilde_hurwitz,
+        (apostol_polys._ektilde_complex, ztilde_truth,
          (1e-6, 1e-8, -near, 2 * math.pi - near, -(2 * math.pi - near), math.pi, 4.0),
          lambda mu: abs(math.remainder(mu, 2 * math.pi))),
     )
@@ -455,7 +456,7 @@ def test_carrier_meets_the_floor_of_its_own_precision():
         z = apostol_polys._ek_complex(30, 0.7)
         assert mpmath.mp.dps == 20
     with mpmath.workdps(60):
-        want = 2 * math.factorial(30) * _z_hurwitz(30, mpmath.mpf(0.7))
+        want = 2 * math.factorial(30) * z_truth(30, mpmath.mpf(0.7))
         assert abs(z - want) <= _scaled_allowance(30, math.pi - 0.7, 20)
 
 
@@ -464,9 +465,9 @@ def test_lattice_sums_at_the_largest_k_match_hurwitz_truth():
     # just above the smallest normal double
     with mpmath.workdps(50):
         for mu in (0.0, 0.5, -3.0):
-            _truth_or_out_of_range(Z, 618, mu, _z_hurwitz(618, mpmath.mpf(mu)))
+            _truth_or_out_of_range(Z, 618, mu, z_truth(618, mpmath.mpf(mu)))
         for mu in (1.0, 3.0):
-            _truth_or_out_of_range(Ztilde, 618, mu, _ztilde_hurwitz(618, mpmath.mpf(mu)))
+            _truth_or_out_of_range(Ztilde, 618, mu, ztilde_truth(618, mpmath.mpf(mu)))
 
 
 def _perturbed(route, factor):
@@ -495,6 +496,8 @@ def test_route_check_catches_an_altered_row_coefficient():
     for rows, f, k, mu, t in (
         (closed_forms._SEC_ROWS, Z, 60, 0.7, math.tan(0.35)),
         (closed_forms._COT_ROWS, Ztilde, 60, 1.0, 1 / math.tan(0.5)),
+        # next to the zero of Z at odd k the allowed difference is relative
+        (closed_forms._SEC_ROWS, Z, 41, 1e-61, math.tan(0.5e-61)),
     ):
         f(k, mu)
         saved = rows.scaled[k]
@@ -545,10 +548,10 @@ def test_fixed_point_routes_match_hurwitz_truth_at_low_k():
     # the lattice sums to 1e-15 relative, next to 0 and to every pole
     near = 1e-7
     cases = (
-        (Z, apostol_polys._ek_complex, _z_hurwitz,
+        (Z, apostol_polys._ek_complex, z_truth,
          (near, -near, 1e-12, math.pi - near, -(math.pi - near)),
          lambda mu: math.pi - abs(mu)),
-        (Ztilde, apostol_polys._ektilde_complex, _ztilde_hurwitz,
+        (Ztilde, apostol_polys._ektilde_complex, ztilde_truth,
          (near, -near, math.pi - near, math.pi + near, 2 * math.pi - near, -(2 * math.pi - near)),
          lambda mu: abs(math.remainder(mu, 2 * math.pi))),
     )

@@ -205,3 +205,70 @@ def test_lazy_layers_stay_importable_as_modules():
     assert telesum.oracles.sum_zeta is telesum.sum_zeta
     assert verify.run_all is telesum.run_all
     assert telesum.verify is verify
+
+
+# Every public integer parameter, as (label, call with the value in its place,
+# a valid value).  One rule holds for all of them (exact_core._check_int).
+_T = telesum
+INTEGER_PARAMETERS = [
+    ("binomial n", lambda v: _T.binomial(v, 2), 5),
+    ("binomial k", lambda v: _T.binomial(5, v), 2),
+    ("PiScalar pi_power", lambda v: _T.PiScalar(_T.Rational(1, 3), v), 2),
+    ("Poly.monomial n", lambda v: _T.Poly.monomial(v, 3), 2),
+    ("precompute depth", lambda v: _T.precompute(v), 2),
+    ("bernoulli_number k", lambda v: _T.bernoulli_number(v), 2),
+    ("bernoulli_poly k", lambda v: _T.bernoulli_poly(v), 2),
+    ("euler_poly k", lambda v: _T.euler_poly(v), 2),
+    ("euler_number k", lambda v: _T.euler_number(v), 2),
+    ("apostol_euler_poly k", lambda v: _T.apostol_euler_poly(v, 0.5), 2),
+    ("apostol_euler_poly dps", lambda v: _T.apostol_euler_poly(2, 0.5, dps=v), 20),
+    ("apostol_bernoulli_poly k", lambda v: _T.apostol_bernoulli_poly(v, 0.5), 2),
+    ("apostol_bernoulli_poly dps", lambda v: _T.apostol_bernoulli_poly(2, 0.5, dps=v), 20),
+    ("ek_mu k", lambda v: _T.ek_mu(v, 0.3), 2),
+    ("ektilde_mu k", lambda v: _T.ektilde_mu(v, 0.3), 2),
+    ("ek_mu_imag_residue k", lambda v: _T.ek_mu_imag_residue(v, 0.3), 2),
+    ("ektilde_mu_imag_residue k", lambda v: _T.ektilde_mu_imag_residue(v, 0.3), 2),
+    ("sec_taylor_coeffs K", lambda v: _T.sec_taylor_coeffs(0.3, v), 2),
+    ("cot_taylor_coeffs K", lambda v: _T.cot_taylor_coeffs(0.3, v), 2),
+    ("zeta_even k", lambda v: _T.zeta_even(v), 2),
+    ("beta_odd k", lambda v: _T.beta_odd(v), 2),
+    ("eta_even k", lambda v: _T.eta_even(v), 2),
+    ("lambda_even k", lambda v: _T.lambda_even(v), 2),
+    ("Z k", lambda v: _T.Z(v, 0.3), 2),
+    ("Ztilde k", lambda v: _T.Ztilde(v, 0.3), 2),
+    ("Z_table k", lambda v: _T.Z_table(v, 0.3), 2),
+    ("Ztilde_table k", lambda v: _T.Ztilde_table(v, 0.3), 2),
+    ("OscKernel m", lambda v: _T.OscKernel("cos", v), 2),
+    ("exact_apostol_integral k", lambda v: _T.exact_apostol_integral(v, 1, 0.3), 2),
+    ("exact_apostol_integral m", lambda v: _T.exact_apostol_integral(2, v, 0.3), 2),
+    ("j_integral k", lambda v: _T.j_integral(v, 1, "bernoulli_odd"), 2),
+    ("j_integral m", lambda v: _T.j_integral(2, v, "euler_odd"), 2),
+    ("zeta_odd_integral k", lambda v: _T.zeta_odd_integral(v), 2),
+    ("beta_even_integral k", lambda v: _T.beta_even_integral(v), 2),
+    ("sum_zeta s", lambda v: _T.sum_zeta(v, 1e-6), 2),
+    ("sum_beta s", lambda v: _T.sum_beta(v, 1e-6), 2),
+    ("sum_Z k", lambda v: _T.sum_Z(v, 0.3, N=100), 2),
+    ("sum_Z N", lambda v: _T.sum_Z(2, 0.3, N=v), 100),
+    ("sum_Ztilde k", lambda v: _T.sum_Ztilde(v, 0.3, N=100), 2),
+    ("sum_Ztilde N", lambda v: _T.sum_Ztilde(2, 0.3, N=v), 100),
+    ("sum_inverse_square N", lambda v: _T.sum_inverse_square(0.3, v), 100),
+    ("sum_cotangent N", lambda v: _T.sum_cotangent(0.3, v), 100),
+    ("herglotz_residual N", lambda v: _T.herglotz_residual(0.3, v), 100),
+    ("herglotz_limit N", lambda v: _T.herglotz_limit(0.3, v), 100),
+    ("hurwitz_partial k", lambda v: _T.hurwitz_partial("B_even", v, 0.3, M=100), 2),
+    ("hurwitz_partial M", lambda v: _T.hurwitz_partial("B_even", 2, 0.3, M=v), 100),
+]
+
+
+@pytest.mark.parametrize("call, n", [c[1:] for c in INTEGER_PARAMETERS],
+                         ids=[c[0] for c in INTEGER_PARAMETERS])
+def test_every_integer_parameter_takes_integers_only(call, n):
+    # a bool, a float (integral or not), a Fraction and a string raise the one
+    # ValueError; a numpy integer gives the same result as the int, and no
+    # numpy scalar leaks into it (repr would show np.int64)
+    import numpy as np
+
+    for bad in (True, 2.5, 2.0, _T.Rational(2), "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    assert repr(call(np.int64(n))) == repr(call(n))
