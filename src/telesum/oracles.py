@@ -32,13 +32,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 import numpy as np
 
 from .apostol_polys import DEFAULT_DPS, _check_lattice_distance
-from .exact_core import ToleranceUnreachable, _check_int
+from .exact_core import PiScalar, ToleranceUnreachable, _check_int
 
 __all__ = [
     "SumResult",
@@ -590,16 +591,6 @@ def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
 _HURWITZ = {"B_even": (0, False), "B_odd": (1, False), "E_even": (1, True), "E_odd": (0, True)}
 
 
-def _factorial_over(n: int, denom: float) -> float:
-    """n! / denom rounded exactly as float(n!) / denom rounds it, without the
-    OverflowError of float(n!) past 170!: 2**-t * n! is rounded to a double
-    instead, divided, and scaled back by 2**t (exact in the normal range).
-    Raises OverflowError when the quotient is beyond the double range."""
-    n_fact = math.factorial(n)
-    t = max(0, n_fact.bit_length() - 64)
-    return math.ldexp(n_fact / (1 << t) / denom, t)
-
-
 @_quiet
 def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
     """Truncated trigonometric expansion of a Bernoulli/Euler polynomial.
@@ -622,18 +613,15 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
     extra, euler = _HURWITZ[kind]
     p = 2 * k + extra
     trig = sinpi if extra else cospi
-    sign = -1.0 if k % 2 == 0 else 1.0  # (-1)**(k-1)
+    sign = -1 if k % 2 == 0 else 1  # (-1)**(k-1)
     if euler:  # E_{p-1}(x): -4 sign (p-1)! / pi**p times sum_h trig(pi h x) / h**p, h odd
         h = 2.0 * np.arange(M, dtype=np.float64) + 1.0
-        scale, c, n, base = x, -4.0, p - 1, math.pi
+        scale, c, n, den = x, -4, p - 1, 1
     else:  # B_p(x): 2 sign p! / (2 pi)**p times sum_h trig(2 pi h x) / h**p, h >= 1
         h = np.arange(1, M + 1, dtype=np.float64)
-        scale, c, n, base = 2.0 * x, 2.0, p, _TWO_PI
+        scale, c, n, den = 2.0 * x, 2, p, 2 ** p
     s = _exact_sum(trig(scale * h) / h ** p)[0]
-    try:
-        value = c * sign * _factorial_over(n, base ** p) * s
-    except OverflowError:
-        value = math.inf
+    value = float(PiScalar(Fraction(c * sign * math.factorial(n), den), -p)) * s
     if not math.isfinite(value):
         raise ToleranceUnreachable(
             "hurwitz_partial(%r, %d) leaves the double-precision range" % (kind, k),

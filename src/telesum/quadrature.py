@@ -9,8 +9,9 @@ lambda^x e^(-(2m+1) pi i x) the same ladder telescopes to a closed form.
 
 The numeric half: adaptive bisection with a 15-point Gauss-Legendre rule
 per panel, used for the non-elementary integral representations of
-zeta(2k+1) and beta(2k+2).  Removable singularities are declared up front
-with their exact limits and become forced panel boundaries.
+zeta(2k+1) and beta(2k+2).  Each integrand is arranged so that its
+removable singularity sits on an edge of [0, 1], where no Gauss-Legendre
+node lands.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 import mpmath
 
 from .apostol_polys import DEFAULT_DPS, _finite_complex
-from .classical_polys import bernoulli_number, bernoulli_poly, euler_number, euler_poly
+from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import (
     PiScalar,
     Poly,
+    ToleranceUnreachable,
     _check_int,
     collapse_pi_terms,
     poly_integral_01,
@@ -76,12 +78,8 @@ class OscKernel:
         return OscKernel(kind="sin", m=m)
 
 
-class QuadratureError(ArithmeticError):
+class QuadratureError(ToleranceUnreachable):
     """Adaptive quadrature hit the depth cap; .achieved holds the estimate."""
-
-    def __init__(self, message: str, achieved: float) -> None:
-        super().__init__(message)
-        self.achieved = achieved
 
 
 def _parts_ladder(p: Poly, m: int, cos: bool) -> Dict[int, Fraction]:
@@ -183,66 +181,42 @@ def _gl15(f: Callable[[float], float], a: float, b: float) -> float:
     return half * math.fsum(w * f(mid + half * t) for t, w in _gl_pairs())
 
 
-def adaptive_integrate(
-    f: Callable[[float], float],
-    tol: float,
-    singular_points: Sequence[Tuple[float, float]] = (),
-) -> float:
+def adaptive_integrate(f: Callable[[float], float], tol: float) -> float:
     """Adaptive bisection quadrature of f over [0, 1], absolute tolerance.
 
-    singular_points lists (x, limit) pairs where f has a removable
-    singularity; each x becomes a forced panel boundary and the declared
-    limit is substituted should a node land exactly on it (Gauss-Legendre
-    nodes are interior, so panels never probe the singularity itself).
-    A panel is accepted when its 1-vs-2 subdivision defect is within the
-    width-proportional share of tol; panels still unsettled at depth 40
-    raise QuadratureError carrying the best estimate.
+    Bisection starts from the one panel [0, 1].  Gauss-Legendre nodes are
+    interior to their panel, so f is never evaluated at x = 0 or x = 1 and
+    may have a removable singularity there.  A panel is accepted when its
+    1-vs-2 subdivision defect is within the width-proportional share of tol;
+    a panel still unsettled at depth 40 raises QuadratureError carrying the
+    best estimate.
     """
     tol = float(tol)
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValueError("tol must be a positive finite real")
-    limits = {}
-    for x, limit in singular_points:
-        x = float(x)
-        if not (0.0 <= x <= 1.0):
-            raise ValueError("singular points must lie in [0, 1]")
-        limits[x] = float(limit)
-
-    def g(x: float) -> float:
-        if x in limits:
-            return limits[x]
-        return f(x)
-
-    boundaries = sorted({0.0, 1.0} | set(limits))
-    panels: List[Tuple[float, float, int]] = [
-        (boundaries[i], boundaries[i + 1], 0) for i in range(len(boundaries) - 1)
-    ]
+    panels: List[Tuple[float, float, int]] = [(0.0, 1.0, 0)]
     pieces: List[float] = []
     while panels:
         a, b, depth = panels.pop()
         mid = 0.5 * (a + b)
-        coarse = _gl15(g, a, b)
-        fine = _gl15(g, a, mid) + _gl15(g, mid, b)
+        coarse = _gl15(f, a, b)
+        fine = _gl15(f, a, mid) + _gl15(f, mid, b)
         defect = abs(coarse - fine)
         if defect <= tol * (b - a):
             pieces.append(fine)
             continue
         if depth >= _MAX_DEPTH:
             achieved = math.fsum(pieces) + fine + math.fsum(
-                _gl15(g, pa, pb) for pa, pb, _ in panels
+                _gl15(f, pa, pb) for pa, pb, _ in panels
             )
             raise QuadratureError(
-                "no convergence on [%g, %g] at depth %d (defect %.3e)"
+                "no convergence on [%r, %r] at depth %d (defect %.3e)"
                 % (a, b, depth, defect),
                 achieved=achieved,
             )
         panels.append((mid, b, depth + 1))
         panels.append((a, mid, depth + 1))
     return math.fsum(pieces)
-
-
-def _float_poly(p: Poly) -> List[float]:
-    return [float(c) for c in p.coeffs]
 
 
 def _horner(coeffs: List[float], x: float) -> float:
@@ -261,52 +235,59 @@ def _check_integral_k(k: int, least: int) -> int:
     return k
 
 
+def _scaled_integral(
+    coeffs: Sequence[Fraction],
+    integrand: Callable[[float, float], float],
+    scale: float,
+    tol: float,
+) -> float:
+    """scale times the integral over [0, 1] of integrand(p(x), x), p the
+    polynomial with the given coefficients, to absolute tolerance tol."""
+    fc = [float(c) for c in coeffs]
+    integral = adaptive_integrate(
+        lambda x: integrand(_horner(fc, x), x), float(tol) / abs(scale)
+    )
+    return scale * integral
+
+
 def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
     """zeta(2k+1) from its half-angle cotangent integral representation.
 
     Evaluates (-1)^(k-1) 2^(2k) pi^(2k+1) / (2k+1)! times the integral over
-    [0, 1] of B_{2k+1}(x) * cot(pi x / 2), whose x = 0 singularity is
-    removable with exact limit (2/pi) (2k+1) B_{2k}(0).  Needs
-    1 <= k <= MAX_INTEGRAL_K.
+    [0, 1] of B_{2k+1}(x) * cot(pi x / 2), whose singularity at the edge
+    x = 0 is removable.  Needs 1 <= k <= MAX_INTEGRAL_K.
     """
     k = _check_integral_k(k, 1)
     from .oracles import cospi, sinpi
 
-    coeffs = _float_poly(bernoulli_poly(2 * k + 1))
-    limit = (2.0 / math.pi) * (2 * k + 1) * float(bernoulli_number(2 * k))
     sign = 1.0 if k % 2 == 1 else -1.0
     scale = sign * 2.0 ** (2 * k) * math.pi ** (2 * k + 1) / math.factorial(2 * k + 1)
-
-    def f(x: float) -> float:
-        return _horner(coeffs, x) * cospi(0.5 * x) / sinpi(0.5 * x)
-
-    integral = adaptive_integrate(
-        f, float(tol) / abs(scale), singular_points=((0.0, limit),)
+    return _scaled_integral(
+        bernoulli_poly(2 * k + 1).coeffs,
+        lambda h, x: h * cospi(0.5 * x) / sinpi(0.5 * x),
+        scale,
+        tol,
     )
-    return scale * integral
 
 
 def beta_even_integral(k: int, tol: float = 1e-8) -> float:
     """beta(2k+2) from its secant integral representation.
 
     Evaluates (-1)^(k-1) pi^(2k+2) / (4 (2k+1)!) times the integral over
-    [0, 1] of E_{2k+1}(x) / cos(pi x), whose x = 1/2 singularity is
-    removable with exact limit -(2k+1) E_{2k}(1/2) / pi.  Needs
+    [0, 1] of E_{2k+1}(x) / cos(pi x).  That integrand is symmetric about
+    x = 1/2, so the integral equals the one over [0, 1] of
+    E_{2k+1}(u/2) / cos(pi u / 2), whose singularity at the edge u = 1 is
+    removable; E_{2k+1}(u/2) has the exact coefficients c_i / 2^i.  Needs
     0 <= k <= MAX_INTEGRAL_K.
     """
     k = _check_integral_k(k, 0)
     from .oracles import cospi
 
-    coeffs = _float_poly(euler_poly(2 * k + 1))
-    elim = float(euler_number(2 * k) / 4 ** k)
-    limit = -(2 * k + 1) * elim / math.pi
     sign = 1.0 if k % 2 == 1 else -1.0
     scale = sign * math.pi ** (2 * k + 2) / (4.0 * math.factorial(2 * k + 1))
-
-    def f(x: float) -> float:
-        return _horner(coeffs, x) / cospi(x)
-
-    integral = adaptive_integrate(
-        f, float(tol) / abs(scale), singular_points=((0.5, limit),)
+    return _scaled_integral(
+        [c / 2 ** i for i, c in enumerate(euler_poly(2 * k + 1).coeffs)],
+        lambda h, u: h / cospi(0.5 * u),
+        scale,
+        tol,
     )
-    return scale * integral

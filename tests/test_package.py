@@ -50,7 +50,7 @@ PUBLIC_SIGNATURES = {
     "Ztilde": ("k", "mu", "method"),
     "Ztilde0": ("mu",),
     "Ztilde_table": ("k", "mu"),
-    "adaptive_integrate": ("f", "tol", "singular_points"),
+    "adaptive_integrate": ("f", "tol"),
     "apostol_bernoulli_poly": ("k", "lam", "dps"),
     "apostol_euler_poly": ("k", "lam", "dps"),
     "bernoulli_number": ("k",),

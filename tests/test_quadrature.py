@@ -33,6 +33,7 @@ from telesum import (
     sum_zeta,
     zeta_odd_integral,
 )
+from telesum import quadrature
 from telesum.quadrature import MAX_INTEGRAL_K
 
 F = Fraction
@@ -115,20 +116,28 @@ def test_exact_ladder_at_degree_1200():
         assert abs(got - want) <= mpmath.mpf(10) ** -20 * abs(want)
 
 
-def _fraction_ladder(p, m, cos):
-    # the ladder as first written, one Fraction per coefficient per step
+def _derivative_ends(p):
+    # (p(0), p(1)) of p and of each nonzero derivative, as Fractions
+    ends = []
+    while not p.is_zero:
+        ends.append((p.coeffs[0], sum(p.coeffs)))
+        p = poly_derivative(p)
+    return ends
+
+
+def _fraction_ladder(ends, m, cos):
+    # the ladder as first written, in Fractions, from _derivative_ends(p)
     out = {}
     scale = F(1)
     power = -1
-    while not p.is_zero:
+    for at0, at1 in ends:
         scale /= m
         if cos:
             scale = -scale
         else:
-            boundary = p.coeffs[0] - (-1) ** m * sum(p.coeffs)
+            boundary = at0 - (-1) ** m * at1
             if boundary:
                 out[power] = boundary * scale
-        p = poly_derivative(p)
         power -= 1
         cos = not cos
     return collapse_pi_terms(out)
@@ -142,9 +151,10 @@ def test_integer_ladder_matches_the_fraction_ladder():
             Poly(F(rng.randint(-999, 999), rng.randint(1, 720)) for _ in range(degree + 1))
         )
     for p in polys:
+        ends = _derivative_ends(p)
         for m in range(1, 14):
             for kernel, cos in ((OscKernel.cos(m), True), (OscKernel.sin(m), False)):
-                assert exact_poly_trig_integral(p, kernel) == _fraction_ladder(p, m, cos), (
+                assert exact_poly_trig_integral(p, kernel) == _fraction_ladder(ends, m, cos), (
                     p.degree, m, kernel.kind,
                 )
 
@@ -247,31 +257,42 @@ def test_exponential_kernel_beyond_the_double_range_raises():
 
 
 def test_adaptive_integrator_on_knowns():
-    got = adaptive_integrate(lambda x: x * x, 1e-12, ())
+    got = adaptive_integrate(lambda x: x * x, 1e-12)
     assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
-    got = adaptive_integrate(lambda x: math.exp(x), 1e-12, ())
+    got = adaptive_integrate(lambda x: math.exp(x), 1e-12)
     assert got == pytest.approx(math.e - 1.0, abs=1e-11)
 
 
 def test_adaptive_integrator_removable_singularity():
-    # sin(pi x)/x -> pi at 0; integral over [0,1] is Si(pi)
+    # sin(pi x)/x -> pi at the edge 0, where no node lands; the integral over
+    # [0,1] is Si(pi)
     def f(x):
         return math.sin(math.pi * x) / x
 
-    got = adaptive_integrate(f, 1e-10, singular_points=((0.0, math.pi),))
+    got = adaptive_integrate(f, 1e-10)
     want = float(mpmath.si(mpmath.pi))
     assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_adaptive_integrator_unreachable_tolerance():
-    # an undeclared non-removable singularity keeps the leftmost panel's
-    # defect width-independent, so the depth cap must trip and report
+    # a non-removable singularity keeps the defect of the panel next to it
+    # width-independent, so the depth cap must trip and report a typed error
     def f(x):
         return 1.0 / x if x > 0.0 else 0.0
 
     with pytest.raises(QuadratureError) as exc:
-        adaptive_integrate(f, 1e-6, ())
+        adaptive_integrate(f, 1e-6)
+    assert isinstance(exc.value, ToleranceUnreachable)
     assert exc.value.achieved > 0
+    # at depth 40 next to 1/3 the panel's ends agree to 12 digits; the
+    # message must still show two different ends
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_integrate(lambda x: 1.0 / (x - 1.0 / 3.0), 1e-6)
+    a, b = (float(end) for end in str(exc.value).split("[")[1].split("]")[0].split(", "))
+    assert b - a == 2.0 ** -40
+    # the integral routes raise the same error where rounding exceeds tol
+    with pytest.raises(ToleranceUnreachable):
+        zeta_odd_integral(1, 1e-18)
 
 
 def test_zeta_odd_integrals_match_series_oracle():
@@ -292,6 +313,38 @@ def test_integral_routes_stop_where_the_factorial_leaves_the_double_range():
     for route in (zeta_odd_integral, beta_even_integral):
         with pytest.raises(ValueError, match="k must be <= 84"):
             route(85)
+
+
+def test_integral_routes_match_mpmath_at_every_k():
+    for k in range(1, MAX_INTEGRAL_K + 1):
+        with mpmath.workdps(30):
+            zeta = float(mpmath.zeta(2 * k + 1))
+        assert abs(zeta_odd_integral(k, 1e-12) - zeta) <= 1e-14 * zeta, k
+    for k in range(0, MAX_INTEGRAL_K + 1):
+        with mpmath.workdps(30):
+            beta = float(mpmath.dirichlet(2 * k + 2, [0, 1, 0, -1]))
+        assert abs(beta_even_integral(k, 1e-12) - beta) <= 1e-14 * beta, k
+
+
+def test_beta_route_integrates_one_panel(monkeypatch):
+    # the folded integrand has its singularity on the edge u = 1, so the
+    # route needs no forced breakpoint: one panel of 3 x 15 nodes settles it
+    calls = []
+    integrate = quadrature.adaptive_integrate
+
+    def counting(f, tol):
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        return integrate(g, tol)
+
+    monkeypatch.setattr(quadrature, "adaptive_integrate", counting)
+    for k in (0, 1, 2, 5, 12, 40, 84):
+        for tol in (1e-8, 1e-12):
+            calls.clear()
+            beta_even_integral(k, tol)
+            assert 0 < len(calls) <= 45, (k, tol, len(calls))
 
 
 def test_beta_even_integrals_match_series_oracle():
