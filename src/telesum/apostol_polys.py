@@ -47,6 +47,7 @@ at the API boundary; the polynomials and the Taylor route run in mpmath.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -96,6 +97,7 @@ GUARD_BAND = 1e-9
 MAX_K = 618
 
 _TWO_PI = 2.0 * math.pi
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 _U = 2.0 ** -53
 # Assumed bound on the relative error of the platform's tan and cos: 2 ulp.
 _LIBM = 2.0 ** -51
@@ -416,11 +418,28 @@ def ek_mu(k: int, mu: float) -> float:
     needs to keep the error under the bound of _sec_certified.  A value
     beyond the double range raises ToleranceUnreachable; Z divides by 2*k!
     before it rounds, so it stays finite where this one cannot.
+
+    No route is built where a lower bound already passes the double range:
+    sec's Taylor coefficients are non-negative, so |ek_mu(2n, mu)| >=
+    |E_2n| / 2**2n and |ek_mu(2n-1, mu)| >= |E_2n| |mu| / 2**2n, with
+    |E_2n| = 2**(2n+2) (2n)! beta(2n+1) / pi**(2n+1) and beta(2n+1) >= 2/3.
+    The log of that bound (lgamma) must pass log(DBL_MAX) by 1e-6, far more
+    than its rounding and the half ulp a value may pass DBL_MAX by and still
+    round to it.
     """
     k = _check_int(k, "k", 0)
     mu = _check_sec_domain(mu)
+    n2 = k + k % 2
+    log_bound = math.log(8.0 / 3.0) + math.lgamma(n2 + 1) - (n2 + 1) * math.log(math.pi)
+    if k % 2:  # the odd derivatives vanish at mu = 0
+        log_bound += math.log(abs(mu)) if mu else -math.inf
+    if log_bound > _LOG_DBL_MAX + 1e-6:
+        raise ToleranceUnreachable(
+            "ek_mu(%d, %r) lies beyond the double-precision range" % (k, mu),
+            achieved=math.inf,
+        )
     with mpmath.workdps(DEFAULT_DPS):
-        # from k = 381 on, the value is past the double range at every mu != 0
+        # past MAX_K only odd k at mu = 0 get here, where the value is 0
         z = _ek_complex(k, mu, _sec_certified(k, mu)[2] if k <= MAX_K else None)
         _check_residue(z, k, math.pi - abs(mu), "sec-derivative value")
         return _finite_float(z.real, "sec-derivative value")

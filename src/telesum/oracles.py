@@ -3,28 +3,31 @@
 Every oracle returns a SumResult whose error_bound is an honest bound on
 |value - true sum|: an analytic tail bound (Euler-Maclaurin integral plus
 half-term for monotone tails, the Leibniz-interval midpoint for alternating
-tails) plus a floating-point roundoff floor.  Each oracle builds its terms
-and tail; one kernel sums them exactly, so the sum is exactly rounded at any
-length, independent of order, and the roundoff floor only has to cover the
-rounding of the individual terms.  The kernel takes the terms in blocks of
-2**16 and picks a path for each block from the block's own range.  Let 2**e
-be the power of two above the block's largest magnitude.  A narrow block,
-whose nonzero terms all have their lowest bit within 2 * 37 bits below 2**e
-(the least term within 21 binades of the top), is cut at that scale into two
-fixed-point slices of 37 bits (Rump, Ogita & Oishi 2008), and each slice is
-added with a plain numpy sum: a slice is below 2**37 and a block holds at
-most 2**16 of them, so every partial sum is an integer below 2**53 and hence
-exact.  Every other block is binned by exponent (Demmel & Hida 2003): each
-significand splits into two integer limbs below 2**27, summed per exponent
-and lane slot with numpy, again as integers below 2**53; the lanes keep a
-monotone series, whose terms share a bin in long runs, from serialising the
-per-bin additions.  Both paths meet as one integer, rounded once.  A sum
-beyond the double range raises ToleranceUnreachable.
+tails) plus a floating-point roundoff floor.  Each oracle writes its terms
+in blocks of at most 2**15 into one buffer per call and computes its tail;
+one kernel sums each block as it is written, exactly, so the sum is exactly
+rounded at any length, independent of order, and the roundoff floor only has
+to cover the rounding of the individual terms.  No oracle builds an array
+whose length grows with its term count.  The kernel picks a path for each
+block from the block's own range.  Let 2**e be the power of two above the
+block's largest magnitude.  A narrow block, whose nonzero terms all have
+their lowest bit within 2 * 37 bits below 2**e (the least term within 21
+binades of the top), is cut at that scale into two fixed-point slices of 37
+bits (Rump, Ogita & Oishi 2008), and each slice is added with a plain numpy
+sum: a slice is below 2**37 and a block holds at most 2**15 of them, so
+every partial sum is an integer below 2**52 and hence exact.  Every other
+block is binned by exponent (Demmel & Hida 2003): each significand splits
+into two integer limbs below 2**27, summed per exponent and lane slot with
+numpy, again as integers below 2**53; the lanes keep a monotone series,
+whose terms share a bin in long runs, from serialising the per-bin
+additions.  Both paths meet as one integer, rounded once.  A sum beyond the
+double range raises ToleranceUnreachable.
 
 Terms that suffer cancellation against an irrational lattice (multiples of
-pi minus the shift) are recomputed in mpmath and patched into the term
-array before summation; integer-lattice terms (n + theta) need no patching
-because a single float addition is exactly rounded even when it cancels.
+pi minus the shift) are recomputed in mpmath and patched, by their index,
+into whichever block holds them before it is summed; integer-lattice terms
+(n + theta) need no patching because a single float addition is exactly
+rounded even when it cancels.
 """
 
 from __future__ import annotations
@@ -76,45 +79,50 @@ class SumResult:
     terms_used: int
 
 
-def _mod2(arr: np.ndarray) -> np.ndarray:
-    # arr mod 2 in [0, 2) from element-wise steps numpy vectorises (np.mod
-    # is several times slower): halving, floor and doubling are exact and the
-    # difference is rounded once, so the bits are np.mod(arr, 2.0)'s, signed
-    # zeros included, except at -2**-1074, whose half underflows to -0.0: it
-    # stays itself, where np.mod rounds 2 - 2**-1074 up to 2.0
-    return arr - 2.0 * np.floor(0.5 * arr)
+def _trig_into(r: np.ndarray, sign: np.ndarray, t: np.ndarray, cos: bool) -> None:
+    """Overwrite r, holding y, with sinpi(y) or cospi(y); sign and t are
+    work arrays of r's shape.  y mod 2 from halving, floor and doubling
+    (exact) and one rounded difference has np.mod(y, 2.0)'s bits, except at
+    -2**-1074, whose half underflows to -0.0: it stays itself, where np.mod
+    gives 2.0.  r is then folded onto [0, 1/2], where every subtraction is
+    exact (Sterbenz); no y + 1/2 is formed (inexact for |y| >= 2**52)."""
+    np.multiply(r, 0.5, out=t)
+    np.floor(t, out=t)
+    t *= 2.0
+    r -= t
+    if cos:
+        np.minimum(r, np.subtract(2.0, r, out=t), out=r)  # cos(pi r) = cos(pi (2 - r))
+        np.subtract(0.5, r, out=sign)  # cos(pi r) < 0 on (1/2, 1]
+        np.minimum(r, np.subtract(1.0, r, out=t), out=r)
+        np.subtract(0.5, r, out=r)  # cos(pi r) = sin(pi (1/2 - r))
+    else:
+        # sin(pi r) = -sin(pi (2 - r)) on (1, 2]; the +-1 multiplies, as at
+        # -2**-1074 the sine is negative under a positive sign
+        np.copysign(1.0, np.subtract(1.0, r, out=sign), out=sign)
+        np.minimum(r, np.subtract(2.0, r, out=t), out=r)
+        np.minimum(r, np.subtract(1.0, r, out=t), out=r)
+    r *= np.pi
+    np.sin(r, out=r)
+    if cos:
+        np.copysign(r, sign, out=r)
+    else:
+        r *= sign
 
 
 def sinpi(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """sin(pi*y) with exact zeros at integer y and full relative accuracy
     near them, via range reduction of y rather than of pi*y."""
-    arr = np.asarray(y, dtype=np.float64)
-    r = _mod2(arr)
-    s = np.where(r > 1.0, -1.0, 1.0)
-    r = np.where(r > 1.0, r - 1.0, r)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    out = s * np.sin(np.pi * r)
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
+    r = np.array(y, dtype=np.float64)
+    _trig_into(r, np.empty_like(r), np.empty_like(r), cos=False)
+    return float(r) if r.ndim == 0 else r
 
 
 def cospi(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """cos(pi*y) with exact zeros at half-integer y and exact +-1 at integers.
-
-    Reduces y itself (never pi*y, and never y + 0.5, which is inexact for
-    |y| >= 2**52): fold the period onto r in [0, 1/2] where every
-    subtraction is exact (Sterbenz), then evaluate sin(pi*(1/2 - r)).
-    """
-    arr = np.asarray(y, dtype=np.float64)
-    r = _mod2(arr)
-    r = np.where(r > 1.0, 2.0 - r, r)
-    s = np.where(r > 0.5, -1.0, 1.0)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    out = s * np.sin(np.pi * (0.5 - r))
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
+    """cos(pi*y) with exact zeros at half-integer y and exact +-1 at integers,
+    by the same reduction of y as sinpi."""
+    r = np.array(y, dtype=np.float64)
+    _trig_into(r, np.empty_like(r), np.empty_like(r), cos=True)
+    return float(r) if r.ndim == 0 else r
 
 
 def _power_tail(a: float, b: float, p: float, A: int) -> Tuple[float, float]:
@@ -164,9 +172,9 @@ _quiet = np.errstate(all="ignore")
 # every nonzero term's lowest bit lies within 2 * _SLICE bits below 2**e,
 # each term p is exactly t_1 * 2**(e - 37) + t_2 * 2**(e - 74) with
 # t_1 = trunc(p * 2**(37 - e)) and t_2 = (p * 2**(37 - e) - t_1) * 2**37,
-# both integers.  Every |t_r| < 2**37 and a block holds at most 2**16 terms,
+# both integers.  Every |t_r| < 2**37 and a block holds at most 2**15 terms,
 # so every partial sum of a plain numpy sum of a slice is an integer below
-# 2**53, hence exact in any order.  A mixed-sign block sums |t_r| the same
+# 2**52, hence exact in any order.  A mixed-sign block sums |t_r| the same
 # way for its magnitude.
 #
 # Wide blocks, and blocks whose scale 2**(37 - e) would leave the normal
@@ -180,12 +188,21 @@ _quiet = np.errstate(all="ignore")
 # before.  A slot total stays an integer below 2**53, hence exact in float64,
 # while a block holds fewer than 2**26 terms, and the totals of all blocks add
 # up in int64 (exact below 2**36 terms); integer sums are exact in any
-# grouping, so folding the lanes changes no bit.  Fixed blocks keep every
-# temporary array small.
-_BLOCK = 1 << 16
+# grouping, so folding the lanes changes no bit.
+#
+# The oracles never build a whole term array: each writes its terms block by
+# block into a buffer that _stream_sum allocates once per call, and every
+# block is summed as soon as it is written, while it is still in cache.
+# 2**15 beat 2**16 and 2**14 in alternating series_grid runs: the buffer of
+# a call stays within the L2 cache, and the per-block Python costs stay few
+_BLOCK = 1 << 15
 _SLICE = 37
 _LANES = 4
 _LANE = np.arange(_BLOCK, dtype=np.int32) % _LANES
+# read-only offsets 0 .. _BLOCK - 1: term start + j of a block is formed as
+# _OFFSETS[j] + start, exact for every index below 2**53
+_OFFSETS = np.arange(_BLOCK, dtype=np.float64)
+_OFFSETS.flags.writeable = False
 _EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
 _BINS = 2 * (1024 + _EXP_BIAS + 1)  # bin 2 * (e + _EXP_BIAS) + sign bit
 _UNIT = _EXP_BIAS + 53
@@ -229,50 +246,30 @@ def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, 
     return value << shift, magnitude << shift
 
 
-@_quiet
-def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
-    """(sum of values, sum of |values|), each exactly rounded to the nearest
-    double whatever the length or order.  Raises ValueError on a non-finite
-    value and OverflowError on a sum beyond the double range."""
-    values = np.asarray(values, dtype=np.float64)
-    value = magnitude = 0  # exact totals in units of 2**-_UNIT
-    totals = None  # hi, lo limb sums per slot of the wide blocks
-    used = 0
-    # the narrow path works in place: fresh temporaries for every block cost
-    # about as much in page faults as its arithmetic
-    scratch = np.empty((2, min(values.size, _BLOCK)))
-    for i in range(0, values.size, _BLOCK):
-        block = values[i : i + _BLOCK]
-        fixed = _fixed_block(block, scratch)
-        if fixed is not None:
-            value += fixed[0]
-            magnitude += fixed[1]
-            continue
-        if totals is None:
-            totals = np.zeros((2, _BINS * _LANES), dtype=np.int64)
-        m, e = np.frexp(block)
-        slots = (2 * (e + _EXP_BIAS) + np.signbit(m)) * _LANES + _LANE[: m.size]
-        scaled = np.abs(m) * 2.0**27
-        hi = np.trunc(scaled)
-        lo = (scaled - hi) * 2.0**26
-        limb_sums = [np.bincount(slots, weights=limb) for limb in (hi, lo)]
-        # an infinite or nan value leaves a nan low limb (inf - inf)
-        if np.isnan(limb_sums[1]).any():
+def _binned_block(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray,
+                  limbs: np.ndarray) -> int:
+    """Add a wide block's hi and lo limb sums per slot into the two rows of
+    limbs, using scratch (two float rows) and slots (an int64 row) as work
+    space; returns the number of slots used."""
+    m, hi = scratch[:, : block.size]
+    slots = slots[: block.size]
+    np.frexp(block, out=(m, slots))
+    slots += _EXP_BIAS
+    slots *= 2
+    slots += np.signbit(m)
+    slots *= _LANES
+    slots += _LANE[: block.size]
+    np.abs(m, out=m)
+    m *= 2.0**27
+    np.trunc(m, out=hi)
+    m -= hi
+    m *= 2.0**26  # the low limb
+    for row, limb in zip(limbs, (hi, m)):
+        sums = np.bincount(slots, weights=limb)
+        if not np.isfinite(sums).all():  # an infinite or nan term
             raise ValueError("non-finite term")
-        for row, sums in zip(totals, limb_sums):
-            row[: sums.size] += sums.astype(np.int64)
-        used = max(used, limb_sums[0].size)
-    if totals is not None:
-        # fold the lanes of the occupied (+, -) bin pairs only: strided adds, as
-        # a reduction over the short lane axis is several times slower
-        occupied = totals[:, : -(-used // (2 * _LANES)) * 2 * _LANES]
-        totals = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
-        pos, neg = totals[:, 0::2], totals[:, 1::2]
-        value += _bin_total(pos - neg)
-        magnitude += _bin_total(pos + neg)
-    # int true division rounds correctly and raises OverflowError past the
-    # double range
-    return value / (1 << _UNIT), magnitude / (1 << _UNIT)
+        row[: sums.size] += sums.astype(np.int64)
+    return sums.size
 
 
 def _bin_total(limbs: np.ndarray) -> int:
@@ -283,23 +280,86 @@ def _bin_total(limbs: np.ndarray) -> int:
     return sum(((h << 26) + l) << b for b, h, l in per_bin)
 
 
-def _certified_sum(
-    terms: np.ndarray,
-    tail: Sequence[float],
-    tail_bound: float,
-    terms_used: int,
-    *,
-    magnitudes: Optional[np.ndarray] = None,
-    per_term: float = 16.0,
-    tail_in_floor: bool = True,
-) -> SumResult:
-    """value = exactly rounded sum of the terms, then each tail estimate
-    added in order; error_bound = tail_bound + roundoff floor over |terms|
-    (or magnitudes) and, when tail_in_floor, |tail|."""
+# (first index, values) pairs to write over the terms from that index on
+_Patches = Sequence[Tuple[int, Sequence[float]]]
+
+
+@_quiet
+def _stream_sum(count: int, fill: Callable[..., None], rows: int = 1, spare: int = 0,
+                patches: _Patches = ()) -> List[Tuple[float, float]]:
+    """(sum, sum of magnitudes) of each of rows sequences of count terms,
+    each exactly rounded to the nearest double whatever the length or order.
+
+    fill(start, *blocks) writes terms start, start + 1, ... of sequence r
+    into blocks[r], at most _BLOCK of them, and may use the spare blocks
+    after those as work space.  Each (first, values) patch then overwrites
+    terms first, first + 1, ... of the first sequence wherever they fall.
+    Raises ValueError on a non-finite term and OverflowError on a sum beyond
+    the double range.
+    """
+    # one buffer per call, reused by every block, with the kernel's two
+    # scratch rows and its slot row last: the allocator keeps a buffer of
+    # the size it last freed for the next call, while fresh temporaries for
+    # every block would cost about as much in page faults as the arithmetic
+    work = np.empty((rows + spare + 3, min(count, _BLOCK)))
+    scratch, slots = work[-3:-1], work[-1].view(np.int64)
+    exact = [[0, 0] for _ in range(rows)]  # narrow totals in units of 2**-_UNIT
+    limbs, used = None, 0  # per sequence, the limb sums of the wide blocks
+    for start in range(0, count, _BLOCK):
+        blocks = work[: rows + spare, : min(_BLOCK, count - start)]
+        fill(start, *blocks)
+        for first, values in patches:
+            lo, hi = max(first, start), min(first + len(values), start + blocks.shape[1])
+            if lo < hi:
+                blocks[0, lo - start : hi - start] = values[lo - first : hi - first]
+        for r in range(rows):
+            fixed = _fixed_block(blocks[r], scratch)
+            if fixed is not None:
+                exact[r][0] += fixed[0]
+                exact[r][1] += fixed[1]
+                continue
+            if limbs is None:
+                limbs = np.zeros((rows, 2, _BINS * _LANES), dtype=np.int64)
+            used = max(used, _binned_block(blocks[r], scratch, slots, limbs[r]))
+    sums = []
+    for r, (value, magnitude) in enumerate(exact):
+        if limbs is not None:
+            # fold the lanes of the occupied (+, -) bin pairs only: strided adds,
+            # as a reduction over the short lane axis is several times slower
+            occupied = limbs[r, :, : -(-used // (2 * _LANES)) * 2 * _LANES]
+            folded = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
+            pos, neg = folded[:, 0::2], folded[:, 1::2]
+            value += _bin_total(pos - neg)
+            magnitude += _bin_total(pos + neg)
+        # int true division rounds correctly and raises OverflowError past the
+        # double range
+        sums.append((value / (1 << _UNIT), magnitude / (1 << _UNIT)))
+    return sums
+
+
+def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
+    """(sum of values, sum of |values|) of an existing array, through
+    _stream_sum block by block."""
+    values = np.asarray(values, dtype=np.float64)
+
+    def fill(start: int, block: np.ndarray) -> None:
+        block[:] = values[start : start + block.size]
+
+    return _stream_sum(values.size, fill)[0]
+
+
+def _certified_sum(count: int, fill: Callable[..., None], tail: Sequence[float],
+                   tail_bound: float, terms_used: int, *, spare: int = 0,
+                   patches: _Patches = (), magnitudes: bool = False,
+                   per_term: float = 16.0, tail_in_floor: bool = True) -> SumResult:
+    """value = exactly rounded sum of the count terms fill writes, as in
+    _stream_sum, then each tail estimate added in order; error_bound =
+    tail_bound + roundoff floor over |terms| (or, when magnitudes, over the
+    second sequence fill writes) and, when tail_in_floor, |tail|."""
     try:
-        partial, abs_accum = _exact_sum(terms)
-        if magnitudes is not None:
-            abs_accum = _exact_sum(magnitudes)[0]
+        (partial, abs_accum), *rest = _stream_sum(count, fill, 1 + magnitudes, spare, patches)
+        if rest:
+            abs_accum = rest[0][0]
     except (OverflowError, ValueError):
         # a non-finite term or a sum beyond the double range
         partial = abs_accum = math.inf
@@ -313,7 +373,7 @@ def _certified_sum(
     # Below the normal range neither rounding is relative: a term may err by
     # up to 2**-1074 absolutely, and each later rounding by half that.
     bound = tail_bound + (per_term * _EPS * abs_accum + 4.0 * _EPS * abs(value))
-    bound += (terms.size + len(tail) + 1) * _TINY
+    bound += (count + len(tail) + 1) * _TINY
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ToleranceUnreachable(
             "the terms or the tail leave the double-precision range",
@@ -376,10 +436,13 @@ def sum_zeta(s: int, target_tol: float = 1e-10) -> SumResult:
     """
     s = _check_int(s, "s", 2)
 
+    def fill(start: int, terms: np.ndarray) -> None:
+        np.add(_OFFSETS[: terms.size], start + 1, out=terms)
+        terms **= float(-s)
+
     def attempt(N: int) -> SumResult:
         tail_est, tail_bound = _power_tail(1.0, 0.0, float(s), N)
-        terms = np.arange(1, N, dtype=np.float64) ** float(-s)
-        return _certified_sum(terms, (tail_est,), tail_bound, N - 1)
+        return _certified_sum(N - 1, fill, (tail_est,), tail_bound, N - 1)
 
     start = lambda tol: max(10, int(math.ceil((s / (6.0 * tol)) ** (1.0 / (s + 1)))))
     return _to_tolerance(target_tol, start, _ZETA_N_CAP, "N cap %d" % _ZETA_N_CAP, attempt)
@@ -395,16 +458,25 @@ def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
     """
     s = _check_int(s, "s", 1)
 
+    def fill(start: int, terms: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+        # term j is lo - hi with lo = (4j + 1)**-s, hi = (4j + 3)**-s; its
+        # magnitude, the second sequence, lo + hi
+        np.add(_OFFSETS[: terms.size], start, out=hi)
+        hi *= 4.0
+        np.add(hi, 1.0, out=lo)
+        hi += 3.0
+        lo **= float(-s)
+        hi **= float(-s)
+        np.subtract(lo, hi, out=terms)
+        hi += lo
+
     def attempt(J: int) -> SumResult:
         M = 2 * J
-        j = np.arange(J, dtype=np.float64)
-        lo = (4.0 * j + 1.0) ** float(-s)
-        hi = (4.0 * j + 3.0) ** float(-s)
         # tail anchor M is even, so the omitted tail starts with + sign
         tail_est, tail_bound = _alternating_tail(
             (2.0 * M + 1.0) ** float(-s), (2.0 * M + 3.0) ** float(-s)
         )
-        return _certified_sum(lo - hi, (tail_est,), tail_bound, M, magnitudes=lo + hi)
+        return _certified_sum(J, fill, (tail_est,), tail_bound, M, spare=1, magnitudes=True)
 
     # bound ~ (s/2)(2M+1)^(-s-1); solve for the anchor 2M+1
     start = lambda tol: max(8, int(math.ceil(((s / tol) ** (1.0 / (s + 1)) - 1.0) / 4.0)) + 2)
@@ -449,23 +521,31 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     N = _check_int(N, "N", 1)
 
     p = k + 1
-    base = (2.0 * np.arange(N, dtype=np.float64) + 1.0) * np.pi
-    if k % 2:
-        terms = np.divide(abs(mu), base)
-        np.arctanh(terms, out=terms)
-        terms *= -2.0 * p
-        np.expm1(terms, out=terms)
-        base -= abs(mu)
-        base **= -p
-        terms *= base
-    else:
-        terms = (base - mu) ** (-p)
-        base += mu
-        base **= -p
-        terms += base
     # term m is (-1)**m times its pair: negate the odd ones, except that at
-    # odd k the pairs came out as -|pair|, so for mu > 0 negate the even ones
-    terms[0 if k % 2 and mu > 0 else 1::2] *= -1.0
+    # odd k the pairs come out as -|pair|, so for mu > 0 negate the even ones
+    flip = 0 if k % 2 and mu > 0 else 1
+
+    def fill(start: int, terms: np.ndarray, base: np.ndarray) -> None:
+        np.add(_OFFSETS[: terms.size], start, out=base)
+        base *= 2.0
+        base += 1.0
+        base *= np.pi
+        if k % 2:
+            np.divide(abs(mu), base, out=terms)
+            np.arctanh(terms, out=terms)
+            terms *= -2.0 * p
+            np.expm1(terms, out=terms)
+            base -= abs(mu)
+            base **= -p
+            terms *= base
+        else:
+            np.subtract(base, mu, out=terms)
+            terms **= -p
+            base += mu
+            base **= -p
+            terms += base
+        terms[(flip - start) % 2 :: 2] *= -1.0
+
     mmu = mpmath.mpf(mu)
 
     def exact(j: int) -> "mpmath.mpf":
@@ -476,14 +556,14 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
             pair = (b - mmu) ** (-p) + (b + mmu) ** (-p)
         return (-1) ** j * pair
 
-    terms[:3] = _mp_floats(exact, range(min(3, N)))
     # every pair has the sign of mu (k odd) or is positive (k even), so the
     # paired tail has the sign of its first term; at k odd, mu = 0 it is 0
     t0, t1 = _mp_floats(exact, (N, N + 1))
     tail_mag, tail_bound = _alternating_tail(abs(t0), abs(t1))
     # the Leibniz bound already carries the rounding of the tail estimate
     return _certified_sum(
-        terms, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
+        N, fill, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
+        spare=1, patches=((0, _mp_floats(exact, range(min(3, N)))),),
         per_term=16.0 + 4.0 * k, tail_in_floor=False,
     )
 
@@ -509,15 +589,20 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
     p = k + 1
     mmu = mpmath.mpf(mu)
     if k == 0:
-        m = np.arange(1, N + 1, dtype=np.float64)
-        lo = _TWO_PI * m - mu
-        hi = _TWO_PI * m + mu
-        terms = np.append(2.0 * mu / (lo * hi), -1.0 / mu)
+        # term i < N pairs m = i + 1 with -m; term N is the m = 0 term
+
+        def fill(start: int, terms: np.ndarray, m: np.ndarray) -> None:
+            np.add(_OFFSETS[: terms.size], start + 1, out=m)
+            np.multiply(m, _TWO_PI, out=terms)
+            terms -= mu
+            m *= _TWO_PI
+            m += mu
+            terms *= m
+            np.divide(2.0 * mu, terms, out=terms)
 
         ms = range(max(1, near - 1), min(N, near + 1) + 1)
-        terms[ms.start - 1 : ms.stop - 1] = _mp_floats(
-            lambda mm: 2 * mmu / ((2 * mm * mpmath.pi - mmu) * (2 * mm * mpmath.pi + mmu)), ms
-        )
+        pair = lambda mm: 2 * mmu / ((2 * mm * mpmath.pi - mmu) * (2 * mm * mpmath.pi + mmu))
+        patches = ((ms.start - 1, _mp_floats(pair, ms)), (N, [-1.0 / mu]))
 
         yl = _TWO_PI * A - mu
         yh = _TWO_PI * A + mu
@@ -526,27 +611,31 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
         hpp = 8.0 * math.pi ** 2 * abs(yl ** -3 - yh ** -3)
         tail_bound = (hp + hpp) / 12.0
     else:
-        # numpy's vectorised pow takes only positive bases (a negative one
-        # falls back to scalar libm), so raise |x| and restore the sign;
-        # in place, as the arrays are the largest any oracle builds
-        x = np.arange(-N, N + 1, dtype=np.float64)
-        x *= _TWO_PI
-        x -= mu
-        terms = np.abs(x)
-        terms **= p
-        np.divide(1.0, terms, out=terms)
-        if p % 2:
-            np.copysign(terms, x, out=terms)
+        # term i is m = i - N; numpy's vectorised pow takes only positive
+        # bases (a negative one falls back to scalar libm), so raise |x| and
+        # restore the sign
+
+        def fill(start: int, terms: np.ndarray, x: np.ndarray) -> None:
+            np.add(_OFFSETS[: terms.size], start - N, out=x)
+            x *= _TWO_PI
+            x -= mu
+            np.abs(x, out=terms)
+            terms **= p
+            np.divide(1.0, terms, out=terms)
+            if p % 2:
+                np.copysign(terms, x, out=terms)
+
         near = int(round(mu / _TWO_PI))
         ms = range(max(-N, near - 1), min(N, near + 1) + 1)
-        terms[ms.start + N : ms.stop + N] = _mp_floats(
-            lambda mm: (2 * mm * mpmath.pi - mmu) ** (-p), ms
-        )
+        patches = ((ms.start + N, _mp_floats(lambda mm: (2 * mm * mpmath.pi - mmu) ** (-p), ms)),)
         up_est, up_bound = _power_tail(_TWO_PI, -mu, float(p), A)
         dn_est, dn_bound = _power_tail(_TWO_PI, mu, float(p), A)
         tail = (up_est, (1.0 if p % 2 == 0 else -1.0) * dn_est)
         tail_bound = up_bound + dn_bound
-    return _certified_sum(terms, tail, tail_bound, 2 * N + 1, per_term=16.0 + 4.0 * k)
+    return _certified_sum(
+        N + 1 if k == 0 else 2 * N + 1, fill, tail, tail_bound, 2 * N + 1,
+        spare=1, patches=patches, per_term=16.0 + 4.0 * k,
+    )
 
 
 @_quiet
@@ -557,12 +646,16 @@ def sum_inverse_square(theta: float, N: int = 100000) -> SumResult:
     extended precision: n + theta is a single exactly-rounded addition.
     """
     theta, N = _check_theta_window(theta, N)
-    n = np.arange(-N, N + 1, dtype=np.float64)
+
+    def fill(start: int, terms: np.ndarray) -> None:
+        np.add(_OFFSETS[: terms.size], start - N, out=terms)  # n
+        terms += theta
+        terms **= 2
+        np.divide(1.0, terms, out=terms)
+
     up_est, up_bound = _power_tail(1.0, theta, 2.0, N + 1)
     dn_est, dn_bound = _power_tail(1.0, -theta, 2.0, N + 1)
-    return _certified_sum(
-        1.0 / (n + theta) ** 2, (up_est, dn_est), up_bound + dn_bound, 2 * N + 1
-    )
+    return _certified_sum(2 * N + 1, fill, (up_est, dn_est), up_bound + dn_bound, 2 * N + 1)
 
 
 @_quiet
@@ -574,15 +667,24 @@ def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
     log((x - theta)/(x + theta)).
     """
     theta, N = _check_theta_window(theta, N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    terms = np.append(2.0 * theta / ((theta - n) * (theta + n)), 1.0 / theta)
+
+    def fill(start: int, terms: np.ndarray, n: np.ndarray) -> None:
+        # term i < N is that of n = i + 1; term N, 1/theta, is a patch
+        np.add(_OFFSETS[: terms.size], start + 1, out=n)
+        np.subtract(theta, n, out=terms)
+        n += theta
+        terms *= n
+        np.divide(2.0 * theta, terms, out=terms)
 
     A = N + 1
     hA = 1.0 / (A - theta) - 1.0 / (A + theta)
     tail_est = -(math.log1p(2.0 * theta / (A - theta)) + 0.5 * hA)
     hp = abs((A + theta) ** -2 - (A - theta) ** -2)
     hpp = 2.0 * abs((A - theta) ** -3 - (A + theta) ** -3)
-    return _certified_sum(terms, (tail_est,), (hp + hpp) / 12.0, 2 * N + 1)
+    return _certified_sum(
+        N + 1, fill, (tail_est,), (hp + hpp) / 12.0, 2 * N + 1,
+        spare=1, patches=((N, [1.0 / theta]),),
+    )
 
 
 # kind -> (p - 2k, Euler kind): even powers p pair with cosines, odd ones
@@ -612,15 +714,24 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
 
     extra, euler = _HURWITZ[kind]
     p = 2 * k + extra
-    trig = sinpi if extra else cospi
     sign = -1 if k % 2 == 0 else 1  # (-1)**(k-1)
     if euler:  # E_{p-1}(x): -4 sign (p-1)! / pi**p times sum_h trig(pi h x) / h**p, h odd
-        h = 2.0 * np.arange(M, dtype=np.float64) + 1.0
         scale, c, n, den = x, -4, p - 1, 1
     else:  # B_p(x): 2 sign p! / (2 pi)**p times sum_h trig(2 pi h x) / h**p, h >= 1
-        h = np.arange(1, M + 1, dtype=np.float64)
         scale, c, n, den = 2.0 * x, 2, p, 2 ** p
-    s = _exact_sum(trig(scale * h) / h ** p)[0]
+
+    def fill(start: int, terms: np.ndarray, h: np.ndarray, *temps: np.ndarray) -> None:
+        # term i is that of h = 2i + 1 (Euler) or h = i + 1 (Bernoulli)
+        np.add(_OFFSETS[: terms.size], start, out=h)
+        if euler:
+            h *= 2.0
+        h += 1.0
+        np.multiply(h, scale, out=terms)
+        _trig_into(terms, *temps, cos=not extra)
+        h **= p
+        terms /= h
+
+    s = _stream_sum(M, fill, spare=3)[0][0]
     value = float(PiScalar(Fraction(c * sign * math.factorial(n), den), -p)) * s
     if not math.isfinite(value):
         raise ToleranceUnreachable(

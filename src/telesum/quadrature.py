@@ -79,7 +79,8 @@ class OscKernel:
 
 
 class QuadratureError(ToleranceUnreachable):
-    """Adaptive quadrature hit the depth cap; .achieved holds the estimate."""
+    """Adaptive quadrature hit the depth cap.  .achieved is inf: no bound on
+    the integral's error is known there (an estimate is not one)."""
 
 
 def _parts_ladder(p: Poly, m: int, cos: bool) -> Dict[int, Fraction]:
@@ -188,8 +189,8 @@ def adaptive_integrate(f: Callable[[float], float], tol: float) -> float:
     interior to their panel, so f is never evaluated at x = 0 or x = 1 and
     may have a removable singularity there.  A panel is accepted when its
     1-vs-2 subdivision defect is within the width-proportional share of tol;
-    a panel still unsettled at depth 40 raises QuadratureError carrying the
-    best estimate.
+    a panel still unsettled at depth 40 raises QuadratureError with
+    achieved = inf.
     """
     tol = float(tol)
     if not (tol > 0.0) or not math.isfinite(tol):
@@ -206,13 +207,10 @@ def adaptive_integrate(f: Callable[[float], float], tol: float) -> float:
             pieces.append(fine)
             continue
         if depth >= _MAX_DEPTH:
-            achieved = math.fsum(pieces) + fine + math.fsum(
-                _gl15(f, pa, pb) for pa, pb, _ in panels
-            )
             raise QuadratureError(
                 "no convergence on [%r, %r] at depth %d (defect %.3e)"
                 % (a, b, depth, defect),
-                achieved=achieved,
+                achieved=math.inf,
             )
         panels.append((mid, b, depth + 1))
         panels.append((a, mid, depth + 1))

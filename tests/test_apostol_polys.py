@@ -6,6 +6,7 @@ but would catch any wrong term instantly.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -236,6 +237,86 @@ def test_taylor_coefficients_past_the_double_range_raise_a_typed_error():
         with pytest.raises(ToleranceUnreachable) as info:
             coeffs(mu, 150)
         assert info.value.achieved == math.inf
+
+
+# ek_mu's outcomes where its value leaves the double range, recorded from
+# the route before the a-priori check: a value's float.hex or the exception
+_EK_EDGE_OUTCOMES = {
+    (216, 5e-324): '0x1.331eca64ad24cp+1012',
+    (216, 1e-61): '0x1.331eca64ad24cp+1012',
+    (216, 0.1): '0x1.4f6e5ea48d84bp+1021',
+    (216, 3.1): 'ToleranceUnreachable',
+    (217, 5e-324): '0x1.6763a2acf04c8p-50',
+    (217, 1e-61): '0x1.ce035048f98fcp+821',
+    (217, 0.1): 'ToleranceUnreachable',
+    (217, 3.1): 'ToleranceUnreachable',
+    (218, 5e-324): 'ToleranceUnreachable',
+    (218, 1e-61): 'ToleranceUnreachable',
+    (218, 0.1): 'ToleranceUnreachable',
+    (218, 3.1): 'ToleranceUnreachable',
+    (219, 5e-324): '0x1.ac52df4c8944ep-38',
+    (219, 1e-61): '0x1.1350dd0087b63p+834',
+    (219, 0.1): 'ToleranceUnreachable',
+    (219, 3.1): 'ToleranceUnreachable',
+    (220, 5e-324): 'ToleranceUnreachable',
+    (220, 1e-61): 'ToleranceUnreachable',
+    (220, 0.1): 'ToleranceUnreachable',
+    (220, 3.1): 'ToleranceUnreachable',
+    (379, 5e-324): '0x1.a3577abe6a825p+1012',
+    (379, 1e-61): 'ToleranceUnreachable',
+    (379, 0.1): 'ToleranceUnreachable',
+    (379, 3.1): 'ToleranceUnreachable',
+    (380, 5e-324): 'ToleranceUnreachable',
+    (380, 1e-61): 'ToleranceUnreachable',
+    (380, 0.1): 'ToleranceUnreachable',
+    (380, 3.1): 'ToleranceUnreachable',
+    (381, 5e-324): 'ToleranceUnreachable',
+    (381, 1e-61): 'ToleranceUnreachable',
+    (381, 0.1): 'ToleranceUnreachable',
+    (381, 3.1): 'ToleranceUnreachable',
+    (382, 5e-324): 'ToleranceUnreachable',
+    (382, 1e-61): 'ToleranceUnreachable',
+    (382, 0.1): 'ToleranceUnreachable',
+    (382, 3.1): 'ToleranceUnreachable',
+    (617, 5e-324): 'ToleranceUnreachable',
+    (617, 1e-61): 'ToleranceUnreachable',
+    (617, 0.1): 'ToleranceUnreachable',
+    (617, 3.1): 'ToleranceUnreachable',
+    (618, 5e-324): 'ToleranceUnreachable',
+    (618, 1e-61): 'ToleranceUnreachable',
+    (618, 0.1): 'ToleranceUnreachable',
+    (618, 3.1): 'ToleranceUnreachable',
+    (1001, 5e-324): 'ToleranceUnreachable',
+    (1001, 1e-61): 'ToleranceUnreachable',
+    (1001, 0.1): 'ToleranceUnreachable',
+    (1001, 3.1): 'ToleranceUnreachable',
+}
+
+
+def test_ek_mu_past_the_double_range_raises_before_building_the_route(monkeypatch):
+    for (k, mu), want in _EK_EDGE_OUTCOMES.items():
+        try:
+            got = ek_mu(k, mu).hex()
+        except ToleranceUnreachable as exc:
+            assert exc.achieved == math.inf
+            got = "ToleranceUnreachable"
+        assert got == want, (k, mu)
+    # the bound alone decides at k = 1001: no route, and no time for one
+    def no_route(*args):
+        raise AssertionError("route built")
+
+    monkeypatch.setattr(apostol_polys, "_ek_complex", no_route)
+    for mu in (5e-324, 0.1, -3.1):
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(ToleranceUnreachable):
+                ek_mu(1001, mu)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01
+    # odd derivatives vanish at mu = 0, so no bound applies there
+    monkeypatch.undo()
+    assert ek_mu(1001, 0.0) == 0.0
 
 
 def test_taylor_coefficients_stop_growing_rows_at_the_first_overflow():

@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -38,6 +39,7 @@ from telesum import (
 )
 from fractions import Fraction
 
+from telesum import oracles
 from telesum.oracles import _BLOCK, _TWO_PI, _certified_sum, _exact_sum, _fixed_block
 
 from hurwitz_truth import z_truth, ztilde_truth
@@ -83,17 +85,22 @@ def test_sinpi_large_arguments_stay_bounded():
         assert sinpi(x) ** 2 + cospi(x) ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
-def _sinpi_np_mod(y):
-    # sinpi reduced with np.mod: the reference for the bits
-    r = np.mod(y, 2.0)
+def _halving_mod2(y):
+    return y - 2.0 * np.floor(0.5 * y)
+
+
+def _sinpi_np_mod(y, mod2=lambda y: np.mod(y, 2.0)):
+    # sinpi reduced with np.mod and folded with np.where: the reference for
+    # the bits; with mod2=_halving_mod2 it is the former sinpi itself
+    r = mod2(np.asarray(y, dtype=np.float64))
     s = np.where(r > 1.0, -1.0, 1.0)
     r = np.where(r > 1.0, r - 1.0, r)
     r = np.where(r > 0.5, 1.0 - r, r)
     return s * np.sin(np.pi * r)
 
 
-def _cospi_np_mod(y):
-    r = np.mod(y, 2.0)
+def _cospi_np_mod(y, mod2=lambda y: np.mod(y, 2.0)):
+    r = mod2(np.asarray(y, dtype=np.float64))
     r = np.where(r > 1.0, 2.0 - r, r)
     s = np.where(r > 0.5, -1.0, 1.0)
     r = np.where(r > 0.5, 1.0 - r, r)
@@ -121,6 +128,33 @@ def test_sinpi_cospi_match_the_np_mod_reduction_bit_for_bit():
     assert _sinpi_np_mod(y) == 0.0
     assert sinpi(y) == float(mpmath.sinpi(y)) == -3 * 2.0**-1074
     assert cospi(y) == _cospi_np_mod(y) == 1.0
+
+
+def test_sinpi_cospi_folds_keep_the_bits_of_the_where_folds():
+    rng = np.random.default_rng(11)
+    tiny = 2.0**-1074
+    special = [0.0, tiny, 3 * tiny, 2.0**-1022 - tiny, 2.0**-1022, 1e-300, 0.25, 0.5, 0.75,
+               1.0, 1.5, 2.0, 2.5, 3.0, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+               np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), np.nextafter(2.0, 0.0),
+               2.0**52 - 0.5, 2.0**52, 2.0**52 + 1.0, 2.0**53, 2.0**60 + 2.0**8, 1e300,
+               sys.float_info.max]
+    special += [-y for y in special]
+    ys = np.concatenate([
+        special,
+        rng.integers(-10**6, 10**6, 3000) / 2.0,  # integers and half-integers
+        rng.standard_normal(3000) * rng.choice([1e-310, 1e-5, 1.0, 1e9, 2.0**52, 1e20], 3000),
+        rng.uniform(-4.0, 4.0, 3000),
+    ])
+    # the np.where folds that sinpi and cospi used before their np.minimum
+    # folds, arrays and scalars alike
+    for fold, reference in ((sinpi, _sinpi_np_mod), (cospi, _cospi_np_mod)):
+        got, want = fold(ys), reference(ys, _halving_mod2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), fold.__name__
+        for y in ys[: len(special)].tolist() + ys[-50:].tolist():
+            scalar = fold(y)
+            assert type(scalar) is float
+            assert scalar.hex() == float(reference(y, _halving_mod2)).hex(), (fold.__name__, y)
+        assert fold(np.float64(2.5)) == reference(2.5, _halving_mod2)
 
 
 # ------------------------------------------------------------------ results
@@ -297,15 +331,23 @@ def test_windows_must_hold_the_nearest_pole():
         assert abs(r.value - want) <= r.error_bound <= 1e-3 * abs(want), (r, want)
 
 
+def _certified_array_sum(terms):
+    # _certified_sum over the terms of an existing array, with no tail
+    def fill(start, block):
+        block[:] = terms[start : start + block.size]
+
+    return _certified_sum(terms.size, fill, (), 0.0, terms.size)
+
+
 def test_kernel_sum_is_exactly_rounded_across_chunks():
     # rounding each block first would lose both 2**-53: block 1 rounds to 1.0
     # and 1.0 + 2**-53 rounds to 1.0 again
     terms = np.zeros(_BLOCK + 10)
     terms[:2] = (1.0, 2.0**-53)
     terms[_BLOCK] = 2.0**-53
-    r = _certified_sum(terms, (), 0.0, terms.size)
+    r = _certified_array_sum(terms)
     assert r.value == 1.0 + 2.0**-52
-    assert _certified_sum(terms[::-1], (), 0.0, terms.size).value == r.value
+    assert _certified_array_sum(terms[::-1]).value == r.value
 
 
 def _fraction_sum(xs):
@@ -380,7 +422,8 @@ def _assert_exact(xs, label):
 def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
     rng = np.random.default_rng(2008)
     # a full block of full-width significands just below 2**e: the high
-    # slices sum to just under 2**53, so one bit more per slice would round
+    # slices sum to just under 2**37 * _BLOCK, within the 2**53 below which
+    # every integer partial sum is exact
     for e in (1, 300, -900):
         top = np.ldexp(1.0 - rng.random(_BLOCK) * 2.0**-20, e)
         for xs in (top, -top):
@@ -472,7 +515,7 @@ def test_kernel_non_finite_terms_are_unreachable():
     )
     for terms in cases:
         with pytest.raises(ToleranceUnreachable) as exc:
-            _certified_sum(terms, (), 0.0, terms.size)
+            _certified_array_sum(terms)
         assert exc.value.achieved == math.inf
 
 
@@ -558,3 +601,291 @@ def test_hurwitz_factorial_past_the_double_range():
 def test_hurwitz_rejects_unknown_kind():
     with pytest.raises(ValueError):
         hurwitz_partial("B_sideways", 1, 0.0, M=100)
+
+
+# ------------------------------------------------------------ streamed terms
+
+# the near-pole terms m = -34465..-34463 of this window are terms
+# 65535..65537, across a block edge
+_EDGE_MU = _TWO_PI * (65536 - 100000) + 0.3
+
+# Every streamed oracle's result as float.hex (value, error_bound) and
+# terms_used, recorded from the oracles that built whole term arrays, at
+# lengths about the first two block edges and at 10**6
+_PINNED = [
+    ('sum_zeta', (2, 1e-06), ('0x1.a51a5dfe50153p+0', '0x1.100ce56e0dd24p-21', 69)),
+    ('sum_zeta', (2, 1e-12), ('0x1.a51a66252ff08p+0', '0x1.1da97335f160fp-41', 6933)),
+    ('sum_zeta', (5, 1e-06), ('0x1.097411fb67580p+0', '0x1.65e9f838a343ep-21', 9)),
+    ('sum_zeta', (5, 1e-12), ('0x1.097418eca7487p+0', '0x1.1b9822f447d90p-41', 97)),
+    ('sum_beta', (1, 1e-06), ('0x1.921fb53bec78fp-1', '0x1.07257febfb2c8p-21', 504)),
+    ('sum_beta', (1, 1e-12), ('0x1.921fb54442d19p-1', '0x1.28f2ab7e565fcp-41', 500004)),
+    ('sum_beta', (3, 1e-06), ('0x1.f019b5237b8f8p-1', '0x1.7b43ceb2bb0cep-23', 26)),
+    ('sum_beta', (3, 1e-12), ('0x1.f019b59389d70p-1', '0x1.13bac8b310e48p-41', 662)),
+    ('sum_Z', (0, 0.7, 1), ('0x1.155e284008538p-1', '0x1.5f76844954cf8p-6', 2)),
+    ('sum_Z', (0, 0.7, 2), ('0x1.0f0fc6b633e06p-1', '0x1.2b54a61d8ceebp-7', 4)),
+    ('sum_Z', (0, 0.7, 32767), ('0x1.1085b498e8f40p-1', '0x1.46036fd40ecd5p-34', 65534)),
+    ('sum_Z', (0, 0.7, 32768), ('0x1.1085b498e8f17p-1', '0x1.45fe5819cab4bp-34', 65536)),
+    ('sum_Z', (0, 0.7, 32769), ('0x1.1085b498e8f40p-1', '0x1.45f9407e0e96fp-34', 65538)),
+    ('sum_Z', (0, 0.7, 65535), ('0x1.1085b498e8f2ep-1', '0x1.46383271ef038p-36', 131070)),
+    ('sum_Z', (0, 0.7, 65536), ('0x1.1085b498e8f29p-1', '0x1.4635a694d6d0ep-36', 131072)),
+    ('sum_Z', (0, 0.7, 65537), ('0x1.1085b498e8f2dp-1', '0x1.46331abf4e993p-36', 131074)),
+    ('sum_Z', (0, 0.7, 1000000), ('0x1.1085b498e8f2bp-1', '0x1.b96f0ae676bebp-44', 2000000)),
+    ('sum_Z', (1, 1.3, 1), ('0x1.ead684bd4deacp-3', '0x1.4ddeaa4800cfcp-10', 2)),
+    ('sum_Z', (1, 1.3, 2), ('0x1.e8ac87bdbebcbp-3', '0x1.c70154034e9eap-13', 4)),
+    ('sum_Z', (1, 1.3, 32767), ('0x1.e8ec99dabf9a2p-3', '0x1.811da3078bd51p-50', 65534)),
+    ('sum_Z', (1, 1.3, 32768), ('0x1.e8ec99dabf9a2p-3', '0x1.811da2ff7f328p-50', 65536)),
+    ('sum_Z', (1, 1.3, 32769), ('0x1.e8ec99dabf9a2p-3', '0x1.811da2f772e07p-50', 65538)),
+    ('sum_Z', (1, 1.3, 65535), ('0x1.e8ec99dabf9a2p-3', '0x1.811cb187d5810p-50', 131070)),
+    ('sum_Z', (1, 1.3, 65536), ('0x1.e8ec99dabf9a2p-3', '0x1.811cb187951b5p-50', 131072)),
+    ('sum_Z', (1, 1.3, 65537), ('0x1.e8ec99dabf9a2p-3', '0x1.811cb18754b6fp-50', 131074)),
+    ('sum_Z', (1, 1.3, 1000000), ('0x1.e8ec99dabf9a2p-3', '0x1.811ca16e5ef4ap-50', 2000000)),
+    ('sum_Z', (2, -2.9, 1), ('0x1.1bac61f53d703p+6', '0x1.cb25262002fa5p-11', 2)),
+    ('sum_Z', (2, -2.9, 2), ('0x1.1bab98149c28dp+6', '0x1.bb1f1c8955a57p-14', 4)),
+    ('sum_Z', (2, -2.9, 32767), ('0x1.1baba8c069ec4p+6', '0x1.f07a0be8842dep-42', 65534)),
+    ('sum_Z', (2, -2.9, 32768), ('0x1.1baba8c069ec4p+6', '0x1.f07a0be881155p-42', 65536)),
+    ('sum_Z', (2, -2.9, 32769), ('0x1.1baba8c069ec4p+6', '0x1.f07a0be87dfcep-42', 65538)),
+    ('sum_Z', (2, -2.9, 65535), ('0x1.1baba8c069ec4p+6', '0x1.f07a0b8ba1d71p-42', 131070)),
+    ('sum_Z', (2, -2.9, 65536), ('0x1.1baba8c069ec4p+6', '0x1.f07a0b8ba1be4p-42', 131072)),
+    ('sum_Z', (2, -2.9, 65537), ('0x1.1baba8c069ec4p+6', '0x1.f07a0b8ba1a58p-42', 131074)),
+    ('sum_Z', (2, -2.9, 1000000), ('0x1.1baba8c069ec4p+6', '0x1.f07a0b8570aa9p-42', 2000000)),
+    ('sum_Z', (3, -0.4, 1), ('-0x1.72b0b298e6a16p-7', '0x1.50166238daa51p-17', 2)),
+    ('sum_Z', (3, -0.4, 2), ('-0x1.726268bac6079p-7', '0x1.6eee9b6738256p-21', 4)),
+    ('sum_Z', (3, -0.4, 32767), ('-0x1.7266a181ced82p-7', '0x1.74ee7af697358p-54', 65534)),
+    ('sum_Z', (3, -0.4, 32768), ('-0x1.7266a181ced82p-7', '0x1.74ee7af697358p-54', 65536)),
+    ('sum_Z', (3, -0.4, 32769), ('-0x1.7266a181ced82p-7', '0x1.74ee7af697358p-54', 65538)),
+    ('sum_Z', (3, -0.4, 65535), ('-0x1.7266a181ced82p-7', '0x1.74ee7af69733dp-54', 131070)),
+    ('sum_Z', (3, -0.4, 65536), ('-0x1.7266a181ced82p-7', '0x1.74ee7af69733dp-54', 131072)),
+    ('sum_Z', (3, -0.4, 65537), ('-0x1.7266a181ced82p-7', '0x1.74ee7af69733dp-54', 131074)),
+    ('sum_Z', (3, -0.4, 1000000), ('-0x1.7266a181ced82p-7', '0x1.74ee7af69733dp-54', 2000000)),
+    ('sum_Ztilde', (0, 0.7, 1), ('-0x1.5ed6ef5cef1e9p+0', '0x1.e8698387d4572p-10', 3)),
+    ('sum_Ztilde', (0, 0.7, 2), ('-0x1.5eb66be90c77ap+0', '0x1.ccc4663d27588p-12', 5)),
+    ('sum_Ztilde', (0, 0.7, 32767), ('-0x1.5ea8559d212d7p+0', '0x1.e08a800d8111ap-48', 65535)),
+    ('sum_Ztilde', (0, 0.7, 32768), ('-0x1.5ea8559d212d8p+0', '0x1.e08a376bda156p-48', 65537)),
+    ('sum_Ztilde', (0, 0.7, 32769), ('-0x1.5ea8559d212d8p+0', '0x1.e089eecc77dbap-48', 65539)),
+    ('sum_Ztilde', (0, 0.7, 65535), ('-0x1.5ea8559d212d7p+0', '0x1.d5f2d34889f02p-48', 131071)),
+    ('sum_Ztilde', (0, 0.7, 65536), ('-0x1.5ea8559d212d7p+0', '0x1.d5f2cebe7886ap-48', 131073)),
+    ('sum_Ztilde', (0, 0.7, 65537), ('-0x1.5ea8559d212d7p+0', '0x1.d5f2ca34794f6p-48', 131075)),
+    ('sum_Ztilde', (0, 0.7, 1000000), ('-0x1.5ea8559d212d7p+0', '0x1.d46f928ed1c50p-48', 2000001)),
+    ('sum_Ztilde', (0, -5.9, 1), ('-0x1.48bb5bc016270p+1', '0x1.0152320d55ab9p-5', 3)),
+    ('sum_Ztilde', (0, -5.9, 2), ('-0x1.49a98c17f818dp+1', '0x1.3ebd993bd4642p-8', 5)),
+    ('sum_Ztilde', (0, -5.9, 32767), ('-0x1.49f1d7146946ap+1', '0x1.fad652b6591d3p-47', 65535)),
+    ('sum_Ztilde', (0, -5.9, 32768), ('-0x1.49f1d71469469p+1', '0x1.fad5209f61bf9p-47', 65537)),
+    ('sum_Ztilde', (0, -5.9, 32769), ('-0x1.49f1d7146946ap+1', '0x1.fad3ee91fad7bp-47', 65539)),
+    ('sum_Ztilde', (0, -5.9, 65535), ('-0x1.49f1d7146946cp+1', '0x1.ce328ce4a9ff3p-47', 131071)),
+    ('sum_Ztilde', (0, -5.9, 65536), ('-0x1.49f1d7146946dp+1', '0x1.ce3279c360c1fp-47', 131073)),
+    ('sum_Ztilde', (0, -5.9, 65537), ('-0x1.49f1d7146946cp+1', '0x1.ce3266a2642a6p-47', 131075)),
+    ('sum_Ztilde', (0, -5.9, 1000000), ('-0x1.49f1d7146946dp+1', '0x1.c7d28e683b932p-47', 2000001)),
+    ('sum_Ztilde', (1, 2.5, 1), ('0x1.1af9a0206a214p-2', '0x1.dce05ded814bfp-9', 3)),
+    ('sum_Ztilde', (1, 2.5, 2), ('0x1.1beaac0e41326p-2', '0x1.78b1f3ea46ad8p-11', 5)),
+    ('sum_Ztilde', (1, 2.5, 32767), ('0x1.1c438aff935b6p-2', '0x1.ef9218890c17cp-50', 65535)),
+    ('sum_Ztilde', (1, 2.5, 32768), ('0x1.1c438aff935b7p-2', '0x1.ef90797f9a0acp-50', 65537)),
+    ('sum_Ztilde', (1, 2.5, 32769), ('0x1.1c438aff935b6p-2', '0x1.ef8eda8320154p-50', 65539)),
+    ('sum_Ztilde', (1, 2.5, 65535), ('0x1.1c438aff935bbp-2', '0x1.b30acf904ae4bp-50', 131071)),
+    ('sum_Ztilde', (1, 2.5, 65536), ('0x1.1c438aff935bbp-2', '0x1.b30ab59fe7a2bp-50', 131073)),
+    ('sum_Ztilde', (1, 2.5, 65537), ('0x1.1c438aff935bap-2', '0x1.b30a9bafec214p-50', 131075)),
+    ('sum_Ztilde', (1, 2.5, 1000000), ('0x1.1c438aff935bap-2', '0x1.aa65effd4b8aap-50', 2000001)),
+    ('sum_Ztilde', (2, -0.3, 1), ('0x1.28494bb8bd17fp+5', '0x1.8f537151edd61p-12', 3)),
+    ('sum_Ztilde', (2, -0.3, 2), ('0x1.284946cd3ce4ap+5', '0x1.e8ae67430dfe8p-15', 5)),
+    ('sum_Ztilde', (2, -0.3, 32767), ('0x1.28494602bef62p+5', '0x1.03511cb8ac73ep-42', 65535)),
+    ('sum_Ztilde', (2, -0.3, 32768), ('0x1.28494602bef62p+5', '0x1.03511cb8ab6bap-42', 65537)),
+    ('sum_Ztilde', (2, -0.3, 32769), ('0x1.28494602bef62p+5', '0x1.03511cb8aa637p-42', 65539)),
+    ('sum_Ztilde', (2, -0.3, 65535), ('0x1.28494602bef62p+5', '0x1.03511c99b550dp-42', 131071)),
+    ('sum_Ztilde', (2, -0.3, 65536), ('0x1.28494602bef62p+5', '0x1.03511c99b5489p-42', 131073)),
+    ('sum_Ztilde', (2, -0.3, 65537), ('0x1.28494602bef62p+5', '0x1.03511c99b5405p-42', 131075)),
+    ('sum_Ztilde', (2, -0.3, 1000000), ('0x1.28494602bef62p+5', '0x1.03511c97a4e25p-42', 2000001)),
+    ('sum_Ztilde', (5, 6.0, 1), ('0x1.e4bf663ed3474p+10', '0x1.818c31fe5b27ap-15', 3)),
+    ('sum_Ztilde', (5, 6.0, 2), ('0x1.e4bf664ee96bdp+10', '0x1.0390ea6ddfb2ap-22', 5)),
+    ('sum_Ztilde', (5, 6.0, 32767), ('0x1.e4bf664f1b3e3p+10', '0x1.2ef79ff17106ep-36', 65535)),
+    ('sum_Ztilde', (5, 6.0, 32768), ('0x1.e4bf664f1b3e3p+10', '0x1.2ef79ff17106ep-36', 65537)),
+    ('sum_Ztilde', (5, 6.0, 32769), ('0x1.e4bf664f1b3e3p+10', '0x1.2ef79ff17106ep-36', 65539)),
+    ('sum_Ztilde', (5, 6.0, 65535), ('0x1.e4bf664f1b3e3p+10', '0x1.2ef79ff17106ep-36', 131071)),
+    ('sum_Ztilde', (5, 6.0, 65536), ('0x1.e4bf664f1b3e3p+10', '0x1.2ef79ff17106ep-36', 131073)),
+    ('sum_Ztilde', (5, 6.0, 65537), ('0x1.e4bf664f1b3e3p+10', '0x1.2ef79ff17106ep-36', 131075)),
+    ('sum_Ztilde', (5, 6.0, 1000000), ('0x1.e4bf664f1b3e3p+10', '0x1.2ef79ff17106ep-36', 2000001)),
+    ('sum_Ztilde', (3, _EDGE_MU, 100000), ('0x1.edd534bce6966p+6', '0x1.edd534bce6968p-41', 200001)),
+    ('sum_inverse_square', (0.3, 1), ('0x1.e11814e7b3a66p+3', '0x1.00b9c58ecc166p-3', 3)),
+    ('sum_cotangent', (0.3, 1), ('0x1.25c215627a611p+1', '0x1.10dab8b887e7bp-5', 3)),
+    ('sum_inverse_square', (0.3, 2), ('0x1.e2219994af5bep+3', '0x1.b5f0eca873318p-6', 5)),
+    ('sum_cotangent', (0.3, 2), ('0x1.24a22d65b6c0ap+1', '0x1.f2a4d6bb199e0p-8', 5)),
+    ('sum_inverse_square', (0.3, 32767), ('0x1.e28a8e9b0c7d3p+3', '0x1.584243cbeea58p-44', 65535)),
+    ('sum_cotangent', (0.3, 32767), ('0x1.2428fb5e2854fp+1', '0x1.704fb2cde76a2p-46', 65535)),
+    ('sum_inverse_square', (0.3, 32768), ('0x1.e28a8e9b0c7d3p+3', '0x1.584143c7eebc9p-44', 65537)),
+    ('sum_cotangent', (0.3, 32768), ('0x1.2428fb5e2854fp+1', '0x1.704e7f95e955fp-46', 65537)),
+    ('sum_inverse_square', (0.3, 32769), ('0x1.e28a8e9b0c7d2p+3', '0x1.584043cbeed39p-44', 65539)),
+    ('sum_cotangent', (0.3, 32769), ('0x1.2428fb5e2854fp+1', '0x1.704d4c6782f6fp-46', 65539)),
+    ('sum_inverse_square', (0.3, 65535), ('0x1.e28a8e9b0c7d7p+3', '0x1.32ebfe7640051p-44', 131071)),
+    ('sum_cotangent', (0.3, 65535), ('0x1.2428fb5e2854ap+1', '0x1.4381c600f668ep-46', 131071)),
+    ('sum_inverse_square', (0.3, 65536), ('0x1.e28a8e9b0c7d7p+3', '0x1.32ebee7620056p-44', 131073)),
+    ('sum_cotangent', (0.3, 65536), ('0x1.2428fb5e28549p+1', '0x1.4381b2cd9d1ccp-46', 131073)),
+    ('sum_inverse_square', (0.3, 65537), ('0x1.e28a8e9b0c7d7p+3', '0x1.32ebde764005cp-44', 131075)),
+    ('sum_cotangent', (0.3, 65537), ('0x1.2428fb5e2854ap+1', '0x1.43819f9a9027ap-46', 131075)),
+    ('sum_inverse_square', (0.3, 1000000), ('0x1.e28a8e9b0c7d8p+3', '0x1.2d96fb82dc2d8p-44', 2000001)),
+    ('sum_cotangent', (0.3, 1000000), ('0x1.2428fb5e28548p+1', '0x1.3d1bc27680ca6p-46', 2000001)),
+    ('sum_inverse_square', (-1.2, 1), ('0x1.c4b2b9b62f7cap+4', '0x1.8e5b2aaaaacdfp+0', 3)),
+    ('sum_cotangent', (-1.2, 1), ('-0x1.1bb38f2ae0cacp+2', '0x1.c52000000024fp-2', 3)),
+    ('sum_inverse_square', (-1.2, 2), ('0x1.c899b7b65082cp+4', '0x1.47f1845dceaecp-4', 5)),
+    ('sum_cotangent', (-1.2, 2), ('-0x1.1609d7ce8bb2cp+2', '0x1.83ae894c21648p-5', 5)),
+    ('sum_inverse_square', (-1.2, 32767), ('0x1.c911d2b6b8f03p+4', '0x1.3300f90a6a4ffp-43', 65535)),
+    ('sum_cotangent', (-1.2, 32767), ('-0x1.14bcede72f5c9p+2', '0x1.910e8ec1802eep-45', 65535)),
+    ('sum_inverse_square', (-1.2, 32768), ('0x1.c911d2b6b8f03p+4', '0x1.330079086a408p-43', 65537)),
+    ('sum_cotangent', (-1.2, 32768), ('-0x1.14bcede72f5c9p+2', '0x1.910c2851805bbp-45', 65537)),
+    ('sum_inverse_square', (-1.2, 32769), ('0x1.c911d2b6b8f04p+4', '0x1.32fff90a6a310p-43', 65539)),
+    ('sum_cotangent', (-1.2, 32769), ('-0x1.14bcede72f5c9p+2', '0x1.9109c1f4b2f31p-45', 65539)),
+    ('sum_inverse_square', (-1.2, 65535), ('0x1.c911d2b6b8f05p+4', '0x1.2055d65cf54b9p-43', 131071)),
+    ('sum_cotangent', (-1.2, 65535), ('-0x1.14bcede72f5bep+2', '0x1.3772b5236fec8p-45', 131071)),
+    ('sum_inverse_square', (-1.2, 65536), ('0x1.c911d2b6b8f04p+4', '0x1.2055ce5ce54b4p-43', 131073)),
+    ('sum_cotangent', (-1.2, 65536), ('-0x1.14bcede72f5bep+2', '0x1.37728ebcbcbf1p-45', 131073)),
+    ('sum_inverse_square', (-1.2, 65537), ('0x1.c911d2b6b8f05p+4', '0x1.2055c65cf54b1p-43', 131075)),
+    ('sum_cotangent', (-1.2, 65537), ('-0x1.14bcede72f5bep+2', '0x1.37726856a314ap-45', 131075)),
+    ('sum_inverse_square', (-1.2, 1000000), ('0x1.c911d2b6b8f05p+4', '0x1.1dab54e32dc5bp-43', 2000001)),
+    ('sum_cotangent', (-1.2, 1000000), ('-0x1.14bcede72f5bcp+2', '0x1.2aa6ae0e626ddp-45', 2000001)),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 1), '-0x1.007dc2e1169b1p-5'),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 2), '-0x1.a85df121e75e6p-5'),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 32767), '-0x1.62fc9627c564ep-5'),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 32768), '-0x1.62fc96324367cp-5'),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 32769), '-0x1.62fc9636454ecp-5'),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 65535), '-0x1.62fc96316866bp-5'),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 65536), '-0x1.62fc963067e8fp-5'),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 65537), '-0x1.62fc962dc86d7p-5'),
+    ('hurwitz_partial', ('B_even', 1, 0.3, 1000000), '-0x1.62fc962fc79abp-5'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 1), '0x1.7de3d0097ab86p-6'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 2), '0x1.7683a52a13336p-6'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 32767), '0x1.75e2046c764adp-6'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 32768), '0x1.75e2046c764adp-6'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 32769), '0x1.75e2046c764adp-6'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 65535), '0x1.75e2046c764adp-6'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 65536), '0x1.75e2046c764adp-6'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 65537), '0x1.75e2046c764adp-6'),
+    ('hurwitz_partial', ('B_odd', 2, 0.7, 1000000), '0x1.75e2046c764adp-6'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 1), '-0x1.5938cea017880p-1'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 2), '-0x1.59613799f6108p-1'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 32767), '-0x1.595ffffffffffp-1'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 32768), '-0x1.595ffffffffffp-1'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 32769), '-0x1.595ffffffffffp-1'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 65535), '-0x1.595ffffffffffp-1'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 65536), '-0x1.595ffffffffffp-1'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 65537), '-0x1.595ffffffffffp-1'),
+    ('hurwitz_partial', ('E_even', 3, 0.25, 1000000), '-0x1.595ffffffffffp-1'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 1), '0x1.8ab30f90fbdacp-2'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 2), '0x1.a5cdbb89ec7a3p-2'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 32767), '0x1.999999971af18p-2'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 32768), '0x1.999999971af18p-2'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 32769), '0x1.999999980edfap-2'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 65535), '0x1.99999999999bap-2'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 65536), '0x1.9999999936ee8p-2'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 65537), '0x1.99999998f9f2bp-2'),
+    ('hurwitz_partial', ('E_odd', 1, 0.9, 1000000), '0x1.9999999999999p-2'),
+]
+
+
+def test_streamed_oracles_match_the_pinned_bits():
+    assert {name for name, _, _ in _PINNED} == {
+        "sum_zeta", "sum_beta", "sum_Z", "sum_Ztilde", "sum_inverse_square", "sum_cotangent",
+        "hurwitz_partial"}
+    for name, args, want in _PINNED:
+        r = getattr(oracles, name)(*args)
+        got = r.hex() if name == "hurwitz_partial" else (
+            r.value.hex(), r.error_bound.hex(), r.terms_used)
+        assert got == want, (name, args)
+
+
+def _array_terms(name, args, terms_used):
+    # the term arrays the oracles built whole before they streamed, with the
+    # same operations in the same order (mpmath patches left out)
+    if name == "sum_zeta":
+        return [np.arange(1, terms_used + 1, dtype=np.float64) ** float(-args[0])]
+    if name == "sum_beta":
+        j = np.arange(terms_used // 2, dtype=np.float64)
+        lo, hi = ((4.0 * j + c) ** float(-args[0]) for c in (1.0, 3.0))
+        return [lo - hi, lo + hi]
+    if name == "sum_Z":
+        k, mu, N = args
+        base, p = (2.0 * np.arange(N, dtype=np.float64) + 1.0) * np.pi, k + 1
+        if k % 2:
+            terms = np.expm1(np.arctanh(np.divide(abs(mu), base)) * (-2.0 * p))
+            terms *= (base - abs(mu)) ** -p
+        else:
+            terms = (base - mu) ** (-p) + (base + mu) ** (-p)
+        terms[0 if k % 2 and mu > 0 else 1::2] *= -1.0
+        return [terms]
+    if name == "sum_Ztilde" and args[0] == 0:
+        _, mu, N = args
+        m = np.arange(1, N + 1, dtype=np.float64)
+        return [np.append(2.0 * mu / ((_TWO_PI * m - mu) * (_TWO_PI * m + mu)), -1.0 / mu)]
+    if name == "sum_Ztilde":
+        k, mu, N = args
+        x = np.arange(-N, N + 1, dtype=np.float64) * _TWO_PI - mu
+        terms = 1.0 / np.abs(x) ** (k + 1)
+        return [np.copysign(terms, x) if k % 2 == 0 else terms]
+    if name == "sum_inverse_square":
+        theta, N = args
+        return [1.0 / (np.arange(-N, N + 1, dtype=np.float64) + theta) ** 2]
+    if name == "sum_cotangent":
+        theta, N = args
+        n = np.arange(1, N + 1, dtype=np.float64)
+        return [np.append(2.0 * theta / ((theta - n) * (theta + n)), 1.0 / theta)]
+    kind, k, x, M = args
+    extra, euler = oracles._HURWITZ[kind]
+    if euler:
+        h, y = 2.0 * np.arange(M, dtype=np.float64) + 1.0, x
+    else:
+        h, y = np.arange(1, M + 1, dtype=np.float64), 2.0 * x
+    trig = _sinpi_np_mod if extra else _cospi_np_mod
+    return [trig(y * h, _halving_mod2) / h ** (2 * k + extra)]
+
+
+def _patched(name, args):
+    # the indices of the terms an oracle takes from mpmath
+    if name == "sum_Z":
+        return range(3)
+    if name == "sum_Ztilde" and args[0] == 0:
+        near = round(abs(args[1]) / _TWO_PI)
+        return range(max(1, near - 1) - 1, min(args[2], near + 1))
+    if name == "sum_Ztilde":
+        near, N = round(args[1] / _TWO_PI), args[2]
+        return range(max(-N, near - 1) + N, min(N, near + 1) + N + 1)
+    return range(0)
+
+
+def test_streamed_kernel_inputs_match_the_whole_arrays(monkeypatch):
+    # every block the kernel sums, against the array it came from: the
+    # pinned results alone could miss a term that moved by an ulp
+    blocks = []
+
+    def recording(block, scratch):
+        blocks.append(block.copy())
+        return _fixed_block(block, scratch)
+
+    monkeypatch.setattr(oracles, "_fixed_block", recording)
+    for name, args, _ in _PINNED:
+        if args[-1] == 10**6:
+            continue
+        blocks.clear()
+        r = getattr(oracles, name)(*args)
+        wants = _array_terms(name, args, getattr(r, "terms_used", 0))
+        for row, want in enumerate(wants):
+            # the last attempt's blocks of this sequence, in order
+            got = np.concatenate(blocks[row :: len(wants)])[-want.size :]
+            keep = np.ones(want.size, dtype=bool)
+            keep[[i for i in _patched(name, args) if i < want.size]] = False
+            assert np.array_equal(got[keep].view(np.int64), want[keep].view(np.int64)), (name, args)
+
+
+def test_lattice_oracles_memory_does_not_grow_with_the_window():
+    calls = (
+        (sum_Z, (0, 0.7)), (sum_Z, (3, -0.4)), (sum_Ztilde, (0, 0.7)),
+        (sum_Ztilde, (4, 2.5)), (sum_inverse_square, (0.3,)), (sum_cotangent, (0.3,)),
+    )
+    for oracle, args in calls:
+        oracle(*args, 10)  # mpmath's constants, cached once
+        peaks = []
+        for N in (10**6, 2 * 10**6):
+            tracemalloc.start()
+            try:
+                oracle(*args, N)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the whole term arrays took 17-40 MB at 10**6
+        assert peaks[0] < 8e6, (oracle.__name__, args, peaks)
+        assert abs(peaks[1] - peaks[0]) < 1e6, (oracle.__name__, args, peaks)
