@@ -409,6 +409,24 @@ def _finite_complex(value: mpmath.mpc, what: str) -> complex:
     )
 
 
+def _check_carrier_range(k: int, odd_row: bool, log_u: float, what: str) -> None:
+    """Raise ToleranceUnreachable (achieved = inf), before any route is
+    built, when a lower bound on the k-th mu-derivative of sec(mu/2) or
+    -cot(mu/2), 2**-k |sec(mu/2) Q_k(u)| or 2**-k |P_k(u)| at u = tan or cot
+    of the half angle, passes the double range.  A row's coefficients share
+    one sign and one parity, so an even row is at least its value at 0 and
+    an odd one its derivative at 0 times |u| (log_u bounds log |u|), the
+    zigzag numbers A_k and A_{k+1}.  A_n is 2 (2/pi)**(n+1) n! times
+    beta(n+1) >= 2/3 (n even) or lambda(n+1) >= 1 (n odd).  The log of the
+    bound must pass log(DBL_MAX) by 1e-6, far more than its rounding and the
+    half ulp a value may pass DBL_MAX by and still round to it."""
+    n = k + odd_row
+    log_bound = math.log(4.0 / 3.0) + (n + 1 - k) * _LN2 - (n + 1) * math.log(math.pi)
+    log_bound += math.lgamma(n + 1) + (log_u if odd_row else 0.0)
+    if log_bound > _LOG_DBL_MAX + 1e-6:
+        raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
+
+
 def ek_mu(k: int, mu: float) -> float:
     """k-th derivative of sec(mu/2) via the complex polynomial route.
 
@@ -417,27 +435,15 @@ def ek_mu(k: int, mu: float) -> float:
     rule (_check_residue).  The route adds the digits its cancelling sum
     needs to keep the error under the bound of _sec_certified.  A value
     beyond the double range raises ToleranceUnreachable; Z divides by 2*k!
-    before it rounds, so it stays finite where this one cannot.
-
-    No route is built where a lower bound already passes the double range:
-    sec's Taylor coefficients are non-negative, so |ek_mu(2n, mu)| >=
-    |E_2n| / 2**2n and |ek_mu(2n-1, mu)| >= |E_2n| |mu| / 2**2n, with
-    |E_2n| = 2**(2n+2) (2n)! beta(2n+1) / pi**(2n+1) and beta(2n+1) >= 2/3.
-    The log of that bound (lgamma) must pass log(DBL_MAX) by 1e-6, far more
-    than its rounding and the half ulp a value may pass DBL_MAX by and still
-    round to it.
+    before it rounds, so it stays finite where this one cannot.  No route
+    is built where _check_carrier_range's lower bound, with
+    |tan(mu/2)| >= |mu|/2, already passes the double range.
     """
     k = _check_int(k, "k", 0)
     mu = _check_sec_domain(mu)
-    n2 = k + k % 2
-    log_bound = math.log(8.0 / 3.0) + math.lgamma(n2 + 1) - (n2 + 1) * math.log(math.pi)
-    if k % 2:  # the odd derivatives vanish at mu = 0
-        log_bound += math.log(abs(mu)) if mu else -math.inf
-    if log_bound > _LOG_DBL_MAX + 1e-6:
-        raise ToleranceUnreachable(
-            "ek_mu(%d, %r) lies beyond the double-precision range" % (k, mu),
-            achieved=math.inf,
-        )
+    # the odd derivatives vanish at mu = 0
+    log_u = math.log(abs(mu)) - _LN2 if mu else -math.inf
+    _check_carrier_range(k, k % 2 == 1, log_u, "ek_mu(%d, %r)" % (k, mu))
     with mpmath.workdps(DEFAULT_DPS):
         # past MAX_K only odd k at mu = 0 get here, where the value is 0
         z = _ek_complex(k, mu, _sec_certified(k, mu)[2] if k <= MAX_K else None)
@@ -451,7 +457,8 @@ def ektilde_mu(k: int, mu: float) -> float:
     The k = 0 combination i * e^(i mu) * E_0(1; -e^(i mu)) is not real (its
     imaginary part is identically -1), so k = 0 is rejected; use the direct
     convention -1/tan(mu/2) instead.  The value is i**(k+1) * e_k(-e^(i mu))
-    from its explicit form; the precision and the residue check are ek_mu's.
+    from its explicit form; the precision, the residue check and the
+    a-priori range check (_check_carrier_range) are ek_mu's.
     """
     k = _check_int(k, "k")
     if k < 1:
@@ -459,6 +466,9 @@ def ektilde_mu(k: int, mu: float) -> float:
             "k must be >= 1; the k = 0 value is the convention -1/tan(mu/2)"
         )
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")
+    # cot(mu/2) in doubles, a few ulps off, is never 0
+    log_u = math.log(abs(1.0 / math.tan(mu / 2.0)))
+    _check_carrier_range(k, k % 2 == 0, log_u, "ektilde_mu(%d, %r)" % (k, mu))
     with mpmath.workdps(DEFAULT_DPS):
         z = _ektilde_complex(k, mu)
         dist = abs(math.remainder(mu, _TWO_PI))

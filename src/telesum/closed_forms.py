@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import mpmath
 from mpmath.libmp import from_int, normalize, round_nearest
@@ -136,25 +136,31 @@ def _float_quotient(x: mpmath.mpf, scale: int) -> float:
 
 
 def _checked(
-    k: int, z: mpmath.mpc, check: float, rel: float, dist: float, log_floor: float, what: str
+    k: int, route: Callable[[], mpmath.mpc], check: float, rel: float, dist: float,
+    log_floor: float, what: str,
 ) -> float:
-    """The real part of an mpmath route's value z of 2*k! times the sum,
-    over 2*k!, checked against the certified value ``check``.
+    """The real part of an mpmath route's value z = route() of 2*k! times
+    the sum, over 2*k!, checked against the certified value ``check``.
 
     They must agree to |value - check| <= (rel + 4u) * |check| + floor:
     rel bounds the certified value's error, 4u the rounding of this one,
     and the floor, e**log_floor (_log_floor, or for Z the one of
     _sec_certified) up to exp(700), the mpmath route's own error and
     subnormal rounding.  The imaginary residue of the complex route must
-    pass _check_residue, the rule of ek_mu and ektilde_mu.
+    pass _check_residue, the rule of ek_mu and ektilde_mu.  No route is
+    built when ``check`` already lies past the double range.
     """
-    _check_residue(z, k, dist, what)
-    floor = math.exp(min(log_floor, 700.0))
-    value = _float_quotient(z.real, 2 * math.factorial(k))
-    if not (math.isfinite(value) and math.isfinite(check)):
+    value = math.inf
+    if math.isfinite(check):
+        with mpmath.workdps(DEFAULT_DPS):
+            z = route()
+        _check_residue(z, k, dist, what)
+        value = _float_quotient(z.real, 2 * math.factorial(k))
+    if not math.isfinite(value):
         raise ToleranceUnreachable(
             "%s lies beyond the double-precision range" % what, achieved=math.inf
         )
+    floor = math.exp(min(log_floor, 700.0))
     allowed = (rel + 4 * _U) * abs(check) + floor + _SUBNORMAL_FLOOR
     if abs(value - check) > allowed:
         raise InternalConsistencyError(
@@ -202,12 +208,9 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     _check_max_k(k)
     mu = _check_sec_domain(mu)
     check, rel, log_floor = _sec_certified(k, mu)
-    with mpmath.workdps(DEFAULT_DPS):
-        z = (_row_value(_SEC_ROWS, k, *_sec_point(mu)) if method == "taylor"
-             else _ek_complex(k, mu, log_floor))
-    return _checked(
-        k, z, check, rel, math.pi - abs(mu), log_floor, "Z(%d, %r)" % (k, mu)
-    )
+    route = ((lambda: _row_value(_SEC_ROWS, k, *_sec_point(mu))) if method == "taylor"
+             else lambda: _ek_complex(k, mu, log_floor))
+    return _checked(k, route, check, rel, math.pi - abs(mu), log_floor, "Z(%d, %r)" % (k, mu))
 
 
 def Ztilde(k: int, mu: float, method: str = "auto") -> float:
@@ -235,15 +238,12 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     _check_max_k(k)
     mu = _check_lattice_distance(mu, _TWO_PI, "mu")
     check, rel = _COT_ROWS.value(k, 1.0 / math.tan(mu / 2.0))
-    with mpmath.workdps(DEFAULT_DPS):
-        z = (_row_value(_COT_ROWS, k, *_cot_point(mu)) if method == "taylor"
-             else _ektilde_complex(k, mu))
+    route = ((lambda: _row_value(_COT_ROWS, k, *_cot_point(mu))) if method == "taylor"
+             else lambda: _ektilde_complex(k, mu))
     dist = abs(math.remainder(mu, _TWO_PI))
     # -P_k = (-1)**(k+1) |P_k|
-    return _checked(
-        k, z, check if k % 2 else -check, rel, dist, _log_floor(k, dist),
-        "Ztilde(%d, %r)" % (k, mu),
-    )
+    return _checked(k, route, check if k % 2 else -check, rel, dist, _log_floor(k, dist),
+                    "Ztilde(%d, %r)" % (k, mu))
 
 
 def Ztilde0(mu: float) -> float:

@@ -11,23 +11,23 @@ to cover the rounding of the individual terms.  No oracle builds an array
 whose length grows with its term count.  The kernel picks a path for each
 block from the block's own range.  Let 2**e be the power of two above the
 block's largest magnitude.  A narrow block, whose nonzero terms all have
-their lowest bit within 2 * 37 bits below 2**e (the least term within 21
-binades of the top), is cut at that scale into two fixed-point slices of 37
-bits (Rump, Ogita & Oishi 2008), and each slice is added with a plain numpy
-sum: a slice is below 2**37 and a block holds at most 2**15 of them, so
-every partial sum is an integer below 2**52 and hence exact.  Every other
-block is binned by exponent (Demmel & Hida 2003): each significand splits
-into two integer limbs below 2**27, summed per exponent and lane slot with
-numpy, again as integers below 2**53; the lanes keep a monotone series,
-whose terms share a bin in long runs, from serialising the per-bin
-additions.  Both paths meet as one integer, rounded once.  A sum beyond the
-double range raises ToleranceUnreachable.
+their lowest bit within 2 * 38 bits below 2**e (the least term within 23
+binades of the top), is cut at that scale into two fixed-point slices of
+_SLICE = 53 - 15 = 38 bits (Rump, Ogita & Oishi 2008), and each slice is
+added with a plain numpy sum: a slice is below 2**38 and a block holds at
+most 2**15 of them, so every partial sum is an integer below 2**53 and hence
+exact.  Every other block is binned by exponent (Demmel & Hida 2003): each
+significand splits into two integer limbs below 2**27, summed per exponent
+and lane slot with numpy, again as integers below 2**53; the lanes keep a
+monotone series, whose terms share a bin in long runs, from serialising the
+per-bin additions.  Both paths meet as one integer, rounded once.  A sum
+beyond the double range raises ToleranceUnreachable.
 
 Terms that suffer cancellation against an irrational lattice (multiples of
 pi minus the shift) are recomputed in mpmath and patched, by their index,
-into whichever block holds them before it is summed; integer-lattice terms
-(n + theta) need no patching because a single float addition is exactly
-rounded even when it cancels.
+into whichever block holds them before it is summed.  The integer-lattice
+oracles are sum_Ztilde's body at spacing 1, and their terms (n + theta) need
+no patching: a single float addition is exactly rounded even when it cancels.
 """
 
 from __future__ import annotations
@@ -144,6 +144,17 @@ def _power_tail(a: float, b: float, p: float, A: int) -> Tuple[float, float]:
     return est, bound
 
 
+def _pair_tail(a: float, c: float, A: int) -> Tuple[float, float]:
+    """Certified tail of sum_{m >= A} 1/(a*m - c) - 1/(a*m + c) for a > 0,
+    a*A > |c|: the integral log((a*A + c)/(a*A - c)) / a plus half-term, and
+    the trapezoid-defect bound of _power_tail."""
+    yl, yh = a * A - c, a * A + c
+    est = math.log1p(2.0 * c / yl) / a + 0.5 * (1.0 / yl - 1.0 / yh)
+    hp = a * abs(yl ** -2 - yh ** -2)
+    hpp = 2.0 * a * a * abs(yl ** -3 - yh ** -3)
+    return est, (hp + hpp) / 12.0
+
+
 def _alternating_tail(h0: float, h1: float) -> Tuple[float, float]:
     """Certified tail of sum_{i>=0} (-1)**i h(i) for h >= 0 convex decreasing.
 
@@ -170,14 +181,15 @@ _quiet = np.errstate(all="ignore")
 # Narrow blocks (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): let
 # 2**e be the power of two just above the block's largest magnitude.  When
 # every nonzero term's lowest bit lies within 2 * _SLICE bits below 2**e,
-# each term p is exactly t_1 * 2**(e - 37) + t_2 * 2**(e - 74) with
-# t_1 = trunc(p * 2**(37 - e)) and t_2 = (p * 2**(37 - e) - t_1) * 2**37,
-# both integers.  Every |t_r| < 2**37 and a block holds at most 2**15 terms,
-# so every partial sum of a plain numpy sum of a slice is an integer below
-# 2**52, hence exact in any order.  A mixed-sign block sums |t_r| the same
-# way for its magnitude.
+# each term p is exactly t_1 * 2**(e - S) + t_2 * 2**(e - 2S), S = _SLICE,
+# with t_1 = trunc(p * 2**(S - e)) and t_2 = (p * 2**(S - e) - t_1) * 2**S,
+# both integers.  Every |t_r| < 2**S and a block holds at most _BLOCK terms,
+# so with S = 53 - log2(_BLOCK) = 38 every partial sum of a plain numpy sum
+# of a slice is an integer below 2**53, hence exact in any order: the least
+# term may lie 2S - 53 = 23 binades below the top.  A mixed-sign block sums
+# |t_r| the same way for its magnitude.
 #
-# Wide blocks, and blocks whose scale 2**(37 - e) would leave the normal
+# Wide blocks, and blocks whose scale 2**(S - e) would leave the normal
 # range, are binned by exponent (Demmel & Hida, SIAM J. Sci. Comput. 25,
 # 2003).  Each double is |m| * 2**e * sign with |m| in [1/2, 1) from frexp;
 # |m| * 2**27 splits exactly into an integer hi < 2**27 and a fraction that,
@@ -196,7 +208,7 @@ _quiet = np.errstate(all="ignore")
 # 2**15 beat 2**16 and 2**14 in alternating series_grid runs: the buffer of
 # a call stays within the L2 cache, and the per-block Python costs stay few
 _BLOCK = 1 << 15
-_SLICE = 37
+_SLICE = 53 - (_BLOCK.bit_length() - 1)
 _LANES = 4
 _LANE = np.arange(_BLOCK, dtype=np.int32) % _LANES
 # read-only offsets 0 .. _BLOCK - 1: term start + j of a block is formed as
@@ -388,14 +400,15 @@ def _mp_floats(exact: Callable[[int], "mpmath.mpf"], ms: Iterable[int]) -> List[
         return [float(exact(m)) for m in ms]
 
 
-def _check_theta_window(theta: float, N: int) -> Tuple[float, int]:
-    # the window n = -N..N must hold the pole's nearest lattice point, or
+def _check_window(x: float, spacing: float, N: int, what: str) -> Tuple[float, int]:
+    # the window m = -N..N must hold the pole's nearest lattice point, or
     # the dominant term would fall into the tail estimate
-    theta = _check_lattice_distance(theta, 1.0, "theta")
+    x = _check_lattice_distance(x, spacing, what)
     N = _check_int(N, "N", 1)
-    if N < round(abs(theta)):
-        raise ValueError("N too small: need N >= round(|theta|)")
-    return theta, N
+    if N < round(abs(x) / spacing):
+        ratio = "|%s|" % what if spacing == 1.0 else "|%s| / (2*pi)" % what
+        raise ValueError("N too small: need N >= round(%s)" % ratio)
+    return x, N
 
 
 def _to_tolerance(target_tol: float, start: Callable[[float], int], cap: int,
@@ -569,6 +582,53 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
 
 
 @_quiet
+def _lattice_sum(k: int, a: float, c: float, N: int, patches: _Patches = ()) -> SumResult:
+    """sum_Ztilde's body: the sum of (m*a - c)**-(k+1) over m = -N..N, a > 0.
+    Term i is that of m = i - N, or at k = 0 the pair of m = i + 1 and -m,
+    and term N the m = 0 term; patches as in _stream_sum."""
+    p = k + 1
+    if k == 0:
+        def fill(start: int, terms: np.ndarray, m: np.ndarray) -> None:
+            np.add(_OFFSETS[: terms.size], start + 1, out=m)
+            if a != 1.0:
+                m *= a
+            np.subtract(m, c, out=terms)
+            m += c
+            terms *= m
+            np.divide(2.0 * c, terms, out=terms)
+
+        est, tail_bound = _pair_tail(a, c, N + 1)
+        count, tail, patches = N + 1, (est,), (*patches, (N, [-1.0 / c]))
+    else:
+        # numpy's vectorised pow takes only positive bases (a negative one
+        # falls back to scalar libm): odd powers raise |x|, then copy x's sign
+        def fill(start: int, terms: np.ndarray, *spare: np.ndarray) -> None:
+            x = spare[0] if p % 2 else terms
+            np.add(_OFFSETS[: terms.size], start - N, out=x)
+            if a != 1.0:
+                x *= a
+            x -= c
+            if p == 2:
+                np.square(x, out=terms)
+            else:
+                np.abs(x, out=terms)
+                terms **= p
+            np.divide(1.0, terms, out=terms)
+            if p % 2:
+                np.copysign(terms, x, out=terms)
+
+        up_est, up_bound = _power_tail(a, -c, float(p), N + 1)
+        dn_est, dn_bound = _power_tail(a, c, float(p), N + 1)
+        count, tail = 2 * N + 1, (up_est, (1.0 if p % 2 == 0 else -1.0) * dn_est)
+        tail_bound = up_bound + dn_bound
+    # n - c on the integer lattice is one rounding; m*a - c adds the rounding
+    # of m*a, which the power multiplies
+    return _certified_sum(
+        count, fill, tail, tail_bound, 2 * N + 1, spare=p % 2, patches=patches,
+        per_term=16.0 if a == 1.0 else 16.0 + 4.0 * k,
+    )
+
+
 def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
     """Bilateral lattice sum 1 / (2*m*pi - mu)**(k+1) over m = -N..N.
 
@@ -579,112 +639,41 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
     nearest the lattice singularity are recomputed in mpmath.
     """
     k = _check_int(k, "k", 0)
-    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    N = _check_int(N, "N", 1)
-    near = int(round(abs(mu) / _TWO_PI))
-    if N < near:  # the nearest pole's term must not fall into the tail
-        raise ValueError("N too small: need N >= round(|mu| / (2*pi))")
-    A = N + 1
-
-    p = k + 1
+    mu, N = _check_window(mu, _TWO_PI, N, "mu")
     mmu = mpmath.mpf(mu)
+    # term m - least holds m, or at k = 0 the pair of m and -m
+    least, near = (1, round(abs(mu) / _TWO_PI)) if k == 0 else (-N, round(mu / _TWO_PI))
+    ms = range(max(least, near - 1), min(N, near + 1) + 1)
     if k == 0:
-        # term i < N pairs m = i + 1 with -m; term N is the m = 0 term
-
-        def fill(start: int, terms: np.ndarray, m: np.ndarray) -> None:
-            np.add(_OFFSETS[: terms.size], start + 1, out=m)
-            np.multiply(m, _TWO_PI, out=terms)
-            terms -= mu
-            m *= _TWO_PI
-            m += mu
-            terms *= m
-            np.divide(2.0 * mu, terms, out=terms)
-
-        ms = range(max(1, near - 1), min(N, near + 1) + 1)
-        pair = lambda mm: 2 * mmu / ((2 * mm * mpmath.pi - mmu) * (2 * mm * mpmath.pi + mmu))
-        patches = ((ms.start - 1, _mp_floats(pair, ms)), (N, [-1.0 / mu]))
-
-        yl = _TWO_PI * A - mu
-        yh = _TWO_PI * A + mu
-        tail = (math.log1p(2.0 * mu / yl) / _TWO_PI + 0.5 * (1.0 / yl - 1.0 / yh),)
-        hp = _TWO_PI * abs(yl ** -2 - yh ** -2)
-        hpp = 8.0 * math.pi ** 2 * abs(yl ** -3 - yh ** -3)
-        tail_bound = (hp + hpp) / 12.0
+        exact = lambda m: 2 * mmu / ((2 * m * mpmath.pi - mmu) * (2 * m * mpmath.pi + mmu))
     else:
-        # term i is m = i - N; numpy's vectorised pow takes only positive
-        # bases (a negative one falls back to scalar libm), so raise |x| and
-        # restore the sign
-
-        def fill(start: int, terms: np.ndarray, x: np.ndarray) -> None:
-            np.add(_OFFSETS[: terms.size], start - N, out=x)
-            x *= _TWO_PI
-            x -= mu
-            np.abs(x, out=terms)
-            terms **= p
-            np.divide(1.0, terms, out=terms)
-            if p % 2:
-                np.copysign(terms, x, out=terms)
-
-        near = int(round(mu / _TWO_PI))
-        ms = range(max(-N, near - 1), min(N, near + 1) + 1)
-        patches = ((ms.start + N, _mp_floats(lambda mm: (2 * mm * mpmath.pi - mmu) ** (-p), ms)),)
-        up_est, up_bound = _power_tail(_TWO_PI, -mu, float(p), A)
-        dn_est, dn_bound = _power_tail(_TWO_PI, mu, float(p), A)
-        tail = (up_est, (1.0 if p % 2 == 0 else -1.0) * dn_est)
-        tail_bound = up_bound + dn_bound
-    return _certified_sum(
-        N + 1 if k == 0 else 2 * N + 1, fill, tail, tail_bound, 2 * N + 1,
-        spare=1, patches=patches, per_term=16.0 + 4.0 * k,
-    )
+        exact = lambda m: (2 * m * mpmath.pi - mmu) ** (-k - 1)
+    return _lattice_sum(k, _TWO_PI, mu, N, ((ms.start - least, _mp_floats(exact, ms)),))
 
 
-@_quiet
 def sum_inverse_square(theta: float, N: int = 100000) -> SumResult:
     """Bilateral sum of (n + theta)**(-2) over n = -N..N with certified tails.
 
-    Converges to pi**2 / sin(pi*theta)**2.  Integer-lattice terms need no
-    extended precision: n + theta is a single exactly-rounded addition.
+    Converges to pi**2 / sin(pi*theta)**2.  sum_Ztilde's body at spacing 1,
+    shift -theta: n + theta is a single exactly-rounded addition, so no term
+    needs extended precision.
     """
-    theta, N = _check_theta_window(theta, N)
-
-    def fill(start: int, terms: np.ndarray) -> None:
-        np.add(_OFFSETS[: terms.size], start - N, out=terms)  # n
-        terms += theta
-        terms **= 2
-        np.divide(1.0, terms, out=terms)
-
-    up_est, up_bound = _power_tail(1.0, theta, 2.0, N + 1)
-    dn_est, dn_bound = _power_tail(1.0, -theta, 2.0, N + 1)
-    return _certified_sum(2 * N + 1, fill, (up_est, dn_est), up_bound + dn_bound, 2 * N + 1)
+    theta, N = _check_window(theta, 1.0, N, "theta")
+    return _lattice_sum(1, 1.0, -theta, N)
 
 
-@_quiet
 def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
     """Symmetrically paired partial-fraction sum 1/theta + sum 2*theta/(theta^2 - n^2).
 
-    Converges to pi / tan(pi*theta).  The paired tail is monotone; its
-    integral-plus-half-term estimate uses the exact antiderivative
-    log((x - theta)/(x + theta)).
+    Converges to pi / tan(pi*theta).  It is the negation of sum_Ztilde's
+    paired body at spacing 1, shift theta and k = 0, whose monotone tail
+    estimate uses the exact antiderivative log((x - theta)/(x + theta)).
     """
-    theta, N = _check_theta_window(theta, N)
-
-    def fill(start: int, terms: np.ndarray, n: np.ndarray) -> None:
-        # term i < N is that of n = i + 1; term N, 1/theta, is a patch
-        np.add(_OFFSETS[: terms.size], start + 1, out=n)
-        np.subtract(theta, n, out=terms)
-        n += theta
-        terms *= n
-        np.divide(2.0 * theta, terms, out=terms)
-
-    A = N + 1
-    hA = 1.0 / (A - theta) - 1.0 / (A + theta)
-    tail_est = -(math.log1p(2.0 * theta / (A - theta)) + 0.5 * hA)
-    hp = abs((A + theta) ** -2 - (A - theta) ** -2)
-    hpp = 2.0 * abs((A - theta) ** -3 - (A + theta) ** -3)
-    return _certified_sum(
-        N + 1, fill, (tail_est,), (hp + hpp) / 12.0, 2 * N + 1,
-        spare=1, patches=((N, [1.0 / theta]),),
-    )
+    theta, N = _check_window(theta, 1.0, N, "theta")
+    r = _lattice_sum(0, 1.0, theta, N)
+    # exactly rounded, the negated terms sum to the negated value; 0.0 - v
+    # keeps +0.0 for a sum that cancels to zero
+    return SumResult(0.0 - r.value, r.error_bound, r.terms_used)
 
 
 # kind -> (p - 2k, Euler kind): even powers p pair with cosines, odd ones

@@ -329,6 +329,20 @@ def test_taylor_coefficients_stop_growing_rows_at_the_first_overflow():
     assert len(rows.exact) <= max(before, 300)
 
 
+def test_non_finite_parameters_are_rejected():
+    message = "lambda must have finite real and imaginary parts"
+    for lam in (complex(math.nan, 0.0), complex(0.5, math.inf), math.inf):
+        for family in (apostol_euler_poly, apostol_bernoulli_poly):
+            with pytest.raises(ValueError) as exc:
+                family(2, lam)
+            assert str(exc.value) == message
+    for mu in (math.nan, math.inf):
+        for call in (sec_taylor_coeffs, cot_taylor_coeffs):
+            with pytest.raises(ValueError) as exc:
+                call(mu, 3)
+            assert str(exc.value) == "mu must be finite"
+
+
 def test_carrier_domain_guards():
     with pytest.raises(ValueError):
         ek_mu(2, math.pi)  # sec pole

@@ -344,6 +344,14 @@ def test_readme_command_block_runs(capsys):
     assert commands == {"poly", "apostol", "coeffs", "eval", "series", "integrals", "table", "verify"}
 
 
+def test_readme_library_example_runs():
+    # the README's "Library example" block runs as written and its asserts hold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.count("assert ") == 2
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_installed_entry_point_roundtrip():
     proc = subprocess.run(
         [sys.executable, "-m", "telesum.cli", "eval", "zeta", "--k", "1", "--format", "json"],

@@ -9,6 +9,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -320,6 +321,105 @@ def test_k_past_the_certified_range_is_a_domain_error():
         Z(619, 0.5)
     with pytest.raises(ValueError, match="618"):
         Ztilde(619, 1.0)
+
+
+# Outcomes about the first k whose value leaves the double range, recorded
+# from the routes before the a-priori checks: per (function, k), a value's
+# float.hex or T for ToleranceUnreachable at each of the function's mus
+T = "ToleranceUnreachable"
+_RANGE_EDGE_MUS = {
+    Z: (3.1, -3.1, 3.0, 0.1),
+    Ztilde: (0.001, -0.001, 3.0, 6.0),
+    ektilde_mu: (math.pi, 3.0, 0.1, -6.0),
+}
+_RANGE_EDGE_OUTCOMES = {
+    (Z, 221): ('0x1.59276393fe39fp+1018', '-0x1.59276393fe39fp+1018', '0x1.0ea8ba93d9692p+626', '0x1.a825405fa4c38p-357'),
+    (Z, 222): ('0x1.0353777a3cf6fp+1023', '0x1.0353777a3cf6fp+1023', '0x1.dde2246e4ad57p+628', '0x1.16e5ba9d48b42p-358'),
+    (Z, 223): (T, T, '0x1.a5e1d8407e15bp+631', '0x1.6ec7109b67171p-360'),
+    (Z, 224): (T, T, '0x1.74718ee55f416p+634', '0x1.e259994d0be87p-362'),
+    (Z, 617): (T, T, T, '0x1.298a6ce4849dep-992'),
+    (Z, 618): (T, T, T, '0x1.874bc394d115ap-994'),
+    (Ztilde, 101): ('0x1.6c8e5ca23901bp+1016', '0x1.6c8e5ca23901bp+1016', '0x1.42aeaac2c1d4ep-162', '0x1.9416effed466ep+185'),
+    (Ztilde, 102): (T, T, '-0x1.ae28f09369242p-164', '0x1.64bc6beae8c66p+187'),
+    (Ztilde, 103): (T, T, '0x1.1ed2ecb670cd8p-165', '0x1.3aee7e27f149fp+189'),
+    (Ztilde, 104): (T, T, '-0x1.7e5ec55259ceep-167', '0x1.1606adb34a315p+191'),
+    (Ztilde, 617): (T, T, '0x1.685474391937fp-980', T),
+    (Ztilde, 618): (T, T, '-0x1.e0709af6cc4aap-982', T),
+    (ektilde_mu, 216): ('-0x1.6da0abda1accdp+965', T, T, T),
+    (ektilde_mu, 217): ('0x1.4b772d3493200p+1018', T, T, T),
+    (ektilde_mu, 218): ('-0x1.afcc1b41dcf20p+977', T, T, T),
+    (ektilde_mu, 219): (T, T, T, T),
+    (ektilde_mu, 220): ('-0x1.03a8fab2439c1p+990', T, T, T),
+    (ektilde_mu, 221): (T, T, T, T),
+    (ektilde_mu, 1001): (T, T, T, T),
+}
+
+
+def _range_outcome(f, k, mu):
+    try:
+        return f(k, mu).hex()
+    except ToleranceUnreachable as exc:
+        assert exc.achieved == math.inf
+        return T
+
+
+def test_values_past_the_double_range_raise_before_building_a_route(monkeypatch):
+    raises = []
+    for (f, k), wants in _RANGE_EDGE_OUTCOMES.items():
+        for mu, want in zip(_RANGE_EDGE_MUS[f], wants):
+            assert _range_outcome(f, k, mu) == want, (f.__name__, k, mu)
+            if want == T:
+                raises.append((f, k, mu))
+
+    class RouteBuilt(Exception):
+        pass
+
+    def no_route(*args):
+        raise RouteBuilt
+
+    for module, name in ((closed_forms, "_ek_complex"), (closed_forms, "_ektilde_complex"),
+                         (closed_forms, "_row_value"), (apostol_polys, "_ektilde_complex")):
+        monkeypatch.setattr(module, name, no_route)
+    # the certified value of Z and Ztilde, or the carrier's lower bound,
+    # decides every raise from k = 218 on; the rest lie between the bound
+    # and the value and need the route
+    for f, k, mu in raises:
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            try:
+                _range_outcome(f, k, mu)
+            except RouteBuilt:
+                assert f is ektilde_mu and k < 218, (f.__name__, k, mu)
+                break
+            best = min(best, time.perf_counter() - start)
+        else:
+            assert best < 0.01, (f.__name__, k, mu, best)
+
+
+def test_table_method_reaches_the_tables_and_rejections_name_their_rule():
+    assert Ztilde(3, 1.0, method="table") == Ztilde_table(3, 1.0)
+    assert Z(3, 1.0, method="table") == Z_table(3, 1.0)
+    rejections = (
+        (lambda: Z_table(7, 0.5), "table covers k = 0..6 only"),
+        (lambda: Z_table(1, math.nan), "mu must be finite"),
+        (lambda: Z_table(1, -math.pi), "mu must stay at least 1e-9 away from odd multiples of pi"),
+        (lambda: Ztilde_table(0, 1.0), "table covers k = 1..7 only"),
+        (lambda: Ztilde_table(8, 1.0), "table covers k = 1..7 only"),
+        (lambda: Ztilde_table(1, math.inf), "mu must be finite"),
+        (lambda: Ztilde(1, 4 * math.pi, method="table"),
+         "mu must stay at least 1e-9 away from multiples of 2*pi"),
+        (lambda: Z(1, math.nan), "mu must be finite"),
+        (lambda: Z(2, -math.inf, method="taylor"), "mu must be finite"),
+        (lambda: Ztilde(1, math.nan), "mu must be finite"),
+        (lambda: Ztilde0(math.inf), "mu must be finite"),
+        (lambda: ek_mu(1, math.nan), "mu must be finite"),
+        (lambda: ektilde_mu(1, -math.inf), "mu must be finite"),
+    )
+    for call, message in rejections:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_derivative_polynomial_rows_are_secant_and_tangent_numbers():

@@ -40,7 +40,7 @@ from telesum import (
 from fractions import Fraction
 
 from telesum import oracles
-from telesum.oracles import _BLOCK, _TWO_PI, _certified_sum, _exact_sum, _fixed_block
+from telesum.oracles import _BLOCK, _SLICE, _TWO_PI, _certified_sum, _exact_sum, _fixed_block
 
 from hurwitz_truth import z_truth, ztilde_truth
 
@@ -422,19 +422,20 @@ def _assert_exact(xs, label):
 def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
     rng = np.random.default_rng(2008)
     # a full block of full-width significands just below 2**e: the high
-    # slices sum to just under 2**37 * _BLOCK, within the 2**53 below which
-    # every integer partial sum is exact
+    # slices sum to just under 2**_SLICE * _BLOCK, within the 2**53 below
+    # which every integer partial sum is exact
     for e in (1, 300, -900):
         top = np.ldexp(1.0 - rng.random(_BLOCK) * 2.0**-20, e)
         for xs in (top, -top):
             assert _is_narrow(xs)
             _assert_exact(xs, e)
-    # the least term exactly 21 binades below the top, its lowest bit set, is
-    # the widest narrow block; at 22 binades the bit falls below both slices.
-    # Cancelling tops leave the least term as the sum, and a tie at 2**e
-    # between the two nearest doubles is broken by that one bit.
+    # the least term exactly 2 * _SLICE - 53 binades below the top, its lowest
+    # bit set, is the widest narrow block; one binade further the bit falls
+    # below both slices.  Cancelling tops leave the least term as the sum, and
+    # a tie at 2**e between the two nearest doubles is broken by that one bit.
+    widest = 2 * _SLICE - 53
     for e in (0, 50, -950):
-        for span, narrow in ((21, True), (22, False)):
+        for span, narrow in ((widest, True), (widest + 1, False)):
             least = math.ldexp(0.5 + 2.0**-53, e - span)
             cancel = np.array([0.75, -0.75, least / 2.0**e]) * 2.0**e
             tie = np.array([0.5 + 2.0**-53, 0.5, least / 2.0**e]) * 2.0**e
@@ -447,11 +448,12 @@ def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
     xs[rng.random(_BLOCK) < 0.1] = rng.choice([0.0, -0.0])
     assert _is_narrow(xs)
     _assert_exact(xs, "mixed")
-    # the scale 2**(37 - e) leaves the normal range below e = -986, so the
-    # block goes to the bins there; at the top the slices take terms near
-    # 2**1024, whose sums may still overflow or cancel
-    for e, narrow in ((-986, True), (-987, False), (-1000, False)):
-        xs = np.ldexp(rng.uniform(0.5, 1.0, 1000), e - rng.integers(0, 21, 1000))
+    # the scale 2**(_SLICE - e) leaves the normal range below
+    # e = _SLICE - 1023, so the block goes to the bins there; at the top the
+    # slices take terms near 2**1024, whose sums may still overflow or cancel
+    lowest = _SLICE - 1023
+    for e, narrow in ((lowest, True), (lowest - 1, False), (-1000, False)):
+        xs = np.ldexp(rng.uniform(0.5, 1.0, 1000), e - rng.integers(0, widest, 1000))
         assert _is_narrow(xs) == narrow, e
         _assert_exact(xs, e)
     huge = np.array([8e307, -8e307, 1e303, 1.7e308, 9e307])
@@ -601,6 +603,47 @@ def test_hurwitz_factorial_past_the_double_range():
 def test_hurwitz_rejects_unknown_kind():
     with pytest.raises(ValueError):
         hurwitz_partial("B_sideways", 1, 0.0, M=100)
+
+
+def test_oracle_rejections_name_their_rule():
+    rejections = (
+        (lambda: hurwitz_partial("B_even", 1, 1.5), "x must lie in [0, 1]"),
+        (lambda: hurwitz_partial("E_odd", 1, math.nan), "x must lie in [0, 1]"),
+        (lambda: sum_Ztilde(1, math.nan), "mu must be finite"),
+        (lambda: sum_Ztilde(0, -math.inf), "mu must be finite"),
+        (lambda: sum_inverse_square(math.inf), "theta must be finite"),
+        (lambda: sum_cotangent(math.nan), "theta must be finite"),
+        (lambda: herglotz_residual(math.nan), "theta must be finite"),
+        (lambda: herglotz_limit(-math.inf), "theta must be finite"),
+    )
+    for call, message in rejections:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_tolerance_loop_doubles_n_until_certified_and_stops_at_the_cap(monkeypatch):
+    counts = []
+    certified = oracles._certified_sum
+
+    def recording(count, *args, **kwargs):
+        counts.append(count)
+        return certified(count, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "_certified_sum", recording)
+    # the start N = 32183 falls short of 1e-14; N doubled once certifies it
+    r = sum_zeta(2, 1e-14)
+    assert counts == [32182, 64365]
+    assert r.terms_used == 64365 and r.error_bound <= 1e-14
+    monkeypatch.undo()
+    # at the cap the roundoff floor of 2e7 terms is above 5e-15
+    for oracle, s, cap, achieved in ((sum_zeta, 2, "N cap", "7.305e-15"),
+                                     (sum_beta, 1, "term cap", "3.436e-14")):
+        with pytest.raises(ToleranceUnreachable) as exc:
+            oracle(s, 5e-15)
+        assert str(exc.value) == (
+            "tolerance 5.000e-15 unreachable at the %s 20000000 (achieved %s)" % (cap, achieved))
+        assert "%.3e" % exc.value.achieved == achieved
 
 
 # ------------------------------------------------------------ streamed terms
@@ -821,9 +864,11 @@ def _array_terms(name, args, terms_used):
         theta, N = args
         return [1.0 / (np.arange(-N, N + 1, dtype=np.float64) + theta) ** 2]
     if name == "sum_cotangent":
+        # the kernel sums sum_Ztilde's paired terms at spacing 1, the exact
+        # negations of these, and the oracle negates the sum back
         theta, N = args
         n = np.arange(1, N + 1, dtype=np.float64)
-        return [np.append(2.0 * theta / ((theta - n) * (theta + n)), 1.0 / theta)]
+        return [-np.append(2.0 * theta / ((theta - n) * (theta + n)), 1.0 / theta)]
     kind, k, x, M = args
     extra, euler = oracles._HURWITZ[kind]
     if euler:

@@ -200,6 +200,24 @@ def test_kernel_validation():
         exact_poly_trig_integral(bernoulli_poly(2), OscKernel.cos(0))
 
 
+def test_integral_rejections_name_their_rule():
+    rejections = (
+        (lambda: exact_apostol_integral(1, 0, math.pi), "mu must satisfy |mu| < pi"),
+        (lambda: exact_apostol_integral(1, 0, math.nan), "mu must satisfy |mu| < pi"),
+        (lambda: j_integral(1, 1, "zeta_odd"), "family must be 'bernoulli_odd' or 'euler_odd'"),
+        (lambda: j_integral(1, 0, "bernoulli_odd"), "bernoulli_odd requires m >= 1"),
+        (lambda: j_integral(1, -1, "euler_odd"), "euler_odd requires m >= 0"),
+    )
+    rejections += tuple(
+        (lambda tol=tol: adaptive_integrate(math.cos, tol), "tol must be a positive finite real")
+        for tol in (0.0, -1e-8, math.inf, math.nan)
+    )
+    for call, message in rejections:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_exponential_kernel_ladder_against_mpmath():
     """int_0^1 E_k(x; e^{i mu}) e^{i((mu - (2m+1) pi) x} dx, checked numerically."""
     with mpmath.workdps(30):
