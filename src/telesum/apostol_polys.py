@@ -28,8 +28,11 @@ integer rows -- sec^(k) x = sec x Q_k(tan x), Q_{k+1} = t Q_k + (1 + t^2) Q_k',
 and cot^(k) x = P_k(cot x), P_{k+1} = -(1 + u^2) P_k' (M. E. Hoffman, Amer.
 Math. Monthly 102 (1995) 23-30; K. Boyadzhiev, IJMMS 2007) -- grow on demand
 and have one sign and fixed parity.  In mpmath they give the Taylor
-coefficients and the lattice sums' "taylor" route; in doubles, closed_forms'
-certified route.
+coefficients and the lattice sums' "taylor" route; in doubles, the certified
+route.  The carriers are 2*k! times closed_forms' Z and Ztilde, and one
+evaluator per family (_sec_value, _cot_value) serves both: it checks the
+domain, gates the double range on the certified value, runs a route and
+cross-checks it (_checked).
 
 The carriers, their residues and the Taylor coefficients work at
 DEFAULT_DPS significant digits; only the deformed polynomials take a dps
@@ -49,23 +52,25 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath.libmp import (
     fone,
     from_float,
+    from_int,
     from_man_exp,
     mpf_cos_sin,
     mpf_div,
     mpf_mul,
     mpf_shift,
+    normalize,
     round_nearest,
     to_fixed,
 )
 
 from .classical_polys import bernoulli_poly
-from .exact_core import InternalConsistencyError, ToleranceUnreachable, _check_int
+from .exact_core import InternalConsistencyError, ToleranceUnreachable, _check_int, _nearest_float
 
 __all__ = [
     "DEFAULT_DPS",
@@ -91,9 +96,9 @@ TOL_IMAG = 1e-9
 # Half-width of the excluded neighbourhoods around parameter singularities.
 GUARD_BAND = 1e-9
 
-# Largest k of Z and Ztilde: past it the scaled coefficients of Q_k and P_k
-# (down to about 2 / pi**(k+1)) leave the normal double range and the
-# certified bound would no longer hold.
+# Largest k of Z, Ztilde and the carriers: past it the scaled coefficients
+# of Q_k and P_k (down to about 2 / pi**(k+1)) leave the normal double range
+# and the certified bound would no longer hold.
 MAX_K = 618
 
 _TWO_PI = 2.0 * math.pi
@@ -103,6 +108,9 @@ _U = 2.0 ** -53
 _LIBM = 2.0 ** -51
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
+# Absolute error a checked value can pick up when rounded into the
+# subnormal range.
+_SUBNORMAL_FLOOR = 2.0 ** -1072
 
 
 def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
@@ -346,11 +354,20 @@ def _log_floor(k: int, dist: float) -> float:
     return math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
 
 
-def _sec_certified(k: int, mu: float) -> Tuple[float, float, float]:
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x else -math.inf
+
+
+# (value, rel, log of the floor, lower bound on log |value|) of a certified route
+_Certified = Tuple[float, float, float, float]
+
+
+def _sec_certified(k: int, mu: float) -> _Certified:
     """Z(k, mu) from the certified route, sec(mu/2) Q_k(tan(mu/2)) over
-    2**(k+1) k! in doubles, its relative error bound rel, and the log of the
-    absolute error the high-precision routes of Z and ek_mu are held to:
-    the _log_floor allowance, or rel |Z| where that is smaller.
+    2**(k+1) k! in doubles, its relative error bound rel, the log of the
+    absolute error the high-precision routes are held to -- the _log_floor
+    allowance, or rel |Z| where that is smaller -- and a lower bound on
+    log |Z|.
 
     Only odd k gets near the second: there Z vanishes like mu, and next to
     mu = 0 the allowance alone leaves no relative accuracy.  |Z| is at least
@@ -361,12 +378,11 @@ def _sec_certified(k: int, mu: float) -> Tuple[float, float, float]:
     value, rel = _SEC_ROWS.value(k, math.tan(half))
     value /= math.cos(half)
     log_floor = _log_floor(k, math.pi - abs(mu))
+    log_z = _log_abs(value)
     if k % 2 and mu:
-        log_z = math.log(_SEC_ROWS.scaled[k][-1]) + math.log(abs(mu)) - _LN2
-        if value:
-            log_z = max(log_z, math.log(abs(value)))
+        log_z = max(log_z, math.log(_SEC_ROWS.scaled[k][-1]) + math.log(abs(mu)) - _LN2)
         log_floor = min(log_floor, math.log(rel) + log_z)
-    return value, rel, log_floor
+    return value, rel, log_floor, log_z
 
 
 def _allowance(k: int, dist: float) -> mpmath.mpf:
@@ -409,46 +425,116 @@ def _finite_complex(value: mpmath.mpc, what: str) -> complex:
     )
 
 
-def _check_carrier_range(k: int, odd_row: bool, log_u: float, what: str) -> None:
-    """Raise ToleranceUnreachable (achieved = inf), before any route is
-    built, when a lower bound on the k-th mu-derivative of sec(mu/2) or
-    -cot(mu/2), 2**-k |sec(mu/2) Q_k(u)| or 2**-k |P_k(u)| at u = tan or cot
-    of the half angle, passes the double range.  A row's coefficients share
-    one sign and one parity, so an even row is at least its value at 0 and
-    an odd one its derivative at 0 times |u| (log_u bounds log |u|), the
-    zigzag numbers A_k and A_{k+1}.  A_n is 2 (2/pi)**(n+1) n! times
-    beta(n+1) >= 2/3 (n even) or lambda(n+1) >= 1 (n odd).  The log of the
-    bound must pass log(DBL_MAX) by 1e-6, far more than its rounding and the
-    half ulp a value may pass DBL_MAX by and still round to it."""
-    n = k + odd_row
-    log_bound = math.log(4.0 / 3.0) + (n + 1 - k) * _LN2 - (n + 1) * math.log(math.pi)
-    log_bound += math.lgamma(n + 1) + (log_u if odd_row else 0.0)
-    if log_bound > _LOG_DBL_MAX + 1e-6:
+def _float_quotient(x: mpmath.mpf, scale: int) -> float:
+    """float(x) / scale, rounded exactly as Python rounds it whenever
+    float(x) is a normal double and float(scale) is finite -- x and scale
+    each rounded to 53 bits, then the quotient once -- but with no exponent
+    limit on x or scale, so a quotient in range stays finite for k >= 171."""
+    sign, man, exp, bc = x._mpf_
+    if not man:
+        return float(x)
+    _, man, exp, _ = normalize(sign, man, exp, bc, 53, round_nearest)
+    _, sman, sexp, _ = from_int(scale, 53, round_nearest)
+    num, den = int(man), int(sman)
+    if exp >= sexp:
+        num <<= exp - sexp
+    else:
+        den <<= sexp - exp
+    value = _nearest_float(num, den)
+    return -value if sign else value
+
+
+def _check_max_k(k: int) -> None:
+    if k > MAX_K:
+        raise ValueError(
+            "k must be <= %d, where the certified route's coefficients leave "
+            "the double range" % MAX_K
+        )
+
+
+def _checked(
+    k: int, route: Callable[[], mpmath.mpc], certified: _Certified, dist: float,
+    carrier: bool, what: str,
+) -> float:
+    """Re z for a carrier, else Re z / (2*k!), where z = route() is 2*k!
+    times a lattice sum from an mpmath route; either way Re z / (2*k!) is
+    checked against ``check``, the sum's certified value.
+
+    No route is built when log |result| is known to pass log(DBL_MAX) by
+    1e-6, far more than the bound's rounding and the half ulp a value may
+    pass DBL_MAX by and still round to it: ToleranceUnreachable (achieved =
+    inf).  z's imaginary residue must pass _check_residue, and z over 2*k!
+    must agree with check to |value - check| <= (rel + 4u) * |check| +
+    floor: rel bounds the certified value's error, 4u the rounding of this
+    one, and the floor, e**log_floor up to exp(700), the mpmath route's own
+    error and subnormal rounding.
+    """
+    check, rel, log_floor, log_low = certified
+    if carrier:
+        log_low += _LN2 + math.lgamma(k + 1)
+    if log_low > _LOG_DBL_MAX + 1e-6:
         raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
+    with mpmath.workdps(DEFAULT_DPS):
+        z = route()
+    _check_residue(z, k, dist, what)
+    value = _float_quotient(z.real, 2 * math.factorial(k))
+    if not math.isfinite(value):
+        raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
+    floor = math.exp(min(log_floor, 700.0))
+    allowed = (rel + 4 * _U) * abs(check) + floor + _SUBNORMAL_FLOOR
+    if abs(value - check) > allowed:
+        raise InternalConsistencyError(
+            "%s: the route gives %r, the certified derivative-polynomial route "
+            "%r (allowed difference %.3e)" % (what, value, check, allowed)
+        )
+    return _finite_float(z.real, what) if carrier else value
+
+
+def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
+    """Z(k, mu), or ek_mu(k, mu) = 2*k! Z(k, mu) for a carrier, from the
+    taylor or the complex route, checked by _checked; k <= MAX_K."""
+    _check_max_k(k)
+    mu = _check_sec_domain(mu)
+    certified = _sec_certified(k, mu)
+    if taylor:
+        route = lambda: _row_value(_SEC_ROWS, k, *_sec_point(mu))
+    else:
+        route = lambda: _ek_complex(k, mu, certified[2])
+    what = "%s(%d, %r)" % ("ek_mu" if carrier else "Z", k, mu)
+    return _checked(k, route, certified, math.pi - abs(mu), carrier, what)
+
+
+def _cot_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
+    """Ztilde(k, mu), or ektilde_mu(k, mu) = 2*k! Ztilde(k, mu), as
+    _sec_value; the certified value is -P_k(cot(mu/2)) / (2**(k+1) k!)."""
+    _check_max_k(k)
+    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
+    # cot(mu/2) in doubles, a few ulps off, is never 0
+    check, rel = _COT_ROWS.value(k, 1.0 / math.tan(mu / 2.0))
+    dist = abs(math.remainder(mu, _TWO_PI))
+    # -P_k = (-1)**(k+1) |P_k|
+    certified = (check if k % 2 else -check, rel, _log_floor(k, dist), _log_abs(check))
+    if taylor:
+        route = lambda: _row_value(_COT_ROWS, k, *_cot_point(mu))
+    else:
+        route = lambda: _ektilde_complex(k, mu)
+    what = "%s(%d, %r)" % ("ektilde_mu" if carrier else "Ztilde", k, mu)
+    return _checked(k, route, certified, dist, carrier, what)
 
 
 def ek_mu(k: int, mu: float) -> float:
     """k-th derivative of sec(mu/2) via the complex polynomial route.
 
-    Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) from its explicit form
-    and returns the real part after checking the imaginary residue by Z's
-    rule (_check_residue).  The route adds the digits its cancelling sum
-    needs to keep the error under the bound of _sec_certified.  A value
-    beyond the double range raises ToleranceUnreachable; Z divides by 2*k!
-    before it rounds, so it stays finite where this one cannot.  No route
-    is built where _check_carrier_range's lower bound, with
-    |tan(mu/2)| >= |mu|/2, already passes the double range.
+    Computes i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) from its explicit form,
+    which is exactly 2*k! Z(k, mu), and returns its real part: the route,
+    the domain (0 <= k <= MAX_K, -pi < mu < pi), the residue rule and the
+    cross-check against the certified value are Z's (_sec_value).  A value
+    beyond the double range raises ToleranceUnreachable, with no route
+    built once the certified value shows it; Z divides by 2*k! before it
+    rounds, so it stays finite where this one cannot.
     """
     k = _check_int(k, "k", 0)
-    mu = _check_sec_domain(mu)
-    # the odd derivatives vanish at mu = 0
-    log_u = math.log(abs(mu)) - _LN2 if mu else -math.inf
-    _check_carrier_range(k, k % 2 == 1, log_u, "ek_mu(%d, %r)" % (k, mu))
-    with mpmath.workdps(DEFAULT_DPS):
-        # past MAX_K only odd k at mu = 0 get here, where the value is 0
-        z = _ek_complex(k, mu, _sec_certified(k, mu)[2] if k <= MAX_K else None)
-        _check_residue(z, k, math.pi - abs(mu), "sec-derivative value")
-        return _finite_float(z.real, "sec-derivative value")
+    return _sec_value(k, mu, False, True)
 
 
 def ektilde_mu(k: int, mu: float) -> float:
@@ -457,23 +543,15 @@ def ektilde_mu(k: int, mu: float) -> float:
     The k = 0 combination i * e^(i mu) * E_0(1; -e^(i mu)) is not real (its
     imaginary part is identically -1), so k = 0 is rejected; use the direct
     convention -1/tan(mu/2) instead.  The value is i**(k+1) * e_k(-e^(i mu))
-    from its explicit form; the precision, the residue check and the
-    a-priori range check (_check_carrier_range) are ek_mu's.
+    from its explicit form, exactly 2*k! Ztilde(k, mu); the domain (k <=
+    MAX_K), the checks and the errors are Ztilde's and ek_mu's (_cot_value).
     """
     k = _check_int(k, "k")
     if k < 1:
         raise ValueError(
             "k must be >= 1; the k = 0 value is the convention -1/tan(mu/2)"
         )
-    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    # cot(mu/2) in doubles, a few ulps off, is never 0
-    log_u = math.log(abs(1.0 / math.tan(mu / 2.0)))
-    _check_carrier_range(k, k % 2 == 0, log_u, "ektilde_mu(%d, %r)" % (k, mu))
-    with mpmath.workdps(DEFAULT_DPS):
-        z = _ektilde_complex(k, mu)
-        dist = abs(math.remainder(mu, _TWO_PI))
-        _check_residue(z, k, dist, "cot-derivative value")
-        return _finite_float(z.real, "cot-derivative value")
+    return _cot_value(k, mu, False, True)
 
 
 def _scaled_residue(z: mpmath.mpc, k: int, dist: float) -> float:

@@ -26,38 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
-import mpmath
-from mpmath.libmp import from_int, normalize, round_nearest
-
-from .apostol_polys import (
-    _COT_ROWS,
-    _SEC_ROWS,
-    _U,
-    DEFAULT_DPS,
-    GUARD_BAND,
-    MAX_K,
-    _check_lattice_distance,
-    _check_residue,
-    _check_sec_domain,
-    _cot_point,
-    _ek_complex,
-    _ektilde_complex,
-    _log_floor,
-    _row_value,
-    _sec_certified,
-    _sec_point,
-)
+from .apostol_polys import GUARD_BAND, MAX_K, _check_lattice_distance, _cot_value, _sec_value
 from .classical_polys import bernoulli_number, euler_number
-from .exact_core import (
-    InternalConsistencyError,
-    PiScalar,
-    Rational,
-    ToleranceUnreachable,
-    _check_int,
-    _nearest_float,
-)
+from .exact_core import PiScalar, Rational, _check_int
 
 __all__ = [
     "MAX_K",
@@ -76,9 +49,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# Absolute error the two results can pick up when rounded into the
-# subnormal range.
-_SUBNORMAL_FLOOR = 2.0 ** -1072
 
 
 def zeta_even(k: int) -> PiScalar:
@@ -116,68 +86,6 @@ def _check_method(method: str) -> None:
         )
 
 
-def _float_quotient(x: mpmath.mpf, scale: int) -> float:
-    """float(x) / scale, rounded exactly as Python rounds it whenever
-    float(x) is a normal double and float(scale) is finite -- x and scale
-    each rounded to 53 bits, then the quotient once -- but with no exponent
-    limit on x or scale, so a quotient in range stays finite for k >= 171."""
-    sign, man, exp, bc = x._mpf_
-    if not man:
-        return float(x)
-    _, man, exp, _ = normalize(sign, man, exp, bc, 53, round_nearest)
-    _, sman, sexp, _ = from_int(scale, 53, round_nearest)
-    num, den = int(man), int(sman)
-    if exp >= sexp:
-        num <<= exp - sexp
-    else:
-        den <<= sexp - exp
-    value = _nearest_float(num, den)
-    return -value if sign else value
-
-
-def _checked(
-    k: int, route: Callable[[], mpmath.mpc], check: float, rel: float, dist: float,
-    log_floor: float, what: str,
-) -> float:
-    """The real part of an mpmath route's value z = route() of 2*k! times
-    the sum, over 2*k!, checked against the certified value ``check``.
-
-    They must agree to |value - check| <= (rel + 4u) * |check| + floor:
-    rel bounds the certified value's error, 4u the rounding of this one,
-    and the floor, e**log_floor (_log_floor, or for Z the one of
-    _sec_certified) up to exp(700), the mpmath route's own error and
-    subnormal rounding.  The imaginary residue of the complex route must
-    pass _check_residue, the rule of ek_mu and ektilde_mu.  No route is
-    built when ``check`` already lies past the double range.
-    """
-    value = math.inf
-    if math.isfinite(check):
-        with mpmath.workdps(DEFAULT_DPS):
-            z = route()
-        _check_residue(z, k, dist, what)
-        value = _float_quotient(z.real, 2 * math.factorial(k))
-    if not math.isfinite(value):
-        raise ToleranceUnreachable(
-            "%s lies beyond the double-precision range" % what, achieved=math.inf
-        )
-    floor = math.exp(min(log_floor, 700.0))
-    allowed = (rel + 4 * _U) * abs(check) + floor + _SUBNORMAL_FLOOR
-    if abs(value - check) > allowed:
-        raise InternalConsistencyError(
-            "%s: the route gives %r, the certified derivative-polynomial route "
-            "%r (allowed difference %.3e)" % (what, value, check, allowed)
-        )
-    return value
-
-
-def _check_max_k(k: int) -> None:
-    if k > MAX_K:
-        raise ValueError(
-            "k must be <= %d, where the certified route's coefficients leave "
-            "the double range" % MAX_K
-        )
-
-
 def Z(k: int, mu: float, method: str = "auto") -> float:
     """Bilateral alternating sum over odd multiples of pi shifted by mu.
 
@@ -189,7 +97,7 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     its exact row at DEFAULT_DPS digits; both are computed in mpmath and
     scaled by 2*k! before rounding.  Each is checked against the certified
     value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!), the same row rounded to
-    doubles, to within its error bound (see _checked).  For "auto" and
+    doubles, to within its error bound (see apostol_polys._checked).  For "auto" and
     "complex" that compares two independent algorithms; for "taylor" it
     compares one row in two precisions, which tests the certified bound
     (verify's dual-route checks compare the routes).  These methods need
@@ -205,12 +113,7 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     _check_method(method)
     if method == "table":
         return Z_table(k, mu)
-    _check_max_k(k)
-    mu = _check_sec_domain(mu)
-    check, rel, log_floor = _sec_certified(k, mu)
-    route = ((lambda: _row_value(_SEC_ROWS, k, *_sec_point(mu))) if method == "taylor"
-             else lambda: _ek_complex(k, mu, log_floor))
-    return _checked(k, route, check, rel, math.pi - abs(mu), log_floor, "Z(%d, %r)" % (k, mu))
+    return _sec_value(k, mu, method == "taylor", False)
 
 
 def Ztilde(k: int, mu: float, method: str = "auto") -> float:
@@ -235,15 +138,7 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     _check_method(method)
     if method == "table":
         return Ztilde_table(k, mu)
-    _check_max_k(k)
-    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    check, rel = _COT_ROWS.value(k, 1.0 / math.tan(mu / 2.0))
-    route = ((lambda: _row_value(_COT_ROWS, k, *_cot_point(mu))) if method == "taylor"
-             else lambda: _ektilde_complex(k, mu))
-    dist = abs(math.remainder(mu, _TWO_PI))
-    # -P_k = (-1)**(k+1) |P_k|
-    return _checked(k, route, check if k % 2 else -check, rel, dist, _log_floor(k, dist),
-                    "Ztilde(%d, %r)" % (k, mu))
+    return _cot_value(k, mu, method == "taylor", False)
 
 
 def Ztilde0(mu: float) -> float:

@@ -130,17 +130,14 @@ def _power_tail(a: float, b: float, p: float, A: int) -> Tuple[float, float]:
 
     Estimate is the integral plus half-term; the trapezoid-defect bound
     (|f'(A)| + f''(A)) / 12 is valid because f is convex decreasing with
-    decreasing second derivative.  A tail beyond the double range comes back
-    as (inf, inf), which the summation kernel reports as unreachable.
+    decreasing second derivative.  The tail start y = a*A + b must be at
+    least 1/2, and at least pi unless p = 2, so no power overflows: sum_zeta
+    has y = N >= 10, sum_Ztilde's window keeps y >= pi, and
+    sum_inverse_square's keeps y >= 1/2 at p = 2.
     """
     y = a * A + b
-    if y <= 0:
-        raise ValueError("tail start a*A + b must be positive")
-    try:
-        est = y ** (1.0 - p) / (a * (p - 1.0)) + 0.5 * y ** (-p)
-        bound = (p * a * y ** (-p - 1.0) + p * (p + 1.0) * a * a * y ** (-p - 2.0)) / 12.0
-    except OverflowError:
-        return math.inf, math.inf
+    est = y ** (1.0 - p) / (a * (p - 1.0)) + 0.5 * y ** (-p)
+    bound = (p * a * y ** (-p - 1.0) + p * (p + 1.0) * a * a * y ** (-p - 2.0)) / 12.0
     return est, bound
 
 
@@ -167,9 +164,10 @@ def _alternating_tail(h0: float, h1: float) -> Tuple[float, float]:
     return est, bound
 
 
-# Every oracle builds its terms with floating-point warnings off: overflow
-# shows up as a non-finite sum, which _certified_sum reports.  The summation
-# kernel runs with them off too and reports a non-finite term as ValueError.
+# Every oracle builds its terms in fill, which only _stream_sum calls, so
+# the kernel's floating-point warnings are off for them too: overflow shows
+# up as a non-finite term, which _stream_sum reports as ValueError and
+# _certified_sum as unreachable.
 _quiet = np.errstate(all="ignore")
 
 
@@ -439,7 +437,6 @@ def _to_tolerance(target_tol: float, start: Callable[[float], int], cap: int,
         n *= 2
 
 
-@_quiet
 def sum_zeta(s: int, target_tol: float = 1e-10) -> SumResult:
     """Partial sum of m**(-s) over m >= 1 with a certified tail correction.
 
@@ -461,7 +458,6 @@ def sum_zeta(s: int, target_tol: float = 1e-10) -> SumResult:
     return _to_tolerance(target_tol, start, _ZETA_N_CAP, "N cap %d" % _ZETA_N_CAP, attempt)
 
 
-@_quiet
 def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
     """Alternating sum of (-1)**m (2m+1)**(-s) with a certified tail.
 
@@ -496,7 +492,6 @@ def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
     return _to_tolerance(target_tol, start, _BETA_M_CAP // 2, "term cap %d" % _BETA_M_CAP, attempt)
 
 
-@_quiet
 def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     """Bilateral alternating lattice sum (-1)**m / ((2m+1)*pi - mu)**(k+1).
 
@@ -581,7 +576,6 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     )
 
 
-@_quiet
 def _lattice_sum(k: int, a: float, c: float, N: int, patches: _Patches = ()) -> SumResult:
     """sum_Ztilde's body: the sum of (m*a - c)**-(k+1) over m = -N..N, a > 0.
     Term i is that of m = i - N, or at k = 0 the pair of m = i + 1 and -m,
@@ -682,7 +676,6 @@ def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
 _HURWITZ = {"B_even": (0, False), "B_odd": (1, False), "E_even": (1, True), "E_odd": (0, True)}
 
 
-@_quiet
 def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
     """Truncated trigonometric expansion of a Bernoulli/Euler polynomial.
 

@@ -240,7 +240,8 @@ def test_taylor_coefficients_past_the_double_range_raise_a_typed_error():
 
 
 # ek_mu's outcomes where its value leaves the double range, recorded from
-# the route before the a-priori check: a value's float.hex or the exception
+# the route before the a-priori check: a value's float.hex or the exception.
+# Past MAX_K = 618 ek_mu raises Z's ValueError
 _EK_EDGE_OUTCOMES = {
     (216, 5e-324): '0x1.331eca64ad24cp+1012',
     (216, 1e-61): '0x1.331eca64ad24cp+1012',
@@ -286,10 +287,6 @@ _EK_EDGE_OUTCOMES = {
     (618, 1e-61): 'ToleranceUnreachable',
     (618, 0.1): 'ToleranceUnreachable',
     (618, 3.1): 'ToleranceUnreachable',
-    (1001, 5e-324): 'ToleranceUnreachable',
-    (1001, 1e-61): 'ToleranceUnreachable',
-    (1001, 0.1): 'ToleranceUnreachable',
-    (1001, 3.1): 'ToleranceUnreachable',
 }
 
 
@@ -301,22 +298,26 @@ def test_ek_mu_past_the_double_range_raises_before_building_the_route(monkeypatc
             assert exc.achieved == math.inf
             got = "ToleranceUnreachable"
         assert got == want, (k, mu)
-    # the bound alone decides at k = 1001: no route, and no time for one
+    # the certified value alone decides every raise: no route, and no time
+    # for one
     def no_route(*args):
         raise AssertionError("route built")
 
     monkeypatch.setattr(apostol_polys, "_ek_complex", no_route)
-    for mu in (5e-324, 0.1, -3.1):
+    for (k, mu), want in _EK_EDGE_OUTCOMES.items():
+        if want != "ToleranceUnreachable":
+            continue
         best = math.inf
-        for _ in range(5):
+        for _ in range(3):
             start = time.perf_counter()
             with pytest.raises(ToleranceUnreachable):
-                ek_mu(1001, mu)
+                ek_mu(k, mu)
             best = min(best, time.perf_counter() - start)
-        assert best < 0.01
-    # odd derivatives vanish at mu = 0, so no bound applies there
-    monkeypatch.undo()
-    assert ek_mu(1001, 0.0) == 0.0
+        assert best < 0.01, (k, mu, best)
+    # past MAX_K, odd k at mu = 0, where the value is 0, included
+    for mu in (0.0, 5e-324, 0.1, -3.1):
+        with pytest.raises(ValueError, match="k must be <= 618, where"):
+            ek_mu(1001, mu)
 
 
 def test_taylor_coefficients_stop_growing_rows_at_the_first_overflow():
@@ -360,14 +361,16 @@ def test_carrier_domain_guards():
 
 def test_carriers_past_the_double_range_raise_a_typed_error():
     # 2 * 171! * Z(171, 0.7) = 5.19e242 is in range; the k = 250 value is not,
-    # and from k = 381 on no value at mu != 0 is, the least subnormal mu and
-    # k past the certified rows included
+    # and from k = 381 on no value at mu != 0 is, the least subnormal mu
+    # included; k past the certified rows is Z's domain error
     assert ek_mu(171, 0.7) == pytest.approx(5.188192231325938e242, rel=1e-13)
     with mpmath.workdps(30):
         want = 2 * math.factorial(379) * z_truth(379, 5e-324)  # 7.19e304
         assert abs(ek_mu(379, 5e-324) - want) <= 1e-13 * want
-    for carrier, k, mu in ((ek_mu, 250, 0.7), (ek_mu, 381, 5e-324), (ek_mu, 701, 1e-61),
-                           (ektilde_mu, 200, 1.0)):
+    for carrier, k, mu in ((ek_mu, 250, 0.7), (ek_mu, 381, 5e-324), (ektilde_mu, 200, 1.0)):
         with pytest.raises(ToleranceUnreachable) as info:
             carrier(k, mu)
         assert info.value.achieved == math.inf
+    for carrier, k, mu in ((ek_mu, 701, 1e-61), (ektilde_mu, 701, 1.0)):
+        with pytest.raises(ValueError, match="k must be <= 618, where"):
+            carrier(k, mu)

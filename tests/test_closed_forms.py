@@ -266,7 +266,7 @@ def test_odd_sums_keep_their_relative_accuracy_next_to_mu_zero():
     half_unit = mpmath.ldexp(1, -1075)
     for k in (1, 3, 41):
         for mu in (1e-30, -1e-30, 1e-61, -1e-61, 1e-200, -1e-200, 3e-310, -3e-310):
-            rel = closed_forms._SEC_ROWS.value(k, math.tan(mu / 2))[1]
+            rel = apostol_polys._SEC_ROWS.value(k, math.tan(mu / 2))[1]
             r = sum_Z(k, mu)
             with mpmath.workdps(30):
                 want = z_truth(k, mu)
@@ -325,7 +325,8 @@ def test_k_past_the_certified_range_is_a_domain_error():
 
 # Outcomes about the first k whose value leaves the double range, recorded
 # from the routes before the a-priori checks: per (function, k), a value's
-# float.hex or T for ToleranceUnreachable at each of the function's mus
+# float.hex or T for ToleranceUnreachable at each of the function's mus.
+# Past MAX_K = 618 the carriers raise Z's ValueError
 T = "ToleranceUnreachable"
 _RANGE_EDGE_MUS = {
     Z: (3.1, -3.1, 3.0, 0.1),
@@ -351,7 +352,6 @@ _RANGE_EDGE_OUTCOMES = {
     (ektilde_mu, 219): (T, T, T, T),
     (ektilde_mu, 220): ('-0x1.03a8fab2439c1p+990', T, T, T),
     (ektilde_mu, 221): (T, T, T, T),
-    (ektilde_mu, 1001): (T, T, T, T),
 }
 
 
@@ -377,24 +377,19 @@ def test_values_past_the_double_range_raise_before_building_a_route(monkeypatch)
     def no_route(*args):
         raise RouteBuilt
 
-    for module, name in ((closed_forms, "_ek_complex"), (closed_forms, "_ektilde_complex"),
-                         (closed_forms, "_row_value"), (apostol_polys, "_ektilde_complex")):
-        monkeypatch.setattr(module, name, no_route)
-    # the certified value of Z and Ztilde, or the carrier's lower bound,
-    # decides every raise from k = 218 on; the rest lie between the bound
-    # and the value and need the route
+    for name in ("_ek_complex", "_ektilde_complex", "_row_value"):
+        monkeypatch.setattr(apostol_polys, name, no_route)
+    # the certified value, times 2*k! for a carrier, decides every raise
     for f, k, mu in raises:
         best = math.inf
         for _ in range(3):
             start = time.perf_counter()
-            try:
-                _range_outcome(f, k, mu)
-            except RouteBuilt:
-                assert f is ektilde_mu and k < 218, (f.__name__, k, mu)
-                break
+            _range_outcome(f, k, mu)
             best = min(best, time.perf_counter() - start)
-        else:
-            assert best < 0.01, (f.__name__, k, mu, best)
+        assert best < 0.01, (f.__name__, k, mu, best)
+    for mu in _RANGE_EDGE_MUS[ektilde_mu]:
+        with pytest.raises(ValueError, match="k must be <= 618, where"):
+            ektilde_mu(1001, mu)
 
 
 def test_table_method_reaches_the_tables_and_rejections_name_their_rule():
@@ -427,11 +422,11 @@ def test_derivative_polynomial_rows_are_secant_and_tangent_numbers():
     # -tan^(k)(0) = -T_k for odd k, with T_k the tangent numbers.  The rows
     # are an engine independent of classical_polys' triangle, so this checks
     # the Euler and Bernoulli numbers and E_k(0) = (-1)**((k+1)/2) T_k / 2**k
-    closed_forms._SEC_ROWS.value(300, 0.0)
-    closed_forms._COT_ROWS.value(300, 0.0)
+    apostol_polys._SEC_ROWS.value(300, 0.0)
+    apostol_polys._COT_ROWS.value(300, 0.0)
     for k in range(0, 301):
-        q = closed_forms._SEC_ROWS.exact[k]
-        p = closed_forms._COT_ROWS.exact[k]
+        q = apostol_polys._SEC_ROWS.exact[k]
+        p = apostol_polys._COT_ROWS.exact[k]
         assert len(q) == k + 1 and len(p) == k + 2
         assert all(c >= 0 for c in q) and all(c * (-1) ** k >= 0 for c in p)
         assert q[-1] == p[-1] * (-1) ** k == math.factorial(k)
@@ -446,7 +441,7 @@ def test_derivative_polynomial_rows_are_secant_and_tangent_numbers():
 
 def test_certified_bound_holds_against_hurwitz_truth():
     # the derivative-polynomial value alone, against 60-digit truth
-    rows = closed_forms._SEC_ROWS, closed_forms._COT_ROWS
+    rows = apostol_polys._SEC_ROWS, apostol_polys._COT_ROWS
     with mpmath.workdps(60):
         for k in (1, 2, 7, 20, 41, 80, 150, 250):
             for mu in (0.3, -1.3, 2.2, 3.05, -3.1):
@@ -584,7 +579,7 @@ def test_route_check_catches_a_perturbed_complex_value(monkeypatch):
     assert Ztilde(60, 1.0) == pytest.approx(-1.0, rel=1e-12)
     for name, f, k, mu in (("_ek_complex", Z, 60, 0.7), ("_ektilde_complex", Ztilde, 60, 1.0)):
         with monkeypatch.context() as patch:
-            patch.setattr(closed_forms, name, _perturbed(getattr(closed_forms, name), 1 + 1e-10))
+            patch.setattr(apostol_polys, name, _perturbed(getattr(apostol_polys, name), 1 + 1e-10))
             with pytest.raises(InternalConsistencyError, match="certified"):
                 f(k, mu)
             with pytest.raises(InternalConsistencyError, match="certified"):
@@ -592,12 +587,23 @@ def test_route_check_catches_a_perturbed_complex_value(monkeypatch):
             f(k, mu, method="taylor")  # the Taylor route is untouched
 
 
+def test_route_check_catches_a_perturbed_carrier(monkeypatch):
+    # the carriers are 2*k! times Z and Ztilde, cross-checked as they are
+    cases = (("_ek_complex", ek_mu, Z, 60, 0.7), ("_ektilde_complex", ektilde_mu, Ztilde, 60, 1.0))
+    for name, carrier, f, k, mu in cases:
+        assert carrier(k, mu) == pytest.approx(2 * math.factorial(k) * f(k, mu), rel=1e-15)
+        with monkeypatch.context() as patch:
+            patch.setattr(apostol_polys, name, _perturbed(getattr(apostol_polys, name), 1 + 1e-10))
+            with pytest.raises(InternalConsistencyError, match="certified"):
+                carrier(k, mu)
+
+
 def test_route_check_catches_an_altered_row_coefficient():
     for rows, f, k, mu, t in (
-        (closed_forms._SEC_ROWS, Z, 60, 0.7, math.tan(0.35)),
-        (closed_forms._COT_ROWS, Ztilde, 60, 1.0, 1 / math.tan(0.5)),
+        (apostol_polys._SEC_ROWS, Z, 60, 0.7, math.tan(0.35)),
+        (apostol_polys._COT_ROWS, Ztilde, 60, 1.0, 1 / math.tan(0.5)),
         # next to the zero of Z at odd k the allowed difference is relative
-        (closed_forms._SEC_ROWS, Z, 41, 1e-61, math.tan(0.5e-61)),
+        (apostol_polys._SEC_ROWS, Z, 41, 1e-61, math.tan(0.5e-61)),
     ):
         f(k, mu)
         saved = rows.scaled[k]

@@ -67,6 +67,19 @@ def test_pi_scalar_arithmetic():
     assert a * Fraction(2) == PiScalar(Fraction(1), 2)
 
 
+def test_pi_scalar_division():
+    a = PiScalar(Fraction(1, 2), 5)
+    assert a / PiScalar(Fraction(1, 3), 2) == PiScalar(Fraction(3, 2), 3)
+    assert a / 4 == PiScalar(Fraction(1, 8), 5)
+    assert a / Fraction(3, 7) == PiScalar(Fraction(7, 6), 5)
+    # Fraction's own ZeroDivisionError would name Fraction, not PiScalar
+    with pytest.raises(ZeroDivisionError, match="division by zero PiScalar"):
+        a / PiScalar(0, 2)
+    # a float would make the result inexact
+    with pytest.raises(TypeError):
+        a / 2.0
+
+
 def test_pi_scalar_cross_power_addition_rejected():
     with pytest.raises(ValueError):
         PiScalar(Fraction(1, 2), 2) + PiScalar(Fraction(1, 5), 3)
@@ -107,6 +120,9 @@ def test_pi_scalar_float_at_the_edges_of_the_double_range():
     assert float(PiScalar(10 ** 300, 20)) == math.inf
     assert float(PiScalar(-(10 ** 300), 20)) == -math.inf
     assert float(PiScalar(10 ** 400)) == math.inf
+    # inside the range check's cut (log2 <= 1026), so int / int itself overflows
+    assert float(PiScalar(2 ** 1025)) == math.inf
+    assert float(PiScalar(-(2 ** 1025))) == -math.inf
     assert float(PiScalar(Fraction(1, 10 ** 300), -50)) == 0.0
     assert math.copysign(1.0, float(PiScalar(Fraction(-1, 10 ** 400), 2))) == -1.0
     # subnormal results round once, like int / int

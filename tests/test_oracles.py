@@ -305,6 +305,33 @@ def test_lattice_sum_guards():
         assert exc.value.achieved == math.inf
 
 
+def _window_edge(N, spacing):
+    # the largest x the window m = -N..N takes: (N + 1/2) * spacing, or the
+    # float below it where round() takes the ratio up to N + 1
+    x = (N + 0.5) * spacing
+    while round(x / spacing) > N:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def test_tails_stay_finite_at_the_window_edges():
+    # a tail's start y = a*(N + 1) -+ x is least at the window's edge x: 1/2
+    # for sum_inverse_square (p = 2), pi for sum_Ztilde; no power overflows
+    assert _window_edge(2, 1.0) == 2.5  # y = 3 - 2.5 = 1/2 exactly
+    for N in (1, 2):
+        theta = _window_edge(N, 1.0)
+        mu = _window_edge(N, _TWO_PI)
+        cases = [(sum_inverse_square, (x, N), 1.0, 2) for x in (theta, -theta)]
+        cases += [(sum_Ztilde, (k, x, N), _TWO_PI, k + 1) for k in (1, 40) for x in (mu, -mu)]
+        for oracle, args, a, p in cases:
+            x = args[-2]
+            for shift in (x, -x):
+                tail = oracles._power_tail(a, shift, float(p), N + 1)
+                assert all(map(math.isfinite, tail)), (oracle.__name__, args)
+            r = oracle(*args)
+            assert math.isfinite(r.value) and math.isfinite(r.error_bound), (oracle.__name__, args)
+
+
 def test_windows_must_hold_the_nearest_pole():
     # the pole sits 1e-6 before lattice point 11: a window that stops at 10
     # would leave the dominant term to the tail estimate

@@ -143,9 +143,9 @@ def test_the_verify_layer_loads_on_first_use():
 def test_import_builds_no_derivative_polynomial_rows():
     seen = _fresh(
         "import json, sys, telesum\n"
-        "from telesum import closed_forms as cf\n"
-        "print(json.dumps([cf._SEC_ROWS.exact, cf._COT_ROWS.exact,\n"
-        "                  len(cf._SEC_ROWS.scaled), len(cf._COT_ROWS.scaled),\n"
+        "from telesum import apostol_polys as ap\n"
+        "print(json.dumps([ap._SEC_ROWS.exact, ap._COT_ROWS.exact,\n"
+        "                  len(ap._SEC_ROWS.scaled), len(ap._COT_ROWS.scaled),\n"
         "                  'numpy' in sys.modules]))\n"
     )
     assert seen == [[[1]], [[0, 1]], 1, 1, False]
