@@ -43,8 +43,10 @@ k, and downstream consumers need small *absolute* error on values that reach
 Gaussian integers with P fraction bits, the active precision's bits plus
 those their largest term asks for (_route_precision): tan or cot is rounded
 once to P bits with mpmath.libmp, and each step is an integer multiply and
-shift.  The value comes back as an mpmath mpc and is converted to float only
-at the API boundary; the polynomials and the Taylor route run in mpmath.
+shift.  The polynomials and the Taylor route run in mpmath.  A route's value
+becomes a double only in _finite_float, rounded once (Z and Ztilde divide by
+2*k! inside it): the nearest double unless the value lies within the route's
+error of a midpoint, which nothing tests yet, so not a certified rounding.
 """
 
 from __future__ import annotations
@@ -58,15 +60,14 @@ import mpmath
 from mpmath.libmp import (
     fone,
     from_float,
-    from_int,
     from_man_exp,
     mpf_cos_sin,
     mpf_div,
     mpf_mul,
     mpf_shift,
-    normalize,
     round_nearest,
     to_fixed,
+    to_rational,
 )
 
 from .classical_polys import bernoulli_poly
@@ -407,11 +408,18 @@ def _check_residue(z: mpmath.mpc, k: int, dist: float, what: str) -> None:
         )
 
 
-def _finite_float(value: mpmath.mpf, what: str) -> float:
-    out = float(value)
-    if not math.isfinite(out):
+def _finite_float(value: mpmath.mpf, what: str, scale: int = 1) -> float:
+    """value / scale rounded once to the nearest double, as an integer ratio
+    with no exponent limit; ToleranceUnreachable (achieved = inf) beyond the
+    double range.  Every route's value leaves mpmath for a double here."""
+    out = math.inf
+    if mpmath.isfinite(value):
+        num, den = to_rational(value._mpf_)
+        # int(): mpmath's mantissas are gmpy integers when gmpy is installed
+        out = _nearest_float(int(num), int(den) * scale)
+    if math.isinf(out):
         raise ToleranceUnreachable(
-            "%s, %s, lies beyond the double-precision range" % (what, mpmath.nstr(value, 5)),
+            "%s, %s, lies beyond the double-precision range" % (what, mpmath.nstr(value / scale, 5)),
             achieved=math.inf,
         )
     return out
@@ -423,25 +431,6 @@ def _finite_complex(value: mpmath.mpc, what: str) -> complex:
         _finite_float(value.real, "the real part of " + what),
         _finite_float(value.imag, "the imaginary part of " + what),
     )
-
-
-def _float_quotient(x: mpmath.mpf, scale: int) -> float:
-    """float(x) / scale, rounded exactly as Python rounds it whenever
-    float(x) is a normal double and float(scale) is finite -- x and scale
-    each rounded to 53 bits, then the quotient once -- but with no exponent
-    limit on x or scale, so a quotient in range stays finite for k >= 171."""
-    sign, man, exp, bc = x._mpf_
-    if not man:
-        return float(x)
-    _, man, exp, _ = normalize(sign, man, exp, bc, 53, round_nearest)
-    _, sman, sexp, _ = from_int(scale, 53, round_nearest)
-    num, den = int(man), int(sman)
-    if exp >= sexp:
-        num <<= exp - sexp
-    else:
-        den <<= sexp - exp
-    value = _nearest_float(num, den)
-    return -value if sign else value
 
 
 def _check_max_k(k: int) -> None:
@@ -465,9 +454,9 @@ def _checked(
     pass DBL_MAX by and still round to it: ToleranceUnreachable (achieved =
     inf).  z's imaginary residue must pass _check_residue, and z over 2*k!
     must agree with check to |value - check| <= (rel + 4u) * |check| +
-    floor: rel bounds the certified value's error, 4u the rounding of this
-    one, and the floor, e**log_floor up to exp(700), the mpmath route's own
-    error and subnormal rounding.
+    floor: rel bounds the certified value's error, 4u this value's one
+    rounding (_finite_float), and the floor, e**log_floor up to exp(700),
+    the mpmath route's own error and subnormal rounding.
     """
     check, rel, log_floor, log_low = certified
     if carrier:
@@ -477,9 +466,7 @@ def _checked(
     with mpmath.workdps(DEFAULT_DPS):
         z = route()
     _check_residue(z, k, dist, what)
-    value = _float_quotient(z.real, 2 * math.factorial(k))
-    if not math.isfinite(value):
-        raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
+    value = _finite_float(z.real, what, 2 * math.factorial(k))
     floor = math.exp(min(log_floor, 700.0))
     allowed = (rel + 4 * _U) * abs(check) + floor + _SUBNORMAL_FLOOR
     if abs(value - check) > allowed:

@@ -198,7 +198,9 @@ def _show_exact(
 
 def cmd_eval(args: argparse.Namespace) -> int:
     family = args.family
+    _require(family in _LATTICE or args.method == "auto", "%s takes no --method" % family)
     if family in _CONSTANTS:
+        _require(args.mu is None, "%s takes no --mu" % family)
         name, least, message = _CONSTANTS[family]
         _require(args.k is not None and args.k >= least, message)
         exact = _public(name)(args.k)
@@ -222,6 +224,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     oracle, names, default_terms = _SERIES[args.family]
+    read = names if default_terms is None else (*names, "terms")
+    for name in ("s", "k", "mu", "theta", "terms"):
+        _require(name in read or getattr(args, name) is None, "%s takes no --%s" % (args.family, name))
     params: Dict[str, object] = {name: getattr(args, name) for name in names}
     _require(
         None not in params.values(),
@@ -296,6 +301,7 @@ _INTEGRALS = {
 def cmd_integrals(args: argparse.Namespace) -> int:
     least, further, evaluate, show, kind = _INTEGRALS[args.family]
     _require_options(args, args.family, least)
+    _require("m" in least or args.m is None, "%s takes no --m" % args.family)
     params = {name: getattr(args, name) for name in (*least, *further)}
     _emit(args, *show(args, kind, params, evaluate(*params.values())))
     return 0

@@ -94,16 +94,18 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
 
     "auto" and "complex" return the paper's complex Apostol-Euler value,
     "taylor" the derivative polynomial 2**-k sec(mu/2) Q_k(tan(mu/2)) from
-    its exact row at DEFAULT_DPS digits; both are computed in mpmath and
-    scaled by 2*k! before rounding.  Each is checked against the certified
-    value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!), the same row rounded to
-    doubles, to within its error bound (see apostol_polys._checked).  For "auto" and
-    "complex" that compares two independent algorithms; for "taylor" it
-    compares one row in two precisions, which tests the certified bound
-    (verify's dual-route checks compare the routes).  These methods need
-    0 <= k <= MAX_K and -pi < mu < pi (at least 1e-9 from the endpoint
-    poles).  method="table" uses the explicit trig-ratio fixtures for
-    k = 0..6 unchecked, and accepts any mu away from odd multiples of pi.
+    its exact row; both run in mpmath to at least DEFAULT_DPS digits and
+    are rounded once, the division by 2*k! included, to the nearest double
+    (not yet a certified rounding: see apostol_polys).  Each is checked
+    against the certified value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!),
+    the same row rounded to doubles, to within its error bound (see
+    apostol_polys._checked).  For "auto" and "complex" that compares two
+    independent algorithms; for "taylor" it compares one row in two
+    precisions, which tests the certified bound (verify's dual-route checks
+    compare the routes).  These methods need 0 <= k <= MAX_K and
+    -pi < mu < pi (at least 1e-9 from the endpoint poles).  method="table"
+    uses the explicit trig-ratio fixtures for k = 0..6 unchecked, and
+    accepts any mu away from odd multiples of pi.
 
     Raises ValueError outside the domain, ToleranceUnreachable (achieved =
     inf) when the sum lies beyond the double range, and
@@ -124,8 +126,8 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     away from multiples of 2*pi (the m = 0 pole).  The k = 0 sum does not
     converge pointwise; its symmetric-limit convention lives in Ztilde0.
 
-    Methods, checks and errors are those of Z, with "taylor" the value
-    -2**-k P_k(cot(mu/2)) from the exact row, the certified value
+    Methods, rounding, checks and errors are those of Z, with "taylor" the
+    value -2**-k P_k(cot(mu/2)) from the exact row, the certified value
     -P_k(cot(mu/2)) / (2**(k+1) k!) and 1 <= k <= MAX_K; method="table"
     covers k = 1..7.
     """

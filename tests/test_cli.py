@@ -216,6 +216,37 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: TELESUM_MAX_K must be an integer, not 'abc'\n")
 
 
+def test_flags_a_family_does_not_read_exit_2(capsys):
+    # every option that defaults to None, and a --method other than auto,
+    # is a usage error where the family would ignore it
+    for argv, message in [
+        ("eval zeta --k 2 --method bogus", "zeta takes no --method"),
+        ("eval beta --k 2 --method taylor", "beta takes no --method"),
+        ("eval zeta --k 2 --mu 0.5", "zeta takes no --mu"),
+        ("eval Ztilde0 --mu 1 --method taylor", "Ztilde0 takes no --method"),
+        ("series zeta --s 2 --terms 5", "zeta takes no --terms"),
+        ("series beta --s 3 --k 1", "beta takes no --k"),
+        ("series Z --k 1 --mu 0.5 --theta 0.1", "Z takes no --theta"),
+        ("series Ztilde --k 1 --mu 0.5 --s 2", "Ztilde takes no --s"),
+        ("series theta2 --theta 0.3 --mu 1", "theta2 takes no --mu"),
+        ("series cot --theta 0.3 --k 1", "cot takes no --k"),
+        ("integrals zeta-odd --k 1 --m 3", "zeta-odd takes no --m"),
+        ("integrals beta-even --k 0 --m 3", "beta-even takes no --m"),
+    ]:
+        code, out, err = run_cli(capsys, argv.split())
+        assert (code, out, err) == (2, "", "error: %s\n" % message), argv
+    # the flags each family does read, and --method auto anywhere, still run
+    for argv in [
+        "eval zeta --k 2 --method auto",
+        "eval Ztilde0 --mu 1 --k 0",
+        "eval Z --k 1 --mu 0.5 --method taylor",
+        "series Z --k 1 --mu 0.5 --terms 50",
+        "series zeta --s 2 --tol 1e-6",
+        "integrals apostol --k 1 --m 3 --mu 0.5",
+    ]:
+        assert run_cli(capsys, argv.split())[0] == 0, argv
+
+
 def test_negative_option_values_in_exponent_form(capsys):
     # argparse's own pattern has no exponent, so -1e-10 was read as a flag
     for argv, option, value in (

@@ -7,6 +7,7 @@ exact anchors (values at 0, pi/2, pi).
 
 import hashlib
 import math
+import random
 import sys
 import threading
 import time
@@ -282,7 +283,8 @@ def _hexes(values):
 
 def test_taylor_route_bits_are_pinned():
     # recorded from the truncated-series route the derivative-polynomial rows
-    # replaced: mid-range mu and mu within 1e-6 of a pole
+    # replaced: mid-range mu and mu within 1e-6 of a pole; each Z and Ztilde
+    # value is the double nearest the truth at 60 + k digits
     near_sec, near_cot = math.pi - 1e-6, 1e-6
     digests = (
         (sec_taylor_coeffs, 0.7, "97adc03fea1ce08c52fd0eb55240f56e6313a34b24e234223a5461f97e60bb57"),
@@ -306,7 +308,7 @@ def test_taylor_route_bits_are_pinned():
         (Ztilde, 171, 1.0): "0x1.0000000000000p+0",
         (Ztilde, 1, near_cot): "0x1.d1a94a20002abp+39",
         (Ztilde, 7, near_cot): "0x1.5e531a0a1c875p+159",
-        (Ztilde, 30, near_cot): "-0x1.d6affe45f819ap+617",
+        (Ztilde, 30, near_cot): "-0x1.d6affe45f819bp+617",
     }
     for (f, k, mu), bits in pinned.items():
         assert f(k, mu, method="taylor").hex() == bits, (f.__name__, k, mu)
@@ -326,6 +328,8 @@ def test_k_past_the_certified_range_is_a_domain_error():
 # Outcomes about the first k whose value leaves the double range, recorded
 # from the routes before the a-priori checks: per (function, k), a value's
 # float.hex or T for ToleranceUnreachable at each of the function's mus.
+# Each Z and Ztilde value is the double nearest the Hurwitz truth at 60 + k
+# digits.
 # Past MAX_K = 618 the carriers raise Z's ValueError
 T = "ToleranceUnreachable"
 _RANGE_EDGE_MUS = {
@@ -334,18 +338,18 @@ _RANGE_EDGE_MUS = {
     ektilde_mu: (math.pi, 3.0, 0.1, -6.0),
 }
 _RANGE_EDGE_OUTCOMES = {
-    (Z, 221): ('0x1.59276393fe39fp+1018', '-0x1.59276393fe39fp+1018', '0x1.0ea8ba93d9692p+626', '0x1.a825405fa4c38p-357'),
-    (Z, 222): ('0x1.0353777a3cf6fp+1023', '0x1.0353777a3cf6fp+1023', '0x1.dde2246e4ad57p+628', '0x1.16e5ba9d48b42p-358'),
+    (Z, 221): ('0x1.59276393fe39fp+1018', '-0x1.59276393fe39fp+1018', '0x1.0ea8ba93d9692p+626', '0x1.a825405fa4c39p-357'),
+    (Z, 222): ('0x1.0353777a3cf6fp+1023', '0x1.0353777a3cf6fp+1023', '0x1.dde2246e4ad57p+628', '0x1.16e5ba9d48b41p-358'),
     (Z, 223): (T, T, '0x1.a5e1d8407e15bp+631', '0x1.6ec7109b67171p-360'),
     (Z, 224): (T, T, '0x1.74718ee55f416p+634', '0x1.e259994d0be87p-362'),
     (Z, 617): (T, T, T, '0x1.298a6ce4849dep-992'),
     (Z, 618): (T, T, T, '0x1.874bc394d115ap-994'),
     (Ztilde, 101): ('0x1.6c8e5ca23901bp+1016', '0x1.6c8e5ca23901bp+1016', '0x1.42aeaac2c1d4ep-162', '0x1.9416effed466ep+185'),
     (Ztilde, 102): (T, T, '-0x1.ae28f09369242p-164', '0x1.64bc6beae8c66p+187'),
-    (Ztilde, 103): (T, T, '0x1.1ed2ecb670cd8p-165', '0x1.3aee7e27f149fp+189'),
-    (Ztilde, 104): (T, T, '-0x1.7e5ec55259ceep-167', '0x1.1606adb34a315p+191'),
+    (Ztilde, 103): (T, T, '0x1.1ed2ecb670cd8p-165', '0x1.3aee7e27f149ep+189'),
+    (Ztilde, 104): (T, T, '-0x1.7e5ec55259cedp-167', '0x1.1606adb34a315p+191'),
     (Ztilde, 617): (T, T, '0x1.685474391937fp-980', T),
-    (Ztilde, 618): (T, T, '-0x1.e0709af6cc4aap-982', T),
+    (Ztilde, 618): (T, T, '-0x1.e0709af6cc4a9p-982', T),
     (ektilde_mu, 216): ('-0x1.6da0abda1accdp+965', T, T, T),
     (ektilde_mu, 217): ('0x1.4b772d3493200p+1018', T, T, T),
     (ektilde_mu, 218): ('-0x1.afcc1b41dcf20p+977', T, T, T),
@@ -390,6 +394,49 @@ def test_values_past_the_double_range_raise_before_building_a_route(monkeypatch)
     for mu in _RANGE_EDGE_MUS[ektilde_mu]:
         with pytest.raises(ValueError, match="k must be <= 618, where"):
             ektilde_mu(1001, mu)
+
+
+def _nearest_double(x):
+    man, exp = x.man_exp
+    return math.copysign(float(F(int(man)) * F(2) ** exp), x)
+
+
+def _single_rounding_cases():
+    # 50 draws per family with k <= 60, a quarter within 1e-6 of a pole
+    # (k <= 40 there, so the value stays in range), plus k = 171, 300 and 617
+    # at a mu where the value is in range.  Odd-k Z next to mu = 0 is left
+    # out: there the route's floor can pass half an ulp
+    rng = random.Random(21)
+    cases = [(Z, k, 0.1) for k in (171, 300, 617)] + [(Ztilde, k, 3.0) for k in (171, 300, 617)]
+    for f, poles, lowest in ((Z, (math.pi, -math.pi), 0), (Ztilde, (0.0, 2 * math.pi, -2 * math.pi), 1)):
+        for _ in range(50):
+            if rng.random() < 0.25:
+                k = rng.randint(lowest, 40)
+                pole, d = rng.choice(poles), rng.uniform(2e-9, 1e-6)
+                # toward 0 from a pole at +-pi or +-2*pi, either side of 0
+                mu = pole - math.copysign(d, pole) if pole else rng.choice((d, -d))
+            else:
+                k = rng.randint(lowest, 60)
+                mu = rng.uniform(-math.pi, math.pi)
+            if not (f is Z and k % 2 and abs(mu) < 1e-3):
+                cases.append((f, k, mu))
+    return cases
+
+
+def test_lattice_sums_are_the_doubles_nearest_the_truth():
+    # both routes are good to at least 40 digits and rounded once, so each
+    # value is the double nearest the 80-digit truth; rounding the route to a
+    # double before dividing by 2*k! misses it for about a third of them
+    for f, k, mu in _single_rounding_cases():
+        with mpmath.workdps(80):
+            m = mpmath.mpf(mu)
+            if f is Ztilde:
+                want = ztilde_truth(k, m)
+            else:
+                want = mpmath.sec(m / 2) / 2 if k == 0 else z_truth(k, m)
+            want = _nearest_double(want)
+        for method in ("complex", "taylor"):
+            assert f(k, mu, method=method) == want, (f.__name__, k, mu, method)
 
 
 def test_table_method_reaches_the_tables_and_rejections_name_their_rule():
