@@ -30,16 +30,17 @@ Math. Monthly 102 (1995) 23-30; K. Boyadzhiev, IJMMS 2007) -- grow on demand
 and have one sign and fixed parity.  In mpmath they give the Taylor
 coefficients and the lattice sums' "taylor" route; in doubles, the certified
 route.  The carriers are 2*k! times closed_forms' Z and Ztilde, and one
-evaluator per family (_sec_value, _cot_value) serves both: it checks the
-domain, gates the double range on the certified value, runs a route and
-cross-checks it (_checked).
+evaluator per family (_sec_value, _cot_value) serves both: it takes mu and
+its exact distance to the pole from _pole_distance, the one domain check of
+every shifted argument; gates the double range on a bound that reads no row,
+then on the certified value; and runs a route and cross-checks it (_checked).
 
 The carriers, their residues and the Taylor coefficients work at
 DEFAULT_DPS significant digits; only the deformed polynomials take a dps
 argument, None for DEFAULT_DPS or an integer >= 1.  Double precision is not
 enough here: the explicit sums cancel, by up to hundreds of digits at large
 k, and downstream consumers need small *absolute* error on values that reach
-1e7 near the poles of sec(mu/2).  The carriers therefore run their Horner on
+1e16 next to the poles of sec(mu/2).  The carriers therefore run their Horner on
 Gaussian integers with P fraction bits, the active precision's bits plus
 those their largest term asks for (_route_precision): tan or cot is rounded
 once to P bits with mpmath.libmp, and each step is an integer multiply and
@@ -64,6 +65,7 @@ from mpmath.libmp import (
     mpf_cos_sin,
     mpf_div,
     mpf_mul,
+    mpf_pi,
     mpf_shift,
     round_nearest,
     to_fixed,
@@ -76,7 +78,6 @@ from .exact_core import InternalConsistencyError, ToleranceUnreachable, _check_i
 __all__ = [
     "DEFAULT_DPS",
     "TOL_IMAG",
-    "GUARD_BAND",
     "CPoly",
     "apostol_euler_poly",
     "apostol_bernoulli_poly",
@@ -94,36 +95,57 @@ DEFAULT_DPS = 40
 # max(1, |value|) so factorial growth of the values does not trip the check.
 TOL_IMAG = 1e-9
 
-# Half-width of the excluded neighbourhoods around parameter singularities.
-GUARD_BAND = 1e-9
-
 # Largest k of Z, Ztilde and the carriers: past it the scaled coefficients
 # of Q_k and P_k (down to about 2 / pi**(k+1)) leave the normal double range
 # and the certified bound would no longer hold.
 MAX_K = 618
 
-_TWO_PI = 2.0 * math.pi
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _U = 2.0 ** -53
 # Assumed bound on the relative error of the platform's tan and cos: 2 ulp.
 _LIBM = 2.0 ** -51
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
+_LN_PI = math.log(math.pi)
 # Absolute error a checked value can pick up when rounded into the
 # subnormal range.
 _SUBNORMAL_FLOOR = 2.0 ** -1072
 
 
-def _check_lattice_distance(x: float, spacing: float, what: str) -> float:
+_GUARD = 128  # pi to _PI_BITS fraction bits, within 2 units: any exponent + _GUARD
+_PI_BITS = 1024 + _GUARD
+_PI_FIXED = int(to_fixed(mpf_pi(_PI_BITS + 8), _PI_BITS))
+
+# Pole lattices j * h as (parity of j, h = pi or else 1/2, x in (-pi, pi)):
+# Z and its kin, Z_table, Ztilde and its kin, and theta
+_SEC, _ODD_PI, _COT, _INT = (1, True, True), (1, True, False), (0, True, False), (0, False, False)
+
+
+def _pole_distance(x: float, what: str, poles: Tuple[int, bool, bool]) -> Tuple[float, float]:
+    """(x as a float, its distance to the nearest pole): the one domain check
+    of every shifted argument.  ValueError only for a non-finite x, a pole
+    (no double is an odd multiple of pi, and only 0 one of 2*pi), or x
+    outside (-pi, pi) where the lattice asks.  The distance is |x| at the
+    pole 0, else the double nearest |x - j h| from x and h in fixed point at
+    e + _GUARD bits, 2**e > |x| (Payne & Hanek, SIGNUM Newsletter 18, 1983):
+    2**-127 at most off, where no double lies within 2**-62 of a nonzero
+    multiple of pi/2 (J.-M. Muller, Elementary Functions, ch. 11)."""
+    odd, pi, window = poles
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("%s must be finite" % what)
-    if abs(math.remainder(x, spacing)) <= GUARD_BAND:
-        raise ValueError(
-            "%s must stay at least 1e-9 away from multiples of %s"
-            % (what, "2*pi" if spacing == _TWO_PI else "1")
-        )
-    return x
+    a = abs(x)
+    if window and a > math.pi:  # the double pi lies below pi
+        raise ValueError("%s must lie in (-pi, pi)" % what)
+    bits = max(math.frexp(a)[1], 0) + _GUARD
+    num, den = a.as_integer_ratio()
+    fixed = (num << bits) // den
+    h = _PI_FIXED >> (_PI_BITS - bits) if pi else 1 << (bits - 1)
+    j = 2 * ((fixed + (1 - odd) * h) // (2 * h)) + odd
+    dist = abs(fixed - j * h) / (1 << bits) if j else a
+    if not dist:
+        raise ValueError("%s = %r is a pole" % (what, x))
+    return x, dist
 
 
 ComplexLike = Union[complex, float, int, "mpmath.mpc", "mpmath.mpf"]
@@ -234,18 +256,6 @@ def apostol_bernoulli_poly(
         return CPoly([scale * c for c in _apostol_euler_coeffs(k - 1, -lam)])
 
 
-def _check_sec_domain(mu: float) -> float:
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
-    if abs(mu) >= math.pi - GUARD_BAND:
-        raise ValueError(
-            "mu must lie in (-pi, pi), at least 1e-9 away from the "
-            "endpoints where sec(mu/2) blows up"
-        )
-    return mu
-
-
 def _difference_row(k: int, start: int, step: int) -> Tuple[int, ...]:
     """Forward differences 0..k at 0 of f(i) = (start + step*i)**k, exactly."""
     row = [(start + step * i) ** k for i in range(k + 1)]
@@ -256,11 +266,14 @@ def _difference_row(k: int, start: int, step: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-def _route_precision(k: int, row: Sequence[int], x_abs: float, log_scale: float, dist: float) -> int:
-    """Fraction bits P of the fixed-point route scale * sum_j row[j] x**j,
-    x = -1/2 -+ (i/2) tan or cot of the half angle, with |x| = x_abs and
-    |scale| = e**log_scale: the active precision's bits plus enough that the
-    error stays under a tenth of the 2*k! * e**_log_floor allowance.
+def _route_precision(k: int, row: Sequence[int], halvings: int, dist: float,
+                     log_floor: Optional[float] = None) -> Tuple[int, int]:
+    """(P, Q): fraction bits P of the fixed-point route scale * sum_j row[j]
+    x**j, x = -1/2 -+ (i/2) tan or cot of the half angle, |x| = csc(dist/2)/2,
+    |scale| = 2**-halvings csc(dist/2): the active precision's bits plus
+    enough that the error stays under a tenth of the 2*k! * e**_log_floor
+    allowance, or under e**log_floor if given; Q, the precision of cos and
+    sin of the half angle that puts tan or cot within 2**-(P + 6).
 
     With M = max_j |row[j]| |x|**j, bounded from the integers' bit lengths,
     M >= max(1/2, |x|**k) and |x| >= 1/2, so the route errs by at most:
@@ -272,19 +285,16 @@ def _route_precision(k: int, row: Sequence[int], x_abs: float, log_scale: float,
     2**-prec < 10**-dps / 7, so adding log2 of (k+8) |scale| M dist**(k+1)
     over k! bits is enough.
     """
-    log_x = math.log(x_abs)
-    top = max(c.bit_length() * _LN2 + j * log_x for j, c in enumerate(row) if c)
-    excess = log_scale + top + math.log(k + 8) - math.lgamma(k + 1)
+    # log csc(dist/2), log sec(mu/2) on Z's lattice; below 2**-26, sin(dist/2)
+    # is dist/2 to 2**-55, and dist/2 (it may round) is not formed
+    log_csc = _LN2 - math.log(dist) if dist < 2.0 ** -26 else -math.log(math.sin(dist / 2))
+    top = max(c.bit_length() * _LN2 + j * (log_csc - _LN2) for j, c in enumerate(row) if c)
+    excess = log_csc - halvings * _LN2 + top + math.log(k + 8) - math.lgamma(k + 1)
     excess += (k + 1) * math.log(dist)
-    return mpmath.mp.prec + max(0, math.ceil(excess / _LN2))
-
-
-def _half_angle(mu: float, bits: int, ratio_max: float):
-    """(cos(mu/2), sin(mu/2)) as libmp values and their precision, enough
-    that tan or cot of mu/2, at most ratio_max in size, comes out within
-    2**-(bits + 6) absolutely."""
-    prec = bits + 8 + max(0, math.frexp(ratio_max)[1])
-    return mpf_cos_sin(mpf_shift(from_float(mu), -1), prec), prec
+    bits = mpmath.mp.prec + max(0, math.ceil(excess / _LN2))
+    if log_floor is not None:
+        bits += max(0, math.ceil((_log_floor(k, dist) - log_floor) / _LN2))
+    return bits, bits + 8 + max(0, math.floor(log_csc / _LN2) + 1)
 
 
 def _fixed_horner(row: Sequence[int], y: int, bits: int) -> Tuple[int, int]:
@@ -307,31 +317,26 @@ def _gaussian_mpc(quarter_turns: int, re: int, im: int, exp: int, factor, prec: 
     )
 
 
-def _ek_complex(k: int, mu: float, log_floor: Optional[float] = None) -> mpmath.mpc:
-    # i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) within the active precision's
-    # allowance, or within e**log_floor on Z when that is smaller, by as many
-    # more bits (_sec_certified): i**k 2**-k sec(mu/2) sum_j T_k(j) w**j,
-    # w = -1/2 - (i/2) tan(mu/2)
+def _ek_complex(k: int, mu: float, dist: float, log_floor: Optional[float] = None) -> mpmath.mpc:
+    # i**k * e^(i mu/2) * E_k(1/2; e^(i mu)), mu at distance dist from the
+    # pole, within the active precision's allowance, or within e**log_floor
+    # on Z when that is smaller (_sec_value): i**k 2**-k sec(mu/2)
+    # sum_j T_k(j) w**j, w = -1/2 - (i/2) tan(mu/2)
     row = _difference_row(k, 1, 2)
-    sec = 1 / math.cos(mu / 2)
-    dist = math.pi - abs(mu)
-    bits = _route_precision(k, row, sec / 2, math.log(sec) - k * _LN2, dist)
-    if log_floor is not None:
-        bits += max(0, math.ceil((_log_floor(k, dist) - log_floor) / _LN2))
-    (cos, sin), prec = _half_angle(mu, bits, sec)
+    bits, prec = _route_precision(k, row, k, dist, log_floor)
+    cos, sin = mpf_cos_sin(mpf_shift(from_float(mu), -1), prec)
     re, im = _fixed_horner(row, -to_fixed(mpf_div(sin, cos, prec), bits - 1), bits)
     return _gaussian_mpc(k, re, im, -bits - k, mpf_div(fone, cos, prec), bits)
 
 
-def _ektilde_complex(k: int, mu: float) -> mpmath.mpc:
+def _ektilde_complex(k: int, mu: float, dist: float) -> mpmath.mpc:
     # i**(k+1) * e^(i mu) * E_k(1; -e^(i mu)), k >= 1, within the same
     # allowance; the difference equation lam E_k(1; lam) = -e_k(lam), taken
     # at -lam, makes it i**(k+1) e_k(-e^(i mu)) =
     # -i**k (cot(mu/2) - i) sum_j j! S(k, j) v**j, v = -1/2 + (i/2) cot(mu/2)
     row = _difference_row(k, 0, 1)
-    csc = abs(1 / math.sin(mu / 2))
-    bits = _route_precision(k, row, csc / 2, math.log(csc), abs(math.remainder(mu, _TWO_PI)))
-    (cos, sin), prec = _half_angle(mu, bits, csc)
+    bits, prec = _route_precision(k, row, 0, dist)
+    cos, sin = mpf_cos_sin(mpf_shift(from_float(mu), -1), prec)
     y = to_fixed(mpf_div(cos, sin, prec), bits - 1)
     re, im = _fixed_horner(row, y, bits)
     # times cot(mu/2) - i, with cot(mu/2) = 2 y 2**-bits
@@ -350,40 +355,13 @@ def _log_floor(k: int, dist: float) -> float:
     for k <= 250, it stays under 5e-4 of it, within 1e-8 of the poles too.
     The Taylor route's terms share one sign and do not cancel.  It only
     matters near zeros of the sum, where Z's routes are held to less
-    (_sec_certified): next to its value it is at most 1e-37 relative.
+    (_sec_value): next to its value it is at most 1e-37 relative.
     """
     return math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
 
 
 def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x else -math.inf
-
-
-# (value, rel, log of the floor, lower bound on log |value|) of a certified route
-_Certified = Tuple[float, float, float, float]
-
-
-def _sec_certified(k: int, mu: float) -> _Certified:
-    """Z(k, mu) from the certified route, sec(mu/2) Q_k(tan(mu/2)) over
-    2**(k+1) k! in doubles, its relative error bound rel, the log of the
-    absolute error the high-precision routes are held to -- the _log_floor
-    allowance, or rel |Z| where that is smaller -- and a lower bound on
-    log |Z|.
-
-    Only odd k gets near the second: there Z vanishes like mu, and next to
-    mu = 0 the allowance alone leaves no relative accuracy.  |Z| is at least
-    its lowest term c |tan(mu/2)| >= c |mu| / 2, which stays in range where
-    the value underflows, as ek_mu = 2*k! Z may not.  At mu = 0 the
-    allowance stays: there the complex route is exact."""
-    half = mu / 2.0
-    value, rel = _SEC_ROWS.value(k, math.tan(half))
-    value /= math.cos(half)
-    log_floor = _log_floor(k, math.pi - abs(mu))
-    log_z = _log_abs(value)
-    if k % 2 and mu:
-        log_z = max(log_z, math.log(_SEC_ROWS.scaled[k][-1]) + math.log(abs(mu)) - _LN2)
-        log_floor = min(log_floor, math.log(rel) + log_z)
-    return value, rel, log_floor, log_z
 
 
 def _allowance(k: int, dist: float) -> mpmath.mpf:
@@ -441,28 +419,43 @@ def _check_max_k(k: int) -> None:
         )
 
 
-def _checked(
-    k: int, route: Callable[[], mpmath.mpc], certified: _Certified, dist: float,
-    carrier: bool, what: str,
-) -> float:
-    """Re z for a carrier, else Re z / (2*k!), where z = route() is 2*k!
-    times a lattice sum from an mpmath route; either way Re z / (2*k!) is
-    checked against ``check``, the sum's certified value.
-
-    No route is built when log |result| is known to pass log(DBL_MAX) by
-    1e-6, far more than the bound's rounding and the half ulp a value may
-    pass DBL_MAX by and still round to it: ToleranceUnreachable (achieved =
-    inf).  z's imaginary residue must pass _check_residue, and z over 2*k!
-    must agree with check to |value - check| <= (rel + 4u) * |check| +
-    floor: rel bounds the certified value's error, 4u this value's one
-    rounding (_finite_float), and the floor, e**log_floor up to exp(700),
-    the mpmath route's own error and subnormal rounding.
-    """
-    check, rel, log_floor, log_low = certified
+def _gate(log_low: float, k: int, carrier: bool, what: str) -> None:
+    # ToleranceUnreachable (achieved = inf) when log_low, a lower bound on log
+    # |Z| or |Ztilde|, puts the result (times 2*k! for a carrier) past
+    # log(DBL_MAX) by 1e-6, more than the bound's rounding and half an ulp
     if carrier:
         log_low += _LN2 + math.lgamma(k + 1)
     if log_low > _LOG_DBL_MAX + 1e-6:
         raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
+
+
+def _log_row_low(k: int, deg: int, t: float) -> float:
+    """A lower bound on log(|R(t)| / (2**(k+1) k!)), R = Q_k (deg = k) or P_k
+    (deg = k + 1), that reads no row: R's terms share one sign, it leads with
+    +-k! t**deg, and its lowest term is A_k, or A_(k+1) t at odd deg, for the
+    zigzag numbers A_n >= (4/3)(2/pi)**(n+1) n!."""
+    log_t = _log_abs(t)
+    low = math.log(4 / 3) - (k + 1) * _LN_PI
+    if deg % 2:
+        low += math.log(2 * k + 2) - _LN_PI + log_t
+    return max(deg * log_t - (k + 1) * _LN2 if t else -math.inf, low)
+
+
+def _checked(
+    k: int, route: Callable[[], mpmath.mpc], certified: Tuple[float, float, float, float],
+    dist: float, carrier: bool, what: str,
+) -> float:
+    """Re z for a carrier, else Re z / (2*k!), where z = route() is 2*k!
+    times a lattice sum from an mpmath route, built only once log_low, a
+    lower bound on log |sum|, passes _gate; certified = (check, rel,
+    log_floor, log_low) from the certified route.  z's imaginary residue
+    must pass _check_residue, and z over 2*k! must agree with check to
+    |value - check| <= (rel + 4u) * |check| + floor: rel bounds check's
+    error, 4u this value's one rounding (_finite_float), and the floor,
+    e**log_floor up to exp(700), the route's own error and subnormal rounding.
+    """
+    check, rel, log_floor, log_low = certified
+    _gate(log_low, k, carrier, what)
     with mpmath.workdps(DEFAULT_DPS):
         z = route()
     _check_residue(z, k, dist, what)
@@ -479,33 +472,49 @@ def _checked(
 
 def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     """Z(k, mu), or ek_mu(k, mu) = 2*k! Z(k, mu) for a carrier, from the
-    taylor or the complex route, checked by _checked; k <= MAX_K."""
+    taylor or the complex route, checked by _checked against the certified
+    value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!) in doubles; k <= MAX_K.
+
+    The routes are held to the _log_floor allowance, or to rel |Z| where
+    that is smaller, as only at odd k next to mu = 0, where Z vanishes like
+    mu and is at least its lowest term c |tan(mu/2)| >= c |mu| / 2, in range
+    where the value underflows.  At mu = 0 the complex route is exact."""
     _check_max_k(k)
-    mu = _check_sec_domain(mu)
-    certified = _sec_certified(k, mu)
+    mu, dist = _pole_distance(mu, "mu", _SEC)
+    what = "%s(%d, %r)" % ("ek_mu" if carrier else "Z", k, mu)
+    half = mu / 2.0
+    t = math.tan(half)
+    # |Z| >= |Q_k(t)| / (2**(k+1) k!), as sec(mu/2) >= 1
+    _gate(_log_row_low(k, k, t), k, carrier, what)
+    value, rel = _SEC_ROWS.value(k, t)
+    value /= math.cos(half)
+    log_floor, log_z = _log_floor(k, dist), _log_abs(value)
+    if k % 2 and mu:
+        log_z = max(log_z, math.log(_SEC_ROWS.scaled[k][-1]) + math.log(abs(mu)) - _LN2)
+        log_floor = min(log_floor, math.log(rel) + log_z)
     if taylor:
         route = lambda: _row_value(_SEC_ROWS, k, *_sec_point(mu))
     else:
-        route = lambda: _ek_complex(k, mu, certified[2])
-    what = "%s(%d, %r)" % ("ek_mu" if carrier else "Z", k, mu)
-    return _checked(k, route, certified, math.pi - abs(mu), carrier, what)
+        route = lambda: _ek_complex(k, mu, dist, log_floor)
+    return _checked(k, route, (value, rel, log_floor, log_z), dist, carrier, what)
 
 
 def _cot_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     """Ztilde(k, mu), or ektilde_mu(k, mu) = 2*k! Ztilde(k, mu), as
     _sec_value; the certified value is -P_k(cot(mu/2)) / (2**(k+1) k!)."""
     _check_max_k(k)
-    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    # cot(mu/2) in doubles, a few ulps off, is never 0
-    check, rel = _COT_ROWS.value(k, 1.0 / math.tan(mu / 2.0))
-    dist = abs(math.remainder(mu, _TWO_PI))
+    mu, dist = _pole_distance(mu, "mu", _COT)
+    what = "%s(%d, %r)" % ("ektilde_mu" if carrier else "Ztilde", k, mu)
+    # cot(mu/2), never 0; mu/2 is 0 only at the least subnormal mu, past range
+    t = 1.0 / math.tan(mu / 2.0) if mu / 2.0 else math.inf
+    _gate(_log_row_low(k, k + 1, t), k, carrier, what)
+    check, rel = _COT_ROWS.value(k, t)
     # -P_k = (-1)**(k+1) |P_k|
     certified = (check if k % 2 else -check, rel, _log_floor(k, dist), _log_abs(check))
     if taylor:
         route = lambda: _row_value(_COT_ROWS, k, *_cot_point(mu))
     else:
-        route = lambda: _ektilde_complex(k, mu)
-    what = "%s(%d, %r)" % ("ektilde_mu" if carrier else "Ztilde", k, mu)
+        route = lambda: _ektilde_complex(k, mu, dist)
     return _checked(k, route, certified, dist, carrier, what)
 
 
@@ -517,8 +526,8 @@ def ek_mu(k: int, mu: float) -> float:
     the domain (0 <= k <= MAX_K, -pi < mu < pi), the residue rule and the
     cross-check against the certified value are Z's (_sec_value).  A value
     beyond the double range raises ToleranceUnreachable, with no route
-    built once the certified value shows it; Z divides by 2*k! before it
-    rounds, so it stays finite where this one cannot.
+    built once a bound shows it; Z divides by 2*k! before it rounds, so it
+    stays finite where this one cannot.
     """
     k = _check_int(k, "k", 0)
     return _sec_value(k, mu, False, True)
@@ -541,29 +550,26 @@ def ektilde_mu(k: int, mu: float) -> float:
     return _cot_value(k, mu, False, True)
 
 
-def _scaled_residue(z: mpmath.mpc, k: int, dist: float) -> float:
-    """|Im z| / max(1, |z|, allowance / TOL_IMAG), formed in mpmath and
-    rounded once (|z| itself may be past the double range).  The allowance
-    term keeps the noise at a zero of the sum from reading as a fully
+def _scaled_residue(route, k: int, mu: float, dist: float) -> float:
+    """|Im z| / max(1, |z|, allowance / TOL_IMAG) for z = route(k, mu, dist),
+    rounded once from mpmath (|z| may be past the double range).  The
+    allowance keeps the noise at a zero of the sum from reading as a fully
     imaginary value: whatever passes _check_residue reports <= 2 * TOL_IMAG."""
-    return float(abs(z.imag) / max(1, abs(z), _allowance(k, dist) / TOL_IMAG))
+    with mpmath.workdps(DEFAULT_DPS):
+        z = route(k, mu, dist)
+        return float(abs(z.imag) / max(1, abs(z), _allowance(k, dist) / TOL_IMAG))
 
 
 def ek_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ek_mu combination (_scaled_residue)."""
     k = _check_int(k, "k", 0)
-    mu = _check_sec_domain(mu)
-    with mpmath.workdps(DEFAULT_DPS):
-        return _scaled_residue(_ek_complex(k, mu), k, math.pi - abs(mu))
+    return _scaled_residue(_ek_complex, k, *_pole_distance(mu, "mu", _SEC))
 
 
 def ektilde_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ektilde_mu combination, k >= 1."""
     k = _check_int(k, "k", 1)
-    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    with mpmath.workdps(DEFAULT_DPS):
-        z = _ektilde_complex(k, mu)
-        return _scaled_residue(z, k, abs(math.remainder(mu, _TWO_PI)))
+    return _scaled_residue(_ektilde_complex, k, *_pole_distance(mu, "mu", _COT))
 
 
 class _DerivativeRows:
@@ -606,24 +612,23 @@ class _DerivativeRows:
     def value(self, k: int, t: float) -> Tuple[float, float]:
         """Row k at t over 2**(k+1) * k!, up to sign, and its relative error bound.
 
-        Horner runs in s = t*t over coefficients of one sign, so every
-        partial sum is at most max(sum of the coefficients, |result|): a
-        result in range never overflows on the way.  The bound covers the
-        rounded coefficients, s and Horner (3 roundings per step, allowing
-        for underflow in a product), the final products, and the libm error
-        in t amplified by the degree d, plus one libm call for the caller's
-        prefactor; 1.01 covers the terms of second order.
+        Horner steps by t twice, over coefficients of one sign in t*t, so no
+        partial result passes max(sum of the coefficients, |result|), as t*t
+        itself may (Ztilde(1, 1e-154) is 1e308, and t*t 4e308).  The bound
+        covers the rounded coefficients, Horner (4 roundings per step, two
+        of them for underflow in the products), the final products, and the
+        libm error in t amplified by the degree d, plus one libm call for
+        the caller's prefactor; 1.01 covers the terms of second order.
         """
         d = len(self.row(k)) - 1
         coeffs = self.scaled[k]
-        s = t * t
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * s + c
+        acc = coeffs[0]
+        for c in coeffs[1:]:
+            acc = acc * t * t + c
         if d % 2:
             acc *= t
         n = len(coeffs)
-        return acc, 1.01 * ((4 * n + d + 4) * _U + (d + 1) * _LIBM)
+        return acc, 1.01 * ((5 * n + d + 4) * _U + (d + 1) * _LIBM)
 
 
 def _scaled_row(row: Tuple[int, ...], k: int) -> Tuple[float, ...]:
@@ -649,18 +654,19 @@ def _row_value(rows: _DerivativeRows, j: int, x: mpmath.mpf, scale) -> mpmath.mp
     return mpmath.ldexp(scale * value, -j)
 
 
-# (x, scale) of _row_value at mu; the domain is checked here, after K
+# (x, scale) of _row_value at a checked mu
 def _sec_point(mu: float) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    half = mpmath.mpf(_check_sec_domain(mu)) / 2
+    half = mpmath.mpf(mu) / 2
     return mpmath.tan(half), mpmath.sec(half)
 
 
 def _cot_point(mu: float) -> Tuple[mpmath.mpf, int]:
-    return mpmath.cot(mpmath.mpf(_check_lattice_distance(mu, _TWO_PI, "mu")) / 2), -1
+    return mpmath.cot(mpmath.mpf(mu) / 2), -1
 
 
-def _taylor(rows: _DerivativeRows, point, mu: float, K: int, what: str) -> List[float]:
+def _taylor(rows: _DerivativeRows, poles, point, mu: float, K: int, what: str) -> List[float]:
     K = _check_int(K, "K", 0)
+    mu = _pole_distance(mu, "mu", poles)[0]
     with mpmath.workdps(DEFAULT_DPS):
         x, scale = point(mu)
         # rounded one at a time: no row past the first out-of-range entry is built
@@ -678,7 +684,7 @@ def sec_taylor_coeffs(mu: float, K: int) -> List[float]:
     digits, rounded once.  The first entry beyond the double range raises
     ToleranceUnreachable.
     """
-    return _taylor(_SEC_ROWS, _sec_point, mu, K, "sec")
+    return _taylor(_SEC_ROWS, _SEC, _sec_point, mu, K, "sec")
 
 
 def cot_taylor_coeffs(mu: float, K: int) -> List[float]:
@@ -687,4 +693,4 @@ def cot_taylor_coeffs(mu: float, K: int) -> List[float]:
     Entry j is -2**-j P_j(cot(mu/2)) from the exact row P_j, computed as in
     sec_taylor_coeffs; entry 0 is -1/tan(mu/2).
     """
-    return _taylor(_COT_ROWS, _cot_point, mu, K, "-cot")
+    return _taylor(_COT_ROWS, _COT, _cot_point, mu, K, "-cot")

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .apostol_polys import GUARD_BAND, MAX_K, _check_lattice_distance, _cot_value, _sec_value
+from .apostol_polys import _COT, _ODD_PI, MAX_K, _cot_value, _pole_distance, _sec_value
 from .classical_polys import bernoulli_number, euler_number
-from .exact_core import PiScalar, Rational, _check_int
+from .exact_core import PiScalar, Rational, ToleranceUnreachable, _check_int
 
 __all__ = [
     "MAX_K",
@@ -47,8 +47,6 @@ __all__ = [
     "Z_table",
     "Ztilde_table",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 
 def zeta_even(k: int) -> PiScalar:
@@ -103,9 +101,11 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
     independent algorithms; for "taylor" it compares one row in two
     precisions, which tests the certified bound (verify's dual-route checks
     compare the routes).  These methods need 0 <= k <= MAX_K and
-    -pi < mu < pi (at least 1e-9 from the endpoint poles).  method="table"
-    uses the explicit trig-ratio fixtures for k = 0..6 unchecked, and
-    accepts any mu away from odd multiples of pi.
+    -pi < mu < pi, math.pi itself (1.2e-16 from the pole) included: one pole
+    rule rejects only a non-finite mu, a pole or, here, |mu| >= pi, and the
+    exact distance to the pole sets the routes' precision (no guard band).
+    method="table" uses the explicit trig-ratio fixtures for k = 0..6
+    unchecked, and accepts any finite mu.
 
     Raises ValueError outside the domain, ToleranceUnreachable (achieved =
     inf) when the sum lies beyond the double range, and
@@ -122,8 +122,8 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
     """Bilateral sum over even multiples of pi shifted by mu, k >= 1.
 
     Returns sum over all integers m of 1 / (2*m*pi - mu)**(k+1), which
-    equals the k-th derivative of -cot(mu/2) divided by 2*k!.  Requires mu
-    away from multiples of 2*pi (the m = 0 pole).  The k = 0 sum does not
+    equals the k-th derivative of -cot(mu/2) divided by 2*k!; under Z's pole
+    rule, mu = 0 is the one double on a pole.  The k = 0 sum does not
     converge pointwise; its symmetric-limit convention lives in Ztilde0.
 
     Methods, rounding, checks and errors are those of Z, with "taylor" the
@@ -144,9 +144,16 @@ def Ztilde(k: int, mu: float, method: str = "auto") -> float:
 
 
 def Ztilde0(mu: float) -> float:
-    """Symmetric-limit value of the k = 0 even-lattice sum: -1/(2*tan(mu/2))."""
-    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    return -1.0 / (2.0 * math.tan(mu / 2.0))
+    """Symmetric-limit k = 0 even-lattice sum -1/(2*tan(mu/2)), under Ztilde's rules."""
+    mu = _pole_distance(mu, "mu", _COT)[0]
+    return _finite(-1.0, 2.0 * math.tan(mu / 2.0), "Ztilde0(%r)" % mu)
+
+
+def _finite(num: float, den: float, what: str) -> float:
+    # num / den; ToleranceUnreachable past the double range (den = 0 only there)
+    if den and math.isfinite(num / den):
+        return num / den
+    raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
 
 
 @dataclass(frozen=True)
@@ -220,32 +227,23 @@ ZTILDE_TABLE: Dict[int, TableEntry] = {
 _TRIG = {"const": lambda _: 1.0, "cos": math.cos, "sin": math.sin}
 
 
-def _eval_entry(entry: TableEntry, mu: float) -> float:
-    half = mu / 2.0
+def _eval_entry(name: str, table: Dict[int, TableEntry], poles, k: int, mu: float) -> float:
+    k = _check_int(k, "k")
+    if k not in table:
+        raise ValueError("table covers k = %d..%d only" % (min(table), max(table)))
+    mu = _pole_distance(mu, "mu", poles)[0]
+    entry, half = table[k], mu / 2.0
     parts = [float(coeff) * _TRIG[kind](j * half) for coeff, kind, j in entry.terms]
     base = _TRIG[entry.trig_base](half)
-    return math.fsum(parts) / (entry.denominator_constant * base ** entry.trig_power)
+    den = entry.denominator_constant * base ** entry.trig_power
+    return _finite(math.fsum(parts), den, "%s(%d, %r)" % (name, k, mu))
 
 
 def Z_table(k: int, mu: float) -> float:
     """Evaluate Z(k; mu) from the explicit trig-ratio table, k = 0..6."""
-    k = _check_int(k, "k")
-    if k not in Z_TABLE:
-        raise ValueError("table covers k = 0..6 only")
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
-    if abs(math.remainder(mu - math.pi, _TWO_PI)) <= GUARD_BAND:
-        raise ValueError(
-            "mu must stay at least 1e-9 away from odd multiples of pi"
-        )
-    return _eval_entry(Z_TABLE[k], mu)
+    return _eval_entry("Z_table", Z_TABLE, _ODD_PI, k, mu)
 
 
 def Ztilde_table(k: int, mu: float) -> float:
     """Evaluate Ztilde(k; mu) from the explicit trig-ratio table, k = 1..7."""
-    k = _check_int(k, "k")
-    if k not in ZTILDE_TABLE:
-        raise ValueError("table covers k = 1..7 only")
-    mu = _check_lattice_distance(mu, _TWO_PI, "mu")
-    return _eval_entry(ZTILDE_TABLE[k], mu)
+    return _eval_entry("Ztilde_table", ZTILDE_TABLE, _COT, k, mu)

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import mpmath
 import numpy as np
 
-from .apostol_polys import DEFAULT_DPS, _check_lattice_distance
+from .apostol_polys import _COT, _INT, _SEC, DEFAULT_DPS, _pole_distance
 from .exact_core import PiScalar, ToleranceUnreachable, _check_int
 
 __all__ = [
@@ -401,7 +401,7 @@ def _mp_floats(exact: Callable[[int], "mpmath.mpf"], ms: Iterable[int]) -> List[
 def _check_window(x: float, spacing: float, N: int, what: str) -> Tuple[float, int]:
     # the window m = -N..N must hold the pole's nearest lattice point, or
     # the dominant term would fall into the tail estimate
-    x = _check_lattice_distance(x, spacing, what)
+    x = _pole_distance(x, what, _INT if spacing == 1.0 else _COT)[0]
     N = _check_int(N, "N", 1)
     if N < round(abs(x) / spacing):
         ratio = "|%s|" % what if spacing == 1.0 else "|%s| / (2*pi)" % what
@@ -523,9 +523,7 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     5.9 + 1.4k.  Both stay under the 16 + 4k of the other lattice sums.
     """
     k = _check_int(k, "k", 0)
-    mu = float(mu)
-    if not (abs(mu) < math.pi):
-        raise ValueError("mu must satisfy |mu| < pi")
+    mu = _pole_distance(mu, "mu", _SEC)[0]
     N = _check_int(N, "N", 1)
 
     p = k + 1
@@ -731,17 +729,18 @@ def herglotz_residual(theta: float, N: int = 10000) -> Tuple[float, float]:
     is an exact trig identity, so it measures pure roundoff; the g-defect
     shrinks as N grows.
     """
-    theta = _check_lattice_distance(theta, 1.0, "theta")
+    theta = _pole_distance(theta, "theta", _INT)[0]
 
     def f(t: float) -> float:
-        sp = sinpi(t)
+        sp = sinpi(abs(t))  # even; sinpi reduces t > 0 exactly, not a tiny t < 0
         return math.pi ** 2 / (sp * sp)
 
-    f_res = abs(math.fsum([f(theta / 2.0), f((theta + 1.0) / 2.0), -4.0 * f(theta)]))
+    # the sums first: they raise where f is past the double range
     g1 = sum_inverse_square(theta / 2.0, N).value
     g2 = sum_inverse_square((theta + 1.0) / 2.0, N).value
     g3 = sum_inverse_square(theta, N).value
     g_res = abs(math.fsum([g1, g2, -4.0 * g3]))
+    f_res = abs(math.fsum([f(theta / 2.0), f((theta + 1.0) / 2.0), -4.0 * f(theta)]))
     return f_res, g_res
 
 
@@ -751,5 +750,5 @@ def herglotz_limit(theta: float, N: int = 1000000) -> float:
     Tends to pi**2 / 3 as theta -> 0 (with N large enough that the
     truncation error at the given theta is negligible).
     """
-    theta = _check_lattice_distance(theta, 1.0, "theta")
+    theta = _pole_distance(theta, "theta", _INT)[0]
     return sum_inverse_square(theta, N).value - 1.0 / theta ** 2

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import mpmath
 
-from .apostol_polys import DEFAULT_DPS, _finite_complex
+from .apostol_polys import _SEC, DEFAULT_DPS, _finite_complex, _pole_distance
 from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import (
     PiScalar,
@@ -139,9 +139,7 @@ def exact_apostol_integral(k: int, m: int, mu: float) -> complex:
     raises ToleranceUnreachable.
     """
     k, m = _check_int(k, "k", 0), _check_int(m, "m")
-    mu = float(mu)
-    if not (abs(mu) < math.pi):
-        raise ValueError("mu must satisfy |mu| < pi")
+    mu = _pole_distance(mu, "mu", _SEC)[0]
     with mpmath.workdps(DEFAULT_DPS):
         a = 1j * (mpmath.mpf(mu) - (2 * m + 1) * mpmath.pi)
         return _finite_complex(2 * mpmath.factorial(k) / (-a) ** (k + 1), "the Apostol integral")

@@ -273,8 +273,6 @@ def _table_antiperiodicity(rng: random.Random) -> float:
     worst = 0.0
     for _ in range(20):
         mu = rng.uniform(-3.0, 3.0)
-        if abs(abs(mu) - math.pi) < 1e-6:
-            continue
         worst = _max(worst, _worst(
             _rel_gap(closed_forms.Z_table(k, mu + 2.0 * math.pi), -closed_forms.Z_table(k, mu))
             for k in range(0, 7)

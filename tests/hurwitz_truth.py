@@ -10,10 +10,18 @@ of 1.25e-62.  So z_truth works log10(1/|mu|) + 10 digits above the active
 precision and keeps that many digits relative to the value itself.  Ztilde
 has a pole, not a zero, at mu = 0, and the nearest double to its zero at
 mu = pi lies 1.2e-16 away, so ztilde_truth runs at the active precision.
-Both return the mpf at the precision they worked in.
+At k = 0 Z's halves diverge, and z_truth returns the symmetric limit
+sec(mu/2)/2.  Both return the mpf at the precision they worked in;
+truth_or_out_of_range checks a lattice sum against such a truth.
 """
 
+import math
+import sys
+
 import mpmath
+import pytest
+
+from telesum import ToleranceUnreachable
 
 
 def z_truth(k, mu):
@@ -23,6 +31,8 @@ def z_truth(k, mu):
     extra = 10 + max(0, int(mpmath.ceil(-mpmath.log10(abs(mu))))) if mu else 10
     with mpmath.workdps(mpmath.mp.dps + extra):
         mu = mpmath.mpf(mu)
+        if k == 0:  # zeta(1, a) is a pole, and the halves would be inf - inf
+            return mpmath.sec(mu / 2) / 2
 
         def half(nu):
             a = (mpmath.pi - nu) / (4 * mpmath.pi)
@@ -37,3 +47,17 @@ def ztilde_truth(k, mu):
     b = mpmath.mpf(mu) / (2 * mpmath.pi)
     b -= mpmath.floor(b)
     return (mpmath.zeta(s, 1 - b) + (-1) ** s * mpmath.zeta(s, b)) / (2 * mpmath.pi) ** s
+
+
+def truth_or_out_of_range(f, k, mu, want):
+    """f(k, mu) matches want to 1e-15 relative, or raises the typed error
+    exactly when want lies beyond the double range ("complex" runs the same
+    code as "auto")."""
+    for method in ("auto", "taylor"):
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(ToleranceUnreachable) as info:
+                f(k, mu, method=method)
+            assert info.value.achieved == math.inf
+        else:
+            got = f(k, mu, method=method)
+            assert abs(got - want) <= 1e-15 * abs(want), (f.__name__, k, mu, method, got)

@@ -27,7 +27,7 @@ from telesum import (
     sec_taylor_coeffs,
 )
 
-from hurwitz_truth import z_truth
+from hurwitz_truth import z_truth, ztilde_truth
 
 LAMBDAS = [
     mpmath.mpc(2, 0),
@@ -346,17 +346,26 @@ def test_non_finite_parameters_are_rejected():
 
 def test_carrier_domain_guards():
     with pytest.raises(ValueError):
-        ek_mu(2, math.pi)  # sec pole
-    with pytest.raises(ValueError):
-        ek_mu(2, 3.5)
+        ek_mu(2, 3.5)  # outside (-pi, pi)
     with pytest.raises(ValueError):
         ektilde_mu(0, 1.0)  # k = 0 combination is not real
     with pytest.raises(ValueError):
         ektilde_mu(2, 0.0)  # cot pole
     with pytest.raises(ValueError):
-        sec_taylor_coeffs(math.pi, 4)
+        sec_taylor_coeffs(-3.5, 4)
     with pytest.raises(ValueError):
-        cot_taylor_coeffs(2 * math.pi, 4)
+        cot_taylor_coeffs(0.0, 4)
+    # no double is a pole of sec(mu/2): math.pi lies 1.2e-16 below pi, and
+    # 2 * math.pi 2.4e-16 below the cot pole 2 pi; every entry is 2*j! times
+    # the lattice sum, and rounded once
+    with mpmath.workdps(50):
+        sec_mu, cot_mu = mpmath.mpf(math.pi), mpmath.mpf(2 * math.pi)
+        want = float(4 * z_truth(2, sec_mu))
+        assert abs(ek_mu(2, math.pi) - want) <= 1e-15 * abs(want)
+        sec = [mpmath.sec(sec_mu / 2)] + [2 * math.factorial(j) * z_truth(j, sec_mu) for j in range(1, 5)]
+        cot = [-mpmath.cot(cot_mu / 2)] + [2 * math.factorial(j) * ztilde_truth(j, cot_mu) for j in range(1, 5)]
+        for got, want in zip(sec_taylor_coeffs(math.pi, 4) + cot_taylor_coeffs(2 * math.pi, 4), sec + cot):
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
 
 
 def test_carriers_past_the_double_range_raise_a_typed_error():

@@ -41,7 +41,7 @@ from telesum import (
     zeta_even,
 )
 
-from hurwitz_truth import z_truth, ztilde_truth
+from hurwitz_truth import truth_or_out_of_range, z_truth, ztilde_truth
 
 F = Fraction
 
@@ -200,13 +200,19 @@ def test_domain_and_argument_errors():
     with pytest.raises(ValueError):
         Z(2, 3.5)  # computational routes need |mu| < pi
     with pytest.raises(ValueError):
-        Z(2, math.pi)
-    with pytest.raises(ValueError):
         Ztilde(0, 1.0)
     with pytest.raises(ValueError):
         Ztilde(2, 0.0)
     with pytest.raises(ValueError):
-        Ztilde0(4 * math.pi)
+        Ztilde0(-0.0)
+    # no double is a pole of Z, and 4 * math.pi lies 4.9e-16 below 4 pi:
+    # both are valid points, next to their poles
+    with mpmath.workdps(50):
+        for got, want in (
+            (Z(2, math.pi), z_truth(2, mpmath.mpf(math.pi))),
+            (Ztilde0(4 * math.pi), -mpmath.cot(mpmath.mpf(4 * math.pi) / 2) / 2),
+        ):
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
     for method in ("newton", "complex_route", "taylor_route"):
         with pytest.raises(ValueError, match="unknown method"):
             Z(1, 0.5, method=method)
@@ -225,29 +231,14 @@ _ZTILDE_EDGE_MU = (
 )
 
 
-def _truth_or_out_of_range(f, k, mu, want):
-    """f(k, mu) matches want to 1e-15 relative, or raises the typed error
-    exactly when want lies beyond the double range ("complex" runs the same
-    code as "auto")."""
-    for method in ("auto", "taylor"):
-        if abs(want) > sys.float_info.max:
-            with pytest.raises(ToleranceUnreachable) as info:
-                f(k, mu, method=method)
-            assert info.value.achieved == math.inf
-        else:
-            got = f(k, mu, method=method)
-            assert abs(got - want) <= 1e-15 * abs(want), (f.__name__, k, mu, method, got)
-
-
 def test_lattice_sums_match_hurwitz_truth_at_the_edges():
     with mpmath.workdps(50):
         for k in _EDGE_K:
             for mu in _Z_EDGE_MU:
                 m = mpmath.mpf(mu)
-                want = mpmath.sec(m / 2) / 2 if k == 0 else z_truth(k, m)
-                _truth_or_out_of_range(Z, k, mu, want)
+                truth_or_out_of_range(Z, k, mu, z_truth(k, m))
             for mu in _ZTILDE_EDGE_MU if k else ():
-                _truth_or_out_of_range(Ztilde, k, mu, ztilde_truth(k, mpmath.mpf(mu)))
+                truth_or_out_of_range(Ztilde, k, mu, ztilde_truth(k, mpmath.mpf(mu)))
 
 
 def test_odd_alternating_sums_vanish_at_zero():
@@ -430,11 +421,7 @@ def test_lattice_sums_are_the_doubles_nearest_the_truth():
     for f, k, mu in _single_rounding_cases():
         with mpmath.workdps(80):
             m = mpmath.mpf(mu)
-            if f is Ztilde:
-                want = ztilde_truth(k, m)
-            else:
-                want = mpmath.sec(m / 2) / 2 if k == 0 else z_truth(k, m)
-            want = _nearest_double(want)
+            want = _nearest_double((ztilde_truth if f is Ztilde else z_truth)(k, m))
         for method in ("complex", "taylor"):
             assert f(k, mu, method=method) == want, (f.__name__, k, mu, method)
 
@@ -442,15 +429,23 @@ def test_lattice_sums_are_the_doubles_nearest_the_truth():
 def test_table_method_reaches_the_tables_and_rejections_name_their_rule():
     assert Ztilde(3, 1.0, method="table") == Ztilde_table(3, 1.0)
     assert Z(3, 1.0, method="table") == Z_table(3, 1.0)
+    # the tables' points next to a pole, once inside the guard band, are
+    # valid; their ratios of doubles stay within a few ulps of the truth
+    with mpmath.workdps(50):
+        for got, want in (
+            (Z_table(1, -math.pi), z_truth(1, mpmath.mpf(-math.pi))),
+            (Ztilde(1, 4 * math.pi, method="table"), ztilde_truth(1, mpmath.mpf(4 * math.pi))),
+        ):
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
     rejections = (
         (lambda: Z_table(7, 0.5), "table covers k = 0..6 only"),
         (lambda: Z_table(1, math.nan), "mu must be finite"),
-        (lambda: Z_table(1, -math.pi), "mu must stay at least 1e-9 away from odd multiples of pi"),
         (lambda: Ztilde_table(0, 1.0), "table covers k = 1..7 only"),
         (lambda: Ztilde_table(8, 1.0), "table covers k = 1..7 only"),
         (lambda: Ztilde_table(1, math.inf), "mu must be finite"),
-        (lambda: Ztilde(1, 4 * math.pi, method="table"),
-         "mu must stay at least 1e-9 away from multiples of 2*pi"),
+        (lambda: Ztilde(1, 0.0, method="table"), "mu = 0.0 is a pole"),
+        (lambda: Z(1, -3.5), "mu must lie in (-pi, pi)"),
+        (lambda: Ztilde(2, -0.0), "mu = -0.0 is a pole"),
         (lambda: Z(1, math.nan), "mu must be finite"),
         (lambda: Z(2, -math.inf, method="taylor"), "mu must be finite"),
         (lambda: Ztilde(1, math.nan), "mu must be finite"),
@@ -528,20 +523,19 @@ def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
     near = 1e-7
     cases = (
         (apostol_polys._ek_complex, z_truth,
-         (math.pi - near, -(math.pi - near), 1e-6, 1e-8, 0.7, -3.0),
-         lambda mu: math.pi - abs(mu)),
+         (math.pi - near, -(math.pi - near), 1e-6, 1e-8, 0.7, -3.0), apostol_polys._SEC),
         (apostol_polys._ektilde_complex, ztilde_truth,
-         (1e-6, 1e-8, -near, 2 * math.pi - near, -(2 * math.pi - near), math.pi, 4.0),
-         lambda mu: abs(math.remainder(mu, 2 * math.pi))),
+         (1e-6, 1e-8, -near, 2 * math.pi - near, -(2 * math.pi - near), math.pi, 4.0), apostol_polys._COT),
     )
-    for route, truth, mus, dist in cases:
+    for route, truth, mus, poles in cases:
         for k in (1, 21, 60, 160, 250):
             for mu in mus:
+                dist = apostol_polys._pole_distance(mu, "mu", poles)[1]
                 with mpmath.workdps(apostol_polys.DEFAULT_DPS):
-                    z = route(k, mu)
+                    z = route(k, mu, dist)
                 with mpmath.workdps(100):
                     want = 2 * math.factorial(k) * truth(k, mpmath.mpf(mu))
-                    allowed = _scaled_allowance(k, dist(mu), apostol_polys.DEFAULT_DPS) / 10
+                    allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
                     assert abs(z - want) <= allowed, (route.__name__, k, mu)
 
 
@@ -560,28 +554,30 @@ def test_fixed_point_bits_cover_the_a_priori_bound(monkeypatch):
         runs.append((row, bits))
         return horner(row, y, bits)
 
-    def ek_geometry(k, mu):  # |w|, |scale| and the distance to the pole
-        return 1 / (2 * abs(mpmath.cos(mu / 2))), 2**-k / abs(mpmath.cos(mu / 2)), math.pi - abs(mu)
+    def ek_geometry(k, mu):  # |w| and |scale|
+        return 1 / (2 * abs(mpmath.cos(mu / 2))), 2**-k / abs(mpmath.cos(mu / 2))
 
     def ektilde_geometry(k, mu):
         csc = 1 / abs(mpmath.sin(mu / 2))
-        return csc / 2, csc, abs(math.remainder(mu, 2 * math.pi))
+        return csc / 2, csc
 
     monkeypatch.setattr(apostol_polys, "_fixed_horner", recording)
     near = 1e-7
     cases = (
-        (apostol_polys._ek_complex, (0.0, 0.7, -2.2, math.pi - near), ek_geometry),
-        (apostol_polys._ektilde_complex, (near, 1.0, math.pi, -4.0, 2 * math.pi - near), ektilde_geometry),
+        (apostol_polys._ek_complex, (0.0, 0.7, -2.2, math.pi - near), ek_geometry, apostol_polys._SEC),
+        (apostol_polys._ektilde_complex, (near, 1.0, math.pi, -4.0, 2 * math.pi - near), ektilde_geometry,
+         apostol_polys._COT),
     )
-    for route, mus, geometry in cases:
+    for route, mus, geometry, poles in cases:
         for k in (1, 21, 60, 160, 250):
             for mu in mus:
                 runs.clear()
+                dist = apostol_polys._pole_distance(mu, "mu", poles)[1]
                 with mpmath.workdps(apostol_polys.DEFAULT_DPS):
-                    route(k, mu)
+                    route(k, mu, dist)
                 ((row, bits),) = runs
                 with mpmath.workdps(30):
-                    x, scale, dist = geometry(k, mpmath.mpf(mu))
+                    x, scale = geometry(k, mpmath.mpf(mu))
                     power = [x**j for j in range(k + 1)]
                     error = mpmath.fsum([
                         mpmath.sqrt(2) * mpmath.fsum(power[:k]),
@@ -595,7 +591,7 @@ def test_fixed_point_bits_cover_the_a_priori_bound(monkeypatch):
 def test_carrier_meets_the_floor_of_its_own_precision():
     # dps is the target the route adds its own digits to, not a cap
     with mpmath.workdps(20):
-        z = apostol_polys._ek_complex(30, 0.7)
+        z = apostol_polys._ek_complex(30, 0.7, math.pi - 0.7)
         assert mpmath.mp.dps == 20
     with mpmath.workdps(60):
         want = 2 * math.factorial(30) * z_truth(30, mpmath.mpf(0.7))
@@ -607,9 +603,9 @@ def test_lattice_sums_at_the_largest_k_match_hurwitz_truth():
     # just above the smallest normal double
     with mpmath.workdps(50):
         for mu in (0.0, 0.5, -3.0):
-            _truth_or_out_of_range(Z, 618, mu, z_truth(618, mpmath.mpf(mu)))
+            truth_or_out_of_range(Z, 618, mu, z_truth(618, mpmath.mpf(mu)))
         for mu in (1.0, 3.0):
-            _truth_or_out_of_range(Ztilde, 618, mu, ztilde_truth(618, mpmath.mpf(mu)))
+            truth_or_out_of_range(Ztilde, 618, mu, ztilde_truth(618, mpmath.mpf(mu)))
 
 
 def _perturbed(route, factor):
@@ -702,20 +698,20 @@ def test_fixed_point_routes_match_hurwitz_truth_at_low_k():
     near = 1e-7
     cases = (
         (Z, apostol_polys._ek_complex, z_truth,
-         (near, -near, 1e-12, math.pi - near, -(math.pi - near)),
-         lambda mu: math.pi - abs(mu)),
+         (near, -near, 1e-12, math.pi - near, -(math.pi - near)), apostol_polys._SEC),
         (Ztilde, apostol_polys._ektilde_complex, ztilde_truth,
          (near, -near, math.pi - near, math.pi + near, 2 * math.pi - near, -(2 * math.pi - near)),
-         lambda mu: abs(math.remainder(mu, 2 * math.pi))),
+         apostol_polys._COT),
     )
-    for f, route, truth, mus, dist in cases:
+    for f, route, truth, mus, poles in cases:
         for k in (1, 2, 3, 39, 40):
             for mu in mus:
+                dist = apostol_polys._pole_distance(mu, "mu", poles)[1]
                 with mpmath.workdps(apostol_polys.DEFAULT_DPS):
-                    z = route(k, mu)
+                    z = route(k, mu, dist)
                 with mpmath.workdps(100):
                     want = truth(k, mpmath.mpf(mu))
-                    allowed = _scaled_allowance(k, dist(mu), apostol_polys.DEFAULT_DPS) / 10
+                    allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
                     assert abs(z - 2 * math.factorial(k) * want) <= allowed, (route.__name__, k, mu)
                 assert abs(f(k, mu) - want) <= 1e-15 * abs(want), (f.__name__, k, mu)
 

@@ -289,9 +289,15 @@ def test_lattice_sum_guards():
     with pytest.raises(ValueError):
         sum_Z(1, 3.5, N=100)  # outside |mu| < pi
     with pytest.raises(ValueError):
-        sum_Ztilde(1, 1e-12, N=100)  # m = 0 pole
+        sum_Ztilde(1, 0.0, N=100)  # m = 0 pole
     with pytest.raises(ValueError):
         sum_Ztilde(1, 1000.0, N=10)  # window too small to clear the pole
+    # a point next to a pole, once inside the guard band, is valid and
+    # within its bound of the truth
+    for oracle, mu, truth in ((sum_Ztilde, 1e-12, ztilde_truth), (sum_Z, math.pi, z_truth)):
+        r = oracle(1, mu, N=100)
+        with mpmath.workdps(40):
+            assert abs(r.value - truth(1, mpmath.mpf(mu))) <= r.error_bound, oracle.__name__
     # the m = 0 term alone is beyond the double range: raise, never return inf
     with mpmath.workdps(30):
         m0_terms = (
