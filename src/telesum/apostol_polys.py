@@ -31,9 +31,11 @@ and have one sign and fixed parity.  In mpmath they give the Taylor
 coefficients and the lattice sums' "taylor" route; in doubles, the certified
 route.  The carriers are 2*k! times closed_forms' Z and Ztilde, and one
 evaluator per family (_sec_value, _cot_value) serves both: it takes mu and
-its exact distance to the pole from _pole_distance, the one domain check of
-every shifted argument; gates the double range on a bound that reads no row,
-then on the certified value; and runs a route and cross-checks it (_checked).
+its exact distance to the pole from _pole_distance, the one domain check and
+the one reduction of every shifted argument (the lattice oracles take the
+nearest pole and the residual from it too); gates the double range on a
+bound that reads no row, then on the certified value; and runs a route and
+cross-checks it (_checked).
 
 The carriers, their residues and the Taylor coefficients work at
 DEFAULT_DPS significant digits; only the deformed polynomials take a dps
@@ -121,15 +123,18 @@ _PI_FIXED = int(to_fixed(mpf_pi(_PI_BITS + 8), _PI_BITS))
 _SEC, _ODD_PI, _COT, _INT = (1, True, True), (1, True, False), (0, True, False), (0, False, False)
 
 
-def _pole_distance(x: float, what: str, poles: Tuple[int, bool, bool]) -> Tuple[float, float]:
-    """(x as a float, its distance to the nearest pole): the one domain check
-    of every shifted argument.  ValueError only for a non-finite x, a pole
-    (no double is an odd multiple of pi, and only 0 one of 2*pi), or x
-    outside (-pi, pi) where the lattice asks.  The distance is |x| at the
-    pole 0, else the double nearest |x - j h| from x and h in fixed point at
-    e + _GUARD bits, 2**e > |x| (Payne & Hanek, SIGNUM Newsletter 18, 1983):
-    2**-127 at most off, where no double lies within 2**-62 of a nonzero
-    multiple of pi/2 (J.-M. Muller, Elementary Functions, ch. 11)."""
+def _pole_distance(x: float, what: str,
+                   poles: Tuple[int, bool, bool]) -> Tuple[float, float, int, float]:
+    """(x as a float, its distance to the nearest pole (2n + odd) h, n, and
+    the signed residual r = x - (2n + odd) h): the one domain check, and the
+    one reduction, of every shifted argument.  ValueError only for a
+    non-finite x, a pole (no double is an odd multiple of pi, and only 0 one
+    of 2*pi), or x outside (-pi, pi) where the lattice asks.  r is x at the
+    pole 0, else the double nearest x - (2n + odd) h from x and h in fixed
+    point at e + _GUARD bits, 2**e > |x| (Payne & Hanek, SIGNUM Newsletter
+    18, 1983): 2**-127 at most off, where no double lies within 2**-62 of a
+    nonzero multiple of pi/2 (J.-M. Muller, Elementary Functions, ch. 11).
+    The distance is |r|."""
     odd, pi, window = poles
     x = float(x)
     if not math.isfinite(x):
@@ -141,11 +146,13 @@ def _pole_distance(x: float, what: str, poles: Tuple[int, bool, bool]) -> Tuple[
     num, den = a.as_integer_ratio()
     fixed = (num << bits) // den
     h = _PI_FIXED >> (_PI_BITS - bits) if pi else 1 << (bits - 1)
-    j = 2 * ((fixed + (1 - odd) * h) // (2 * h)) + odd
-    dist = abs(fixed - j * h) / (1 << bits) if j else a
-    if not dist:
+    j = 2 * ((fixed + (1 - odd) * h) // (2 * h)) + odd  # the pole j h of |x|
+    if x < 0.0:
+        fixed, j = -fixed, -j
+    r = (fixed - j * h) / (1 << bits) if j else x
+    if not r:
         raise ValueError("%s = %r is a pole" % (what, x))
-    return x, dist
+    return x, abs(r), (j - odd) // 2, r
 
 
 ComplexLike = Union[complex, float, int, "mpmath.mpc", "mpmath.mpf"]
@@ -480,7 +487,7 @@ def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     mu and is at least its lowest term c |tan(mu/2)| >= c |mu| / 2, in range
     where the value underflows.  At mu = 0 the complex route is exact."""
     _check_max_k(k)
-    mu, dist = _pole_distance(mu, "mu", _SEC)
+    mu, dist, _, _ = _pole_distance(mu, "mu", _SEC)
     what = "%s(%d, %r)" % ("ek_mu" if carrier else "Z", k, mu)
     half = mu / 2.0
     t = math.tan(half)
@@ -503,7 +510,7 @@ def _cot_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     """Ztilde(k, mu), or ektilde_mu(k, mu) = 2*k! Ztilde(k, mu), as
     _sec_value; the certified value is -P_k(cot(mu/2)) / (2**(k+1) k!)."""
     _check_max_k(k)
-    mu, dist = _pole_distance(mu, "mu", _COT)
+    mu, dist, _, _ = _pole_distance(mu, "mu", _COT)
     what = "%s(%d, %r)" % ("ektilde_mu" if carrier else "Ztilde", k, mu)
     # cot(mu/2), never 0; mu/2 is 0 only at the least subnormal mu, past range
     t = 1.0 / math.tan(mu / 2.0) if mu / 2.0 else math.inf
@@ -563,13 +570,13 @@ def _scaled_residue(route, k: int, mu: float, dist: float) -> float:
 def ek_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ek_mu combination (_scaled_residue)."""
     k = _check_int(k, "k", 0)
-    return _scaled_residue(_ek_complex, k, *_pole_distance(mu, "mu", _SEC))
+    return _scaled_residue(_ek_complex, k, *_pole_distance(mu, "mu", _SEC)[:2])
 
 
 def ektilde_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ektilde_mu combination, k >= 1."""
     k = _check_int(k, "k", 1)
-    return _scaled_residue(_ektilde_complex, k, *_pole_distance(mu, "mu", _COT))
+    return _scaled_residue(_ektilde_complex, k, *_pole_distance(mu, "mu", _COT)[:2])
 
 
 class _DerivativeRows:

@@ -23,11 +23,13 @@ monotone series, whose terms share a bin in long runs, from serialising the
 per-bin additions.  Both paths meet as one integer, rounded once.  A sum
 beyond the double range raises ToleranceUnreachable.
 
-Terms that suffer cancellation against an irrational lattice (multiples of
-pi minus the shift) are recomputed in mpmath and patched, by their index,
-into whichever block holds them before it is summed.  The integer-lattice
-oracles are sum_Ztilde's body at spacing 1, and their terms (n + theta) need
-no patching: a single float addition is exactly rounded even when it cancels.
+The lattice oracles reduce their shift once, through
+apostol_polys._pole_distance, the one reduction of every shifted argument:
+with the shift c = n*a + r against the nearest pole n*a, r correctly rounded,
+term m is formed as (m - n)*a - r, so no term cancels against the double pi
+and each is accurate relative to itself, however large |c| is; the tails
+start at N + 1 -+ n.  The integer-lattice oracles are sum_Ztilde's body at
+spacing 1, where m - c is already one rounding, so there n = 0 and r = c.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import mpmath
 import numpy as np
 
-from .apostol_polys import _COT, _INT, _SEC, DEFAULT_DPS, _pole_distance
+from .apostol_polys import _COT, _INT, _SEC, _pole_distance
 from .exact_core import PiScalar, ToleranceUnreachable, _check_int
 
 __all__ = [
@@ -81,11 +82,10 @@ class SumResult:
 
 def _trig_into(r: np.ndarray, sign: np.ndarray, t: np.ndarray, cos: bool) -> None:
     """Overwrite r, holding y, with sinpi(y) or cospi(y); sign and t are
-    work arrays of r's shape.  y mod 2 from halving, floor and doubling
-    (exact) and one rounded difference has np.mod(y, 2.0)'s bits, except at
-    -2**-1074, whose half underflows to -0.0: it stays itself, where np.mod
-    gives 2.0.  r is then folded onto [0, 1/2], where every subtraction is
-    exact (Sterbenz); no y + 1/2 is formed (inexact for |y| >= 2**52)."""
+    work arrays of r's shape.  For y >= 0, y mod 2 from halving, floor and
+    doubling (exact) and one difference, exact too, has np.mod(y, 2.0)'s
+    bits.  r is then folded onto [0, 1/2], where every subtraction is exact
+    (Sterbenz); no y + 1/2 is formed (inexact for |y| >= 2**52)."""
     np.multiply(r, 0.5, out=t)
     np.floor(t, out=t)
     t *= 2.0
@@ -96,8 +96,7 @@ def _trig_into(r: np.ndarray, sign: np.ndarray, t: np.ndarray, cos: bool) -> Non
         np.minimum(r, np.subtract(1.0, r, out=t), out=r)
         np.subtract(0.5, r, out=r)  # cos(pi r) = sin(pi (1/2 - r))
     else:
-        # sin(pi r) = -sin(pi (2 - r)) on (1, 2]; the +-1 multiplies, as at
-        # -2**-1074 the sine is negative under a positive sign
+        # sin(pi r) = -sin(pi (2 - r)) on (1, 2]
         np.copysign(1.0, np.subtract(1.0, r, out=sign), out=sign)
         np.minimum(r, np.subtract(2.0, r, out=t), out=r)
         np.minimum(r, np.subtract(1.0, r, out=t), out=r)
@@ -111,16 +110,21 @@ def _trig_into(r: np.ndarray, sign: np.ndarray, t: np.ndarray, cos: bool) -> Non
 
 def sinpi(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """sin(pi*y) with exact zeros at integer y and full relative accuracy
-    near them, via range reduction of y rather than of pi*y."""
+    near them, via range reduction of y rather than of pi*y; a negative y
+    is reflected first, sinpi(y) = -sinpi(-y), so its reduction is exact."""
     r = np.array(y, dtype=np.float64)
+    reflect = np.copysign(1.0, r)
+    np.abs(r, out=r)
     _trig_into(r, np.empty_like(r), np.empty_like(r), cos=False)
+    r *= reflect
     return float(r) if r.ndim == 0 else r
 
 
 def cospi(y: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """cos(pi*y) with exact zeros at half-integer y and exact +-1 at integers,
-    by the same reduction of y as sinpi."""
+    by the same reduction of |y| as sinpi."""
     r = np.array(y, dtype=np.float64)
+    np.abs(r, out=r)
     _trig_into(r, np.empty_like(r), np.empty_like(r), cos=True)
     return float(r) if r.ndim == 0 else r
 
@@ -141,11 +145,11 @@ def _power_tail(a: float, b: float, p: float, A: int) -> Tuple[float, float]:
     return est, bound
 
 
-def _pair_tail(a: float, c: float, A: int) -> Tuple[float, float]:
+def _pair_tail(a: float, c: float, yl: float, yh: float) -> Tuple[float, float]:
     """Certified tail of sum_{m >= A} 1/(a*m - c) - 1/(a*m + c) for a > 0,
-    a*A > |c|: the integral log((a*A + c)/(a*A - c)) / a plus half-term, and
-    the trapezoid-defect bound of _power_tail."""
-    yl, yh = a * A - c, a * A + c
+    a*A > |c|, from its first factors yl = a*A - c and yh = a*A + c: the
+    integral log(yh/yl) / a plus half-term, and the trapezoid-defect bound
+    of _power_tail."""
     est = math.log1p(2.0 * c / yl) / a + 0.5 * (1.0 / yl - 1.0 / yh)
     hp = a * abs(yl ** -2 - yh ** -2)
     hpp = 2.0 * a * a * abs(yl ** -3 - yh ** -3)
@@ -290,22 +294,16 @@ def _bin_total(limbs: np.ndarray) -> int:
     return sum(((h << 26) + l) << b for b, h, l in per_bin)
 
 
-# (first index, values) pairs to write over the terms from that index on
-_Patches = Sequence[Tuple[int, Sequence[float]]]
-
-
 @_quiet
-def _stream_sum(count: int, fill: Callable[..., None], rows: int = 1, spare: int = 0,
-                patches: _Patches = ()) -> List[Tuple[float, float]]:
+def _stream_sum(count: int, fill: Callable[..., None], rows: int = 1,
+                spare: int = 0) -> List[Tuple[float, float]]:
     """(sum, sum of magnitudes) of each of rows sequences of count terms,
     each exactly rounded to the nearest double whatever the length or order.
 
     fill(start, *blocks) writes terms start, start + 1, ... of sequence r
     into blocks[r], at most _BLOCK of them, and may use the spare blocks
-    after those as work space.  Each (first, values) patch then overwrites
-    terms first, first + 1, ... of the first sequence wherever they fall.
-    Raises ValueError on a non-finite term and OverflowError on a sum beyond
-    the double range.
+    after those as work space.  Raises ValueError on a non-finite term and
+    OverflowError on a sum beyond the double range.
     """
     # one buffer per call, reused by every block, with the kernel's two
     # scratch rows and its slot row last: the allocator keeps a buffer of
@@ -318,10 +316,6 @@ def _stream_sum(count: int, fill: Callable[..., None], rows: int = 1, spare: int
     for start in range(0, count, _BLOCK):
         blocks = work[: rows + spare, : min(_BLOCK, count - start)]
         fill(start, *blocks)
-        for first, values in patches:
-            lo, hi = max(first, start), min(first + len(values), start + blocks.shape[1])
-            if lo < hi:
-                blocks[0, lo - start : hi - start] = values[lo - first : hi - first]
         for r in range(rows):
             fixed = _fixed_block(blocks[r], scratch)
             if fixed is not None:
@@ -360,14 +354,13 @@ def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
 
 def _certified_sum(count: int, fill: Callable[..., None], tail: Sequence[float],
                    tail_bound: float, terms_used: int, *, spare: int = 0,
-                   patches: _Patches = (), magnitudes: bool = False,
-                   per_term: float = 16.0, tail_in_floor: bool = True) -> SumResult:
+                   magnitudes: bool = False, per_term: float = 16.0) -> SumResult:
     """value = exactly rounded sum of the count terms fill writes, as in
     _stream_sum, then each tail estimate added in order; error_bound =
     tail_bound + roundoff floor over |terms| (or, when magnitudes, over the
-    second sequence fill writes) and, when tail_in_floor, |tail|."""
+    second sequence fill writes) and |tail|."""
     try:
-        (partial, abs_accum), *rest = _stream_sum(count, fill, 1 + magnitudes, spare, patches)
+        (partial, abs_accum), *rest = _stream_sum(count, fill, 1 + magnitudes, spare)
         if rest:
             abs_accum = rest[0][0]
     except (OverflowError, ValueError):
@@ -376,8 +369,7 @@ def _certified_sum(count: int, fill: Callable[..., None], tail: Sequence[float],
     value = partial
     for t in tail:
         value += t
-        if tail_in_floor:
-            abs_accum += abs(t)
+        abs_accum += abs(t)
     # per_term * eps covers the relative rounding of each summand; the exact
     # kernel contributes only its one final rounding, covered by the value term.
     # Below the normal range neither rounding is relative: a term may err by
@@ -392,21 +384,17 @@ def _certified_sum(count: int, fill: Callable[..., None], tail: Sequence[float],
     return SumResult(value=value, error_bound=bound, terms_used=terms_used)
 
 
-def _mp_floats(exact: Callable[[int], "mpmath.mpf"], ms: Iterable[int]) -> List[float]:
-    # exact(m) at DEFAULT_DPS, rounded once: for values that cancel in doubles
-    with mpmath.workdps(DEFAULT_DPS):
-        return [float(exact(m)) for m in ms]
-
-
-def _check_window(x: float, spacing: float, N: int, what: str) -> Tuple[float, int]:
+def _check_window(x: float, spacing: float, N: int,
+                  what: str) -> Tuple[Tuple[float, float, int, float], int]:
     # the window m = -N..N must hold the pole's nearest lattice point, or
-    # the dominant term would fall into the tail estimate
-    x = _pole_distance(x, what, _INT if spacing == 1.0 else _COT)[0]
+    # the dominant term would fall into the tail estimate; returns x's
+    # reduction (_pole_distance) and N
+    reduced = _pole_distance(x, what, _INT if spacing == 1.0 else _COT)
     N = _check_int(N, "N", 1)
-    if N < round(abs(x) / spacing):
+    if N < round(abs(reduced[0]) / spacing):
         ratio = "|%s|" % what if spacing == 1.0 else "|%s| / (2*pi)" % what
         raise ValueError("N too small: need N >= round(%s)" % ratio)
-    return x, N
+    return reduced, N
 
 
 def _to_tolerance(target_tol: float, start: Callable[[float], int], cap: int,
@@ -499,107 +487,118 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     part of the contract: it is what gives the conditionally convergent
     k = 0 case its symmetric-limit meaning).  N pairs cover the window
     m = -N..N-1; the paired tail is alternating with a convex decreasing
-    magnitude, certified by the Leibniz midpoint.  The first three pairs
-    are computed in mpmath because (2m+1)*pi - mu cancels against float pi.
+    magnitude, certified by the Leibniz midpoint of pairs N and N + 1, which
+    the same fill writes.
 
-    With b = (2m+1)*pi and p = k + 1, a pair is (b-mu)**-p + (b+mu)**-p at
-    even k.  At odd k it is the difference, formed without cancellation as
-    -sign(mu) * (b-|mu|)**-p * expm1(-2p*atanh(|mu|/b)): the farther power
-    over the nearer one is ((b-|mu|)/(b+|mu|))**p = exp(-2p*atanh(|mu|/b)),
-    and expm1 of an argument <= 0 neither overflows nor amplifies its
-    argument's error.  So the rounding floor of each float pair is relative
-    to the pair itself.  In units of eps = 2**-52, with 4 eps for each of
-    numpy's atanh, expm1 and pow, and m >= 3, so b >= 7*pi > 7|mu|, the
+    With b = (2m+1)*pi and p = k + 1, a pair is (b-|mu|)**-p + (b+|mu|)**-p
+    at even k.  At odd k it is the difference, formed without cancellation
+    as -sign(mu) * (b-|mu|)**-p * expm1(-p*log1p(2|mu|/(b-|mu|))): the
+    farther power over the nearer one is ((b-|mu|)/(b+|mu|))**p, and expm1
+    of an argument <= 0 neither overflows nor amplifies its argument's
+    error.  At m = 0, b - |mu| = pi - |mu| would cancel against the double
+    pi; it is the exact distance to the pole from _pole_distance instead.
+    So the rounding floor of each float pair is relative to the pair
+    itself.  In units of eps = 2**-52, with 4 eps for each of numpy's
+    log1p, expm1 and pow, and m >= 1, so b >= 3*pi >= 3|mu|, the
     accumulated relative errors are:
       b = (2m+1)*pi rounded                      0.7
-      |mu|/b                                     1.2
-      atanh(|mu|/b), condition < 49/48           5.3
-      y = 2p*atanh(|mu|/b)                       5.8
-      expm1(-y), condition y/(e**y - 1) <= 1     9.8
-      b - |mu|, cancelling by < 7/6              1.4
-      (b-|mu|)**-p                               1.4p + 4
-      their product                              9.8 + 1.4p + 4 + 0.5
-    that is 15.7 + 1.4k; at even k each power is 1.4p + 4 and their sum
-    5.9 + 1.4k.  Both stay under the 16 + 4k of the other lattice sums.
+      b - |mu|, cancelling by <= 3/2             1.6  (m = 0: 0.5)
+      q = 2|mu|/(b - |mu|)                       2.1
+      log1p(q), condition q/((1+q) log1p(q)) <= 1   6.1
+      y = p*log1p(q)                             6.6
+      expm1(-y), condition y/(e**y - 1) <= 1     10.6
+      (b-|mu|)**-p                               1.6p + 4
+      their product                              10.6 + 1.6p + 4 + 0.5
+    that is 16.7 + 1.6k; at even k the farther power, from
+    b + |mu| = (b - |mu|) + 2|mu|, is 2.1p + 4 and their sum 6.6 + 2.1k.
+    The m = 0 pair is smaller in each row.  Both totals stay under the
+    16 + 4k of the other lattice sums, the odd-k one because k >= 1.
     """
     k = _check_int(k, "k", 0)
-    mu = _pole_distance(mu, "mu", _SEC)[0]
+    mu, dist, _, _ = _pole_distance(mu, "mu", _SEC)
     N = _check_int(N, "N", 1)
 
     p = k + 1
+    shift, twice = abs(mu), 2.0 * abs(mu)
     # term m is (-1)**m times its pair: negate the odd ones, except that at
     # odd k the pairs come out as -|pair|, so for mu > 0 negate the even ones
     flip = 0 if k % 2 and mu > 0 else 1
 
-    def fill(start: int, terms: np.ndarray, base: np.ndarray) -> None:
-        np.add(_OFFSETS[: terms.size], start, out=base)
-        base *= 2.0
-        base += 1.0
-        base *= np.pi
+    def fill(start: int, terms: np.ndarray, near: np.ndarray) -> None:
+        np.add(_OFFSETS[: terms.size], start, out=near)
+        near *= 2.0
+        near += 1.0
+        near *= np.pi
+        near -= shift
+        if start == 0:
+            near[0] = dist
         if k % 2:
-            np.divide(abs(mu), base, out=terms)
-            np.arctanh(terms, out=terms)
-            terms *= -2.0 * p
+            np.divide(twice, near, out=terms)
+            np.log1p(terms, out=terms)
+            terms *= -p
             np.expm1(terms, out=terms)
-            base -= abs(mu)
-            base **= -p
-            terms *= base
+            near **= -p
+            terms *= near
         else:
-            np.subtract(base, mu, out=terms)
+            np.add(near, twice, out=terms)
             terms **= -p
-            base += mu
-            base **= -p
-            terms += base
+            near **= -p
+            terms += near
         terms[(flip - start) % 2 :: 2] *= -1.0
-
-    mmu = mpmath.mpf(mu)
-
-    def exact(j: int) -> "mpmath.mpf":
-        b = (2 * j + 1) * mpmath.pi
-        if k % 2:  # the difference, without cancellation, as above
-            pair = -(b - mmu) ** (-p) * mpmath.expm1(-2 * p * mpmath.atanh(mmu / b))
-        else:
-            pair = (b - mmu) ** (-p) + (b + mmu) ** (-p)
-        return (-1) ** j * pair
 
     # every pair has the sign of mu (k odd) or is positive (k even), so the
     # paired tail has the sign of its first term; at k odd, mu = 0 it is 0
-    t0, t1 = _mp_floats(exact, (N, N + 1))
-    tail_mag, tail_bound = _alternating_tail(abs(t0), abs(t1))
-    # the Leibniz bound already carries the rounding of the tail estimate
+    pairs = np.empty((2, 2))
+    fill(N, *pairs)  # b - |mu| >= 2*pi there: nothing overflows
+    t0, t1 = pairs[0].tolist()
+    h0 = abs(t0)
+    tail_mag, tail_bound = _alternating_tail(h0, abs(t1))
+    # h0 and h1 are float pairs, each within per_term eps of itself: that
+    # moves the midpoint and its bound by up to 1.5 per_term eps h0, of
+    # which the floor over the tail (>= h0/2) covers a third
+    per_term = 16.0 + 4.0 * k
+    tail_bound += per_term * _EPS * h0
     return _certified_sum(
         N, fill, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
-        spare=1, patches=((0, _mp_floats(exact, range(min(3, N)))),),
-        per_term=16.0 + 4.0 * k, tail_in_floor=False,
+        spare=1, per_term=per_term,
     )
 
 
-def _lattice_sum(k: int, a: float, c: float, N: int, patches: _Patches = ()) -> SumResult:
-    """sum_Ztilde's body: the sum of (m*a - c)**-(k+1) over m = -N..N, a > 0.
-    Term i is that of m = i - N, or at k = 0 the pair of m = i + 1 and -m,
-    and term N the m = 0 term; patches as in _stream_sum."""
+def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float) -> SumResult:
+    """sum_Ztilde's body: the sum of (m*a - c)**-(k+1) over m = -N..N, a > 0,
+    with c = n*a + r: each term is formed as (m - n)*a - r.  Term i is that
+    of m = i - N, or at k = 0 the pair of m = i + 1 and -m, and term N the
+    m = 0 term."""
     p = k + 1
     if k == 0:
-        def fill(start: int, terms: np.ndarray, m: np.ndarray) -> None:
-            np.add(_OFFSETS[: terms.size], start + 1, out=m)
-            if a != 1.0:
-                m *= a
-            np.subtract(m, c, out=terms)
-            m += c
-            terms *= m
-            np.divide(2.0 * c, terms, out=terms)
+        # the pair is 2c / ((m*a - |c|) * (m*a + |c|)), with |c| = n1*a + r1:
+        # the nearer factor recentred, the farther one (m - n1)*a + 2*n1*a + r1
+        # (at spacing 1, n1 = 0: m - |c| and m + |c|, one rounding each)
+        n1, r1 = (n, r) if c > 0.0 else (-n, -r)
+        far_shift = 2.0 * n1 * a + r1
 
-        est, tail_bound = _pair_tail(a, c, N + 1)
-        count, tail, patches = N + 1, (est,), (*patches, (N, [-1.0 / c]))
+        def fill(start: int, terms: np.ndarray, x: np.ndarray) -> None:
+            np.add(_OFFSETS[: terms.size], start + 1 - n1, out=x)
+            if a != 1.0:
+                x *= a
+            np.add(x, far_shift, out=terms)
+            x -= r1
+            terms *= x
+            np.divide(2.0 * c, terms, out=terms)
+            if start + terms.size > N:
+                terms[-1] = -1.0 / c
+
+        est, tail_bound = _pair_tail(a, c, (N + 1 - n) * a - r, (N + 1 + n) * a + r)
+        count, tail = N + 1, (est,)
     else:
         # numpy's vectorised pow takes only positive bases (a negative one
         # falls back to scalar libm): odd powers raise |x|, then copy x's sign
         def fill(start: int, terms: np.ndarray, *spare: np.ndarray) -> None:
             x = spare[0] if p % 2 else terms
-            np.add(_OFFSETS[: terms.size], start - N, out=x)
+            np.add(_OFFSETS[: terms.size], start - N - n, out=x)
             if a != 1.0:
                 x *= a
-            x -= c
+            x -= r
             if p == 2:
                 np.square(x, out=terms)
             else:
@@ -609,14 +608,14 @@ def _lattice_sum(k: int, a: float, c: float, N: int, patches: _Patches = ()) -> 
             if p % 2:
                 np.copysign(terms, x, out=terms)
 
-        up_est, up_bound = _power_tail(a, -c, float(p), N + 1)
-        dn_est, dn_bound = _power_tail(a, c, float(p), N + 1)
+        up_est, up_bound = _power_tail(a, -r, float(p), N + 1 - n)
+        dn_est, dn_bound = _power_tail(a, r, float(p), N + 1 + n)
         count, tail = 2 * N + 1, (up_est, (1.0 if p % 2 == 0 else -1.0) * dn_est)
         tail_bound = up_bound + dn_bound
-    # n - c on the integer lattice is one rounding; m*a - c adds the rounding
-    # of m*a, which the power multiplies
+    # (m - n) - r on the integer lattice is one rounding; (m - n)*a - r adds
+    # the rounding of (m - n)*a, which the power multiplies
     return _certified_sum(
-        count, fill, tail, tail_bound, 2 * N + 1, spare=p % 2, patches=patches,
+        count, fill, tail, tail_bound, 2 * N + 1, spare=p % 2,
         per_term=16.0 if a == 1.0 else 16.0 + 4.0 * k,
     )
 
@@ -627,20 +626,13 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
     For k >= 1 the terms are summed directly (absolute convergence); both
     one-sided tails get integral-plus-half-term corrections.  For k = 0 the
     conditionally convergent sum is given its symmetric-limit meaning by
-    pairing m with -m, which yields terms 2*mu/((2*m*pi)^2 - mu^2).  Terms
-    nearest the lattice singularity are recomputed in mpmath.
+    pairing m with -m, which yields terms 2*mu/((2*m*pi)^2 - mu^2).  Every
+    term is formed from mu's reduction against the nearest pole 2*n*pi, as
+    (m - n)*2*pi - r, so none cancels against the double pi at any |mu|.
     """
     k = _check_int(k, "k", 0)
-    mu, N = _check_window(mu, _TWO_PI, N, "mu")
-    mmu = mpmath.mpf(mu)
-    # term m - least holds m, or at k = 0 the pair of m and -m
-    least, near = (1, round(abs(mu) / _TWO_PI)) if k == 0 else (-N, round(mu / _TWO_PI))
-    ms = range(max(least, near - 1), min(N, near + 1) + 1)
-    if k == 0:
-        exact = lambda m: 2 * mmu / ((2 * m * mpmath.pi - mmu) * (2 * m * mpmath.pi + mmu))
-    else:
-        exact = lambda m: (2 * m * mpmath.pi - mmu) ** (-k - 1)
-    return _lattice_sum(k, _TWO_PI, mu, N, ((ms.start - least, _mp_floats(exact, ms)),))
+    (mu, _, n, r), N = _check_window(mu, _TWO_PI, N, "mu")
+    return _lattice_sum(k, _TWO_PI, N, mu, n, r)
 
 
 def sum_inverse_square(theta: float, N: int = 100000) -> SumResult:
@@ -650,8 +642,8 @@ def sum_inverse_square(theta: float, N: int = 100000) -> SumResult:
     shift -theta: n + theta is a single exactly-rounded addition, so no term
     needs extended precision.
     """
-    theta, N = _check_window(theta, 1.0, N, "theta")
-    return _lattice_sum(1, 1.0, -theta, N)
+    (theta, *_), N = _check_window(theta, 1.0, N, "theta")
+    return _lattice_sum(1, 1.0, N, -theta, 0, -theta)
 
 
 def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
@@ -661,8 +653,8 @@ def sum_cotangent(theta: float, N: int = 100000) -> SumResult:
     paired body at spacing 1, shift theta and k = 0, whose monotone tail
     estimate uses the exact antiderivative log((x - theta)/(x + theta)).
     """
-    theta, N = _check_window(theta, 1.0, N, "theta")
-    r = _lattice_sum(0, 1.0, theta, N)
+    (theta, *_), N = _check_window(theta, 1.0, N, "theta")
+    r = _lattice_sum(0, 1.0, N, theta, 0, theta)
     # exactly rounded, the negated terms sum to the negated value; 0.0 - v
     # keeps +0.0 for a sum that cancels to zero
     return SumResult(0.0 - r.value, r.error_bound, r.terms_used)
@@ -732,7 +724,7 @@ def herglotz_residual(theta: float, N: int = 10000) -> Tuple[float, float]:
     theta = _pole_distance(theta, "theta", _INT)[0]
 
     def f(t: float) -> float:
-        sp = sinpi(abs(t))  # even; sinpi reduces t > 0 exactly, not a tiny t < 0
+        sp = sinpi(t)
         return math.pi ** 2 / (sp * sp)
 
     # the sums first: they raise where f is past the double range

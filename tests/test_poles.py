@@ -4,8 +4,9 @@ Every mu of the lattice sums, their carriers, residues, Taylor coefficients,
 tables, oracles and the Apostol integral, and every theta of the integer
 lattice, goes through apostol_polys._pole_distance.  It rejects only a
 non-finite value, a true pole, or mu outside (-pi, pi) for Z's family, and
-hands the exact distance to the pole to whatever reads it.  Truth comes
-from mpmath at working precisions far above the doubles it judges.
+hands the exact distance to the pole, the pole and the signed residual to
+whatever reads them.  Truth comes from mpmath at working precisions far
+above the doubles it judges.
 """
 
 import math
@@ -49,14 +50,17 @@ from hurwitz_truth import truth_or_out_of_range, z_truth, ztilde_truth
 FAR_MUS = (62831859.35498117, 64819029.805712245)
 
 
-def _exact_distance(x, poles):
-    # the nearest pole j h, j of the lattice's parity, at 2400 bits
+def _exact_reduction(x, poles):
+    # (x, distance, n, residual r) of the nearest pole (2n + odd) h, with the
+    # distance and r rounded once from 2400 bits; a tie (theta = 1/2 + an
+    # integer, or mu = 0 between -pi and pi) goes to the pole farther from 0
     odd, pi, _ = poles
     with mpmath.workprec(2400):
         h = mpmath.pi if pi else mpmath.mpf(0.5)
-        y = mpmath.mpf(x) / h - odd
-        j = 2 * mpmath.nint(y / 2) + odd
-        return abs(mpmath.mpf(x) - j * h)
+        j = 2 * int(mpmath.floor((abs(mpmath.mpf(x)) / h - odd) / 2 + 0.5)) + odd
+        j = -j if x < 0 else j
+        r = mpmath.mpf(x) - j * h
+        return x, float(abs(r)), (j - odd) // 2, float(r)
 
 
 def test_the_distance_is_the_double_nearest_the_exact_one():
@@ -69,15 +73,15 @@ def test_the_distance_is_the_double_nearest_the_exact_one():
     xs += [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-60, 1024)) for _ in range(200)]
     for x in xs:
         for y in (x, -x):
-            assert _pole_distance(y, "mu", _COT) == (y, float(_exact_distance(y, _COT))), y
+            assert _pole_distance(y, "mu", _COT) == _exact_reduction(y, _COT), y
     windowed = [math.pi, math.nextafter(math.pi, 0.0), math.pi - 1e-12, 1.0, 1e-300, 0.0]
     windowed += [rng.uniform(-math.pi, math.pi) for _ in range(100)]
     for mu in windowed:
-        assert _pole_distance(mu, "mu", _SEC) == (mu, float(_exact_distance(mu, _SEC))), mu
+        assert _pole_distance(mu, "mu", _SEC) == _exact_reduction(mu, _SEC), mu
     thetas = [0.5, 1e-300, 2.0**51 + 0.5, 3 + 2.0**-51, -7.25]
     thetas += [rng.uniform(-1e6, 1e6) for _ in range(100)]
     for theta in thetas:
-        assert _pole_distance(theta, "theta", _INT) == (theta, float(_exact_distance(theta, _INT)))
+        assert _pole_distance(theta, "theta", _INT) == _exact_reduction(theta, _INT), theta
 
 
 def test_only_the_true_poles_and_the_window_are_rejected():
