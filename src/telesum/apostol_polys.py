@@ -27,13 +27,13 @@ The derivative polynomials of sec and cot are the other route.  Their exact
 integer rows -- sec^(k) x = sec x Q_k(tan x), Q_{k+1} = t Q_k + (1 + t^2) Q_k',
 and cot^(k) x = P_k(cot x), P_{k+1} = -(1 + u^2) P_k' (M. E. Hoffman, Amer.
 Math. Monthly 102 (1995) 23-30; K. Boyadzhiev, IJMMS 2007) -- grow on demand
-and have one sign and fixed parity.  In mpmath they give the Taylor
-coefficients and the lattice sums' "taylor" route; in doubles, the certified
-route.  The carriers are 2*k! times closed_forms' Z and Ztilde, and one
-evaluator per family (_sec_value, _cot_value) serves both: it takes mu and
-its exact distance to the pole from _pole_distance, the one domain check and
-the one reduction of every shifted argument (the lattice oracles take the
-nearest pole and the residual from it too); gates the double range on a
+and have one sign and fixed parity.  In mpmath they give the lattice sums'
+"taylor" route; in doubles, the certified route.  The carriers and the
+Taylor coefficients are 2*k! times closed_forms' Z and Ztilde, and one
+evaluator per family (_sec_value, _cot_value) serves all three: it takes mu
+and its exact distance to the pole from _pole_distance, the one domain check
+and the one reduction of every shifted argument (the lattice oracles take
+the nearest pole and the residual from it too); gates the double range on a
 bound that reads no row, then on the certified value; and runs a route and
 cross-checks it (_checked).
 
@@ -42,14 +42,16 @@ DEFAULT_DPS significant digits; only the deformed polynomials take a dps
 argument, None for DEFAULT_DPS or an integer >= 1.  Double precision is not
 enough here: the explicit sums cancel, by up to hundreds of digits at large
 k, and downstream consumers need small *absolute* error on values that reach
-1e16 next to the poles of sec(mu/2).  The carriers therefore run their Horner on
-Gaussian integers with P fraction bits, the active precision's bits plus
-those their largest term asks for (_route_precision): tan or cot is rounded
-once to P bits with mpmath.libmp, and each step is an integer multiply and
-shift.  The polynomials and the Taylor route run in mpmath.  A route's value
-becomes a double only in _finite_float, rounded once (Z and Ztilde divide by
-2*k! inside it): the nearest double unless the value lies within the route's
-error of a midpoint, which nothing tests yet, so not a certified rounding.
+1e16 next to the poles of sec(mu/2).  The carriers therefore run their Horner
+on Gaussian integers with P fraction bits, the active precision's bits plus
+a fixed guard: the error, bounded through the next lattice sum, needs no
+more (_route_precision), and Z at odd k adds the bits of its smaller target
+(_sec_value).  tan or cot is rounded once to P bits with mpmath.libmp, and
+each step is an integer multiply and shift.  The polynomials and the Taylor
+route run in mpmath.  A route's value becomes a double only in _finite_float,
+rounded once (Z and Ztilde divide by 2*k! inside it): the nearest double
+unless the value lies within the route's error of a midpoint, which nothing
+tests yet, so not a certified rounding.
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ _LN_PI = math.log(math.pi)
 # subnormal range.
 _SUBNORMAL_FLOOR = 2.0 ** -1072
 
+
+# Fraction bits of the complex routes past the active precision (_route_precision)
+_ROUTE_GUARD = 5
 
 _GUARD = 128  # pi to _PI_BITS fraction bits, within 2 units: any exponent + _GUARD
 _PI_BITS = 1024 + _GUARD
@@ -273,34 +278,42 @@ def _difference_row(k: int, start: int, step: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-def _route_precision(k: int, row: Sequence[int], halvings: int, dist: float,
-                     log_floor: Optional[float] = None) -> Tuple[int, int]:
+def _route_precision(k: int, dist: float, log_floor: Optional[float] = None) -> Tuple[int, int]:
     """(P, Q): fraction bits P of the fixed-point route scale * sum_j row[j]
-    x**j, x = -1/2 -+ (i/2) tan or cot of the half angle, |x| = csc(dist/2)/2,
-    |scale| = 2**-halvings csc(dist/2): the active precision's bits plus
-    enough that the error stays under a tenth of the 2*k! * e**_log_floor
-    allowance, or under e**log_floor if given; Q, the precision of cos and
-    sin of the half angle that puts tan or cot within 2**-(P + 6).
+    x**j, x = -1/2 -+ (i/2) tan or cot of the half angle: the active
+    precision's bits plus G = _ROUTE_GUARD, which hold the error under a
+    tenth of the allowance A = 2*k! * 4 (k+1) 10**-dps dist**-(k+1) at the
+    active dps (_log_floor), plus those that take A down to 2*k! *
+    e**log_floor if given; Q, the precision of cos and sin of the half angle
+    that puts tan or cot within 2**-(P + 6).
 
-    With M = max_j |row[j]| |x|**j, bounded from the integers' bit lengths,
-    M >= max(1/2, |x|**k) and |x| >= 1/2, so the route errs by at most:
-    2**(1/2 - P) per Horner product truncated, amplified by |x|**j, in all
-    2**1.5 k M 2**-P; the rounded point, off by under 1.01 * 2**-P,
-    amplified by sum_j j |row[j]| |x|**(j-1) <= k(k+1) M; and a few units
-    of 2**-P relative from the prefactor and the last rounding, on
-    |sum| <= (k+1) M.  That is under |scale| 2(k+1)(k+8) M 2**-P, and
-    2**-prec < 10**-dps / 7, so adding log2 of (k+8) |scale| M dist**(k+1)
-    over k! bits is enough.
+    With c = csc(dist/2) <= pi/dist, |x| = c/2, |scale| = 2**-k c on Z's
+    lattice and c on Ztilde's, V the route's value, 2*k! times the sum, and
+    every lattice sum at most its terms' sizes, 4 dist**-(k+1) (so |V| <= 8
+    k! dist**-(k+1), and at k = 0 as sec(mu/2) <= pi/dist), the route errs,
+    in units of 10**dps A 2**-P = 8 (k+1) k! dist**-(k+1) 2**-P, by at most
+    - 2**(1/2 - P) per Horner product truncated, amplified by |x|**j, and
+      once more for Ztilde's factor cot - i: 2**(1/2 - P) (|scale| k
+      max(1, |x|)**(k-1) + 1) <= 2**(1/2 - P) (k+1) (pi/dist)**(k+1), or
+      sqrt(2) pi**(k+1) / (8 k!) <= 2.87 units (at k = 3);
+    - the point y, the one rounded input, off by under 1.01 * 2**-P: the
+      value is V as a function of y, so it moves by |dV/dmu| |dmu/dy|, plus
+      |V| |sin mu| from Z's prefactor sec(mu/2) taken at the exact point,
+      times 1.01 * 2**-P; dV/dmu is 2 (k+1)! times the next lattice sum and
+      |dmu/dy| = 4 sin(dist/2)**2 <= dist**2, so 1.01 (k+2) dist / (k+1)
+      <= 6.35 units;
+    - the last roundings, to P bits and Q bits: 2**(1-P) |V|, 2 units.
+    That is 11.3 units, and 2**-prec < 10**-dps / 7, so the error is under
+    1.62 * 2**-G A: G = 5, the least G that keeps it under a tenth of A,
+    holds it under a nineteenth, with room for the terms of second order in
+    2**-P.  No row is read.
     """
-    # log csc(dist/2), log sec(mu/2) on Z's lattice; below 2**-26, sin(dist/2)
-    # is dist/2 to 2**-55, and dist/2 (it may round) is not formed
-    log_csc = _LN2 - math.log(dist) if dist < 2.0 ** -26 else -math.log(math.sin(dist / 2))
-    top = max(c.bit_length() * _LN2 + j * (log_csc - _LN2) for j, c in enumerate(row) if c)
-    excess = log_csc - halvings * _LN2 + top + math.log(k + 8) - math.lgamma(k + 1)
-    excess += (k + 1) * math.log(dist)
-    bits = mpmath.mp.prec + max(0, math.ceil(excess / _LN2))
+    bits = mpmath.mp.prec + _ROUTE_GUARD
     if log_floor is not None:
         bits += max(0, math.ceil((_log_floor(k, dist) - log_floor) / _LN2))
+    # log csc(dist/2); below 2**-26, sin(dist/2) is dist/2 to 2**-55, and
+    # dist/2 (it may round) is not formed
+    log_csc = _LN2 - math.log(dist) if dist < 2.0 ** -26 else -math.log(math.sin(dist / 2))
     return bits, bits + 8 + max(0, math.floor(log_csc / _LN2) + 1)
 
 
@@ -326,11 +339,11 @@ def _gaussian_mpc(quarter_turns: int, re: int, im: int, exp: int, factor, prec: 
 
 def _ek_complex(k: int, mu: float, dist: float, log_floor: Optional[float] = None) -> mpmath.mpc:
     # i**k * e^(i mu/2) * E_k(1/2; e^(i mu)), mu at distance dist from the
-    # pole, within the active precision's allowance, or within e**log_floor
-    # on Z when that is smaller (_sec_value): i**k 2**-k sec(mu/2)
+    # pole, within the active precision's allowance, or within 2*k! *
+    # e**log_floor if given (Z at odd k, _sec_value): i**k 2**-k sec(mu/2)
     # sum_j T_k(j) w**j, w = -1/2 - (i/2) tan(mu/2)
     row = _difference_row(k, 1, 2)
-    bits, prec = _route_precision(k, row, k, dist, log_floor)
+    bits, prec = _route_precision(k, dist, log_floor)
     cos, sin = mpf_cos_sin(mpf_shift(from_float(mu), -1), prec)
     re, im = _fixed_horner(row, -to_fixed(mpf_div(sin, cos, prec), bits - 1), bits)
     return _gaussian_mpc(k, re, im, -bits - k, mpf_div(fone, cos, prec), bits)
@@ -342,7 +355,7 @@ def _ektilde_complex(k: int, mu: float, dist: float) -> mpmath.mpc:
     # at -lam, makes it i**(k+1) e_k(-e^(i mu)) =
     # -i**k (cot(mu/2) - i) sum_j j! S(k, j) v**j, v = -1/2 + (i/2) cot(mu/2)
     row = _difference_row(k, 0, 1)
-    bits, prec = _route_precision(k, row, 0, dist)
+    bits, prec = _route_precision(k, dist)
     cos, sin = mpf_cos_sin(mpf_shift(from_float(mu), -1), prec)
     y = to_fixed(mpf_div(cos, sin, prec), bits - 1)
     re, im = _fixed_horner(row, y, bits)
@@ -357,12 +370,13 @@ def _log_floor(k: int, dist: float) -> float:
     The terms of either lattice sum add up in absolute value to at most
     4 * dist**-(k+1), where dist is the distance from mu to the nearest
     pole; the allowance is 10**-DEFAULT_DPS * (k+1) times that.  The complex
-    route picks its fixed-point bits to stay under a tenth of it
-    (_route_precision); measured against Hurwitz-zeta truth at 100 digits
-    for k <= 250, it stays under 5e-4 of it, within 1e-8 of the poles too.
-    The Taylor route's terms share one sign and do not cancel.  It only
-    matters near zeros of the sum, where Z's routes are held to less
-    (_sec_value): next to its value it is at most 1e-37 relative.
+    route runs _ROUTE_GUARD bits past the working precision, which keeps it
+    under a tenth of it (_route_precision); measured against Hurwitz-zeta
+    truth at 100 digits for k <= 250, it stays under 3e-3 of it, within
+    1e-8 of the poles too.  The Taylor route's terms share one sign and do
+    not cancel.  It only matters near zeros of the sum, where Z's routes
+    are held to less (_sec_value): next to its value it is at most 1e-37
+    relative.
     """
     return math.log(4.0 * (k + 1)) - DEFAULT_DPS * _LN10 - (k + 1) * math.log(dist)
 
@@ -477,32 +491,44 @@ def _checked(
     return _finite_float(z.real, what) if carrier else value
 
 
+def _label(names: Tuple[str, str, str], k: int, mu: float, taylor: bool, carrier: bool) -> str:
+    # (sum, carrier, function): a carrier from the taylor route is a Taylor
+    # coefficient
+    if taylor and carrier:
+        return "derivative %d of %s(mu/2)" % (k, names[2])
+    return "%s(%d, %r)" % (names[carrier], k, mu)
+
+
 def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     """Z(k, mu), or ek_mu(k, mu) = 2*k! Z(k, mu) for a carrier, from the
     taylor or the complex route, checked by _checked against the certified
     value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!) in doubles; k <= MAX_K.
 
-    The routes are held to the _log_floor allowance, or to rel |Z| where
-    that is smaller, as only at odd k next to mu = 0, where Z vanishes like
-    mu and is at least its lowest term c |tan(mu/2)| >= c |mu| / 2, in range
-    where the value underflows.  At mu = 0 the complex route is exact."""
+    The check holds the routes to the _log_floor allowance, or to rel |Z|
+    where that is smaller, as only at odd k next to mu = 0, where Z vanishes
+    like mu and is at least its lowest term c |tan(mu/2)| >= c |mu| / 2, in
+    range where the value underflows.  At odd k the complex route itself
+    runs to DEFAULT_DPS digits of that lower bound on |Z|, a few bits past
+    the allowance away from the zero, so that its one rounding stays safe
+    next to it.  At mu = 0 the complex route is exact."""
     _check_max_k(k)
     mu, dist, _, _ = _pole_distance(mu, "mu", _SEC)
-    what = "%s(%d, %r)" % ("ek_mu" if carrier else "Z", k, mu)
+    what = _label(("Z", "ek_mu", "sec"), k, mu, taylor, carrier)
     half = mu / 2.0
     t = math.tan(half)
     # |Z| >= |Q_k(t)| / (2**(k+1) k!), as sec(mu/2) >= 1
     _gate(_log_row_low(k, k, t), k, carrier, what)
     value, rel = _SEC_ROWS.value(k, t)
     value /= math.cos(half)
-    log_floor, log_z = _log_floor(k, dist), _log_abs(value)
+    log_floor, log_z, target = _log_floor(k, dist), _log_abs(value), None
     if k % 2 and mu:
         log_z = max(log_z, math.log(_SEC_ROWS.scaled[k][-1]) + math.log(abs(mu)) - _LN2)
         log_floor = min(log_floor, math.log(rel) + log_z)
+        target = log_z - DEFAULT_DPS * _LN10
     if taylor:
         route = lambda: _row_value(_SEC_ROWS, k, *_sec_point(mu))
     else:
-        route = lambda: _ek_complex(k, mu, dist, log_floor)
+        route = lambda: _ek_complex(k, mu, dist, target)
     return _checked(k, route, (value, rel, log_floor, log_z), dist, carrier, what)
 
 
@@ -511,7 +537,7 @@ def _cot_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     _sec_value; the certified value is -P_k(cot(mu/2)) / (2**(k+1) k!)."""
     _check_max_k(k)
     mu, dist, _, _ = _pole_distance(mu, "mu", _COT)
-    what = "%s(%d, %r)" % ("ektilde_mu" if carrier else "Ztilde", k, mu)
+    what = _label(("Ztilde", "ektilde_mu", "-cot"), k, mu, taylor, carrier)
     # cot(mu/2), never 0; mu/2 is 0 only at the least subnormal mu, past range
     t = 1.0 / math.tan(mu / 2.0) if mu / 2.0 else math.inf
     _gate(_log_row_low(k, k + 1, t), k, carrier, what)
@@ -557,11 +583,14 @@ def ektilde_mu(k: int, mu: float) -> float:
     return _cot_value(k, mu, False, True)
 
 
-def _scaled_residue(route, k: int, mu: float, dist: float) -> float:
+def _scaled_residue(route, poles, k: int, mu: float) -> float:
     """|Im z| / max(1, |z|, allowance / TOL_IMAG) for z = route(k, mu, dist),
-    rounded once from mpmath (|z| may be past the double range).  The
-    allowance keeps the noise at a zero of the sum from reading as a fully
-    imaginary value: whatever passes _check_residue reports <= 2 * TOL_IMAG."""
+    k <= MAX_K, rounded once from mpmath (|z| may be past the double range).
+    The allowance keeps the noise at a zero of the sum from reading as a
+    fully imaginary value: whatever passes _check_residue reports <= 2 *
+    TOL_IMAG."""
+    _check_max_k(k)
+    mu, dist = _pole_distance(mu, "mu", poles)[:2]
     with mpmath.workdps(DEFAULT_DPS):
         z = route(k, mu, dist)
         return float(abs(z.imag) / max(1, abs(z), _allowance(k, dist) / TOL_IMAG))
@@ -570,13 +599,13 @@ def _scaled_residue(route, k: int, mu: float, dist: float) -> float:
 def ek_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ek_mu combination (_scaled_residue)."""
     k = _check_int(k, "k", 0)
-    return _scaled_residue(_ek_complex, k, *_pole_distance(mu, "mu", _SEC)[:2])
+    return _scaled_residue(_ek_complex, _SEC, k, mu)
 
 
 def ektilde_mu_imag_residue(k: int, mu: float) -> float:
     """Scaled imaginary residue of the ektilde_mu combination, k >= 1."""
     k = _check_int(k, "k", 1)
-    return _scaled_residue(_ektilde_complex, k, *_pole_distance(mu, "mu", _COT)[:2])
+    return _scaled_residue(_ektilde_complex, _COT, k, mu)
 
 
 class _DerivativeRows:
@@ -671,33 +700,27 @@ def _cot_point(mu: float) -> Tuple[mpmath.mpf, int]:
     return mpmath.cot(mpmath.mpf(mu) / 2), -1
 
 
-def _taylor(rows: _DerivativeRows, poles, point, mu: float, K: int, what: str) -> List[float]:
-    K = _check_int(K, "K", 0)
-    mu = _pole_distance(mu, "mu", poles)[0]
-    with mpmath.workdps(DEFAULT_DPS):
-        x, scale = point(mu)
-        # rounded one at a time: no row past the first out-of-range entry is built
-        values = (_row_value(rows, j, x, scale) for j in range(K + 1))
-        what = "derivative %d of " + what + "(mu/2)"
-        return [_finite_float(v, what % j) for j, v in enumerate(values)]
-
-
 def sec_taylor_coeffs(mu: float, K: int) -> List[float]:
     """Derivatives 0..K of sec(mu/2), read from the derivative polynomials.
 
     Entry j, the j-th derivative with respect to mu (j! times the j-th
     Taylor coefficient of sec((mu + t)/2) at t = 0), is
     2**-j sec(mu/2) Q_j(tan(mu/2)) from the exact row Q_j at DEFAULT_DPS
-    digits, rounded once.  The first entry beyond the double range raises
-    ToleranceUnreachable.
+    digits, 2*j! Z(j, mu) by Z's taylor route: each entry passes Z's domain
+    rule, range gate and cross-check (_sec_value) and is rounded once.  The
+    first entry beyond the double range raises ToleranceUnreachable, and no
+    row past it is built.
     """
-    return _taylor(_SEC_ROWS, _SEC, _sec_point, mu, K, "sec")
+    K = _check_int(K, "K", 0)
+    return [_sec_value(j, mu, True, True) for j in range(K + 1)]
 
 
 def cot_taylor_coeffs(mu: float, K: int) -> List[float]:
     """Derivatives 0..K of -cot(mu/2), read from the derivative polynomials.
 
-    Entry j is -2**-j P_j(cot(mu/2)) from the exact row P_j, computed as in
-    sec_taylor_coeffs; entry 0 is -1/tan(mu/2).
+    Entry j is -2**-j P_j(cot(mu/2)) from the exact row P_j, 2*j!
+    Ztilde(j, mu) by Ztilde's taylor route, computed and checked as in
+    sec_taylor_coeffs (_cot_value); entry 0 is -1/tan(mu/2).
     """
-    return _taylor(_COT_ROWS, _COT, _cot_point, mu, K, "-cot")
+    K = _check_int(K, "K", 0)
+    return [_cot_value(j, mu, True, True) for j in range(K + 1)]

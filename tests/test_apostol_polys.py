@@ -314,10 +314,12 @@ def test_ek_mu_past_the_double_range_raises_before_building_the_route(monkeypatc
                 ek_mu(k, mu)
             best = min(best, time.perf_counter() - start)
         assert best < 0.01, (k, mu, best)
-    # past MAX_K, odd k at mu = 0, where the value is 0, included
-    for mu in (0.0, 5e-324, 0.1, -3.1):
-        with pytest.raises(ValueError, match="k must be <= 618, where"):
-            ek_mu(1001, mu)
+    # past MAX_K, odd k at mu = 0, where the value is 0, included; the
+    # residues take the carriers' range
+    for f in (ek_mu, ek_mu_imag_residue, ektilde_mu_imag_residue):
+        for mu in (0.0, 5e-324, 0.1, -3.1):
+            with pytest.raises(ValueError, match="k must be <= 618, where"):
+                f(1001, mu)
 
 
 def test_taylor_coefficients_stop_growing_rows_at_the_first_overflow():

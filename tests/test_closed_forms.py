@@ -268,6 +268,19 @@ def test_odd_sums_keep_their_relative_accuracy_next_to_mu_zero():
                 assert abs(ek_mu(k, mu) - want) <= rel * abs(want) + half_unit, (k, mu)
 
 
+def test_odd_sums_next_to_mu_zero_are_the_doubles_nearest_the_truth():
+    # at odd k the complex route runs to 40 digits of the lower bound on |Z|,
+    # not to the check's rel |Z|, so its one rounding stays as safe next to
+    # the zero as elsewhere; held to rel |Z| instead, 7 of these 27 miss
+    for k in (41, 101, 217):
+        for mu in (1e-61, -7e-100, 3e-310):
+            with mpmath.workdps(60):
+                want = z_truth(k, mpmath.mpf(mu))
+                scaled = _nearest_double(2 * math.factorial(k) * want)
+                want = _nearest_double(want)
+            assert (Z(k, mu), Z(k, mu, method="taylor"), ek_mu(k, mu)) == (want, want, scaled), (k, mu)
+
+
 def _hexes(values):
     return hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
 
@@ -396,7 +409,8 @@ def _single_rounding_cases():
     # 50 draws per family with k <= 60, a quarter within 1e-6 of a pole
     # (k <= 40 there, so the value stays in range), plus k = 171, 300 and 617
     # at a mu where the value is in range.  Odd-k Z next to mu = 0 is left
-    # out: there the route's floor can pass half an ulp
+    # out: test_odd_sums_next_to_mu_zero_are_the_doubles_nearest_the_truth
+    # covers it
     rng = random.Random(21)
     cases = [(Z, k, 0.1) for k in (171, 300, 617)] + [(Ztilde, k, 3.0) for k in (171, 300, 617)]
     for f, poles, lowest in ((Z, (math.pi, -math.pi), 0), (Ztilde, (0.0, 2 * math.pi, -2 * math.pi), 1)):
@@ -540,52 +554,64 @@ def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
 
 
 def test_fixed_point_bits_cover_the_a_priori_bound(monkeypatch):
-    # _route_precision's bound, formed from exact sums over the row rather
-    # than from bit lengths, at the P the Horner runs at: k truncated
-    # products of 2**(1/2 - P), amplified by |x|**j; the point off by
-    # 1.01 * 2**-P, amplified by sum_j j |c_j| |x|**(j-1); four units of
-    # 2**-P on the sum; all times |scale|, under a tenth of the allowance.
-    # The measured error stays far below it (the test above), so this is
-    # the test that holds the guard bits
+    # _route_precision's bound at the P the Horner runs at, formed from the
+    # truth of the next lattice sum rather than from its upper bound: k
+    # truncated products of 2**(1/2 - P), amplified by |x|**j, and one more
+    # for Ztilde's factor cot - i; the point off by 1.01 * 2**-P, moving V =
+    # 2*k! times the sum by |dV/dmu| |dmu/dy|, dV/dmu = 2 (k+1)! times the
+    # next sum, plus |V| |sin mu| on Z; two units of 2**-P on |V|; under a
+    # tenth of the allowance, with no more than _ROUTE_GUARD bits past the
+    # active precision.  The measured error stays far below it (the test
+    # above), so this is the test that holds the guard bits
     runs = []
     horner = apostol_polys._fixed_horner
 
     def recording(row, y, bits):
-        runs.append((row, bits))
+        runs.append(bits)
         return horner(row, y, bits)
 
-    def ek_geometry(k, mu):  # |w| and |scale|
-        return 1 / (2 * abs(mpmath.cos(mu / 2))), 2**-k / abs(mpmath.cos(mu / 2))
+    def ek_geometry(mu):  # |w|, |scale| times 2**k, |dmu/dy|, slope of the prefactor
+        cos = abs(mpmath.cos(mu / 2))
+        return 1 / (2 * cos), 1 / cos, 4 * cos**2, abs(mpmath.sin(mu))
 
-    def ektilde_geometry(k, mu):
-        csc = 1 / abs(mpmath.sin(mu / 2))
-        return csc / 2, csc
+    def ektilde_geometry(mu):
+        sin = abs(mpmath.sin(mu / 2))
+        return 1 / (2 * sin), 1 / sin, 4 * sin**2, 0
 
     monkeypatch.setattr(apostol_polys, "_fixed_horner", recording)
     near = 1e-7
-    cases = (
-        (apostol_polys._ek_complex, (0.0, 0.7, -2.2, math.pi - near), ek_geometry, apostol_polys._SEC),
-        (apostol_polys._ektilde_complex, (near, 1.0, math.pi, -4.0, 2 * math.pi - near), ektilde_geometry,
-         apostol_polys._COT),
-    )
-    for route, mus, geometry, poles in cases:
-        for k in (1, 21, 60, 160, 250):
-            for mu in mus:
-                runs.clear()
-                dist = apostol_polys._pole_distance(mu, "mu", poles)[1]
-                with mpmath.workdps(apostol_polys.DEFAULT_DPS):
-                    route(k, mu, dist)
-                ((row, bits),) = runs
-                with mpmath.workdps(30):
-                    x, scale = geometry(k, mpmath.mpf(mu))
-                    power = [x**j for j in range(k + 1)]
-                    error = mpmath.fsum([
-                        mpmath.sqrt(2) * mpmath.fsum(power[:k]),
-                        1.01 * mpmath.fsum(j * abs(c) * power[j - 1] for j, c in enumerate(row) if j),
-                        4 * mpmath.fsum(abs(c) * p for c, p in zip(row, power)),
-                    ]) * scale * mpmath.ldexp(1, -bits)
-                    allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
-                    assert error <= allowed, (route.__name__, k, mu)
+    ks = (1, 21, 60, 160, 250)
+    cases = [
+        (apostol_polys._ek_complex, z_truth, k, mu, ek_geometry, apostol_polys._SEC)
+        for k in ks for mu in (0.0, 0.7, -2.2, math.pi - near)
+    ] + [
+        (apostol_polys._ektilde_complex, ztilde_truth, k, mu, ektilde_geometry, apostol_polys._COT)
+        for k in ks for mu in (near, 1.0, math.pi, -4.0, 2 * math.pi - near)
+    ] + [(apostol_polys._ek_complex, z_truth, 617, 0.0, ek_geometry, apostol_polys._SEC)]
+    for route, truth, k, mu, geometry, poles in cases:
+        runs.clear()
+        dist = apostol_polys._pole_distance(mu, "mu", poles)[1]
+        with mpmath.workdps(apostol_polys.DEFAULT_DPS):
+            route(k, mu, dist)
+            most = mpmath.mp.prec + apostol_polys._ROUTE_GUARD
+        (bits,) = runs
+        assert bits <= most, (route.__name__, k, mu)
+        with mpmath.workdps(30):
+            m = mpmath.mpf(mu)
+            x, scale, slope, prefactor = geometry(m)
+            if route is apostol_polys._ek_complex:
+                scale, extra = mpmath.ldexp(scale, -k), 0
+            else:
+                extra = 1
+            value = 2 * math.factorial(k) * abs(truth(k, m))
+            step = 2 * math.factorial(k + 1) * abs(truth(k + 1, m))
+            error = mpmath.fsum([
+                mpmath.sqrt(2) * (scale * mpmath.fsum(x**j for j in range(k)) + extra),
+                1.01 * (step * slope + value * prefactor),
+                2 * value,
+            ]) * mpmath.ldexp(1, -bits)
+            allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
+            assert error <= allowed, (route.__name__, k, mu)
 
 
 def test_carrier_meets_the_floor_of_its_own_precision():
@@ -642,11 +668,12 @@ def test_route_check_catches_a_perturbed_carrier(monkeypatch):
 
 
 def test_route_check_catches_an_altered_row_coefficient():
-    for rows, f, k, mu, t in (
-        (apostol_polys._SEC_ROWS, Z, 60, 0.7, math.tan(0.35)),
-        (apostol_polys._COT_ROWS, Ztilde, 60, 1.0, 1 / math.tan(0.5)),
+    # the Taylor coefficients are checked entry by entry as Z and Ztilde are
+    for rows, f, coeffs, k, mu, t in (
+        (apostol_polys._SEC_ROWS, Z, sec_taylor_coeffs, 60, 0.7, math.tan(0.35)),
+        (apostol_polys._COT_ROWS, Ztilde, cot_taylor_coeffs, 60, 1.0, 1 / math.tan(0.5)),
         # next to the zero of Z at odd k the allowed difference is relative
-        (apostol_polys._SEC_ROWS, Z, 41, 1e-61, math.tan(0.5e-61)),
+        (apostol_polys._SEC_ROWS, Z, sec_taylor_coeffs, 41, 1e-61, math.tan(0.5e-61)),
     ):
         f(k, mu)
         saved = rows.scaled[k]
@@ -660,6 +687,8 @@ def test_route_check_catches_an_altered_row_coefficient():
                 f(k, mu)
             with pytest.raises(InternalConsistencyError, match="certified"):
                 f(k, mu, method="taylor")
+            with pytest.raises(InternalConsistencyError, match="certified"):
+                coeffs(mu, k)
         finally:
             rows.scaled[k] = saved
         f(k, mu)
