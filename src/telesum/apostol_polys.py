@@ -56,6 +56,7 @@ tests yet, so not a certified rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -690,12 +691,17 @@ def _row_value(rows: _DerivativeRows, j: int, x: mpmath.mpf, scale) -> mpmath.mp
     return mpmath.ldexp(scale * value, -j)
 
 
-# (x, scale) of _row_value at a checked mu
+# (x, scale) of _row_value at a checked mu.  A Taylor table reads every
+# entry at one mu, so the last point is kept; every caller runs inside
+# _checked's workdps(DEFAULT_DPS), so a kept point is never of another
+# precision
+@functools.lru_cache(maxsize=1)
 def _sec_point(mu: float) -> Tuple[mpmath.mpf, mpmath.mpf]:
     half = mpmath.mpf(mu) / 2
     return mpmath.tan(half), mpmath.sec(half)
 
 
+@functools.lru_cache(maxsize=1)
 def _cot_point(mu: float) -> Tuple[mpmath.mpf, int]:
     return mpmath.cot(mpmath.mpf(mu) / 2), -1
 

@@ -7,21 +7,23 @@ tails) plus a floating-point roundoff floor.  Each oracle writes its terms
 in blocks of at most 2**15 into one buffer per call and computes its tail;
 one kernel sums each block as it is written, exactly, so the sum is exactly
 rounded at any length, independent of order, and the roundoff floor only has
-to cover the rounding of the individual terms.  No oracle builds an array
-whose length grows with its term count.  The kernel picks a path for each
-block from the block's own range.  Let 2**e be the power of two above the
-block's largest magnitude.  A narrow block, whose nonzero terms all have
-their lowest bit within 2 * 38 bits below 2**e (the least term within 23
-binades of the top), is cut at that scale into two fixed-point slices of
-_SLICE = 53 - 15 = 38 bits (Rump, Ogita & Oishi 2008), and each slice is
-added with a plain numpy sum: a slice is below 2**38 and a block holds at
-most 2**15 of them, so every partial sum is an integer below 2**53 and hence
-exact.  Every other block is binned by exponent (Demmel & Hida 2003): each
-significand splits into two integer limbs below 2**27, summed per exponent
-and lane slot with numpy, again as integers below 2**53; the lanes keep a
-monotone series, whose terms share a bin in long runs, from serialising the
-per-bin additions.  Both paths meet as one integer, rounded once.  A sum
-beyond the double range raises ToleranceUnreachable.
+to cover the rounding of the individual terms, scaled by the sum of their
+magnitudes that the kernel takes alongside.  Each oracle writes one
+sequence: an alternating series (sum_beta, sum_Z) writes its own signed
+terms.  No oracle builds an array whose length grows with its term count.
+The kernel picks a path for each block from the block's own range.  Let 2**e
+be the power of two above the block's largest magnitude.  A narrow block,
+whose nonzero terms all have their lowest bit within 2 * 38 bits below 2**e
+(the least term within 23 binades of the top), is cut at that scale into two
+fixed-point slices of _SLICE = 53 - 15 = 38 bits (Rump, Ogita & Oishi 2008),
+and each slice is added with a plain numpy sum: a slice is below 2**38 and a
+block holds at most 2**15 of them, so every partial sum is an integer below
+2**53 and hence exact.  Every other block is binned by exponent (Demmel &
+Hida 2003): each significand splits into two integer limbs below 2**27,
+summed per exponent and lane slot with numpy, again as integers below 2**53;
+the lanes keep a monotone series, whose terms share a bin in long runs, from
+serialising the per-bin additions.  Both paths meet as one integer, rounded
+once.  A sum beyond the double range raises ToleranceUnreachable.
 
 The lattice oracles reduce their shift once, through
 apostol_polys._pole_distance, the one reduction of every shifted argument:
@@ -38,7 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -295,50 +297,45 @@ def _bin_total(limbs: np.ndarray) -> int:
 
 
 @_quiet
-def _stream_sum(count: int, fill: Callable[..., None], rows: int = 1,
-                spare: int = 0) -> List[Tuple[float, float]]:
-    """(sum, sum of magnitudes) of each of rows sequences of count terms,
-    each exactly rounded to the nearest double whatever the length or order.
+def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0) -> Tuple[float, float]:
+    """(sum, sum of magnitudes) of the count terms fill writes, each exactly
+    rounded to the nearest double whatever the length or order.
 
-    fill(start, *blocks) writes terms start, start + 1, ... of sequence r
-    into blocks[r], at most _BLOCK of them, and may use the spare blocks
-    after those as work space.  Raises ValueError on a non-finite term and
-    OverflowError on a sum beyond the double range.
+    fill(start, block, *spares) writes terms start, start + 1, ... into
+    block, at most _BLOCK of them, and may use the spare blocks after it as
+    work space.  Raises ValueError on a non-finite term and OverflowError on
+    a sum beyond the double range.
     """
     # one buffer per call, reused by every block, with the kernel's two
     # scratch rows and its slot row last: the allocator keeps a buffer of
     # the size it last freed for the next call, while fresh temporaries for
     # every block would cost about as much in page faults as the arithmetic
-    work = np.empty((rows + spare + 3, min(count, _BLOCK)))
+    work = np.empty((1 + spare + 3, min(count, _BLOCK)))
     scratch, slots = work[-3:-1], work[-1].view(np.int64)
-    exact = [[0, 0] for _ in range(rows)]  # narrow totals in units of 2**-_UNIT
-    limbs, used = None, 0  # per sequence, the limb sums of the wide blocks
+    value = magnitude = 0  # narrow totals in units of 2**-_UNIT
+    limbs, used = None, 0  # the limb sums of the wide blocks
     for start in range(0, count, _BLOCK):
-        blocks = work[: rows + spare, : min(_BLOCK, count - start)]
+        blocks = work[: 1 + spare, : min(_BLOCK, count - start)]
         fill(start, *blocks)
-        for r in range(rows):
-            fixed = _fixed_block(blocks[r], scratch)
-            if fixed is not None:
-                exact[r][0] += fixed[0]
-                exact[r][1] += fixed[1]
-                continue
-            if limbs is None:
-                limbs = np.zeros((rows, 2, _BINS * _LANES), dtype=np.int64)
-            used = max(used, _binned_block(blocks[r], scratch, slots, limbs[r]))
-    sums = []
-    for r, (value, magnitude) in enumerate(exact):
-        if limbs is not None:
-            # fold the lanes of the occupied (+, -) bin pairs only: strided adds,
-            # as a reduction over the short lane axis is several times slower
-            occupied = limbs[r, :, : -(-used // (2 * _LANES)) * 2 * _LANES]
-            folded = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
-            pos, neg = folded[:, 0::2], folded[:, 1::2]
-            value += _bin_total(pos - neg)
-            magnitude += _bin_total(pos + neg)
-        # int true division rounds correctly and raises OverflowError past the
-        # double range
-        sums.append((value / (1 << _UNIT), magnitude / (1 << _UNIT)))
-    return sums
+        fixed = _fixed_block(blocks[0], scratch)
+        if fixed is not None:
+            value += fixed[0]
+            magnitude += fixed[1]
+            continue
+        if limbs is None:
+            limbs = np.zeros((2, _BINS * _LANES), dtype=np.int64)
+        used = max(used, _binned_block(blocks[0], scratch, slots, limbs))
+    if limbs is not None:
+        # fold the lanes of the occupied (+, -) bin pairs only: strided adds,
+        # as a reduction over the short lane axis is several times slower
+        occupied = limbs[:, : -(-used // (2 * _LANES)) * 2 * _LANES]
+        folded = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
+        pos, neg = folded[:, 0::2], folded[:, 1::2]
+        value += _bin_total(pos - neg)
+        magnitude += _bin_total(pos + neg)
+    # int true division rounds correctly and raises OverflowError past the
+    # double range
+    return value / (1 << _UNIT), magnitude / (1 << _UNIT)
 
 
 def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
@@ -349,20 +346,17 @@ def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
     def fill(start: int, block: np.ndarray) -> None:
         block[:] = values[start : start + block.size]
 
-    return _stream_sum(values.size, fill)[0]
+    return _stream_sum(values.size, fill)
 
 
 def _certified_sum(count: int, fill: Callable[..., None], tail: Sequence[float],
                    tail_bound: float, terms_used: int, *, spare: int = 0,
-                   magnitudes: bool = False, per_term: float = 16.0) -> SumResult:
+                   per_term: float = 16.0) -> SumResult:
     """value = exactly rounded sum of the count terms fill writes, as in
     _stream_sum, then each tail estimate added in order; error_bound =
-    tail_bound + roundoff floor over |terms| (or, when magnitudes, over the
-    second sequence fill writes) and |tail|."""
+    tail_bound + roundoff floor over |terms| and |tail|."""
     try:
-        (partial, abs_accum), *rest = _stream_sum(count, fill, 1 + magnitudes, spare)
-        if rest:
-            abs_accum = rest[0][0]
+        partial, abs_accum = _stream_sum(count, fill, spare)
     except (OverflowError, ValueError):
         # a non-finite term or a sum beyond the double range
         partial = abs_accum = math.inf
@@ -449,35 +443,30 @@ def sum_zeta(s: int, target_tol: float = 1e-10) -> SumResult:
 def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
     """Alternating sum of (-1)**m (2m+1)**(-s) with a certified tail.
 
-    Terms are grouped pairwise (m even with m odd) so the grouped series has
-    positive decreasing terms; the remaining alternating tail is certified
-    by the Leibniz interval around its half-term midpoint.
+    The first M terms, M even, are summed as they are; the alternating tail
+    from M on, whose magnitudes are convex decreasing, is certified by the
+    Leibniz interval around its half-term midpoint.
     """
     s = _check_int(s, "s", 1)
 
-    def fill(start: int, terms: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
-        # term j is lo - hi with lo = (4j + 1)**-s, hi = (4j + 3)**-s; its
-        # magnitude, the second sequence, lo + hi
-        np.add(_OFFSETS[: terms.size], start, out=hi)
-        hi *= 4.0
-        np.add(hi, 1.0, out=lo)
-        hi += 3.0
-        lo **= float(-s)
-        hi **= float(-s)
-        np.subtract(lo, hi, out=terms)
-        hi += lo
+    def fill(start: int, terms: np.ndarray) -> None:
+        # term i is (-1)**i (2i + 1)**-s
+        np.add(_OFFSETS[: terms.size], start, out=terms)
+        terms *= 2.0
+        terms += 1.0
+        terms **= float(-s)
+        terms[(1 - start) % 2 :: 2] *= -1.0
 
-    def attempt(J: int) -> SumResult:
-        M = 2 * J
+    def attempt(M: int) -> SumResult:
         # tail anchor M is even, so the omitted tail starts with + sign
         tail_est, tail_bound = _alternating_tail(
             (2.0 * M + 1.0) ** float(-s), (2.0 * M + 3.0) ** float(-s)
         )
-        return _certified_sum(J, fill, (tail_est,), tail_bound, M, spare=1, magnitudes=True)
+        return _certified_sum(M, fill, (tail_est,), tail_bound, M)
 
-    # bound ~ (s/2)(2M+1)^(-s-1); solve for the anchor 2M+1
-    start = lambda tol: max(8, int(math.ceil(((s / tol) ** (1.0 / (s + 1)) - 1.0) / 4.0)) + 2)
-    return _to_tolerance(target_tol, start, _BETA_M_CAP // 2, "term cap %d" % _BETA_M_CAP, attempt)
+    # bound ~ (s/2)(2M+1)^(-s-1); solve for the anchor 2M+1 = 4J+1, M = 2J
+    start = lambda tol: 2 * max(8, int(math.ceil(((s / tol) ** (1.0 / (s + 1)) - 1.0) / 4.0)) + 2)
+    return _to_tolerance(target_tol, start, _BETA_M_CAP, "term cap %d" % _BETA_M_CAP, attempt)
 
 
 def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
@@ -703,7 +692,7 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
         h **= p
         terms /= h
 
-    s = _stream_sum(M, fill, spare=3)[0][0]
+    s = _stream_sum(M, fill, spare=3)[0]
     value = float(PiScalar(Fraction(c * sign * math.factorial(n), den), -p)) * s
     if not math.isfinite(value):
         raise ToleranceUnreachable(

@@ -11,7 +11,9 @@ The numeric half: adaptive bisection with a 15-point Gauss-Legendre rule
 per panel, used for the non-elementary integral representations of
 zeta(2k+1) and beta(2k+2).  Each integrand is arranged so that its
 removable singularity sits on an edge of [0, 1], where no Gauss-Legendre
-node lands.
+node lands, and takes math.sin only at arguments in (0, pi/2), which need
+no range reduction.  numpy loads with the first adaptive integral, for its
+nodes.
 """
 
 from __future__ import annotations
@@ -246,6 +248,13 @@ def _scaled_integral(
     return scale * integral
 
 
+def _cospi_half(u: float) -> float:
+    # cos(pi u / 2) for u in (0, 1), as sin(pi (1 - u) / 2): 1 - u is exact
+    # for u >= 1/2, so the zero at u = 1 keeps its relative accuracy; both
+    # arguments lie in (0, pi/2), where math.sin needs no range reduction
+    return math.sin(0.5 * math.pi * (1.0 - u))
+
+
 def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
     """zeta(2k+1) from its half-angle cotangent integral representation.
 
@@ -254,13 +263,11 @@ def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
     x = 0 is removable.  Needs 1 <= k <= MAX_INTEGRAL_K.
     """
     k = _check_integral_k(k, 1)
-    from .oracles import cospi, sinpi
-
     sign = 1.0 if k % 2 == 1 else -1.0
     scale = sign * 2.0 ** (2 * k) * math.pi ** (2 * k + 1) / math.factorial(2 * k + 1)
     return _scaled_integral(
         bernoulli_poly(2 * k + 1).coeffs,
-        lambda h, x: h * cospi(0.5 * x) / sinpi(0.5 * x),
+        lambda h, x: h * _cospi_half(x) / math.sin(0.5 * math.pi * x),
         scale,
         tol,
     )
@@ -277,13 +284,11 @@ def beta_even_integral(k: int, tol: float = 1e-8) -> float:
     0 <= k <= MAX_INTEGRAL_K.
     """
     k = _check_integral_k(k, 0)
-    from .oracles import cospi
-
     sign = 1.0 if k % 2 == 1 else -1.0
     scale = sign * math.pi ** (2 * k + 2) / (4.0 * math.factorial(2 * k + 1))
     return _scaled_integral(
         [c / 2 ** i for i, c in enumerate(euler_poly(2 * k + 1).coeffs)],
-        lambda h, u: h / cospi(0.5 * u),
+        lambda h, u: h / _cospi_half(u),
         scale,
         tol,
     )

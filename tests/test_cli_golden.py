@@ -110,7 +110,7 @@ CASES = [
      ),
      ''),
     ('series beta --s 3 --tol 1e-8 --format json', 0,
-     '{"error_bound": 3.6898627979899494e-09, "kind": "beta", "params": {"s": 3, "target_tol": 1e-08}, "terms_used": 70, "value": 0.9689461461554727}\n',
+     '{"error_bound": 3.6898627979899494e-09, "kind": "beta", "params": {"s": 3, "target_tol": 1e-08}, "terms_used": 70, "value": 0.9689461461554726}\n',
      ''),
     ('series Z --k 1 --mu 0.7 --terms 10000', 0,
      (

@@ -24,8 +24,10 @@ from telesum import (
     poly_reflect,
 )
 
-rationals = st.fractions(
-    min_value=-50, max_value=50, max_denominator=40
+# every fraction with denominator <= 40 in [-50, 50], drawn directly: a
+# denominator, then a numerator in range (st.fractions filters its draws)
+rationals = st.integers(1, 40).flatmap(
+    lambda q: st.integers(-50 * q, 50 * q).map(lambda p: Fraction(p, q))
 )
 small_polys = st.lists(rationals, min_size=0, max_size=13).map(Poly)
 
