@@ -11,8 +11,9 @@ lambda-deformations and the derivative polynomials of sec and cot
 self-verification suites (verify), and a CLI (cli).
 
 ``import telesum`` loads the exact layers and quadrature, which need only
-mpmath.  The oracle and verify layers need numpy; each loads, with numpy,
-the first time one of its names is used.
+mpmath; the quadrature rule's nodes are stored doubles, so no integral
+loads numpy.  The oracle and verify layers need numpy; each loads, with
+numpy, the first time one of its names is used.
 """
 
 import importlib as _importlib

@@ -25,6 +25,22 @@ the lanes keep a monotone series, whose terms share a bin in long runs, from
 serialising the per-bin additions.  Both paths meet as one integer, rounded
 once.  A sum beyond the double range raises ToleranceUnreachable.
 
+A sum stops early once its rounding is decided (Ziv, ACM TOMS 17, 1991).
+hurwitz_partial, and sum_Z and sum_Ztilde at k >= 1, hand the kernel a
+majorant of the terms not yet read, as their fill computes them in floats:
+an analytic bound on the exact terms (sum over h >= H of h**-p, 2 (2*m*pi)**-p
+for each pair of sum_Z, twice (|m - n|*2*pi - |r|)**-p for sum_Ztilde's
+terms, which then run centre-out from the pole) with a relative slack for
+each term's rounding and one 2**-1074 per term for underflow.  After a block
+the kernel takes its exact running integers S (the sum) and A (the sum of
+magnitudes) and the majorant T in the same units; when S - T and S + T
+round to one double, and A and A + T to one double, these are the doubles
+the whole sum would give, since rounding is monotone, so value, error_bound
+and terms_used are bit-identical to summing every term.  A majorant is
+given only where it can decide before the last term (the terms decay like
+h**-p with p >= 5 or so); then the first blocks are short, 2**10 terms,
+doubling up to 2**15.
+
 The lattice oracles reduce their shift once, through
 apostol_polys._pole_distance, the one reduction of every shifted argument:
 with the shift c = n*a + r against the nearest pole n*a, r correctly rounded,
@@ -296,8 +312,58 @@ def _bin_total(limbs: np.ndarray) -> int:
     return sum(((h << 26) + l) << b for b, h, l in per_bin)
 
 
+def _totals(value: int, magnitude: int, limbs: Optional[np.ndarray],
+            used: int) -> Tuple[int, int]:
+    """The exact (sum, sum of magnitudes) in units of 2**-_UNIT: the narrow
+    blocks' totals plus the wide blocks' limbs, which stay as they are."""
+    if limbs is None:
+        return value, magnitude
+    # fold the lanes of the occupied (+, -) bin pairs only: strided adds, as
+    # a reduction over the short lane axis is several times slower
+    occupied = limbs[:, : -(-used // (2 * _LANES)) * 2 * _LANES]
+    folded = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
+    pos, neg = folded[:, 0::2], folded[:, 1::2]
+    return value + _bin_total(pos - neg), magnitude + _bin_total(pos + neg)
+
+
+def _settled(lo: int, hi: int) -> Optional[float]:
+    """The double that lo / 2**_UNIT and hi / 2**_UNIT both round to, signed
+    zero included, or None when they round apart or past the double range.
+    Rounding is monotone, so every integer between them rounds to it too."""
+    try:
+        a, b = lo / (1 << _UNIT), hi / (1 << _UNIT)
+    except OverflowError:
+        return None
+    return a if a == b and math.copysign(1.0, a) == math.copysign(1.0, b) else None
+
+
+def _majorant(bound: float, rel: float, left: int) -> float:
+    """An upper bound on the sum of |t| over left float terms t, from bound,
+    a float within rel (relatively) of a bound on the exact terms'
+    magnitudes, when each float term is within rel of its exact value, or,
+    below the normal range, within 2**-1074: (1 + rel)**2 and the two
+    roundings here stay under 1 + 4 rel for rel >= 2 eps, and each term's
+    2**-1074 is added, with four more for the bound's own underflows."""
+    return bound * (1.0 + 4.0 * rel) + (left + 4) * _TINY
+
+
+def _early(rest: Callable[[int], float], count: int) -> Optional[Callable[[int], float]]:
+    """rest, if it can settle a sum of count terms before their end, else
+    None: it must fall below 2**-53 of rest(1), about the size of the terms
+    after the first, by the last term.  A sum it cannot settle early pays
+    nothing for it."""
+    return rest if rest(count) <= 2.0**-53 * rest(1) else None
+
+
+# A sum with a majorant reads blocks of _FIRST terms first, then blocks as
+# long as all it has read, up to _BLOCK: most such sums are settled within
+# a few thousand terms
+_FIRST = 1 << 10
+
+
 @_quiet
-def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0) -> Tuple[float, float]:
+def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
+                rest: Optional[Callable[[int], float]] = None) -> Tuple[float, float]:
     """(sum, sum of magnitudes) of the count terms fill writes, each exactly
     rounded to the nearest double whatever the length or order.
 
@@ -305,6 +371,15 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0) -> Tuple[
     block, at most _BLOCK of them, and may use the spare blocks after it as
     work space.  Raises ValueError on a non-finite term and OverflowError on
     a sum beyond the double range.
+
+    rest(start), if given, is a majorant (_majorant): a float at or above
+    the sum of |term i| over start <= i < count, as fill writes them.  With
+    it the sum stops once its rounding is decided (Ziv, ACM TOMS 17, 1991):
+    with S and A the exact sums read so far and T = rest(start), all in
+    units of 2**-_UNIT, the whole sum lies in [S - T, S + T] and its
+    magnitude in [A, A + T], so when each interval's ends round to one
+    double, those doubles are the ones the whole sum gives, bit for bit.
+    The oracles give a majorant only where it can settle the sum (_early).
     """
     # one buffer per call, reused by every block, with the kernel's two
     # scratch rows and its slot row last: the allocator keeps a buffer of
@@ -314,28 +389,34 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0) -> Tuple[
     scratch, slots = work[-3:-1], work[-1].view(np.int64)
     value = magnitude = 0  # narrow totals in units of 2**-_UNIT
     limbs, used = None, 0  # the limb sums of the wide blocks
-    for start in range(0, count, _BLOCK):
-        blocks = work[: 1 + spare, : min(_BLOCK, count - start)]
+    start = 0  # the terms read
+    while start < count:
+        size = min(_BLOCK, count - start)
+        if rest is not None:
+            size = min(size, max(start, _FIRST))
+        blocks = work[: 1 + spare, :size]
         fill(start, *blocks)
+        start += size
         fixed = _fixed_block(blocks[0], scratch)
         if fixed is not None:
             value += fixed[0]
             magnitude += fixed[1]
+        else:
+            if limbs is None:
+                limbs = np.zeros((2, _BINS * _LANES), dtype=np.int64)
+            used = max(used, _binned_block(blocks[0], scratch, slots, limbs))
+        if rest is None or start == count:
             continue
-        if limbs is None:
-            limbs = np.zeros((2, _BINS * _LANES), dtype=np.int64)
-        used = max(used, _binned_block(blocks[0], scratch, slots, limbs))
-    if limbs is not None:
-        # fold the lanes of the occupied (+, -) bin pairs only: strided adds,
-        # as a reduction over the short lane axis is several times slower
-        occupied = limbs[:, : -(-used // (2 * _LANES)) * 2 * _LANES]
-        folded = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
-        pos, neg = folded[:, 0::2], folded[:, 1::2]
-        value += _bin_total(pos - neg)
-        magnitude += _bin_total(pos + neg)
+        total, total_mag = _totals(value, magnitude, limbs, used)
+        num, den = rest(start).as_integer_ratio()
+        T = (num << _UNIT) // den  # exact: den is a power of two below 2**_UNIT
+        settled = _settled(total - T, total + T), _settled(total_mag, total_mag + T)
+        if None not in settled:
+            return settled
+    total, total_mag = _totals(value, magnitude, limbs, used)
     # int true division rounds correctly and raises OverflowError past the
     # double range
-    return value / (1 << _UNIT), magnitude / (1 << _UNIT)
+    return total / (1 << _UNIT), total_mag / (1 << _UNIT)
 
 
 def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
@@ -351,12 +432,13 @@ def _exact_sum(values: np.ndarray) -> Tuple[float, float]:
 
 def _certified_sum(count: int, fill: Callable[..., None], tail: Sequence[float],
                    tail_bound: float, terms_used: int, *, spare: int = 0,
-                   per_term: float = 16.0) -> SumResult:
+                   per_term: float = 16.0,
+                   rest: Optional[Callable[[int], float]] = None) -> SumResult:
     """value = exactly rounded sum of the count terms fill writes, as in
-    _stream_sum, then each tail estimate added in order; error_bound =
-    tail_bound + roundoff floor over |terms| and |tail|."""
+    _stream_sum (with its majorant rest), then each tail estimate added in
+    order; error_bound = tail_bound + roundoff floor over |terms| and |tail|."""
     try:
-        partial, abs_accum = _stream_sum(count, fill, spare)
+        partial, abs_accum = _stream_sum(count, fill, spare, rest)
     except (OverflowError, ValueError):
         # a non-finite term or a sum beyond the double range
         partial = abs_accum = math.inf
@@ -502,6 +584,10 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     b + |mu| = (b - |mu|) + 2|mu|, is 2.1p + 4 and their sum 6.6 + 2.1k.
     The m = 0 pair is smaller in each row.  Both totals stay under the
     16 + 4k of the other lattice sums, the odd-k one because k >= 1.
+
+    At k >= 1 the kernel stops once its rounding is decided: b - |mu| >
+    2*m*pi, so pair m is at most 2 (2*m*pi)**-p, and the pairs from m on at
+    most twice the first of these plus the integral beyond it.
     """
     k = _check_int(k, "k", 0)
     mu, dist, _, _ = _pole_distance(mu, "mu", _SEC)
@@ -547,9 +633,15 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     # which the floor over the tail (>= h0/2) covers a third
     per_term = 16.0 + 4.0 * k
     tail_bound += per_term * _EPS * h0
+
+    def rest(start: int) -> float:
+        y = _TWO_PI * start
+        pairs = 2.0 * (y ** -p + y ** (1 - p) / (_TWO_PI * (p - 1)))
+        return _majorant(pairs, per_term * _EPS, N - start)
+
     return _certified_sum(
         N, fill, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
-        spare=1, per_term=per_term,
+        spare=1, per_term=per_term, rest=_early(rest, N) if k else None,
     )
 
 
@@ -578,13 +670,43 @@ def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float) -> SumRes
                 terms[-1] = -1.0 / c
 
         est, tail_bound = _pair_tail(a, c, (N + 1 - n) * a - r, (N + 1 + n) * a + r)
-        count, tail = N + 1, (est,)
+        count, tail, rest = N + 1, (est,), None
     else:
-        # numpy's vectorised pow takes only positive bases (a negative one
-        # falls back to scalar libm): odd powers raise |x|, then copy x's sign
+        count = 2 * N + 1
+        both = min(N + n, N - n)  # |m - n| <= both on either side of n
+
+        def rest(start: int) -> float:
+            # the unread terms, at most two for each |m - n| >= the next one
+            # in the order below, have |x| >= |m - n|*a - |r| > 0, as
+            # |r| <= pi at spacing 2*pi: twice the first power plus the
+            # integral beyond it
+            y = max((start + 1) // 2, start - both) * a - abs(r)
+            powers = 2.0 * (y ** -p + y ** (1 - p) / (a * (p - 1)))
+            return _majorant(powers, (16.0 + 4.0 * k) * _EPS, count - start)
+
+        # the integer lattice's one sum at k >= 1, p = 2, cannot settle early
+        rest = _early(rest, count) if a != 1.0 else None
+
+        # with a majorant the terms run centre-out, so that the largest come
+        # first: m - n = 0, -1, 1, -2, 2, ... while both sides of the window
+        # last, then the longer side on its own; numpy's vectorised pow takes
+        # only positive bases (a negative one falls back to scalar libm): odd
+        # powers raise |x|, then copy x's sign
         def fill(start: int, terms: np.ndarray, *spare: np.ndarray) -> None:
             x = spare[0] if p % 2 else terms
-            np.add(_OFFSETS[: terms.size], start - N - n, out=x)
+            if rest is None:
+                np.add(_OFFSETS[: terms.size], start - N - n, out=x)
+            else:
+                np.add(_OFFSETS[: terms.size], start, out=x)  # term i
+                paired = x[: min(max(2 * both + 1 - start, 0), x.size)]
+                paired[start % 2 :: 2] *= 0.5  # i even: m - n = i/2
+                odd = paired[1 - start % 2 :: 2]
+                odd += 1.0
+                odd *= -0.5  # i odd: m - n = -(i + 1)/2
+                single = x[paired.size :]
+                single -= both  # then |m - n| = i - both
+                if n > 0:  # the side below n is the longer one
+                    np.negative(single, out=single)
             if a != 1.0:
                 x *= a
             x -= r
@@ -599,13 +721,13 @@ def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float) -> SumRes
 
         up_est, up_bound = _power_tail(a, -r, float(p), N + 1 - n)
         dn_est, dn_bound = _power_tail(a, r, float(p), N + 1 + n)
-        count, tail = 2 * N + 1, (up_est, (1.0 if p % 2 == 0 else -1.0) * dn_est)
+        tail = (up_est, (1.0 if p % 2 == 0 else -1.0) * dn_est)
         tail_bound = up_bound + dn_bound
     # (m - n) - r on the integer lattice is one rounding; (m - n)*a - r adds
     # the rounding of (m - n)*a, which the power multiplies
     return _certified_sum(
         count, fill, tail, tail_bound, 2 * N + 1, spare=p % 2,
-        per_term=16.0 if a == 1.0 else 16.0 + 4.0 * k,
+        per_term=16.0 if a == 1.0 else 16.0 + 4.0 * k, rest=rest,
     )
 
 
@@ -692,7 +814,17 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
         h **= p
         terms /= h
 
-    s = _stream_sum(M, fill, spare=3)[0]
+    step = 2.0 if euler else 1.0  # between the harmonics h
+
+    def rest(start: int) -> float:
+        # |trig| <= 1, so the unread terms are at most h**-p summed over
+        # h >= H: the first power plus the integral beyond it; the float
+        # term carries the roundings of h * scale, the power and the quotient
+        H = step * start + 1.0
+        powers = H ** -p + H ** (1 - p) / (step * (p - 1))
+        return _majorant(powers, 16.0 * _EPS, M - start)
+
+    s = _stream_sum(M, fill, spare=3, rest=_early(rest, M))[0]
     value = float(PiScalar(Fraction(c * sign * math.factorial(n), den), -p)) * s
     if not math.isfinite(value):
         raise ToleranceUnreachable(

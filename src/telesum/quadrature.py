@@ -12,13 +12,12 @@ per panel, used for the non-elementary integral representations of
 zeta(2k+1) and beta(2k+2).  Each integrand is arranged so that its
 removable singularity sits on an edge of [0, 1], where no Gauss-Legendre
 node lands, and takes math.sin only at arguments in (0, pi/2), which need
-no range reduction.  numpy loads with the first adaptive integral, for its
-nodes.
+no range reduction.  The rule's nodes and weights are stored doubles, so no
+integral loads numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,19 +166,31 @@ def j_integral(
     return exact_poly_trig_integral(euler_poly(2 * k + 1), OscKernel.cos(m))
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_pairs() -> Tuple[Tuple[float, float], ...]:
-    # numpy loads with the first adaptive integral, not with this module.
-    import numpy as np
-
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-    return tuple(zip(nodes.tolist(), weights.tolist()))
+# The 15-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs, the
+# doubles numpy.polynomial.legendre.leggauss(15) returns
+_GL15 = (
+    (-0.9879925180204854, 0.030753241996117203),
+    (-0.9372733924007058, 0.0703660474881084),
+    (-0.8482065834104272, 0.10715922046717141),
+    (-0.7244177313601701, 0.13957067792615444),
+    (-0.5709721726085388, 0.16626920581699398),
+    (-0.3941513470775634, 0.1861610000155622),
+    (-0.20119409399743451, 0.1984314853271116),
+    (0.0, 0.2025782419255613),
+    (0.20119409399743451, 0.1984314853271116),
+    (0.3941513470775634, 0.1861610000155622),
+    (0.5709721726085388, 0.16626920581699398),
+    (0.7244177313601701, 0.13957067792615444),
+    (0.8482065834104272, 0.10715922046717141),
+    (0.9372733924007058, 0.0703660474881084),
+    (0.9879925180204854, 0.030753241996117203),
+)
 
 
 def _gl15(f: Callable[[float], float], a: float, b: float) -> float:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * math.fsum(w * f(mid + half * t) for t, w in _gl_pairs())
+    return half * math.fsum(w * f(mid + half * t) for t, w in _GL15)
 
 
 def adaptive_integrate(f: Callable[[float], float], tol: float) -> float:

@@ -10,6 +10,8 @@ import math
 import time
 from fractions import Fraction
 
+import telesum
+
 from telesum import (
     OscKernel,
     PiScalar,
@@ -275,10 +277,20 @@ def test_criterion_8_trigonometric_expansions_of_polynomials():
     )
 
 
-def test_criterion_9_identity_suite_and_full_verify(capsys):
+def test_criterion_9_identity_suite_and_full_verify(capsys, monkeypatch, verify_all_rows):
     rows = run_identities(seed=42)
     ok = all(r.passed for r in rows)
+    # `verify all` reports the rows of the one run_all() the tests share,
+    # which is the call the CLI makes
+    calls = []
+
+    def shared_run_all(tol, seed):
+        calls.append((tol, seed))
+        return verify_all_rows
+
+    monkeypatch.setattr(telesum, "run_all", shared_run_all)
     exit_code = main(["verify", "all"])
+    assert calls == [(None, 42)]
     capsys.readouterr()  # swallow the verify report; one line below
     ok = ok and exit_code == 0
     _report(

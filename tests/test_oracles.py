@@ -922,10 +922,17 @@ def test_streamed_oracles_match_the_pinned_bits():
             assert err <= r.error_bound, (name, args, float(err))
 
 
-def _array_terms(name, args, terms_used):
+def _centre_out(N, n):
+    # m - n over the window m = -N..N, by |m - n| and the lower side first
+    d = np.arange(-N - n, N - n + 1)
+    return d[np.lexsort((d > 0, np.abs(d)))].astype(np.float64)
+
+
+def _array_terms(name, args, terms_used, centre_out=False):
     # each oracle's terms built as one whole array, with the same operations
     # in the same order; the lattice sums recentred on the pole that
-    # _pole_distance finds
+    # _pole_distance finds, and sum_Ztilde's at k >= 1 centre-out when the
+    # kernel has a majorant
     if name == "sum_zeta":
         return np.arange(1, terms_used + 1, dtype=np.float64) ** float(-args[0])
     if name == "sum_beta":
@@ -952,7 +959,10 @@ def _array_terms(name, args, terms_used):
             x = (np.arange(1, N + 1, dtype=np.float64) - n) * _TWO_PI
             pairs = 2.0 * mu / ((x + (2.0 * n * _TWO_PI + r)) * (x - r))
             return np.append(pairs, -1.0 / mu)
-        x = (np.arange(-N, N + 1, dtype=np.float64) - n) * _TWO_PI - r
+        if centre_out:
+            x = _centre_out(N, n) * _TWO_PI - r
+        else:
+            x = (np.arange(-N, N + 1, dtype=np.float64) - n) * _TWO_PI - r
         terms = 1.0 / np.abs(x) ** (k + 1)
         return np.copysign(terms, x) if k % 2 == 0 else terms
     if name == "sum_inverse_square":
@@ -974,25 +984,47 @@ def _array_terms(name, args, terms_used):
     return trig(y * h, _halving_mod2) / h ** (2 * k + extra)
 
 
+def _recording_kernel(monkeypatch):
+    """Record, for the last kernel call, every block it read and what it
+    returned."""
+    seen = {"blocks": [], "sums": None, "rest": None}
+    stream = oracles._stream_sum
+
+    def blocks(block, scratch):
+        seen["blocks"].append(block.copy())
+        return _fixed_block(block, scratch)
+
+    def kernel(count, fill, spare=0, rest=None):
+        seen["blocks"].clear()
+        seen["sums"], seen["rest"] = None, rest
+        seen["sums"] = stream(count, fill, spare, rest)
+        return seen["sums"]
+
+    monkeypatch.setattr(oracles, "_fixed_block", blocks)
+    monkeypatch.setattr(oracles, "_stream_sum", kernel)
+    return seen
+
+
+def _read_a_prefix_and_sum_the_whole(seen, want, what):
+    # the blocks the kernel read are the whole array's prefix, in order, and
+    # its sums are those of the whole array, even where it stopped early
+    got = np.concatenate(seen["blocks"])
+    sums = seen["sums"]
+    assert np.array_equal(got.view(np.int64), want[: got.size].view(np.int64)), what
+    assert [x.hex() for x in sums] == [x.hex() for x in _exact_sum(want)], what
+    return got.size
+
+
 def test_streamed_kernel_inputs_match_the_whole_arrays(monkeypatch):
     # every block the kernel sums, against the array it came from: the
     # pinned results alone could miss a term that moved by an ulp
-    blocks = []
-
-    def recording(block, scratch):
-        blocks.append(block.copy())
-        return _fixed_block(block, scratch)
-
-    monkeypatch.setattr(oracles, "_fixed_block", recording)
+    seen = _recording_kernel(monkeypatch)
     for name, args, _ in _PINNED:
         if args[-1] == 10**6:
             continue
-        blocks.clear()
         r = getattr(oracles, name)(*args)
-        want = _array_terms(name, args, getattr(r, "terms_used", 0))
-        # the last attempt's blocks, in order
-        got = np.concatenate(blocks)[-want.size :]
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, args)
+        want = _array_terms(name, args, getattr(r, "terms_used", 0), seen["rest"] is not None)
+        _read_a_prefix_and_sum_the_whole(seen, want, (name, args))
 
 
 def test_lattice_oracles_memory_does_not_grow_with_the_window():
@@ -1013,3 +1045,145 @@ def test_lattice_oracles_memory_does_not_grow_with_the_window():
         # the whole term arrays took 17-40 MB at 10**6
         assert peaks[0] < 8e6, (oracle.__name__, args, peaks)
         assert abs(peaks[1] - peaks[0]) < 1e6, (oracle.__name__, args, peaks)
+
+
+# ------------------------------------------------------------- early stop
+
+
+def test_settled_needs_both_ends_of_the_interval_to_round_alike():
+    # in units of 2**-_UNIT: 1.0, its ulp and the midpoint to the next double
+    one, ulp = 1 << oracles._UNIT, 1 << (oracles._UNIT - 52)
+    mid, above = one + ulp // 2, 1.0 + 2.0**-52
+    settled = oracles._settled
+    assert settled(mid, mid) == 1.0  # the tie goes to the even 1.0
+    assert settled(mid + 1, mid + 1) == above
+    assert settled(mid - 1, mid + 1) is None  # straddles the midpoint
+    assert settled(mid - ulp // 4, mid) == 1.0
+    assert settled(mid + 1, mid + ulp // 4) == above
+    assert settled(one - ulp // 4, mid - 1) == 1.0
+    # the next midpoint's tie goes up, to the even 1 + 2 ulp
+    mid2 = mid + ulp
+    assert settled(mid2 - 1, mid2) is None
+    assert settled(mid2, mid2 + 1) == 1.0 + 2.0**-51
+    # a zero's sign counts: [-1, 1] holds sums that round to -0.0 and 0.0
+    assert settled(-1, 1) is None
+    zeros = settled(0, 1), settled(-2, -1)
+    assert zeros == (0.0, 0.0) and [math.copysign(1.0, z) for z in zeros] == [1.0, -1.0]
+    # past the double range nothing is settled
+    huge = 1 << (oracles._UNIT + 1024)
+    assert settled(huge, huge) is None and settled(-huge - 1, -huge) is None
+
+
+def test_kernel_stops_early_only_when_the_rounding_is_decided():
+    # 1.0 and then `tail` terms of 2**-65 with an exact majorant: a tail of
+    # 2**12 terms lands on the midpoint 1 + 2**-53, one term more passes it.
+    # The unread terms could be negative as far as the kernel knows, so the
+    # interval reaches below 1 - 2**-54, the midpoint under 1, as well; each
+    # read ends a block (1024, 1024, 2048, 4096 terms)
+    step = 2.0**-65
+    for tail, want, read in ((2048, 1.0, 1024), (4096, 1.0, 2048),
+                             (4097, 1.0 + 2.0**-52, 4098), (8192, 1.0 + 2.0**-52, 8192)):
+        count, written = tail + 1, []
+
+        def fill(start, block):
+            written.append(block.size)
+            block[:] = step
+            if start == 0:
+                block[0] = 1.0
+
+        value, magnitude = oracles._stream_sum(count, fill, rest=lambda start: (count - start) * step)
+        assert value == magnitude == want, tail
+        assert sum(written) == read, tail
+        assert value == oracles._stream_sum(count, fill)[0]
+    # the magnitude must be decided too: 1.0 and then 4100 terms of
+    # alternating sign leave the sum at 1.0, decided after 4096 terms read,
+    # while the sum of magnitudes passes the midpoint 1 + 2**-53 only in the
+    # last five
+    count = 4101
+
+    def alternating(start, block):
+        block[:] = step
+        block[(start + 1) % 2 :: 2] *= -1.0
+        if start == 0:
+            block[0] = 1.0
+
+    got = oracles._stream_sum(count, alternating, rest=lambda start: (count - start) * step)
+    assert got == (1.0, 1.0 + 2.0**-52) == oracles._stream_sum(count, alternating)
+
+
+def test_majorant_covers_each_terms_rounding():
+    # every float term within rel of its exact value, or 2**-1074 below the
+    # normal range, and the bound itself as far off: the majorant must sit
+    # above (1 + rel)**2 times the bound plus one 2**-1074 a term and more
+    tiny = Fraction(oracles._TINY)
+    for bound in (1.0, 0.3, 2.0**-1000, 3e-310, 5e-324, 0.0, 1e300):
+        for rel in (16 * oracles._EPS, (16 + 4 * 60) * oracles._EPS):
+            for left in (0, 1, 1000, 10**6):
+                got = Fraction(oracles._majorant(bound, rel, left))
+                assert got >= Fraction(bound) * (1 + Fraction(rel)) ** 2 + (left + 3) * tiny
+
+
+def _early_draws(seed, n):
+    # hurwitz_partial, sum_Z and sum_Ztilde at k >= 1 over their domains:
+    # exact zeros (the B_odd rows at x = 0, 1/2, 1, sum_Z at odd k and
+    # mu = 0), subnormal mu, mu next to +-pi and next to the poles 2*pi*n
+    rng = np.random.default_rng(seed)
+    pi_below = math.nextafter(math.pi, 0.0)
+    for _ in range(n):
+        which = rng.integers(3)
+        k = int(rng.integers(1, 15 if which == 0 else 61))
+        if which == 0:
+            kind = str(rng.choice(list(oracles._HURWITZ)))
+            x = float(rng.choice([0.0, 0.5, 1.0, 0.25, rng.random(), rng.random()]))
+            yield "hurwitz_partial", (kind, k, x, int(rng.choice([700, 5000, 10**5])))
+            continue
+        sign = float(rng.choice([-1.0, 1.0]))
+        subnormal = sign * 5e-324 * int(rng.integers(1, 10**6))
+        if which == 1:
+            mu = float(rng.choice([0.0, subnormal, sign * pi_below,
+                                   sign * np.nextafter(pi_below, 0.0) * (1.0 - 1e-9),
+                                   rng.uniform(-math.pi, math.pi)]))
+            yield "sum_Z", (k, mu, int(rng.choice([10, 3000, 10**5])))
+            continue
+        pole = _TWO_PI * int(rng.integers(-3, 4))
+        mu = float(rng.choice([subnormal, pole + sign * 10.0 ** rng.uniform(-12, -1),
+                               rng.uniform(-20.0, 20.0)]))
+        yield "sum_Ztilde", (k, mu or 0.5, int(rng.choice([10, 3000, 10**5])))
+
+
+def test_early_stops_give_the_whole_sums_bits(monkeypatch):
+    # the kernel's sums where it stopped early are those of the whole term
+    # array, and every oracle result that of the same sum with no majorant
+    def outcome(oracle, args):
+        try:
+            return oracle(*args)
+        except ToleranceUnreachable as exc:  # a term or the sum past the double range
+            return str(exc)
+
+    seen = _recording_kernel(monkeypatch)
+    early = 0
+    for name, args in _early_draws(26, 150):
+        oracle = getattr(oracles, name)
+        r = outcome(oracle, args)
+        kept = dict(seen, blocks=list(seen["blocks"]))
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_early", lambda rest, count: None)
+            assert outcome(oracle, args) == r, (name, args)
+        if isinstance(r, str):
+            continue
+        rest = kept["rest"]
+        want = _array_terms(name, args, getattr(r, "terms_used", 0), rest is not None)
+        read = _read_a_prefix_and_sum_the_whole(kept, want, (name, args))
+        early += read < want.size
+        if rest is not None:
+            assert rest(read) >= math.fsum(np.abs(want[read:]).tolist()), (name, args)
+    assert early >= 50
+
+
+def test_hurwitz_at_large_powers_reads_a_few_thousand_terms(monkeypatch):
+    seen = _recording_kernel(monkeypatch)
+    for x in (0.0, 0.3, 0.5, 0.9):
+        value = hurwitz_partial("B_even", 8, x)
+        assert sum(b.size for b in seen["blocks"]) <= 4096, x
+        want = float(poly_eval(bernoulli_poly(16), Fraction(x)))
+        assert value == pytest.approx(want, rel=1e-12), x

@@ -287,6 +287,14 @@ def test_adaptive_integrator_on_knowns():
     assert got == pytest.approx(math.e - 1.0, abs=1e-11)
 
 
+def test_stored_rule_is_numpys_gauss_legendre_rule_bit_for_bit():
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    want = [(t.hex(), w.hex()) for t, w in zip(nodes.tolist(), weights.tolist())]
+    assert [(t.hex(), w.hex()) for t, w in quadrature._GL15] == want
+
+
 def test_adaptive_integrator_removable_singularity():
     # sin(pi x)/x -> pi at the edge 0, where no node lands; the integral over
     # [0,1] is Si(pi)

@@ -64,10 +64,10 @@ def test_an_arithmetic_failure_fails_its_row_and_the_suite_goes_on(monkeypatch):
     }
 
 
-def test_run_all_is_the_four_suites_in_order():
+def test_run_all_is_the_four_suites_in_order(verify_all_rows):
     suites = (verify.run_identities, verify.run_closed_vs_oracle, verify.run_integrals,
               verify.run_hurwitz)
-    assert verify.run_all(seed=7) == [r for run in suites for r in run(seed=7)]
+    assert verify_all_rows == [r for run in suites for r in run(seed=42)]
 
 
 def test_forty_one_checks_with_unique_names():
