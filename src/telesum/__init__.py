@@ -10,10 +10,12 @@ lambda-deformations and the derivative polynomials of sec and cot
 (oracles), exact and adaptive integration (quadrature), seeded
 self-verification suites (verify), and a CLI (cli).
 
-``import telesum`` loads the exact layers and quadrature, which need only
-mpmath; the quadrature rule's nodes are stored doubles, so no integral
-loads numpy.  The oracle and verify layers need numpy; each loads, with
-numpy, the first time one of its names is used.
+``import telesum`` loads only exact_core and classical_polys, which need
+neither mpmath nor numpy, so the exact constants, polynomials and pi powers
+cost no more.  Every other layer loads the first time one of its names is
+used: apostol_polys, with mpmath, and closed_forms, which loads it;
+quadrature, whose integrals are exact or take stored doubles and need
+neither; and oracles and verify, with numpy (verify with everything).
 """
 
 import importlib as _importlib
@@ -37,49 +39,51 @@ from .exact_core import (
 from .classical_polys import (
     bernoulli_number,
     bernoulli_poly,
-    euler_number,
-    euler_poly,
-    precompute,
-)
-from .apostol_polys import (
-    CPoly,
-    apostol_bernoulli_poly,
-    apostol_euler_poly,
-    cot_taylor_coeffs,
-    ek_mu,
-    ek_mu_imag_residue,
-    ektilde_mu,
-    ektilde_mu_imag_residue,
-    sec_taylor_coeffs,
-)
-from .closed_forms import (
-    Z,
-    Z_TABLE,
-    ZTILDE_TABLE,
-    Z_table,
-    Ztilde,
-    Ztilde0,
-    Ztilde_table,
     beta_odd,
     eta_even,
+    euler_number,
+    euler_poly,
     lambda_even,
+    precompute,
     zeta_even,
-)
-from .quadrature import (
-    OscKernel,
-    QuadratureError,
-    adaptive_integrate,
-    beta_even_integral,
-    exact_apostol_integral,
-    exact_poly_trig_integral,
-    j_integral,
-    zeta_odd_integral,
 )
 
 __version__ = "0.1.0"
 
-# Public name -> the numpy layer that defines it, loaded on first use.
+# Public name -> the layer that defines it, loaded on first use: the layers
+# that need mpmath or numpy.
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "CPoly",
+            "apostol_bernoulli_poly",
+            "apostol_euler_poly",
+            "cot_taylor_coeffs",
+            "ek_mu",
+            "ek_mu_imag_residue",
+            "ektilde_mu",
+            "ektilde_mu_imag_residue",
+            "sec_taylor_coeffs",
+        ),
+        "apostol_polys",
+    ),
+    **dict.fromkeys(
+        ("Z", "Z_TABLE", "ZTILDE_TABLE", "Z_table", "Ztilde", "Ztilde0", "Ztilde_table"),
+        "closed_forms",
+    ),
+    **dict.fromkeys(
+        (
+            "OscKernel",
+            "QuadratureError",
+            "adaptive_integrate",
+            "beta_even_integral",
+            "exact_apostol_integral",
+            "exact_poly_trig_integral",
+            "j_integral",
+            "zeta_odd_integral",
+        ),
+        "quadrature",
+    ),
     **dict.fromkeys(
         (
             "SumResult",

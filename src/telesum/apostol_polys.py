@@ -31,11 +31,11 @@ and have one sign and fixed parity.  In mpmath they give the lattice sums'
 "taylor" route; in doubles, the certified route.  The carriers and the
 Taylor coefficients are 2*k! times closed_forms' Z and Ztilde, and one
 evaluator per family (_sec_value, _cot_value) serves all three: it takes mu
-and its exact distance to the pole from _pole_distance, the one domain check
-and the one reduction of every shifted argument (the lattice oracles take
-the nearest pole and the residual from it too); gates the double range on a
-bound that reads no row, then on the certified value; and runs a route and
-cross-checks it (_checked).
+and its exact distance to the pole from exact_core._pole_distance, the one
+domain check and the one reduction of every shifted argument (the lattice
+oracles take the nearest pole and the residual from it too); gates the
+double range on a bound that reads no row, then on the certified value; and
+runs a route and cross-checks it (_checked).
 
 The carriers, their residues and the Taylor coefficients work at
 DEFAULT_DPS significant digits; only the deformed polynomials take a dps
@@ -70,7 +70,6 @@ from mpmath.libmp import (
     mpf_cos_sin,
     mpf_div,
     mpf_mul,
-    mpf_pi,
     mpf_shift,
     round_nearest,
     to_fixed,
@@ -78,7 +77,15 @@ from mpmath.libmp import (
 )
 
 from .classical_polys import bernoulli_poly
-from .exact_core import InternalConsistencyError, ToleranceUnreachable, _check_int, _nearest_float
+from .exact_core import (
+    _COT,
+    _SEC,
+    InternalConsistencyError,
+    ToleranceUnreachable,
+    _check_int,
+    _nearest_float,
+    _pole_distance,
+)
 
 __all__ = [
     "DEFAULT_DPS",
@@ -119,47 +126,6 @@ _SUBNORMAL_FLOOR = 2.0 ** -1072
 
 # Fraction bits of the complex routes past the active precision (_route_precision)
 _ROUTE_GUARD = 5
-
-_GUARD = 128  # pi to _PI_BITS fraction bits, within 2 units: any exponent + _GUARD
-_PI_BITS = 1024 + _GUARD
-_PI_FIXED = int(to_fixed(mpf_pi(_PI_BITS + 8), _PI_BITS))
-
-# Pole lattices j * h as (parity of j, h = pi or else 1/2, x in (-pi, pi)):
-# Z and its kin, Z_table, Ztilde and its kin, and theta
-_SEC, _ODD_PI, _COT, _INT = (1, True, True), (1, True, False), (0, True, False), (0, False, False)
-
-
-def _pole_distance(x: float, what: str,
-                   poles: Tuple[int, bool, bool]) -> Tuple[float, float, int, float]:
-    """(x as a float, its distance to the nearest pole (2n + odd) h, n, and
-    the signed residual r = x - (2n + odd) h): the one domain check, and the
-    one reduction, of every shifted argument.  ValueError only for a
-    non-finite x, a pole (no double is an odd multiple of pi, and only 0 one
-    of 2*pi), or x outside (-pi, pi) where the lattice asks.  r is x at the
-    pole 0, else the double nearest x - (2n + odd) h from x and h in fixed
-    point at e + _GUARD bits, 2**e > |x| (Payne & Hanek, SIGNUM Newsletter
-    18, 1983): 2**-127 at most off, where no double lies within 2**-62 of a
-    nonzero multiple of pi/2 (J.-M. Muller, Elementary Functions, ch. 11).
-    The distance is |r|."""
-    odd, pi, window = poles
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("%s must be finite" % what)
-    a = abs(x)
-    if window and a > math.pi:  # the double pi lies below pi
-        raise ValueError("%s must lie in (-pi, pi)" % what)
-    bits = max(math.frexp(a)[1], 0) + _GUARD
-    num, den = a.as_integer_ratio()
-    fixed = (num << bits) // den
-    h = _PI_FIXED >> (_PI_BITS - bits) if pi else 1 << (bits - 1)
-    j = 2 * ((fixed + (1 - odd) * h) // (2 * h)) + odd  # the pole j h of |x|
-    if x < 0.0:
-        fixed, j = -fixed, -j
-    r = (fixed - j * h) / (1 << bits) if j else x
-    if not r:
-        raise ValueError("%s = %r is a pole" % (what, x))
-    return x, abs(r), (j - odd) // 2, r
-
 
 ComplexLike = Union[complex, float, int, "mpmath.mpc", "mpmath.mpf"]
 

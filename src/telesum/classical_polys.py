@@ -1,4 +1,6 @@
-"""Bernoulli and Euler polynomials and numbers, computed exactly.
+"""Bernoulli and Euler polynomials and numbers, computed exactly, and the
+classical constants they give in closed form: zeta(2k), beta(2k+1), eta(2k)
+and lambda(2k), each B_2k or E_2k times a power of pi.
 
 Both families are Appell sequences, P_n(x) = sum_i C(n, i) p_{n-i} x**i, so
 each is fixed by its numbers p_n = P_n(0).  Those numbers are all read from
@@ -31,7 +33,7 @@ import threading
 from fractions import Fraction
 from typing import List
 
-from .exact_core import Poly, _check_int
+from .exact_core import PiScalar, Poly, _check_int
 
 __all__ = [
     "DEFAULT_CACHE_DEPTH",
@@ -40,6 +42,10 @@ __all__ = [
     "euler_poly",
     "bernoulli_number",
     "euler_number",
+    "zeta_even",
+    "beta_odd",
+    "eta_even",
+    "lambda_even",
 ]
 
 DEFAULT_CACHE_DEPTH = 64
@@ -110,3 +116,31 @@ def euler_number(k: int) -> Fraction:
     if k % 2:
         raise ValueError("Euler number index must be even")
     return Fraction(_zigzag_number(k) if k % 4 == 0 else -_zigzag_number(k))
+
+
+def zeta_even(k: int) -> PiScalar:
+    """zeta(2k) = sum n**(-2k) as an exact rational multiple of pi**(2k)."""
+    k = _check_int(k, "k", 1)
+    sign = -1 if k % 2 == 0 else 1
+    coeff = sign * Fraction(2 ** (2 * k - 1), math.factorial(2 * k)) * bernoulli_number(2 * k)
+    return PiScalar(coeff, 2 * k)
+
+
+def beta_odd(k: int) -> PiScalar:
+    """beta(2k+1) = sum (-1)**n (2n+1)**(-2k-1) as a rational multiple of pi**(2k+1)."""
+    k = _check_int(k, "k", 0)
+    sign = -1 if k % 2 == 1 else 1
+    coeff = Fraction(sign * euler_number(2 * k), 2 ** (2 * k + 2) * math.factorial(2 * k))
+    return PiScalar(coeff, 2 * k + 1)
+
+
+def eta_even(k: int) -> PiScalar:
+    """eta(2k) = sum (-1)**(n-1) n**(-2k), via (1 - 2**(1-2k)) * zeta(2k)."""
+    k = _check_int(k, "k", 1)
+    return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k - 1)))
+
+
+def lambda_even(k: int) -> PiScalar:
+    """lambda(2k) = sum over odd n of n**(-2k), via (1 - 2**(-2k)) * zeta(2k)."""
+    k = _check_int(k, "k", 1)
+    return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k)))

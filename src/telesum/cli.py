@@ -17,10 +17,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apostol_polys import _finite_complex
 from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import PiScalar, format_pi_scalar, format_rational
 
@@ -40,21 +38,20 @@ __all__ = [
 DEFAULT_MAX_K = 30
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One scalar result: exact part (when the value is rational times a
-    power of pi), decimal rendering, and the route that produced it."""
-
-    kind: str
-    params: Dict[str, object]
-    approx: str
-    exact: Optional[Dict[str, object]] = None
-    error_bound: Optional[str] = None
-    method: str = "closed_form"
-
-    def as_dict(self) -> Dict[str, object]:
-        """The record as a JSON document, without the absent fields."""
-        return {name: value for name, value in asdict(self).items() if value is not None}
+def OutputRecord(
+    kind: str,
+    params: Dict[str, object],
+    approx: str,
+    exact: Optional[Dict[str, object]] = None,
+    error_bound: Optional[str] = None,
+    method: str = "closed_form",
+) -> Dict[str, object]:
+    """One scalar result as a JSON document: exact part (when the value is
+    rational times a power of pi), decimal rendering, and the route that
+    produced it; the absent fields are left out."""
+    fields = {"kind": kind, "params": params, "approx": approx, "exact": exact,
+              "error_bound": error_bound, "method": method}
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 # What a command shows: its JSON document and its text lines.
@@ -98,8 +95,9 @@ def _latex_pi(x: PiScalar) -> str:
 
 
 def _public(name: str):
-    """The package's public ``name``, looked up at each call: the oracle and
-    verify layers load, with numpy, only for the commands that use them."""
+    """The package's public ``name`` or layer, looked up at each call: the
+    layers that need mpmath or numpy load only for the commands that use
+    them."""
     return getattr(sys.modules[__package__], name)
 
 
@@ -120,7 +118,7 @@ def _require_options(args: argparse.Namespace, family: str, least: Dict[str, Opt
 
 _POLYS = {"bernoulli": bernoulli_poly, "euler": euler_poly}
 
-# family -> (public name of the deformed polynomial, least k)
+# family -> (name of the deformed polynomial in apostol_polys, least k)
 _APOSTOL = {
     "euler": ("apostol_euler_poly", 0),
     "bernoulli": ("apostol_bernoulli_poly", 1),
@@ -160,8 +158,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def cmd_apostol(args: argparse.Namespace) -> int:
     name, least = _APOSTOL[args.family]
     _require(args.k >= least, "k must be >= %d" % least)
-    p = _public(name)(args.k, complex(args.lambda_re, args.lambda_im), dps=args.dps)
-    coeffs = [_finite_complex(c, "coefficient %d" % j) for j, c in enumerate(p.coeffs)]
+    layer = _public("apostol_polys")
+    p = getattr(layer, name)(args.k, complex(args.lambda_re, args.lambda_im), dps=args.dps)
+    coeffs = [layer._finite_complex(c, "coefficient %d" % j) for j, c in enumerate(p.coeffs)]
     doc = {
         "kind": "apostol_%s_poly" % args.family,
         "params": {"k": args.k, "lambda_re": args.lambda_re, "lambda_im": args.lambda_im},
@@ -192,8 +191,8 @@ def _show_exact(
     """An exact value: its record, and "exact = decimal" or its LaTeX."""
     rec = OutputRecord(kind, params, _fmt(float(x), args.digits), _exact_dict(x), method=method)
     if args.format == "latex":
-        return rec.as_dict(), [_latex_pi(x)]
-    return rec.as_dict(), ["%s = %s" % (format_pi_scalar(x), rec.approx)]
+        return rec, [_latex_pi(x)]
+    return rec, ["%s = %s" % (format_pi_scalar(x), rec["approx"])]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -218,7 +217,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = _public("Ztilde0")(args.mu)
         method = "closed_form"
     rec = OutputRecord(family, params, _fmt(value, args.digits), method=method)
-    _emit(args, rec.as_dict(), [rec.approx])
+    _emit(args, rec, [rec["approx"]])
     return 0
 
 
@@ -237,7 +236,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         params["N"] = args.terms if args.terms is not None else default_terms
     result = _public(oracle)(*params.values())
-    doc = {"kind": args.family, "params": params, **asdict(result)}
+    doc = {"kind": args.family, "params": params, "value": result.value,
+           "error_bound": result.error_bound, "terms_used": result.terms_used}
     _emit(args, doc, [
         "value = %s" % _fmt(result.value, args.digits),
         "error_bound = %s" % _fmt(result.error_bound, 3),
@@ -266,7 +266,7 @@ def _show_quadrature(
 ) -> _Shown:
     rec = OutputRecord(kind, params, _fmt(v, args.digits), error_bound=_fmt(args.tol, 3),
                        method="adaptive_quadrature")
-    return rec.as_dict(), ["%s (tol %s)" % (rec.approx, rec.error_bound)]
+    return rec, ["%s (tol %s)" % (rec["approx"], rec["error_bound"])]
 
 
 def _poly_trig(poly: str, kernel: str):

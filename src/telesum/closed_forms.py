@@ -1,8 +1,4 @@
-"""Closed-form values.
-
-Exact pi-power closed forms for the classical even-index Dirichlet sums
-(zeta, beta, eta, and the odd-harmonic lambda variants), and float
-evaluators for two bilateral lattice sums:
+"""Closed-form values of two bilateral lattice sums, as doubles:
 
   Z(k; mu)      = sum over all integers m of (-1)**m / ((2m+1)*pi - mu)**(k+1)
   Ztilde(k; mu) = sum over all integers m of 1 / (2*m*pi - mu)**(k+1)
@@ -28,16 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .apostol_polys import _COT, _ODD_PI, MAX_K, _cot_value, _pole_distance, _sec_value
-from .classical_polys import bernoulli_number, euler_number
-from .exact_core import PiScalar, Rational, ToleranceUnreachable, _check_int
+from .apostol_polys import MAX_K, _cot_value, _sec_value
+from .exact_core import _COT, _ODD_PI, Rational, ToleranceUnreachable, _check_int, _pole_distance
 
 __all__ = [
     "MAX_K",
-    "zeta_even",
-    "beta_odd",
-    "eta_even",
-    "lambda_even",
     "Z",
     "Ztilde",
     "Ztilde0",
@@ -47,34 +38,6 @@ __all__ = [
     "Z_table",
     "Ztilde_table",
 ]
-
-
-def zeta_even(k: int) -> PiScalar:
-    """zeta(2k) = sum n**(-2k) as an exact rational multiple of pi**(2k)."""
-    k = _check_int(k, "k", 1)
-    sign = -1 if k % 2 == 0 else 1
-    coeff = sign * Fraction(2 ** (2 * k - 1), math.factorial(2 * k)) * bernoulli_number(2 * k)
-    return PiScalar(coeff, 2 * k)
-
-
-def beta_odd(k: int) -> PiScalar:
-    """beta(2k+1) = sum (-1)**n (2n+1)**(-2k-1) as a rational multiple of pi**(2k+1)."""
-    k = _check_int(k, "k", 0)
-    sign = -1 if k % 2 == 1 else 1
-    coeff = Fraction(sign * euler_number(2 * k), 2 ** (2 * k + 2) * math.factorial(2 * k))
-    return PiScalar(coeff, 2 * k + 1)
-
-
-def eta_even(k: int) -> PiScalar:
-    """eta(2k) = sum (-1)**(n-1) n**(-2k), via (1 - 2**(1-2k)) * zeta(2k)."""
-    k = _check_int(k, "k", 1)
-    return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k - 1)))
-
-
-def lambda_even(k: int) -> PiScalar:
-    """lambda(2k) = sum over odd n of n**(-2k), via (1 - 2**(-2k)) * zeta(2k)."""
-    k = _check_int(k, "k", 1)
-    return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k)))
 
 
 def _check_method(method: str) -> None:

@@ -8,7 +8,13 @@ closed arithmetic; this module layers on top of them:
   type of every closed-form evaluation in this package; ``float()`` of one
   is correctly rounded;
 * ``Poly`` -- dense univariate polynomials with rational coefficients;
+* pi in integers: its floor at 1152 fraction bits from Machin's formula
+  (more on demand), directed bounds on its powers, and _pole_distance, the
+  one domain check and reduction of every argument shifted by a pole
+  lattice;
 * serialization helpers shared by the CLI renderers.
+
+It needs nothing beyond the standard library.
 
 Everything here is immutable after construction and safe for unrestricted
 concurrent use.
@@ -21,8 +27,6 @@ import math
 import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-from mpmath.libmp import mpf_pi, mpf_pow_int, round_ceiling, round_floor
 
 __all__ = [
     "Rational",
@@ -202,8 +206,7 @@ def _pi_power_float(num: int, den: int, n: int) -> float:
         return math.inf
     if log2 < -1077:
         return 0.0
-    # pi**n magnifies the error of the rounded pi n-fold: log2(n) more bits.
-    prec = 64 + abs(n).bit_length()
+    prec = 64
     while True:
         (a, b), (c, d) = _pi_power_bounds(n, prec)
         lower = _nearest_float(num * a, den * b)
@@ -212,18 +215,120 @@ def _pi_power_float(num: int, den: int, n: int) -> float:
         prec *= 2
 
 
+# floor(pi * 2**_PI_BITS) serves _pole_distance at any double's exponent
+# plus _GUARD bits
+_GUARD = 128
+_PI_BITS = 1024 + _GUARD
+
+
+@functools.lru_cache(maxsize=8)
+def _machin_pi(bits: int) -> int:
+    """floor(pi * 2**bits), from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) summed in integers with ``guard`` more
+    bits.  Every truncated term is off by less than 3 units and each
+    series' tail by less than 2, so the sum lies within ``err`` units of
+    pi * 2**(bits + guard); the floor is taken once both ends of that
+    interval agree on it."""
+    guard = 32
+    while True:
+        one = 1 << (bits + guard)
+        total, terms = 0, 0
+        for weight, x in ((16, 5), (-4, 239)):
+            power, j = one // x, 0
+            while power:
+                total += weight * (-1 if j % 2 else 1) * (power // (2 * j + 1))
+                power //= x * x
+                j += 1
+            terms += j
+        err = 16 * (3 * terms + 2)
+        if (total - err) >> guard == (total + err) >> guard:
+            return total >> guard
+        guard *= 2
+
+
+_PI_FIXED = _machin_pi(_PI_BITS)
+
+
+def _pi_fixed(bits: int) -> int:
+    """floor(pi * 2**bits): the stored bits, or Machin's formula past them."""
+    return _PI_FIXED >> (_PI_BITS - bits) if bits <= _PI_BITS else _machin_pi(bits)
+
+
+def _cut(man: int, exp: int, bits: int, up: bool) -> Tuple[int, int]:
+    # man * 2**exp cut to a mantissa of at most ``bits`` bits, floored, or
+    # ceiled when ``up``
+    drop = man.bit_length() - bits
+    if drop <= 0:
+        return man, exp
+    return (-(-man >> drop) if up else man >> drop), exp + drop
+
+
+def _power_bounds(lo: int, hi: int, exp: int, n: int, prec: int) -> Tuple[Tuple[int, int], ...]:
+    """Integer ratios ((a, b), (c, d)), a/b <= x**n <= c/d for every x in
+    [lo, hi] * 2**exp (0 < lo <= hi, n >= 0), to about prec bits:
+    square-and-multiply from the left on mantissas cut to prec + log2(n) + 4
+    bits, floored for the lower bound and ceiled for the upper.  A cut's
+    relative error, at most 2**(1 - bits), grows at most n-fold by the
+    powers after it."""
+    keep = prec + n.bit_length() + 4
+    bounds = []
+    for man, up in ((lo, False), (hi, True)):
+        base_man, base_exp = _cut(man, exp, keep, up)
+        acc_man, acc_exp = 1, 0
+        for bit in bin(n)[2:]:
+            acc_man, acc_exp = _cut(acc_man * acc_man, 2 * acc_exp, keep, up)
+            if bit == "1":
+                acc_man, acc_exp = _cut(acc_man * base_man, acc_exp + base_exp, keep, up)
+        bounds.append((acc_man << acc_exp, 1) if acc_exp >= 0 else (acc_man, 1 << -acc_exp))
+    return tuple(bounds)
+
+
 @functools.lru_cache(maxsize=256)
 def _pi_power_bounds(n: int, prec: int) -> Tuple[Tuple[int, int], ...]:
     """Integer ratios a/b <= pi**n <= c/d to about prec bits, as
-    [(a, b), (c, d)]: pi**|n| with directed rounding throughout, inverted
-    for n < 0."""
-    bounds = []
-    for rnd in (round_floor, round_ceiling) if n > 0 else (round_ceiling, round_floor):
-        _, man, exp, _ = mpf_pow_int(mpf_pi(prec, rnd), abs(n), prec, rnd)
-        # int(): mpmath's mantissas are gmpy integers when gmpy is installed.
-        ratio = (int(man) << exp, 1) if exp >= 0 else (int(man), 1 << -exp)
-        bounds.append(ratio if n > 0 else ratio[::-1])
-    return tuple(bounds)
+    ((a, b), (c, d)): pi**|n| by _power_bounds from pi's floor and ceiling
+    at prec + log2|n| + 6 fraction bits, inverted for n < 0."""
+    bits = prec + abs(n).bit_length() + 6
+    pi = _pi_fixed(bits)
+    low, high = _power_bounds(pi, pi + 1, -bits, abs(n), prec)
+    return (low, high) if n >= 0 else (high[::-1], low[::-1])
+
+
+# Pole lattices j * h as (parity of j, h = pi or else 1/2, x in (-pi, pi)):
+# Z and its kin, Z_table, Ztilde and its kin, and theta
+_SEC, _ODD_PI, _COT, _INT = (1, True, True), (1, True, False), (0, True, False), (0, False, False)
+
+
+def _pole_distance(x: float, what: str,
+                   poles: Tuple[int, bool, bool]) -> Tuple[float, float, int, float]:
+    """(x as a float, its distance to the nearest pole (2n + odd) h, n, and
+    the signed residual r = x - (2n + odd) h): the one domain check, and the
+    one reduction, of every shifted argument.  ValueError only for a
+    non-finite x, a pole (no double is an odd multiple of pi, and only 0 one
+    of 2*pi), or x outside (-pi, pi) where the lattice asks.  r is x at the
+    pole 0, else the double nearest x - (2n + odd) h from x and h in fixed
+    point at e + _GUARD bits, 2**e > |x| (Payne & Hanek, SIGNUM Newsletter
+    18, 1983): 2**-127 at most off, where no double lies within 2**-62 of a
+    nonzero multiple of pi/2 (J.-M. Muller, Elementary Functions, ch. 11).
+    The distance is |r|."""
+    odd, pi, window = poles
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("%s must be finite" % what)
+    a = abs(x)
+    if window and a > math.pi:  # the double pi lies below pi
+        raise ValueError("%s must lie in (-pi, pi)" % what)
+    bits = max(math.frexp(a)[1], 0) + _GUARD
+    num, den = a.as_integer_ratio()
+    fixed = (num << bits) // den
+    h = _PI_FIXED >> (_PI_BITS - bits) if pi else 1 << (bits - 1)
+    j = 2 * ((fixed + (1 - odd) * h) // (2 * h)) + odd  # the pole j h of |x|
+    if x < 0.0:
+        fixed, j = -fixed, -j
+    r = (fixed - j * h) / (1 << bits) if j else x
+    if not r:
+        raise ValueError("%s = %r is a pole" % (what, x))
+    return x, abs(r), (j - odd) // 2, r
 
 
 class Poly:

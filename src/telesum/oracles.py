@@ -36,13 +36,15 @@ the kernel takes its exact running integers S (the sum) and A (the sum of
 magnitudes) and the majorant T in the same units; when S - T and S + T
 round to one double, and A and A + T to one double, these are the doubles
 the whole sum would give, since rounding is monotone, so value, error_bound
-and terms_used are bit-identical to summing every term.  A majorant is
-given only where it can decide before the last term (the terms decay like
-h**-p with p >= 5 or so); then the first blocks are short, 2**10 terms,
-doubling up to 2**15.
+and terms_used are bit-identical to summing every term.  The first block of
+such a sum is short, 2**10 terms; the kernel keeps the majorant only where
+it can decide before the last term, judged against that block's exact
+magnitude (the terms decay like h**-p with p >= 5 or so, or the first few
+dwarf the rest), and then reads blocks doubling up to 2**15.  An oracle
+hands over no majorant that a bound on its first term already rules out.
 
 The lattice oracles reduce their shift once, through
-apostol_polys._pole_distance, the one reduction of every shifted argument:
+exact_core._pole_distance, the one reduction of every shifted argument:
 with the shift c = n*a + r against the nearest pole n*a, r correctly rounded,
 term m is formed as (m - n)*a - r, so no term cancels against the double pi
 and each is accurate relative to itself, however large |c| is; the tails
@@ -60,8 +62,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .apostol_polys import _COT, _INT, _SEC, _pole_distance
-from .exact_core import PiScalar, ToleranceUnreachable, _check_int
+from .exact_core import _COT, _INT, _SEC, PiScalar, ToleranceUnreachable, _check_int, _pole_distance
 
 __all__ = [
     "SumResult",
@@ -347,17 +348,33 @@ def _majorant(bound: float, rel: float, left: int) -> float:
     return bound * (1.0 + 4.0 * rel) + (left + 4) * _TINY
 
 
-def _early(rest: Callable[[int], float], count: int) -> Optional[Callable[[int], float]]:
-    """rest, if it can settle a sum of count terms before their end, else
-    None: it must fall below 2**-53 of rest(1), about the size of the terms
-    after the first, by the last term.  A sum it cannot settle early pays
-    nothing for it."""
-    return rest if rest(count) <= 2.0**-53 * rest(1) else None
+# A majorant settles a sum well before its last term only if by then it
+# falls 2**-_SETTLE below the sum's magnitude: seven bits past the double's
+# 53, where the ones that fell less were seen to settle late or not at all
+_SETTLE = 60
 
 
-# A sum with a majorant reads blocks of _FIRST terms first, then blocks as
-# long as all it has read, up to _BLOCK: most such sums are settled within
-# a few thousand terms
+def _early(rest: Callable[[int], float], count: int, weight: float, near: float,
+           p: int) -> Optional[Callable[[int], float]]:
+    """rest, unless it cannot settle a sum of count terms early.  The kernel
+    keeps a majorant only if, by the last term, it falls within 2**-_SETTLE
+    of the first block's magnitude (_stream_sum), which is at most weight *
+    near**-p, a bound on the first term, plus rest(1): a sum that fails that
+    here is spared the kernel's short first block."""
+    scaled = near**p  # near**-p could overflow
+    return rest if rest(count) * 2.0**_SETTLE * scaled <= weight + rest(1) * scaled else None
+
+
+def _units(x: float) -> int:
+    # x >= 0 in units of 2**-_UNIT, exactly: its denominator is a power of
+    # two below 2**_UNIT
+    num, den = x.as_integer_ratio()
+    return (num << _UNIT) // den
+
+
+# A sum with a majorant reads a block of _FIRST terms first, then, if it
+# keeps the majorant, blocks as long as all it has read, up to _BLOCK: most
+# such sums are settled within a few thousand terms
 _FIRST = 1 << 10
 
 
@@ -379,7 +396,10 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
     units of 2**-_UNIT, the whole sum lies in [S - T, S + T] and its
     magnitude in [A, A + T], so when each interval's ends round to one
     double, those doubles are the ones the whole sum gives, bit for bit.
-    The oracles give a majorant only where it can settle the sum (_early).
+    After the first block the majorant is dropped unless T at the last term,
+    rest(count), is within 2**-_SETTLE of that block's exact magnitude: a
+    sum it cannot settle early pays one short block for it, and no more,
+    where the oracle's _early has not already withheld the majorant.
     """
     # one buffer per call, reused by every block, with the kernel's two
     # scratch rows and its slot row last: the allocator keeps a buffer of
@@ -391,7 +411,9 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
     limbs, used = None, 0  # the limb sums of the wide blocks
     start = 0  # the terms read
     while start < count:
-        size = min(_BLOCK, count - start)
+        # blocks end at multiples of _BLOCK, so a dropped majorant leaves
+        # the later blocks where a plain sum has them
+        size = min(_BLOCK - start % _BLOCK, count - start)
         if rest is not None:
             size = min(size, max(start, _FIRST))
         blocks = work[: 1 + spare, :size]
@@ -408,8 +430,10 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
         if rest is None or start == count:
             continue
         total, total_mag = _totals(value, magnitude, limbs, used)
-        num, den = rest(start).as_integer_ratio()
-        T = (num << _UNIT) // den  # exact: den is a power of two below 2**_UNIT
+        if start == size and _units(rest(count)) << _SETTLE > total_mag:
+            rest = None  # it cannot settle the sum before its end
+            continue
+        T = _units(rest(start))
         settled = _settled(total - T, total + T), _settled(total_mag, total_mag + T)
         if None not in settled:
             return settled
@@ -641,7 +665,7 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
 
     return _certified_sum(
         N, fill, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
-        spare=1, per_term=per_term, rest=_early(rest, N) if k else None,
+        spare=1, per_term=per_term, rest=_early(rest, N, 2.0, dist, p) if k else None,
     )
 
 
@@ -684,8 +708,9 @@ def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float) -> SumRes
             powers = 2.0 * (y ** -p + y ** (1 - p) / (a * (p - 1)))
             return _majorant(powers, (16.0 + 4.0 * k) * _EPS, count - start)
 
-        # the integer lattice's one sum at k >= 1, p = 2, cannot settle early
-        rest = _early(rest, count) if a != 1.0 else None
+        # the integer lattice's one sum at k >= 1, p = 2, cannot settle early;
+        # the first term is |r|**-p
+        rest = _early(rest, count, 1.0, abs(r), p) if a != 1.0 else None
 
         # with a majorant the terms run centre-out, so that the largest come
         # first: m - n = 0, -1, 1, -2, 2, ... while both sides of the window
@@ -824,7 +849,7 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
         powers = H ** -p + H ** (1 - p) / (step * (p - 1))
         return _majorant(powers, 16.0 * _EPS, M - start)
 
-    s = _stream_sum(M, fill, spare=3, rest=_early(rest, M))[0]
+    s = _stream_sum(M, fill, spare=3, rest=_early(rest, M, 1.0, 1.0, p))[0]
     value = float(PiScalar(Fraction(c * sign * math.factorial(n), den), -p)) * s
     if not math.isfinite(value):
         raise ToleranceUnreachable(

@@ -5,7 +5,8 @@ cos(m*pi*x) or sin(m*pi*x) on [0, 1] via the full integration-by-parts
 ladder, carried out in integers over one common denominator so results
 are exact finite sums of rational multiples of powers of pi.  For the
 Apostol-Euler polynomials against the exponential kernel
-lambda^x e^(-(2m+1) pi i x) the same ladder telescopes to a closed form.
+lambda^x e^(-(2m+1) pi i x) the same ladder telescopes to a closed form,
+which is rounded correctly in integers from pi's bits in exact_core.
 
 The numeric half: adaptive bisection with a 15-point Gauss-Legendre rule
 per panel, used for the non-elementary integral representations of
@@ -23,15 +24,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-import mpmath
-
-from .apostol_polys import _SEC, DEFAULT_DPS, _finite_complex, _pole_distance
 from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import (
+    _SEC,
     PiScalar,
     Poly,
     ToleranceUnreachable,
     _check_int,
+    _nearest_float,
+    _pi_fixed,
+    _pole_distance,
+    _power_bounds,
     collapse_pi_terms,
     poly_integral_01,
 )
@@ -56,6 +59,9 @@ _MAX_DEPTH = 40
 # Largest k of zeta_odd_integral and beta_even_integral: their scale divides
 # by the double (2k+1)!, and 171! leaves the double range.
 MAX_INTEGRAL_K = 84
+
+_LN2 = math.log(2.0)
+_LOG10_2 = math.log10(2.0)
 
 
 @dataclass(frozen=True)
@@ -131,19 +137,81 @@ def exact_apostol_integral(k: int, m: int, mu: float) -> complex:
     """Integral over [0, 1] of lambda^x * (Apostol-Euler poly of degree k at
     lambda = e^(i*mu)) * e^(-(2m+1) pi i x), in closed form.
 
-    The integrand is q(x) e^(a x) with a = i*(mu - (2m+1)*pi), and repeated
-    integration by parts terminates.  With e^a = -lambda, the Appell property
-    q^(j) = k!/(k-j)! E_{k-j} and the difference equation
+    The integrand is q(x) e^(a x) with a = i*d, d = mu - (2m+1)*pi, and
+    repeated integration by parts terminates.  With e^a = -lambda, the Appell
+    property q^(j) = k!/(k-j)! E_{k-j} and the difference equation
     lambda E_n(1) + E_n(0) = 2 [n == 0], every boundary term but the last is
-    zero, so the ladder telescopes to 2 k! / ((2m+1) pi i - mu i)^(k+1),
-    which is evaluated at DEFAULT_DPS digits.  A part beyond the double range
+    zero, so the ladder telescopes to 2 k! / (-a)^(k+1) = 2 k! i^(k+1) /
+    d^(k+1): one real number, on the real axis for odd k and on the
+    imaginary axis for even k, the other part an exact 0.0.  That number is
+    correctly rounded (_apostol_magnitude).  A value beyond the double range
     raises ToleranceUnreachable.
     """
     k, m = _check_int(k, "k", 0), _check_int(m, "m")
-    mu = _pole_distance(mu, "mu", _SEC)[0]
-    with mpmath.workdps(DEFAULT_DPS):
-        a = 1j * (mpmath.mpf(mu) - (2 * m + 1) * mpmath.pi)
-        return _finite_complex(2 * mpmath.factorial(k) / (-a) ** (k + 1), "the Apostol integral")
+    mu, dist = _pole_distance(mu, "mu", _SEC)[:2]
+    odd = 2 * m + 1
+    # i^(k+1) / d^(k+1) is (-1)^((k+1)//2) / |d|^(k+1), and at odd k + 1
+    # also the sign of d, which is negative exactly when m >= 0
+    sign = (-1.0 if (k + 1) // 2 % 2 else 1.0) * (-1.0 if k % 2 == 0 and m >= 0 else 1.0)
+    # |d| >= dist, so with these fraction bits the bracket on |d|, |odd| + 2
+    # units wide, holds |d|**(k+1) to about 2**-64
+    bits = 64 + (k + 1).bit_length() + abs(odd).bit_length() + max(1 - math.frexp(dist)[1], 0)
+    low = _distance_bounds(mu, odd, bits)[0]
+    log2 = 1.0 + math.lgamma(k + 1) / _LN2 - (k + 1) * (math.log2(low) - bits)
+    if log2 > 1030.0:  # past the double range, whatever the rounding
+        value = math.inf
+    elif log2 < -1080.0:  # below half the least subnormal
+        value = 0.0
+    else:
+        value = _apostol_magnitude(k, odd, mu, bits)
+    if math.isinf(value):
+        raise ToleranceUnreachable(
+            "the %s part of the Apostol integral, %s, lies beyond the double-precision range"
+            % ("real" if k % 2 else "imaginary", _nstr(sign, log2)),
+            achieved=math.inf,
+        )
+    value = math.copysign(value, sign)
+    return complex(value, 0.0) if k % 2 else complex(0.0, value)
+
+
+def _distance_bounds(mu: float, odd: int, bits: int) -> Tuple[int, int]:
+    """Integers low <= |mu - odd * pi| * 2**bits <= high, from mu's floor
+    and pi's floor and ceiling in fixed point; |mu| < pi, so the sign of
+    mu - odd * pi is that of -odd."""
+    num, den = mu.as_integer_ratio()
+    pi = _pi_fixed(bits)
+    near, far = sorted((odd * pi, odd * (pi + 1)))  # odd * pi * 2**bits between
+    floor = (num << bits) // den
+    low, high = floor - far, floor + 1 - near
+    return (-high, -low) if odd > 0 else (low, high)
+
+
+def _apostol_magnitude(k: int, odd: int, mu: float, bits: int) -> float:
+    """The double nearest 2 k! / |mu - odd * pi|**(k+1).  Ziv's strategy:
+    bracket |mu - odd * pi| at the given fraction bits, raise both ends to
+    the power k + 1 with _power_bounds, and double the bits until both ends
+    of the quotient round to one double; the value is irrational, so the
+    loop ends."""
+    twice = 2 * math.factorial(k)
+    prec = 64
+    while True:
+        low, high = _distance_bounds(mu, odd, bits)
+        (lo_num, lo_den), (hi_num, hi_den) = _power_bounds(low, high, -bits, k + 1, prec)
+        value = _nearest_float(twice * hi_den, hi_num)
+        if value == _nearest_float(twice * lo_den, lo_num):
+            return value
+        bits *= 2
+        prec *= 2
+
+
+def _nstr(sign: float, log2: float) -> str:
+    # sign * 2**log2 to 5 significant digits, trailing zeros dropped
+    exp10 = math.floor(log2 * _LOG10_2)
+    digits, shift = ("%.4e" % 10.0 ** (log2 * _LOG10_2 - exp10)).split("e")
+    digits = digits.rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    return "%s%se%+d" % ("-" if sign < 0 else "", digits, exp10 + int(shift))
 
 
 def j_integral(

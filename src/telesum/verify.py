@@ -37,7 +37,15 @@ from .apostol_polys import (
     ektilde_mu_imag_residue,
     sec_taylor_coeffs,
 )
-from .classical_polys import bernoulli_poly, euler_number, euler_poly
+from .classical_polys import (
+    bernoulli_poly,
+    beta_odd,
+    eta_even,
+    euler_number,
+    euler_poly,
+    lambda_even,
+    zeta_even,
+)
 from .exact_core import PiScalar, Poly, poly_derivative, poly_eval, poly_integral_01, poly_reflect
 
 __all__ = [
@@ -335,8 +343,8 @@ def _eta_lambda_agreement(rng: random.Random) -> float:
     worst = 0.0
     for k in range(1, 9):
         z = oracles.sum_zeta(2 * k, 1e-12).value
-        worst = _max(worst, abs(float(closed_forms.eta_even(k)) - (1.0 - 2.0 ** (1 - 2 * k)) * z))
-        worst = _max(worst, abs(float(closed_forms.lambda_even(k)) - (1.0 - 2.0 ** (-2 * k)) * z))
+        worst = _max(worst, abs(float(eta_even(k)) - (1.0 - 2.0 ** (1 - 2 * k)) * z))
+        worst = _max(worst, abs(float(lambda_even(k)) - (1.0 - 2.0 ** (-2 * k)) * z))
     return worst
 
 
@@ -394,10 +402,10 @@ def _bound_honesty(rng: random.Random) -> float:
 
 _CLOSED_VS_ORACLE = [
     _Check("even zeta closed forms vs series oracle, k <= 10", 1.0,
-           lambda rng: _closed_vs_series(closed_forms.zeta_even, oracles.sum_zeta, range(1, 11), 0),
+           lambda rng: _closed_vs_series(zeta_even, oracles.sum_zeta, range(1, 11), 0),
            _BOUND_NOTE),
     _Check("odd beta closed forms vs series oracle, k <= 8", 1.0,
-           lambda rng: _closed_vs_series(closed_forms.beta_odd, oracles.sum_beta, range(0, 9), 1),
+           lambda rng: _closed_vs_series(beta_odd, oracles.sum_beta, range(0, 9), 1),
            _BOUND_NOTE),
     _Check("eta and lambda closed forms vs scaled zeta oracle", 1e-12, _eta_lambda_agreement),
     _Check("alternating lattice sum, four routes on the acceptance grid", 1e-7,

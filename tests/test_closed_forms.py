@@ -35,6 +35,7 @@ from telesum import (
     ektilde_mu,
     eta_even,
     euler_number,
+    exact_core,
     lambda_even,
     sec_taylor_coeffs,
     sum_Z,
@@ -537,14 +538,14 @@ def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
     near = 1e-7
     cases = (
         (apostol_polys._ek_complex, z_truth,
-         (math.pi - near, -(math.pi - near), 1e-6, 1e-8, 0.7, -3.0), apostol_polys._SEC),
+         (math.pi - near, -(math.pi - near), 1e-6, 1e-8, 0.7, -3.0), exact_core._SEC),
         (apostol_polys._ektilde_complex, ztilde_truth,
-         (1e-6, 1e-8, -near, 2 * math.pi - near, -(2 * math.pi - near), math.pi, 4.0), apostol_polys._COT),
+         (1e-6, 1e-8, -near, 2 * math.pi - near, -(2 * math.pi - near), math.pi, 4.0), exact_core._COT),
     )
     for route, truth, mus, poles in cases:
         for k in (1, 21, 60, 160, 250):
             for mu in mus:
-                dist = apostol_polys._pole_distance(mu, "mu", poles)[1]
+                dist = exact_core._pole_distance(mu, "mu", poles)[1]
                 with mpmath.workdps(apostol_polys.DEFAULT_DPS):
                     z = route(k, mu, dist)
                 with mpmath.workdps(100):
@@ -582,15 +583,15 @@ def test_fixed_point_bits_cover_the_a_priori_bound(monkeypatch):
     near = 1e-7
     ks = (1, 21, 60, 160, 250)
     cases = [
-        (apostol_polys._ek_complex, z_truth, k, mu, ek_geometry, apostol_polys._SEC)
+        (apostol_polys._ek_complex, z_truth, k, mu, ek_geometry, exact_core._SEC)
         for k in ks for mu in (0.0, 0.7, -2.2, math.pi - near)
     ] + [
-        (apostol_polys._ektilde_complex, ztilde_truth, k, mu, ektilde_geometry, apostol_polys._COT)
+        (apostol_polys._ektilde_complex, ztilde_truth, k, mu, ektilde_geometry, exact_core._COT)
         for k in ks for mu in (near, 1.0, math.pi, -4.0, 2 * math.pi - near)
-    ] + [(apostol_polys._ek_complex, z_truth, 617, 0.0, ek_geometry, apostol_polys._SEC)]
+    ] + [(apostol_polys._ek_complex, z_truth, 617, 0.0, ek_geometry, exact_core._SEC)]
     for route, truth, k, mu, geometry, poles in cases:
         runs.clear()
-        dist = apostol_polys._pole_distance(mu, "mu", poles)[1]
+        dist = exact_core._pole_distance(mu, "mu", poles)[1]
         with mpmath.workdps(apostol_polys.DEFAULT_DPS):
             route(k, mu, dist)
             most = mpmath.mp.prec + apostol_polys._ROUTE_GUARD
@@ -727,15 +728,15 @@ def test_fixed_point_routes_match_hurwitz_truth_at_low_k():
     near = 1e-7
     cases = (
         (Z, apostol_polys._ek_complex, z_truth,
-         (near, -near, 1e-12, math.pi - near, -(math.pi - near)), apostol_polys._SEC),
+         (near, -near, 1e-12, math.pi - near, -(math.pi - near)), exact_core._SEC),
         (Ztilde, apostol_polys._ektilde_complex, ztilde_truth,
          (near, -near, math.pi - near, math.pi + near, 2 * math.pi - near, -(2 * math.pi - near)),
-         apostol_polys._COT),
+         exact_core._COT),
     )
     for f, route, truth, mus, poles in cases:
         for k in (1, 2, 3, 39, 40):
             for mu in mus:
-                dist = apostol_polys._pole_distance(mu, "mu", poles)[1]
+                dist = exact_core._pole_distance(mu, "mu", poles)[1]
                 with mpmath.workdps(apostol_polys.DEFAULT_DPS):
                     z = route(k, mu, dist)
                 with mpmath.workdps(100):

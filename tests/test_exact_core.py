@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import mpf_pi, to_fixed
 
 from telesum import (
     PiScalar,
@@ -23,6 +24,7 @@ from telesum import (
     poly_integral_01,
     poly_reflect,
 )
+from telesum import exact_core
 
 # every fraction with denominator <= 40 in [-50, 50], drawn directly: a
 # denominator, then a numerator in range (st.fractions filters its draws)
@@ -130,6 +132,30 @@ def test_pi_scalar_float_at_the_edges_of_the_double_range():
     # subnormal results round once, like int / int
     assert float(PiScalar(Fraction(1, 10 ** 320), 0)) == 1 / 10 ** 320
     assert float(PiScalar(0, 3)) == 0.0
+
+
+def test_pi_bits_are_mpmaths():
+    # floor(pi * 2**1152), from Machin's formula in integers at import
+    assert exact_core._PI_FIXED == to_fixed(mpf_pi(1160), 1152)
+    # past the stored bits, the same formula at the bits asked for
+    for bits in (1153, 1500, 4000):
+        assert exact_core._pi_fixed(bits) == to_fixed(mpf_pi(bits + 16), bits), bits
+    assert exact_core._pi_fixed(100) == exact_core._PI_FIXED >> 1052
+
+
+def test_pi_power_bounds_bracket_pi_powers():
+    # against mpmath's pi**n at 500 digits (300 cannot resolve a 1200-bit
+    # bracket); a prec above 1152 takes pi's bits from Machin's formula, and
+    # every bracket is about prec bits wide
+    with mpmath.workdps(500):
+        for n in (1, 2, 64, 128, 617, 1236):
+            for sign in (1, -1):
+                want = mpmath.pi ** (sign * n)
+                for prec in (64, 512, 1200):
+                    (a, b), (c, d) = exact_core._pi_power_bounds(sign * n, prec)
+                    lo, hi = mpmath.mpf(a) / b, mpmath.mpf(c) / d
+                    assert lo < want < hi, (sign * n, prec)
+                    assert (hi - lo) / want < mpmath.mpf(2) ** (2 - prec), (sign * n, prec)
 
 
 def test_format_pi_scalar():

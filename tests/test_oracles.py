@@ -40,7 +40,7 @@ from telesum import (
 from fractions import Fraction
 
 from telesum import oracles
-from telesum.apostol_polys import _COT, _SEC, _pole_distance
+from telesum.exact_core import _COT, _SEC, _pole_distance
 from telesum.oracles import _BLOCK, _SLICE, _TWO_PI, _certified_sum, _exact_sum, _fixed_block
 
 from hurwitz_truth import z_truth, ztilde_truth
@@ -1111,6 +1111,48 @@ def test_kernel_stops_early_only_when_the_rounding_is_decided():
     assert got == (1.0, 1.0 + 2.0**-52) == oracles._stream_sum(count, alternating)
 
 
+def test_kernel_takes_the_scale_from_the_first_block():
+    # term 0 dwarfs the rest, 2**-30 (i + 1)**-3: against the terms after the
+    # first the majorant falls only 2**-33 by the last term and would be
+    # dropped, against the first block's magnitude it settles the sum
+    # thousands of terms in, as at sum_Z(3, 3.1, N)
+    count = 1 << 17
+
+    def fill(start, block):
+        written.append(block.size)
+        np.power(np.arange(start + 1, start + block.size + 1, dtype=np.float64), -3.0, out=block)
+        block *= 2.0**-30
+        if start == 0:
+            block[0] = 1.0
+
+    def rest(start):
+        # twice the exact bound 2**-30 (H**-3 + H**-2 / 2), H = start + 1
+        return 2.0**-29 * ((start + 1.0) ** -3 + (start + 1.0) ** -2 / 2.0)
+
+    assert rest(count) > 2.0**-53 * rest(1)
+    written = []
+    got = oracles._stream_sum(count, fill, rest=rest)
+    assert sum(written) <= count - oracles._BLOCK
+    assert [x.hex() for x in got] == [x.hex() for x in oracles._stream_sum(count, fill)]
+
+
+def test_kernel_drops_a_majorant_that_cannot_settle_the_sum():
+    # the majorant of terms i**-2 stays far above 2**-_SETTLE of the first
+    # block by 2**17 terms: one short block, then the blocks of a plain sum,
+    # with its bits
+    count = 1 << 17
+    written = []
+
+    def fill(start, block):
+        written.append(block.size)
+        np.power(np.arange(start + 1, start + block.size + 1, dtype=np.float64), -2.0, out=block)
+
+    got = oracles._stream_sum(count, fill, rest=lambda start: 2.0 / (start + 0.5))
+    assert written[:3] == [oracles._FIRST, oracles._BLOCK - oracles._FIRST, oracles._BLOCK]
+    del written[:]
+    assert got == oracles._stream_sum(count, fill)
+
+
 def test_majorant_covers_each_terms_rounding():
     # every float term within rel of its exact value, or 2**-1074 below the
     # normal range, and the bound itself as far off: the majorant must sit
@@ -1161,13 +1203,15 @@ def test_early_stops_give_the_whole_sums_bits(monkeypatch):
             return str(exc)
 
     seen = _recording_kernel(monkeypatch)
+    stream = oracles._stream_sum
     early = 0
     for name, args in _early_draws(26, 150):
         oracle = getattr(oracles, name)
         r = outcome(oracle, args)
         kept = dict(seen, blocks=list(seen["blocks"]))
         with monkeypatch.context() as m:
-            m.setattr(oracles, "_early", lambda rest, count: None)
+            m.setattr(oracles, "_stream_sum", lambda count, fill, spare=0, rest=None:
+                      stream(count, fill, spare))
             assert outcome(oracle, args) == r, (name, args)
         if isinstance(r, str):
             continue
@@ -1178,6 +1222,16 @@ def test_early_stops_give_the_whole_sums_bits(monkeypatch):
         if rest is not None:
             assert rest(read) >= math.fsum(np.abs(want[read:]).tolist()), (name, args)
     assert early >= 50
+
+
+def test_lattice_sums_that_settle_early_read_a_few_thousand_terms(monkeypatch):
+    # sum_Z(3, 3.1): the m = 0 pair, (pi - 3.1)**-4 = 3e5, dwarfs the rest;
+    # sum_Ztilde at a large power, its window written centre-out
+    seen = _recording_kernel(monkeypatch)
+    for oracle, args in ((sum_Z, (3, 3.1, 10**5)), (sum_Ztilde, (21, 2.5, 10**6)),
+                         (sum_Ztilde, (5, 1e-3, 10**5))):
+        oracle(*args)
+        assert sum(b.size for b in seen["blocks"]) <= 4096, (oracle.__name__, args)
 
 
 def test_hurwitz_at_large_powers_reads_a_few_thousand_terms(monkeypatch):

@@ -1,8 +1,10 @@
 """The package surface: its public names, and which layers load with it.
 
-The exact layers, quadrature and the CLI's exact commands need no numpy; the
-oracle and verify layers do, and load on first use.  Each import check runs
-in a fresh interpreter, since this one has long since loaded everything.
+``import telesum`` loads only the exact layers, exact_core and
+classical_polys.  The Apostol routes and closed_forms need mpmath, the
+oracle and verify layers numpy; each of these and quadrature loads on first
+use, so the exact commands load neither.  Each import check runs in a fresh
+interpreter, since this one has long since loaded everything.
 """
 
 import inspect
@@ -126,6 +128,45 @@ def test_exact_commands_never_load_numpy():
         "                  'telesum.oracles' in sys.modules]))\n"
     )
     assert seen == [False, [0, 0, 0, 0], False, True, True]
+
+
+def test_import_loads_only_the_exact_layers():
+    seen = _fresh(
+        "import json, sys, telesum\n"
+        "print(json.dumps([name in sys.modules for name in (\n"
+        "    'mpmath', 'numpy', 'telesum.apostol_polys', 'telesum.closed_forms',\n"
+        "    'telesum.quadrature', 'telesum.exact_core', 'telesum.classical_polys')]))\n"
+    )
+    assert seen == [False] * 5 + [True] * 2
+
+
+def test_commands_without_the_apostol_routes_never_load_mpmath():
+    seen = _fresh(
+        "import contextlib, io, json, sys\n"
+        "import telesum.cli\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['eval', 'zeta', '--k', '2'], ['poly', 'bernoulli', '4'],\n"
+        "                 ['table', 'zeta', '--max-k', '3'],\n"
+        "                 ['integrals', 'poly-cos', '--k', '2', '--m', '3'],\n"
+        "                 ['integrals', 'apostol', '--k', '2', '--m', '1', '--mu', '0.3'],\n"
+        "                 ['integrals', 'zeta-odd', '--k', '2'], ['series', 'zeta', '--s', '2']):\n"
+        "        codes.append(telesum.cli.main(argv))\n"
+        "print(json.dumps([codes, 'mpmath' in sys.modules, 'telesum.quadrature' in sys.modules,\n"
+        "                  'telesum.oracles' in sys.modules]))\n"
+    )
+    assert seen == [[0] * 7, False, True, True]
+
+
+def test_reading_Z_loads_the_apostol_routes():
+    seen = _fresh(
+        "import json, sys, telesum\n"
+        "before = ['mpmath' in sys.modules, 'telesum.apostol_polys' in sys.modules]\n"
+        "Z = telesum.Z\n"
+        "print(json.dumps(before + ['mpmath' in sys.modules, 'telesum.apostol_polys' in sys.modules,\n"
+        "                           Z is sys.modules['telesum.closed_forms'].Z]))\n"
+    )
+    assert seen == [False, False, True, True, True]
 
 
 def test_the_verify_layer_loads_on_first_use():

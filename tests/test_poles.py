@@ -40,7 +40,7 @@ from telesum import (
     sum_Z,
     sum_Ztilde,
 )
-from telesum.apostol_polys import _COT, _INT, _SEC, _pole_distance
+from telesum.exact_core import _COT, _INT, _SEC, _pole_distance
 
 from hurwitz_truth import truth_or_out_of_range, z_truth, ztilde_truth
 

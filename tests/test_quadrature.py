@@ -277,6 +277,50 @@ def test_exponential_kernel_beyond_the_double_range_raises():
     assert abs(exact_apostol_integral(103, 0, 3.1)) < 1.8e308
 
 
+def _apostol_draws(seed, n):
+    # k <= 84, |m| <= 50, mu across (-pi, pi), next to +-pi (math.pi itself
+    # included) and subnormal
+    rng = random.Random(seed)
+    below = math.nextafter(math.pi, 0.0)
+    for _ in range(n):
+        sign = rng.choice((-1.0, 1.0))
+        mu = rng.choice((
+            rng.uniform(-math.pi, math.pi),
+            sign * math.pi,
+            sign * below,
+            sign * math.pi * (1.0 - rng.random() * 1e-9),
+            sign * 5e-324 * rng.randrange(1, 10**6),
+        ))
+        yield rng.randrange(85), rng.randrange(-50, 51), mu
+
+
+def test_exponential_kernel_is_correctly_rounded():
+    # 2 k! i^(k+1) / d^(k+1), d = mu - (2m+1) pi, against an 80-digit truth:
+    # the nonzero part is the double nearest the truth, whose rational
+    # int / int rounds once, and the other part an exact +0.0; an m past the
+    # double range is an integer like any other
+    checked = 0
+    huge = [(0, 2**1020, 0.3), (0, -(10**400), 0.3), (3, 10**300, -0.3)]
+    with mpmath.workdps(80):
+        for k, m, mu in [*_apostol_draws(27, 600), *huge]:
+            truth = 2 * mpmath.factorial(k) * mpmath.mpc(0, 1) ** (k + 1) / (
+                mpmath.mpf(mu) - (2 * m + 1) * mpmath.pi) ** (k + 1)
+            part = truth.real if k % 2 else truth.imag
+            num, den = (int(v) for v in mpmath.libmp.to_rational(part._mpf_))
+            try:
+                want = num / den
+            except OverflowError:
+                with pytest.raises(ToleranceUnreachable, match="beyond the double-precision range"):
+                    exact_apostol_integral(k, m, mu)
+                continue
+            got = exact_apostol_integral(k, m, mu)
+            value, other = (got.real, got.imag) if k % 2 else (got.imag, got.real)
+            assert value.hex() == want.hex(), (k, m, mu)
+            assert other == 0.0 and math.copysign(1.0, other) == 1.0, (k, m, mu)
+            checked += 1
+    assert checked >= 500
+
+
 # ------------------------------------------------------------------ adaptive
 
 
