@@ -40,8 +40,7 @@ and terms_used are bit-identical to summing every term.  The first block of
 such a sum is short, 2**10 terms; the kernel keeps the majorant only where
 it can decide before the last term, judged against that block's exact
 magnitude (the terms decay like h**-p with p >= 5 or so, or the first few
-dwarf the rest), and then reads blocks doubling up to 2**15.  An oracle
-hands over no majorant that a bound on its first term already rules out.
+dwarf the rest), and then reads blocks doubling up to 2**15.
 
 The lattice oracles reduce their shift once, through
 exact_core._pole_distance, the one reduction of every shifted argument:
@@ -354,17 +353,6 @@ def _majorant(bound: float, rel: float, left: int) -> float:
 _SETTLE = 60
 
 
-def _early(rest: Callable[[int], float], count: int, weight: float, near: float,
-           p: int) -> Optional[Callable[[int], float]]:
-    """rest, unless it cannot settle a sum of count terms early.  The kernel
-    keeps a majorant only if, by the last term, it falls within 2**-_SETTLE
-    of the first block's magnitude (_stream_sum), which is at most weight *
-    near**-p, a bound on the first term, plus rest(1): a sum that fails that
-    here is spared the kernel's short first block."""
-    scaled = near**p  # near**-p could overflow
-    return rest if rest(count) * 2.0**_SETTLE * scaled <= weight + rest(1) * scaled else None
-
-
 def _units(x: float) -> int:
     # x >= 0 in units of 2**-_UNIT, exactly: its denominator is a power of
     # two below 2**_UNIT
@@ -398,8 +386,7 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
     double, those doubles are the ones the whole sum gives, bit for bit.
     After the first block the majorant is dropped unless T at the last term,
     rest(count), is within 2**-_SETTLE of that block's exact magnitude: a
-    sum it cannot settle early pays one short block for it, and no more,
-    where the oracle's _early has not already withheld the majorant.
+    sum it cannot settle early pays one short block for it, and no more.
     """
     # one buffer per call, reused by every block, with the kernel's two
     # scratch rows and its slot row last: the allocator keeps a buffer of
@@ -665,7 +652,7 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
 
     return _certified_sum(
         N, fill, (math.copysign(tail_mag, t0),), tail_bound, 2 * N,
-        spare=1, per_term=per_term, rest=_early(rest, N, 2.0, dist, p) if k else None,
+        spare=1, per_term=per_term, rest=rest if k else None,
     )
 
 
@@ -708,9 +695,9 @@ def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float) -> SumRes
             powers = 2.0 * (y ** -p + y ** (1 - p) / (a * (p - 1)))
             return _majorant(powers, (16.0 + 4.0 * k) * _EPS, count - start)
 
-        # the integer lattice's one sum at k >= 1, p = 2, cannot settle early;
-        # the first term is |r|**-p
-        rest = _early(rest, count, 1.0, abs(r), p) if a != 1.0 else None
+        # the integer lattice's one sum at k >= 1, p = 2, cannot settle early
+        if a == 1.0:
+            rest = None
 
         # with a majorant the terms run centre-out, so that the largest come
         # first: m - n = 0, -1, 1, -2, 2, ... while both sides of the window
@@ -849,7 +836,7 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
         powers = H ** -p + H ** (1 - p) / (step * (p - 1))
         return _majorant(powers, 16.0 * _EPS, M - start)
 
-    s = _stream_sum(M, fill, spare=3, rest=_early(rest, M, 1.0, 1.0, p))[0]
+    s = _stream_sum(M, fill, spare=3, rest=rest)[0]
     value = float(PiScalar(Fraction(c * sign * math.factorial(n), den), -p)) * s
     if not math.isfinite(value):
         raise ToleranceUnreachable(

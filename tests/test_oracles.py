@@ -1195,7 +1195,8 @@ def _early_draws(seed, n):
 
 def test_early_stops_give_the_whole_sums_bits(monkeypatch):
     # the kernel's sums where it stopped early are those of the whole term
-    # array, and every oracle result that of the same sum with no majorant
+    # array, every oracle result that of the same sum with no majorant, and
+    # sum_Ztilde's centre-out window sums to the bits of the ascending one
     def outcome(oracle, args):
         try:
             return oracle(*args)
@@ -1219,9 +1220,22 @@ def test_early_stops_give_the_whole_sums_bits(monkeypatch):
         want = _array_terms(name, args, getattr(r, "terms_used", 0), rest is not None)
         read = _read_a_prefix_and_sum_the_whole(kept, want, (name, args))
         early += read < want.size
+        if name == "sum_Ztilde":
+            ascending = _array_terms(name, args, r.terms_used)
+            assert [x.hex() for x in _exact_sum(ascending)] == [x.hex() for x in kept["sums"]], args
         if rest is not None:
             assert rest(read) >= math.fsum(np.abs(want[read:]).tolist()), (name, args)
     assert early >= 50
+
+
+def test_terms_below_the_double_range_keep_their_sums():
+    # pi**-701 and 2**-1101, the largest terms, underflow to 0: each sum is
+    # +0.0, its bound the per-term 2**-1074 allowance, and no power of the
+    # first term or of the majorant overflows on the way
+    for oracle, args, want in ((sum_Z, (700, 0.0), ("0x0.0p+0", "0x0.0000000002712p-1022", 20000)),
+                               (sum_Ztilde, (1100, 2.0), ("0x0.0p+0", "0x0.0000000004e24p-1022", 20001))):
+        r = oracle(*args)
+        assert (r.value.hex(), r.error_bound.hex(), r.terms_used) == want, (oracle.__name__, args)
 
 
 def test_lattice_sums_that_settle_early_read_a_few_thousand_terms(monkeypatch):

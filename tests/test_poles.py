@@ -2,7 +2,7 @@
 
 Every mu of the lattice sums, their carriers, residues, Taylor coefficients,
 tables, oracles and the Apostol integral, and every theta of the integer
-lattice, goes through apostol_polys._pole_distance.  It rejects only a
+lattice, goes through exact_core._pole_distance.  It rejects only a
 non-finite value, a true pole, or mu outside (-pi, pi) for Z's family, and
 hands the exact distance to the pole, the pole and the signed residual to
 whatever reads them.  Truth comes from mpmath at working precisions far
