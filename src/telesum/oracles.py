@@ -19,10 +19,11 @@ fixed-point slices of _SLICE = 53 - 15 = 38 bits (Rump, Ogita & Oishi 2008),
 and each slice is added with a plain numpy sum: a slice is below 2**38 and a
 block holds at most 2**15 of them, so every partial sum is an integer below
 2**53 and hence exact.  Every other block is binned by exponent (Demmel &
-Hida 2003): each significand splits into two integer limbs below 2**27,
-summed per exponent and lane slot with numpy, again as integers below 2**53;
-the lanes keep a monotone series, whose terms share a bin in long runs, from
-serialising the per-bin additions.  Both paths meet as one integer, rounded
+Hida 2003) in a window of its own, from the block's least exponent up, in
+bins of 8 binades: each term, scaled within its bin to below 2**34, splits
+into two integer limbs, summed per bin, sign and lane with numpy, again as
+integers below 2**53.  Either path gives the block's exact sum and sum of
+magnitudes as two Python ints, which add up over the blocks and are rounded
 once.  A sum beyond the double range raises ToleranceUnreachable.
 
 A sum stops early once its rounding is decided (Ziv, ACM TOMS 17, 1991).
@@ -211,16 +212,23 @@ _quiet = np.errstate(all="ignore")
 #
 # Wide blocks, and blocks whose scale 2**(S - e) would leave the normal
 # range, are binned by exponent (Demmel & Hida, SIAM J. Sci. Comput. 25,
-# 2003).  Each double is |m| * 2**e * sign with |m| in [1/2, 1) from frexp;
-# |m| * 2**27 splits exactly into an integer hi < 2**27 and a fraction that,
-# times 2**26, is an integer lo < 2**26.  bincount sums the limbs per
-# (exponent, sign) bin and lane: term i of a block goes to lane i % _LANES of
-# its bin, because terms of a monotone series fall into one bin in long runs
-# and a single accumulator slot would make each addition wait for the one
-# before.  A slot total stays an integer below 2**53, hence exact in float64,
-# while a block holds fewer than 2**26 terms, and the totals of all blocks add
-# up in int64 (exact below 2**36 terms); integer sums are exact in any
-# grouping, so folding the lanes changes no bit.
+# 2003) in a window that starts at the block's own least exponent, so the
+# table has only the bins the block spans.  Each double is m * 2**f with
+# |m| in [1/2, 1) from frexp (f = 0 for a zero, which widens the window and
+# adds nothing).  With f = low + 8 * g + j, 0 <= j < 8, the term goes to bin
+# g as x = m * 2**(27 + j), |x| < 2**34, which splits exactly into an integer
+# hi = trunc(x) and a fraction that, times 2**26, is an integer lo, |lo| <
+# 2**26.  bincount sums the limbs per (bin, sign) and lane: term i of a
+# block goes to lane i % _LANES, because terms of a monotone series fall
+# into one bin in long runs and a single accumulator slot would make each
+# addition wait for the one before.  Every slot total, and every fold of
+# lanes and signs, is an integer below _BLOCK * 2**34 = 2**49, hence exact
+# in float64; the bins meet in Python ints, and nothing is kept from one
+# block to the next.  Bins of 8 binades split an exponent with a shift and
+# a mask, where a division by 12, the most that 2**53 allows, took five
+# times as long on a full block.  A non-finite term raises ValueError from
+# the block's max and min before any window is sized, as frexp's exponent
+# of inf or nan is unspecified.
 #
 # The oracles never build a whole term array: each writes its terms block by
 # block into a buffer that _stream_sum allocates once per call, and every
@@ -236,17 +244,16 @@ _LANE = np.arange(_BLOCK, dtype=np.int32) % _LANES
 _OFFSETS = np.arange(_BLOCK, dtype=np.float64)
 _OFFSETS.flags.writeable = False
 _EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
-_BINS = 2 * (1024 + _EXP_BIAS + 1)  # bin 2 * (e + _EXP_BIAS) + sign bit
 _UNIT = _EXP_BIAS + 53
 
 
 def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, int]]:
     """(sum, sum of magnitudes) of a narrow block in units of 2**-_UNIT, or
-    None for a block the slices cannot hold exactly, a non-finite one
-    included.  scratch holds two rows at least as long as the block."""
+    None for a block the slices cannot hold exactly; ValueError for a
+    non-finite term.  scratch holds two rows at least as long as the block."""
     top, bottom = float(block.max()), float(block.min())
     if not (math.isfinite(top) and math.isfinite(bottom)):
-        return None
+        raise ValueError("non-finite term")
     if top == bottom == 0.0:
         return 0, 0
     e = math.frexp(max(top, -bottom))[1]
@@ -278,52 +285,41 @@ def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, 
     return value << shift, magnitude << shift
 
 
-def _binned_block(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray,
-                  limbs: np.ndarray) -> int:
-    """Add a wide block's hi and lo limb sums per slot into the two rows of
-    limbs, using scratch (two float rows) and slots (an int64 row) as work
-    space; returns the number of slots used."""
+def _binned_block(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray) -> Tuple[int, int]:
+    """(sum, sum of magnitudes) of a finite block in units of 2**-_UNIT, by
+    exponent bins from the block's least exponent up; scratch (two float
+    rows) and slots (an int64 row) are work space."""
     m, hi = scratch[:, : block.size]
-    slots = slots[: block.size]
+    # np.ldexp takes int32 exponents many times faster than int64 ones
+    slots, shifts = slots[: block.size], hi.view(np.int32)[: block.size]
     np.frexp(block, out=(m, slots))
-    slots += _EXP_BIAS
+    low = int(slots.min())
+    slots -= low
+    # exponent low + 8 * g + j goes to bin g as m * 2**(27 + j)
+    np.bitwise_and(slots, 7, out=shifts)
+    slots >>= 3
+    shifts += 27
+    np.ldexp(m, shifts, out=m)
+    size = (int(slots.max()) + 1) * 2 * _LANES
     slots *= 2
     slots += np.signbit(m)
     slots *= _LANES
     slots += _LANE[: block.size]
-    np.abs(m, out=m)
-    m *= 2.0**27
     np.trunc(m, out=hi)
     m -= hi
     m *= 2.0**26  # the low limb
-    for row, limb in zip(limbs, (hi, m)):
-        sums = np.bincount(slots, weights=limb)
-        if not np.isfinite(sums).all():  # an infinite or nan term
-            raise ValueError("non-finite term")
-        row[: sums.size] += sums.astype(np.int64)
-    return sums.size
-
-
-def _bin_total(limbs: np.ndarray) -> int:
-    # exponent bin b holds (hi * 2**26 + lo) * 2**(b - _UNIT)
-    hi, lo = limbs
-    nz = np.flatnonzero(hi | lo)
-    per_bin = zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist())
-    return sum(((h << 26) + l) << b for b, h, l in per_bin)
-
-
-def _totals(value: int, magnitude: int, limbs: Optional[np.ndarray],
-            used: int) -> Tuple[int, int]:
-    """The exact (sum, sum of magnitudes) in units of 2**-_UNIT: the narrow
-    blocks' totals plus the wide blocks' limbs, which stay as they are."""
-    if limbs is None:
-        return value, magnitude
-    # fold the lanes of the occupied (+, -) bin pairs only: strided adds, as
-    # a reduction over the short lane axis is several times slower
-    occupied = limbs[:, : -(-used // (2 * _LANES)) * 2 * _LANES]
-    folded = sum(occupied[:, lane::_LANES] for lane in range(_LANES))
-    pos, neg = folded[:, 0::2], folded[:, 1::2]
-    return value + _bin_total(pos - neg), magnitude + _bin_total(pos + neg)
+    # per bin, limb and sign: the lanes fold exactly, as every total is an
+    # integer below 2**49, and so do the two signs' sum and difference
+    limbs = [np.bincount(slots, weights=limb, minlength=size)
+             .reshape(-1, 2, _LANES).sum(axis=2).tolist() for limb in (hi, m)]
+    value = magnitude = 0
+    for g, ((hp, hn), (lp, ln)) in enumerate(zip(*limbs)):
+        # bin g holds (hi * 2**26 + lo) * 2**(low + 8 * g - 53), with the
+        # negative terms' limbs negative
+        value += ((int(hp + hn) << 26) + int(lp + ln)) << (8 * g)
+        magnitude += ((int(hp - hn) << 26) + int(lp - ln)) << (8 * g)
+    shift = low + _EXP_BIAS
+    return value << shift, magnitude << shift
 
 
 def _settled(lo: int, hi: int) -> Optional[float]:
@@ -394,8 +390,7 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
     # every block would cost about as much in page faults as the arithmetic
     work = np.empty((1 + spare + 3, min(count, _BLOCK)))
     scratch, slots = work[-3:-1], work[-1].view(np.int64)
-    value = magnitude = 0  # narrow totals in units of 2**-_UNIT
-    limbs, used = None, 0  # the limb sums of the wide blocks
+    value = magnitude = 0  # the exact sums in units of 2**-_UNIT
     start = 0  # the terms read
     while start < count:
         # blocks end at multiples of _BLOCK, so a dropped majorant leaves
@@ -406,28 +401,21 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
         blocks = work[: 1 + spare, :size]
         fill(start, *blocks)
         start += size
-        fixed = _fixed_block(blocks[0], scratch)
-        if fixed is not None:
-            value += fixed[0]
-            magnitude += fixed[1]
-        else:
-            if limbs is None:
-                limbs = np.zeros((2, _BINS * _LANES), dtype=np.int64)
-            used = max(used, _binned_block(blocks[0], scratch, slots, limbs))
+        sums = _fixed_block(blocks[0], scratch) or _binned_block(blocks[0], scratch, slots)
+        value += sums[0]
+        magnitude += sums[1]
         if rest is None or start == count:
             continue
-        total, total_mag = _totals(value, magnitude, limbs, used)
-        if start == size and _units(rest(count)) << _SETTLE > total_mag:
+        if start == size and _units(rest(count)) << _SETTLE > magnitude:
             rest = None  # it cannot settle the sum before its end
             continue
         T = _units(rest(start))
-        settled = _settled(total - T, total + T), _settled(total_mag, total_mag + T)
+        settled = _settled(value - T, value + T), _settled(magnitude, magnitude + T)
         if None not in settled:
             return settled
-    total, total_mag = _totals(value, magnitude, limbs, used)
     # int true division rounds correctly and raises OverflowError past the
     # double range
-    return total / (1 << _UNIT), total_mag / (1 << _UNIT)
+    return value / (1 << _UNIT), magnitude / (1 << _UNIT)
 
 
 def _exact_sum(values: np.ndarray) -> Tuple[float, float]:

@@ -298,14 +298,20 @@ def _table_denominators(rng: random.Random) -> bool:
 def _kernel_vs_fsum(rng: random.Random) -> bool:
     # math.fsum is an independent exactly rounded sum, so the two must
     # agree bit for bit; the single-exponent run is longer than a kernel
-    # block, so it crosses a block boundary and fills every lane slot
+    # block, so it crosses a block boundary and fills every lane slot, and
+    # the wide runs at the top and the bottom of the exponent range are
+    # binned in windows far from exponent 0
     gen = np.random.default_rng(rng.getrandbits(64))
     n = 5000
     mixed = np.ldexp(gen.standard_normal(n), gen.integers(-80, 80, n))
     run = gen.uniform(1.0, 2.0, oracles._BLOCK + 17)
-    xs = np.concatenate([mixed, run, -run[: n // 2], mixed[::3]])
-    value, magnitude = oracles._exact_sum(xs)
-    return value == math.fsum(xs.tolist()) and magnitude == math.fsum(np.abs(xs).tolist())
+    top = np.ldexp(gen.uniform(-1.0, 1.0, n), gen.integers(900, 1010, n))
+    bottom = np.ldexp(gen.uniform(-1.0, 1.0, n), gen.integers(-1074, -960, n))
+    for xs in (np.concatenate([mixed, run, -run[: n // 2], mixed[::3]]), top, bottom):
+        value, magnitude = oracles._exact_sum(xs)
+        if (value, magnitude) != (math.fsum(xs.tolist()), math.fsum(np.abs(xs).tolist())):
+            return False
+    return True
 
 
 _IDENTITIES = [
@@ -329,7 +335,8 @@ _IDENTITIES = [
     _Check("closed-form table antiperiodicity", 1e-12, _table_antiperiodicity),
     _Check("table denominator structure", _EXACT, _table_denominators),
     _Check("exact summation kernel against math.fsum", _EXACT, _kernel_vs_fsum,
-           "mixed signs and exponents, one run longer than a kernel block"),
+           "mixed signs and exponents, one run longer than a kernel block, "
+           "wide runs at both ends of the exponent range"),
 ]
 
 

@@ -607,6 +607,46 @@ def test_kernel_non_finite_terms_are_unreachable():
         assert exc.value.achieved == math.inf
 
 
+def test_kernel_rejects_a_non_finite_term_before_any_window(monkeypatch):
+    # frexp's exponent of inf or nan is unspecified, so a wide block holding
+    # one must raise from its max and min, before the bins are sized
+    binned = []
+    monkeypatch.setattr(oracles, "_binned_block", lambda *args: binned.append(args))
+    rng = np.random.default_rng(1003)
+    for n in (9, _BLOCK):
+        wide = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1000, 1000, n))
+        for bad in (math.inf, -math.inf, math.nan):
+            xs = wide.copy()
+            xs[n // 2] = bad
+            with pytest.raises(ValueError, match="non-finite term"):
+                _exact_sum(xs)
+    assert binned == []
+
+
+def test_wide_blocks_are_binned_from_their_own_least_exponent():
+    rng = np.random.default_rng(2003)
+    # the top of the range, exponents 900..1023 of both signs, cancelled by
+    # their rounded sum down to the rounding's residue
+    top = np.ldexp(rng.uniform(0.5, 0.6, 124), np.arange(900, 1024))
+    top[rng.random(124) < 0.5] *= -1.0
+    top = np.append(top, -math.fsum(top.tolist()))
+    # subnormals only, as integers times 2**-1074, short and a full block
+    subnormals = [rng.integers(-(2**52), 2**52, n) * 5e-324 for n in (9, _BLOCK)]
+    # signed zeros among tiny terms: frexp puts a zero at exponent 0, far
+    # above them, which widens the window and adds nothing
+    tiny = np.ldexp(rng.uniform(-1.0, 1.0, 40), rng.integers(-1074, -1000, 40))
+    tiny[::7] = 0.0
+    tiny[3::7] = -0.0
+    for xs in (top, *subnormals, tiny, np.array([1e-310, -1e-310, 0.0, -0.0]),
+               np.array([-0.0, -5e-324, 5e-324, -0.0]), np.array([-0.0, -1e-300, -0.0])):
+        assert not _is_narrow(xs)
+        value, magnitude = _exact_sum(xs)
+        assert value == _fraction_sum(xs), xs[:4]
+        assert math.copysign(1.0, value) == math.copysign(1.0, math.fsum(xs.tolist())), xs[:4]
+        assert magnitude == _fraction_sum(np.abs(xs)), xs[:4]
+    assert abs(_exact_sum(top)[0]) < 2.0**-50 * np.abs(top).max()
+
+
 # ---------------------------------------------------------------- theta sums
 
 
@@ -1151,6 +1191,32 @@ def test_kernel_drops_a_majorant_that_cannot_settle_the_sum():
     assert written[:3] == [oracles._FIRST, oracles._BLOCK - oracles._FIRST, oracles._BLOCK]
     del written[:]
     assert got == oracles._stream_sum(count, fill)
+
+
+def test_kernel_stops_at_the_same_block_when_every_block_is_wide():
+    # terms (i + 1)**-6 with every 1024th one 2**60 smaller, so that every
+    # block the kernel reads spans more binades than the slices hold: the
+    # majorant settles the sum after 4096 terms, in three blocks, with the
+    # bits of the whole sum
+    count = 1 << 17
+    written = []
+
+    def fill(start, block):
+        written.append(block.size)
+        np.power(np.arange(start + 1, start + block.size + 1, dtype=np.float64), -6.0, out=block)
+        block[1023 - start % 1024 :: 1024] *= 2.0**-60
+        assert not _is_narrow(block)
+
+    def rest(start):
+        # twice the first power plus the integral beyond it
+        return 2.0 * ((start + 1.0) ** -6 + (start + 1.0) ** -5 / 5.0)
+
+    got = oracles._stream_sum(count, fill, rest=rest)
+    assert written == [oracles._FIRST, oracles._FIRST, 2 * oracles._FIRST]
+    whole = np.arange(1, count + 1, dtype=np.float64) ** -6.0
+    whole[1023::1024] *= 2.0**-60
+    assert got == (math.fsum(whole.tolist()),) * 2
+    assert [x.hex() for x in got] == [x.hex() for x in oracles._stream_sum(count, fill)]
 
 
 def test_majorant_covers_each_terms_rounding():
