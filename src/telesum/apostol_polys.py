@@ -479,7 +479,7 @@ def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     the allowance away from the zero, so that its one rounding stays safe
     next to it.  At mu = 0 the complex route is exact."""
     _check_max_k(k)
-    mu, dist, _, _ = _pole_distance(mu, "mu", _SEC)
+    mu, dist = _pole_distance(mu, "mu", _SEC)[:2]
     what = _label(("Z", "ek_mu", "sec"), k, mu, taylor, carrier)
     half = mu / 2.0
     t = math.tan(half)
@@ -503,7 +503,7 @@ def _cot_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     """Ztilde(k, mu), or ektilde_mu(k, mu) = 2*k! Ztilde(k, mu), as
     _sec_value; the certified value is -P_k(cot(mu/2)) / (2**(k+1) k!)."""
     _check_max_k(k)
-    mu, dist, _, _ = _pole_distance(mu, "mu", _COT)
+    mu, dist = _pole_distance(mu, "mu", _COT)[:2]
     what = _label(("Ztilde", "ektilde_mu", "-cot"), k, mu, taylor, carrier)
     # cot(mu/2), never 0; mu/2 is 0 only at the least subnormal mu, past range
     t = 1.0 / math.tan(mu / 2.0) if mu / 2.0 else math.inf

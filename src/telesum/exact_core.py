@@ -300,17 +300,18 @@ _SEC, _ODD_PI, _COT, _INT = (1, True, True), (1, True, False), (0, True, False),
 
 
 def _pole_distance(x: float, what: str,
-                   poles: Tuple[int, bool, bool]) -> Tuple[float, float, int, float]:
-    """(x as a float, its distance to the nearest pole (2n + odd) h, n, and
-    the signed residual r = x - (2n + odd) h): the one domain check, and the
-    one reduction, of every shifted argument.  ValueError only for a
-    non-finite x, a pole (no double is an odd multiple of pi, and only 0 one
-    of 2*pi), or x outside (-pi, pi) where the lattice asks.  r is x at the
-    pole 0, else the double nearest x - (2n + odd) h from x and h in fixed
-    point at e + _GUARD bits, 2**e > |x| (Payne & Hanek, SIGNUM Newsletter
-    18, 1983): 2**-127 at most off, where no double lies within 2**-62 of a
-    nonzero multiple of pi/2 (J.-M. Muller, Elementary Functions, ch. 11).
-    The distance is |r|."""
+                   poles: Tuple[int, bool, bool]) -> Tuple[float, float, int, float, float]:
+    """(x as a float, its distance to the nearest pole (2n + odd) h, n, the
+    signed residual r = x - (2n + odd) h, and r_lo, the double nearest the
+    rest of the residual): the one domain check, and the one reduction, of
+    every shifted argument.  ValueError only for a non-finite x, a pole (no
+    double is an odd multiple of pi, and only 0 one of 2*pi), or x outside
+    (-pi, pi) where the lattice asks.  r is x at the pole 0 (r_lo = 0), else
+    the double nearest x - (2n + odd) h from x and h in fixed point at
+    e + _GUARD bits, 2**e > |x| (Payne & Hanek, SIGNUM Newsletter 18, 1983),
+    2**-127 at most off, where no double lies within 2**-62 of a nonzero
+    multiple of pi/2 (J.-M. Muller, Elementary Functions, ch. 11); r + r_lo
+    is off by that and r_lo's rounding.  The distance is |r|."""
     odd, pi, window = poles
     x = float(x)
     if not math.isfinite(x):
@@ -325,10 +326,17 @@ def _pole_distance(x: float, what: str,
     j = 2 * ((fixed + (1 - odd) * h) // (2 * h)) + odd  # the pole j h of |x|
     if x < 0.0:
         fixed, j = -fixed, -j
-    r = (fixed - j * h) / (1 << bits) if j else x
+    if not j:
+        r, r_lo = x, 0.0
+    else:
+        # r is at least 2**-62, so r * 2**bits is an integer
+        rest = fixed - j * h
+        r = rest / (1 << bits)
+        num, den = r.as_integer_ratio()
+        r_lo = (rest - (num << bits) // den) / (1 << bits)
     if not r:
         raise ValueError("%s = %r is a pole" % (what, x))
-    return x, abs(r), (j - odd) // 2, r
+    return x, abs(r), (j - odd) // 2, r, r_lo
 
 
 class Poly:

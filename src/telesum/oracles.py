@@ -566,18 +566,21 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     farther power over the nearer one is ((b-|mu|)/(b+|mu|))**p, and expm1
     of an argument <= 0 neither overflows nor amplifies its argument's
     error.  At m = 0, b - |mu| = pi - |mu| would cancel against the double
-    pi; it is the exact distance to the pole from _pole_distance instead.
-    So the rounding floor of each float pair is relative to the pair
-    itself.  In units of eps = 2**-52, with 4 eps for each of numpy's
-    log1p, expm1 and pow, and m >= 1, so b >= 3*pi >= 3|mu|, the
-    accumulated relative errors are:
+    pi; it is the distance to the pole from _pole_distance instead, the
+    double dist = |r| with the rest r_lo of the residual r, and the nearer
+    power is dist**-p * (1 + r_lo/r)**-p, formed as dist**-p plus
+    dist**-p * expm1(-p*log1p(r_lo/r)), so that dist's half-ulp is not
+    raised to the power p next to +-pi.  So the rounding floor of each
+    float pair is relative to the pair itself.  In units of eps = 2**-52,
+    with 4 eps for each of numpy's log1p, expm1 and pow, and m >= 1, so
+    b >= 3*pi >= 3|mu|, the accumulated relative errors are:
       b = (2m+1)*pi rounded                      0.7
       b - |mu|, cancelling by <= 3/2             1.6  (m = 0: 0.5)
       q = 2|mu|/(b - |mu|)                       2.1
       log1p(q), condition q/((1+q) log1p(q)) <= 1   6.1
       y = p*log1p(q)                             6.6
       expm1(-y), condition y/(e**y - 1) <= 1     10.6
-      (b-|mu|)**-p                               1.6p + 4
+      (b-|mu|)**-p                               1.6p + 4  (m = 0: 4.5)
       their product                              10.6 + 1.6p + 4 + 0.5
     that is 16.7 + 1.6k; at even k the farther power, from
     b + |mu| = (b - |mu|) + 2|mu|, is 2.1p + 4 and their sum 6.6 + 2.1k.
@@ -589,10 +592,13 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     most twice the first of these plus the integral beyond it.
     """
     k = _check_int(k, "k", 0)
-    mu, dist, _, _ = _pole_distance(mu, "mu", _SEC)
+    mu, dist, _, r, r_lo = _pole_distance(mu, "mu", _SEC)
     N = _check_int(N, "N", 1)
 
     p = k + 1
+    # the exact distance's power is dist**-p * (1 + correction), and adding
+    # the small dist**-p * correction rounds once
+    correction = math.expm1(-p * math.log1p(r_lo / r))
     shift, twice = abs(mu), 2.0 * abs(mu)
     # term m is (-1)**m times its pair: negate the odd ones, except that at
     # odd k the pairs come out as -|pair|, so for mu > 0 negate the even ones
@@ -611,12 +617,15 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
             np.log1p(terms, out=terms)
             terms *= -p
             np.expm1(terms, out=terms)
-            near **= -p
-            terms *= near
         else:
             np.add(near, twice, out=terms)
             terms **= -p
-            near **= -p
+        near **= -p
+        if start == 0:
+            near[0] += near[0] * correction
+        if k % 2:
+            terms *= near
+        else:
             terms += near
         terms[(flip - start) % 2 :: 2] *= -1.0
 
@@ -742,7 +751,7 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
     (m - n)*2*pi - r, so none cancels against the double pi at any |mu|.
     """
     k = _check_int(k, "k", 0)
-    (mu, _, n, r), N = _check_window(mu, _TWO_PI, N, "mu")
+    (mu, _, n, r, _), N = _check_window(mu, _TWO_PI, N, "mu")
     return _lattice_sum(k, _TWO_PI, N, mu, n, r)
 
 

@@ -120,7 +120,7 @@ CASES = [
      ),
      ''),
     ('series Z --k 3 --mu -1e-10 --terms 1000 --format json', 0,
-     '{"error_bound": 1.863979179473105e-26, "kind": "Z", "params": {"N": 1000, "k": 3, "mu": -1e-10}, "terms_used": 2000, "value": -2.6041666666666674e-12}\n',
+     '{"error_bound": 1.8639791794731047e-26, "kind": "Z", "params": {"N": 1000, "k": 3, "mu": -1e-10}, "terms_used": 2000, "value": -2.604166666666667e-12}\n',
      ''),
     ('series Z --k 2 --mu 0.7 --terms 1000', 0,
      (

@@ -52,15 +52,26 @@ FAR_MUS = (62831859.35498117, 64819029.805712245)
 
 def _exact_reduction(x, poles):
     # (x, distance, n, residual r) of the nearest pole (2n + odd) h, with the
-    # distance and r rounded once from 2400 bits; a tie (theta = 1/2 + an
-    # integer, or mu = 0 between -pi and pi) goes to the pole farther from 0
+    # distance and r rounded once from 2400 bits, and the exact residual; a
+    # tie (theta = 1/2 + an integer, or mu = 0 between -pi and pi) goes to
+    # the pole farther from 0
     odd, pi, _ = poles
     with mpmath.workprec(2400):
         h = mpmath.pi if pi else mpmath.mpf(0.5)
         j = 2 * int(mpmath.floor((abs(mpmath.mpf(x)) / h - odd) / 2 + 0.5)) + odd
         j = -j if x < 0 else j
         r = mpmath.mpf(x) - j * h
-        return x, float(abs(r)), (j - odd) // 2, float(r)
+        return (x, float(abs(r)), (j - odd) // 2, float(r)), r
+
+
+def _assert_reduction(x, what, poles):
+    # the first four exactly, and r + r_lo within the fixed-point residual's
+    # 2**-127 and r_lo's own rounding of the exact residual
+    got = _pole_distance(x, what, poles)
+    want, exact = _exact_reduction(x, poles)
+    assert got[:4] == want, x
+    with mpmath.workprec(2400):
+        assert abs(mpmath.mpf(got[3]) + got[4] - exact) <= 2.0**-127 + math.ulp(got[4]) / 2, x
 
 
 def test_the_distance_is_the_double_nearest_the_exact_one():
@@ -73,15 +84,15 @@ def test_the_distance_is_the_double_nearest_the_exact_one():
     xs += [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-60, 1024)) for _ in range(200)]
     for x in xs:
         for y in (x, -x):
-            assert _pole_distance(y, "mu", _COT) == _exact_reduction(y, _COT), y
+            _assert_reduction(y, "mu", _COT)
     windowed = [math.pi, math.nextafter(math.pi, 0.0), math.pi - 1e-12, 1.0, 1e-300, 0.0]
     windowed += [rng.uniform(-math.pi, math.pi) for _ in range(100)]
     for mu in windowed:
-        assert _pole_distance(mu, "mu", _SEC) == _exact_reduction(mu, _SEC), mu
+        _assert_reduction(mu, "mu", _SEC)
     thetas = [0.5, 1e-300, 2.0**51 + 0.5, 3 + 2.0**-51, -7.25]
     thetas += [rng.uniform(-1e6, 1e6) for _ in range(100)]
     for theta in thetas:
-        assert _pole_distance(theta, "theta", _INT) == _exact_reduction(theta, _INT), theta
+        _assert_reduction(theta, "theta", _INT)
 
 
 def test_only_the_true_poles_and_the_window_are_rejected():
