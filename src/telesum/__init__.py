@@ -13,7 +13,8 @@ self-verification suites (verify), and a CLI (cli).
 ``import telesum`` loads only exact_core and classical_polys, which need
 neither mpmath nor numpy, so the exact constants, polynomials and pi powers
 cost no more.  Every other layer loads the first time one of its names is
-used: apostol_polys, with mpmath, and closed_forms, which loads it;
+used: apostol_polys, whose lattice routes run in integers and which loads
+mpmath only for the deformed polynomials, and closed_forms, which loads it;
 quadrature, whose integrals are exact or take stored doubles and need
 neither; and oracles and verify, with numpy (verify with everything).
 """

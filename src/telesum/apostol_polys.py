@@ -27,8 +27,8 @@ The derivative polynomials of sec and cot are the other route.  Their exact
 integer rows -- sec^(k) x = sec x Q_k(tan x), Q_{k+1} = t Q_k + (1 + t^2) Q_k',
 and cot^(k) x = P_k(cot x), P_{k+1} = -(1 + u^2) P_k' (M. E. Hoffman, Amer.
 Math. Monthly 102 (1995) 23-30; K. Boyadzhiev, IJMMS 2007) -- grow on demand
-and have one sign and fixed parity.  In mpmath they give the lattice sums'
-"taylor" route; in doubles, the certified route.  The carriers and the
+and have one sign and fixed parity.  In fixed point they give the lattice
+sums' "taylor" route; in doubles, the certified route.  The carriers and the
 Taylor coefficients are 2*k! times closed_forms' Z and Ztilde, and one
 evaluator per family (_sec_value, _cot_value) serves all three: it takes mu
 and its exact distance to the pole from exact_core._pole_distance, the one
@@ -38,44 +38,34 @@ double range on a bound that reads no row, then on the certified value; and
 runs a route and cross-checks it (_checked).
 
 The carriers, their residues and the Taylor coefficients work at
-DEFAULT_DPS significant digits; only the deformed polynomials take a dps
-argument, None for DEFAULT_DPS or an integer >= 1.  Double precision is not
-enough here: the explicit sums cancel, by up to hundreds of digits at large
-k, and downstream consumers need small *absolute* error on values that reach
-1e16 next to the poles of sec(mu/2).  The carriers therefore run their Horner
-on Gaussian integers with P fraction bits, the active precision's bits plus
-a fixed guard: the error, bounded through the next lattice sum, needs no
-more (_route_precision), and Z at odd k adds the bits of its smaller target
-(_sec_value).  tan or cot is rounded once to P bits with mpmath.libmp, and
-each step is an integer multiply and shift.  The polynomials and the Taylor
-route run in mpmath.  A route's value becomes a double only in _finite_float,
-rounded once (Z and Ztilde divide by 2*k! inside it): the nearest double
-unless the value lies within the route's error of a midpoint, which nothing
-tests yet, so not a certified rounding.
+DEFAULT_DPS significant digits, in integers from the point to the double;
+only the deformed polynomials take a dps argument, None for DEFAULT_DPS or
+an integer >= 1, and only they load mpmath.  Double precision is not enough
+here: the explicit sums cancel, by up to hundreds of digits at large k, and
+downstream consumers need small *absolute* error on values that reach 1e16
+next to the poles of sec(mu/2).  The complex routes therefore run their
+Horner on Gaussian integers with P fraction bits, DEFAULT_DPS's bits plus a
+fixed guard: the error, bounded through the next lattice sum, needs no more
+(_route_precision), and Z at odd k adds the bits of its smaller target
+(_sec_value).  The Taylor route runs a real Horner in the square of the
+point at the same P (_taylor).  The point, tan or cot of the half angle, is
+a fixed-point Taylor series at an argument reduced against exact_core's
+bits of pi (_half_angle); a point past 2 keeps its exponent out of the
+Horner's integers (_fixed_horner).  Each route returns integers (re, im,
+exp), and its value becomes a double only in _finite_float, rounded once
+(Z and Ztilde divide by 2*k! inside it): the nearest double unless the
+value lies within the route's error of a midpoint, which nothing tests yet,
+so not a certified rounding.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import threading
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import mpmath
-from mpmath.libmp import (
-    fone,
-    from_float,
-    from_man_exp,
-    mpf_cos_sin,
-    mpf_div,
-    mpf_mul,
-    mpf_shift,
-    round_nearest,
-    to_fixed,
-    to_rational,
-)
-
+from ._support import _nstr
 from .classical_polys import bernoulli_poly
 from .exact_core import (
     _COT,
@@ -84,7 +74,9 @@ from .exact_core import (
     ToleranceUnreachable,
     _check_int,
     _nearest_float,
+    _pi_fixed,
     _pole_distance,
+    _reduce,
 )
 
 __all__ = [
@@ -119,18 +111,24 @@ _LIBM = 2.0 ** -51
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
+_HALF_PI = math.pi / 2
 # Absolute error a checked value can pick up when rounded into the
 # subnormal range.
 _SUBNORMAL_FLOOR = 2.0 ** -1072
 
-
-# Fraction bits of the complex routes past the active precision (_route_precision)
+# The binary precision of DEFAULT_DPS digits, as mpmath sets it (136 bits)
+_PREC = round((DEFAULT_DPS + 1) * math.log2(10))
+# Fraction bits of the routes past _PREC (_route_precision), and of the
+# half-angle series past the routes' (_half_angle)
 _ROUTE_GUARD = 5
+_POINT_GUARD = 16
 
 ComplexLike = Union[complex, float, int, "mpmath.mpc", "mpmath.mpf"]
 
 
-def _as_mpc(value: ComplexLike, name: str = "lambda") -> mpmath.mpc:
+def _as_mpc(value: ComplexLike, name: str = "lambda") -> "mpmath.mpc":
+    import mpmath
+
     z = mpmath.mpc(value)
     if not mpmath.isfinite(z):
         raise ValueError("%s must have finite real and imaginary parts" % name)
@@ -159,7 +157,9 @@ class CPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: ComplexLike) -> mpmath.mpc:
+    def __call__(self, x: ComplexLike) -> "mpmath.mpc":
+        import mpmath
+
         acc = mpmath.mpc(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -167,24 +167,24 @@ class CPoly:
 
     def derivative(self) -> "CPoly":
         if len(self.coeffs) <= 1:
-            return CPoly([mpmath.mpc(0)])
+            return CPoly([0])
         return CPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __repr__(self) -> str:
         return "CPoly(%r)" % (list(self.coeffs),)
 
 
-def _appell_numbers(upto: int, lam: mpmath.mpc) -> List[mpmath.mpc]:
+def _appell_numbers(upto: int, lam: "mpmath.mpc") -> List["mpmath.mpc"]:
     """The Apostol-Euler numbers e_0(lam) .. e_upto(lam), at the active
     working precision."""
-    numbers: List[mpmath.mpc] = []
+    numbers: List["mpmath.mpc"] = []
     for n in range(upto + 1):
         acc = sum(math.comb(n, j) * numbers[j] for j in range(n))
         numbers.append(((2 if n == 0 else 0) - lam * acc) / (1 + lam))
     return numbers
 
 
-def _apostol_euler_coeffs(k: int, lam: mpmath.mpc) -> List[mpmath.mpc]:
+def _apostol_euler_coeffs(k: int, lam: "mpmath.mpc") -> List["mpmath.mpc"]:
     """Coefficients, low to high, of E_k(x; lam) = sum_i C(k,i) e_{k-i} x**i."""
     numbers = _appell_numbers(k, lam)
     return [math.comb(k, i) * numbers[k - i] for i in range(k + 1)]
@@ -200,6 +200,8 @@ def apostol_euler_poly(
     recovered.  The coefficients are computed at dps digits (DEFAULT_DPS if
     None, otherwise an integer >= 1).
     """
+    import mpmath
+
     k = _check_int(k, "k", 0)
     lam = _as_mpc(lam)
     if lam == 0:
@@ -219,6 +221,8 @@ def apostol_bernoulli_poly(
     at parameter -lam (and has degree k-1); at lam = 1 the classical
     Bernoulli polynomial is returned, lifted to complex coefficients.
     """
+    import mpmath
+
     k = _check_int(k, "k", 1)
     lam = _as_mpc(lam)
     if lam == 0:
@@ -245,90 +249,221 @@ def _difference_row(k: int, start: int, step: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-def _route_precision(k: int, dist: float, log_floor: Optional[float] = None) -> Tuple[int, int]:
-    """(P, Q): fraction bits P of the fixed-point route scale * sum_j row[j]
-    x**j, x = -1/2 -+ (i/2) tan or cot of the half angle: the active
-    precision's bits plus G = _ROUTE_GUARD, which hold the error under a
-    tenth of the allowance A = 2*k! * 4 (k+1) 10**-dps dist**-(k+1) at the
-    active dps (_log_floor), plus those that take A down to 2*k! *
-    e**log_floor if given; Q, the precision of cos and sin of the half angle
-    that puts tan or cot within 2**-(P + 6).
+def _route_precision(k: int, dist: float, log_floor: Optional[float] = None) -> int:
+    """P, the fraction bits of the fixed-point routes: _PREC, DEFAULT_DPS's
+    bits, plus G = _ROUTE_GUARD, which hold the error under a tenth of the
+    allowance A = 2*k! * 4 (k+1) 10**-dps dist**-(k+1) (_log_floor), plus
+    those that take A down to 2*k! * e**log_floor if given.
 
-    With c = csc(dist/2) <= pi/dist, |x| = c/2, |scale| = 2**-k c on Z's
-    lattice and c on Ztilde's, V the route's value, 2*k! times the sum, and
-    every lattice sum at most its terms' sizes, 4 dist**-(k+1) (so |V| <= 8
-    k! dist**-(k+1), and at k = 0 as sec(mu/2) <= pi/dist), the route errs,
-    in units of 10**dps A 2**-P = 8 (k+1) k! dist**-(k+1) 2**-P, by at most
-    - 2**(1/2 - P) per Horner product truncated, amplified by |x|**j, and
-      once more for Ztilde's factor cot - i: 2**(1/2 - P) (|scale| k
-      max(1, |x|)**(k-1) + 1) <= 2**(1/2 - P) (k+1) (pi/dist)**(k+1), or
-      sqrt(2) pi**(k+1) / (8 k!) <= 2.87 units (at k = 3);
-    - the point y, the one rounded input, off by under 1.01 * 2**-P: the
-      value is V as a function of y, so it moves by |dV/dmu| |dmu/dy|, plus
-      |V| |sin mu| from Z's prefactor sec(mu/2) taken at the exact point,
-      times 1.01 * 2**-P; dV/dmu is 2 (k+1)! times the next lattice sum and
-      |dmu/dy| = 4 sin(dist/2)**2 <= dist**2, so 1.01 (k+2) dist / (k+1)
-      <= 6.35 units;
-    - the last roundings, to P bits and Q bits: 2**(1-P) |V|, 2 units.
-    That is 11.3 units, and 2**-prec < 10**-dps / 7, so the error is under
-    1.62 * 2**-G A: G = 5, the least G that keeps it under a tenth of A,
-    holds it under a nineteenth, with room for the terms of second order in
-    2**-P.  No row is read.
+    The complex route is scale * sum_j row[j] x**j, x = -1/2 -+ (i/2) tan
+    or cot of the half angle.  With c = csc(dist/2) <= pi/dist, |x| = c/2,
+    |scale| = 2**-k c on Z's lattice and c on Ztilde's, V the route's value,
+    2*k! times the sum, and every lattice sum at most its terms' sizes,
+    4 dist**-(k+1) (so |V| <= 8 k! dist**-(k+1), and at k = 0 as sec(mu/2)
+    <= pi/dist), it errs, in units of 10**dps A 2**-P = 8 (k+1) k!
+    dist**-(k+1) 2**-P, by at most
+    - at |x| < 2: 2**(1/2 - P) per Horner product truncated, amplified by
+      |x|**j, and once more for Ztilde's factor cot - i: 2**(1/2 - P)
+      (|scale| k max(1, |x|)**(k-1) + 1) <= 2**(1/2 - P) (k+1)
+      (pi/dist)**(k+1), or sqrt(2) pi**(k+1) / (8 k!) <= 2.87 units (at
+      k = 3);
+    - past it, where _fixed_horner runs at x 2**-E with 2**E <= |x|:
+      sqrt(5) 2**(E k - P) per step, a truncated product and a truncated
+      coefficient, amplified by |x 2**-E|**j, so under sqrt(5) |x|**k 2**-P,
+      and 2 sqrt(2) |x|**(k+1) 2**-P for Ztilde's factor: under (c/2)**(k+1)
+      (2 sqrt(5) k + 2 sqrt(2)) 2**-P, or 1.13 units (at k = 1);
+    - the point y, the one rounded input, within 0.51 units of its last
+      place 2**(E - P) (_half_angle): the value is V as a function of y, so
+      it moves by |dV/dmu| |dmu/dy|, plus |V| |sin mu| from Z's prefactor
+      sec(mu/2) taken at the exact point, times 0.51 * 2**(E - P); dV/dmu is
+      2 (k+1)! times the next lattice sum, |dmu/dy| = 4 sin(dist/2)**2 <=
+      dist**2 and 2**E dist <= max(dist, pi/2), so 0.51 (k+2) pi / (k+1)
+      <= 3.21 units;
+    - Z's prefactor sec(mu/2), within w 2**-w relative, w > P + 16
+      (_half_angle): under 2**-15 units.
+    That is 6.1 units, and 2**-_PREC < 10**-dps / 7, so the error is under
+    0.88 * 2**-G A: G = 5 holds it under a thirty-sixth of A (G = 4 would
+    hold a tenth), with room for the terms of second order in 2**-P.
+
+    The Taylor route, 2**-k pref t**(d % 2) sum_i c_i u**i over the n + 1
+    coefficients of one sign of a row of degree d, u = t**2, adds relative
+    errors: under 2n 2**-P from its Horner (_taylor), d w 2**-w from t and
+    w 2**-w from sec: under (k + 1.01) 2**-P of |V|, or 1.01 units.  No row
+    is read.
     """
-    bits = mpmath.mp.prec + _ROUTE_GUARD
+    bits = _PREC + _ROUTE_GUARD
     if log_floor is not None:
         bits += max(0, math.ceil((_log_floor(k, dist) - log_floor) / _LN2))
-    # log csc(dist/2); below 2**-26, sin(dist/2) is dist/2 to 2**-55, and
-    # dist/2 (it may round) is not formed
-    log_csc = _LN2 - math.log(dist) if dist < 2.0 ** -26 else -math.log(math.sin(dist / 2))
-    return bits, bits + 8 + max(0, math.floor(log_csc / _LN2) + 1)
+    return bits
 
 
-def _fixed_horner(row: Sequence[int], y: int, bits: int) -> Tuple[int, int]:
-    """sum_j row[j] x**j at x = -1/2 + i y 2**-bits, as the real and
-    imaginary parts of its value times 2**bits, each product truncated once."""
-    half = bits - 1
+def _sin_cos(a: int, f: int, w: int) -> Tuple[int, int]:
+    """(S, C), sin(h) / h and cos(h) for h = a 2**-f, 0 <= h <= 0.8, in
+    fixed point at w >= 16 fraction bits.  S sums the Taylor series in
+    z = h**2 (floored, within a unit), each term from the one before and
+    floored once: with z <= 0.64 a term's error stays under 1.4 units, the
+    series stops at its first zero term (the rest of it under 1.6 units),
+    and the terms number under w/4, so S is within 0.35 w + 1.6 units.
+    C = sqrt(1 - z S**2) by isqrt is within 0.33 w + 4 units, as C >=
+    cos(0.8) = 0.69.  So S, at least 0.89, and C are each within 0.5 w + 6
+    units of 2**-w relative."""
+    shift = 2 * f - w
+    z = (a * a) >> shift if shift >= 0 else (a * a) << -shift
+    one = 1 << w
+    total = term = one
+    m = 2
+    while term:
+        term = (term * z >> w) // (m * (m + 1))
+        total -= term
+        m += 2
+        term = (term * z >> w) // (m * (m + 1))
+        total += term
+        m += 2
+    return total, math.isqrt((one << w) - (z * total * total >> w))
+
+
+def _quotient(p: int, q: int, w: int) -> Tuple[int, int]:
+    """p / q (p >= 0, q > 0) as m 2**e, m floored to w + 1 or more bits."""
+    shift = w + 1 + q.bit_length() - p.bit_length()
+    return ((p << shift) // q, -shift) if shift >= 0 else (p // (q << -shift), -shift)
+
+
+def _half_angle(mu: float, n: int, dist: float, poles, bits: int) -> Tuple[int, int, int, int]:
+    """(t, e, m, f): tan(mu/2) = t 2**e on Z's lattice, cot(mu/2) on
+    Ztilde's, and for Z sec(mu/2) = m 2**f (m = 1, f = 0 for Ztilde), mu
+    at distance dist from the pole next to it, the n-th.
+
+    mu - j pi, j = 2n + 1 on Z's lattice and 2n on Ztilde's, is reduced in
+    fixed point against exact_core's bits of pi (exact_core._reduce), at
+    fraction bits that hold its error, under |j| + 1 units, under 2**-(w +
+    6) of it, w = bits + _POINT_GUARD + the bits of ``bits``; where the pole
+    is 0, or mu lies within pi/2 of 0 on Z's lattice, mu itself is the
+    angle, exactly.  So the angle a in [0, pi/2] has relative error under
+    2**-(w + 6), and
+    - on Z's lattice tan(mu/2) = +-tan(|mu|/2) at |mu| <= pi/2, and
+      +-cot(d/2) past it, d = pi - |mu|;
+    - on Ztilde's, cot(mu/2) = cot(r/2), r = mu - 2 pi n, or tan((pi -
+      |r|)/2) with r's sign at |r| > pi/2, where an absolute error in pi - |r|
+      under 2**-(w + 6) serves, as the point is then under 1;
+    both from one _sin_cos at a/2.  t and m are within w 2**-w relative:
+    twice _sin_cos's 0.5 w + 6 units, a unit for the floor of _quotient and
+    a/sin(a) <= pi/2 times a's error.  The route's point, t 2**(bits - 1 -
+    E) rounded, is then within 0.5 + 2**-15 units of its last place, since
+    |t| 2**-E < 4 and w 2**(bits - w) <= 2**-16 (_scaled_point).
+    """
+    sec = poles is _SEC
+    w = bits + _POINT_GUARD + bits.bit_length()
+    if abs(mu) <= _HALF_PI and (sec or not n):  # mu itself is the angle
+        a, den = abs(mu).as_integer_ratio()
+        f, tangent, negative = den.bit_length() - 1, sec, mu < 0
+    else:
+        f = w + 8 + abs(2 * n + sec).bit_length() + max(0, -math.frexp(dist)[1])
+        a = _reduce(mu, f, poles)[0]
+        negative, a, tangent = (mu < 0) if sec else a < 0, abs(a), False
+        if a > _pi_fixed(f - 1):  # |r| > pi/2 on Ztilde's lattice
+            a, tangent = _pi_fixed(f) - a, True
+            if a < 0:
+                a, negative = -a, not negative
+    s, c = _sin_cos(a, f + 1, w)
+    # tan(a/2) = (a/2) S / C and cot(a/2) = C / ((a/2) S)
+    t, e = _quotient(a * s, c << (f + 1), w) if tangent else _quotient(c << (f + 1), a * s, w)
+    if not sec:
+        m, g = 1, 0
+    else:  # sec(mu/2) = 1 / cos(a/2), or 1 / sin(a/2) at the pole's side
+        m, g = _quotient(1 << w, c, w) if tangent else _quotient(1 << (f + 1 + w), a * s, w)
+    return (-t if negative else t), e, m, g
+
+
+def _scaled_point(t: int, e: int, bits: int) -> Tuple[int, int]:
+    """(y, E): E = max(0, floor(log2 |t 2**e|) - 1), so 2**E <= |t 2**e| / 2
+    <= |x| for the point x = -1/2 + (i/2) t 2**e, and y, t 2**(e + bits - 1
+    - E) rounded to the nearest integer (t carries more than bits bits)."""
+    shift = max(0, t.bit_length() + e - 2)
+    return ((t >> (shift - e - bits)) + 1) >> 1, shift
+
+
+def _fixed_horner(row: Sequence[int], y: int, bits: int, shift: int) -> Tuple[int, int]:
+    """sum_j row[j] x**j 2**(-shift k) at x = 2**shift (-2**(-1 - shift) + i
+    y 2**-bits), k = len(row) - 1, as the real and imaginary parts of its
+    value times 2**bits: Horner in x 2**-shift over row[j] 2**(-shift (k -
+    j)), each product truncated once, and each coefficient once past the
+    fraction bits (only at shift > 0).  So a point x of any size leaves its
+    exponent out of the integers, which carry bits + log2(sum) bits."""
+    low = min(bits, shift + 1)
+    up, up_y, down = bits - low, shift + 1 - low, bits + shift + 1 - low
     re, im = row[-1] << bits, 0
+    place = bits
     for c in row[-2::-1]:
-        re, im = ((-(re << half) - im * y) >> bits) + (c << bits), (re * y - (im << half)) >> bits
+        place -= shift
+        re, im = (
+            ((-(re << up) - (im * y << up_y)) >> down) + (c << place if place >= 0 else c >> -place),
+            ((re * y << up_y) - (im << up)) >> down,
+        )
     return re, im
 
 
-def _gaussian_mpc(quarter_turns: int, re: int, im: int, exp: int, factor, prec: int) -> mpmath.mpc:
-    """i**quarter_turns (re + i im) 2**exp times the real libmp factor, with
-    prec-bit parts."""
+def _turn(quarter_turns: int, re: int, im: int) -> Tuple[int, int]:
+    # i**quarter_turns (re + i im)
     for _ in range(quarter_turns % 4):
         re, im = -im, re
-    return mpmath.mp.make_mpc(
-        tuple(mpf_mul(from_man_exp(n, exp), factor, prec, round_nearest) for n in (re, im))
-    )
+    return re, im
 
 
-def _ek_complex(k: int, mu: float, dist: float, log_floor: Optional[float] = None) -> mpmath.mpc:
-    # i**k * e^(i mu/2) * E_k(1/2; e^(i mu)), mu at distance dist from the
-    # pole, within the active precision's allowance, or within 2*k! *
-    # e**log_floor if given (Z at odd k, _sec_value): i**k 2**-k sec(mu/2)
-    # sum_j T_k(j) w**j, w = -1/2 - (i/2) tan(mu/2)
+def _ek_complex(k: int, mu: float, dist: float, n: int,
+                log_floor: Optional[float] = None) -> Tuple[int, int, int]:
+    # (re, im, exp): i**k * e^(i mu/2) * E_k(1/2; e^(i mu)) = (re + i im)
+    # 2**exp, mu at distance dist from the pole, within the allowance, or
+    # within 2*k! * e**log_floor if given (Z at odd k, _sec_value): i**k
+    # 2**-k sec(mu/2) sum_j T_k(j) w**j, w = -1/2 - (i/2) tan(mu/2)
     row = _difference_row(k, 1, 2)
-    bits, prec = _route_precision(k, dist, log_floor)
-    cos, sin = mpf_cos_sin(mpf_shift(from_float(mu), -1), prec)
-    re, im = _fixed_horner(row, -to_fixed(mpf_div(sin, cos, prec), bits - 1), bits)
-    return _gaussian_mpc(k, re, im, -bits - k, mpf_div(fone, cos, prec), bits)
+    bits = _route_precision(k, dist, log_floor)
+    t, e, m, f = _half_angle(mu, n, dist, _SEC, bits)
+    y, shift = _scaled_point(-t, e, bits)
+    re, im = _fixed_horner(row, y, bits, shift)
+    return _turn(k, re * m, im * m) + (shift * k - bits - k + f,)
 
 
-def _ektilde_complex(k: int, mu: float, dist: float) -> mpmath.mpc:
-    # i**(k+1) * e^(i mu) * E_k(1; -e^(i mu)), k >= 1, within the same
-    # allowance; the difference equation lam E_k(1; lam) = -e_k(lam), taken
-    # at -lam, makes it i**(k+1) e_k(-e^(i mu)) =
+def _ektilde_complex(k: int, mu: float, dist: float, n: int) -> Tuple[int, int, int]:
+    # (re, im, exp): i**(k+1) * e^(i mu) * E_k(1; -e^(i mu)), k >= 1, within
+    # the same allowance; the difference equation lam E_k(1; lam) = -e_k(lam),
+    # taken at -lam, makes it i**(k+1) e_k(-e^(i mu)) =
     # -i**k (cot(mu/2) - i) sum_j j! S(k, j) v**j, v = -1/2 + (i/2) cot(mu/2)
     row = _difference_row(k, 0, 1)
-    bits, prec = _route_precision(k, dist)
-    cos, sin = mpf_cos_sin(mpf_shift(from_float(mu), -1), prec)
-    y = to_fixed(mpf_div(cos, sin, prec), bits - 1)
-    re, im = _fixed_horner(row, y, bits)
-    # times cot(mu/2) - i, with cot(mu/2) = 2 y 2**-bits
-    re, im = ((y * re) >> (bits - 1)) + im, ((y * im) >> (bits - 1)) - re
-    return _gaussian_mpc(k + 2, re, im, -bits, fone, bits)
+    bits = _route_precision(k, dist)
+    t, e = _half_angle(mu, n, dist, _COT, bits)[:2]
+    y, shift = _scaled_point(t, e, bits)
+    re, im = _fixed_horner(row, y, bits, shift)
+    # times (cot(mu/2) - i) 2**-shift, with cot(mu/2) = y 2**(shift + 1 - bits)
+    re, im = ((y * re) >> (bits - 1)) + (im >> shift), ((y * im) >> (bits - 1)) - (re >> shift)
+    return _turn(k + 2, re, im) + (shift * (k + 1) - bits,)
+
+
+def _taylor(rows: "_DerivativeRows", k: int, mu: float, n: int, dist: float, poles) -> Tuple[int, int, int]:
+    """(v, 0, exp): the Taylor route's v 2**exp, 2**-k sec(mu/2) Q_k(tan(mu/2))
+    or -2**-k P_k(cot(mu/2)), 2*k! times Z or Ztilde.  The row's terms, of
+    one sign once t**(d % 2) is taken out, are summed by Horner in u = t**2,
+    exact from the point's integer t, at P fraction bits; past u = 1 it runs
+    at u 2**-E, 2**E <= u, over coefficients times 2**(-E i) as
+    _fixed_horner does.  Each step truncates a product and, at E > 0, a
+    coefficient, under 2 units of the Horner's last place, which is at most
+    u**n 2**-P past u = 1 and 2**-P below it, against a sum of at least
+    u**n and at least 1 (the rows' nonzero integers): under 2n 2**-P
+    relative over the n steps (_route_precision)."""
+    bits = _route_precision(k, dist)
+    t, e, m, f = _half_angle(mu, n, dist, poles, bits)
+    row = rows.row(k)
+    odd = len(row) % 2 == 0
+    tt = t * t
+    shift = max(0, tt.bit_length() - 1 + 2 * e)
+    down = shift - 2 * e
+    acc, place = abs(row[-1]) << bits, bits
+    for c in row[-3::-2]:
+        place -= shift
+        acc = (acc * tt >> down) + (abs(c) << place if place >= 0 else abs(c) >> -place)
+    # -P_k = (-1)**(k+1) |P_k|
+    if poles is _COT and k % 2 == 0:
+        acc = -acc
+    return acc * m * (t if odd else 1), 0, f + (e if odd else 0) + shift * ((len(row) - 1) // 2) - bits - k
 
 
 def _log_floor(k: int, dist: float) -> float:
@@ -352,51 +487,68 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x else -math.inf
 
 
-def _allowance(k: int, dist: float) -> mpmath.mpf:
-    # 2*k! * e**_log_floor: the route's own noise on 2*k! times a lattice
-    # sum, whose float underflows to 0 from k = 577 at dist = pi and
-    # overflows near a pole: e**log = 2**n e**(log - n ln 2)
-    # is scaled in mpmath, a few times cheaper than its exp
+def _allowance(k: int, dist: float) -> Tuple[int, int]:
+    # (a, e): 2*k! * e**_log_floor = a 2**e, the route's own noise on 2*k!
+    # times a lattice sum, whose float underflows to 0 from k = 577 at
+    # dist = pi and overflows near a pole: e**log = 2**n e**(log - n ln 2)
     log = _log_floor(k, dist)
     n = math.floor(log / _LN2)
-    return mpmath.ldexp(math.exp(log - n * _LN2), n) * 2 * math.factorial(k)
+    num, den = math.exp(log - n * _LN2).as_integer_ratio()
+    return 2 * math.factorial(k) * num, n + 1 - den.bit_length()
 
 
-def _check_residue(z: mpmath.mpc, k: int, dist: float, what: str) -> None:
-    """Raise InternalConsistencyError unless z, 2*k! times a lattice sum from
-    an mpmath route, has |Im z| <= TOL_IMAG * |Re z| + 2*k! * e**_log_floor: the
-    floor is the route's own noise, all that is left where the value is 0."""
-    allowed = TOL_IMAG * abs(z.real) + _allowance(k, dist)
-    if abs(z.imag) > allowed:
+def _check_residue(re: int, im: int, exp: int, k: int, dist: float, what: str) -> None:
+    """Raise InternalConsistencyError unless z = (re + i im) 2**exp, 2*k!
+    times a lattice sum from a route, has |Im z| <= TOL_IMAG * |Re z| + 2*k!
+    * e**_log_floor: the floor is the route's own noise, all that is left
+    where the value is 0.  An integer comparison, times td 2**-min(exp, e)
+    for TOL_IMAG = tn / td and the floor a 2**e."""
+    a, a_exp = _allowance(k, dist)
+    tn, td = TOL_IMAG.as_integer_ratio()
+    low = min(exp, a_exp)
+    residue = abs(im) * td << (exp - low)
+    allowed = (abs(re) * tn << (exp - low)) + (a * td << (a_exp - low))
+    if residue > allowed:
         raise InternalConsistencyError(
             "%s should be real; imaginary residue %s exceeds the allowed %s"
-            % (what, mpmath.nstr(abs(z.imag), 5), mpmath.nstr(allowed, 5))
+            % (what, _nstr(1, math.log2(residue) - math.log2(td) + low),
+               _nstr(1, math.log2(allowed) - math.log2(td) + low))
         )
 
 
-def _finite_float(value: mpmath.mpf, what: str, scale: int = 1) -> float:
-    """value / scale rounded once to the nearest double, as an integer ratio
-    with no exponent limit; ToleranceUnreachable (achieved = inf) beyond the
-    double range.  Every route's value leaves mpmath for a double here."""
-    out = math.inf
-    if mpmath.isfinite(value):
-        num, den = to_rational(value._mpf_)
-        # int(): mpmath's mantissas are gmpy integers when gmpy is installed
-        out = _nearest_float(int(num), int(den) * scale)
+def _finite_float(man: int, exp: int, den: int, what: str) -> float:
+    """man 2**exp / den (den > 0) rounded once to the nearest double, as an
+    integer ratio with no exponent limit; ToleranceUnreachable (achieved =
+    inf) beyond the double range.  Every route's value leaves its integers
+    for a double here."""
+    num, den = (man << exp, den) if exp >= 0 else (man, den << -exp)
+    out = _nearest_float(num, den)
     if math.isinf(out):
         raise ToleranceUnreachable(
-            "%s, %s, lies beyond the double-precision range" % (what, mpmath.nstr(value / scale, 5)),
+            "%s, %s, lies beyond the double-precision range"
+            % (what, _nstr(num, math.log2(abs(num)) - math.log2(den))),
             achieved=math.inf,
         )
     return out
 
 
-def _finite_complex(value: mpmath.mpc, what: str) -> complex:
-    """value rounded to a complex, each part through _finite_float."""
-    return complex(
-        _finite_float(value.real, "the real part of " + what),
-        _finite_float(value.imag, "the imaginary part of " + what),
-    )
+def _finite_complex(value: "mpmath.mpc", what: str) -> complex:
+    """value, an mpmath complex, rounded to a complex, each part through
+    _finite_float; a non-finite part is past the double range too."""
+    import mpmath
+    from mpmath.libmp import to_rational
+
+    parts = []
+    for part, name in ((value.real, "the real part of "), (value.imag, "the imaginary part of ")):
+        if not mpmath.isfinite(part):
+            raise ToleranceUnreachable(
+                "%s%s, %s, lies beyond the double-precision range" % (name, what, mpmath.nstr(part, 5)),
+                achieved=math.inf,
+            )
+        num, den = to_rational(part._mpf_)
+        # int(): mpmath's mantissas are gmpy integers when gmpy is installed
+        parts.append(_finite_float(int(num), 0, int(den), name + what))
+    return complex(*parts)
 
 
 def _check_max_k(k: int) -> None:
@@ -430,24 +582,23 @@ def _log_row_low(k: int, deg: int, t: float) -> float:
 
 
 def _checked(
-    k: int, route: Callable[[], mpmath.mpc], certified: Tuple[float, float, float, float],
+    k: int, route: Callable[[], Tuple[int, int, int]], certified: Tuple[float, float, float, float],
     dist: float, carrier: bool, what: str,
 ) -> float:
-    """Re z for a carrier, else Re z / (2*k!), where z = route() is 2*k!
-    times a lattice sum from an mpmath route, built only once log_low, a
-    lower bound on log |sum|, passes _gate; certified = (check, rel,
-    log_floor, log_low) from the certified route.  z's imaginary residue
-    must pass _check_residue, and z over 2*k! must agree with check to
-    |value - check| <= (rel + 4u) * |check| + floor: rel bounds check's
-    error, 4u this value's one rounding (_finite_float), and the floor,
-    e**log_floor up to exp(700), the route's own error and subnormal rounding.
+    """Re z for a carrier, else Re z / (2*k!), where z = (re + i im) 2**exp
+    = route() is 2*k! times a lattice sum, built only once log_low, a lower
+    bound on log |sum|, passes _gate; certified = (check, rel, log_floor,
+    log_low) from the certified route.  z's imaginary residue must pass
+    _check_residue, and z over 2*k! must agree with check to |value -
+    check| <= (rel + 4u) * |check| + floor: rel bounds check's error, 4u
+    this value's one rounding (_finite_float), and the floor, e**log_floor
+    up to exp(700), the route's own error and subnormal rounding.
     """
     check, rel, log_floor, log_low = certified
     _gate(log_low, k, carrier, what)
-    with mpmath.workdps(DEFAULT_DPS):
-        z = route()
-    _check_residue(z, k, dist, what)
-    value = _finite_float(z.real, what, 2 * math.factorial(k))
+    re, im, exp = route()
+    _check_residue(re, im, exp, k, dist, what)
+    value = _finite_float(re, exp, 2 * math.factorial(k), what)
     floor = math.exp(min(log_floor, 700.0))
     allowed = (rel + 4 * _U) * abs(check) + floor + _SUBNORMAL_FLOOR
     if abs(value - check) > allowed:
@@ -455,7 +606,7 @@ def _checked(
             "%s: the route gives %r, the certified derivative-polynomial route "
             "%r (allowed difference %.3e)" % (what, value, check, allowed)
         )
-    return _finite_float(z.real, what) if carrier else value
+    return _finite_float(re, exp, 1, what) if carrier else value
 
 
 def _label(names: Tuple[str, str, str], k: int, mu: float, taylor: bool, carrier: bool) -> str:
@@ -477,9 +628,10 @@ def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     range where the value underflows.  At odd k the complex route itself
     runs to DEFAULT_DPS digits of that lower bound on |Z|, a few bits past
     the allowance away from the zero, so that its one rounding stays safe
-    next to it.  At mu = 0 the complex route is exact."""
+    next to it; the Taylor route's error is relative.  At mu = 0 the complex
+    route is exact."""
     _check_max_k(k)
-    mu, dist = _pole_distance(mu, "mu", _SEC)[:2]
+    mu, dist, n = _pole_distance(mu, "mu", _SEC)[:3]
     what = _label(("Z", "ek_mu", "sec"), k, mu, taylor, carrier)
     half = mu / 2.0
     t = math.tan(half)
@@ -493,9 +645,9 @@ def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
         log_floor = min(log_floor, math.log(rel) + log_z)
         target = log_z - DEFAULT_DPS * _LN10
     if taylor:
-        route = lambda: _row_value(_SEC_ROWS, k, *_sec_point(mu))
+        route = lambda: _taylor(_SEC_ROWS, k, mu, n, dist, _SEC)
     else:
-        route = lambda: _ek_complex(k, mu, dist, target)
+        route = lambda: _ek_complex(k, mu, dist, n, target)
     return _checked(k, route, (value, rel, log_floor, log_z), dist, carrier, what)
 
 
@@ -503,7 +655,7 @@ def _cot_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     """Ztilde(k, mu), or ektilde_mu(k, mu) = 2*k! Ztilde(k, mu), as
     _sec_value; the certified value is -P_k(cot(mu/2)) / (2**(k+1) k!)."""
     _check_max_k(k)
-    mu, dist = _pole_distance(mu, "mu", _COT)[:2]
+    mu, dist, n = _pole_distance(mu, "mu", _COT)[:3]
     what = _label(("Ztilde", "ektilde_mu", "-cot"), k, mu, taylor, carrier)
     # cot(mu/2), never 0; mu/2 is 0 only at the least subnormal mu, past range
     t = 1.0 / math.tan(mu / 2.0) if mu / 2.0 else math.inf
@@ -512,9 +664,9 @@ def _cot_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     # -P_k = (-1)**(k+1) |P_k|
     certified = (check if k % 2 else -check, rel, _log_floor(k, dist), _log_abs(check))
     if taylor:
-        route = lambda: _row_value(_COT_ROWS, k, *_cot_point(mu))
+        route = lambda: _taylor(_COT_ROWS, k, mu, n, dist, _COT)
     else:
-        route = lambda: _ektilde_complex(k, mu, dist)
+        route = lambda: _ektilde_complex(k, mu, dist, n)
     return _checked(k, route, certified, dist, carrier, what)
 
 
@@ -551,16 +703,21 @@ def ektilde_mu(k: int, mu: float) -> float:
 
 
 def _scaled_residue(route, poles, k: int, mu: float) -> float:
-    """|Im z| / max(1, |z|, allowance / TOL_IMAG) for z = route(k, mu, dist),
-    k <= MAX_K, rounded once from mpmath (|z| may be past the double range).
-    The allowance keeps the noise at a zero of the sum from reading as a
-    fully imaginary value: whatever passes _check_residue reports <= 2 *
-    TOL_IMAG."""
+    """|Im z| / max(1, |z|, allowance / TOL_IMAG) for z = (re + i im) 2**exp
+    = route(k, mu, dist, n), k <= MAX_K, as one ratio of integers rounded
+    once (|z| may be past the double range).  The allowance keeps the noise
+    at a zero of the sum from reading as a fully imaginary value: whatever
+    passes _check_residue reports <= 2 * TOL_IMAG."""
     _check_max_k(k)
-    mu, dist = _pole_distance(mu, "mu", poles)[:2]
-    with mpmath.workdps(DEFAULT_DPS):
-        z = route(k, mu, dist)
-        return float(abs(z.imag) / max(1, abs(z), _allowance(k, dist) / TOL_IMAG))
+    mu, dist, n = _pole_distance(mu, "mu", poles)[:3]
+    re, im, exp = route(k, mu, dist, n)
+    a, a_exp = _allowance(k, dist)
+    tn, td = TOL_IMAG.as_integer_ratio()
+    # every term times tn 2**-low
+    low = min(0, exp, a_exp)
+    size = math.isqrt(re * re + im * im)
+    largest = max(tn << -low, size * tn << (exp - low), a * td << (a_exp - low))
+    return (abs(im) * tn << (exp - low)) / largest
 
 
 def ek_mu_imag_residue(k: int, mu: float) -> float:
@@ -644,44 +801,16 @@ _SEC_ROWS = _DerivativeRows((1,), 0, 1)
 _COT_ROWS = _DerivativeRows((0, 1), 1, -1)
 
 
-def _row_value(rows: _DerivativeRows, j: int, x: mpmath.mpf, scale) -> mpmath.mpf:
-    # scale * 2**-j * row j at x, in the active precision: the j-th derivative
-    # in mu of sec(mu/2) (x = tan(mu/2), scale = sec(mu/2)) or of -cot(mu/2)
-    # (x = cot(mu/2), scale = -1).  Once x**j is taken into account the terms
-    # of a row share one sign, so Horner does not cancel; it runs in x**2
-    # over the coefficients that parity allows, times x at odd degree.
-    row = rows.row(j)
-    value = mpmath.polyval(row[::-2], x * x)
-    if len(row) % 2 == 0:
-        value *= x
-    return mpmath.ldexp(scale * value, -j)
-
-
-# (x, scale) of _row_value at a checked mu.  A Taylor table reads every
-# entry at one mu, so the last point is kept; every caller runs inside
-# _checked's workdps(DEFAULT_DPS), so a kept point is never of another
-# precision
-@functools.lru_cache(maxsize=1)
-def _sec_point(mu: float) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    half = mpmath.mpf(mu) / 2
-    return mpmath.tan(half), mpmath.sec(half)
-
-
-@functools.lru_cache(maxsize=1)
-def _cot_point(mu: float) -> Tuple[mpmath.mpf, int]:
-    return mpmath.cot(mpmath.mpf(mu) / 2), -1
-
-
 def sec_taylor_coeffs(mu: float, K: int) -> List[float]:
     """Derivatives 0..K of sec(mu/2), read from the derivative polynomials.
 
     Entry j, the j-th derivative with respect to mu (j! times the j-th
     Taylor coefficient of sec((mu + t)/2) at t = 0), is
-    2**-j sec(mu/2) Q_j(tan(mu/2)) from the exact row Q_j at DEFAULT_DPS
-    digits, 2*j! Z(j, mu) by Z's taylor route: each entry passes Z's domain
-    rule, range gate and cross-check (_sec_value) and is rounded once.  The
-    first entry beyond the double range raises ToleranceUnreachable, and no
-    row past it is built.
+    2**-j sec(mu/2) Q_j(tan(mu/2)) from the exact row Q_j in fixed point,
+    2*j! Z(j, mu) by Z's taylor route: each entry passes Z's domain rule,
+    range gate and cross-check (_sec_value) and is rounded once.  The first
+    entry beyond the double range raises ToleranceUnreachable, and no row
+    past it is built.
     """
     K = _check_int(K, "K", 0)
     return [_sec_value(j, mu, True, True) for j in range(K + 1)]

@@ -5,25 +5,25 @@
 
 Z equals the k-th derivative of sec(mu/2) divided by 2*k!, and Ztilde (for
 k >= 1) the k-th derivative of -cot(mu/2) divided by 2*k!.  Each value
-comes from one of two high-precision routes -- the paper's complex
-Apostol-Euler identity, evaluated from its explicit finite-difference form
-(one fixed-point Horner over an exact integer row), or the exact rows of the
-derivative polynomials of apostol_polys (sec^(k) x = sec x Q_k(tan x),
-cot^(k) x = P_k(cot x)) in mpmath --
-and every call checks it against the certified route: the same rows over
-2**(k+1) k!, rounded to doubles and evaluated by a float Horner at
-|tan(mu/2)| or |cot(mu/2)| whose terms share one sign, with an a-priori
-relative error bound; it costs microseconds.  A small table of explicit
-trigonometric ratios is a further, independent fixture for low k.
+comes from one of two high-precision routes, both in integers from the
+point to the double -- the paper's complex Apostol-Euler identity,
+evaluated from its explicit finite-difference form (one fixed-point Horner
+over an exact integer row), or the exact rows of the derivative polynomials
+of apostol_polys (sec^(k) x = sec x Q_k(tan x), cot^(k) x = P_k(cot x)) in
+fixed point -- and every call checks it against the certified route: the
+same rows over 2**(k+1) k!, rounded to doubles and evaluated by a float
+Horner at |tan(mu/2)| or |cot(mu/2)| whose terms share one sign, with an
+a-priori relative error bound; it costs microseconds.  A small table of
+explicit trigonometric ratios is a further, independent fixture for low k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from ._support import _Record
 from .apostol_polys import MAX_K, _cot_value, _sec_value
 from .exact_core import _COT, _ODD_PI, Rational, ToleranceUnreachable, _check_int, _pole_distance
 
@@ -55,9 +55,9 @@ def Z(k: int, mu: float, method: str = "auto") -> float:
 
     "auto" and "complex" return the paper's complex Apostol-Euler value,
     "taylor" the derivative polynomial 2**-k sec(mu/2) Q_k(tan(mu/2)) from
-    its exact row; both run in mpmath to at least DEFAULT_DPS digits and
-    are rounded once, the division by 2*k! included, to the nearest double
-    (not yet a certified rounding: see apostol_polys).  Each is checked
+    its exact row; both run in fixed point to at least DEFAULT_DPS digits
+    and are rounded once, the division by 2*k! included, to the nearest
+    double (not yet a certified rounding: see apostol_polys).  Each is checked
     against the certified value sec(mu/2) Q_k(tan(mu/2)) / (2**(k+1) k!),
     the same row rounded to doubles, to within its error bound (see
     apostol_polys._checked).  For "auto" and "complex" that compares two
@@ -119,8 +119,7 @@ def _finite(num: float, den: float, what: str) -> float:
     raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(_Record):
     """Closed trigonometric ratio sum(c * trig(j*mu/2)) / (d * base(mu/2)**p).
 
     terms holds (coefficient, kind, j) triples with kind in
@@ -128,10 +127,12 @@ class TableEntry:
     trig_power is p = k + 1, trig_base names the base function.
     """
 
-    terms: Tuple[Tuple[Rational, str, int], ...]
-    denominator_constant: int
-    trig_power: int
-    trig_base: str
+    __slots__ = ("terms", "denominator_constant", "trig_power", "trig_base")
+
+    def __init__(self, terms: Tuple[Tuple[Rational, str, int], ...], denominator_constant: int,
+                 trig_power: int, trig_base: str) -> None:
+        for name, value in zip(self.__slots__, (terms, denominator_constant, trig_power, trig_base)):
+            object.__setattr__(self, name, value)
 
 
 def _entry(base: str, power: int, denom: int, *terms) -> TableEntry:

@@ -299,6 +299,21 @@ def _pi_power_bounds(n: int, prec: int) -> Tuple[Tuple[int, int], ...]:
 _SEC, _ODD_PI, _COT, _INT = (1, True, True), (1, True, False), (0, True, False), (0, False, False)
 
 
+def _reduce(x: float, bits: int, poles: Tuple[int, bool, bool]) -> Tuple[int, int]:
+    """(rest, j): the pole j h nearest the double x on the lattice of
+    _pole_distance, and rest, x - j h in fixed point at ``bits`` fraction
+    bits, from floor(|x| 2**bits) and h's floor: within |j| + 1 units of it,
+    and exact at j = 0 once x 2**bits is an integer."""
+    odd, pi = poles[:2]
+    num, den = abs(x).as_integer_ratio()
+    fixed = (num << bits) // den
+    h = _pi_fixed(bits) if pi else 1 << (bits - 1)
+    j = 2 * ((fixed + (1 - odd) * h) // (2 * h)) + odd  # the pole j h of |x|
+    if x < 0.0:
+        fixed, j = -fixed, -j
+    return fixed - j * h, j
+
+
 def _pole_distance(x: float, what: str,
                    poles: Tuple[int, bool, bool]) -> Tuple[float, float, int, float, float]:
     """(x as a float, its distance to the nearest pole (2n + odd) h, n, the
@@ -312,25 +327,18 @@ def _pole_distance(x: float, what: str,
     2**-127 at most off, where no double lies within 2**-62 of a nonzero
     multiple of pi/2 (J.-M. Muller, Elementary Functions, ch. 11); r + r_lo
     is off by that and r_lo's rounding.  The distance is |r|."""
-    odd, pi, window = poles
+    odd, _, window = poles
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("%s must be finite" % what)
-    a = abs(x)
-    if window and a > math.pi:  # the double pi lies below pi
+    if window and abs(x) > math.pi:  # the double pi lies below pi
         raise ValueError("%s must lie in (-pi, pi)" % what)
-    bits = max(math.frexp(a)[1], 0) + _GUARD
-    num, den = a.as_integer_ratio()
-    fixed = (num << bits) // den
-    h = _PI_FIXED >> (_PI_BITS - bits) if pi else 1 << (bits - 1)
-    j = 2 * ((fixed + (1 - odd) * h) // (2 * h)) + odd  # the pole j h of |x|
-    if x < 0.0:
-        fixed, j = -fixed, -j
+    bits = max(math.frexp(x)[1], 0) + _GUARD
+    rest, j = _reduce(x, bits, poles)
     if not j:
         r, r_lo = x, 0.0
     else:
         # r is at least 2**-62, so r * 2**bits is an integer
-        rest = fixed - j * h
         r = rest / (1 << bits)
         num, den = r.as_integer_ratio()
         r_lo = (rest - (num << bits) // den) / (1 << bits)

@@ -653,11 +653,13 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     )
 
 
-def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float) -> SumResult:
+def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float, r_lo: float = 0.0) -> SumResult:
     """sum_Ztilde's body: the sum of (m*a - c)**-(k+1) over m = -N..N, a > 0,
     with c = n*a + r: each term is formed as (m - n)*a - r.  Term i is that
     of m = i - N, or at k = 0 the pair of m = i + 1 and -m, and term N the
-    m = 0 term."""
+    m = 0 term.  At k >= 1 with a majorant the terms run centre-out, and the
+    first, (-r)**-p, is corrected by r_lo, the rest of the residual, as
+    sum_Z corrects its m = 0 pair."""
     p = k + 1
     if k == 0:
         # the pair is 2c / ((m*a - |c|) * (m*a + |c|)), with |c| = n1*a + r1:
@@ -682,6 +684,7 @@ def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float) -> SumRes
     else:
         count = 2 * N + 1
         both = min(N + n, N - n)  # |m - n| <= both on either side of n
+        correction = math.expm1(-p * math.log1p(r_lo / r))
 
         def rest(start: int) -> float:
             # the unread terms, at most two for each |m - n| >= the next one
@@ -727,6 +730,8 @@ def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float) -> SumRes
             np.divide(1.0, terms, out=terms)
             if p % 2:
                 np.copysign(terms, x, out=terms)
+            if start == 0 and r_lo:  # m = n: the exact residual's power
+                terms[0] += terms[0] * correction
 
         up_est, up_bound = _power_tail(a, -r, float(p), N + 1 - n)
         dn_est, dn_bound = _power_tail(a, r, float(p), N + 1 + n)
@@ -748,11 +753,14 @@ def sum_Ztilde(k: int, mu: float, N: int = 10000) -> SumResult:
     conditionally convergent sum is given its symmetric-limit meaning by
     pairing m with -m, which yields terms 2*mu/((2*m*pi)^2 - mu^2).  Every
     term is formed from mu's reduction against the nearest pole 2*n*pi, as
-    (m - n)*2*pi - r, so none cancels against the double pi at any |mu|.
+    (m - n)*2*pi - r, so none cancels against the double pi at any |mu|;
+    at k >= 1 the m = n term, (-r)**-(k+1), is corrected by the rest r_lo
+    of the residual, as sum_Z's m = 0 pair is, so that r's half-ulp is not
+    raised to the power next to a pole 2*n*pi, n != 0.
     """
     k = _check_int(k, "k", 0)
-    (mu, _, n, r, _), N = _check_window(mu, _TWO_PI, N, "mu")
-    return _lattice_sum(k, _TWO_PI, N, mu, n, r)
+    (mu, _, n, r, r_lo), N = _check_window(mu, _TWO_PI, N, "mu")
+    return _lattice_sum(k, _TWO_PI, N, mu, n, r, r_lo)
 
 
 def sum_inverse_square(theta: float, N: int = 100000) -> SumResult:

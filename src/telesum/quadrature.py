@@ -20,10 +20,10 @@ integral loads numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
+from ._support import _nstr, _Record
 from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import (
     _SEC,
@@ -61,20 +61,18 @@ _MAX_DEPTH = 40
 MAX_INTEGRAL_K = 84
 
 _LN2 = math.log(2.0)
-_LOG10_2 = math.log10(2.0)
 
 
-@dataclass(frozen=True)
-class OscKernel:
+class OscKernel(_Record):
     """Oscillatory factor on [0, 1]: cos(m*pi*x) or sin(m*pi*x)."""
 
-    kind: str
-    m: int = 0
+    __slots__ = ("kind", "m")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KERNEL_KINDS:
+    def __init__(self, kind: str, m: int = 0) -> None:
+        if kind not in _KERNEL_KINDS:
             raise ValueError("kind must be one of %s" % (_KERNEL_KINDS,))
-        object.__setattr__(self, "m", _check_int(self.m, "m"))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", _check_int(m, "m"))
 
     @staticmethod
     def cos(m: int) -> "OscKernel":
@@ -202,16 +200,6 @@ def _apostol_magnitude(k: int, odd: int, mu: float, bits: int) -> float:
             return value
         bits *= 2
         prec *= 2
-
-
-def _nstr(sign: float, log2: float) -> str:
-    # sign * 2**log2 to 5 significant digits, trailing zeros dropped
-    exp10 = math.floor(log2 * _LOG10_2)
-    digits, shift = ("%.4e" % 10.0 ** (log2 * _LOG10_2 - exp10)).split("e")
-    digits = digits.rstrip("0")
-    if digits.endswith("."):
-        digits += "0"
-    return "%s%se%+d" % ("-" if sign < 0 else "", digits, exp10 + int(shift))
 
 
 def j_integral(

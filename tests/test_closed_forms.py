@@ -33,6 +33,7 @@ from telesum import (
     cot_taylor_coeffs,
     ek_mu,
     ektilde_mu,
+    ektilde_mu_imag_residue,
     eta_even,
     euler_number,
     exact_core,
@@ -386,7 +387,7 @@ def test_values_past_the_double_range_raise_before_building_a_route(monkeypatch)
     def no_route(*args):
         raise RouteBuilt
 
-    for name in ("_ek_complex", "_ektilde_complex", "_row_value"):
+    for name in ("_ek_complex", "_ektilde_complex", "_taylor"):
         monkeypatch.setattr(apostol_polys, name, no_route)
     # the certified value, times 2*k! for a carrier, decides every raise
     for f, k, mu in raises:
@@ -521,14 +522,22 @@ def _scaled_allowance(k, dist, dps):
     return 2 * math.factorial(k) * 4 * (k + 1) * mpmath.mpf(10) ** -dps * mpmath.mpf(dist) ** -(k + 1)
 
 
+def _route_value(route, k, mu, poles):
+    # (z, dist): a route's integers (re, im, exp) as the mpmath complex
+    # (re + i im) 2**exp, at the active precision, and mu's distance to the pole
+    mu, dist, n = exact_core._pole_distance(mu, "mu", poles)[:3]
+    re, im, exp = route(k, mu, dist, n)
+    return mpmath.mpc(mpmath.ldexp(re, exp), mpmath.ldexp(im, exp)), dist
+
+
 def test_residue_allowance_neither_underflows_nor_saturates():
     # the float floor is 0 from k = 577 at dist = pi and stops at exp(700)
-    # near a pole; the allowance the residue rule reads does neither
+    # near a pole; the allowance the residue rule reads, a 2**e, does neither
     for k in (0, 1, 40, 576, 577, 600, closed_forms.MAX_K):
         for dist in (math.pi, 3.0, 1.0, 1e-3, 1e-9):
-            got = apostol_polys._allowance(k, dist)
+            a, e = apostol_polys._allowance(k, dist)
             want = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS)
-            assert got > 0 and abs(got / want - 1) < 1e-9, (k, dist)
+            assert a > 0 and abs(mpmath.ldexp(a, e) / want - 1) < 1e-9, (k, dist)
 
 
 def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
@@ -545,84 +554,185 @@ def test_complex_routes_stay_a_tenth_under_the_floor_near_every_pole():
     for route, truth, mus, poles in cases:
         for k in (1, 21, 60, 160, 250):
             for mu in mus:
-                dist = exact_core._pole_distance(mu, "mu", poles)[1]
-                with mpmath.workdps(apostol_polys.DEFAULT_DPS):
-                    z = route(k, mu, dist)
                 with mpmath.workdps(100):
+                    z, dist = _route_value(route, k, mu, poles)
                     want = 2 * math.factorial(k) * truth(k, mpmath.mpf(mu))
                     allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
                     assert abs(z - want) <= allowed, (route.__name__, k, mu)
 
 
 def test_fixed_point_bits_cover_the_a_priori_bound(monkeypatch):
-    # _route_precision's bound at the P the Horner runs at, formed from the
-    # truth of the next lattice sum rather than from its upper bound: k
+    # the bounds of _route_precision and _half_angle at the bits the routes
+    # and the point run at, formed from the truth of the next lattice sum
+    # rather than from its upper bound.  Complex route: below |x| = 2, k
     # truncated products of 2**(1/2 - P), amplified by |x|**j, and one more
-    # for Ztilde's factor cot - i; the point off by 1.01 * 2**-P, moving V =
-    # 2*k! times the sum by |dV/dmu| |dmu/dy|, dV/dmu = 2 (k+1)! times the
-    # next sum, plus |V| |sin mu| on Z; two units of 2**-P on |V|; under a
-    # tenth of the allowance, with no more than _ROUTE_GUARD bits past the
-    # active precision.  The measured error stays far below it (the test
-    # above), so this is the test that holds the guard bits
+    # for Ztilde's factor cot - i; past it, at x 2**-E, sqrt(5) 2**(E (k -
+    # j)) |x|**j per step and 2 sqrt(2) 2**(E (k+1)) for Ztilde's factor;
+    # the point within 0.51 units of 2**(E - P), moving V = 2*k! times the
+    # sum by |dV/dmu| |dmu/dy|, dV/dmu = 2 (k+1)! times the next sum, plus
+    # |V| |sin mu| on Z; and Z's sec(mu/2) within w 2**-w relative.  Taylor
+    # route: 2n 2**-P from its Horner over the row's n + 1 parity terms, and
+    # w 2**-w from t once per degree and from sec, relative to |V|.  Each
+    # under a tenth of the allowance, with no more than _ROUTE_GUARD bits
+    # past DEFAULT_DPS's.  The point itself: the rounding's half unit plus
+    # t's w 2**-w relative error stays within the 0.51 units used above.
+    # The measured errors stay far below these bounds (the tests around
+    # this one), so this is the test that holds the guard bits
     runs = []
-    horner = apostol_polys._fixed_horner
+    horner, half_angle, sin_cos = apostol_polys._fixed_horner, apostol_polys._half_angle, apostol_polys._sin_cos
 
-    def recording(row, y, bits):
-        runs.append(bits)
-        return horner(row, y, bits)
+    def recording_horner(row, y, bits, shift):
+        runs.append(("horner", bits, shift))
+        return horner(row, y, bits, shift)
 
-    def ek_geometry(mu):  # |w|, |scale| times 2**k, |dmu/dy|, slope of the prefactor
+    def recording_point(mu, n, dist, poles, bits):
+        runs.append(("point", bits))
+        return half_angle(mu, n, dist, poles, bits)
+
+    def recording_series(a, f, w):
+        runs.append(("series", w))
+        return sin_cos(a, f, w)
+
+    def ek_geometry(mu):  # |w|, |scale| times 2**k, |dmu/dy|, slope of the prefactor, tan
         cos = abs(mpmath.cos(mu / 2))
-        return 1 / (2 * cos), 1 / cos, 4 * cos**2, abs(mpmath.sin(mu))
+        return 1 / (2 * cos), 1 / cos, 4 * cos**2, abs(mpmath.sin(mu)), mpmath.tan(mu / 2)
 
     def ektilde_geometry(mu):
         sin = abs(mpmath.sin(mu / 2))
-        return 1 / (2 * sin), 1 / sin, 4 * sin**2, 0
+        return 1 / (2 * sin), 1 / sin, 4 * sin**2, 0, mpmath.cot(mu / 2)
 
-    monkeypatch.setattr(apostol_polys, "_fixed_horner", recording)
+    monkeypatch.setattr(apostol_polys, "_fixed_horner", recording_horner)
+    monkeypatch.setattr(apostol_polys, "_half_angle", recording_point)
+    monkeypatch.setattr(apostol_polys, "_sin_cos", recording_series)
     near = 1e-7
     ks = (1, 21, 60, 160, 250)
+    sec = (apostol_polys._ek_complex, apostol_polys._SEC_ROWS, z_truth, ek_geometry, exact_core._SEC)
+    cot = (apostol_polys._ektilde_complex, apostol_polys._COT_ROWS, ztilde_truth, ektilde_geometry,
+           exact_core._COT)
     cases = [
-        (apostol_polys._ek_complex, z_truth, k, mu, ek_geometry, exact_core._SEC)
-        for k in ks for mu in (0.0, 0.7, -2.2, math.pi - near)
+        (*sec, k, mu) for k in ks for mu in (0.0, 0.7, -2.2, math.pi - near)
     ] + [
-        (apostol_polys._ektilde_complex, ztilde_truth, k, mu, ektilde_geometry, exact_core._COT)
-        for k in ks for mu in (near, 1.0, math.pi, -4.0, 2 * math.pi - near)
-    ] + [(apostol_polys._ek_complex, z_truth, 617, 0.0, ek_geometry, exact_core._SEC)]
-    for route, truth, k, mu, geometry, poles in cases:
-        runs.clear()
-        dist = exact_core._pole_distance(mu, "mu", poles)[1]
-        with mpmath.workdps(apostol_polys.DEFAULT_DPS):
-            route(k, mu, dist)
-            most = mpmath.mp.prec + apostol_polys._ROUTE_GUARD
-        (bits,) = runs
-        assert bits <= most, (route.__name__, k, mu)
-        with mpmath.workdps(30):
-            m = mpmath.mpf(mu)
-            x, scale, slope, prefactor = geometry(m)
-            if route is apostol_polys._ek_complex:
-                scale, extra = mpmath.ldexp(scale, -k), 0
+        (*cot, k, mu) for k in ks for mu in (near, 1.0, math.pi, -4.0, 2 * math.pi - near)
+    ] + [(*sec, 617, 0.0), (*sec, 2, 3.0), (*cot, 3, 2.0)]
+    # next to mu = 0 the term m = 0, (-mu)**-(k+1), is Ztilde to 30 digits
+    # (the Hurwitz zetas of ztilde_truth fail there)
+    tiny = (cot[0], cot[1], lambda k, m: (-m) ** -(k + 1), *cot[3:])
+    cases += [(*tiny, 2, 5e-324), (*tiny, 21, -5e-324), (*tiny, 160, 1e-300)]
+    most = apostol_polys._PREC + apostol_polys._ROUTE_GUARD
+    for route, rows, truth, geometry, poles, k, mu in cases:
+        mu, dist, n = exact_core._pole_distance(mu, "mu", poles)[:3]
+        for taylor in (False, True):
+            runs.clear()
+            if taylor:
+                apostol_polys._taylor(rows, k, mu, n, dist, poles)
+                (_, bits), (_, w) = runs
+                shift = None
             else:
-                extra = 1
-            value = 2 * math.factorial(k) * abs(truth(k, m))
-            step = 2 * math.factorial(k + 1) * abs(truth(k + 1, m))
-            error = mpmath.fsum([
-                mpmath.sqrt(2) * (scale * mpmath.fsum(x**j for j in range(k)) + extra),
-                1.01 * (step * slope + value * prefactor),
-                2 * value,
-            ]) * mpmath.ldexp(1, -bits)
-            allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
-            assert error <= allowed, (route.__name__, k, mu)
+                route(k, mu, dist, n)
+                (_, point_bits), (_, w), (_, bits, shift) = runs
+                assert point_bits == bits
+            assert bits <= most, (route.__name__, k, mu, taylor)
+            with mpmath.workdps(30):
+                m = mpmath.mpf(mu)
+                x, scale, slope, prefactor, t = geometry(m)
+                value = 2 * math.factorial(k) * abs(truth(k, m))
+                relative = w * mpmath.ldexp(1, -w)
+                if taylor:
+                    d = len(rows.row(k)) - 1
+                    error = (2 * (d // 2) * mpmath.ldexp(1, -bits) + (d + 1) * relative) * value
+                else:
+                    point = 0.5 + abs(t) * mpmath.ldexp(1, bits - 1 - shift) * relative
+                    assert point <= 0.51, (route.__name__, k, mu)
+                    step = 2 * math.factorial(k + 1) * abs(truth(k + 1, m))
+                    top = 2 ** (shift * (k + 1))
+                    if route is apostol_polys._ek_complex:
+                        scale, extra = mpmath.ldexp(scale, -k), 0
+                    else:
+                        extra = 1
+                    if shift:
+                        products = mpmath.sqrt(5) * scale * mpmath.fsum(
+                            2 ** (shift * (k - j)) * x**j for j in range(k)) + 2 * mpmath.sqrt(2) * top * extra
+                    else:
+                        products = mpmath.sqrt(2) * (scale * mpmath.fsum(x**j for j in range(k)) + extra)
+                    error = mpmath.fsum([
+                        products,
+                        mpmath.ldexp(0.51, shift) * (step * slope + value * prefactor),
+                        value * relative * 2**bits * (1 - extra),
+                    ]) * mpmath.ldexp(1, -bits)
+                allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
+                assert error <= allowed, (route.__name__, k, mu, taylor)
+
+
+def test_half_angle_point_matches_a_300_bit_truth():
+    # t 2**e = tan(mu/2) (Z) or cot(mu/2) (Ztilde) and m 2**f = sec(mu/2)
+    # (Z) within _half_angle's w 2**-w relative, at mu drawn next to 0, next
+    # to +-pi, subnormal, anywhere in Z's domain, and for cot up to
+    # 2 pi 10**7 and next to its poles 2 pi n
+    rng = random.Random(29)
+    bits = apostol_polys._PREC + apostol_polys._ROUTE_GUARD
+    draws = []
+    for _ in range(40):
+        side = rng.choice((-1.0, 1.0))
+        draws += [
+            (exact_core._SEC, side * 10 ** rng.uniform(-300, 0)),
+            (exact_core._SEC, side * (math.pi - 10 ** rng.uniform(-15, 0))),
+            (exact_core._SEC, side * rng.uniform(0.0, math.pi)),
+            (exact_core._SEC, side * rng.randint(1, 2**52) * 5e-324),
+            (exact_core._COT, side * 10 ** rng.uniform(-300, 0)),
+            (exact_core._COT, side * rng.randint(1, 2**52) * 5e-324),
+            (exact_core._COT, side * rng.uniform(0.0, 2 * math.pi * 10**7)),
+            (exact_core._COT, 2 * math.pi * rng.randint(-10**6, 10**6) + side * 10 ** rng.uniform(-9, 0.5)),
+        ]
+    for poles, mu in draws:
+        try:
+            mu, dist, n = exact_core._pole_distance(mu, "mu", poles)[:3]
+        except ValueError:  # a pole
+            continue
+        for target in (bits, bits + 300):
+            t, e, m, f = apostol_polys._half_angle(mu, n, dist, poles, target)
+            w = target + apostol_polys._POINT_GUARD + target.bit_length()
+            with mpmath.workprec(max(300, target + 150)):
+                half = mpmath.mpf(mu) / 2
+                want = mpmath.tan(half) if poles is exact_core._SEC else mpmath.cot(half)
+                got = mpmath.ldexp(t, e)
+                assert abs(got - want) <= w * mpmath.ldexp(1, -w) * abs(want), (poles, mu, target)
+                if poles is exact_core._SEC:
+                    assert abs(mpmath.ldexp(m, f) * mpmath.cos(half) - 1) <= w * mpmath.ldexp(1, -w), (mu, target)
+                else:
+                    assert (m, f) == (1, 0)
+
+
+def test_ektilde_horner_integers_stay_small_at_a_subnormal_mu(monkeypatch):
+    # at mu = 5e-324 the point cot(mu/2) is about 2**1075: the Horner keeps
+    # that exponent out of its integers (x 2**-E), so they hold P bits plus
+    # the bits of the sum at x 2**-E, not about 1075 k bits
+    widest = []
+    horner = apostol_polys._fixed_horner
+
+    def measuring(row, y, bits, shift):
+        re, im = horner(row, y, bits, shift)
+        widest.append((max(re.bit_length(), im.bit_length(), y.bit_length()), bits, shift))
+        return re, im
+
+    monkeypatch.setattr(apostol_polys, "_fixed_horner", measuring)
+    for k in (84, 617):
+        widest.clear()
+        assert 0 <= ektilde_mu_imag_residue(k, 5e-324) <= 2 * apostol_polys.TOL_IMAG
+        ((width, bits, shift),) = widest
+        assert shift > 1000 and width <= bits + 2 * k + math.lgamma(k + 1) / math.log(2) + 64, (k, width)
 
 
 def test_carrier_meets_the_floor_of_its_own_precision():
-    # dps is the target the route adds its own digits to, not a cap
+    # the routes run at DEFAULT_DPS's bits whatever mpmath's working
+    # precision is: the same integers under 20 digits, within that floor
+    mu, dist, n = exact_core._pole_distance(0.7, "mu", exact_core._SEC)[:3]
+    z = apostol_polys._ek_complex(30, mu, dist, n)
     with mpmath.workdps(20):
-        z = apostol_polys._ek_complex(30, 0.7, math.pi - 0.7)
-        assert mpmath.mp.dps == 20
+        assert apostol_polys._ek_complex(30, mu, dist, n) == z
     with mpmath.workdps(60):
+        got = _route_value(apostol_polys._ek_complex, 30, 0.7, exact_core._SEC)[0]
         want = 2 * math.factorial(30) * z_truth(30, mpmath.mpf(0.7))
-        assert abs(z - want) <= _scaled_allowance(30, math.pi - 0.7, 20)
+        assert abs(got - want) <= _scaled_allowance(30, dist, apostol_polys.DEFAULT_DPS) / 10
 
 
 def test_lattice_sums_at_the_largest_k_match_hurwitz_truth():
@@ -635,9 +745,11 @@ def test_lattice_sums_at_the_largest_k_match_hurwitz_truth():
             truth_or_out_of_range(Ztilde, 618, mu, ztilde_truth(618, mpmath.mpf(mu)))
 
 
-def _perturbed(route, factor):
+def _perturbed(route):
+    # the route's value times 1 + 1e-10, about
     def perturbed(*args):
-        return route(*args) * factor
+        re, im, exp = route(*args)
+        return re + re // 10**10, im + im // 10**10, exp
 
     return perturbed
 
@@ -649,7 +761,7 @@ def test_route_check_catches_a_perturbed_complex_value(monkeypatch):
     assert Ztilde(60, 1.0) == pytest.approx(-1.0, rel=1e-12)
     for name, f, k, mu in (("_ek_complex", Z, 60, 0.7), ("_ektilde_complex", Ztilde, 60, 1.0)):
         with monkeypatch.context() as patch:
-            patch.setattr(apostol_polys, name, _perturbed(getattr(apostol_polys, name), 1 + 1e-10))
+            patch.setattr(apostol_polys, name, _perturbed(getattr(apostol_polys, name)))
             with pytest.raises(InternalConsistencyError, match="certified"):
                 f(k, mu)
             with pytest.raises(InternalConsistencyError, match="certified"):
@@ -663,7 +775,7 @@ def test_route_check_catches_a_perturbed_carrier(monkeypatch):
     for name, carrier, f, k, mu in cases:
         assert carrier(k, mu) == pytest.approx(2 * math.factorial(k) * f(k, mu), rel=1e-15)
         with monkeypatch.context() as patch:
-            patch.setattr(apostol_polys, name, _perturbed(getattr(apostol_polys, name), 1 + 1e-10))
+            patch.setattr(apostol_polys, name, _perturbed(getattr(apostol_polys, name)))
             with pytest.raises(InternalConsistencyError, match="certified"):
                 carrier(k, mu)
 
@@ -736,10 +848,8 @@ def test_fixed_point_routes_match_hurwitz_truth_at_low_k():
     for f, route, truth, mus, poles in cases:
         for k in (1, 2, 3, 39, 40):
             for mu in mus:
-                dist = exact_core._pole_distance(mu, "mu", poles)[1]
-                with mpmath.workdps(apostol_polys.DEFAULT_DPS):
-                    z = route(k, mu, dist)
                 with mpmath.workdps(100):
+                    z, dist = _route_value(route, k, mu, poles)
                     want = truth(k, mpmath.mpf(mu))
                     allowed = _scaled_allowance(k, dist, apostol_polys.DEFAULT_DPS) / 10
                     assert abs(z - 2 * math.factorial(k) * want) <= allowed, (route.__name__, k, mu)

@@ -1,10 +1,11 @@
 """The package surface: its public names, and which layers load with it.
 
 ``import telesum`` loads only the exact layers, exact_core and
-classical_polys.  The Apostol routes and closed_forms need mpmath, the
-oracle and verify layers numpy; each of these and quadrature loads on first
-use, so the exact commands load neither.  Each import check runs in a fresh
-interpreter, since this one has long since loaded everything.
+classical_polys.  The Apostol routes, closed_forms and quadrature load on
+first use and run in integers; mpmath loads only for the deformed
+polynomials and verify, numpy only for the oracle and verify layers.  Each
+import check runs in a fresh interpreter, since this one has long since
+loaded everything.
 """
 
 import inspect
@@ -141,6 +142,9 @@ def test_import_loads_only_the_exact_layers():
 
 
 def test_commands_without_the_apostol_routes_never_load_mpmath():
+    # the lattice sums by every method and the Taylor tables run in integers
+    # from the point to the double; only the deformed polynomials (apostol)
+    # and verify load mpmath
     seen = _fresh(
         "import contextlib, io, json, sys\n"
         "import telesum.cli\n"
@@ -150,23 +154,57 @@ def test_commands_without_the_apostol_routes_never_load_mpmath():
         "                 ['table', 'zeta', '--max-k', '3'],\n"
         "                 ['integrals', 'poly-cos', '--k', '2', '--m', '3'],\n"
         "                 ['integrals', 'apostol', '--k', '2', '--m', '1', '--mu', '0.3'],\n"
-        "                 ['integrals', 'zeta-odd', '--k', '2'], ['series', 'zeta', '--s', '2']):\n"
+        "                 ['integrals', 'zeta-odd', '--k', '2'], ['series', 'zeta', '--s', '2'],\n"
+        "                 ['eval', 'Z', '--k', '3', '--mu', '0.5', '--method', 'auto'],\n"
+        "                 ['eval', 'Z', '--k', '3', '--mu', '-3.1', '--method', 'complex'],\n"
+        "                 ['eval', 'Z', '--k', '4', '--mu', '1e-300', '--method', 'taylor'],\n"
+        "                 ['eval', 'Z', '--k', '2', '--mu', '0.5', '--method', 'table'],\n"
+        "                 ['eval', 'Ztilde', '--k', '5', '--mu', '20.0'],\n"
+        "                 ['eval', 'Ztilde0', '--mu', '1.0'],\n"
+        "                 ['coeffs', 'sec', '--mu', '0.3', '--order', '12'],\n"
+        "                 ['coeffs', 'cot', '--mu', '-7.0', '--order', '12']):\n"
         "        codes.append(telesum.cli.main(argv))\n"
         "print(json.dumps([codes, 'mpmath' in sys.modules, 'telesum.quadrature' in sys.modules,\n"
-        "                  'telesum.oracles' in sys.modules]))\n"
+        "                  'telesum.oracles' in sys.modules, 'telesum.apostol_polys' in sys.modules]))\n"
     )
-    assert seen == [[0] * 7, False, True, True]
+    assert seen == [[0] * 15, False, True, True, True]
+    seen = _fresh(
+        "import contextlib, io, json, sys\n"
+        "import telesum.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = telesum.cli.main(['apostol', 'euler', '3', '--lambda-re', '0.5'])\n"
+        "print(json.dumps([code, 'mpmath' in sys.modules]))\n"
+    )
+    assert seen == [0, True]
+
+
+def test_eval_Z_and_the_integrals_load_no_dataclasses():
+    # closed_forms.TableEntry and quadrature.OscKernel are plain immutable
+    # classes, so these commands skip dataclasses and the inspect it imports
+    seen = _fresh(
+        "import contextlib, io, json, sys\n"
+        "import telesum.cli\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['eval', 'Z', '--k', '3', '--mu', '0.5'], ['integrals', 'zeta-odd', '--k', '2'],\n"
+        "                 ['integrals', 'poly-sin', '--k', '2', '--m', '3']):\n"
+        "        codes.append(telesum.cli.main(argv))\n"
+        "print(json.dumps([codes, 'dataclasses' in sys.modules, 'inspect' in sys.modules]))\n"
+    )
+    assert seen == [[0, 0, 0], False, False]
 
 
 def test_reading_Z_loads_the_apostol_routes():
+    # and not mpmath: the routes run in integers
     seen = _fresh(
         "import json, sys, telesum\n"
         "before = ['mpmath' in sys.modules, 'telesum.apostol_polys' in sys.modules]\n"
         "Z = telesum.Z\n"
+        "value = Z(5, 0.7) + Z(5, 0.7, method='taylor') + telesum.Ztilde(4, 9.0)\n"
         "print(json.dumps(before + ['mpmath' in sys.modules, 'telesum.apostol_polys' in sys.modules,\n"
         "                           Z is sys.modules['telesum.closed_forms'].Z]))\n"
     )
-    assert seen == [False, False, True, True, True]
+    assert seen == [False, False, False, True, True]
 
 
 def test_the_verify_layer_loads_on_first_use():
