@@ -65,27 +65,27 @@ def _zigzag_number(n: int) -> int:
     return _zigzag[n]
 
 
-def _euler_zero(k: int) -> Fraction:
-    if k % 2 == 0:
-        return Fraction(1 if k == 0 else 0)
-    sign = 1 if k % 4 == 3 else -1
-    return Fraction(sign * _zigzag_number(k), 1 << k)
-
-
 def precompute(depth: int = DEFAULT_CACHE_DEPTH) -> None:
     """Fill the number cache behind both families through index ``depth``."""
     _zigzag_number(_check_int(depth, "depth", 0))
 
 
-def _bernoulli(k: int) -> Fraction:
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return Fraction(-1, 2)
+def _bernoulli(k: int, times: int = 1) -> Fraction:
+    # times * B_k as one ratio of integers
+    if k < 2:
+        return Fraction(-times, 2) if k else Fraction(times)
     if k % 2:
         return Fraction(0)
     sign = 1 if k % 4 == 2 else -1
-    return Fraction(sign * k * _zigzag_number(k - 1), ((1 << k) - 1) << k)
+    return Fraction(sign * times * k * _zigzag_number(k - 1), ((1 << k) - 1) << k)
+
+
+def _euler_zero(k: int, times: int = 1) -> Fraction:
+    # times * E_k(0) as one ratio of integers
+    if k % 2 == 0:
+        return Fraction(0 if k else times)
+    sign = 1 if k % 4 == 3 else -1
+    return Fraction(sign * times * _zigzag_number(k), 1 << k)
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -96,13 +96,13 @@ def bernoulli_number(k: int) -> Fraction:
 def bernoulli_poly(k: int) -> Poly:
     """Exact Bernoulli polynomial B_k(x); monic of degree k."""
     k = _check_int(k, "k", 0)
-    return Poly(math.comb(k, i) * _bernoulli(k - i) for i in range(k + 1))
+    return Poly(_bernoulli(k - i, math.comb(k, i)) for i in range(k + 1))
 
 
 def euler_poly(k: int) -> Poly:
     """Exact Euler polynomial E_k(x); monic of degree k."""
     k = _check_int(k, "k", 0)
-    return Poly(math.comb(k, i) * _euler_zero(k - i) for i in range(k + 1))
+    return Poly(_euler_zero(k - i, math.comb(k, i)) for i in range(k + 1))
 
 
 def euler_number(k: int) -> Fraction:
@@ -118,29 +118,34 @@ def euler_number(k: int) -> Fraction:
     return Fraction(_zigzag_number(k) if k % 4 == 0 else -_zigzag_number(k))
 
 
+# Each constant is one ratio of integers, reduced by one gcd: with A_n the
+# zigzag numbers, zeta(2k) = k A_{2k-1} / ((2k)! (2**(2k) - 1)) pi**(2k) and
+# beta(2k+1) = A_{2k} / ((2k)! 2**(2k+2)) pi**(2k+1).
+
 def zeta_even(k: int) -> PiScalar:
     """zeta(2k) = sum n**(-2k) as an exact rational multiple of pi**(2k)."""
     k = _check_int(k, "k", 1)
-    sign = -1 if k % 2 == 0 else 1
-    coeff = sign * Fraction(2 ** (2 * k - 1), math.factorial(2 * k)) * bernoulli_number(2 * k)
-    return PiScalar(coeff, 2 * k)
+    return PiScalar(Fraction(k * _zigzag_number(2 * k - 1),
+                             math.factorial(2 * k) * ((1 << 2 * k) - 1)), 2 * k)
 
 
 def beta_odd(k: int) -> PiScalar:
     """beta(2k+1) = sum (-1)**n (2n+1)**(-2k-1) as a rational multiple of pi**(2k+1)."""
     k = _check_int(k, "k", 0)
-    sign = -1 if k % 2 == 1 else 1
-    coeff = Fraction(sign * euler_number(2 * k), 2 ** (2 * k + 2) * math.factorial(2 * k))
-    return PiScalar(coeff, 2 * k + 1)
+    return PiScalar(Fraction(_zigzag_number(2 * k), math.factorial(2 * k) << (2 * k + 2)), 2 * k + 1)
 
 
 def eta_even(k: int) -> PiScalar:
-    """eta(2k) = sum (-1)**(n-1) n**(-2k), via (1 - 2**(1-2k)) * zeta(2k)."""
+    """eta(2k) = sum (-1)**(n-1) n**(-2k), (1 - 2**(1-2k)) zeta(2k): k A_{2k-1}
+    (2**(2k-1) - 1) / ((2k)! (2**(2k) - 1) 2**(2k-1)) pi**(2k)."""
     k = _check_int(k, "k", 1)
-    return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k - 1)))
+    half = 1 << (2 * k - 1)
+    return PiScalar(Fraction(k * _zigzag_number(2 * k - 1) * (half - 1),
+                             math.factorial(2 * k) * (2 * half - 1) * half), 2 * k)
 
 
 def lambda_even(k: int) -> PiScalar:
-    """lambda(2k) = sum over odd n of n**(-2k), via (1 - 2**(-2k)) * zeta(2k)."""
+    """lambda(2k) = sum over odd n of n**(-2k), (1 - 2**(-2k)) zeta(2k): k
+    A_{2k-1} / ((2k)! 2**(2k)) pi**(2k)."""
     k = _check_int(k, "k", 1)
-    return zeta_even(k) * (1 - Fraction(1, 2 ** (2 * k)))
+    return PiScalar(Fraction(k * _zigzag_number(2 * k - 1), math.factorial(2 * k) << (2 * k)), 2 * k)

@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classical_polys import bernoulli_poly, euler_poly
-from .exact_core import PiScalar, format_pi_scalar, format_rational
+from .exact_core import _STR_BITS, PiScalar, _decimal, format_pi_scalar, format_rational
 
 __all__ = [
     "OutputRecord",
@@ -62,10 +62,32 @@ def _emit(args: argparse.Namespace, doc: Dict[str, object], lines: Sequence[str]
     """The one output path of every command but ``verify``: ``doc`` as
     canonical JSON for ``--format json``, otherwise the text ``lines``."""
     if args.format == "json":
-        print(json.dumps(doc, sort_keys=True))
+        print(_json(doc))
     else:
         for line in lines:
             print(line)
+
+
+def _json(doc: Dict[str, object]) -> str:
+    """doc as canonical JSON.  json writes an int by str(), which refuses one
+    past the interpreter's digit limit: each int of more than _STR_BITS bits
+    goes in as a quoted placeholder, then gives way to its digits."""
+    big: List[int] = []
+
+    def mark(value: object) -> object:
+        if isinstance(value, dict):
+            return {key: mark(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [mark(item) for item in value]
+        if type(value) is int and value.bit_length() > _STR_BITS:
+            big.append(value)
+            return "\0%d" % (len(big) - 1)
+        return value
+
+    text = json.dumps(mark(doc), sort_keys=True)
+    for i, n in enumerate(big):
+        text = text.replace('"\\u0000%d"' % i, _decimal(n), 1)
+    return text
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -85,7 +107,7 @@ def _latex_pi(x: PiScalar) -> str:
     den = x.coeff.denominator
     sign = "-" if num < 0 else ""
     num = abs(num)
-    core = str(num) if den == 1 else r"\frac{%d}{%d}" % (num, den)
+    core = _decimal(num) if den == 1 else r"\frac{%s}{%s}" % (_decimal(num), _decimal(den))
     if x.pi_power == 0:
         return sign + core
     pi = r"\pi" if x.pi_power == 1 else r"\pi^{%d}" % x.pi_power

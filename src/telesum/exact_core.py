@@ -9,15 +9,17 @@ closed arithmetic; this module layers on top of them:
   is correctly rounded;
 * ``Poly`` -- dense univariate polynomials with rational coefficients;
 * pi in integers: its floor at 1152 fraction bits from Machin's formula
-  (more on demand), directed bounds on its powers, and _pole_distance, the
-  one domain check and reduction of every argument shifted by a pole
-  lattice;
-* serialization helpers shared by the CLI renderers.
+  (more on demand), directed bounds on its powers, each grown from the last
+  one formed at its precision, and _pole_distance, the one domain check and
+  reduction of every argument shifted by a pole lattice;
+* serialization helpers shared by the CLI renderers, which print every
+  digit of an integer, however many.
 
 It needs nothing beyond the standard library.
 
 Everything here is immutable after construction and safe for unrestricted
-concurrent use.
+concurrent use; the one kept state, the last bracket of a power of pi at
+each precision, is an immutable triple swapped whole.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ class PiScalar:
     __slots__ = ("coeff", "pi_power")
 
     def __init__(self, coeff: RationalLike, pi_power: int = 0) -> None:
-        coeff = Fraction(coeff)
+        if type(coeff) is not Fraction:  # a Fraction, immutable, is kept
+            coeff = Fraction(coeff)
         pi_power = _check_int(pi_power, "pi_power")
         if coeff == 0:
             pi_power = 0
@@ -263,34 +266,74 @@ def _cut(man: int, exp: int, bits: int, up: bool) -> Tuple[int, int]:
     return (-(-man >> drop) if up else man >> drop), exp + drop
 
 
+def _raise(man: int, exp: int, n: int, keep: int, up: bool) -> Tuple[int, int]:
+    """(man * 2**exp)**n (n >= 0) as a mantissa and an exponent, by
+    square-and-multiply from the left on mantissas cut to ``keep`` bits,
+    floored, or ceiled when ``up``.  A cut at a partial power x**e moves the
+    result by its relative error, under 2**(1 - keep), raised to n / e; the
+    base's cut counts n, the squares' and the products' each under n in
+    all, as e at least doubles per bit: under 3n cuts' worth, or 6n
+    2**-keep relative."""
+    if not n:
+        return 1, 0
+    base_man, base_exp = acc_man, acc_exp = _cut(man, exp, keep, up)
+    for bit in bin(n)[3:]:
+        acc_man, acc_exp = _cut(acc_man * acc_man, 2 * acc_exp, keep, up)
+        if bit == "1":
+            acc_man, acc_exp = _cut(acc_man * base_man, acc_exp + base_exp, keep, up)
+    return acc_man, acc_exp
+
+
+def _ratio(man: int, exp: int) -> Tuple[int, int]:
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
 def _power_bounds(lo: int, hi: int, exp: int, n: int, prec: int) -> Tuple[Tuple[int, int], ...]:
     """Integer ratios ((a, b), (c, d)), a/b <= x**n <= c/d for every x in
-    [lo, hi] * 2**exp (0 < lo <= hi, n >= 0), to about prec bits:
-    square-and-multiply from the left on mantissas cut to prec + log2(n) + 4
-    bits, floored for the lower bound and ceiled for the upper.  A cut's
-    relative error, at most 2**(1 - bits), grows at most n-fold by the
-    powers after it."""
+    [lo, hi] * 2**exp (0 < lo <= hi, n >= 0), to about prec bits: _raise
+    on lo floored and on hi ceiled, at prec + log2(n) + 4 bits."""
     keep = prec + n.bit_length() + 4
-    bounds = []
-    for man, up in ((lo, False), (hi, True)):
-        base_man, base_exp = _cut(man, exp, keep, up)
-        acc_man, acc_exp = 1, 0
-        for bit in bin(n)[2:]:
-            acc_man, acc_exp = _cut(acc_man * acc_man, 2 * acc_exp, keep, up)
-            if bit == "1":
-                acc_man, acc_exp = _cut(acc_man * base_man, acc_exp + base_exp, keep, up)
-        bounds.append((acc_man << acc_exp, 1) if acc_exp >= 0 else (acc_man, 1 << -acc_exp))
-    return tuple(bounds)
+    return tuple(_ratio(*_raise(man, exp, n, keep, up)) for man, up in ((lo, False), (hi, True)))
+
+
+# prec -> (m, low, high): the last bracket of pi**m formed at each prec, each
+# end a mantissa and an exponent; one immutable triple per prec, swapped
+# whole, so a thread reads some rigorous bracket, if not the latest
+_LAST_PI_POWER: Dict[int, Tuple[int, Tuple[int, int], Tuple[int, int]]] = {}
 
 
 @functools.lru_cache(maxsize=256)
 def _pi_power_bounds(n: int, prec: int) -> Tuple[Tuple[int, int], ...]:
     """Integer ratios a/b <= pi**n <= c/d to about prec bits, as
-    ((a, b), (c, d)): pi**|n| by _power_bounds from pi's floor and ceiling
-    at prec + log2|n| + 6 fraction bits, inverted for n < 0."""
-    bits = prec + abs(n).bit_length() + 6
+    ((a, b), (c, d)), inverted for n < 0, from a bracket of pi**m, m = |n|,
+    whose ends are floored and ceiled mantissas of K = prec + b + 4 bits, b
+    the bits of m, raised from pi's floor and ceiling at F = K + 2 fraction
+    bits.
+
+    The bracket grows from the last one formed at this prec, of pi**m0, when
+    m0 <= m has b bits too: it is that bracket times pi**(m - m0)'s, raised
+    by _raise at the same K and F, each end cut once more to K bits.  A
+    first or a descending call raises pi**m's from pi's instead.  Each end
+    stays within m u' relative, u' = 8.1
+    * 2**-K: a raised one within m (6 * 2**-K + 2**-F / 3) (_raise, and
+    pi's floor within 2**-F of pi), and a grown one within m0 u' + (m - m0)
+    (u' - 2 * 2**-K) + 2**(1 - K), as m - m0 >= 1.  So whatever chain led to
+    it, at most m products long, each end is within 0.51 * 2**-prec, as m <
+    2**b, and the bracket is under 2**(2 - prec) wide.  Exact repeats are
+    cached."""
+    m = abs(n)
+    keep = prec + m.bit_length() + 4
+    bits = keep + 2
     pi = _pi_fixed(bits)
-    low, high = _power_bounds(pi, pi + 1, -bits, abs(n), prec)
+    m0, kept_low, kept_high = _LAST_PI_POWER.get(prec, (0, None, None))
+    if m0 > m or m0.bit_length() != m.bit_length():
+        m0 = 0
+    low, high = _raise(pi, -bits, m - m0, keep, False), _raise(pi + 1, -bits, m - m0, keep, True)
+    if m0:  # the kept bracket times pi**(m - m0)'s
+        low = _cut(kept_low[0] * low[0], kept_low[1] + low[1], keep, False)
+        high = _cut(kept_high[0] * high[0], kept_high[1] + high[1], keep, True)
+    _LAST_PI_POWER[prec] = (m, low, high)
+    low, high = _ratio(*low), _ratio(*high)
     return (low, high) if n >= 0 else (high[::-1], low[::-1])
 
 
@@ -357,7 +400,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        # a Fraction, immutable, is kept as it is
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -478,12 +522,31 @@ def collapse_pi_terms(
     return [(live[p], p) for p in sorted(live)]
 
 
+# n < 2**_STR_BITS has at most 600 digits, which str() converts under any
+# setting of sys.set_int_max_str_digits (its least limit is 640)
+_STR_BITS = 1993
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of the integer n, whatever the interpreter's limit
+    on int-to-str conversion: str() of pieces under _STR_BITS bits, split at
+    a power of ten near the middle of n's digits."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    low = n.bit_length() * 3 // 20  # about half of n's digits
+    high, rest = divmod(n, 10**low)
+    return _decimal(high) + _decimal(rest).zfill(low)
+
+
 def format_rational(q: RationalLike) -> str:
-    """Render a rational as "p/q", omitting the denominator when it is 1."""
+    """Render a rational as "p/q", omitting the denominator when it is 1;
+    every digit, however many (_decimal)."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+        return _decimal(q.numerator)
+    return "%s/%s" % (_decimal(q.numerator), _decimal(q.denominator))
 
 
 def format_pi_scalar(x: PiScalar) -> str:

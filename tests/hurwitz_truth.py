@@ -9,7 +9,9 @@ fixed precision reads 0 there: at 60 digits Z(1; 1e-61) comes out 0 instead
 of 1.25e-62.  So z_truth works log10(1/|mu|) + 10 digits above the active
 precision and keeps that many digits relative to the value itself.  Ztilde
 has a pole, not a zero, at mu = 0, and the nearest double to its zero at
-mu = pi lies 1.2e-16 away, so ztilde_truth runs at the active precision.
+mu = pi lies 1.2e-16 away, so ztilde_truth runs at the active precision; it
+splits off the term of the pole nearest mu, so that no Hurwitz argument
+nears 0 next to a pole (at mu = 5e-324 too).
 At k = 0 Z's halves diverge, and z_truth returns the symmetric limit
 sec(mu/2)/2.  Both return the mpf at the precision they worked in;
 truth_or_out_of_range checks a lattice sum against such a truth.
@@ -42,11 +44,15 @@ def z_truth(k, mu):
 
 
 def ztilde_truth(k, mu):
-    # the m >= 1 and m <= 0 halves, with b = mu / (2 pi) reduced into (0, 1)
+    # the term of the lattice point 2 pi n nearest mu, (-r)**-s with r = mu -
+    # 2 pi n, split off, and the m > n and m < n halves as Hurwitz zetas at
+    # 1 -+ b, b = r / (2 pi) in [-1/2, 1/2]: no argument nears 0 as mu nears
+    # a pole
     s = k + 1
-    b = mpmath.mpf(mu) / (2 * mpmath.pi)
-    b -= mpmath.floor(b)
-    return (mpmath.zeta(s, 1 - b) + (-1) ** s * mpmath.zeta(s, b)) / (2 * mpmath.pi) ** s
+    mu = mpmath.mpf(mu)
+    r = mu - 2 * mpmath.pi * mpmath.nint(mu / (2 * mpmath.pi))
+    b = r / (2 * mpmath.pi)
+    return (-r) ** -s + (mpmath.zeta(s, 1 - b) + (-1) ** s * mpmath.zeta(s, 1 + b)) / (2 * mpmath.pi) ** s
 
 
 def truth_or_out_of_range(f, k, mu, want):

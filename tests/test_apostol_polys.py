@@ -6,6 +6,9 @@ but would catch any wrong term instantly.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -120,16 +123,132 @@ def test_derivative_ladder_of_deformed_family():
 
 
 def test_difference_rows_are_stirling_and_binomial_sums():
-    # j! S(k, j) = forward differences of i**k, T_k(j) = those of (2i + 1)**k
+    # j! S(k, j) = forward differences of i**k, T_k(j) = those of (2i + 1)**k,
+    # with k going up, where each row grows from the one kept before it, and
+    # then coming down, where each is built afresh
     with mpmath.workdps(150):
-        for k in range(61):
-            assert apostol_polys._difference_row(k, 0, 1) == tuple(
-                math.factorial(j) * int(mpmath.stirling2(k, j)) for j in range(k + 1)
-            )
-            assert apostol_polys._difference_row(k, 1, 2) == tuple(
-                sum((-1) ** (j - i) * math.comb(j, i) * (2 * i + 1) ** k for i in range(j + 1))
-                for j in range(k + 1)
-            )
+        for ks in (range(61), range(60, -1, -1)):
+            for k in ks:
+                assert apostol_polys._difference_row(k, 0, 1) == tuple(
+                    math.factorial(j) * int(mpmath.stirling2(k, j)) for j in range(k + 1)
+                )
+                assert apostol_polys._difference_row(k, 1, 2) == tuple(
+                    sum((-1) ** (j - i) * math.comb(j, i) * (2 * i + 1) ** k for i in range(j + 1))
+                    for j in range(k + 1)
+                )
+
+
+def _table_row(k, start, step):
+    # the difference table of the powers, the one builder that keeps nothing
+    row = [(start + step * i) ** k for i in range(k + 1)]
+    for n in range(k):
+        for i in range(k, n, -1):
+            row[i] -= row[i - 1]
+    return tuple(row)
+
+
+def test_kept_difference_rows_equal_a_direct_build():
+    # ascending, descending, repeated, interleaved and gapped sequences, and
+    # k = 618 grown from 600: whatever row is kept, each equals the table's,
+    # and one row per family is kept, the last one asked for
+    families = ((1, 2), (0, 1))
+    ascending = list(range(121))
+    gapped, k = [], 0
+    for gap in (1, 2, 3, 5, 8, 13, 21, 34, 1, 1, 4, 9):
+        k += gap
+        gapped.append(k)
+    sequences = [
+        [(k, fam) for fam in families for k in ascending],
+        [(k, fam) for fam in families for k in reversed(ascending)],
+        [(k, fam) for fam in families for k in ascending for _ in range(2)],
+        [(k, fam) for k in ascending for fam in families],
+        [(k, fam) for k in gapped + gapped[::-1] + gapped for fam in families],
+        [(k, fam) for k in (600, 618) for fam in families],
+    ]
+    want = {}
+    for sequence in sequences:
+        apostol_polys._KEPT_ROWS.clear()
+        for k, (start, step) in sequence:
+            if (k, start, step) not in want:
+                want[k, start, step] = _table_row(k, start, step)
+            assert apostol_polys._difference_row(k, start, step) == want[k, start, step], (k, start, step)
+            assert apostol_polys._KEPT_ROWS[start, step] == (k, want[k, start, step])
+        assert len(apostol_polys._KEPT_ROWS) == 2
+
+
+_CONCURRENT_KEPT = """
+import hashlib, sys, threading
+import mpmath
+import telesum
+from telesum import apostol_polys, exact_core
+
+threaded = sys.argv[1] == "threaded"
+calls = [
+    ("row", (1, 2), range(121)),
+    ("row", (1, 2), range(120, -1, -3)),
+    ("row", (0, 1), range(0, 121, 2)),
+    ("row", (0, 1), range(121)),
+    ("pi", 64, range(1, 400)),
+    ("pi", 64, range(-1, -400, -1)),
+    ("pi", 512, range(1, 400, 3)),
+    ("pi", 512, range(399, 0, -1)),
+]
+mpmath.mp.dps = 200
+powers = {n: mpmath.pi ** n for n in range(-400, 401)}
+results = {}
+barrier = threading.Barrier(len(calls) if threaded else 1)
+
+def run(i, kind, arg, indices):
+    barrier.wait(timeout=60)
+    if kind == "row":
+        results[i] = [apostol_polys._difference_row(k, *arg) for k in indices]
+        return
+    out = []
+    for n in indices:
+        (a, b), (c, d) = exact_core._pi_power_bounds(n, arg)
+        lo, hi = mpmath.mpf(a) / b, mpmath.mpf(c) / d
+        holds = lo < powers[n] < hi and (hi - lo) / powers[n] < mpmath.mpf(2) ** (2 - arg)
+        out.append((holds, float(telesum.PiScalar(1, n)).hex()))
+    results[i] = out
+
+if threaded:
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i, *c)) for i, c in enumerate(calls)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+else:
+    for i, c in enumerate(calls):
+        run(i, *c)
+
+assert all(holds for i, c in enumerate(calls) if c[0] == "pi" for holds, _ in results[i])
+print(hashlib.sha256(repr(sorted(results.items())).encode()).hexdigest())
+"""
+
+
+def test_kept_rows_and_brackets_under_concurrent_growth_from_cold_start():
+    # each run is a fresh interpreter, so no row or bracket is kept yet;
+    # eight threads grow the two row families and the brackets at two
+    # precisions up, down and in steps, and give what a serial run gives:
+    # the same rows, and brackets that hold pi**n with the same doubles
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+    def digest(mode):
+        done = subprocess.run(
+            [sys.executable, "-c", _CONCURRENT_KEPT, mode],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    assert digest("threaded") == digest("serial")
 
 
 def test_excluded_parameters():

@@ -6,6 +6,7 @@ test at the bottom proves the installed entry point works end to end.
 
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -267,6 +268,42 @@ def test_eval_far_past_the_pi_power_overflow(capsys):
     code, out, _ = run_cli(capsys, ["eval", "beta", "--k", "200"])
     assert code == 0
     assert out.endswith(" * pi^401 = 1\n")
+
+
+def _read_int(digits):
+    # the integer of a decimal string, read 500 digits at a time, so that no
+    # limit on int-from-str conversion applies
+    sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_exact_constants_past_the_int_digit_limit(capsys):
+    # CPython refuses str() of an int past 4300 digits by default; every
+    # format prints all of the coefficient's digits, and they read back to it
+    import telesum
+
+    for argv, name, k in (
+        (["eval", "zeta", "--k", "1200"], "zeta_even", 1200),
+        (["eval", "lambda", "--k", "1000", "--format", "json"], "lambda_even", 1000),
+        (["eval", "beta", "--k", "900", "--format", "latex"], "beta_odd", 900),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        if "json" in argv:
+            exact = json.loads(out, parse_int=_read_int)["exact"]
+            got = [exact["num"], exact["den"], exact["pi_power"]]
+        else:
+            pattern = (r"\\frac\{(\d+)\}\{(\d+)\}\\pi\^\{(\d+)\}\n" if "latex" in argv
+                       else r"(\d+)/(\d+) \* pi\^(\d+) = 1\n")
+            digits = re.fullmatch(pattern, out).groups()
+            assert len(digits[1]) > 4300, argv
+            got = [_read_int(part) for part in digits]
+        want = getattr(telesum, name)(k)
+        assert got == [want.coeff.numerator, want.coeff.denominator, want.pi_power], argv
 
 
 def test_overflowing_series_exits_1(capsys):

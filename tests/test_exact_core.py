@@ -43,6 +43,19 @@ def test_format_rational():
     assert format_rational(Fraction(7, 1)) == "7"
     assert format_rational(Fraction(0, 5)) == "0"
     assert format_rational(Fraction(6, -8)) == "-3/4"  # canonical lowest terms
+    # past the 4300 digits str() of an int converts by default: the digits,
+    # read back 500 at a time, give the value, the zeros across the splits
+    # at powers of ten included
+    def read(digits):
+        value = 0
+        for i in range(0, len(digits), 500):
+            value = value * 10 ** len(digits[i:i + 500]) + int(digits[i:i + 500])
+        return value
+
+    big = Fraction(-(10**5000 + 7), 3**9100)
+    num, den = format_rational(big).split("/")
+    assert (num[:2], len(num), len(den)) == ("-1", 5002, 4342)
+    assert Fraction(-read(num[1:]), read(den)) == big
 
 
 def test_binomial_matches_math_comb():
@@ -156,6 +169,42 @@ def test_pi_power_bounds_bracket_pi_powers():
                     lo, hi = mpmath.mpf(a) / b, mpmath.mpf(c) / d
                     assert lo < want < hi, (sign * n, prec)
                     assert (hi - lo) / want < mpmath.mpf(2) ** (2 - prec), (sign * n, prec)
+
+
+def test_pi_power_brackets_grown_along_chains():
+    # the same bound after the brackets grow from one another: n = 1..1236
+    # one at a time (each grown from the last but the first of each bit
+    # length), then down and negative, at three precisions; the first
+    # brackets asked for are cold, as the cache and the kept ones are
+    # cleared.  A grown end also lies outside the kept one times pi's floor
+    # or ceiling at F bits to the power of the gap: each of its cuts points
+    # outward, which containment alone, with the margin a chain builds up,
+    # does not show
+    exact_core._pi_power_bounds.cache_clear()
+    exact_core._LAST_PI_POWER.clear()
+    grown = 0
+    with mpmath.workdps(500):
+        powers = {n: mpmath.pi ** n for n in range(-1236, 1237)}
+        for prec in (64, 512, 1200):
+            chain = [*range(1, 1237), *range(1236, 0, -97), *range(-1, -1237, -1), *range(-1236, 0, 89)]
+            for n in chain:
+                last = exact_core._LAST_PI_POWER.get(prec)
+                (a, b), (c, d) = exact_core._pi_power_bounds(n, prec)
+                lo, hi = mpmath.mpf(a) / b, mpmath.mpf(c) / d
+                assert lo < powers[n] < hi, (n, prec)
+                assert (hi - lo) / powers[n] < mpmath.mpf(2) ** (2 - prec), (n, prec)
+                m, low, high = exact_core._LAST_PI_POWER[prec]
+                if last is not None and last[0] < m and last[0].bit_length() == m.bit_length():
+                    grown += 1
+                    gap, bits = m - last[0], prec + m.bit_length() + 6
+                    pi = exact_core._pi_fixed(bits)
+                    for (man, exp), (man0, exp0), base, sign in ((low, last[1], pi, 1), (high, last[2], pi + 1, -1)):
+                        # sign * (man0 2**exp0 base**gap 2**(-bits gap) - man 2**exp) >= 0
+                        low_exp = min(exp, exp0 - bits * gap)
+                        kept = man0 * base**gap << (exp0 - bits * gap - low_exp)
+                        assert sign * (kept - (man << (exp - low_exp))) >= 0, (n, prec)
+    assert sorted(exact_core._LAST_PI_POWER) == [64, 512, 1200]
+    assert grown > 3 * 2 * 1200
 
 
 def test_format_pi_scalar():
