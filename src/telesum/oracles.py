@@ -4,27 +4,32 @@ Every oracle returns a SumResult whose error_bound is an honest bound on
 |value - true sum|: an analytic tail bound (Euler-Maclaurin integral plus
 half-term for monotone tails, the Leibniz-interval midpoint for alternating
 tails) plus a floating-point roundoff floor.  Each oracle writes its terms
-in blocks of at most 2**15 into one buffer per call and computes its tail;
-one kernel sums each block as it is written, exactly, so the sum is exactly
-rounded at any length, independent of order, and the roundoff floor only has
-to cover the rounding of the individual terms, scaled by the sum of their
-magnitudes that the kernel takes alongside.  Each oracle writes one
-sequence: an alternating series (sum_beta, sum_Z) writes its own signed
-terms.  No oracle builds an array whose length grows with its term count.
-The kernel picks a path for each block from the block's own range.  Let 2**e
-be the power of two above the block's largest magnitude.  A narrow block,
-whose nonzero terms all have their lowest bit within 2 * 38 bits below 2**e
-(the least term within 23 binades of the top), is cut at that scale into two
-fixed-point slices of _SLICE = 53 - 15 = 38 bits (Rump, Ogita & Oishi 2008),
-and each slice is added with a plain numpy sum: a slice is below 2**38 and a
-block holds at most 2**15 of them, so every partial sum is an integer below
-2**53 and hence exact.  Every other block is binned by exponent (Demmel &
-Hida 2003) in a window of its own, from the block's least exponent up, in
-bins of 8 binades: each term, scaled within its bin to below 2**34, splits
-into two integer limbs, summed per bin, sign and lane with numpy, again as
-integers below 2**53.  Either path gives the block's exact sum and sum of
-magnitudes as two Python ints, which add up over the blocks and are rounded
-once.  A sum beyond the double range raises ToleranceUnreachable.
+in blocks of at most 2**15 into one buffer per call, as long as the blocks
+read, and computes its tail; one kernel sums each block as it is written,
+exactly, so the sum is exactly rounded at any length, independent of order,
+and the roundoff floor only has to cover the rounding of the individual
+terms, scaled by the sum of their magnitudes that the kernel takes
+alongside.  Each oracle writes one sequence: an alternating series
+(sum_beta, sum_Z) writes its own signed terms.  No oracle builds an array
+whose length grows with its term count.  The kernel picks a path for each
+block from the block's own length and range.  A block of at most _SHORT =
+64 terms is summed exactly in Python ints, each term's integer ratio shifted
+to one common scale: on a short wide block, such as the first block of a
+high-power sum below, the exponent bins' fixed cost is more than the ints
+cost.  For a longer block let 2**e be the power of two above its largest
+magnitude.  A narrow block, whose nonzero terms all have
+their lowest bit within 2 * 38 bits below 2**e (the least term within 23
+binades of the top), is cut at that scale into two fixed-point slices of
+_SLICE = 53 - 15 = 38 bits (Rump, Ogita & Oishi 2008), and each slice is
+added with a plain numpy sum: a slice is below 2**38 and a block holds at
+most 2**15 of them, so every partial sum is an integer below 2**53 and hence
+exact.  Every other block is binned by exponent (Demmel & Hida 2003) in a
+window of its own, from the block's least exponent up, in bins of 8
+binades: each term, scaled within its bin to below 2**34, splits into two
+integer limbs, summed per bin, sign and lane with numpy, again as integers
+below 2**53.  Each path gives the block's exact sum and sum of magnitudes as
+two Python ints, which add up over the blocks and are rounded once.  A sum
+beyond the double range raises ToleranceUnreachable.
 
 A sum stops early once its rounding is decided (Ziv, ACM TOMS 17, 1991).
 hurwitz_partial, and sum_Z and sum_Ztilde at k >= 1, hand the kernel a
@@ -38,10 +43,13 @@ magnitudes) and the majorant T in the same units; when S - T and S + T
 round to one double, and A and A + T to one double, these are the doubles
 the whole sum would give, since rounding is monotone, so value, error_bound
 and terms_used are bit-identical to summing every term.  The first block of
-such a sum is short, 2**10 terms; the kernel keeps the majorant only where
-it can decide before the last term, judged against that block's exact
-magnitude (the terms decay like h**-p with p >= 5 or so, or the first few
-dwarf the rest), and then reads blocks doubling up to 2**15.
+such a sum is the least power of two n from 32 to 2**10 terms by which the
+majorant has fallen to 2**-54 of its value after the first term, rest(n) *
+2**54 <= rest(1): 32 or 64 terms at high powers, which the Python ints sum,
+2**10 at low ones.  The kernel keeps the majorant only where it can decide
+before the last term, judged against that block's exact magnitude (the
+terms decay like h**-p with p >= 5 or so, or the first few dwarf the rest),
+and then reads blocks doubling up to 2**15.
 
 The lattice oracles reduce their shift once, through
 exact_core._pole_distance, the one reduction of every shifted argument:
@@ -56,12 +64,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._support import _Record
 from .exact_core import _COT, _INT, _SEC, PiScalar, ToleranceUnreachable, _check_int, _pole_distance
 
 __all__ = [
@@ -90,13 +99,15 @@ _ZETA_N_CAP = 20_000_000
 _BETA_M_CAP = 20_000_000
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(_Record):
     """Certified summation result: |value - true sum| <= error_bound."""
 
-    value: float
-    error_bound: float
-    terms_used: int
+    __slots__ = ("value", "error_bound", "terms_used")
+
+    def __init__(self, value: float, error_bound: float, terms_used: int) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_bound", error_bound)
+        object.__setattr__(self, "terms_used", terms_used)
 
 
 def _trig_into(r: np.ndarray, sign: np.ndarray, t: np.ndarray, cos: bool) -> None:
@@ -194,10 +205,11 @@ def _alternating_tail(h0: float, h1: float) -> Tuple[float, float]:
 _quiet = np.errstate(all="ignore")
 
 
-# Exact summation in blocks of _BLOCK terms, each block by one of two paths
-# chosen from what the block itself shows.  Every total is an integer in
-# units of 2**-_UNIT, below the lowest bit of any double; all of them meet
-# as one Python int, rounded once.
+# Exact summation in blocks of at most _BLOCK terms, each block by one of
+# three paths chosen from what the block itself shows: a short block in
+# Python ints (_SHORT below), a longer one by its range.  Every total is an
+# integer in units of 2**-_UNIT, below the lowest bit of any double; all of
+# them meet as one Python int, rounded once.
 #
 # Narrow blocks (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): let
 # 2**e be the power of two just above the block's largest magnitude.  When
@@ -231,8 +243,9 @@ _quiet = np.errstate(all="ignore")
 # of inf or nan is unspecified.
 #
 # The oracles never build a whole term array: each writes its terms block by
-# block into a buffer that _stream_sum allocates once per call, and every
-# block is summed as soon as it is written, while it is still in cache.
+# block into a buffer that _stream_sum allocates per call, as long as the
+# blocks it reads, and every block is summed as soon as it is written, while
+# it is still in cache.
 # 2**15 beat 2**16 and 2**14 in alternating series_grid runs: the buffer of
 # a call stays within the L2 cache, and the per-block Python costs stay few
 _BLOCK = 1 << 15
@@ -245,6 +258,15 @@ _OFFSETS = np.arange(_BLOCK, dtype=np.float64)
 _OFFSETS.flags.writeable = False
 _EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
 _UNIT = _EXP_BIAS + 53
+# A block of at most _SHORT terms is summed in Python ints instead (_units),
+# about 0.5 us a term on a 2-core Xeon.  After the slices reject a short wide
+# block the exponent bins cost 33-40 us or more, so there the ints are the
+# cheaper up to 64-128 terms; on a short narrow block the slices cost about
+# 10 us, so there the ints lose from about 20 terms on (sum_zeta(4, 1e-8), 36
+# terms, 22 -> 31 us).  The first block of a Ziv sum at a high power is wide,
+# 32 or 64 terms: _SHORT = 32 left series_grid's median operation slower
+# than 64 did in 5 of 6 seeds
+_SHORT = 64
 
 
 def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -322,6 +344,31 @@ def _binned_block(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray) -> 
     return value << shift, magnitude << shift
 
 
+def _units(x: float) -> int:
+    # a finite x in units of 2**-_UNIT, exactly: x = num / den with den a
+    # power of two at most 2**1074
+    num, den = x.as_integer_ratio()
+    return num << (_UNIT + 1 - den.bit_length())
+
+
+def _short_block(block: np.ndarray) -> Tuple[int, int]:
+    """(sum, sum of magnitudes) of a short block in units of 2**-_UNIT, in
+    Python ints; ValueError for a non-finite term, before any is summed."""
+    try:
+        units = list(map(_units, block.tolist()))
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError("non-finite term") from None
+    return sum(units), sum(map(abs, units))
+
+
+def _block_sums(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray) -> Tuple[int, int]:
+    """(sum, sum of magnitudes) of a block in units of 2**-_UNIT, by the
+    path its length and range pick; ValueError for a non-finite term."""
+    if block.size <= _SHORT:
+        return _short_block(block)
+    return _fixed_block(block, scratch) or _binned_block(block, scratch, slots)
+
+
 def _settled(lo: int, hi: int) -> Optional[float]:
     """The double that lo / 2**_UNIT and hi / 2**_UNIT both round to, signed
     zero included, or None when they round apart or past the double range.
@@ -349,17 +396,16 @@ def _majorant(bound: float, rel: float, left: int) -> float:
 _SETTLE = 60
 
 
-def _units(x: float) -> int:
-    # x >= 0 in units of 2**-_UNIT, exactly: its denominator is a power of
-    # two below 2**_UNIT
-    num, den = x.as_integer_ratio()
-    return (num << _UNIT) // den
-
-
-# A sum with a majorant reads a block of _FIRST terms first, then, if it
-# keeps the majorant, blocks as long as all it has read, up to _BLOCK: most
-# such sums are settled within a few thousand terms
+# A sum with a majorant reads first a block of n terms, the least power of
+# two from 32 up, at most _FIRST, by which the majorant has fallen to 2**-54
+# of that of the terms after the first, rest(n) * 2**54 <= rest(1); then, if
+# it keeps the majorant, blocks as long as all it has read, up to _BLOCK.
+# Most such sums are settled within a few thousand terms, those of high
+# powers within the first 32 or 64 (hurwitz_partial at k = 6..8, M = 10**5,
+# went from 0.10-0.20 ms to 0.05-0.12 ms on a 2-core Xeon); a probe block
+# read before sizing the first made low powers (k <= 3) 1.2-1.5 times slower
 _FIRST = 1 << 10
+_FIRSTS = tuple(1 << j for j in range(5, _FIRST.bit_length()))  # 32 .. _FIRST
 
 
 @_quiet
@@ -384,24 +430,37 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
     rest(count), is within 2**-_SETTLE of that block's exact magnitude: a
     sum it cannot settle early pays one short block for it, and no more.
     """
-    # one buffer per call, reused by every block, with the kernel's two
-    # scratch rows and its slot row last: the allocator keeps a buffer of
-    # the size it last freed for the next call, while fresh temporaries for
-    # every block would cost about as much in page faults as the arithmetic
-    work = np.empty((1 + spare + 3, min(count, _BLOCK)))
-    scratch, slots = work[-3:-1], work[-1].view(np.int64)
+    if rest is not None:
+        # the first block (_FIRST), found by bisection as the majorant
+        # falls with n: a scan up from 32 cost the low powers, which reach
+        # _FIRST, 4-5 us more; a sum of at most n terms is read whole
+        after = rest(1)
+        first = _FIRSTS[bisect_left(_FIRSTS, True, 0, len(_FIRSTS) - 1,
+                                    key=lambda n: n >= count or rest(n) * 2.0**54 <= after)]
     value = magnitude = 0  # the exact sums in units of 2**-_UNIT
     start = 0  # the terms read
+    columns = 0  # of the buffer
     while start < count:
         # blocks end at multiples of _BLOCK, so a dropped majorant leaves
         # the later blocks where a plain sum has them
         size = min(_BLOCK - start % _BLOCK, count - start)
         if rest is not None:
-            size = min(size, max(start, _FIRST))
+            size = min(size, max(start, first))
+        if size > columns:
+            # one buffer for the blocks to come, with the kernel's two
+            # scratch rows and its slot row last, grown only for a longer
+            # block: while the majorant is kept the blocks double, without
+            # it they reach _BLOCK.  The allocator keeps a buffer of the size
+            # it last freed for the next call, while fresh temporaries for
+            # every block would cost about as much in page faults as the
+            # arithmetic
+            columns = size if rest is not None else min(count - start, _BLOCK)
+            work = np.empty((1 + spare + 3, columns))
+            scratch, slots = work[-3:-1], work[-1].view(np.int64)
         blocks = work[: 1 + spare, :size]
         fill(start, *blocks)
         start += size
-        sums = _fixed_block(blocks[0], scratch) or _binned_block(blocks[0], scratch, slots)
+        sums = _block_sums(blocks[0], scratch, slots)
         value += sums[0]
         magnitude += sums[1]
         if rest is None or start == count:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
@@ -26,6 +25,7 @@ import mpmath
 import numpy as np
 
 from . import closed_forms, oracles, quadrature
+from ._support import _Record
 from .apostol_polys import (
     DEFAULT_DPS,
     apostol_bernoulli_poly,
@@ -59,13 +59,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    defect: float
-    tol: float
-    passed: bool
-    note: str = ""
+class CheckResult(_Record):
+    """One check's outcome: its measured defect against its tolerance."""
+
+    __slots__ = ("name", "defect", "tol", "passed", "note")
+
+    def __init__(self, name: str, defect: float, tol: float, passed: bool, note: str = "") -> None:
+        for field, value in zip(self.__slots__, (name, defect, tol, passed, note)):
+            object.__setattr__(self, field, value)
 
 
 # the tol column of an exact check: it passes only with defect 0

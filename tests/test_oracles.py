@@ -5,7 +5,6 @@ truth supplied by mpmath (zeta, Dirichlet L-series) or by exact closed
 forms, never by the code under test.
 """
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -190,7 +189,7 @@ def test_sinpi_cospi_folds_keep_the_bits_of_the_where_folds():
 
 def test_sum_result_is_frozen():
     r = SumResult(1.0, 1e-10, 100)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.value = 2.0
 
 
@@ -660,6 +659,53 @@ def test_kernel_rejects_a_non_finite_term_before_any_window(monkeypatch):
     assert binned == []
 
 
+def _blocks_about_the_short_path(rng, n):
+    # blocks of n terms from four families: full-width significands within a
+    # span of binades under a random top (narrow when the span is small),
+    # subnormals, any finite doubles, and terms near 2**1024 whose sums
+    # overflow or cancel; each with both signs and signed zeros among them
+    top, span = int(rng.integers(-1000, 1024)), int(rng.integers(0, 31))
+    sign = rng.choice([-1.0, 1.0], n)
+    yield sign * np.ldexp(rng.uniform(0.5, 1.0, n), top - rng.integers(0, span + 1, n))
+    yield rng.integers(-(2**52), 2**52, n) * 5e-324
+    yield rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    yield sign * np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(1000, 1025, n))
+
+
+def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold(monkeypatch):
+    # a block of at most _SHORT terms is summed in ints, a longer one by the
+    # numpy paths; both give the rational sums, and both reject a non-finite
+    # term before any exponent window is sized
+    short, binned = [], []
+    short_block, binned_block = oracles._short_block, oracles._binned_block
+    monkeypatch.setattr(oracles, "_short_block", lambda block: short.append(1) or short_block(block))
+    monkeypatch.setattr(oracles, "_binned_block", lambda *args: binned.append(1) or binned_block(*args))
+    rng = np.random.default_rng(31)
+    lengths = (1, oracles._SHORT, oracles._SHORT + 1, 2 * oracles._SHORT)
+    seen = set()
+    for n in lengths:
+        for _ in range(25):
+            for xs in _blocks_about_the_short_path(rng, n):
+                xs[~np.isfinite(xs)] = 1.0  # the random bit patterns' inf and nan
+                xs[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+                del short[:], binned[:]
+                outcome = _kernel_outcome(xs)
+                assert outcome == _fraction_outcome(xs), (n, xs[:3])
+                assert short == ([1] if n <= oracles._SHORT else []), n
+                seen.add((n, bool(binned), outcome is OverflowError))
+                bad = xs.copy()
+                bad[rng.integers(n)] = rng.choice([math.inf, -math.inf, math.nan])
+                del binned[:]
+                with pytest.raises(ValueError, match="non-finite term"):
+                    _exact_sum(bad)
+                assert binned == [], n
+    # each length past one term overflowed and summed, and past _SHORT both
+    # numpy paths ran
+    for n in lengths[1:]:
+        assert {over for m, _, over in seen if m == n} == {False, True}, n
+        assert {b for m, b, _ in seen if m == n} == ({False} if n <= oracles._SHORT else {False, True}), n
+
+
 def test_wide_blocks_are_binned_from_their_own_least_exponent():
     rng = np.random.default_rng(2003)
     # the top of the range, exponents 900..1023 of both signs, cancelled by
@@ -1073,11 +1119,11 @@ def _recording_kernel(monkeypatch):
     """Record, for the last kernel call, every block it read and what it
     returned."""
     seen = {"blocks": [], "sums": None, "rest": None}
-    stream = oracles._stream_sum
+    stream, block_sums = oracles._stream_sum, oracles._block_sums
 
-    def blocks(block, scratch):
+    def blocks(block, scratch, slots):
         seen["blocks"].append(block.copy())
-        return _fixed_block(block, scratch)
+        return block_sums(block, scratch, slots)
 
     def kernel(count, fill, spare=0, rest=None):
         seen["blocks"].clear()
@@ -1085,7 +1131,7 @@ def _recording_kernel(monkeypatch):
         seen["sums"] = stream(count, fill, spare, rest)
         return seen["sums"]
 
-    monkeypatch.setattr(oracles, "_fixed_block", blocks)
+    monkeypatch.setattr(oracles, "_block_sums", blocks)
     monkeypatch.setattr(oracles, "_stream_sum", kernel)
     return seen
 
@@ -1264,6 +1310,35 @@ def test_kernel_stops_at_the_same_block_when_every_block_is_wide():
     assert [x.hex() for x in got] == [x.hex() for x in oracles._stream_sum(count, fill)]
 
 
+def test_first_block_is_the_least_power_of_two_the_majorant_allows():
+    # terms (i + 1)**-p, their majorant twice the first power plus the
+    # integral beyond it: the first block is the least n = 32, 64, ...,
+    # _FIRST with rest(n) * 2**54 <= rest(1), or the whole of a shorter sum;
+    # a sum settled in its first 32 terms holds a buffer of 32 columns, not
+    # of _BLOCK
+    for p, count, want in ((6, 10**5, [1024, 1024, 2048]), (8, 10**5, [512]), (10, 10**5, [128]),
+                           (12, 10**5, [64]), (16, 10**5, [32]), (60, 10**5, [32]), (60, 20, [20])):
+        written = []
+
+        def fill(start, block):
+            written.append(block.size)
+            np.power(np.arange(start + 1, start + block.size + 1, dtype=np.float64), -float(p), out=block)
+
+        def rest(start):
+            return 2.0 * ((start + 1.0) ** -p + (start + 1.0) ** (1 - p) / (p - 1))
+
+        tracemalloc.start()
+        try:
+            got = oracles._stream_sum(count, fill, rest=rest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written == want, p
+        if want == [32]:
+            assert peak < 16 * 1024, (p, peak)
+        assert [x.hex() for x in got] == [x.hex() for x in oracles._stream_sum(count, fill)], p
+
+
 def test_majorant_covers_each_terms_rounding():
     # every float term within rel of its exact value, or 2**-1074 below the
     # normal range, and the bound itself as far off: the majorant must sit
@@ -1277,9 +1352,10 @@ def test_majorant_covers_each_terms_rounding():
 
 
 def _early_draws(seed, n):
-    # hurwitz_partial, sum_Z and sum_Ztilde at k >= 1 over their domains:
-    # exact zeros (the B_odd rows at x = 0, 1/2, 1, sum_Z at odd k and
-    # mu = 0), subnormal mu, mu next to +-pi and next to the poles 2*pi*n
+    # hurwitz_partial, sum_Z and sum_Ztilde at k >= 1 over their domains,
+    # the lattice sums from windows of one pair or term up: exact zeros (the
+    # B_odd rows at x = 0, 1/2, 1, sum_Z at odd k and mu = 0), subnormal mu,
+    # mu next to +-pi and next to the poles 2*pi*n
     rng = np.random.default_rng(seed)
     pi_below = math.nextafter(math.pi, 0.0)
     for _ in range(n):
@@ -1296,12 +1372,14 @@ def _early_draws(seed, n):
             mu = float(rng.choice([0.0, subnormal, sign * pi_below,
                                    sign * np.nextafter(pi_below, 0.0) * (1.0 - 1e-9),
                                    rng.uniform(-math.pi, math.pi)]))
-            yield "sum_Z", (k, mu, int(rng.choice([10, 3000, 10**5])))
+            yield "sum_Z", (k, mu, int(rng.choice([1, 3, 10, 3000, 10**5])))
             continue
         pole = _TWO_PI * int(rng.integers(-3, 4))
         mu = float(rng.choice([subnormal, pole + sign * 10.0 ** rng.uniform(-12, -1),
                                rng.uniform(-20.0, 20.0)]))
-        yield "sum_Ztilde", (k, mu or 0.5, int(rng.choice([10, 3000, 10**5])))
+        mu = mu or 0.5
+        N = max(int(rng.choice([1, 3, 10, 3000, 10**5])), round(abs(mu) / _TWO_PI))
+        yield "sum_Ztilde", (k, mu, N)
 
 
 def test_early_stops_give_the_whole_sums_bits(monkeypatch):
@@ -1317,7 +1395,7 @@ def test_early_stops_give_the_whole_sums_bits(monkeypatch):
     seen = _recording_kernel(monkeypatch)
     stream = oracles._stream_sum
     early = 0
-    for name, args in _early_draws(26, 150):
+    for name, args in _early_draws(26, 200):
         oracle = getattr(oracles, name)
         r = outcome(oracle, args)
         kept = dict(seen, blocks=list(seen["blocks"]))

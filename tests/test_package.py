@@ -192,6 +192,16 @@ def test_eval_Z_and_the_integrals_load_no_dataclasses():
         "print(json.dumps([codes, 'dataclasses' in sys.modules, 'inspect' in sys.modules]))\n"
     )
     assert seen == [[0, 0, 0], False, False]
+    # nor do the oracles' SumResult and verify's CheckResult load it, though
+    # numpy loads inspect
+    seen = _fresh(
+        "import contextlib, io, json, sys\n"
+        "import telesum.cli, telesum.verify\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = telesum.cli.main(['series', 'zeta', '--s', '14', '--tol', '1e-12'])\n"
+        "print(json.dumps([code, 'dataclasses' in sys.modules]))\n"
+    )
+    assert seen == [0, False]
 
 
 def test_reading_Z_loads_the_apostol_routes():
