@@ -157,15 +157,15 @@ _CONSTANTS = {
 
 _LATTICE = ("Z", "Ztilde")
 
-# family -> (public name of the oracle, its leading options, default --terms,
-# or None when the oracle meets --tol instead of summing a fixed window)
+# family -> (public name of the oracle, its leading options, and its last:
+# the parameter it shows as, the option that sets it, and its default)
 _SERIES = {
-    "zeta": ("sum_zeta", ("s",), None),
-    "beta": ("sum_beta", ("s",), None),
-    "Z": ("sum_Z", ("k", "mu"), 10000),
-    "Ztilde": ("sum_Ztilde", ("k", "mu"), 10000),
-    "theta2": ("sum_inverse_square", ("theta",), 100000),
-    "cot": ("sum_cotangent", ("theta",), 100000),
+    "zeta": ("sum_zeta", ("s",), ("target_tol", "tol", 1e-10)),
+    "beta": ("sum_beta", ("s",), ("target_tol", "tol", 1e-10)),
+    "Z": ("sum_Z", ("k", "mu"), ("N", "terms", 10000)),
+    "Ztilde": ("sum_Ztilde", ("k", "mu"), ("N", "terms", 10000)),
+    "theta2": ("sum_inverse_square", ("theta",), ("N", "terms", 100000)),
+    "cot": ("sum_cotangent", ("theta",), ("N", "terms", 100000)),
 }
 
 
@@ -244,19 +244,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    oracle, names, default_terms = _SERIES[args.family]
-    read = names if default_terms is None else (*names, "terms")
-    for name in ("s", "k", "mu", "theta", "terms"):
-        _require(name in read or getattr(args, name) is None, "%s takes no --%s" % (args.family, name))
+    oracle, names, (last, option, default) = _SERIES[args.family]
+    for name in ("s", "k", "mu", "theta", "terms", "tol"):
+        _require(name in (*names, option) or getattr(args, name) is None,
+                 "%s takes no --%s" % (args.family, name))
     params: Dict[str, object] = {name: getattr(args, name) for name in names}
     _require(
         None not in params.values(),
         "series %s needs %s" % (args.family, " and ".join("--" + name for name in names)),
     )
-    if default_terms is None:
-        params["target_tol"] = args.tol
-    else:
-        params["N"] = args.terms if args.terms is not None else default_terms
+    value = getattr(args, option)
+    params[last] = default if value is None else value
     result = _public(oracle)(*params.values())
     doc = {"kind": args.family, "params": params, "value": result.value,
            "error_bound": result.error_bound, "terms_used": result.terms_used}
@@ -286,7 +284,7 @@ def _show_complex(
 def _show_quadrature(
     args: argparse.Namespace, kind: str, params: Dict[str, object], v: float
 ) -> _Shown:
-    rec = OutputRecord(kind, params, _fmt(v, args.digits), error_bound=_fmt(args.tol, 3),
+    rec = OutputRecord(kind, params, _fmt(v, args.digits), error_bound=_fmt(params["tol"], 3),
                        method="adaptive_quadrature")
     return rec, ["%s (tol %s)" % (rec["approx"], rec["error_bound"])]
 
@@ -303,19 +301,19 @@ def _by_name(name: str):
     return lambda *args: _public(name)(*args)
 
 
-# family -> (required options and their least values, further options,
-# evaluator taking all the options in order, what to show, JSON kind); the
-# evaluators look their public functions up at each call
+# family -> (required options and their least values, further options and
+# their defaults, evaluator taking all the options in order, what to show,
+# JSON kind); the evaluators look their public functions up at each call
 _INTEGRALS = {
-    "poly-cos": ({"k": 1, "m": 1}, (), _poly_trig("bernoulli_poly", "cos"),
+    "poly-cos": ({"k": 1, "m": 1}, {}, _poly_trig("bernoulli_poly", "cos"),
                  _show_ladder, "poly_cos_integral"),
-    "poly-sin": ({"k": 0, "m": 1}, (), _poly_trig("euler_poly", "sin"),
+    "poly-sin": ({"k": 0, "m": 1}, {}, _poly_trig("euler_poly", "sin"),
                  _show_ladder, "poly_sin_integral"),
-    "apostol": ({"k": 0, "m": None}, ("mu",), _by_name("exact_apostol_integral"),
+    "apostol": ({"k": 0, "m": None}, {"mu": 0.0}, _by_name("exact_apostol_integral"),
                 _show_complex, "apostol_exp_integral"),
-    "zeta-odd": ({"k": 1}, ("tol",), _by_name("zeta_odd_integral"),
+    "zeta-odd": ({"k": 1}, {"tol": 1e-8}, _by_name("zeta_odd_integral"),
                  _show_quadrature, "zeta_odd_integral"),
-    "beta-even": ({"k": 0}, ("tol",), _by_name("beta_even_integral"),
+    "beta-even": ({"k": 0}, {"tol": 1e-8}, _by_name("beta_even_integral"),
                   _show_quadrature, "beta_even_integral"),
 }
 
@@ -323,8 +321,13 @@ _INTEGRALS = {
 def cmd_integrals(args: argparse.Namespace) -> int:
     least, further, evaluate, show, kind = _INTEGRALS[args.family]
     _require_options(args, args.family, least)
-    _require("m" in least or args.m is None, "%s takes no --m" % args.family)
-    params = {name: getattr(args, name) for name in (*least, *further)}
+    params = {name: getattr(args, name) for name in least}
+    for name in ("m", "mu", "tol"):
+        value = getattr(args, name)
+        _require(name in least or name in further or value is None,
+                 "%s takes no --%s" % (args.family, name))
+        if name in further:
+            params[name] = further[name] if value is None else value
     _emit(args, *show(args, kind, params, evaluate(*params.values())))
     return 0
 
@@ -458,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--terms", type=int, default=None)
     _add_format(sp)
     sp.set_defaults(func=cmd_series)
@@ -467,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family", choices=list(_INTEGRALS))
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--mu", type=float, default=0.0)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--mu", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None)
     _add_format(sp)
     sp.set_defaults(func=cmd_integrals)
 

@@ -6,7 +6,7 @@ closed arithmetic; this module layers on top of them:
 
 * ``PiScalar`` -- exact scalars of the form (rational) * pi**n, the result
   type of every closed-form evaluation in this package; ``float()`` of one
-  is correctly rounded;
+  is correctly rounded by _ziv_float, the package's one Ziv loop;
 * ``Poly`` -- dense univariate polynomials with rational coefficients;
 * pi in integers: its floor at 1152 fraction bits from Machin's formula
   (more on demand), directed bounds on its powers, each grown from the last
@@ -28,7 +28,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "Rational",
@@ -196,26 +196,35 @@ def _nearest_float(num: int, den: int) -> float:
 _LOG2_PI = math.log2(math.pi)
 
 
-def _pi_power_float(num: int, den: int, n: int) -> float:
-    """The double nearest to (num/den) * pi**n for num >= 0, den > 0.
-
-    Ziv's strategy: bound the value from below and above; when both bounds
-    round to the same double so does the value between them, otherwise
-    retry with pi**n to twice the precision.  For n != 0 the value is
-    irrational, so the loop ends; for n = 0 the bounds are exact.
-    """
-    log2 = num.bit_length() - den.bit_length() + n * _LOG2_PI  # within 1
+def _ziv_float(bracket: Callable[[int], Tuple[Tuple[int, int], ...]], log2: float) -> float:
+    """The double nearest a value v >= 0, given log2 within 1 of log2 v and
+    bracket(prec), integer ratios ((a, b), (c, d)) with a/b <= v <= c/d that
+    close in on v as prec grows.  Past the double range by log2, inf or 0.0,
+    before any bracket; otherwise Ziv's strategy (ACM TOMS 17, 1991): when
+    both ends round to one double so does v, else prec doubles from 64."""
     if log2 > 1026:
         return math.inf
     if log2 < -1077:
         return 0.0
     prec = 64
     while True:
-        (a, b), (c, d) = _pi_power_bounds(n, prec)
-        lower = _nearest_float(num * a, den * b)
-        if lower == _nearest_float(num * c, den * d):
-            return lower
+        (a, b), (c, d) = bracket(prec)
+        value = _nearest_float(a, b)
+        if value == _nearest_float(c, d):
+            return value
         prec *= 2
+
+
+def _pi_power_float(num: int, den: int, n: int) -> float:
+    """The double nearest to (num/den) * pi**n for num >= 0, den > 0, by
+    _ziv_float over _pi_power_bounds: for n != 0 the value is irrational, so
+    the loop ends, and for n = 0 the bracket is exact."""
+
+    def bracket(prec: int) -> Tuple[Tuple[int, int], ...]:
+        (a, b), (c, d) = _pi_power_bounds(n, prec)
+        return (num * a, den * b), (num * c, den * d)
+
+    return _ziv_float(bracket, num.bit_length() - den.bit_length() + n * _LOG2_PI)
 
 
 # floor(pi * 2**_PI_BITS) serves _pole_distance at any double's exponent

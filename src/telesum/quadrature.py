@@ -31,10 +31,10 @@ from .exact_core import (
     Poly,
     ToleranceUnreachable,
     _check_int,
-    _nearest_float,
     _pi_fixed,
     _pole_distance,
     _power_bounds,
+    _ziv_float,
     collapse_pi_terms,
     poly_integral_01,
 )
@@ -141,9 +141,9 @@ def exact_apostol_integral(k: int, m: int, mu: float) -> complex:
     lambda E_n(1) + E_n(0) = 2 [n == 0], every boundary term but the last is
     zero, so the ladder telescopes to 2 k! / (-a)^(k+1) = 2 k! i^(k+1) /
     d^(k+1): one real number, on the real axis for odd k and on the
-    imaginary axis for even k, the other part an exact 0.0.  That number is
-    correctly rounded (_apostol_magnitude).  A value beyond the double range
-    raises ToleranceUnreachable.
+    imaginary axis for even k, the other part an exact 0.0.  That number, an
+    irrational, is correctly rounded (_ziv_float); one beyond the double
+    range raises ToleranceUnreachable.
     """
     k, m = _check_int(k, "k", 0), _check_int(m, "m")
     mu, dist = _pole_distance(mu, "mu", _SEC)[:2]
@@ -154,14 +154,16 @@ def exact_apostol_integral(k: int, m: int, mu: float) -> complex:
     # |d| >= dist, so with these fraction bits the bracket on |d|, |odd| + 2
     # units wide, holds |d|**(k+1) to about 2**-64
     bits = 64 + (k + 1).bit_length() + abs(odd).bit_length() + max(1 - math.frexp(dist)[1], 0)
+
+    def bracket(prec: int) -> Tuple[Tuple[int, int], ...]:
+        fraction = bits * prec // 64  # likewise, to about 2**-prec
+        (a, b), (c, d) = _power_bounds(*_distance_bounds(mu, odd, fraction), -fraction, k + 1, prec)
+        twice = 2 * math.factorial(k)
+        return (twice * d, c), (twice * b, a)
+
     low = _distance_bounds(mu, odd, bits)[0]
     log2 = 1.0 + math.lgamma(k + 1) / _LN2 - (k + 1) * (math.log2(low) - bits)
-    if log2 > 1030.0:  # past the double range, whatever the rounding
-        value = math.inf
-    elif log2 < -1080.0:  # below half the least subnormal
-        value = 0.0
-    else:
-        value = _apostol_magnitude(k, odd, mu, bits)
+    value = _ziv_float(bracket, log2)
     if math.isinf(value):
         raise ToleranceUnreachable(
             "the %s part of the Apostol integral, %s, lies beyond the double-precision range"
@@ -182,24 +184,6 @@ def _distance_bounds(mu: float, odd: int, bits: int) -> Tuple[int, int]:
     floor = (num << bits) // den
     low, high = floor - far, floor + 1 - near
     return (-high, -low) if odd > 0 else (low, high)
-
-
-def _apostol_magnitude(k: int, odd: int, mu: float, bits: int) -> float:
-    """The double nearest 2 k! / |mu - odd * pi|**(k+1).  Ziv's strategy:
-    bracket |mu - odd * pi| at the given fraction bits, raise both ends to
-    the power k + 1 with _power_bounds, and double the bits until both ends
-    of the quotient round to one double; the value is irrational, so the
-    loop ends."""
-    twice = 2 * math.factorial(k)
-    prec = 64
-    while True:
-        low, high = _distance_bounds(mu, odd, bits)
-        (lo_num, lo_den), (hi_num, hi_den) = _power_bounds(low, high, -bits, k + 1, prec)
-        value = _nearest_float(twice * hi_den, hi_num)
-        if value == _nearest_float(twice * lo_den, lo_num):
-            return value
-        bits *= 2
-        prec *= 2
 
 
 def j_integral(

@@ -233,6 +233,13 @@ def test_flags_a_family_does_not_read_exit_2(capsys):
         ("series cot --theta 0.3 --k 1", "cot takes no --k"),
         ("integrals zeta-odd --k 1 --m 3", "zeta-odd takes no --m"),
         ("integrals beta-even --k 0 --m 3", "beta-even takes no --m"),
+        ("series Z --k 3 --mu 0.3 --tol 1e-3", "Z takes no --tol"),
+        ("series cot --theta 0.3 --tol 1e-3", "cot takes no --tol"),
+        ("integrals zeta-odd --k 3 --mu 1", "zeta-odd takes no --mu"),
+        ("integrals beta-even --k 0 --mu 0", "beta-even takes no --mu"),
+        ("integrals apostol --k 3 --m 0 --tol 5", "apostol takes no --tol"),
+        ("integrals poly-cos --k 2 --m 2 --mu 1", "poly-cos takes no --mu"),
+        ("integrals poly-sin --k 2 --m 2 --tol 1e-3", "poly-sin takes no --tol"),
     ]:
         code, out, err = run_cli(capsys, argv.split())
         assert (code, out, err) == (2, "", "error: %s\n" % message), argv
@@ -244,8 +251,20 @@ def test_flags_a_family_does_not_read_exit_2(capsys):
         "series Z --k 1 --mu 0.5 --terms 50",
         "series zeta --s 2 --tol 1e-6",
         "integrals apostol --k 1 --m 3 --mu 0.5",
+        "integrals zeta-odd --k 1 --tol 1e-6",
     ]:
         assert run_cli(capsys, argv.split())[0] == 0, argv
+    # a family's default is what its option set to that value prints
+    for argv, default in [
+        ("series zeta --s 3", "--tol 1e-10"),
+        ("series Z --k 1 --mu 0.5", "--terms 10000"),
+        ("integrals apostol --k 2 --m 1", "--mu 0.0"),
+        ("integrals beta-even --k 1", "--tol 1e-8"),
+    ]:
+        for fmt in ("plain", "json"):
+            tail = ["--format", fmt]
+            want = run_cli(capsys, (argv + " " + default).split() + tail)
+            assert run_cli(capsys, argv.split() + tail) == want, (argv, fmt)
 
 
 def test_negative_option_values_in_exponent_form(capsys):

@@ -5,6 +5,7 @@ equalities; no tolerances appear anywhere.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -116,13 +117,18 @@ def test_pi_scalar_float_is_correctly_rounded(coeff, pi_power):
 
 
 def test_pi_scalar_float_when_the_first_bounds_disagree():
-    # lie so close to a rounding boundary that the first working precision
-    # leaves both neighbouring doubles possible; the retry decides
+    # lie so close to a rounding boundary that the bracket at 64 bits, the
+    # first, leaves both neighbouring doubles possible (checked, so the cases
+    # cannot go stale as the brackets tighten); the retry decides, for the
+    # first two the upper neighbour and for the last the lower
     for coeff, pi_power in [
-        (Fraction(25402, 659225), 2),
-        (Fraction(387245, 690716), 8),
-        (Fraction(298825, 400747), 5),
+        (Fraction(157869, 113537), 7),
+        (Fraction(299067, 628748), 3),
+        (Fraction(452950, 289731), 8),
     ]:
+        (a, b), (c, d) = exact_core._pi_power_bounds(pi_power, 64)
+        num, den = coeff.numerator, coeff.denominator
+        assert num * a / (den * b) != num * c / (den * d), coeff
         assert float(PiScalar(coeff, pi_power)) == _nearest_double(coeff, pi_power)
 
 
@@ -145,6 +151,76 @@ def test_pi_scalar_float_at_the_edges_of_the_double_range():
     # subnormal results round once, like int / int
     assert float(PiScalar(Fraction(1, 10 ** 320), 0)) == 1 / 10 ** 320
     assert float(PiScalar(0, 3)) == 0.0
+
+
+def _synthetic_bracket(value, calls):
+    """bracket(prec) for _ziv_float: the rational value at prec significant
+    bits, exact where it can be, else its floor and ceiling each moved out
+    by one unit, so the value lies strictly inside; each prec asked for is
+    kept in calls."""
+
+    def bracket(prec):
+        calls.append(prec)
+        shift = prec - (value.numerator.bit_length() - value.denominator.bit_length())
+        scaled = value * Fraction(2) ** shift
+        ends = (math.floor(scaled), math.ceil(scaled))
+        if ends[0] != ends[1]:
+            ends = (ends[0] - 1, ends[1] + 1)
+        if shift >= 0:
+            return tuple((end, 1 << shift) for end in ends)
+        return tuple((end << -shift, 1) for end in ends)
+
+    return bracket
+
+
+def _ziv(value):
+    calls = []
+    log2 = value.numerator.bit_length() - value.denominator.bit_length()
+    return exact_core._ziv_float(_synthetic_bracket(value, calls), log2), calls
+
+
+def test_ziv_float_on_synthetic_brackets():
+    # around a midpoint m between two doubles: m itself, an exact bracket,
+    # rounds to the even neighbour at once; a value 2**-60 relative beside
+    # m, a few units at 64 bits, rounds at once to its side; one 2**-200
+    # beside m straddles it until prec 256, and only its side is right.
+    # Both ends of the double range too: the overflow threshold
+    # 2**1024 (1 - 2**-54), above which the value rounds to inf, and half
+    # the least subnormal, 2**-1075, above which it rounds to 5e-324
+    for mid, below, above, even in [
+        (1 + Fraction(1, 2**53), 1.0, 1.0 + 2**-52, 1.0),
+        (1 + Fraction(3, 2**53), 1.0 + 2**-52, 1.0 + 2**-51, 1.0 + 2**-51),
+        (Fraction(2**1024 - 2**970), sys.float_info.max, math.inf, math.inf),
+        (Fraction(1, 2**1075), 0.0, 5e-324, 0.0),
+    ]:
+        assert _ziv(mid) == (even, [64]), mid
+        for offset, calls in ((Fraction(1, 2**60), [64]), (Fraction(1, 2**200), [64, 128, 256])):
+            assert _ziv(mid * (1 + offset)) == (above, calls), (mid, offset)
+            assert _ziv(mid * (1 - offset)) == (below, calls), (mid, offset)
+
+
+def test_ziv_float_screens_the_double_range():
+    # past either cut of log2 no bracket is formed; at a cut, the bracket
+    # decides, by int / int's own overflow and underflow
+    def unused(prec):
+        raise AssertionError("bracket formed at prec %d" % prec)
+
+    assert exact_core._ziv_float(unused, 1026.001) == math.inf
+    assert exact_core._ziv_float(unused, -1077.001) == 0.0
+    assert _ziv(Fraction(2**1026)) == (math.inf, [64])
+    assert _ziv(Fraction(1, 2**1077)) == (0.0, [64])
+
+
+def test_pi_scalar_float_screens_before_any_bracket(monkeypatch):
+    # a bracket of pi**(10**9) holds integers of about 1.7e9 bits: the screen
+    # answers first
+    def no_bracket(n, prec):
+        raise AssertionError("bracket of pi**%d formed" % n)
+
+    monkeypatch.setattr(exact_core, "_pi_power_bounds", no_bracket)
+    assert float(PiScalar(1, 10**9)) == math.inf
+    assert float(PiScalar(-1, 10**9)) == -math.inf
+    assert float(PiScalar(Fraction(1, 3), -(10**9))) == 0.0
 
 
 def test_pi_bits_are_mpmaths():

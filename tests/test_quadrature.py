@@ -277,6 +277,40 @@ def test_exponential_kernel_beyond_the_double_range_raises():
     assert abs(exact_apostol_integral(103, 0, 3.1)) < 1.8e308
 
 
+def test_exponential_kernel_screens_before_any_bracket(monkeypatch):
+    # 2 * (10**6)! / (pi - 0.3)**(10**6 + 1) lies past the double range by
+    # its logarithm alone: neither 10**6! nor a power of |d| is formed
+    def unused(*args):
+        raise AssertionError("formed %r" % (args,))
+
+    monkeypatch.setattr(quadrature, "_power_bounds", unused)
+    monkeypatch.setattr(quadrature.math, "factorial", unused)
+    with pytest.raises(ToleranceUnreachable, match="beyond the double-precision range"):
+        exact_apostol_integral(10**6, 0, 0.3)
+
+
+# values so close to a rounding boundary that the bracket at 64 bits leaves
+# both neighbouring doubles possible, so the retry at twice the bits decides
+_RERUNS = [(31, -5, 2.4231455615950397), (1, -2, -1.3682572272468772),
+           (17, 0, -2.0784264048691803), (25, -3, 0.16070688721159954)]
+
+
+def test_exponential_kernel_retries_where_the_first_bracket_disagrees(monkeypatch):
+    # the precs asked for, so the _RERUNS cannot go stale; their values are
+    # checked against the truth below
+    calls = []
+    driver = quadrature._ziv_float
+
+    def spy(bracket, log2):
+        return driver(lambda prec: calls.append(prec) or bracket(prec), log2)
+
+    monkeypatch.setattr(quadrature, "_ziv_float", spy)
+    for k, m, mu in _RERUNS:
+        calls.clear()
+        exact_apostol_integral(k, m, mu)
+        assert calls == [64, 128], (k, m, mu)
+
+
 def _apostol_draws(seed, n):
     # k <= 84, |m| <= 50, mu across (-pi, pi), next to +-pi (math.pi itself
     # included) and subnormal
@@ -302,7 +336,7 @@ def test_exponential_kernel_is_correctly_rounded():
     checked = 0
     huge = [(0, 2**1020, 0.3), (0, -(10**400), 0.3), (3, 10**300, -0.3)]
     with mpmath.workdps(80):
-        for k, m, mu in [*_apostol_draws(27, 600), *huge]:
+        for k, m, mu in [*_apostol_draws(27, 600), *huge, *_RERUNS]:
             truth = 2 * mpmath.factorial(k) * mpmath.mpc(0, 1) ** (k + 1) / (
                 mpmath.mpf(mu) - (2 * m + 1) * mpmath.pi) ** (k + 1)
             part = truth.real if k % 2 else truth.imag
