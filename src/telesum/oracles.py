@@ -11,25 +11,29 @@ and the roundoff floor only has to cover the rounding of the individual
 terms, scaled by the sum of their magnitudes that the kernel takes
 alongside.  Each oracle writes one sequence: an alternating series
 (sum_beta, sum_Z) writes its own signed terms.  No oracle builds an array
-whose length grows with its term count.  The kernel picks a path for each
-block from the block's own length and range.  A block of at most _SHORT =
-64 terms is summed exactly in Python ints, each term's integer ratio shifted
-to one common scale: on a short wide block, such as the first block of a
-high-power sum below, the exponent bins' fixed cost is more than the ints
-cost.  For a longer block let 2**e be the power of two above its largest
-magnitude.  A narrow block, whose nonzero terms all have
-their lowest bit within 2 * 38 bits below 2**e (the least term within 23
-binades of the top), is cut at that scale into two fixed-point slices of
-_SLICE = 53 - 15 = 38 bits (Rump, Ogita & Oishi 2008), and each slice is
-added with a plain numpy sum: a slice is below 2**38 and a block holds at
-most 2**15 of them, so every partial sum is an integer below 2**53 and hence
-exact.  Every other block is binned by exponent (Demmel & Hida 2003) in a
-window of its own, from the block's least exponent up, in bins of 8
+whose length grows with its term count.  The kernel picks one of four
+routes for each block from the block's own length and range.  Let 2**e be
+the power of two above a block's largest magnitude; a block is narrow when
+its nonzero terms all have their lowest bit within 2 * 38 bits below 2**e
+(the least term within 23 binades of the top).  (1) A short block, of at
+most _SHORT = 64 terms, is summed exactly in Python ints, each term's
+integer significand shifted to one common scale, unless it is narrow and
+longer than _FEW = 20 terms.  (2) A narrow block is cut at the scale 2**e
+into two fixed-point slices of _SLICE = 53 - 15 = 38 bits (Rump, Ogita &
+Oishi 2008), and each slice is added with a plain numpy sum: a slice is
+below 2**38 and a block holds at most 2**15 of them, so every partial sum is
+an integer below 2**53 and hence exact.  (3) A longer block that one such
+window would hold but for at most _SHORT terms, as a 1/m**2 block below its
+first few terms or a block of small terms that ends with a sum's pole term,
+has those terms peeled off to the ints and the rest sliced at the window's
+scale: the window above the block's least term, or else the one below its
+top.  (4) A block wide throughout is binned by exponent (Demmel & Hida 2003)
+in a window of its own, from the block's least exponent up, in bins of 8
 binades: each term, scaled within its bin to below 2**34, splits into two
 integer limbs, summed per bin, sign and lane with numpy, again as integers
-below 2**53.  Each path gives the block's exact sum and sum of magnitudes as
-two Python ints, which add up over the blocks and are rounded once.  A sum
-beyond the double range raises ToleranceUnreachable.
+below 2**53.  Each route gives the block's exact sum and sum of magnitudes
+as two Python ints, which add up over the blocks and are rounded once.  A
+sum beyond the double range raises ToleranceUnreachable.
 
 A sum stops early once its rounding is decided (Ziv, ACM TOMS 17, 1991).
 hurwitz_partial, and sum_Z and sum_Ztilde at k >= 1, hand the kernel a
@@ -206,10 +210,13 @@ _quiet = np.errstate(all="ignore")
 
 
 # Exact summation in blocks of at most _BLOCK terms, each block by one of
-# three paths chosen from what the block itself shows: a short block in
-# Python ints (_SHORT below), a longer one by its range.  Every total is an
-# integer in units of 2**-_UNIT, below the lowest bit of any double; all of
-# them meet as one Python int, rounded once.
+# four routes chosen from what the block itself shows: a short block in
+# Python ints (_SHORT below) unless it is narrow, a narrow block in two
+# fixed-point slices, a block that is narrow but for at most _SHORT terms in
+# the slices with those terms peeled off to the ints, and a block wide
+# throughout in exponent bins.  Every total is an integer in units of
+# 2**-_UNIT, below the lowest bit of any double; all of them meet as one
+# Python int, rounded once.
 #
 # Narrow blocks (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): let
 # 2**e be the power of two just above the block's largest magnitude.  When
@@ -221,6 +228,19 @@ _quiet = np.errstate(all="ignore")
 # of a slice is an integer below 2**53, hence exact in any order: the least
 # term may lie 2S - 53 = 23 binades below the top.  A mixed-sign block sums
 # |t_r| the same way for its magnitude.
+#
+# Peeled blocks: the same holds at any scale 2**(S - E) for the terms of
+# the window 2**(E - 24) <= |p| < 2**E.  A block too wide for the window
+# below its top tries first the window above its least term (E = f + 23,
+# with 2**(f - 1) <= least < 2**f), which holds a block of decaying terms
+# below its first few, then the window below its top (E = e), which holds a
+# block but for a few stray terms near zero.  When at most _SHORT nonzero
+# terms lie outside, those are summed in ints and zeroed in the slices'
+# scratch row, and the rest are sliced.  The scale must be a normal double
+# and must not carry the top past the double range.  The two terms _SHORT in
+# from the block's ends decide for a monotone block whether a window can
+# hold all but _SHORT terms, so a block wide throughout reaches the bins
+# after two reads and no count.
 #
 # Wide blocks, and blocks whose scale 2**(S - e) would leave the normal
 # range, are binned by exponent (Demmel & Hida, SIAM J. Sci. Comput. 25,
@@ -250,6 +270,7 @@ _quiet = np.errstate(all="ignore")
 # a call stays within the L2 cache, and the per-block Python costs stay few
 _BLOCK = 1 << 15
 _SLICE = 53 - (_BLOCK.bit_length() - 1)
+_SPAN = 2 * _SLICE - 53  # binades between the top and the least term of a window
 _LANES = 4
 _LANE = np.arange(_BLOCK, dtype=np.int32) % _LANES
 # read-only offsets 0 .. _BLOCK - 1: term start + j of a block is formed as
@@ -258,20 +279,28 @@ _OFFSETS = np.arange(_BLOCK, dtype=np.float64)
 _OFFSETS.flags.writeable = False
 _EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
 _UNIT = _EXP_BIAS + 53
-# A block of at most _SHORT terms is summed in Python ints instead (_units),
-# about 0.5 us a term on a 2-core Xeon.  After the slices reject a short wide
-# block the exponent bins cost 33-40 us or more, so there the ints are the
-# cheaper up to 64-128 terms; on a short narrow block the slices cost about
-# 10 us, so there the ints lose from about 20 terms on (sum_zeta(4, 1e-8), 36
-# terms, 22 -> 31 us).  The first block of a Ziv sum at a high power is wide,
-# 32 or 64 terms: _SHORT = 32 left series_grid's median operation slower
-# than 64 did in 5 of 6 seeds
+# A block of at most _SHORT terms is summed in Python ints instead, each
+# term's integer ratio shifted to one scale (_units), about 0.5 us a term on
+# a 2-core Xeon, or, past _FEW terms, its frexp significand shifted by its
+# exponent above the block's least, about 0.2 us a term and 6 us more.
+# After the slices reject a short wide block the exponent bins cost 33-40 us
+# or more, so there the ints are the cheaper up to 64-128 terms; the first
+# block of a Ziv sum at a high power is wide, 32 or 64 terms: _SHORT = 32
+# left series_grid's median operation slower than 64 did in 5 of 6 seeds.
+# A short block whose end terms lie within one window goes to the slices,
+# about 10 us flat, when it is longer than _FEW: the ints and the slices
+# cross at 20-24 terms (a narrow 36-term block of 1/m**4, sum_zeta(4, 1e-8),
+# takes 17 us in ints, 11 in the slices).  The same _SHORT bounds the terms a
+# block may peel: a 256-term block with 58 peeled costs what the bins do
+# (42 us), and a longer block with fewer gains more
 _SHORT = 64
+_FEW = 20
 
 
 def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, int]]:
-    """(sum, sum of magnitudes) of a narrow block in units of 2**-_UNIT, or
-    None for a block the slices cannot hold exactly; ValueError for a
+    """(sum, sum of magnitudes) of a block in units of 2**-_UNIT by the
+    slices, with at most _SHORT outlying terms peeled off to _short_block,
+    or None for a block the slices cannot hold so; ValueError for a
     non-finite term.  scratch holds two rows at least as long as the block."""
     top, bottom = float(block.max()), float(block.min())
     if not (math.isfinite(top) and math.isfinite(bottom)):
@@ -279,22 +308,58 @@ def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, 
     if top == bottom == 0.0:
         return 0, 0
     e = math.frexp(max(top, -bottom))[1]
+    if _SLICE - e > 1023:  # the scale 2**(_SLICE - E), E <= e, is not normal
+        return None
+    zeros = False
     if bottom > 0.0:
-        least = bottom
+        least, magnitudes = bottom, block
     elif top < 0.0:
-        least = -top
+        least, magnitudes = -top, None
     else:
         magnitudes = np.abs(block, out=scratch[0, : block.size])
         least = float(magnitudes.min())
-        if least == 0.0:
+        zeros = least == 0.0
+        if zeros:
             least = float(magnitudes[magnitudes > 0.0].min())
-    # the least term's lowest bit is 2**(f - 53) or coarser; the scale
-    # 2**(_SLICE - e) must be a normal double
-    if math.frexp(least)[1] - 53 < e - 2 * _SLICE or _SLICE - e > 1023:
-        return None
+    # a term of frexp exponent f has its lowest bit at 2**(f - 53) or above,
+    # so the slices at the scale 2**(_SLICE - E) hold it exactly when
+    # E - _SPAN <= f <= E
+    f = math.frexp(least)[1]
+    E, outside = e, None
+    if f < e - _SPAN:
+        # too wide for one window: peel (see "Peeled blocks" above), unless
+        # the block is short, which the ints then take whole.  The hints
+        # decide exactly for a monotone block of more than 2 * _SHORT terms
+        if block.size <= _SHORT:
+            return None
+        hints = abs(block.item(_SHORT)), abs(block.item(-_SHORT - 1))
+        E, floor = f + _SPAN, 2.0 ** (e - _SPAN - 1)
+        above = max(hints) < 2.0**E and E >= max(_SLICE - 1023, e + _SLICE - 1024)
+        below = not 0.0 < min(hints) < floor  # a zero tells nothing
+        if not (above or below):
+            return None
+        if magnitudes is None:
+            magnitudes = np.negative(block, out=scratch[0, : block.size])
+        if above:
+            outside = np.greater_equal(magnitudes, 2.0**E)
+            if np.count_nonzero(outside) > _SHORT:
+                outside = None
+        if outside is None:
+            if not below:
+                return None
+            E = e
+            outside = np.less(magnitudes, floor)
+            if zeros:  # a zero is no outlier
+                np.logical_and(outside, magnitudes, out=outside)
+            if np.count_nonzero(outside) > _SHORT:
+                return None
     rows = scratch[:, : block.size]
     scaled, high = rows
-    np.multiply(block, 2.0 ** (_SLICE - e), out=scaled)
+    np.multiply(block, 2.0 ** (_SLICE - E), out=scaled)
+    if outside is not None:
+        outside = np.flatnonzero(outside)
+        peeled = _short_block(block[outside])
+        scaled[outside] = 0.0
     np.trunc(scaled, out=high)
     scaled -= high  # the low slice times 2**-_SLICE, exact
     value = (int(high.sum()) << _SLICE) + int(scaled.sum() * 2.0**_SLICE)
@@ -303,8 +368,11 @@ def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, 
     else:
         np.abs(rows, out=rows)
         magnitude = (int(high.sum()) << _SLICE) + int(scaled.sum() * 2.0**_SLICE)
-    shift = e - 2 * _SLICE + _UNIT
-    return value << shift, magnitude << shift
+    shift = E - 2 * _SLICE + _UNIT
+    value, magnitude = value << shift, magnitude << shift
+    if outside is not None:
+        value, magnitude = value + peeled[0], magnitude + peeled[1]
+    return value, magnitude
 
 
 def _binned_block(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray) -> Tuple[int, int]:
@@ -352,21 +420,40 @@ def _units(x: float) -> int:
 
 
 def _short_block(block: np.ndarray) -> Tuple[int, int]:
-    """(sum, sum of magnitudes) of a short block in units of 2**-_UNIT, in
-    Python ints; ValueError for a non-finite term, before any is summed."""
-    try:
-        units = list(map(_units, block.tolist()))
-    except (OverflowError, ValueError):  # inf, nan
-        raise ValueError("non-finite term") from None
-    return sum(units), sum(map(abs, units))
+    """(sum, sum of magnitudes) of at most _SHORT terms in units of
+    2**-_UNIT, in Python ints; ValueError for a non-finite term, before any
+    is summed."""
+    if block.size <= _FEW:
+        try:
+            units = list(map(_units, block.tolist()))
+        except (OverflowError, ValueError):  # inf, nan
+            raise ValueError("non-finite term") from None
+        return sum(units), sum(map(abs, units))
+    if not np.isfinite(block).all():
+        raise ValueError("non-finite term")
+    # term m * 2**f, |m| in [1/2, 1), is the integer m * 2**53 shifted by f
+    # above the least f: ints of the block's span, not of the double range
+    significands, exponents = np.frexp(block)
+    significands *= 2.0**53
+    low = int(exponents.min())
+    exponents -= low
+    units = [m << f for m, f in zip(significands.astype(np.int64).tolist(), exponents.tolist())]
+    shift = low - 53 + _UNIT
+    return sum(units) << shift, sum(map(abs, units)) << shift
 
 
 def _block_sums(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray) -> Tuple[int, int]:
     """(sum, sum of magnitudes) of a block in units of 2**-_UNIT, by the
     path its length and range pick; ValueError for a non-finite term."""
-    if block.size <= _SHORT:
-        return _short_block(block)
-    return _fixed_block(block, scratch) or _binned_block(block, scratch, slots)
+    if block.size > _SHORT:
+        return _fixed_block(block, scratch) or _binned_block(block, scratch, slots)
+    # a short block goes to the slices when its end terms lie within one
+    # window, the whole test for terms of monotone magnitude
+    first, last = float(block[0]), float(block[-1])
+    if block.size > _FEW and first and last and \
+            abs(math.frexp(first)[1] - math.frexp(last)[1]) <= _SPAN:
+        return _fixed_block(block, scratch) or _short_block(block)
+    return _short_block(block)
 
 
 def _settled(lo: int, hi: int) -> Optional[float]:

@@ -9,6 +9,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -40,7 +41,7 @@ from fractions import Fraction
 
 from telesum import oracles
 from telesum.exact_core import _COT, _SEC, _pole_distance
-from telesum.oracles import _BLOCK, _SLICE, _TWO_PI, _certified_sum, _exact_sum, _fixed_block
+from telesum.oracles import _BLOCK, _SHORT, _SLICE, _TWO_PI, _certified_sum, _exact_sum, _fixed_block
 
 from hurwitz_truth import z_truth, ztilde_truth
 
@@ -530,8 +531,17 @@ def test_kernel_matches_exact_rational_sum():
                 _exact_sum(np.array(bad + pad))
 
 
+def _fixed_path(block):
+    # what _fixed_block makes of a block: "slices" for the whole block,
+    # "peel" when it peels terms off to the ints, or None when it leaves the
+    # block to the bins (or, for a short block, to the ints)
+    with mock.patch.object(oracles, "_short_block", wraps=oracles._short_block) as short:
+        sums = _fixed_block(block, np.empty((2, block.size)))
+    return None if sums is None else "peel" if short.called else "slices"
+
+
 def _is_narrow(block):
-    return _fixed_block(block, np.empty((2, block.size))) is not None
+    return _fixed_path(block) == "slices"
 
 
 def _assert_exact(xs, label):
@@ -585,13 +595,19 @@ def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
         _exact_sum(huge)
     # a wide block next to a narrow one: 1 + 2**-53 from the first is a tie
     # that rounds to 1, and the narrow 2**-53 of the second lifts it to the
-    # next double above 1 in the one rounding both paths meet in
+    # next double above 1 in the one rounding all paths meet in.  The first
+    # block peels its two terms above 2**-80 off; with pairs that cancel
+    # exactly over 130 binades it is wide throughout and goes to the bins
     xs = np.zeros(2 * _BLOCK)
     xs[:3] = (1.0, 2.0**-53, 2.0**-80)
     xs[_BLOCK : _BLOCK + 2] = (2.0**-53, 2.0**-54)
-    assert not _is_narrow(xs[:_BLOCK]) and _is_narrow(xs[_BLOCK:])
-    _assert_exact(xs, "wide then narrow")
-    _assert_exact(xs[::-1], "narrow then wide")
+    spread = np.ldexp(1.0, -np.arange(10, 140))
+    for path, pad in (("peel", []), (None, [spread, -spread])):
+        ys = xs.copy()
+        ys[3 : 3 + 2 * spread.size] = np.concatenate(pad or [np.zeros(2 * spread.size)])
+        assert _fixed_path(ys[:_BLOCK]) == path and _is_narrow(ys[_BLOCK:])
+        _assert_exact(ys, ("wide then narrow", path))
+        _assert_exact(ys[::-1], ("narrow then wide", path))
 
 
 def _kernel_outcome(xs):
@@ -622,8 +638,24 @@ def _narrow_windows(draw):
     return draw(st.lists(term, max_size=40))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.one_of(_narrow_windows(), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40)))
+@st.composite
+def _peeled_windows(draw):
+    # more than _SHORT full-width terms in a window under a random top, with
+    # signed zeros and up to _SHORT + 1 outliers above or below it among
+    # them; the draws fix the shape and a seed, numpy the terms
+    top, inside, zeros, outside = (draw(st.integers(*span)) for span in
+                                   ((-1000, 930), (_SHORT + 1, 100), (0, 10), (0, _SHORT + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    binades = np.concatenate([-rng.integers(0, 24, inside),
+                              rng.choice([-1, 1], outside) * rng.integers(25, 91, outside) + 1])
+    significands = rng.integers(-(2**53) + 1, 2**53, binades.size).astype(np.float64)
+    terms = np.concatenate([np.ldexp(significands, top + binades - 53), rng.choice([0.0, -0.0], zeros)])
+    return rng.permutation(terms).tolist()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(_narrow_windows(), _peeled_windows(),
+                 st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40)))
 def test_kernel_matches_fraction_sum_on_drawn_terms(terms):
     xs = np.array(terms, dtype=np.float64)
     assert _kernel_outcome(xs) == _fraction_outcome(xs)
@@ -673,37 +705,49 @@ def _blocks_about_the_short_path(rng, n):
 
 
 def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold(monkeypatch):
-    # a block of at most _SHORT terms is summed in ints, a longer one by the
-    # numpy paths; both give the rational sums, and both reject a non-finite
-    # term before any exponent window is sized
-    short, binned = [], []
-    short_block, binned_block = oracles._short_block, oracles._binned_block
-    monkeypatch.setattr(oracles, "_short_block", lambda block: short.append(1) or short_block(block))
-    monkeypatch.setattr(oracles, "_binned_block", lambda *args: binned.append(1) or binned_block(*args))
+    # a block of at most _FEW terms is summed in ints; one of at most _SHORT
+    # in the slices when it is narrow, else in ints; a longer one in the
+    # slices, whole or with at most _SHORT terms peeled off to the ints, or
+    # in the bins.  Every path gives the rational sums, and every one
+    # rejects a non-finite term before any exponent window is sized
+    paths = []
+    for name in ("_short_block", "_fixed_block", "_binned_block"):
+        kernel = getattr(oracles, name)
+        monkeypatch.setattr(oracles, name, lambda *args, kernel=kernel, name=name:
+                            paths.append(name) or kernel(*args))
     rng = np.random.default_rng(31)
-    lengths = (1, oracles._SHORT, oracles._SHORT + 1, 2 * oracles._SHORT)
+    few, short = oracles._FEW, oracles._SHORT
+    lengths = (1, few, few + 1, short, short + 1, 2 * short)
     seen = set()
     for n in lengths:
         for _ in range(25):
             for xs in _blocks_about_the_short_path(rng, n):
                 xs[~np.isfinite(xs)] = 1.0  # the random bit patterns' inf and nan
                 xs[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
-                del short[:], binned[:]
+                del paths[:]
                 outcome = _kernel_outcome(xs)
                 assert outcome == _fraction_outcome(xs), (n, xs[:3])
-                assert short == ([1] if n <= oracles._SHORT else []), n
-                seen.add((n, bool(binned), outcome is OverflowError))
+                # the route, from the kernels called: a short block the
+                # slices decline goes to the ints whole
+                route = {("_short_block",): "ints", ("_fixed_block",): "slices",
+                         ("_fixed_block", "_short_block"): "ints" if n <= short else "peel",
+                         ("_fixed_block", "_binned_block"): "bins"}[tuple(paths)]
+                allowed = {"ints"} if n <= few else {"ints", "slices"} if n <= short else {"slices", "peel", "bins"}
+                assert route in allowed, (n, route)
+                seen.add((n, route, outcome is OverflowError))
                 bad = xs.copy()
                 bad[rng.integers(n)] = rng.choice([math.inf, -math.inf, math.nan])
-                del binned[:]
+                del paths[:]
                 with pytest.raises(ValueError, match="non-finite term"):
                     _exact_sum(bad)
-                assert binned == [], n
-    # each length past one term overflowed and summed, and past _SHORT both
-    # numpy paths ran
+                assert "_binned_block" not in paths, n
+    # each length past one term overflowed and summed, and each route of a
+    # length ran
     for n in lengths[1:]:
         assert {over for m, _, over in seen if m == n} == {False, True}, n
-        assert {b for m, b, _ in seen if m == n} == ({False} if n <= oracles._SHORT else {False, True}), n
+    assert {route for _, route, _ in seen} == {"ints", "slices", "peel", "bins"}
+    for n in lengths[3:]:
+        assert len({route for m, route, _ in seen if m == n}) >= 2, n
 
 
 def test_wide_blocks_are_binned_from_their_own_least_exponent():
@@ -728,6 +772,110 @@ def test_wide_blocks_are_binned_from_their_own_least_exponent():
         assert math.copysign(1.0, value) == math.copysign(1.0, math.fsum(xs.tolist())), xs[:4]
         assert magnitude == _fraction_sum(np.abs(xs)), xs[:4]
     assert abs(_exact_sum(top)[0]) < 2.0**-50 * np.abs(top).max()
+
+
+def _assert_exact_twice(xs, label):
+    # the kernel's sums against math.fsum and the rational sum, both exactly
+    # rounded and independent of the kernel
+    value, magnitude = _exact_sum(xs)
+    for reference in (lambda ys: math.fsum(ys.tolist()), _fraction_sum):
+        assert value == reference(xs), label
+        assert magnitude == reference(np.abs(xs)), label
+    assert math.copysign(1.0, value) == math.copysign(1.0, math.fsum(xs.tolist())), label
+
+
+def _odd_terms(rng, exponents):
+    # full-width significands with their lowest bit set, at these frexp
+    # exponents: the lowest bit of each lies 53 binades below its exponent
+    significands = rng.integers(2**51, 2**52, exponents.size) * 2 + 1
+    return np.ldexp(significands.astype(np.float64), exponents - 53)
+
+
+def _with_outliers(rng, window, outliers):
+    # the window's terms with the outliers among them, none of them at the
+    # terms _SHORT in from either end, which the kernel reads as hints
+    xs = np.concatenate([window, np.zeros(outliers.size)])
+    spots = rng.choice(np.arange(_SHORT + 1, xs.size - _SHORT - 1), outliers.size, replace=False)
+    xs[np.setdiff1d(np.arange(xs.size), spots)] = window
+    xs[spots] = outliers
+    return xs
+
+
+def _outlier_block(rng, side, k, sign, E=0, n=2048):
+    # n terms of frexp exponents E - _SPAN .. E, the least of them at
+    # E - _SPAN, and k outliers 30 to 60 binades above or below them
+    span = 2 * _SLICE - 53
+    exponents = rng.integers(E - span, E + 1, n)
+    exponents[0] = E - span
+    far = rng.integers(30, 61, k)
+    xs = _with_outliers(rng, _odd_terms(rng, exponents),
+                        _odd_terms(rng, E + far if side == "above" else E - span - far))
+    return xs * {"+": 1.0, "-": -1.0, "mixed": rng.choice([-1.0, 1.0], xs.size)}[sign]
+
+
+def test_kernel_peels_at_most_short_terms_off_a_wide_block():
+    # a block that one window would hold but for k terms is summed by the
+    # slices with those k peeled off to the ints while k <= _SHORT: the
+    # window above the least term takes terms with outliers above it, the
+    # window below the top those with outliers below it; one outlier more
+    # and the block goes to the bins
+    rng = np.random.default_rng(2307)
+    for side, k, sign in itertools.product(("above", "below"), (1, _SHORT, _SHORT + 1), ("+", "-", "mixed")):
+        xs = _outlier_block(rng, side, k, sign)
+        assert _fixed_path(xs) == ("peel" if k <= _SHORT else None), (side, k, sign)
+        _assert_exact_twice(xs, (side, k, sign))
+
+
+def test_kernel_peel_keeps_every_bit_at_the_window_edges():
+    # window terms in pairs that cancel exactly, so that the sum is one term
+    # whose lowest bit decides it: the least term, at the bottom of the
+    # window above it, or an outlier just under the window below the top,
+    # which that window must not take.  Zeros of both signs, more than
+    # _SHORT of them, are no outliers
+    rng = np.random.default_rng(3308)
+    span = 2 * _SLICE - 53
+    for E, side, pairs in itertools.product((0, 700, -900), ("above", "below"), (1, _SHORT // 2)):
+        half = _odd_terms(rng, rng.integers(E - span + 1, E + 1, 1024))
+        half[0] = 2.0 ** (E - 1)  # the top
+        if side == "above":  # 2 or _SHORT outliers
+            witness = _odd_terms(rng, np.array([E - span]))  # the least term
+            far = _odd_terms(rng, E + rng.integers(30, 61, pairs))
+            window, outliers = np.concatenate([half, -half, witness]), np.concatenate([far, -far])
+        else:  # 1 or _SHORT - 1 outliers
+            witness = _odd_terms(rng, np.array([E - span - 1]))  # just under the window
+            far = _odd_terms(rng, E - rng.integers(60, 91, pairs - 1))
+            window, outliers = np.concatenate([half, -half]), np.concatenate([witness, far, -far])
+        window = np.concatenate([window, rng.choice([0.0, -0.0], 2 * _SHORT)])
+        xs = _with_outliers(rng, rng.permutation(window), outliers)
+        assert _fixed_path(xs) == "peel", (E, side, pairs)
+        assert _exact_sum(xs)[0] == witness[0], (E, side, pairs)
+        _assert_exact_twice(xs, (E, side, pairs))
+
+
+def test_kernel_peels_only_at_a_normal_scale():
+    # the scale 2**(_SLICE - E) of a window E is normal down to E = _SLICE -
+    # 1023: there a window with outliers below it peels them off, one binade
+    # lower the block goes to the bins; likewise the window above the least
+    # term, with the top 60 binades higher
+    rng = np.random.default_rng(1023)
+    last = _SLICE - 1023
+    for side in ("above", "below"):
+        for E, path in ((last, "peel"), (last - 1, None)):
+            xs = _outlier_block(rng, side, 3, "mixed", E=E)
+            assert _fixed_path(xs) == path, (side, E)
+            _assert_exact_twice(xs, (side, E))
+
+
+def test_kernel_peels_the_pole_term_off_the_last_block_of_a_cotangent_sum(monkeypatch):
+    # sum_cotangent's last block ends with the m = 0 term -1/theta, about
+    # 2**39 times its other terms
+    theta = 2.634894976671063
+    seen = _recording_kernel(monkeypatch)
+    sum_cotangent(theta, 10**6)
+    last = seen["blocks"][-1]
+    assert last[-1] == -1.0 / theta and last.size == (10**6 + 1) % _BLOCK
+    assert _fixed_path(last) == "peel"
+    _assert_exact_twice(last, "cot")
 
 
 # ---------------------------------------------------------------- theta sums
@@ -1285,27 +1433,27 @@ def test_kernel_drops_a_majorant_that_cannot_settle_the_sum():
 
 
 def test_kernel_stops_at_the_same_block_when_every_block_is_wide():
-    # terms (i + 1)**-6 with every 1024th one 2**60 smaller, so that every
-    # block the kernel reads spans more binades than the slices hold: the
-    # majorant settles the sum after 4096 terms, in three blocks, with the
-    # bits of the whole sum
+    # terms (i + 1)**-6 with every 8th one 2**60 smaller, so that every
+    # block the kernel reads spans more binades than the slices hold, with
+    # more than _SHORT terms outside any window: the majorant settles the
+    # sum after 2048 terms, in two blocks, with the bits of the whole sum
     count = 1 << 17
     written = []
 
     def fill(start, block):
         written.append(block.size)
         np.power(np.arange(start + 1, start + block.size + 1, dtype=np.float64), -6.0, out=block)
-        block[1023 - start % 1024 :: 1024] *= 2.0**-60
-        assert not _is_narrow(block)
+        block[7 - start % 8 :: 8] *= 2.0**-60
+        assert _fixed_path(block) is None
 
     def rest(start):
         # twice the first power plus the integral beyond it
         return 2.0 * ((start + 1.0) ** -6 + (start + 1.0) ** -5 / 5.0)
 
     got = oracles._stream_sum(count, fill, rest=rest)
-    assert written == [oracles._FIRST, oracles._FIRST, 2 * oracles._FIRST]
+    assert written == [oracles._FIRST, oracles._FIRST]
     whole = np.arange(1, count + 1, dtype=np.float64) ** -6.0
-    whole[1023::1024] *= 2.0**-60
+    whole[7::8] *= 2.0**-60
     assert got == (math.fsum(whole.tolist()),) * 2
     assert [x.hex() for x in got] == [x.hex() for x in oracles._stream_sum(count, fill)]
 
