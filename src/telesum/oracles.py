@@ -17,23 +17,24 @@ the power of two above a block's largest magnitude; a block is narrow when
 its nonzero terms all have their lowest bit within 2 * 38 bits below 2**e
 (the least term within 23 binades of the top).  (1) A short block, of at
 most _SHORT = 64 terms, is summed exactly in Python ints, each term's
-integer significand shifted to one common scale, unless it is narrow and
-longer than _FEW = 20 terms.  (2) A narrow block is cut at the scale 2**e
+integer ratio shifted to one common scale, unless it is narrow and longer
+than _FEW = 20 terms.  (2) A narrow block is cut at the scale 2**e
 into two fixed-point slices of _SLICE = 53 - 15 = 38 bits (Rump, Ogita &
 Oishi 2008), and each slice is added with a plain numpy sum: a slice is
 below 2**38 and a block holds at most 2**15 of them, so every partial sum is
-an integer below 2**53 and hence exact.  (3) A longer block that one such
-window would hold but for at most _SHORT terms, as a 1/m**2 block below its
-first few terms or a block of small terms that ends with a sum's pole term,
-has those terms peeled off to the ints and the rest sliced at the window's
-scale: the window above the block's least term, or else the one below its
-top.  (4) A block wide throughout is binned by exponent (Demmel & Hida 2003)
-in a window of its own, from the block's least exponent up, in bins of 8
-binades: each term, scaled within its bin to below 2**34, splits into two
-integer limbs, summed per bin, sign and lane with numpy, again as integers
-below 2**53.  Each route gives the block's exact sum and sum of magnitudes
-as two Python ints, which add up over the blocks and are rounded once.  A
-sum beyond the double range raises ToleranceUnreachable.
+an integer below 2**53 and hence exact.  (3) A block of 2**10 terms or
+more that one such window would hold but for at most one term in 64, and at
+most _SHORT, as a 1/m**2 block below its first few terms or a block of small
+terms that ends with a sum's pole term, has those terms peeled off to the
+ints and the rest sliced at the window's scale: the window above the block's
+least term, or else the one below its top.  (4) A block wide throughout is
+binned by exponent (Demmel & Hida 2003) in a window of its own, from the
+block's least exponent up, in bins of 8 binades: each term, scaled within
+its bin to below 2**34, splits into two integer limbs, summed per bin, sign
+and lane with numpy, again as integers below 2**53.  Each route gives the
+block's exact sum and sum of magnitudes as two Python ints, which add up
+over the blocks and are rounded once.  A sum beyond the double range raises
+ToleranceUnreachable.
 
 A sum stops early once its rounding is decided (Ziv, ACM TOMS 17, 1991).
 hurwitz_partial, and sum_Z and sum_Ztilde at k >= 1, hand the kernel a
@@ -234,13 +235,15 @@ _quiet = np.errstate(all="ignore")
 # below its top tries first the window above its least term (E = f + 23,
 # with 2**(f - 1) <= least < 2**f), which holds a block of decaying terms
 # below its first few, then the window below its top (E = e), which holds a
-# block but for a few stray terms near zero.  When at most _SHORT nonzero
-# terms lie outside, those are summed in ints and zeroed in the slices'
-# scratch row, and the rest are sliced.  The scale must be a normal double
-# and must not carry the top past the double range.  The two terms _SHORT in
-# from the block's ends decide for a monotone block whether a window can
-# hold all but _SHORT terms, so a block wide throughout reaches the bins
-# after two reads and no count.
+# block but for a few stray terms near zero, as where the trigonometric
+# factor of hurwitz_partial at k = 1 crosses zero.  When the block has n >=
+# _PEEL_FROM terms and at most limit = min(_SHORT, n // 64) nonzero terms
+# lie outside, those are summed in ints and zeroed in the slices' scratch
+# row, and the rest are sliced.  The scale must be a normal double and must
+# not carry the top past the double range.  The two terms limit in from the
+# block's ends decide for a monotone block whether a window can hold all but
+# limit terms, so a block wide throughout reaches the bins after two reads
+# and no count.
 #
 # Wide blocks, and blocks whose scale 2**(S - e) would leave the normal
 # range, are binned by exponent (Demmel & Hida, SIAM J. Sci. Comput. 25,
@@ -281,27 +284,32 @@ _EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
 _UNIT = _EXP_BIAS + 53
 # A block of at most _SHORT terms is summed in Python ints instead, each
 # term's integer ratio shifted to one scale (_units), about 0.5 us a term on
-# a 2-core Xeon, or, past _FEW terms, its frexp significand shifted by its
-# exponent above the block's least, about 0.2 us a term and 6 us more.
-# After the slices reject a short wide block the exponent bins cost 33-40 us
-# or more, so there the ints are the cheaper up to 64-128 terms; the first
-# block of a Ziv sum at a high power is wide, 32 or 64 terms: _SHORT = 32
-# left series_grid's median operation slower than 64 did in 5 of 6 seeds.
-# A short block whose end terms lie within one window goes to the slices,
-# about 10 us flat, when it is longer than _FEW: the ints and the slices
-# cross at 20-24 terms (a narrow 36-term block of 1/m**4, sum_zeta(4, 1e-8),
-# takes 17 us in ints, 11 in the slices).  The same _SHORT bounds the terms a
-# block may peel: a 256-term block with 58 peeled costs what the bins do
-# (42 us), and a longer block with fewer gains more
+# a 2-core Xeon.  After the slices reject a short wide block the exponent
+# bins cost 33-40 us or more, so there the ints are the cheaper up to 64-128
+# terms; the first block of a Ziv sum at a high power is wide, 32 or 64
+# terms: _SHORT = 32 left series_grid's median operation slower than 64 did
+# in 5 of 6 seeds.  A short block whose end terms lie within one window goes
+# to the slices, about 10 us flat, when it is longer than _FEW: the ints and
+# the slices cross at 20-24 terms (a narrow 36-term block of 1/m**4,
+# sum_zeta(4, 1e-8), takes 17 us in ints, 11 in the slices).  A block may
+# peel at most min(_SHORT, n // 64) of its n terms: on mixed-sign decaying
+# blocks the peel costs what the bins do at about 20 peeled terms up to 512
+# terms, 28 at 1024, 40 at 2048 and 60 at 4096.  A block of fewer than
+# _PEEL_FROM terms is not peeled: the first blocks of hurwitz_partial at
+# k = 3..5, 256 or 512 terms wide throughout, paid about 1.2 us a failed
+# attempt, 2% of the block, while on series_grid seeds 1-20 only 6 blocks
+# that short could be peeled
 _SHORT = 64
 _FEW = 20
+_PEEL_FROM = 1 << 10
 
 
 def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, int]]:
     """(sum, sum of magnitudes) of a block in units of 2**-_UNIT by the
-    slices, with at most _SHORT outlying terms peeled off to _short_block,
-    or None for a block the slices cannot hold so; ValueError for a
-    non-finite term.  scratch holds two rows at least as long as the block."""
+    slices, with at most min(_SHORT, n // 64) of its n terms peeled off to
+    _short_block, or None for a block the slices cannot hold so; ValueError
+    for a non-finite term.  scratch holds two rows at least as long as the
+    block."""
     top, bottom = float(block.max()), float(block.min())
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("non-finite term")
@@ -327,22 +335,22 @@ def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, 
     f = math.frexp(least)[1]
     E, outside = e, None
     if f < e - _SPAN:
-        # too wide for one window: peel (see "Peeled blocks" above), unless
-        # the block is short, which the ints then take whole.  The hints
-        # decide exactly for a monotone block of more than 2 * _SHORT terms
-        if block.size <= _SHORT:
+        # too wide for one window: peel (see "Peeled blocks" above) a block
+        # of _PEEL_FROM terms or more; a short one goes to the ints whole
+        if block.size < _PEEL_FROM:
             return None
-        hints = abs(block.item(_SHORT)), abs(block.item(-_SHORT - 1))
+        limit = min(_SHORT, block.size >> 6)
+        head, tail = abs(block.item(limit)), abs(block.item(-limit - 1))
         E, floor = f + _SPAN, 2.0 ** (e - _SPAN - 1)
-        above = max(hints) < 2.0**E and E >= max(_SLICE - 1023, e + _SLICE - 1024)
-        below = not 0.0 < min(hints) < floor  # a zero tells nothing
+        above = head < 2.0**E and tail < 2.0**E and E >= max(_SLICE - 1023, e + _SLICE - 1024)
+        below = not (0.0 < tail < floor or 0.0 < head < floor)  # a zero tells nothing
         if not (above or below):
             return None
         if magnitudes is None:
             magnitudes = np.negative(block, out=scratch[0, : block.size])
         if above:
             outside = np.greater_equal(magnitudes, 2.0**E)
-            if np.count_nonzero(outside) > _SHORT:
+            if np.count_nonzero(outside) > limit:
                 outside = None
         if outside is None:
             if not below:
@@ -351,7 +359,7 @@ def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, 
             outside = np.less(magnitudes, floor)
             if zeros:  # a zero is no outlier
                 np.logical_and(outside, magnitudes, out=outside)
-            if np.count_nonzero(outside) > _SHORT:
+            if np.count_nonzero(outside) > limit:
                 return None
     rows = scratch[:, : block.size]
     scaled, high = rows
@@ -423,23 +431,11 @@ def _short_block(block: np.ndarray) -> Tuple[int, int]:
     """(sum, sum of magnitudes) of at most _SHORT terms in units of
     2**-_UNIT, in Python ints; ValueError for a non-finite term, before any
     is summed."""
-    if block.size <= _FEW:
-        try:
-            units = list(map(_units, block.tolist()))
-        except (OverflowError, ValueError):  # inf, nan
-            raise ValueError("non-finite term") from None
-        return sum(units), sum(map(abs, units))
-    if not np.isfinite(block).all():
-        raise ValueError("non-finite term")
-    # term m * 2**f, |m| in [1/2, 1), is the integer m * 2**53 shifted by f
-    # above the least f: ints of the block's span, not of the double range
-    significands, exponents = np.frexp(block)
-    significands *= 2.0**53
-    low = int(exponents.min())
-    exponents -= low
-    units = [m << f for m, f in zip(significands.astype(np.int64).tolist(), exponents.tolist())]
-    shift = low - 53 + _UNIT
-    return sum(units) << shift, sum(map(abs, units)) << shift
+    try:
+        units = list(map(_units, block.tolist()))
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError("non-finite term") from None
+    return sum(units), sum(map(abs, units))
 
 
 def _block_sums(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray) -> Tuple[int, int]:

@@ -618,9 +618,9 @@ def _kernel_outcome(xs):
         return OverflowError
 
 
-def _fraction_outcome(xs):
+def _reference_outcome(xs):
     try:
-        return _fraction_sum(xs), _fraction_sum(np.abs(xs))
+        return _reference_sum(xs), _reference_sum(np.abs(xs))
     except OverflowError:
         return OverflowError
 
@@ -641,14 +641,18 @@ def _narrow_windows(draw):
 @st.composite
 def _peeled_windows(draw):
     # more than _SHORT full-width terms in a window under a random top, with
-    # signed zeros and up to _SHORT + 1 outliers above or below it among
-    # them; the draws fix the shape and a seed, numpy the terms
+    # signed zeros and up to _SHORT + 1 outliers above it, below it or on
+    # both sides among them, and 64 window terms more for each outlier, at
+    # least 1024, as a block of 1024 terms or more peels at most one term in
+    # 64; the draws fix the shape and a seed, numpy the terms.  The top
+    # stays clear of overflow, which math.fsum reports for a long block
     top, inside, zeros, outside = (draw(st.integers(*span)) for span in
-                                   ((-1000, 930), (_SHORT + 1, 100), (0, 10), (0, _SHORT + 1)))
+                                   ((-1000, 900), (_SHORT + 1, 100), (0, 10), (0, _SHORT + 1)))
+    sides = draw(st.sampled_from([[1], [-1], [-1, 1]]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    binades = np.concatenate([-rng.integers(0, 24, inside),
-                              rng.choice([-1, 1], outside) * rng.integers(25, 91, outside) + 1])
-    significands = rng.integers(-(2**53) + 1, 2**53, binades.size).astype(np.float64)
+    binades = np.concatenate([-rng.integers(0, 24, inside + 64 * max(outside, 16)),
+                              rng.choice(sides, outside) * rng.integers(25, 91, outside) + 1])
+    significands = rng.integers(2**52, 2**53, binades.size) * rng.choice([-1.0, 1.0], binades.size)
     terms = np.concatenate([np.ldexp(significands, top + binades - 53), rng.choice([0.0, -0.0], zeros)])
     return rng.permutation(terms).tolist()
 
@@ -658,7 +662,7 @@ def _peeled_windows(draw):
                  st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40)))
 def test_kernel_matches_fraction_sum_on_drawn_terms(terms):
     xs = np.array(terms, dtype=np.float64)
-    assert _kernel_outcome(xs) == _fraction_outcome(xs)
+    assert _kernel_outcome(xs) == _reference_outcome(xs)
 
 
 def test_kernel_non_finite_terms_are_unreachable():
@@ -706,10 +710,10 @@ def _blocks_about_the_short_path(rng, n):
 
 def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold(monkeypatch):
     # a block of at most _FEW terms is summed in ints; one of at most _SHORT
-    # in the slices when it is narrow, else in ints; a longer one in the
-    # slices, whole or with at most _SHORT terms peeled off to the ints, or
-    # in the bins.  Every path gives the rational sums, and every one
-    # rejects a non-finite term before any exponent window is sized
+    # in the slices when it is narrow, else in ints; a longer one, of fewer
+    # than 1024 terms, in the slices whole or in the bins.  Every path gives
+    # the rational sums, and every one rejects a non-finite term before any
+    # exponent window is sized
     paths = []
     for name in ("_short_block", "_fixed_block", "_binned_block"):
         kernel = getattr(oracles, name)
@@ -726,13 +730,13 @@ def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold
                 xs[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
                 del paths[:]
                 outcome = _kernel_outcome(xs)
-                assert outcome == _fraction_outcome(xs), (n, xs[:3])
+                assert outcome == _reference_outcome(xs), (n, xs[:3])
                 # the route, from the kernels called: a short block the
                 # slices decline goes to the ints whole
                 route = {("_short_block",): "ints", ("_fixed_block",): "slices",
                          ("_fixed_block", "_short_block"): "ints" if n <= short else "peel",
                          ("_fixed_block", "_binned_block"): "bins"}[tuple(paths)]
-                allowed = {"ints"} if n <= few else {"ints", "slices"} if n <= short else {"slices", "peel", "bins"}
+                allowed = {"ints"} if n <= few else {"ints", "slices"} if n <= short else {"slices", "bins"}
                 assert route in allowed, (n, route)
                 seen.add((n, route, outcome is OverflowError))
                 bad = xs.copy()
@@ -745,9 +749,9 @@ def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold
     # length ran
     for n in lengths[1:]:
         assert {over for m, _, over in seen if m == n} == {False, True}, n
-    assert {route for _, route, _ in seen} == {"ints", "slices", "peel", "bins"}
-    for n in lengths[3:]:
-        assert len({route for m, route, _ in seen if m == n}) >= 2, n
+    for n in lengths[2:]:
+        routes = {route for m, route, _ in seen if m == n}
+        assert routes == ({"ints", "slices"} if n <= short else {"slices", "bins"}), n
 
 
 def test_wide_blocks_are_binned_from_their_own_least_exponent():
@@ -793,15 +797,16 @@ def _odd_terms(rng, exponents):
 
 def _with_outliers(rng, window, outliers):
     # the window's terms with the outliers among them, none of them at the
-    # terms _SHORT in from either end, which the kernel reads as hints
+    # terms the kernel reads as hints, min(_SHORT, n // 64) in from either end
     xs = np.concatenate([window, np.zeros(outliers.size)])
-    spots = rng.choice(np.arange(_SHORT + 1, xs.size - _SHORT - 1), outliers.size, replace=False)
+    limit = min(_SHORT, xs.size // 64)
+    spots = rng.choice(np.setdiff1d(np.arange(xs.size), [limit, xs.size - limit - 1]), outliers.size, replace=False)
     xs[np.setdiff1d(np.arange(xs.size), spots)] = window
     xs[spots] = outliers
     return xs
 
 
-def _outlier_block(rng, side, k, sign, E=0, n=2048):
+def _outlier_block(rng, side, k, sign, E=0, n=4096):
     # n terms of frexp exponents E - _SPAN .. E, the least of them at
     # E - _SPAN, and k outliers 30 to 60 binades above or below them
     span = 2 * _SLICE - 53
@@ -826,6 +831,19 @@ def test_kernel_peels_at_most_short_terms_off_a_wide_block():
         _assert_exact_twice(xs, (side, k, sign))
 
 
+def test_kernel_peels_at_most_one_term_in_64_from_1024_terms():
+    # a shorter block peels at most one term in 64 of its own, past which
+    # the ints cost more than the bins save, and a block of fewer than 1024
+    # terms peels none
+    rng = np.random.default_rng(64)
+    for n, side in itertools.product((1023, 1024, 2048), ("above", "below")):
+        for k in (1, n // 64, n // 64 + 1):
+            xs = _outlier_block(rng, side, k, "mixed", n=n - k)
+            assert xs.size == n
+            assert _fixed_path(xs) == ("peel" if k <= n // 64 and n >= 1024 else None), (n, side, k)
+            _assert_exact_twice(xs, (n, side, k))
+
+
 def test_kernel_peel_keeps_every_bit_at_the_window_edges():
     # window terms in pairs that cancel exactly, so that the sum is one term
     # whose lowest bit decides it: the least term, at the bottom of the
@@ -835,7 +853,7 @@ def test_kernel_peel_keeps_every_bit_at_the_window_edges():
     rng = np.random.default_rng(3308)
     span = 2 * _SLICE - 53
     for E, side, pairs in itertools.product((0, 700, -900), ("above", "below"), (1, _SHORT // 2)):
-        half = _odd_terms(rng, rng.integers(E - span + 1, E + 1, 1024))
+        half = _odd_terms(rng, rng.integers(E - span + 1, E + 1, 2048))
         half[0] = 2.0 ** (E - 1)  # the top
         if side == "above":  # 2 or _SHORT outliers
             witness = _odd_terms(rng, np.array([E - span]))  # the least term
@@ -1433,17 +1451,18 @@ def test_kernel_drops_a_majorant_that_cannot_settle_the_sum():
 
 
 def test_kernel_stops_at_the_same_block_when_every_block_is_wide():
-    # terms (i + 1)**-6 with every 8th one 2**60 smaller, so that every
-    # block the kernel reads spans more binades than the slices hold, with
-    # more than _SHORT terms outside any window: the majorant settles the
-    # sum after 2048 terms, in two blocks, with the bits of the whole sum
+    # terms (i + 1)**-6 with every 9th one, from the first, 2**60 smaller,
+    # so that every block the kernel reads spans more binades than the
+    # slices hold, with more than _SHORT terms outside any window: the
+    # majorant settles the sum after 4096 terms, in three blocks, with the
+    # bits of the whole sum
     count = 1 << 17
     written = []
 
     def fill(start, block):
         written.append(block.size)
         np.power(np.arange(start + 1, start + block.size + 1, dtype=np.float64), -6.0, out=block)
-        block[7 - start % 8 :: 8] *= 2.0**-60
+        block[-start % 9 :: 9] *= 2.0**-60
         assert _fixed_path(block) is None
 
     def rest(start):
@@ -1451,9 +1470,9 @@ def test_kernel_stops_at_the_same_block_when_every_block_is_wide():
         return 2.0 * ((start + 1.0) ** -6 + (start + 1.0) ** -5 / 5.0)
 
     got = oracles._stream_sum(count, fill, rest=rest)
-    assert written == [oracles._FIRST, oracles._FIRST]
+    assert written == [oracles._FIRST, oracles._FIRST, 2 * oracles._FIRST]
     whole = np.arange(1, count + 1, dtype=np.float64) ** -6.0
-    whole[7::8] *= 2.0**-60
+    whole[::9] *= 2.0**-60
     assert got == (math.fsum(whole.tolist()),) * 2
     assert [x.hex() for x in got] == [x.hex() for x in oracles._stream_sum(count, fill)]
 
