@@ -11,29 +11,21 @@ and the roundoff floor only has to cover the rounding of the individual
 terms, scaled by the sum of their magnitudes that the kernel takes
 alongside.  Each oracle writes one sequence: an alternating series
 (sum_beta, sum_Z) writes its own signed terms.  No oracle builds an array
-whose length grows with its term count.  The kernel picks one of four
-routes for each block from the block's own length and range.  Let 2**e be
-the power of two above a block's largest magnitude; a block is narrow when
-its nonzero terms all have their lowest bit within 2 * 38 bits below 2**e
-(the least term within 23 binades of the top).  (1) A short block, of at
-most _SHORT = 64 terms, is summed exactly in Python ints, each term's
-integer ratio shifted to one common scale, unless it is narrow and longer
-than _FEW = 20 terms.  (2) A narrow block is cut at the scale 2**e
-into two fixed-point slices of _SLICE = 53 - 15 = 38 bits (Rump, Ogita &
-Oishi 2008), and each slice is added with a plain numpy sum: a slice is
-below 2**38 and a block holds at most 2**15 of them, so every partial sum is
-an integer below 2**53 and hence exact.  (3) A block of 2**10 terms or
-more that one such window would hold but for at most one term in 64, and at
-most _SHORT, as a 1/m**2 block below its first few terms or a block of small
-terms that ends with a sum's pole term, has those terms peeled off to the
-ints and the rest sliced at the window's scale: the window above the block's
-least term, or else the one below its top.  (4) A block wide throughout is
-binned by exponent (Demmel & Hida 2003) in a window of its own, from the
-block's least exponent up, in bins of 8 binades: each term, scaled within
-its bin to below 2**34, splits into two integer limbs, summed per bin, sign
-and lane with numpy, again as integers below 2**53.  Each route gives the
-block's exact sum and sum of magnitudes as two Python ints, which add up
-over the blocks and are rounded once.  A sum beyond the double range raises
+whose length grows with its term count.  The kernel takes one of two
+routes for each block, from the block's own length and range.  (1) A short
+block, of at most _SHORT = 64 terms, is summed exactly in Python ints, each
+term's significand shifted to one common scale, unless it is longer than
+_FEW = 20 terms and its end terms lie within 23 binades of each other.
+(2) Every other block is cut into two fixed-point slices of _SLICE = 53 -
+15 = 38 bits (Rump, Ogita & Oishi 2008), one window of 24 binades at a
+time, and each slice is added with a plain numpy sum: a slice is below
+2**38 and a block holds at most 2**15 of them, so every partial sum is an
+integer below 2**53 and hence exact.  A block that one window holds is
+sliced whole; a wider one is sliced in the window above its least nonzero
+term, and its terms above that window are taken out and summed as a block
+of their own, by the same two routes.  Each route gives the block's exact
+sum and sum of magnitudes as two Python ints, which add up over the blocks
+and are rounded once.  A sum beyond the double range raises
 ToleranceUnreachable.
 
 A sum stops early once its rounding is decided (Ziv, ACM TOMS 17, 1991).
@@ -211,59 +203,42 @@ _quiet = np.errstate(all="ignore")
 
 
 # Exact summation in blocks of at most _BLOCK terms, each block by one of
-# four routes chosen from what the block itself shows: a short block in
-# Python ints (_SHORT below) unless it is narrow, a narrow block in two
-# fixed-point slices, a block that is narrow but for at most _SHORT terms in
-# the slices with those terms peeled off to the ints, and a block wide
-# throughout in exponent bins.  Every total is an integer in units of
-# 2**-_UNIT, below the lowest bit of any double; all of them meet as one
-# Python int, rounded once.
+# two routes chosen from what the block itself shows: a short block in
+# Python ints (_SHORT below) unless its end terms share a window, and every
+# other block in two fixed-point slices, one window at a time.  Every total
+# is an integer in units of 2**-_UNIT, below the lowest bit of any double;
+# all of them meet as one Python int, rounded once.
 #
-# Narrow blocks (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): let
-# 2**e be the power of two just above the block's largest magnitude.  When
-# every nonzero term's lowest bit lies within 2 * _SLICE bits below 2**e,
-# each term p is exactly t_1 * 2**(e - S) + t_2 * 2**(e - 2S), S = _SLICE,
-# with t_1 = trunc(p * 2**(S - e)) and t_2 = (p * 2**(S - e) - t_1) * 2**S,
+# Slices (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): at a window
+# E, every term p below 2**E whose lowest bit lies within 2 * _SLICE bits
+# below 2**E is exactly t_1 * 2**(E - S) + t_2 * 2**(E - 2S), S = _SLICE,
+# with t_1 = trunc(p * 2**(S - E)) and t_2 = (p * 2**(S - E) - t_1) * 2**S,
 # both integers.  Every |t_r| < 2**S and a block holds at most _BLOCK terms,
 # so with S = 53 - log2(_BLOCK) = 38 every partial sum of a plain numpy sum
-# of a slice is an integer below 2**53, hence exact in any order: the least
-# term may lie 2S - 53 = 23 binades below the top.  A mixed-sign block sums
-# |t_r| the same way for its magnitude.
+# of a slice is an integer below 2**53, hence exact in any order: a term of
+# frexp exponent f has its lowest bit at 2**(f - 53) or above, so the window
+# holds the terms with E - _SPAN <= f <= E, 24 binades.  A mixed-sign block
+# sums |t_r| the same way for its magnitude.
 #
-# Peeled blocks: the same holds at any scale 2**(S - E) for the terms of
-# the window 2**(E - 24) <= |p| < 2**E.  A block too wide for the window
-# below its top tries first the window above its least term (E = f + 23,
-# with 2**(f - 1) <= least < 2**f), which holds a block of decaying terms
-# below its first few, then the window below its top (E = e), which holds a
-# block but for a few stray terms near zero, as where the trigonometric
-# factor of hurwitz_partial at k = 1 crosses zero.  When the block has n >=
-# _PEEL_FROM terms and at most limit = min(_SHORT, n // 64) nonzero terms
-# lie outside, those are summed in ints and zeroed in the slices' scratch
-# row, and the rest are sliced.  The scale must be a normal double and must
-# not carry the top past the double range.  The two terms limit in from the
-# block's ends decide for a monotone block whether a window can hold all but
-# limit terms, so a block wide throughout reaches the bins after two reads
-# and no count.
-#
-# Wide blocks, and blocks whose scale 2**(S - e) would leave the normal
-# range, are binned by exponent (Demmel & Hida, SIAM J. Sci. Comput. 25,
-# 2003) in a window that starts at the block's own least exponent, so the
-# table has only the bins the block spans.  Each double is m * 2**f with
-# |m| in [1/2, 1) from frexp (f = 0 for a zero, which widens the window and
-# adds nothing).  With f = low + 8 * g + j, 0 <= j < 8, the term goes to bin
-# g as x = m * 2**(27 + j), |x| < 2**34, which splits exactly into an integer
-# hi = trunc(x) and a fraction that, times 2**26, is an integer lo, |lo| <
-# 2**26.  bincount sums the limbs per (bin, sign) and lane: term i of a
-# block goes to lane i % _LANES, because terms of a monotone series fall
-# into one bin in long runs and a single accumulator slot would make each
-# addition wait for the one before.  Every slot total, and every fold of
-# lanes and signs, is an integer below _BLOCK * 2**34 = 2**49, hence exact
-# in float64; the bins meet in Python ints, and nothing is kept from one
-# block to the next.  Bins of 8 binades split an exponent with a shift and
-# a mask, where a division by 12, the most that 2**53 allows, took five
-# times as long on a full block.  A non-finite term raises ValueError from
-# the block's max and min before any window is sized, as frexp's exponent
-# of inf or nan is unspecified.
+# Window by window: let 2**e be the power of two just above the block's
+# largest magnitude and f the frexp exponent of its least nonzero one.  A
+# block with f >= e - _SPAN is sliced whole at E = e.  A wider one is sliced
+# at E = f + _SPAN, the window above its least term, with its terms at or
+# above 2**E zeroed in the scaled row; those are taken out and summed as a
+# block of their own, in ints or by the same rule again.  Each window starts
+# above the one before, so a block over b binades takes at most b / 24 + 1
+# windows: a block of decaying terms, as 1/m**2 below its first few, takes
+# the window of its tail and then ints for the few, and a block with a few
+# terms near zero, where hurwitz_partial's trigonometric factor crosses it,
+# takes their window and then one for the rest.  E is at least 2 * _SLICE -
+# _UNIT, so that the shift into units is never negative, and a scale
+# 2**(S - E) past 2**1023 is applied as two exact power-of-two multiplies.
+# A block spread evenly over many binades costs a pass per window, where
+# exponent bins (Demmel & Hida, SIAM J. Sci. Comput. 25, 2003) cost one,
+# but the oracles write none: each block after the first at most doubles h,
+# so its power of h spans at most p binades, and the first block of a high
+# power is short.  A non-finite term raises ValueError from the block's max
+# and min, before any window is scaled.
 #
 # The oracles never build a whole term array: each writes its terms block by
 # block into a buffer that _stream_sum allocates per call, as long as the
@@ -274,51 +249,35 @@ _quiet = np.errstate(all="ignore")
 _BLOCK = 1 << 15
 _SLICE = 53 - (_BLOCK.bit_length() - 1)
 _SPAN = 2 * _SLICE - 53  # binades between the top and the least term of a window
-_LANES = 4
-_LANE = np.arange(_BLOCK, dtype=np.int32) % _LANES
 # read-only offsets 0 .. _BLOCK - 1: term start + j of a block is formed as
 # _OFFSETS[j] + start, exact for every index below 2**53
 _OFFSETS = np.arange(_BLOCK, dtype=np.float64)
 _OFFSETS.flags.writeable = False
-_EXP_BIAS = 1074  # frexp exponents run from -1073 (least subnormal) to 1024
-_UNIT = _EXP_BIAS + 53
-# A block of at most _SHORT terms is summed in Python ints instead, each
-# term's integer ratio shifted to one scale (_units), about 0.5 us a term on
-# a 2-core Xeon.  After the slices reject a short wide block the exponent
-# bins cost 33-40 us or more, so there the ints are the cheaper up to 64-128
-# terms; the first block of a Ziv sum at a high power is wide, 32 or 64
-# terms: _SHORT = 32 left series_grid's median operation slower than 64 did
-# in 5 of 6 seeds.  A short block whose end terms lie within one window goes
-# to the slices, about 10 us flat, when it is longer than _FEW: the ints and
-# the slices cross at 20-24 terms (a narrow 36-term block of 1/m**4,
-# sum_zeta(4, 1e-8), takes 17 us in ints, 11 in the slices).  A block may
-# peel at most min(_SHORT, n // 64) of its n terms: on mixed-sign decaying
-# blocks the peel costs what the bins do at about 20 peeled terms up to 512
-# terms, 28 at 1024, 40 at 2048 and 60 at 4096.  A block of fewer than
-# _PEEL_FROM terms is not peeled: the first blocks of hurwitz_partial at
-# k = 3..5, 256 or 512 terms wide throughout, paid about 1.2 us a failed
-# attempt, 2% of the block, while on series_grid seeds 1-20 only 6 blocks
-# that short could be peeled
+_UNIT = 1074 + 53  # 53 binades below the least subnormal, 2**-1074
+# A block of at most _SHORT terms is summed in Python ints instead: up to
+# _FEW terms each term's integer ratio shifted to one scale (_units), about
+# 0.5 us a term on a 2-core Xeon, and past _FEW numpy's significands, each
+# shifted from the block's least exponent, about 5 us and 0.15 us a term.
+# The first block of a Ziv sum at a high power is wide, 32 or 64 terms, and
+# so are the first few terms above a window of a decaying block: one more
+# window costs about 10 us.  A short block whose end terms lie within one
+# window goes to the slices when it is longer than _FEW: the ints and the
+# slices cross at 20-24 terms (a narrow 36-term block of 1/m**4,
+# sum_zeta(4, 1e-8), takes 17 us in ints, 11 in the slices)
 _SHORT = 64
 _FEW = 20
-_PEEL_FROM = 1 << 10
 
 
-def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, int]]:
+def _sliced_block(block: np.ndarray, scratch: np.ndarray) -> Tuple[int, int]:
     """(sum, sum of magnitudes) of a block in units of 2**-_UNIT by the
-    slices, with at most min(_SHORT, n // 64) of its n terms peeled off to
-    _short_block, or None for a block the slices cannot hold so; ValueError
-    for a non-finite term.  scratch holds two rows at least as long as the
-    block."""
+    slices, window by window; ValueError for a non-finite term.  scratch
+    holds two rows at least as long as the block."""
     top, bottom = float(block.max()), float(block.min())
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("non-finite term")
     if top == bottom == 0.0:
         return 0, 0
     e = math.frexp(max(top, -bottom))[1]
-    if _SLICE - e > 1023:  # the scale 2**(_SLICE - E), E <= e, is not normal
-        return None
-    zeros = False
     if bottom > 0.0:
         least, magnitudes = bottom, block
     elif top < 0.0:
@@ -326,98 +285,38 @@ def _fixed_block(block: np.ndarray, scratch: np.ndarray) -> Optional[Tuple[int, 
     else:
         magnitudes = np.abs(block, out=scratch[0, : block.size])
         least = float(magnitudes.min())
-        zeros = least == 0.0
-        if zeros:
+        if least == 0.0:
             least = float(magnitudes[magnitudes > 0.0].min())
-    # a term of frexp exponent f has its lowest bit at 2**(f - 53) or above,
-    # so the slices at the scale 2**(_SLICE - E) hold it exactly when
-    # E - _SPAN <= f <= E
-    f = math.frexp(least)[1]
-    E, outside = e, None
-    if f < e - _SPAN:
-        # too wide for one window: peel (see "Peeled blocks" above) a block
-        # of _PEEL_FROM terms or more; a short one goes to the ints whole
-        if block.size < _PEEL_FROM:
-            return None
-        limit = min(_SHORT, block.size >> 6)
-        head, tail = abs(block.item(limit)), abs(block.item(-limit - 1))
-        E, floor = f + _SPAN, 2.0 ** (e - _SPAN - 1)
-        above = head < 2.0**E and tail < 2.0**E and E >= max(_SLICE - 1023, e + _SLICE - 1024)
-        below = not (0.0 < tail < floor or 0.0 < head < floor)  # a zero tells nothing
-        if not (above or below):
-            return None
+    E = max(min(e, math.frexp(least)[1] + _SPAN), 2 * _SLICE - _UNIT)
+    if E < e:  # the terms at or above 2**E, to be summed on their own
         if magnitudes is None:
             magnitudes = np.negative(block, out=scratch[0, : block.size])
-        if above:
-            outside = np.greater_equal(magnitudes, 2.0**E)
-            if np.count_nonzero(outside) > limit:
-                outside = None
-        if outside is None:
-            if not below:
-                return None
-            E = e
-            outside = np.less(magnitudes, floor)
-            if zeros:  # a zero is no outlier
-                np.logical_and(outside, magnitudes, out=outside)
-            if np.count_nonzero(outside) > limit:
-                return None
+        outside = (magnitudes >= 2.0**E).nonzero()[0]
+        above = block.take(outside)
     rows = scratch[:, : block.size]
     scaled, high = rows
-    np.multiply(block, 2.0 ** (_SLICE - E), out=scaled)
-    if outside is not None:
-        outside = np.flatnonzero(outside)
-        peeled = _short_block(block[outside])
+    np.multiply(block, 2.0 ** min(_SLICE - E, 1023), out=scaled)
+    if _SLICE - E > 1023:
+        scaled *= 2.0 ** (_SLICE - E - 1023)
+    if E < e:
         scaled[outside] = 0.0
     np.trunc(scaled, out=high)
     scaled -= high  # the low slice times 2**-_SLICE, exact
-    value = (int(high.sum()) << _SLICE) + int(scaled.sum() * 2.0**_SLICE)
+    # both rows' sums in one call: each is exact in any order
+    lo, hi = rows.sum(axis=1).tolist()
+    value = (int(hi) << _SLICE) + int(lo * 2.0**_SLICE)
     if bottom >= 0.0 or top <= 0.0:
         magnitude = abs(value)
     else:
         np.abs(rows, out=rows)
-        magnitude = (int(high.sum()) << _SLICE) + int(scaled.sum() * 2.0**_SLICE)
+        lo, hi = rows.sum(axis=1).tolist()
+        magnitude = (int(hi) << _SLICE) + int(lo * 2.0**_SLICE)
     shift = E - 2 * _SLICE + _UNIT
     value, magnitude = value << shift, magnitude << shift
-    if outside is not None:
-        value, magnitude = value + peeled[0], magnitude + peeled[1]
+    if E < e:
+        sums = _block_sums(above, scratch)
+        value, magnitude = value + sums[0], magnitude + sums[1]
     return value, magnitude
-
-
-def _binned_block(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray) -> Tuple[int, int]:
-    """(sum, sum of magnitudes) of a finite block in units of 2**-_UNIT, by
-    exponent bins from the block's least exponent up; scratch (two float
-    rows) and slots (an int64 row) are work space."""
-    m, hi = scratch[:, : block.size]
-    # np.ldexp takes int32 exponents many times faster than int64 ones
-    slots, shifts = slots[: block.size], hi.view(np.int32)[: block.size]
-    np.frexp(block, out=(m, slots))
-    low = int(slots.min())
-    slots -= low
-    # exponent low + 8 * g + j goes to bin g as m * 2**(27 + j)
-    np.bitwise_and(slots, 7, out=shifts)
-    slots >>= 3
-    shifts += 27
-    np.ldexp(m, shifts, out=m)
-    size = (int(slots.max()) + 1) * 2 * _LANES
-    slots *= 2
-    slots += np.signbit(m)
-    slots *= _LANES
-    slots += _LANE[: block.size]
-    np.trunc(m, out=hi)
-    m -= hi
-    m *= 2.0**26  # the low limb
-    # per bin, limb and sign: the lanes fold exactly, as every total is an
-    # integer below 2**49, and so do the two signs' sum and difference
-    limbs = [np.bincount(slots, weights=limb, minlength=size)
-             .reshape(-1, 2, _LANES).sum(axis=2).tolist() for limb in (hi, m)]
-    value = magnitude = 0
-    for g, ((hp, hn), (lp, ln)) in enumerate(zip(*limbs)):
-        # bin g holds (hi * 2**26 + lo) * 2**(low + 8 * g - 53), with the
-        # negative terms' limbs negative
-        value += ((int(hp + hn) << 26) + int(lp + ln)) << (8 * g)
-        magnitude += ((int(hp - hn) << 26) + int(lp - ln)) << (8 * g)
-    shift = low + _EXP_BIAS
-    return value << shift, magnitude << shift
 
 
 def _units(x: float) -> int:
@@ -431,6 +330,16 @@ def _short_block(block: np.ndarray) -> Tuple[int, int]:
     """(sum, sum of magnitudes) of at most _SHORT terms in units of
     2**-_UNIT, in Python ints; ValueError for a non-finite term, before any
     is summed."""
+    if block.size > _FEW:
+        # numpy's significands and exponents, m * 2**ex with |m| in
+        # [1/2, 1) (0 * 2**0 for a zero), each m * 2**53 an integer
+        m, ex = np.frexp(block)
+        if not math.isfinite(m.sum()):  # inf or nan
+            raise ValueError("non-finite term")
+        low = int(ex.min())
+        units = [i << s for i, s in zip((m * 2.0**53).astype(np.int64).tolist(), (ex - low).tolist())]
+        shift = low - 53 + _UNIT
+        return sum(units) << shift, sum(map(abs, units)) << shift
     try:
         units = list(map(_units, block.tolist()))
     except (OverflowError, ValueError):  # inf, nan
@@ -438,17 +347,17 @@ def _short_block(block: np.ndarray) -> Tuple[int, int]:
     return sum(units), sum(map(abs, units))
 
 
-def _block_sums(block: np.ndarray, scratch: np.ndarray, slots: np.ndarray) -> Tuple[int, int]:
+def _block_sums(block: np.ndarray, scratch: np.ndarray) -> Tuple[int, int]:
     """(sum, sum of magnitudes) of a block in units of 2**-_UNIT, by the
-    path its length and range pick; ValueError for a non-finite term."""
+    route its length and range pick; ValueError for a non-finite term."""
     if block.size > _SHORT:
-        return _fixed_block(block, scratch) or _binned_block(block, scratch, slots)
+        return _sliced_block(block, scratch)
     # a short block goes to the slices when its end terms lie within one
     # window, the whole test for terms of monotone magnitude
     first, last = float(block[0]), float(block[-1])
     if block.size > _FEW and first and last and \
             abs(math.frexp(first)[1] - math.frexp(last)[1]) <= _SPAN:
-        return _fixed_block(block, scratch) or _short_block(block)
+        return _sliced_block(block, scratch)
     return _short_block(block)
 
 
@@ -531,19 +440,19 @@ def _stream_sum(count: int, fill: Callable[..., None], spare: int = 0,
             size = min(size, max(start, first))
         if size > columns:
             # one buffer for the blocks to come, with the kernel's two
-            # scratch rows and its slot row last, grown only for a longer
-            # block: while the majorant is kept the blocks double, without
-            # it they reach _BLOCK.  The allocator keeps a buffer of the size
-            # it last freed for the next call, while fresh temporaries for
-            # every block would cost about as much in page faults as the
+            # scratch rows last, grown only for a longer block: while the
+            # majorant is kept the blocks double, without it they reach
+            # _BLOCK.  The allocator keeps a buffer of the size it last
+            # freed for the next call, while fresh temporaries for every
+            # block would cost about as much in page faults as the
             # arithmetic
             columns = size if rest is not None else min(count - start, _BLOCK)
-            work = np.empty((1 + spare + 3, columns))
-            scratch, slots = work[-3:-1], work[-1].view(np.int64)
+            work = np.empty((1 + spare + 2, columns))
+            scratch = work[-2:]
         blocks = work[: 1 + spare, :size]
         fill(start, *blocks)
         start += size
-        sums = _block_sums(blocks[0], scratch, slots)
+        sums = _block_sums(blocks[0], scratch)
         value += sums[0]
         magnitude += sums[1]
         if rest is None or start == count:

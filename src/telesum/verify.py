@@ -299,9 +299,9 @@ def _table_denominators(rng: random.Random) -> bool:
 def _kernel_vs_fsum(rng: random.Random) -> bool:
     # math.fsum is an independent exactly rounded sum, so the two must
     # agree bit for bit; the single-exponent run is longer than a kernel
-    # block, so it crosses a block boundary and fills every lane slot, and
-    # the wide runs at the top and the bottom of the exponent range are
-    # binned in windows far from exponent 0
+    # block, so it crosses a block boundary, and the wide runs at the top
+    # and the bottom of the exponent range are sliced window by window far
+    # from exponent 0
     gen = np.random.default_rng(rng.getrandbits(64))
     n = 5000
     mixed = np.ldexp(gen.standard_normal(n), gen.integers(-80, 80, n))

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from telesum import oracles
 from telesum.exact_core import _COT, _SEC, _pole_distance
-from telesum.oracles import _BLOCK, _SHORT, _SLICE, _TWO_PI, _certified_sum, _exact_sum, _fixed_block
+from telesum.oracles import _BLOCK, _SHORT, _SLICE, _TWO_PI, _certified_sum, _exact_sum
 
 from hurwitz_truth import z_truth, ztilde_truth
 
@@ -508,8 +508,8 @@ def test_kernel_matches_exact_rational_sum():
         assert value == want, (n, kind)
         assert math.copysign(1.0, value) == math.copysign(1.0, math.fsum(xs.tolist()))
         assert magnitude == _reference_sum(np.abs(xs)), (n, kind)
-    # one exponent bin for more than a block (every lane slot of it used
-    # across block boundaries), and a monotone run whose bins change slowly
+    # one binade for more than a block, across block boundaries, and a
+    # monotone run whose windows change slowly
     below_one = np.full(3 * _BLOCK + 5, np.nextafter(1.0, 0.0))
     monotone = 1.0 / np.arange(1.0, 2 * _BLOCK + 40) ** 2
     for xs in (below_one, -below_one, monotone, -monotone[::-1]):
@@ -531,17 +531,19 @@ def test_kernel_matches_exact_rational_sum():
                 _exact_sum(np.array(bad + pad))
 
 
-def _fixed_path(block):
-    # what _fixed_block makes of a block: "slices" for the whole block,
-    # "peel" when it peels terms off to the ints, or None when it leaves the
-    # block to the bins (or, for a short block, to the ints)
-    with mock.patch.object(oracles, "_short_block", wraps=oracles._short_block) as short:
-        sums = _fixed_block(block, np.empty((2, block.size)))
-    return None if sums is None else "peel" if short.called else "slices"
+def _route(block):
+    # how _sliced_block sums a block: (windows, ints), the windows it slices,
+    # one per call of it, and the blocks of terms above a window it sums in
+    # Python ints
+    with mock.patch.object(oracles, "_sliced_block", wraps=oracles._sliced_block) as sliced, \
+            mock.patch.object(oracles, "_short_block", wraps=oracles._short_block) as short, \
+            np.errstate(all="ignore"):
+        sliced(block, np.empty((2, block.size)))
+    return sliced.call_count, short.call_count
 
 
 def _is_narrow(block):
-    return _fixed_path(block) == "slices"
+    return _route(block) == (1, 0)
 
 
 def _assert_exact(xs, label):
@@ -563,16 +565,18 @@ def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
             _assert_exact(xs, e)
     # the least term exactly 2 * _SLICE - 53 binades below the top, its lowest
     # bit set, is the widest narrow block; one binade further the bit falls
-    # below both slices.  Cancelling tops leave the least term as the sum, and
-    # a tie at 2**e between the two nearest doubles is broken by that one bit.
+    # below both slices of the top's window, so the window goes above the
+    # least term and the two top terms are summed in ints.  Cancelling tops
+    # leave the least term as the sum, and a tie at 2**e between the two
+    # nearest doubles is broken by that one bit.
     widest = 2 * _SLICE - 53
     for e in (0, 50, -950):
-        for span, narrow in ((widest, True), (widest + 1, False)):
+        for span, route in ((widest, (1, 0)), (widest + 1, (1, 1))):
             least = math.ldexp(0.5 + 2.0**-53, e - span)
             cancel = np.array([0.75, -0.75, least / 2.0**e]) * 2.0**e
             tie = np.array([0.5 + 2.0**-53, 0.5, least / 2.0**e]) * 2.0**e
             for xs in (cancel, tie, -tie):
-                assert _is_narrow(xs) == narrow, (e, span)
+                assert _route(xs) == route, (e, span)
                 _assert_exact(xs, (e, span))
     # a mixed-sign narrow block with zeros of both signs
     xs = np.ldexp(rng.uniform(0.5, 1.0, _BLOCK), rng.integers(-20, 1, _BLOCK))
@@ -581,12 +585,13 @@ def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
     assert _is_narrow(xs)
     _assert_exact(xs, "mixed")
     # the scale 2**(_SLICE - e) leaves the normal range below
-    # e = _SLICE - 1023, so the block goes to the bins there; at the top the
-    # slices take terms near 2**1024, whose sums may still overflow or cancel
+    # e = _SLICE - 1023, and a window there takes it in two steps; at the top
+    # the slices take terms near 2**1024, whose sums may still overflow or
+    # cancel
     lowest = _SLICE - 1023
-    for e, narrow in ((lowest, True), (lowest - 1, False), (-1000, False)):
+    for e in (lowest, lowest - 1, -1000):
         xs = np.ldexp(rng.uniform(0.5, 1.0, 1000), e - rng.integers(0, widest, 1000))
-        assert _is_narrow(xs) == narrow, e
+        assert _is_narrow(xs), e
         _assert_exact(xs, e)
     huge = np.array([8e307, -8e307, 1e303, 1.7e308, 9e307])
     assert _is_narrow(huge)
@@ -596,18 +601,19 @@ def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
     # a wide block next to a narrow one: 1 + 2**-53 from the first is a tie
     # that rounds to 1, and the narrow 2**-53 of the second lifts it to the
     # next double above 1 in the one rounding all paths meet in.  The first
-    # block peels its two terms above 2**-80 off; with pairs that cancel
-    # exactly over 130 binades it is wide throughout and goes to the bins
+    # block takes the window above 2**-80 and its two terms above it in
+    # ints; with pairs that cancel exactly over 130 binades it takes a
+    # window for every 24 binades of them
     xs = np.zeros(2 * _BLOCK)
     xs[:3] = (1.0, 2.0**-53, 2.0**-80)
     xs[_BLOCK : _BLOCK + 2] = (2.0**-53, 2.0**-54)
     spread = np.ldexp(1.0, -np.arange(10, 140))
-    for path, pad in (("peel", []), (None, [spread, -spread])):
+    for route, pad in (((1, 1), []), ((6, 0), [spread, -spread])):
         ys = xs.copy()
         ys[3 : 3 + 2 * spread.size] = np.concatenate(pad or [np.zeros(2 * spread.size)])
-        assert _fixed_path(ys[:_BLOCK]) == path and _is_narrow(ys[_BLOCK:])
-        _assert_exact(ys, ("wide then narrow", path))
-        _assert_exact(ys[::-1], ("narrow then wide", path))
+        assert _route(ys[:_BLOCK]) == route and _is_narrow(ys[_BLOCK:])
+        _assert_exact(ys, ("wide then narrow", route))
+        _assert_exact(ys[::-1], ("narrow then wide", route))
 
 
 def _kernel_outcome(xs):
@@ -639,18 +645,18 @@ def _narrow_windows(draw):
 
 
 @st.composite
-def _peeled_windows(draw):
+def _windows_with_outliers(draw):
     # more than _SHORT full-width terms in a window under a random top, with
     # signed zeros and up to _SHORT + 1 outliers above it, below it or on
-    # both sides among them, and 64 window terms more for each outlier, at
-    # least 1024, as a block of 1024 terms or more peels at most one term in
-    # 64; the draws fix the shape and a seed, numpy the terms.  The top
-    # stays clear of overflow, which math.fsum reports for a long block
+    # both sides among them, so that the outliers go to the ints or to
+    # windows of their own; the draws fix the shape and a seed, numpy the
+    # terms.  The top stays clear of overflow, which math.fsum reports for a
+    # long block
     top, inside, zeros, outside = (draw(st.integers(*span)) for span in
-                                   ((-1000, 900), (_SHORT + 1, 100), (0, 10), (0, _SHORT + 1)))
+                                   ((-1000, 900), (_SHORT + 1, 2048), (0, 10), (0, _SHORT + 1)))
     sides = draw(st.sampled_from([[1], [-1], [-1, 1]]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    binades = np.concatenate([-rng.integers(0, 24, inside + 64 * max(outside, 16)),
+    binades = np.concatenate([-rng.integers(0, 24, inside),
                               rng.choice(sides, outside) * rng.integers(25, 91, outside) + 1])
     significands = rng.integers(2**52, 2**53, binades.size) * rng.choice([-1.0, 1.0], binades.size)
     terms = np.concatenate([np.ldexp(significands, top + binades - 53), rng.choice([0.0, -0.0], zeros)])
@@ -658,7 +664,7 @@ def _peeled_windows(draw):
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
-@given(st.one_of(_narrow_windows(), _peeled_windows(),
+@given(st.one_of(_narrow_windows(), _windows_with_outliers(),
                  st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40)))
 def test_kernel_matches_fraction_sum_on_drawn_terms(terms):
     xs = np.array(terms, dtype=np.float64)
@@ -679,11 +685,9 @@ def test_kernel_non_finite_terms_are_unreachable():
         assert exc.value.achieved == math.inf
 
 
-def test_kernel_rejects_a_non_finite_term_before_any_window(monkeypatch):
-    # frexp's exponent of inf or nan is unspecified, so a wide block holding
-    # one must raise from its max and min, before the bins are sized
-    binned = []
-    monkeypatch.setattr(oracles, "_binned_block", lambda *args: binned.append(args))
+def test_kernel_rejects_a_non_finite_term_before_any_window():
+    # a wide block holding inf or nan must raise from its max and min,
+    # before any window is sized or scaled into the scratch rows
     rng = np.random.default_rng(1003)
     for n in (9, _BLOCK):
         wide = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1000, 1000, n))
@@ -692,7 +696,10 @@ def test_kernel_rejects_a_non_finite_term_before_any_window(monkeypatch):
             xs[n // 2] = bad
             with pytest.raises(ValueError, match="non-finite term"):
                 _exact_sum(xs)
-    assert binned == []
+            scratch = np.full((2, n), 7.0)
+            with pytest.raises(ValueError, match="non-finite term"):
+                oracles._sliced_block(xs, scratch)
+            assert (scratch == 7.0).all()
 
 
 def _blocks_about_the_short_path(rng, n):
@@ -710,12 +717,12 @@ def _blocks_about_the_short_path(rng, n):
 
 def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold(monkeypatch):
     # a block of at most _FEW terms is summed in ints; one of at most _SHORT
-    # in the slices when it is narrow, else in ints; a longer one, of fewer
-    # than 1024 terms, in the slices whole or in the bins.  Every path gives
-    # the rational sums, and every one rejects a non-finite term before any
-    # exponent window is sized
+    # in the slices when its end terms share a window, else in ints; a
+    # longer one in the slices.  Every path gives the rational sums, and
+    # every one rejects a non-finite term in its first call, before any
+    # window is sized
     paths = []
-    for name in ("_short_block", "_fixed_block", "_binned_block"):
+    for name in ("_short_block", "_sliced_block"):
         kernel = getattr(oracles, name)
         monkeypatch.setattr(oracles, name, lambda *args, kernel=kernel, name=name:
                             paths.append(name) or kernel(*args))
@@ -731,12 +738,11 @@ def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold
                 del paths[:]
                 outcome = _kernel_outcome(xs)
                 assert outcome == _reference_outcome(xs), (n, xs[:3])
-                # the route, from the kernels called: a short block the
-                # slices decline goes to the ints whole
-                route = {("_short_block",): "ints", ("_fixed_block",): "slices",
-                         ("_fixed_block", "_short_block"): "ints" if n <= short else "peel",
-                         ("_fixed_block", "_binned_block"): "bins"}[tuple(paths)]
-                allowed = {"ints"} if n <= few else {"ints", "slices"} if n <= short else {"slices", "bins"}
+                # the route, from the first kernel called: the slices may
+                # then sum the terms above a window in ints
+                route = {"_short_block": "ints", "_sliced_block": "slices"}[paths[0]]
+                assert paths[0] == "_sliced_block" or len(paths) == 1, (n, paths)
+                allowed = {"ints"} if n <= few else {"ints", "slices"} if n <= short else {"slices"}
                 assert route in allowed, (n, route)
                 seen.add((n, route, outcome is OverflowError))
                 bad = xs.copy()
@@ -744,17 +750,17 @@ def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold
                 del paths[:]
                 with pytest.raises(ValueError, match="non-finite term"):
                     _exact_sum(bad)
-                assert "_binned_block" not in paths, n
+                assert len(paths) == 1, n
     # each length past one term overflowed and summed, and each route of a
     # length ran
     for n in lengths[1:]:
         assert {over for m, _, over in seen if m == n} == {False, True}, n
     for n in lengths[2:]:
         routes = {route for m, route, _ in seen if m == n}
-        assert routes == ({"ints", "slices"} if n <= short else {"slices", "bins"}), n
+        assert routes == ({"ints", "slices"} if n <= short else {"slices"}), n
 
 
-def test_wide_blocks_are_binned_from_their_own_least_exponent():
+def test_wide_blocks_are_sliced_window_by_window_from_their_least_term():
     rng = np.random.default_rng(2003)
     # the top of the range, exponents 900..1023 of both signs, cancelled by
     # their rounded sum down to the rounding's residue
@@ -763,14 +769,18 @@ def test_wide_blocks_are_binned_from_their_own_least_exponent():
     top = np.append(top, -math.fsum(top.tolist()))
     # subnormals only, as integers times 2**-1074, short and a full block
     subnormals = [rng.integers(-(2**52), 2**52, n) * 5e-324 for n in (9, _BLOCK)]
-    # signed zeros among tiny terms: frexp puts a zero at exponent 0, far
-    # above them, which widens the window and adds nothing
+    # signed zeros among tiny terms, which widen no window and add nothing
     tiny = np.ldexp(rng.uniform(-1.0, 1.0, 40), rng.integers(-1074, -1000, 40))
     tiny[::7] = 0.0
     tiny[3::7] = -0.0
-    for xs in (top, *subnormals, tiny, np.array([1e-310, -1e-310, 0.0, -0.0]),
-               np.array([-0.0, -5e-324, 5e-324, -0.0]), np.array([-0.0, -1e-300, -0.0])):
-        assert not _is_narrow(xs)
+    # the routes: the top takes a window for each 24 binades from its least
+    # term up until the terms left are few enough for the ints; the random
+    # subnormals lie within 24 binades of their top, one window; the tiny
+    # terms take the window above the least and the few above it in ints
+    for xs, route in ((top, (3, 1)), (subnormals[0], (1, 0)), (subnormals[1], (1, 0)), (tiny, (1, 1)),
+                      (np.array([1e-310, -1e-310, 0.0, -0.0]), (1, 0)),
+                      (np.array([-0.0, -5e-324, 5e-324, -0.0]), (1, 0)), (np.array([-0.0, -1e-300, -0.0]), (1, 0))):
+        assert _route(xs) == route, xs[:4]
         value, magnitude = _exact_sum(xs)
         assert value == _fraction_sum(xs), xs[:4]
         assert math.copysign(1.0, value) == math.copysign(1.0, math.fsum(xs.tolist())), xs[:4]
@@ -795,61 +805,61 @@ def _odd_terms(rng, exponents):
     return np.ldexp(significands.astype(np.float64), exponents - 53)
 
 
-def _with_outliers(rng, window, outliers):
-    # the window's terms with the outliers among them, none of them at the
-    # terms the kernel reads as hints, min(_SHORT, n // 64) in from either end
-    xs = np.concatenate([window, np.zeros(outliers.size)])
-    limit = min(_SHORT, xs.size // 64)
-    spots = rng.choice(np.setdiff1d(np.arange(xs.size), [limit, xs.size - limit - 1]), outliers.size, replace=False)
-    xs[np.setdiff1d(np.arange(xs.size), spots)] = window
-    xs[spots] = outliers
-    return xs
-
-
 def _outlier_block(rng, side, k, sign, E=0, n=4096):
     # n terms of frexp exponents E - _SPAN .. E, the least of them at
-    # E - _SPAN, and k outliers 30 to 60 binades above or below them
+    # E - _SPAN, and k outliers 30 to 60 binades above or below them, all
+    # in random order
     span = 2 * _SLICE - 53
     exponents = rng.integers(E - span, E + 1, n)
     exponents[0] = E - span
     far = rng.integers(30, 61, k)
-    xs = _with_outliers(rng, _odd_terms(rng, exponents),
-                        _odd_terms(rng, E + far if side == "above" else E - span - far))
+    outliers = _odd_terms(rng, E + far if side == "above" else E - span - far)
+    xs = rng.permutation(np.concatenate([_odd_terms(rng, exponents), outliers]))
     return xs * {"+": 1.0, "-": -1.0, "mixed": rng.choice([-1.0, 1.0], xs.size)}[sign]
 
 
-def test_kernel_peels_at_most_short_terms_off_a_wide_block():
-    # a block that one window would hold but for k terms is summed by the
-    # slices with those k peeled off to the ints while k <= _SHORT: the
-    # window above the least term takes terms with outliers above it, the
-    # window below the top those with outliers below it; one outlier more
-    # and the block goes to the bins
+def _outlier_routes(side, k):
+    # the routes an _outlier_block may take.  Above: the block's window,
+    # then its k outliers, over 31 binades, as a block of their own: in
+    # ints at most _FEW of them, a window and ints past _SHORT, and between
+    # the two either, as their end terms share a window or not.  Below: a
+    # window or two for the outliers, from the least up, then the block's
+    if side == "above":
+        return {(1, 1)} if k <= oracles._FEW else {(2, 1)} if k > _SHORT else {(1, 1), (2, 1)}
+    return {(2, 0)} if k == 1 else {(2, 0), (3, 0)}
+
+
+def test_kernel_peels_outliers_to_the_ints_or_to_windows_of_their_own():
+    # a block that one window would hold but for k terms peels them off,
+    # however many: to the ints, or, past _SHORT, to windows of their own
     rng = np.random.default_rng(2307)
     for side, k, sign in itertools.product(("above", "below"), (1, _SHORT, _SHORT + 1), ("+", "-", "mixed")):
         xs = _outlier_block(rng, side, k, sign)
-        assert _fixed_path(xs) == ("peel" if k <= _SHORT else None), (side, k, sign)
+        assert _route(xs) in _outlier_routes(side, k), (side, k, sign)
         _assert_exact_twice(xs, (side, k, sign))
 
 
-def test_kernel_peels_at_most_one_term_in_64_from_1024_terms():
-    # a shorter block peels at most one term in 64 of its own, past which
-    # the ints cost more than the bins save, and a block of fewer than 1024
-    # terms peels none
+def test_kernel_peels_outliers_at_any_block_length():
+    # a shorter block peels its outliers the same way, with no limit on
+    # their share of it
     rng = np.random.default_rng(64)
     for n, side in itertools.product((1023, 1024, 2048), ("above", "below")):
         for k in (1, n // 64, n // 64 + 1):
             xs = _outlier_block(rng, side, k, "mixed", n=n - k)
             assert xs.size == n
-            assert _fixed_path(xs) == ("peel" if k <= n // 64 and n >= 1024 else None), (n, side, k)
+            assert _route(xs) in _outlier_routes(side, k), (n, side, k)
             _assert_exact_twice(xs, (n, side, k))
 
 
 def test_kernel_peel_keeps_every_bit_at_the_window_edges():
     # window terms in pairs that cancel exactly, so that the sum is one term
     # whose lowest bit decides it: the least term, at the bottom of the
-    # window above it, or an outlier just under the window below the top,
-    # which that window must not take.  Zeros of both signs, more than
-    # _SHORT of them, are no outliers
+    # window above it, or an outlier just under the window of the top, which
+    # that window must not take.  Zeros of both signs, more than _SHORT of
+    # them, are no outliers.  Above, two outliers go to the ints, and 64,
+    # whose end terms here share a window, to a window and the ints; below,
+    # the witness takes a window up to 2**(E - 1) and the top binade one
+    # more, and the far outliers, over 31 binades, two more under them
     rng = np.random.default_rng(3308)
     span = 2 * _SLICE - 53
     for E, side, pairs in itertools.product((0, 700, -900), ("above", "below"), (1, _SHORT // 2)):
@@ -864,24 +874,35 @@ def test_kernel_peel_keeps_every_bit_at_the_window_edges():
             far = _odd_terms(rng, E - rng.integers(60, 91, pairs - 1))
             window, outliers = np.concatenate([half, -half]), np.concatenate([witness, far, -far])
         window = np.concatenate([window, rng.choice([0.0, -0.0], 2 * _SHORT)])
-        xs = _with_outliers(rng, rng.permutation(window), outliers)
-        assert _fixed_path(xs) == "peel", (E, side, pairs)
+        xs = rng.permutation(np.concatenate([window, outliers]))
+        routes = {"above": ((1, 1), (2, 1)), "below": ((2, 0), (4, 0))}[side]
+        assert _route(xs) == routes[pairs > 1], (E, side, pairs)
         assert _exact_sum(xs)[0] == witness[0], (E, side, pairs)
         _assert_exact_twice(xs, (E, side, pairs))
 
 
-def test_kernel_peels_only_at_a_normal_scale():
+def test_kernel_peels_at_any_scale():
     # the scale 2**(_SLICE - E) of a window E is normal down to E = _SLICE -
-    # 1023: there a window with outliers below it peels them off, one binade
-    # lower the block goes to the bins; likewise the window above the least
-    # term, with the top 60 binades higher
+    # 1023, and below it is taken in two steps: windows there peel the same
+    # as anywhere, above the least term or below the top
     rng = np.random.default_rng(1023)
     last = _SLICE - 1023
     for side in ("above", "below"):
-        for E, path in ((last, "peel"), (last - 1, None)):
+        for E in (last, last - 1):
             xs = _outlier_block(rng, side, 3, "mixed", E=E)
-            assert _fixed_path(xs) == path, (side, E)
+            assert _route(xs) in _outlier_routes(side, 3), (side, E)
             _assert_exact_twice(xs, (side, E))
+    # a window is at least 2 * _SLICE - _UNIT, so that the shift into
+    # units is never negative: tops in the binade of 2**-1051 and one binade
+    # either side, over subnormals down to the least, each one window
+    clamp = 2 * _SLICE - oracles._UNIT
+    for e in (clamp - 1, clamp, clamp + 1):
+        top = math.ldexp(1.0, e) - 5e-324  # every bit of the binade below 2**e set
+        xs = np.concatenate([[top, 5e-324, -1e-323],
+                             rng.integers(-(2**20), 2**20, 1000) * 5e-324])
+        for ys in (xs, -xs, xs[:3]):
+            assert _route(ys) == (1, 0), (e, ys.size)
+            _assert_exact_twice(ys, (e, ys.size))
 
 
 def test_kernel_peels_the_pole_term_off_the_last_block_of_a_cotangent_sum(monkeypatch):
@@ -892,8 +913,38 @@ def test_kernel_peels_the_pole_term_off_the_last_block_of_a_cotangent_sum(monkey
     sum_cotangent(theta, 10**6)
     last = seen["blocks"][-1]
     assert last[-1] == -1.0 / theta and last.size == (10**6 + 1) % _BLOCK
-    assert _fixed_path(last) == "peel"
+    assert _route(last) == (1, 1)
     _assert_exact_twice(last, "cot")
+
+
+def _one_term_a_binade(rng):
+    # a term with its lowest bit set in every binade from 2**-1074 up to
+    # 2**1021: subnormal ones as odd multiples of 2**-1074, normal ones with
+    # full-width odd significands
+    terms = [math.ldexp(1 | int(rng.integers(1 << b, 1 << (b + 1))), -1074) for b in range(52)]
+    terms += _odd_terms(rng, np.arange(-1021, 1023)).tolist()
+    return np.array(terms)
+
+
+def test_kernel_sums_a_term_in_every_binade_window_by_window():
+    # one term in every binade of the double range but the top two, where
+    # the sum of magnitudes would overflow, in pairs that cancel exactly,
+    # and a witness whose lowest bit is the sum's: one block takes at most a
+    # window for every 24 binades, and one block or short blocks give the
+    # same exact sums in units
+    rng = np.random.default_rng(2098)
+    terms = _one_term_a_binade(rng)
+    assert terms.size == 1074 + 1022 and math.frexp(terms[-1])[1] == 1022
+    for witness in (5e-324, terms[700], -terms[-1]):
+        xs = rng.permutation(np.concatenate([terms, -terms, [witness]]))
+        assert _route(xs)[0] <= 88
+        _assert_exact_twice(xs, witness)
+        want = [sum(map(Fraction, ys.tolist())) * 2**oracles._UNIT for ys in (xs, np.abs(xs))]
+        with np.errstate(all="ignore"):
+            whole = oracles._block_sums(xs, np.empty((2, xs.size)))
+            short = [oracles._block_sums(xs[i : i + _SHORT], np.empty((2, _SHORT)))
+                     for i in range(0, xs.size, _SHORT)]
+        assert list(whole) == want == [sum(s[j] for s in short) for j in (0, 1)], witness
 
 
 # ---------------------------------------------------------------- theta sums
@@ -1287,9 +1338,12 @@ def _recording_kernel(monkeypatch):
     seen = {"blocks": [], "sums": None, "rest": None}
     stream, block_sums = oracles._stream_sum, oracles._block_sums
 
-    def blocks(block, scratch, slots):
-        seen["blocks"].append(block.copy())
-        return block_sums(block, scratch, slots)
+    def blocks(block, scratch):
+        # the blocks _stream_sum reads, not the terms above a window that
+        # _sliced_block sums as a block of their own
+        if sys._getframe(1).f_code.co_name == "_stream_sum":
+            seen["blocks"].append(block.copy())
+        return block_sums(block, scratch)
 
     def kernel(count, fill, spare=0, rest=None):
         seen["blocks"].clear()
@@ -1452,10 +1506,9 @@ def test_kernel_drops_a_majorant_that_cannot_settle_the_sum():
 
 def test_kernel_stops_at_the_same_block_when_every_block_is_wide():
     # terms (i + 1)**-6 with every 9th one, from the first, 2**60 smaller,
-    # so that every block the kernel reads spans more binades than the
-    # slices hold, with more than _SHORT terms outside any window: the
-    # majorant settles the sum after 4096 terms, in three blocks, with the
-    # bits of the whole sum
+    # so that every block the kernel reads spans more binades than one
+    # window holds and takes more than one: the majorant settles the sum
+    # after 4096 terms, in three blocks, with the bits of the whole sum
     count = 1 << 17
     written = []
 
@@ -1463,7 +1516,7 @@ def test_kernel_stops_at_the_same_block_when_every_block_is_wide():
         written.append(block.size)
         np.power(np.arange(start + 1, start + block.size + 1, dtype=np.float64), -6.0, out=block)
         block[-start % 9 :: 9] *= 2.0**-60
-        assert _fixed_path(block) is None
+        assert _route(block)[0] > 1
 
     def rest(start):
         # twice the first power plus the integral beyond it
