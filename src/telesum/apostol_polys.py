@@ -68,15 +68,17 @@ import sys
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ._support import _nstr
 from .classical_polys import bernoulli_poly
 from .exact_core import (
     _COT,
     _SEC,
     InternalConsistencyError,
-    ToleranceUnreachable,
+    _Record,
+    _beyond_range,
     _check_int,
+    _horner,
     _nearest_float,
+    _nstr,
     _pi_fixed,
     _pole_distance,
     _reduce,
@@ -106,6 +108,7 @@ TOL_IMAG = 1e-9
 # of Q_k and P_k (down to about 2 / pi**(k+1)) leave the normal double range
 # and the certified bound would no longer hold.
 MAX_K = 618
+_MAX_K_WHY = "where the certified route's coefficients leave the double range"
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _U = 2.0 ** -53
@@ -138,7 +141,7 @@ def _as_mpc(value: ComplexLike, name: str = "lambda") -> "mpmath.mpc":
     return z
 
 
-class CPoly:
+class CPoly(_Record):
     """Dense univariate polynomial with complex high-precision coefficients.
 
     Unlike Poly, coefficients are *not* trimmed: the length records the
@@ -153,9 +156,6 @@ class CPoly:
             self, "coeffs", tuple(_as_mpc(c, "coefficient") for c in coeffs)
         )
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CPoly is immutable")
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -163,10 +163,7 @@ class CPoly:
     def __call__(self, x: ComplexLike) -> "mpmath.mpc":
         import mpmath
 
-        acc = mpmath.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x, mpmath.mpc(0))
 
     def derivative(self) -> "CPoly":
         if len(self.coeffs) <= 1:
@@ -560,11 +557,7 @@ def _finite_float(man: int, exp: int, den: int, what: str) -> float:
     num, den = (man << exp, den) if exp >= 0 else (man, den << -exp)
     out = _nearest_float(num, den)
     if math.isinf(out):
-        raise ToleranceUnreachable(
-            "%s, %s, lies beyond the double-precision range"
-            % (what, _nstr(num, math.log2(abs(num)) - math.log2(den))),
-            achieved=math.inf,
-        )
+        raise _beyond_range(what, num, math.log2(abs(num)) - math.log2(den))
     return out
 
 
@@ -577,22 +570,11 @@ def _finite_complex(value: "mpmath.mpc", what: str) -> complex:
     parts = []
     for part, name in ((value.real, "the real part of "), (value.imag, "the imaginary part of ")):
         if not mpmath.isfinite(part):
-            raise ToleranceUnreachable(
-                "%s%s, %s, lies beyond the double-precision range" % (name, what, mpmath.nstr(part, 5)),
-                achieved=math.inf,
-            )
+            raise _beyond_range(name + what)
         num, den = to_rational(part._mpf_)
         # int(): mpmath's mantissas are gmpy integers when gmpy is installed
         parts.append(_finite_float(int(num), 0, int(den), name + what))
     return complex(*parts)
-
-
-def _check_max_k(k: int) -> None:
-    if k > MAX_K:
-        raise ValueError(
-            "k must be <= %d, where the certified route's coefficients leave "
-            "the double range" % MAX_K
-        )
 
 
 def _gate(log_low: float, k: int, carrier: bool, what: str) -> None:
@@ -602,7 +584,7 @@ def _gate(log_low: float, k: int, carrier: bool, what: str) -> None:
     if carrier:
         log_low += _LN2 + math.lgamma(k + 1)
     if log_low > _LOG_DBL_MAX + 1e-6:
-        raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
+        raise _beyond_range(what)
 
 
 def _log_row_low(k: int, deg: int, t: float) -> float:
@@ -666,7 +648,7 @@ def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     the allowance away from the zero, so that its one rounding stays safe
     next to it; the Taylor route's error is relative.  At mu = 0 the complex
     route is exact."""
-    _check_max_k(k)
+    _check_int(k, "k", 0, MAX_K, _MAX_K_WHY)
     mu, dist, n = _pole_distance(mu, "mu", _SEC)[:3]
     what = _label(("Z", "ek_mu", "sec"), k, mu, taylor, carrier)
     half = mu / 2.0
@@ -690,7 +672,7 @@ def _sec_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
 def _cot_value(k: int, mu: float, taylor: bool, carrier: bool) -> float:
     """Ztilde(k, mu), or ektilde_mu(k, mu) = 2*k! Ztilde(k, mu), as
     _sec_value; the certified value is -P_k(cot(mu/2)) / (2**(k+1) k!)."""
-    _check_max_k(k)
+    _check_int(k, "k", 0, MAX_K, _MAX_K_WHY)
     mu, dist, n = _pole_distance(mu, "mu", _COT)[:3]
     what = _label(("Ztilde", "ektilde_mu", "-cot"), k, mu, taylor, carrier)
     # cot(mu/2), never 0; mu/2 is 0 only at the least subnormal mu, past range
@@ -744,7 +726,7 @@ def _scaled_residue(route, poles, k: int, mu: float) -> float:
     once (|z| may be past the double range).  The allowance keeps the noise
     at a zero of the sum from reading as a fully imaginary value: whatever
     passes _check_residue reports <= 2 * TOL_IMAG."""
-    _check_max_k(k)
+    _check_int(k, "k", 0, MAX_K, _MAX_K_WHY)
     mu, dist, n = _pole_distance(mu, "mu", poles)[:3]
     re, im, exp = route(k, mu, dist, n)
     a, a_exp = _allowance(k, dist)
@@ -771,38 +753,34 @@ def ektilde_mu_imag_residue(k: int, mu: float) -> float:
 class _DerivativeRows:
     """One derivative-polynomial family, grown on demand.
 
-    ``exact[k]`` holds the integer coefficients of the k-th polynomial,
-    lowest degree first; ``scaled[k]`` holds the magnitudes of those that
-    parity allows, highest degree first, each divided by 2**(k+1) * k! and
-    correctly rounded.  Row k + 1 has coefficients
-    sign * ((j - shift) * row[j-1] + (j+1) * row[j+1]).  Both lists only
-    grow, under a lock, so readers always see a fully built prefix; nothing
-    past the seed row is built until a value asks for it.
+    ``exact[k]`` holds the integer coefficients of the k-th polynomial, of
+    degree k + shift, lowest degree first; row k + 1 has coefficients
+    sign * ((j - shift) * row[j-1] + (j+1) * row[j+1]).  The list only
+    grows, under a lock, so readers always see a fully built prefix; nothing
+    past the seed row is built until a value asks for it.  ``scaled[k]``
+    holds the magnitudes of row k's coefficients that parity allows, highest
+    degree first, each divided by 2**(k+1) * k! and correctly rounded, made
+    on row k's first value() and kept; threads that race there each store
+    the same whole tuple, so it needs no lock.
     """
 
     def __init__(self, seed: Tuple[int, ...], shift: int, sign: int) -> None:
         self.exact: List[Tuple[int, ...]] = [seed]
-        self.scaled: List[Tuple[float, ...]] = [_scaled_row(seed, 0)]
+        self.scaled: Dict[int, Tuple[float, ...]] = {}
         self._shift = shift
         self._sign = sign
         self._lock = threading.Lock()
 
-    def _grow(self, k: int) -> None:
-        with self._lock:
-            while len(self.scaled) <= k:
-                row = self.exact[-1]
-                padded = (0, *row, 0, 0)
-                new = tuple(
-                    self._sign * ((j - self._shift) * padded[j] + (j + 1) * padded[j + 2])
-                    for j in range(len(row) + 1)
-                )
-                self.exact.append(new)
-                self.scaled.append(_scaled_row(new, len(self.scaled)))
-
     def row(self, k: int) -> Tuple[int, ...]:
         """The exact row k, built through k on first use."""
-        if k >= len(self.scaled):
-            self._grow(k)
+        if k >= len(self.exact):
+            with self._lock:
+                while len(self.exact) <= k:
+                    padded = (0, *self.exact[-1], 0, 0)
+                    self.exact.append(tuple(
+                        self._sign * ((j - self._shift) * padded[j] + (j + 1) * padded[j + 2])
+                        for j in range(len(padded) - 2)
+                    ))
         return self.exact[k]
 
     def value(self, k: int, t: float) -> Tuple[float, float]:
@@ -816,8 +794,11 @@ class _DerivativeRows:
         libm error in t amplified by the degree d, plus one libm call for
         the caller's prefactor; 1.01 covers the terms of second order.
         """
-        d = len(self.row(k)) - 1
-        coeffs = self.scaled[k]
+        coeffs = self.scaled.get(k)
+        if coeffs is None:
+            norm = math.factorial(k) << (k + 1)
+            coeffs = self.scaled[k] = tuple(abs(c) / norm for c in self.row(k)[::-2])
+        d = k + self._shift
         acc = coeffs[0]
         for c in coeffs[1:]:
             acc = acc * t * t + c
@@ -825,11 +806,6 @@ class _DerivativeRows:
             acc *= t
         n = len(coeffs)
         return acc, 1.01 * ((5 * n + d + 4) * _U + (d + 1) * _LIBM)
-
-
-def _scaled_row(row: Tuple[int, ...], k: int) -> Tuple[float, ...]:
-    norm = math.factorial(k) << (k + 1)
-    return tuple(abs(c) / norm for c in row[::-2])
 
 
 # sec^(k)(x) = sec(x) Q_k(tan x) and cot^(k)(x) = P_k(cot x)

@@ -23,9 +23,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from ._support import _Record
 from .apostol_polys import MAX_K, _cot_value, _sec_value
-from .exact_core import _COT, _ODD_PI, Rational, ToleranceUnreachable, _check_int, _pole_distance
+from .exact_core import _COT, _ODD_PI, Rational, _beyond_range, _check_int, _pole_distance, _Record
 
 __all__ = [
     "MAX_K",
@@ -116,7 +115,7 @@ def _finite(num: float, den: float, what: str) -> float:
     # num / den; ToleranceUnreachable past the double range (den = 0 only there)
     if den and math.isfinite(num / den):
         return num / den
-    raise ToleranceUnreachable("%s lies beyond the double-precision range" % what, math.inf)
+    raise _beyond_range(what)
 
 
 class TableEntry(_Record):

@@ -13,7 +13,13 @@ closed arithmetic; this module layers on top of them:
   one formed at its precision, and _pole_distance, the one domain check and
   reduction of every argument shifted by a pole lattice;
 * serialization helpers shared by the CLI renderers, which print every
-  digit of an integer, however many.
+  digit of an integer, however many;
+* the mechanisms every layer shares, each written once: _Record, the
+  immutable base of the package's value types (here because PiScalar and
+  Poly derive from it, and import telesum loads this module), _check_int,
+  the one check of an integer parameter and its bounds, _beyond_range, the
+  one error for a value past the double range, and _horner, Horner's rule
+  in any arithmetic.
 
 It needs nothing beyond the standard library.
 
@@ -28,7 +34,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Rational",
@@ -68,12 +74,38 @@ class ToleranceUnreachable(ArithmeticError):
         self.achieved = achieved
 
 
-def _check_int(value: object, name: str, least: Optional[int] = None) -> int:
+_LOG10_2 = math.log10(2.0)
+
+
+def _nstr(sign: float, log2: float) -> str:
+    """sign * 2**log2 to 5 significant digits, trailing zeros dropped, for
+    error messages about values past the double range."""
+    exp10 = math.floor(log2 * _LOG10_2)
+    digits, shift = ("%.4e" % 10.0 ** (log2 * _LOG10_2 - exp10)).split("e")
+    digits = digits.rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    return "%s%se%+d" % ("-" if sign < 0 else "", digits, exp10 + int(shift))
+
+
+def _beyond_range(what: str, sign: float = 1.0,
+                  log2: Optional[float] = None) -> ToleranceUnreachable:
+    """The package's one error for a value past the double range: "<what>
+    lies beyond the double-precision range", with the value's size, sign *
+    2**log2 (_nstr), after what when log2 is given; achieved = inf."""
+    size = "" if log2 is None else ", %s," % _nstr(sign, log2)
+    return ToleranceUnreachable("%s%s lies beyond the double-precision range" % (what, size), math.inf)
+
+
+def _check_int(value: object, name: str, least: Optional[int] = None,
+               most: Optional[int] = None, why: str = "") -> int:
     """value as a Python int, for every integer parameter of the package.
 
     An int or anything with __index__ (numpy integers) passes, when it is at
     least ``least``; a bool, a float, a Fraction, a string or a smaller
     integer raises ValueError, so one bad index gets one answer everywhere.
+    One above ``most`` raises ValueError too, with ``why``, the reason for
+    that bound.
     """
     try:
         n = None if isinstance(value, bool) else operator.index(value)
@@ -82,6 +114,8 @@ def _check_int(value: object, name: str, least: Optional[int] = None) -> int:
     if n is None or least is not None and n < least:
         bound = "" if least is None else " >= %d" % least
         raise ValueError("%s must be an integer%s, got %r" % (name, bound, value))
+    if most is not None and n > most:
+        raise ValueError("%s must be <= %d, %s" % (name, most, why))
     return n
 
 
@@ -91,7 +125,32 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k) if k <= n else 0
 
 
-class PiScalar:
+class _Record:
+    """An immutable record whose fields are its class's __slots__, each set
+    once in __init__; equality, hash and repr are a frozen dataclass's."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class PiScalar(_Record):
     """Exact scalar ``coeff * pi**pi_power``.
 
     The zero scalar is canonicalized to ``pi_power == 0`` so that structural
@@ -112,20 +171,9 @@ class PiScalar:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_power", pi_power)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PiScalar is immutable")
-
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PiScalar):
-            return NotImplemented
-        return self.coeff == other.coeff and self.pi_power == other.pi_power
-
-    def __hash__(self) -> int:
-        return hash((self.coeff, self.pi_power))
 
     def _check_addable(self, other: "PiScalar") -> int:
         if self.is_zero:
@@ -399,7 +447,7 @@ def _pole_distance(x: float, what: str,
     return x, abs(r), (j - odd) // 2, r, r_lo
 
 
-class Poly:
+class Poly(_Record):
     """Dense univariate polynomial with Fraction coefficients.
 
     ``coeffs[i]`` multiplies x**i.  Trailing zero coefficients are trimmed at
@@ -415,9 +463,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
-
     @staticmethod
     def monomial(n: int, c: RationalLike = 1) -> "Poly":
         return Poly([0] * _check_int(n, "n", 0) + [c])
@@ -429,14 +474,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -481,13 +518,18 @@ class Poly:
         return "Poly(%r)" % ([str(c) for c in self.coeffs],)
 
 
-def poly_eval(p: Poly, x: RationalLike) -> Fraction:
-    """Exact Horner evaluation of p at a rational point."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
+def _horner(coeffs: Sequence, x, acc):
+    """sum_i coeffs[i] x**i plus acc x**len(coeffs), by Horner's rule from
+    the highest coefficient, in the arithmetic of acc, x and the
+    coefficients: Fractions, mpmath complexes or floats."""
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def poly_eval(p: Poly, x: RationalLike) -> Fraction:
+    """Exact Horner evaluation of p at a rational point."""
+    return _horner(p.coeffs, Fraction(x), Fraction(0))
 
 
 def poly_derivative(p: Poly) -> Poly:

@@ -67,8 +67,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._support import _Record
-from .exact_core import _COT, _INT, _SEC, PiScalar, ToleranceUnreachable, _check_int, _pole_distance
+from .exact_core import (_COT, _INT, _SEC, PiScalar, ToleranceUnreachable, _beyond_range, _check_int,
+                         _pole_distance, _Record)
 
 __all__ = [
     "SumResult",
@@ -895,10 +895,7 @@ def hurwitz_partial(kind: str, k: int, x: float, M: int = 100000) -> float:
     s = _stream_sum(M, fill, spare=3, rest=rest)[0]
     value = float(PiScalar(Fraction(c * sign * math.factorial(n), den), -p)) * s
     if not math.isfinite(value):
-        raise ToleranceUnreachable(
-            "hurwitz_partial(%r, %d) leaves the double-precision range" % (kind, k),
-            achieved=math.inf,
-        )
+        raise _beyond_range("hurwitz_partial(%r, %d)" % (kind, k))
     return value
 
 

@@ -23,17 +23,19 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from ._support import _nstr, _Record
 from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import (
     _SEC,
     PiScalar,
     Poly,
     ToleranceUnreachable,
+    _beyond_range,
     _check_int,
+    _horner,
     _pi_fixed,
     _pole_distance,
     _power_bounds,
+    _Record,
     _ziv_float,
     collapse_pi_terms,
     poly_integral_01,
@@ -59,6 +61,7 @@ _MAX_DEPTH = 40
 # Largest k of zeta_odd_integral and beta_even_integral: their scale divides
 # by the double (2k+1)!, and 171! leaves the double range.
 MAX_INTEGRAL_K = 84
+_MAX_K_WHY = "where (2k+1)! leaves the double range"
 
 _LN2 = math.log(2.0)
 
@@ -165,11 +168,8 @@ def exact_apostol_integral(k: int, m: int, mu: float) -> complex:
     log2 = 1.0 + math.lgamma(k + 1) / _LN2 - (k + 1) * (math.log2(low) - bits)
     value = _ziv_float(bracket, log2)
     if math.isinf(value):
-        raise ToleranceUnreachable(
-            "the %s part of the Apostol integral, %s, lies beyond the double-precision range"
-            % ("real" if k % 2 else "imaginary", _nstr(sign, log2)),
-            achieved=math.inf,
-        )
+        part = "real" if k % 2 else "imaginary"
+        raise _beyond_range("the %s part of the Apostol integral" % part, sign, log2)
     value = math.copysign(value, sign)
     return complex(value, 0.0) if k % 2 else complex(0.0, value)
 
@@ -268,22 +268,6 @@ def adaptive_integrate(f: Callable[[float], float], tol: float) -> float:
     return math.fsum(pieces)
 
 
-def _horner(coeffs: List[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _check_integral_k(k: int, least: int) -> int:
-    k = _check_int(k, "k", least)
-    if k > MAX_INTEGRAL_K:
-        raise ValueError(
-            "k must be <= %d, where (2k+1)! leaves the double range" % MAX_INTEGRAL_K
-        )
-    return k
-
-
 def _scaled_integral(
     coeffs: Sequence[Fraction],
     integrand: Callable[[float, float], float],
@@ -294,7 +278,7 @@ def _scaled_integral(
     polynomial with the given coefficients, to absolute tolerance tol."""
     fc = [float(c) for c in coeffs]
     integral = adaptive_integrate(
-        lambda x: integrand(_horner(fc, x), x), float(tol) / abs(scale)
+        lambda x: integrand(_horner(fc, x, 0.0), x), float(tol) / abs(scale)
     )
     return scale * integral
 
@@ -313,7 +297,7 @@ def zeta_odd_integral(k: int, tol: float = 1e-8) -> float:
     [0, 1] of B_{2k+1}(x) * cot(pi x / 2), whose singularity at the edge
     x = 0 is removable.  Needs 1 <= k <= MAX_INTEGRAL_K.
     """
-    k = _check_integral_k(k, 1)
+    k = _check_int(k, "k", 1, MAX_INTEGRAL_K, _MAX_K_WHY)
     sign = 1.0 if k % 2 == 1 else -1.0
     scale = sign * 2.0 ** (2 * k) * math.pi ** (2 * k + 1) / math.factorial(2 * k + 1)
     return _scaled_integral(
@@ -334,7 +318,7 @@ def beta_even_integral(k: int, tol: float = 1e-8) -> float:
     removable; E_{2k+1}(u/2) has the exact coefficients c_i / 2^i.  Needs
     0 <= k <= MAX_INTEGRAL_K.
     """
-    k = _check_integral_k(k, 0)
+    k = _check_int(k, "k", 0, MAX_INTEGRAL_K, _MAX_K_WHY)
     sign = 1.0 if k % 2 == 1 else -1.0
     scale = sign * math.pi ** (2 * k + 2) / (4.0 * math.factorial(2 * k + 1))
     return _scaled_integral(

@@ -25,7 +25,6 @@ import mpmath
 import numpy as np
 
 from . import closed_forms, oracles, quadrature
-from ._support import _Record
 from .apostol_polys import (
     DEFAULT_DPS,
     apostol_bernoulli_poly,
@@ -46,7 +45,8 @@ from .classical_polys import (
     lambda_even,
     zeta_even,
 )
-from .exact_core import PiScalar, Poly, poly_derivative, poly_eval, poly_integral_01, poly_reflect
+from .exact_core import (PiScalar, Poly, _horner, _Record, poly_derivative, poly_eval, poly_integral_01,
+                         poly_reflect)
 
 __all__ = [
     "CheckResult",
@@ -512,9 +512,8 @@ def _quad_poly_exactness(rng: random.Random) -> float:
     for _ in range(6):
         coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(11)]
         p = Poly(coeffs)
-        fc = [float(c) for c in reversed(p.coeffs)]
-        horner = lambda x: functools.reduce(lambda acc, c: acc * x + c, fc, 0.0)
-        got = quadrature.adaptive_integrate(horner, 1e-12)
+        fc = [float(c) for c in p.coeffs]
+        got = quadrature.adaptive_integrate(lambda x: _horner(fc, x, 0.0), 1e-12)
         worst = _max(worst, abs(got - float(poly_integral_01(p))))
     return worst
 

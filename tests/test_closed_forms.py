@@ -792,7 +792,9 @@ def test_route_check_catches_an_altered_row_coefficient():
         # one part in 1e9 on the coefficient of the largest term
         j = max(range(len(exact)), key=lambda i: abs(exact[i]) * t ** i)
         exact[j] += exact[j] // 10**9
-        rows.scaled[k] = apostol_polys._scaled_row(tuple(exact), k)
+        # the memo of the row read, scaled as value() scales it
+        norm = math.factorial(k) << (k + 1)
+        rows.scaled[k] = tuple(abs(c) / norm for c in exact[::-2])
         try:
             with pytest.raises(InternalConsistencyError, match="certified"):
                 f(k, mu)
@@ -886,6 +888,7 @@ def test_concurrent_row_growth_matches_serial_growth():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert shared.exact == serial.exact[: len(shared.exact)]
-    assert shared.scaled == serial.scaled[: len(shared.scaled)]
     assert results == {k: serial.value(k, 0.5) for k in range(48, 0, -3)}
+    assert shared.exact == serial.exact[: len(shared.exact)]
+    # each row read, and only those, scaled once to the serial bits
+    assert shared.scaled == serial.scaled

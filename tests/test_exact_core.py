@@ -348,3 +348,39 @@ def test_derivative_integrates_back_on_unit_interval(p):
 def test_product_rule_under_evaluation(p, q, x):
     """Property: (pq)(x) == p(x) q(x) with exact rational arithmetic."""
     assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
+
+
+def test_horner_runs_from_the_highest_coefficient():
+    assert exact_core._horner([1, 2, 3], 10, 0) == 321
+    # acc is the coefficient above the last
+    assert exact_core._horner([1, 2], 10, 5) == 521
+    assert exact_core._horner([], Fraction(1, 3), Fraction(0)) == 0
+    assert exact_core._horner([0.5, 0.25], 2.0, 0.0) == 1.0
+
+
+def test_check_int_upper_bound():
+    check = exact_core._check_int
+    assert check(84, "k", 0, 84, "why") == 84
+    with pytest.raises(ValueError) as info:
+        check(85, "k", 0, 84, "where it must stop")
+    assert str(info.value) == "k must be <= 84, where it must stop"
+    # the lower bound is checked, and named, first
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got -1$"):
+        check(-1, "k", 0, 84, "why")
+
+
+def test_beyond_range_error_forms():
+    bare = exact_core._beyond_range("Z(150, 3.14)")
+    assert isinstance(bare, exact_core.ToleranceUnreachable) and bare.achieved == math.inf
+    assert str(bare) == "Z(150, 3.14) lies beyond the double-precision range"
+    sized = exact_core._beyond_range("the real part", -1.0, 10.0)
+    assert sized.achieved == math.inf
+    assert str(sized) == "the real part, -1.024e+3, lies beyond the double-precision range"
+
+
+def test_nstr_keeps_one_digit_after_the_point():
+    # 5 significant digits, trailing zeros dropped down to "d.0"
+    assert exact_core._nstr(1.0, 0.0) == "1.0e+0"
+    assert exact_core._nstr(-1, 1.0) == "-2.0e+0"
+    assert exact_core._nstr(1, 3000.0) == "1.2302e+903"
+    assert exact_core._nstr(1, math.log2(10.0) * 400) == "1.0e+400"

@@ -251,7 +251,7 @@ def test_import_builds_no_derivative_polynomial_rows():
         "                  len(ap._SEC_ROWS.scaled), len(ap._COT_ROWS.scaled),\n"
         "                  'numpy' in sys.modules]))\n"
     )
-    assert seen == [[[1]], [[0, 1]], 1, 1, False]
+    assert seen == [[[1]], [[0, 1]], 0, 0, False]
 
 
 def test_tolerance_unreachable_is_one_class():
@@ -375,3 +375,69 @@ def test_every_integer_parameter_takes_integers_only(call, n):
         with pytest.raises(ValueError, match="must be an integer"):
             call(bad)
     assert repr(call(np.int64(n))) == repr(call(n))
+
+
+def _value_types():
+    # (an instance, an equal one built apart, a different one) of each value type
+    from fractions import Fraction
+
+    from telesum.apostol_polys import CPoly
+    from telesum.closed_forms import TableEntry
+    from telesum.verify import CheckResult
+
+    entry = lambda c: TableEntry(((Fraction(c), "cos", 1),), 2, 3, "cos")
+    return [
+        (_T.PiScalar(Fraction(-3, 4), 2), _T.PiScalar(Fraction(-6, 8), 2), _T.PiScalar(Fraction(-3, 4), 3)),
+        (_T.Poly([Fraction(1, 2), 0, -3]), _T.Poly([Fraction(1, 2), 0, -3, 0]), _T.Poly([Fraction(1, 2)])),
+        (CPoly([1, 2j]), CPoly([1.0, 2j]), CPoly([1, 2j, 0])),
+        (_T.SumResult(1.5, 1e-9, 7), _T.SumResult(1.5, 1e-9, 7), _T.SumResult(1.5, 1e-9, 8)),
+        (CheckResult("c", 0.0, 1e-9, True), CheckResult("c", 0.0, 1e-9, True), CheckResult("c", 0.0, 1e-9, False)),
+        (entry(1), entry(1), entry(2)),
+        (_T.OscKernel.cos(3), _T.OscKernel("cos", 3), _T.OscKernel.sin(3)),
+    ]
+
+
+def test_value_types_share_one_contract():
+    # immutable, equal only to their own type (NotImplemented, not False,
+    # from __eq__ against any other), and equal values hash equal
+    for value, same, other in _value_types():
+        name = type(value).__name__
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            value.note = 1
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            setattr(value, value.__slots__[0], None)
+        assert value == same and hash(value) == hash(same), name
+        assert value != other, name
+        foreign = object()
+        assert value.__eq__(foreign) is NotImplemented, name
+        assert (value == foreign) is False and (value != foreign) is True, name
+        assert (value == tuple(getattr(value, f) for f in value.__slots__)) is False, name
+    # three types keep reprs of their own; the others read like a dataclass's
+    reprs = [repr(value) for value, _, _ in _value_types()]
+    assert reprs[:3] == [
+        "PiScalar(-3/4, 2)",
+        "Poly(['1/2', '0', '-3'])",
+        "CPoly([mpc(real='1.0', imag='0.0'), mpc(real='0.0', imag='2.0')])",
+    ]
+    assert reprs[3] == "SumResult(value=1.5, error_bound=1e-09, terms_used=7)"
+    assert reprs[6] == "OscKernel(kind='cos', m=3)"
+
+
+def test_upper_bounds_of_integer_parameters():
+    # each bound is inclusive, and its message names the reason for it
+    reasons = {
+        "k must be <= 618, where the certified route's coefficients leave the double range": (
+            lambda: _T.Z(619, 0.5), lambda: _T.Ztilde(619, 0.5), lambda: _T.ek_mu(619, 0.5),
+            lambda: _T.ektilde_mu_imag_residue(619, 0.5)),
+        "k must be <= 84, where (2k+1)! leaves the double range": (
+            lambda: _T.zeta_odd_integral(85), lambda: _T.beta_even_integral(85)),
+    }
+    for message, calls in reasons.items():
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+    # at the bound itself: a value, or past the double range, never the bound
+    assert _T.ek_mu_imag_residue(618, 0.5) <= 2e-9
+    with pytest.raises(_T.ToleranceUnreachable):
+        _T.Z(618, -3.0)

@@ -133,17 +133,19 @@ def test_points_next_to_the_poles_match_the_truth():
 
 def test_the_range_gate_grows_no_row(monkeypatch):
     # each raise is decided by a bound that reads no row, so a cold call
-    # grows none: growing them to k = 617 takes 0.3-0.4 s
-    def no_growth(self, k):
-        raise AssertionError("row %d grown" % k)
+    # grows none, and scales none: growing them to k = 617 takes 0.3-0.4 s
+    def no_read(self, k):
+        raise AssertionError("row %d read" % k)
 
-    monkeypatch.setattr(apostol_polys, "_SEC_ROWS", apostol_polys._DerivativeRows((1,), 0, 1))
-    monkeypatch.setattr(apostol_polys, "_COT_ROWS", apostol_polys._DerivativeRows((0, 1), 1, -1))
-    monkeypatch.setattr(apostol_polys._DerivativeRows, "_grow", no_growth)
+    fresh = apostol_polys._DerivativeRows((1,), 0, 1), apostol_polys._DerivativeRows((0, 1), 1, -1)
+    monkeypatch.setattr(apostol_polys, "_SEC_ROWS", fresh[0])
+    monkeypatch.setattr(apostol_polys, "_COT_ROWS", fresh[1])
+    monkeypatch.setattr(apostol_polys._DerivativeRows, "row", no_read)
     for f, k, mu in ((ek_mu, 600, 0.1), (ektilde_mu, 617, 0.001), (Ztilde, 617, 0.001), (Z, 618, -3.0)):
         with pytest.raises(ToleranceUnreachable) as info:
             f(k, mu)
         assert info.value.achieved == math.inf
+    assert [(rows.exact, rows.scaled) for rows in fresh] == [([(1,)], {}), ([(0, 1)], {})]
 
 
 def test_the_row_free_bound_lies_below_every_row():
