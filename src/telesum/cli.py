@@ -6,6 +6,14 @@ suite fails or a certified computation cannot meet its tolerance, 2 on
 usage errors (bad flags, domain violations).  JSON output is canonical:
 keys sorted, floats in shortest round-trip form, so parse-and-redump is
 byte-identical.
+
+Each family of ``eval``, ``series`` and ``integrals`` is one record of
+``_FAMILIES``: the options it needs, the options it takes and their
+defaults, and how its value is shown; ``cmd_family`` binds an argv to it.
+An argv with several usage faults reports the first by one rule:
+argparse's own errors, then each option the family does not read, in
+parser order, then each option it needs that is missing or too small, in
+the family's order.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classical_polys import bernoulli_poly, euler_poly
@@ -28,9 +38,7 @@ __all__ = [
     "cmd_poly",
     "cmd_apostol",
     "cmd_coeffs",
-    "cmd_eval",
-    "cmd_series",
-    "cmd_integrals",
+    "cmd_family",
     "cmd_table",
     "cmd_verify",
 ]
@@ -91,7 +99,9 @@ def _json(doc: Dict[str, object]) -> str:
 
 
 def _fmt(value: float, digits: int) -> str:
-    return "%.*g" % (digits, value)
+    # no double's exact decimal expansion has more than 767 significant
+    # digits, so a larger precision prints the same bytes
+    return "%.*g" % (min(digits, 767), value)
 
 
 def _exact_dict(x: PiScalar) -> Dict[str, object]:
@@ -128,44 +138,12 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _require_options(args: argparse.Namespace, family: str, least: Dict[str, Optional[int]]) -> None:
-    """Each named option must be given and, unless its bound is None, at least that."""
-    for name, low in least.items():
-        value = getattr(args, name)
-        _require(
-            value is not None and (low is None or value >= low),
-            "%s needs --%s%s" % (family, name, "" if low is None else " >= %d" % low),
-        )
-
-
 _POLYS = {"bernoulli": bernoulli_poly, "euler": euler_poly}
 
 # family -> (name of the deformed polynomial in apostol_polys, least k)
 _APOSTOL = {
     "euler": ("apostol_euler_poly", 0),
     "bernoulli": ("apostol_bernoulli_poly", 1),
-}
-
-# The exact constant families: family -> (public name of the value at k,
-# least k, usage message).
-_CONSTANTS = {
-    "zeta": ("zeta_even", 1, "zeta needs --k >= 1 (value is zeta(2k))"),
-    "beta": ("beta_odd", 0, "beta needs --k >= 0 (value is beta(2k+1))"),
-    "eta": ("eta_even", 1, "eta needs --k >= 1 (value is eta(2k))"),
-    "lambda": ("lambda_even", 1, "lambda needs --k >= 1 (value is lambda(2k))"),
-}
-
-_LATTICE = ("Z", "Ztilde")
-
-# family -> (public name of the oracle, its leading options, and its last:
-# the parameter it shows as, the option that sets it, and its default)
-_SERIES = {
-    "zeta": ("sum_zeta", ("s",), ("target_tol", "tol", 1e-10)),
-    "beta": ("sum_beta", ("s",), ("target_tol", "tol", 1e-10)),
-    "Z": ("sum_Z", ("k", "mu"), ("N", "terms", 10000)),
-    "Ztilde": ("sum_Ztilde", ("k", "mu"), ("N", "terms", 10000)),
-    "theta2": ("sum_inverse_square", ("theta",), ("N", "terms", 100000)),
-    "cot": ("sum_cotangent", ("theta",), ("N", "terms", 100000)),
 }
 
 
@@ -208,7 +186,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _show_exact(
-    args: argparse.Namespace, kind: str, params: Dict[str, object], x: PiScalar, method: str
+    args: argparse.Namespace, kind: str, params: Dict[str, object], x: PiScalar,
+    method: str = "closed_form",
 ) -> _Shown:
     """An exact value: its record, and "exact = decimal" or its LaTeX."""
     rec = OutputRecord(kind, params, _fmt(float(x), args.digits), _exact_dict(x), method=method)
@@ -217,61 +196,9 @@ def _show_exact(
     return rec, ["%s = %s" % (format_pi_scalar(x), rec["approx"])]
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    family = args.family
-    _require(family in _LATTICE or args.method == "auto", "%s takes no --method" % family)
-    if family in _CONSTANTS:
-        _require(args.mu is None, "%s takes no --mu" % family)
-        name, least, message = _CONSTANTS[family]
-        _require(args.k is not None and args.k >= least, message)
-        exact = _public(name)(args.k)
-        _emit(args, *_show_exact(args, family, {"k": args.k}, exact, "closed_form"))
-        return 0
-    if family in _LATTICE:
-        _require_options(args, family, {"k": None, "mu": None})
-        params: Dict[str, object] = {"k": args.k, "mu": args.mu}
-        value = _public(family)(args.k, args.mu, method=args.method)
-        method = args.method
-    else:  # Ztilde0
-        _require_options(args, family, {"mu": None})
-        _require(args.k in (None, 0), "Ztilde0 takes no --k (or --k 0)")
-        params = {"mu": args.mu}
-        value = _public("Ztilde0")(args.mu)
-        method = "closed_form"
-    rec = OutputRecord(family, params, _fmt(value, args.digits), method=method)
-    _emit(args, rec, [rec["approx"]])
-    return 0
-
-
-def cmd_series(args: argparse.Namespace) -> int:
-    oracle, names, (last, option, default) = _SERIES[args.family]
-    for name in ("s", "k", "mu", "theta", "terms", "tol"):
-        _require(name in (*names, option) or getattr(args, name) is None,
-                 "%s takes no --%s" % (args.family, name))
-    params: Dict[str, object] = {name: getattr(args, name) for name in names}
-    _require(
-        None not in params.values(),
-        "series %s needs %s" % (args.family, " and ".join("--" + name for name in names)),
-    )
-    value = getattr(args, option)
-    params[last] = default if value is None else value
-    result = _public(oracle)(*params.values())
-    doc = {"kind": args.family, "params": params, "value": result.value,
-           "error_bound": result.error_bound, "terms_used": result.terms_used}
-    _emit(args, doc, [
-        "value = %s" % _fmt(result.value, args.digits),
-        "error_bound = %s" % _fmt(result.error_bound, 3),
-        "terms_used = %d" % result.terms_used,
-    ])
-    return 0
-
-
-def _show_ladder(
-    args: argparse.Namespace, kind: str, params: Dict[str, object], x: PiScalar
-) -> _Shown:
-    # B_2k against cos(m*pi*x) and E_2k against sin(m*pi*x) leave a single
-    # power of pi: every other boundary term of the ladder is zero
-    return _show_exact(args, kind, params, x, "exact_ladder")
+# B_2k against cos(m*pi*x) and E_2k against sin(m*pi*x) leave a single power
+# of pi: every other boundary term of the ladder is zero
+_show_ladder = partial(_show_exact, method="exact_ladder")
 
 
 def _show_complex(
@@ -289,46 +216,120 @@ def _show_quadrature(
     return rec, ["%s (tol %s)" % (rec["approx"], rec["error_bound"])]
 
 
-def _poly_trig(poly: str, kernel: str):
-    def evaluate(k: int, m: int):
-        osc = getattr(_public("OscKernel"), kernel)(m)
-        return _public("exact_poly_trig_integral")(_public(poly)(2 * k), osc)
-
-    return evaluate
-
-
-def _by_name(name: str):
-    return lambda *args: _public(name)(*args)
+def _show_float(
+    args: argparse.Namespace, kind: str, params: Dict[str, object], v: float
+) -> _Shown:
+    """A lattice value as a decimal, with the route that gave it."""
+    method = params.pop("method", "closed_form")
+    rec = OutputRecord(kind, params, _fmt(v, args.digits), method=method)
+    return rec, [rec["approx"]]
 
 
-# family -> (required options and their least values, further options and
-# their defaults, evaluator taking all the options in order, what to show,
-# JSON kind); the evaluators look their public functions up at each call
-_INTEGRALS = {
-    "poly-cos": ({"k": 1, "m": 1}, {}, _poly_trig("bernoulli_poly", "cos"),
-                 _show_ladder, "poly_cos_integral"),
-    "poly-sin": ({"k": 0, "m": 1}, {}, _poly_trig("euler_poly", "sin"),
-                 _show_ladder, "poly_sin_integral"),
-    "apostol": ({"k": 0, "m": None}, {"mu": 0.0}, _by_name("exact_apostol_integral"),
-                _show_complex, "apostol_exp_integral"),
-    "zeta-odd": ({"k": 1}, {"tol": 1e-8}, _by_name("zeta_odd_integral"),
-                 _show_quadrature, "zeta_odd_integral"),
-    "beta-even": ({"k": 0}, {"tol": 1e-8}, _by_name("beta_even_integral"),
-                  _show_quadrature, "beta_even_integral"),
+def _show_sum(
+    args: argparse.Namespace, kind: str, params: Dict[str, object], result
+) -> _Shown:
+    """A certified sum; its last parameter shows under the oracle's name."""
+    names = {"tol": "target_tol", "terms": "N"}
+    doc = {"kind": kind, "params": {names.get(name, name): v for name, v in params.items()},
+           "value": result.value, "error_bound": result.error_bound,
+           "terms_used": result.terms_used}
+    return doc, [
+        "value = %s" % _fmt(result.value, args.digits),
+        "error_bound = %s" % _fmt(result.error_bound, 3),
+        "terms_used = %d" % result.terms_used,
+    ]
+
+
+def _poly_cos(k: int, m: int) -> PiScalar:
+    return _public("exact_poly_trig_integral")(bernoulli_poly(2 * k), _public("OscKernel").cos(m))
+
+
+def _poly_sin(k: int, m: int) -> PiScalar:
+    return _public("exact_poly_trig_integral")(euler_poly(2 * k), _public("OscKernel").sin(m))
+
+
+# One family of eval, series or integrals: its public function's name, or a
+# function, called with the values of the options it needs, then of those it
+# takes; needs: option -> least value, None for any; takes: option -> its
+# default; show(args, kind, params, value) -> _Shown; kind: the JSON kind,
+# None for the family's name; note: what follows the error of a missing or
+# low option; pinned: option -> the one value it may be given, which it
+# ignores.
+_Family = namedtuple("_Family", "call needs takes show kind note pinned", defaults=(None, "", {}))
+
+
+# command -> (help, output formats, the options after the family in parser
+# order: name -> add_argument keywords, the error of a missing or low option)
+_COMMANDS = {
+    "eval": ("closed-form values: series constants and lattice sums", ("plain", "json", "latex"),
+             {"k": {"type": int}, "mu": {"type": float}, "method": {"default": "auto"}},
+             "%(family)s needs --%(name)s%(least)s"),
+    "series": ("brute-force series oracles with certified bounds", ("plain", "json"),
+               {"s": {"type": int}, "k": {"type": int}, "mu": {"type": float},
+                "theta": {"type": float}, "tol": {"type": float}, "terms": {"type": int}},
+               "series %(family)s needs %(all)s"),
+    "integrals": ("exact oscillatory integrals and numeric integral routes", ("plain", "json"),
+                  {"k": {"type": int, "required": True}, "m": {"type": int},
+                   "mu": {"type": float}, "tol": {"type": float}},
+                  "%(family)s needs --%(name)s%(least)s"),
+}
+
+_FAMILIES = {
+    "eval": {
+        "zeta": _Family("zeta_even", {"k": 1}, {}, _show_exact, note=" (value is zeta(2k))"),
+        "beta": _Family("beta_odd", {"k": 0}, {}, _show_exact, note=" (value is beta(2k+1))"),
+        "eta": _Family("eta_even", {"k": 1}, {}, _show_exact, note=" (value is eta(2k))"),
+        "lambda": _Family("lambda_even", {"k": 1}, {}, _show_exact, note=" (value is lambda(2k))"),
+        "Z": _Family("Z", {"k": None, "mu": None}, {"method": "auto"}, _show_float),
+        "Ztilde": _Family("Ztilde", {"k": None, "mu": None}, {"method": "auto"}, _show_float),
+        "Ztilde0": _Family("Ztilde0", {"mu": None}, {}, _show_float, pinned={"k": 0}),
+    },
+    "series": {
+        "zeta": _Family("sum_zeta", {"s": None}, {"tol": 1e-10}, _show_sum),
+        "beta": _Family("sum_beta", {"s": None}, {"tol": 1e-10}, _show_sum),
+        "Z": _Family("sum_Z", {"k": None, "mu": None}, {"terms": 10000}, _show_sum),
+        "Ztilde": _Family("sum_Ztilde", {"k": None, "mu": None}, {"terms": 10000}, _show_sum),
+        "theta2": _Family("sum_inverse_square", {"theta": None}, {"terms": 100000}, _show_sum),
+        "cot": _Family("sum_cotangent", {"theta": None}, {"terms": 100000}, _show_sum),
+    },
+    "integrals": {
+        "poly-cos": _Family(_poly_cos, {"k": 1, "m": 1}, {}, _show_ladder, "poly_cos_integral"),
+        "poly-sin": _Family(_poly_sin, {"k": 0, "m": 1}, {}, _show_ladder, "poly_sin_integral"),
+        "apostol": _Family("exact_apostol_integral", {"k": 0, "m": None}, {"mu": 0.0},
+                           _show_complex, "apostol_exp_integral"),
+        "zeta-odd": _Family("zeta_odd_integral", {"k": 1}, {"tol": 1e-8}, _show_quadrature,
+                            "zeta_odd_integral"),
+        "beta-even": _Family("beta_even_integral", {"k": 0}, {"tol": 1e-8}, _show_quadrature,
+                             "beta_even_integral"),
+    },
 }
 
 
-def cmd_integrals(args: argparse.Namespace) -> int:
-    least, further, evaluate, show, kind = _INTEGRALS[args.family]
-    _require_options(args, args.family, least)
-    params = {name: getattr(args, name) for name in least}
-    for name in ("m", "mu", "tol"):
+def cmd_family(args: argparse.Namespace) -> int:
+    """eval, series or integrals of one family: reject each option of the
+    command that the family does not read, check those it needs, fill in
+    the defaults of those it takes, then call it and show the result."""
+    family = _FAMILIES[args.command][args.family]
+    _, _, options, usage = _COMMANDS[args.command]
+    for name, keywords in options.items():
+        pin = family.pinned.get(name)
+        _require(
+            name in family.needs or name in family.takes
+            or getattr(args, name) in (keywords.get("default"), pin),
+            "%s takes no --%s%s" % (args.family, name,
+                                    "" if pin is None else " (or --%s %d)" % (name, pin)),
+        )
+    params: Dict[str, object] = {}
+    for name, least in family.needs.items():
+        value = params[name] = getattr(args, name)
+        _require(value is not None and (least is None or value >= least), usage % {
+            "family": args.family, "name": name, "least": "" if least is None else " >= %d" % least,
+            "all": " and ".join("--" + need for need in family.needs)} + family.note)
+    for name, default in family.takes.items():
         value = getattr(args, name)
-        _require(name in least or name in further or value is None,
-                 "%s takes no --%s" % (args.family, name))
-        if name in further:
-            params[name] = further[name] if value is None else value
-    _emit(args, *show(args, kind, params, evaluate(*params.values())))
+        params[name] = default if value is None else value
+    call = family.call if callable(family.call) else _public(family.call)
+    _emit(args, *family.show(args, family.kind or args.family, params, call(*params.values())))
     return 0
 
 
@@ -354,13 +355,12 @@ def cmd_table(args: argparse.Namespace) -> int:
         args.max_k <= cap,
         "--max-k %d exceeds the cap %d (override with TELESUM_MAX_K)" % (args.max_k, cap),
     )
-    scalar = args.family in _CONSTANTS
+    family = _FAMILIES["eval"].get(args.family)  # None for a polynomial family
     rows, body = [], []
-    if scalar:
-        name, least, _ = _CONSTANTS[args.family]
+    if family is not None:
         show = _latex_pi if args.format == "latex" else format_pi_scalar
-        for k in range(least, args.max_k + 1):
-            v = _public(name)(k)
+        for k in range(family.needs["k"], args.max_k + 1):
+            v = _public(family.call)(k)
             approx = _fmt(float(v), args.digits)
             rows.append((k, show(v), approx))
             body.append({"k": k, "exact": _exact_dict(v), "approx": approx})
@@ -376,7 +376,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
         lines = buf.getvalue().splitlines()
     else:
-        head, template, foot = _TEXT_TABLES[args.format == "latex", scalar]
+        head, template, foot = _TEXT_TABLES[args.format == "latex", family is not None]
         lines = [*head, *(template % row for row in rows), *foot]
     doc = {"kind": "table", "params": {"family": args.family, "max_k": args.max_k}, "rows": body}
     _emit(args, doc, lines)
@@ -447,36 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(sp)
     sp.set_defaults(func=cmd_coeffs)
 
-    sp = sub.add_parser("eval", help="closed-form values: series constants and lattice sums")
-    sp.add_argument("family", choices=[*_CONSTANTS, *_LATTICE, "Ztilde0"])
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--method", default="auto")
-    _add_format(sp, ("plain", "json", "latex"))
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("series", help="brute-force series oracles with certified bounds")
-    sp.add_argument("family", choices=list(_SERIES))
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--terms", type=int, default=None)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_series)
-
-    sp = sub.add_parser("integrals", help="exact oscillatory integrals and numeric integral routes")
-    sp.add_argument("family", choices=list(_INTEGRALS))
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_integrals)
+    for command, (help_text, formats, options, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("family", choices=list(_FAMILIES[command]))
+        for name, keywords in options.items():
+            sp.add_argument("--" + name, **keywords)
+        _add_format(sp, formats)
+        sp.set_defaults(func=cmd_family)
 
     sp = sub.add_parser("table", help="value tables for the series families and polynomial families")
-    sp.add_argument("family", choices=[*_CONSTANTS, *_POLYS])
+    constants = [name for name, family in _FAMILIES["eval"].items() if family.show is _show_exact]
+    sp.add_argument("family", choices=[*constants, *_POLYS])
     sp.add_argument("--max-k", type=int, required=True)
     _add_format(sp, ("plain", "json", "csv", "latex"))
     sp.set_defaults(func=cmd_table)

@@ -73,6 +73,20 @@ def test_eval_digits_control(capsys):
     assert out5.strip().endswith("= 1.6449")
 
 
+def test_digits_past_767_print_what_767_prints(capsys):
+    # 767 is the most significant digits of any double's exact decimal
+    # expansion (the largest subnormal has them), so the CLI prints no more;
+    # a --digits past the C int range was an OverflowError, exit 1
+    for x in (5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, 1 / 3):
+        assert "%.*g" % (767, x) == "%.*g" % (100000, x), x
+    assert len("%.*g" % (767, 2.2250738585072009e-308)) > len("%.*g" % (766, 2.2250738585072009e-308))
+    for argv in ("eval zeta --k 2", "table beta --max-k 2 --format csv",
+                 "coeffs sec --mu 0.5 --order 3", "apostol euler 2 --lambda-re 0.3"):
+        want = run_cli(capsys, argv.split() + ["--digits", "767"])
+        assert want[0] == 0 and want[2] == "", argv
+        assert run_cli(capsys, argv.split() + ["--digits", "3000000000"]) == want, argv
+
+
 def test_series_json_schema(capsys):
     code, out, _ = run_cli(
         capsys, ["series", "zeta", "--s", "2", "--tol", "1e-8", "--format", "json"]
