@@ -220,8 +220,8 @@ def _show_float(
     args: argparse.Namespace, kind: str, params: Dict[str, object], v: float
 ) -> _Shown:
     """A lattice value as a decimal, with the route that gave it."""
-    method = params.pop("method", "closed_form")
-    rec = OutputRecord(kind, params, _fmt(v, args.digits), method=method)
+    rec = OutputRecord(kind, {name: x for name, x in params.items() if name != "method"},
+                       _fmt(v, args.digits), method=params.get("method", "closed_form"))
     return rec, [rec["approx"]]
 
 
@@ -304,6 +304,9 @@ _FAMILIES = {
     },
 }
 
+# the families of eval with an exact value, which table also lists
+_EXACT = {name: family for name, family in _FAMILIES["eval"].items() if family.show is _show_exact}
+
 
 def cmd_family(args: argparse.Namespace) -> int:
     """eval, series or integrals of one family: reject each option of the
@@ -355,7 +358,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         args.max_k <= cap,
         "--max-k %d exceeds the cap %d (override with TELESUM_MAX_K)" % (args.max_k, cap),
     )
-    family = _FAMILIES["eval"].get(args.family)  # None for a polynomial family
+    family = _EXACT.get(args.family)  # None for a polynomial family
     rows, body = [], []
     if family is not None:
         show = _latex_pi if args.format == "latex" else format_pi_scalar
@@ -456,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=cmd_family)
 
     sp = sub.add_parser("table", help="value tables for the series families and polynomial families")
-    constants = [name for name, family in _FAMILIES["eval"].items() if family.show is _show_exact]
-    sp.add_argument("family", choices=[*constants, *_POLYS])
+    sp.add_argument("family", choices=[*_EXACT, *_POLYS])
     sp.add_argument("--max-k", type=int, required=True)
     _add_format(sp, ("plain", "json", "csv", "latex"))
     sp.set_defaults(func=cmd_table)

@@ -10,10 +10,17 @@ row's exit code and stdout, and one of the stderr of every row whose first
 fault is the one the older per-command code reported: a row with at most
 one fault, with an argparse error, or with faults only among the options it
 needs.  It also holds a sha256 of each ``--help`` text at 80 columns (the
-same bytes on Python 3.10 to 3.13).  The digests were recorded before the
-three commands shared one family table, by running this file:
+same bytes on Python 3.10 to 3.13).  The digests were recorded on the code
+from before the three commands shared one family table: a checkout of
+commit a542a77 with this file and the README of this tree copied in (the
+rows come from the README's table, which a542a77 lacks), by running, at
+the root of that checkout,
 
-    PYTHONPATH=src python tests/test_cli_matrix.py > tests/cli_option_matrix.json
+    PYTHONPATH=src python tests/test_cli_matrix.py > cli_option_matrix.json
+
+Running that command on a later tree hashes that tree's own output, so the
+digests it writes no longer pin the older behaviour; regenerate them only
+from such a checkout.
 
 Any other row has several faults, one of them an option the family does not
 read; its stderr must name the first such option in parser order.  The

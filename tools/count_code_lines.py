@@ -6,11 +6,11 @@ the docstring of a module, class or function, or a bare string elsewhere.
 Blank lines, comment lines, the lines of such strings and the continuation
 lines inside brackets that hold nothing else are not code.
 
-    python3 tools/count_code_lines.py src/telesum          # total
-    python3 tools/count_code_lines.py -v src/telesum/cli.py  # per file too
+    python3 tools/count_code_lines.py src/telesum
+    python3 tools/count_code_lines.py src/telesum/cli.py
 
 Arguments are files or directories; a directory counts every ``*.py`` below
-it.
+it.  It prints the total.
 """
 
 from __future__ import annotations
@@ -64,15 +64,8 @@ def _sources(paths: Iterable[str]) -> List[Path]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description="Count the code lines of Python sources.")
     parser.add_argument("paths", nargs="+", help="files or directories")
-    parser.add_argument("-v", "--verbose", action="store_true", help="print each file's count")
     args = parser.parse_args(argv)
-    total = 0
-    for path in _sources(args.paths):
-        count = len(code_lines(path.read_text(encoding="utf-8")))
-        total += count
-        if args.verbose:
-            print("%6d %s" % (count, path))
-    print(total)
+    print(sum(len(code_lines(path.read_text(encoding="utf-8"))) for path in _sources(args.paths)))
     return 0
 
 
