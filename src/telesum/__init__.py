@@ -45,7 +45,6 @@ from .classical_polys import (
     euler_number,
     euler_poly,
     lambda_even,
-    precompute,
     zeta_even,
 )
 

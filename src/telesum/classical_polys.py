@@ -36,8 +36,6 @@ from typing import List
 from .exact_core import PiScalar, Poly, _check_int
 
 __all__ = [
-    "DEFAULT_CACHE_DEPTH",
-    "precompute",
     "bernoulli_poly",
     "euler_poly",
     "bernoulli_number",
@@ -47,8 +45,6 @@ __all__ = [
     "eta_even",
     "lambda_even",
 ]
-
-DEFAULT_CACHE_DEPTH = 64
 
 _lock = threading.Lock()
 _zigzag: List[int] = [1]
@@ -63,11 +59,6 @@ def _zigzag_number(n: int) -> int:
                 _row = list(itertools.accumulate(reversed(_row), initial=0))
                 _zigzag.append(_row[-1])
     return _zigzag[n]
-
-
-def precompute(depth: int = DEFAULT_CACHE_DEPTH) -> None:
-    """Fill the number cache behind both families through index ``depth``."""
-    _zigzag_number(_check_int(depth, "depth", 0))
 
 
 def _bernoulli(k: int, times: int = 1) -> Fraction:

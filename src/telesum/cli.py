@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from collections import namedtuple
@@ -43,7 +42,7 @@ __all__ = [
     "cmd_verify",
 ]
 
-DEFAULT_MAX_K = 30
+MAX_TABLE_K = 30
 
 
 def OutputRecord(
@@ -348,16 +347,8 @@ _TEXT_TABLES = {
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    raw_cap = os.environ.get("TELESUM_MAX_K", str(DEFAULT_MAX_K))
-    try:
-        cap = int(raw_cap)
-    except ValueError:
-        raise ValueError("TELESUM_MAX_K must be an integer, not %r" % raw_cap) from None
     _require(args.max_k >= 0, "--max-k must be >= 0")
-    _require(
-        args.max_k <= cap,
-        "--max-k %d exceeds the cap %d (override with TELESUM_MAX_K)" % (args.max_k, cap),
-    )
+    _require(args.max_k <= MAX_TABLE_K, "--max-k %d exceeds the cap %d" % (args.max_k, MAX_TABLE_K))
     family = _EXACT.get(args.family)  # None for a polynomial family
     rows, body = [], []
     if family is not None:
@@ -397,7 +388,7 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = _public(_SUITES[args.suite])(tol=args.tol, seed=args.seed)
+    results = _public(_SUITES[args.suite])(seed=args.seed)
     print(_public("format_report")(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -466,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the self-verification suites")
     sp.add_argument("suite", choices=sorted(_SUITES))
-    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--seed", type=int, default=42)
     sp.set_defaults(func=cmd_verify)
 

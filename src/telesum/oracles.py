@@ -12,21 +12,19 @@ terms, scaled by the sum of their magnitudes that the kernel takes
 alongside.  Each oracle writes one sequence: an alternating series
 (sum_beta, sum_Z) writes its own signed terms.  No oracle builds an array
 whose length grows with its term count.  The kernel takes one of two
-routes for each block, from the block's own length and range.  (1) A short
-block, of at most _SHORT = 64 terms, is summed exactly in Python ints, each
-term's significand shifted to one common scale, unless it is longer than
-_FEW = 20 terms and its end terms lie within 23 binades of each other.
-(2) Every other block is cut into two fixed-point slices of _SLICE = 53 -
-15 = 38 bits (Rump, Ogita & Oishi 2008), one window of 24 binades at a
-time, and each slice is added with a plain numpy sum: a slice is below
-2**38 and a block holds at most 2**15 of them, so every partial sum is an
-integer below 2**53 and hence exact.  A block that one window holds is
-sliced whole; a wider one is sliced in the window above its least nonzero
-term, and its terms above that window are taken out and summed as a block
-of their own, by the same two routes.  Each route gives the block's exact
-sum and sum of magnitudes as two Python ints, which add up over the blocks
-and are rounded once.  A sum beyond the double range raises
-ToleranceUnreachable.
+routes for each block, by its length alone.  (1) A short block, of at most
+_SHORT = 64 terms, is summed exactly in Python ints, each term's
+significand shifted to one common scale.  (2) A longer block is cut into
+two fixed-point slices of _SLICE = 53 - 15 = 38 bits (Rump, Ogita & Oishi
+2008), one window of 24 binades at a time, and each slice is added with a
+plain numpy sum: a slice is below 2**38 and a block holds at most 2**15 of
+them, so every partial sum is an integer below 2**53 and hence exact.  A
+block that one window holds is sliced whole; a wider one is sliced in the
+window above its least nonzero term, and its terms above that window are
+taken out and summed as a block of their own, by the same two routes.  Each
+route gives the block's exact sum and sum of magnitudes as two Python ints,
+which add up over the blocks and are rounded once.  A sum beyond the double
+range raises ToleranceUnreachable.
 
 A sum stops early once its rounding is decided (Ziv, ACM TOMS 17, 1991).
 hurwitz_partial, and sum_Z and sum_Ztilde at k >= 1, hand the kernel a
@@ -203,11 +201,10 @@ _quiet = np.errstate(all="ignore")
 
 
 # Exact summation in blocks of at most _BLOCK terms, each block by one of
-# two routes chosen from what the block itself shows: a short block in
-# Python ints (_SHORT below) unless its end terms share a window, and every
-# other block in two fixed-point slices, one window at a time.  Every total
-# is an integer in units of 2**-_UNIT, below the lowest bit of any double;
-# all of them meet as one Python int, rounded once.
+# two routes chosen by the block's length: a short block in Python ints
+# (_SHORT below), and a longer one in two fixed-point slices, one window at
+# a time.  Every total is an integer in units of 2**-_UNIT, below the lowest
+# bit of any double; all of them meet as one Python int, rounded once.
 #
 # Slices (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): at a window
 # E, every term p below 2**E whose lowest bit lies within 2 * _SLICE bits
@@ -260,10 +257,9 @@ _UNIT = 1074 + 53  # 53 binades below the least subnormal, 2**-1074
 # shifted from the block's least exponent, about 5 us and 0.15 us a term.
 # The first block of a Ziv sum at a high power is wide, 32 or 64 terms, and
 # so are the first few terms above a window of a decaying block: one more
-# window costs about 10 us.  A short block whose end terms lie within one
-# window goes to the slices when it is longer than _FEW: the ints and the
-# slices cross at 20-24 terms (a narrow 36-term block of 1/m**4,
-# sum_zeta(4, 1e-8), takes 17 us in ints, 11 in the slices)
+# window costs about 10 us.  A short block that one window holds costs
+# 11-12 us by either route (series_grid, seeds 1-8), so the length alone
+# picks the route
 _SHORT = 64
 _FEW = 20
 
@@ -349,14 +345,8 @@ def _short_block(block: np.ndarray) -> Tuple[int, int]:
 
 def _block_sums(block: np.ndarray, scratch: np.ndarray) -> Tuple[int, int]:
     """(sum, sum of magnitudes) of a block in units of 2**-_UNIT, by the
-    route its length and range pick; ValueError for a non-finite term."""
+    route its length picks; ValueError for a non-finite term."""
     if block.size > _SHORT:
-        return _sliced_block(block, scratch)
-    # a short block goes to the slices when its end terms lie within one
-    # window, the whole test for terms of monotone magnitude
-    first, last = float(block[0]), float(block[-1])
-    if block.size > _FEW and first and last and \
-            abs(math.frexp(first)[1] - math.frexp(last)[1]) <= _SPAN:
         return _sliced_block(block, scratch)
     return _short_block(block)
 

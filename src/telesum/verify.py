@@ -1,16 +1,16 @@
 """Seeded self-verification suites: identities, closed-vs-oracle agreement,
 exact and numeric integrals, and truncated trigonometric expansions.
 
-Each suite is an ordered table of checks, (name, default tol, check, note),
+Each suite is an ordered table of checks, (name, tol, check, note),
 and one runner (_run) executes any table.  It makes one random.Random(seed)
 per suite and hands it to the checks in table order, so the seed fixes every
 draw and every defect.  A numeric check returns its measured defect and
-passes within its tolerance: the table's default, or the tolerance given to
-the runner, which replaces the default on every numeric check and must be a
-positive finite real.  An exact check (tol _EXACT in the table) returns
-whether its identity holds; it reports defect 0 or 1 against tol 0, and an
-explicit tolerance never applies to it.  Any arithmetic failure inside a
-check becomes a failing result with defect inf, and the suite goes on.
+passes within the tolerance of its own table entry: the defects are in
+different units, some ratios to a certified bound and some absolute errors,
+so no one number could stand for them all.  An exact check (tol _EXACT in
+the table) returns whether its identity holds; it reports defect 0 or 1
+against tol 0.  Any arithmetic failure inside a check becomes a failing
+result with defect inf, and the suite goes on.
 """
 
 from __future__ import annotations
@@ -170,6 +170,25 @@ def _euler_difference(lam: mpmath.mpc, x: mpmath.mpf, ks: range) -> float:
     return worst
 
 
+def _bernoulli_difference(lam: mpmath.mpc, x: mpmath.mpf, ks: range) -> float:
+    """Largest |lam B_k(x + 1; lam) - B_k(x; lam) - k x^(k-1)| over ks,
+    relative to max(1, |k x^(k-1)|)."""
+    worst = 0.0
+    for k in ks:
+        q = apostol_bernoulli_poly(k, lam)
+        want = k * x ** (k - 1)
+        worst = _max(worst, float(abs(lam * q(x + 1) - q(x) - want)) / max(1.0, float(abs(want))))
+    return worst
+
+
+def _bernoulli_at_one(rng: random.Random) -> float:
+    # the lift at parameter 1 against the classical difference equation,
+    # not against the classical polynomial it is lifted from
+    with mpmath.workdps(DEFAULT_DPS):
+        return _worst(_bernoulli_difference(mpmath.mpf(1), mpmath.mpf(x), range(1, 13))
+                      for x in (-1.7, 0.3, 1.9))
+
+
 def _boundary_identity(rng: random.Random) -> float:
     with mpmath.workdps(DEFAULT_DPS):
         return _worst(_euler_difference(lam, mpmath.mpf(0), range(0, 13)) for lam in _unit_circle(rng, 12))
@@ -185,13 +204,6 @@ def _apostol_deriv_ladder(rng: random.Random) -> float:
     return _coeff_gaps(_unit_circle(rng, 6), range(1, 11), lambda k, lam: (
         apostol_euler_poly(k, lam).derivative().coeffs,
         [k * c for c in apostol_euler_poly(k - 1, lam).coeffs],
-    ))
-
-
-def _at_lambda_one(deformed: Callable, classical: Callable, ks: range) -> float:
-    """Coefficient gap between a deformed family at parameter 1 and its classical one."""
-    return _coeff_gaps([mpmath.mpf(1)], ks, lambda k, one: (
-        deformed(k, one).coeffs, [float(c) for c in classical(k).coeffs]
     ))
 
 
@@ -216,12 +228,7 @@ def _difference_equations(rng: random.Random) -> float:
             lam = mpmath.exp(1j * mpmath.mpf(phi))
             x = mpmath.mpf(rng.uniform(-2.0, 2.0))
             worst = _max(worst, _euler_difference(lam, x, range(0, 11)))
-            for k in range(1, 11):
-                q = apostol_bernoulli_poly(k, lam)
-                got = lam * q(x + 1) - q(x)
-                want = k * x ** (k - 1)
-                scale = max(1.0, float(abs(want)))
-                worst = _max(worst, float(abs(got - want)) / scale)
+            worst = _max(worst, _bernoulli_difference(lam, x, range(1, 11)))
     return worst
 
 
@@ -324,11 +331,11 @@ _IDENTITIES = [
     _Check("deformed boundary identity on the unit circle", 1e-12, _boundary_identity),
     _Check("derivative ladder of the deformed family", 1e-20, _apostol_deriv_ladder),
     _Check("deformation parameter 1 recovers the classical family", 1e-14,
-           lambda rng: _at_lambda_one(apostol_euler_poly, euler_poly, range(0, 13))),
+           lambda rng: _coeff_gaps([mpmath.mpf(1)], range(0, 13), lambda k, one: (
+               apostol_euler_poly(k, one).coeffs, [float(c) for c in euler_poly(k).coeffs]))),
     _Check("euler-type vs bernoulli-type deformation relation", 1e-20, _family_relation),
     _Check("difference equations of both deformed families", 1e-12, _difference_equations),
-    _Check("bernoulli-type lift at deformation parameter 1", 1e-14,
-           lambda rng: _at_lambda_one(apostol_bernoulli_poly, bernoulli_poly, range(1, 13))),
+    _Check("bernoulli-type lift at deformation parameter 1", 1e-14, _bernoulli_at_one),
     _Check("telescoping trigonometric identities, 100 samples", 1e-13, _telescoping_trig),
     _Check("imaginary residue of the complex-route carriers", 1e-10, _residues),
     _Check("secant/cotangent carrier dual routes", 1e-9, _dual_routes),
@@ -575,15 +582,13 @@ _TABLES = {
 }
 
 
-def _run(table: Sequence[_Check], tol: Optional[float], seed: int) -> List[CheckResult]:
+def _run(table: Sequence[_Check], seed: int) -> List[CheckResult]:
     """Run the checks of one table in order with one rng seeded by seed."""
-    if tol is not None and not 0.0 < float(tol) < math.inf:
-        raise ValueError("tol must be a positive finite real, got %r" % (tol,))
     rng = random.Random(seed)
     out: List[CheckResult] = []
     for check in table:
         exact = check.tol is _EXACT
-        limit = 0.0 if exact else float(check.tol if tol is None else tol)
+        limit = 0.0 if exact else check.tol
         try:
             value = check.fn(rng)
             defect = float(not value) if exact else float(value)
@@ -594,26 +599,26 @@ def _run(table: Sequence[_Check], tol: Optional[float], seed: int) -> List[Check
     return out
 
 
-def run_identities(tol: Optional[float] = None, seed: int = 42) -> List[CheckResult]:
-    return _run(_TABLES["identities"], tol, seed)
+def run_identities(seed: int = 42) -> List[CheckResult]:
+    return _run(_TABLES["identities"], seed)
 
 
-def run_closed_vs_oracle(tol: Optional[float] = None, seed: int = 42) -> List[CheckResult]:
-    return _run(_TABLES["closed-vs-oracle"], tol, seed)
+def run_closed_vs_oracle(seed: int = 42) -> List[CheckResult]:
+    return _run(_TABLES["closed-vs-oracle"], seed)
 
 
-def run_integrals(tol: Optional[float] = None, seed: int = 42) -> List[CheckResult]:
-    return _run(_TABLES["integrals"], tol, seed)
+def run_integrals(seed: int = 42) -> List[CheckResult]:
+    return _run(_TABLES["integrals"], seed)
 
 
-def run_hurwitz(tol: Optional[float] = None, seed: int = 42) -> List[CheckResult]:
-    return _run(_TABLES["hurwitz"], tol, seed)
+def run_hurwitz(seed: int = 42) -> List[CheckResult]:
+    return _run(_TABLES["hurwitz"], seed)
 
 
-def run_all(tol: Optional[float] = None, seed: int = 42) -> List[CheckResult]:
+def run_all(seed: int = 42) -> List[CheckResult]:
     out: List[CheckResult] = []
     for run in (run_identities, run_closed_vs_oracle, run_integrals, run_hurwitz):
-        out.extend(run(tol=tol, seed=seed))
+        out.extend(run(seed=seed))
     return out
 
 

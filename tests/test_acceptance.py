@@ -284,13 +284,13 @@ def test_criterion_9_identity_suite_and_full_verify(capsys, monkeypatch, verify_
     # which is the call the CLI makes
     calls = []
 
-    def shared_run_all(tol, seed):
-        calls.append((tol, seed))
+    def shared_run_all(seed):
+        calls.append(seed)
         return verify_all_rows
 
     monkeypatch.setattr(telesum, "run_all", shared_run_all)
     exit_code = main(["verify", "all"])
-    assert calls == [(None, 42)]
+    assert calls == [42]
     capsys.readouterr()  # swallow the verify report; one line below
     ok = ok and exit_code == 0
     _report(

@@ -23,7 +23,6 @@ from telesum import (
     poly_eval,
     poly_integral_01,
     poly_reflect,
-    precompute,
 )
 
 F = Fraction
@@ -150,7 +149,9 @@ def test_against_mpmath_polynomials():
 
 
 def test_cache_grows_past_precomputed_depth():
-    precompute(8)  # no-op shrink request must not discard deeper entries
+    # shallow requests after deeper ones must not discard deeper entries
+    bernoulli_number(8)
+    euler_number(8)
     assert bernoulli_poly(70).degree == 70
     assert euler_poly(70).degree == 70
     # classical von Staudt-Clausen denominator check at depth 70
@@ -172,7 +173,7 @@ calls = [
     ("bernoulli_number", range(151)),
     ("euler_number", range(0, 151, 2)),
     ("bernoulli_number", range(150, -1, -1)),
-    ("precompute", range(0, 151, 25)),
+    ("euler_number", range(150, -1, -30)),
 ]
 results = {}
 barrier = threading.Barrier(len(calls) if threaded else 1)

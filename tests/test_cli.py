@@ -1,4 +1,4 @@
-"""Command-line interface: output formats, exit codes, environment cap.
+"""Command-line interface: output formats, exit codes, the table cap.
 
 Everything runs in-process through main(argv) for speed; one subprocess
 test at the bottom proves the installed entry point works end to end.
@@ -166,17 +166,23 @@ def test_verify_subcommand_passes(capsys):
     assert "0 failed" in lines[-1]
 
 
-def test_verify_impossible_tolerance_fails_cleanly(capsys):
-    # numerics cannot hit 1e-30; must report failure, not crash
-    code, out, _ = run_cli(capsys, ["verify", "closed-vs-oracle", "--tol", "1e-30"])
+def test_verify_impossible_tolerance_fails_cleanly(capsys, monkeypatch):
+    # one row's defect past its own tolerance (1e-3 against 1e-4) fails that
+    # row and the suite, with exit 1, not a crash
+    from telesum import oracles
+
+    monkeypatch.setattr(oracles, "herglotz_limit", lambda theta, N: math.pi ** 2 / 3.0 + 1e-3)
+    code, out, _ = run_cli(capsys, ["verify", "closed-vs-oracle"])
     assert code == 1
-    assert "FAIL" in out
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and "pole-subtracted limit at small argument" in failed[0]
+    assert "tol 1.000e-04" in failed[0]
 
 
 # --------------------------------------------------------------- exit codes
 
 
-def test_usage_errors_exit_2(capsys, monkeypatch):
+def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, ["eval", "zeta", "--k", "0"])[0] == 2
     assert run_cli(capsys, ["eval", "Z", "--k", "1"])[0] == 2  # missing --mu
     assert (
@@ -218,17 +224,14 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         ("eval zeta --k 2 --digits 0", "--digits must be >= 1"),
         ("eval zeta --k 2 --digits -3", "--digits must be >= 1"),
         ("poly euler 3 --digits 0", "--digits must be >= 1"),
-        ("verify identities --tol -1", "tol must be a positive finite real, got -1.0"),
-        ("verify all --tol inf", "tol must be a positive finite real, got inf"),
         ("apostol euler 3 --lambda-re 0.5 --dps -5", "dps must be an integer >= 1, got -5"),
         ("apostol bernoulli 2 --lambda-re 0.5 --dps 0", "dps must be an integer >= 1, got 0"),
     ]:
         code, out, err = run_cli(capsys, argv.split())
         assert (code, out, err) == (2, "", "error: %s\n" % message), argv
-    # a malformed cap is named, not reported as a bare int() failure
-    monkeypatch.setenv("TELESUM_MAX_K", "abc")
-    code, out, err = run_cli(capsys, ["table", "zeta", "--max-k", "3"])
-    assert (code, out, err) == (2, "", "error: TELESUM_MAX_K must be an integer, not 'abc'\n")
+    # verify takes no tolerance: each row keeps its own
+    code, out, err = run_cli(capsys, ["verify", "all", "--tol", "1"])
+    assert (code, out) == (2, "") and "unrecognized arguments: --tol 1" in err
 
 
 def test_flags_a_family_does_not_read_exit_2(capsys):
@@ -390,13 +393,15 @@ def test_eval_beyond_the_double_range_exits_1(capsys):
 
 
 def test_table_cap_from_environment(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, ["table", "zeta", "--max-k", "31"])
-    assert code == 2
-    assert "TELESUM_MAX_K" in err
-    monkeypatch.setenv("TELESUM_MAX_K", "40")
-    assert run_cli(capsys, ["table", "zeta", "--max-k", "31"])[0] == 0
-    monkeypatch.setenv("TELESUM_MAX_K", "5")
-    assert run_cli(capsys, ["table", "zeta", "--max-k", "6"])[0] == 2
+    # the cap is the constant 30: TELESUM_MAX_K, which once set it, is not read
+    for value in (None, "40", "abc"):
+        if value is None:
+            monkeypatch.delenv("TELESUM_MAX_K", raising=False)
+        else:
+            monkeypatch.setenv("TELESUM_MAX_K", value)
+        assert run_cli(capsys, ["table", "zeta", "--max-k", "30"])[0] == 0, value
+        assert run_cli(capsys, ["table", "zeta", "--max-k", "31"]) == (
+            2, "", "error: --max-k 31 exceeds the cap 30\n"), value
 
 
 def test_help_exits_zero(capsys):

@@ -264,7 +264,6 @@ CASES = [
 
 
 @pytest.mark.parametrize("argv, code, out, err", CASES, ids=[c[0] for c in CASES])
-def test_cli_bytes(capsys, monkeypatch, argv, code, out, err):
-    monkeypatch.delenv("TELESUM_MAX_K", raising=False)
+def test_cli_bytes(capsys, argv, code, out, err):
     assert main(argv.split()) == code
     assert capsys.readouterr() == (out, err)

@@ -603,12 +603,13 @@ def test_kernel_fixed_point_blocks_are_exact_at_their_limits():
     # next double above 1 in the one rounding all paths meet in.  The first
     # block takes the window above 2**-80 and its two terms above it in
     # ints; with pairs that cancel exactly over 130 binades it takes a
-    # window for every 24 binades of them
+    # window for every 24 binades of them until the few terms left above
+    # the last window, at most _SHORT, go to the ints
     xs = np.zeros(2 * _BLOCK)
     xs[:3] = (1.0, 2.0**-53, 2.0**-80)
     xs[_BLOCK : _BLOCK + 2] = (2.0**-53, 2.0**-54)
     spread = np.ldexp(1.0, -np.arange(10, 140))
-    for route, pad in (((1, 1), []), ((6, 0), [spread, -spread])):
+    for route, pad in (((1, 1), []), ((5, 1), [spread, -spread])):
         ys = xs.copy()
         ys[3 : 3 + 2 * spread.size] = np.concatenate(pad or [np.zeros(2 * spread.size)])
         assert _route(ys[:_BLOCK]) == route and _is_narrow(ys[_BLOCK:])
@@ -716,9 +717,9 @@ def _blocks_about_the_short_path(rng, n):
 
 
 def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold(monkeypatch):
-    # a block of at most _FEW terms is summed in ints; one of at most _SHORT
-    # in the slices when its end terms share a window, else in ints; a
-    # longer one in the slices.  Every path gives the rational sums, and
+    # a block of at most _SHORT terms is summed in ints, by one route up to
+    # _FEW terms and another past it, and a longer one in the slices,
+    # whatever its terms' range.  Every path gives the rational sums, and
     # every one rejects a non-finite term in its first call, before any
     # window is sized
     paths = []
@@ -742,8 +743,7 @@ def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold
                 # then sum the terms above a window in ints
                 route = {"_short_block": "ints", "_sliced_block": "slices"}[paths[0]]
                 assert paths[0] == "_sliced_block" or len(paths) == 1, (n, paths)
-                allowed = {"ints"} if n <= few else {"ints", "slices"} if n <= short else {"slices"}
-                assert route in allowed, (n, route)
+                assert route == ("ints" if n <= short else "slices"), (n, xs[:3])
                 seen.add((n, route, outcome is OverflowError))
                 bad = xs.copy()
                 bad[rng.integers(n)] = rng.choice([math.inf, -math.inf, math.nan])
@@ -751,13 +751,9 @@ def test_short_and_numpy_paths_match_fraction_sum_on_both_sides_of_the_threshold
                 with pytest.raises(ValueError, match="non-finite term"):
                     _exact_sum(bad)
                 assert len(paths) == 1, n
-    # each length past one term overflowed and summed, and each route of a
-    # length ran
+    # each length past one term overflowed and summed
     for n in lengths[1:]:
         assert {over for m, _, over in seen if m == n} == {False, True}, n
-    for n in lengths[2:]:
-        routes = {route for m, route, _ in seen if m == n}
-        assert routes == ({"ints", "slices"} if n <= short else {"slices"}), n
 
 
 def test_wide_blocks_are_sliced_window_by_window_from_their_least_term():
@@ -821,11 +817,10 @@ def _outlier_block(rng, side, k, sign, E=0, n=4096):
 def _outlier_routes(side, k):
     # the routes an _outlier_block may take.  Above: the block's window,
     # then its k outliers, over 31 binades, as a block of their own: in
-    # ints at most _FEW of them, a window and ints past _SHORT, and between
-    # the two either, as their end terms share a window or not.  Below: a
+    # ints at most _SHORT of them, a window and ints past _SHORT.  Below: a
     # window or two for the outliers, from the least up, then the block's
     if side == "above":
-        return {(1, 1)} if k <= oracles._FEW else {(2, 1)} if k > _SHORT else {(1, 1), (2, 1)}
+        return {(1, 1)} if k <= _SHORT else {(2, 1)}
     return {(2, 0)} if k == 1 else {(2, 0), (3, 0)}
 
 
@@ -856,10 +851,10 @@ def test_kernel_peel_keeps_every_bit_at_the_window_edges():
     # whose lowest bit decides it: the least term, at the bottom of the
     # window above it, or an outlier just under the window of the top, which
     # that window must not take.  Zeros of both signs, more than _SHORT of
-    # them, are no outliers.  Above, two outliers go to the ints, and 64,
-    # whose end terms here share a window, to a window and the ints; below,
-    # the witness takes a window up to 2**(E - 1) and the top binade one
-    # more, and the far outliers, over 31 binades, two more under them
+    # them, are no outliers.  Above, the 2 or the _SHORT outliers go to the
+    # ints, by their count alone; below, the witness takes a window up to
+    # 2**(E - 1) and the top binade one more, and the far outliers, over 31
+    # binades, two more under them
     rng = np.random.default_rng(3308)
     span = 2 * _SLICE - 53
     for E, side, pairs in itertools.product((0, 700, -900), ("above", "below"), (1, _SHORT // 2)):
@@ -875,7 +870,7 @@ def test_kernel_peel_keeps_every_bit_at_the_window_edges():
             window, outliers = np.concatenate([half, -half]), np.concatenate([witness, far, -far])
         window = np.concatenate([window, rng.choice([0.0, -0.0], 2 * _SHORT)])
         xs = rng.permutation(np.concatenate([window, outliers]))
-        routes = {"above": ((1, 1), (2, 1)), "below": ((2, 0), (4, 0))}[side]
+        routes = {"above": ((1, 1), (1, 1)), "below": ((2, 0), (4, 0))}[side]
         assert _route(xs) == routes[pairs > 1], (E, side, pairs)
         assert _exact_sum(xs)[0] == witness[0], (E, side, pairs)
         _assert_exact_twice(xs, (E, side, pairs))

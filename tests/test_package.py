@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "euler_number", "euler_poly", "exact_apostol_integral", "exact_poly_trig_integral",
     "format_pi_scalar", "format_rational", "format_report", "herglotz_limit",
     "herglotz_residual", "hurwitz_partial", "j_integral", "lambda_even",
-    "poly_derivative", "poly_eval", "poly_integral_01", "poly_reflect", "precompute",
+    "poly_derivative", "poly_eval", "poly_integral_01", "poly_reflect",
     "run_all", "run_closed_vs_oracle", "run_hurwitz", "run_identities", "run_integrals",
     "sec_taylor_coeffs", "sinpi", "sum_Z", "sum_Ztilde", "sum_beta", "sum_cotangent",
     "sum_inverse_square", "sum_zeta", "zeta_even", "zeta_odd_integral",
@@ -85,12 +85,11 @@ PUBLIC_SIGNATURES = {
     "poly_eval": ("p", "x"),
     "poly_integral_01": ("p",),
     "poly_reflect": ("p",),
-    "precompute": ("depth",),
-    "run_all": ("tol", "seed"),
-    "run_closed_vs_oracle": ("tol", "seed"),
-    "run_hurwitz": ("tol", "seed"),
-    "run_identities": ("tol", "seed"),
-    "run_integrals": ("tol", "seed"),
+    "run_all": ("seed",),
+    "run_closed_vs_oracle": ("seed",),
+    "run_hurwitz": ("seed",),
+    "run_identities": ("seed",),
+    "run_integrals": ("seed",),
     "sec_taylor_coeffs": ("mu", "K"),
     "sinpi": ("y",),
     "sum_Z": ("k", "mu", "N"),
@@ -294,11 +293,15 @@ def test_star_import_binds_every_public_name():
     exec("from telesum import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
     assert namespace["sum_zeta"] is telesum.oracles.sum_zeta
+    # the number cache grows on demand, so nothing fills it ahead of use
+    assert not {"precompute", "DEFAULT_CACHE_DEPTH"} & set(namespace)
 
 
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         telesum.no_such_name
+    with pytest.raises(AttributeError, match="precompute"):
+        telesum.precompute
 
 
 def test_lazy_layers_stay_importable_as_modules():
@@ -318,7 +321,6 @@ INTEGER_PARAMETERS = [
     ("binomial k", lambda v: _T.binomial(5, v), 2),
     ("PiScalar pi_power", lambda v: _T.PiScalar(_T.Rational(1, 3), v), 2),
     ("Poly.monomial n", lambda v: _T.Poly.monomial(v, 3), 2),
-    ("precompute depth", lambda v: _T.precompute(v), 2),
     ("bernoulli_number k", lambda v: _T.bernoulli_number(v), 2),
     ("bernoulli_poly k", lambda v: _T.bernoulli_poly(v), 2),
     ("euler_poly k", lambda v: _T.euler_poly(v), 2),

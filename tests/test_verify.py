@@ -27,12 +27,18 @@ EXACT_ROWS = {
 
 
 def test_exact_checks_ignore_an_explicit_tolerance(monkeypatch):
-    # B_n + 1 breaks four exact identities; a loose tolerance must not pass them
+    # no runner takes a tolerance: every row is held to its own table entry,
+    # and an exact row to 0, which B_n + 1 fails on four identities
+    for run in (verify.run_identities, verify.run_closed_vs_oracle, verify.run_integrals,
+                verify.run_hurwitz, verify.run_all):
+        with pytest.raises(TypeError, match="'tol'"):
+            run(tol=1.0)
     monkeypatch.setattr(verify, "bernoulli_poly", lambda n: bernoulli_poly(n) + Poly([1]))
-    rows = verify.run_identities(tol=1.0) + verify.run_integrals(tol=1.0)
+    rows = verify.run_identities() + verify.run_integrals()
+    checks = verify._TABLES["identities"] + verify._TABLES["integrals"]
+    assert [r.tol for r in rows] == [0.0 if c.tol is verify._EXACT else c.tol for c in checks]
     exact = {r.name: r for r in rows if r.tol == 0.0}
     assert set(exact) == EXACT_ROWS
-    assert all(r.tol == 1.0 for r in rows if r.name not in EXACT_ROWS)
     failed = {name: r.defect for name, r in exact.items() if not r.passed}
     assert failed == {
         "derivative ladders, both classical families, n <= 30": 1.0,
@@ -42,12 +48,21 @@ def test_exact_checks_ignore_an_explicit_tolerance(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, -math.inf, math.nan])
-def test_a_tolerance_that_is_not_positive_and_finite_is_rejected(tol):
-    for run in (verify.run_identities, verify.run_closed_vs_oracle, verify.run_integrals,
-                verify.run_hurwitz, verify.run_all):
-        with pytest.raises(ValueError, match="tol must be a positive finite real"):
-            run(tol=tol)
+def test_the_bernoulli_lift_at_one_is_checked_against_its_difference_equation(monkeypatch):
+    # the lift of B_n at parameter 1 must satisfy B_n(x + 1) - B_n(x) =
+    # n x^(n-1).  A B_3 with an x**2 term added, in the lift and in verify
+    # alike, breaks that and fails the row, where comparing the lift with
+    # bernoulli_poly would compare the broken polynomial with itself
+    from telesum import apostol_polys
+
+    row = "bernoulli-type lift at deformation parameter 1"
+    check = next(c for c in verify._TABLES["identities"] if c.name == row)
+    assert check.fn(None) <= 1e-30
+    broken = lambda n: bernoulli_poly(n) + Poly([0, 0, 1]) if n == 3 else bernoulli_poly(n)
+    for module in (apostol_polys, verify):
+        monkeypatch.setattr(module, "bernoulli_poly", broken)
+    assert apostol_polys.apostol_bernoulli_poly(3, 1).coeffs[2] == -0.5
+    assert check.fn(None) > check.tol
 
 
 def test_an_arithmetic_failure_fails_its_row_and_the_suite_goes_on(monkeypatch):
@@ -77,7 +92,7 @@ def test_forty_one_checks_with_unique_names():
 
 def test_the_cli_suites_are_the_verify_tables(monkeypatch):
     assert set(cli._SUITES) == set(verify._TABLES) | {"all"}
-    monkeypatch.setattr(verify, "_run", lambda table, tol, seed: list(table))
+    monkeypatch.setattr(verify, "_run", lambda table, seed: list(table))
     for suite, table in verify._TABLES.items():
         assert getattr(verify, cli._SUITES[suite])() == table, suite
     everything = [c for table in verify._TABLES.values() for c in table]
