@@ -7,7 +7,7 @@ classical Bernoulli/Euler polynomials (classical_polys), their complex
 lambda-deformations and the derivative polynomials of sec and cot
 (apostol_polys), exact closed forms with cross-checked routes
 (closed_forms), brute-force summation oracles with certified error bounds
-(oracles), exact and adaptive integration (quadrature), seeded
+(oracles), exact and Gauss-Legendre integration (quadrature), seeded
 self-verification suites (verify), and a CLI (cli).
 
 ``import telesum`` loads only exact_core and classical_polys, which need

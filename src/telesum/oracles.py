@@ -514,8 +514,15 @@ def _check_window(x: float, spacing: float, N: int,
 
 
 def _to_tolerance(target_tol: float, start: Callable[[float], int], cap: int,
-                  cap_name: str, attempt: Callable[[int], SumResult]) -> SumResult:
-    """attempt(n) from n = start(tol), doubling n up to cap, until it certifies target_tol."""
+                  cap_name: str,
+                  attempt: Callable[[int], Tuple[SumResult, float]]) -> SumResult:
+    """attempt(n) from n = start(tol), doubling n up to cap, until it certifies target_tol.
+
+    attempt(n) returns its result and the tail bound within its error bound;
+    the rest of that bound is the roundoff floor, which only grows with n, so
+    the first attempt whose floor alone exceeds target_tol, or the attempt at
+    the cap, raises ToleranceUnreachable with achieved = its bound.
+    """
     target_tol = float(target_tol)
     if not (target_tol > 0.0) or not math.isfinite(target_tol):
         raise ValueError("target_tol must be a positive finite real")
@@ -529,13 +536,15 @@ def _to_tolerance(target_tol: float, start: Callable[[float], int], cap: int,
     n = start(target_tol)
     while True:
         n = min(n, cap)
-        result = attempt(n)
+        result, tail_bound = attempt(n)
         if result.error_bound <= target_tol:
             return result
-        if n >= cap:
+        floor = result.error_bound - tail_bound
+        if floor > target_tol or n >= cap:
+            where = "the roundoff floor %.3e" % floor if floor > target_tol else "the " + cap_name
             raise ToleranceUnreachable(
-                "tolerance %.3e unreachable at the %s (achieved %.3e)"
-                % (target_tol, cap_name, result.error_bound),
+                "tolerance %.3e unreachable at %s (achieved %.3e)"
+                % (target_tol, where, result.error_bound),
                 achieved=result.error_bound,
             )
         n *= 2
@@ -554,9 +563,9 @@ def sum_zeta(s: int, target_tol: float = 1e-10) -> SumResult:
         np.add(_OFFSETS[: terms.size], start + 1, out=terms)
         terms **= float(-s)
 
-    def attempt(N: int) -> SumResult:
+    def attempt(N: int) -> Tuple[SumResult, float]:
         tail_est, tail_bound = _power_tail(1.0, 0.0, float(s), N)
-        return _certified_sum(N - 1, fill, (tail_est,), tail_bound, N - 1)
+        return _certified_sum(N - 1, fill, (tail_est,), tail_bound, N - 1), tail_bound
 
     start = lambda tol: max(10, int(math.ceil((s / (6.0 * tol)) ** (1.0 / (s + 1)))))
     return _to_tolerance(target_tol, start, _ZETA_N_CAP, "N cap %d" % _ZETA_N_CAP, attempt)
@@ -579,12 +588,12 @@ def sum_beta(s: int, target_tol: float = 1e-10) -> SumResult:
         terms **= float(-s)
         terms[(1 - start) % 2 :: 2] *= -1.0
 
-    def attempt(M: int) -> SumResult:
+    def attempt(M: int) -> Tuple[SumResult, float]:
         # tail anchor M is even, so the omitted tail starts with + sign
         tail_est, tail_bound = _alternating_tail(
             (2.0 * M + 1.0) ** float(-s), (2.0 * M + 3.0) ** float(-s)
         )
-        return _certified_sum(M, fill, (tail_est,), tail_bound, M)
+        return _certified_sum(M, fill, (tail_est,), tail_bound, M), tail_bound
 
     # bound ~ (s/2)(2M+1)^(-s-1); solve for the anchor 2M+1 = 4J+1, M = 2J
     start = lambda tol: 2 * max(8, int(math.ceil(((s / tol) ** (1.0 / (s + 1)) - 1.0) / 4.0)) + 2)

@@ -537,7 +537,7 @@ _INTEGRALS = [
     _Check("two-step reduction recurrence of the exact ladder", _EXACT, _ladder_recurrence),
     _Check("exponential-kernel integral of E_k(x; lambda) vs closed form on the grid", 1e-10,
            _exp_kernel_vs_formula),
-    _Check("adaptive panels reproduce polynomial integrals", 1e-12, _quad_poly_exactness),
+    _Check("one Gauss-Legendre panel reproduces polynomial integrals", 1e-12, _quad_poly_exactness),
     _Check("odd zeta values: quadrature route vs series oracle", 1e-7,
            lambda rng: _integral_vs_series(quadrature.zeta_odd_integral, oracles.sum_zeta, range(1, 4), 1)),
     _Check("even beta values: quadrature route vs series oracle", 1e-7,

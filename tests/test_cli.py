@@ -136,6 +136,19 @@ def test_integrals_outputs(capsys):
     assert data["value"][0] == pytest.approx(-2 / math.pi**2, rel=1e-10)
 
 
+def test_a_huge_integral_tolerance_over_a_tiny_scale_is_accepted(capsys):
+    # tol / |scale| once overflowed to inf (|scale| is 9.1e-171 for zeta and
+    # 1.9e-221 for beta at k = 84) and a valid tol was rejected as invalid
+    for family, tol in (("zeta-odd", "1e140"), ("beta-even", "1e100")):
+        code, out, err = run_cli(capsys, ["integrals", family, "--k", "84", "--tol", tol])
+        assert (code, err) == (0, ""), family
+        _, want, _ = run_cli(capsys, ["integrals", family, "--k", "84", "--tol", "1e-8"])
+        assert out.split()[0] == want.split()[0], family
+    # a tol beneath the least double over a large scale is unreachable, not invalid
+    code, out, err = run_cli(capsys, ["integrals", "zeta-odd", "--k", "1", "--tol", "1e-323"])
+    assert (code, out) == (1, "") and err.startswith("error: the rule on [0, 1]")
+
+
 def test_table_formats(capsys):
     code, out, _ = run_cli(capsys, ["table", "zeta", "--max-k", "3"])
     assert code == 0
@@ -340,6 +353,15 @@ def test_exact_constants_past_the_int_digit_limit(capsys):
             got = [_read_int(part) for part in digits]
         want = getattr(telesum, name)(k)
         assert got == [want.coeff.numerator, want.coeff.denominator, want.pi_power], argv
+
+
+def test_a_tolerance_below_the_roundoff_floor_exits_1_after_one_sum(capsys):
+    code, out, err = run_cli(capsys, ["series", "beta", "--s", "1", "--tol", "1e-14"])
+    assert (code, out) == (1, "")
+    assert err == ("error: tolerance 1.000e-14 unreachable at the roundoff floor 3.159e-14"
+                   " (achieved 3.659e-14)\n")
+    code, out, err = run_cli(capsys, ["integrals", "zeta-odd", "--k", "2", "--tol", "1e-16"])
+    assert (code, out) == (1, "") and err.startswith("error: the rule on [0, 1]")
 
 
 def test_overflowing_series_exits_1(capsys):

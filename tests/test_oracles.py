@@ -1056,14 +1056,28 @@ def test_tolerance_loop_doubles_n_until_certified_and_stops_at_the_cap(monkeypat
     r = sum_zeta(2, 1e-14)
     assert counts == [32182, 64365]
     assert r.terms_used == 64365 and r.error_bound <= 1e-14
-    monkeypatch.undo()
-    # at the cap the roundoff floor of 2e7 terms is above 5e-15
-    for oracle, s, cap, achieved in ((sum_zeta, 2, "N cap", "7.305e-15"),
-                                     (sum_beta, 1, "term cap", "3.436e-14")):
+    # the roundoff floor of 2e7 terms is above these tols, and so is the floor
+    # of the first sum, since the floor only grows with N: one sum settles that
+    for oracle, s, tol, floor, achieved in (
+            (sum_zeta, 2, "5.000e-15", "7.305e-15", "9.805e-15"),
+            (sum_beta, 1, "5.000e-15", "3.220e-14", "3.470e-14"),
+            (sum_beta, 10, "4.000e-15", "4.441e-15", "4.462e-15")):
+        counts.clear()
         with pytest.raises(ToleranceUnreachable) as exc:
-            oracle(s, 5e-15)
+            oracle(s, float(tol))
+        assert len(counts) == 1
         assert str(exc.value) == (
-            "tolerance 5.000e-15 unreachable at the %s 20000000 (achieved %s)" % (cap, achieved))
+            "tolerance %s unreachable at the roundoff floor %s (achieved %s)"
+            % (tol, floor, achieved))
+        assert "%.3e" % exc.value.achieved == achieved
+    # a tol above the floor that the cap keeps out of reach stops at the cap
+    for oracle, s, cap, name, achieved in ((sum_zeta, 2, "_ZETA_N_CAP", "N cap", "1.672e-10"),
+                                           (sum_beta, 1, "_BETA_M_CAP", "term cap", "1.248e-07")):
+        monkeypatch.setattr(oracles, cap, 1000)
+        with pytest.raises(ToleranceUnreachable) as exc:
+            oracle(s, 1e-12)
+        assert str(exc.value) == (
+            "tolerance 1.000e-12 unreachable at the %s 1000 (achieved %s)" % (name, achieved))
         assert "%.3e" % exc.value.achieved == achieved
 
 

@@ -1,8 +1,9 @@
-"""Exact oscillatory-kernel integrals and the adaptive numeric fallback.
+"""Exact oscillatory-kernel integrals and the one-panel numeric route.
 
 Exact ladders are checked against independently derived closed forms and
-against mpmath numeric quadrature; the adaptive integrator is checked on
-integrals with known values, including removable singularities.
+against mpmath numeric quadrature; the one-panel Gauss-Legendre integrator
+is checked on integrals with known values, including removable
+singularities, and on its 45 integrand calls.
 """
 
 import math
@@ -385,27 +386,52 @@ def test_adaptive_integrator_removable_singularity():
 
 
 def test_adaptive_integrator_unreachable_tolerance():
-    # a non-removable singularity keeps the defect of the panel next to it
-    # width-independent, so the depth cap must trip and report a typed error
+    # a non-removable singularity keeps the rule on [0, 1] and on its halves
+    # apart, so the panel must report a typed error
     def f(x):
         return 1.0 / x if x > 0.0 else 0.0
 
     with pytest.raises(QuadratureError) as exc:
         adaptive_integrate(f, 1e-6)
     assert isinstance(exc.value, ToleranceUnreachable)
-    # no certified bound exists at the depth cap, and an integral estimate
-    # is not one
+    # no certified bound exists for an unsettled panel, and an integral
+    # estimate is not one
     assert exc.value.achieved == math.inf
-    # at depth 40 next to 1/3 the panel's ends agree to 12 digits; the
-    # message must still show two different ends
     with pytest.raises(QuadratureError) as exc:
         adaptive_integrate(lambda x: 1.0 / (x - 1.0 / 3.0), 1e-6)
-    a, b = (float(end) for end in str(exc.value).split("[")[1].split("]")[0].split(", "))
-    assert b - a == 2.0 ** -40
     # the integral routes raise the same error where rounding exceeds tol
     with pytest.raises(ToleranceUnreachable) as exc:
         zeta_odd_integral(1, 1e-18)
     assert exc.value.achieved == math.inf
+    # below roundoff, where bisection once ran to 265 panels for a value
+    # 6.0e-16 off, the one panel raises too
+    with pytest.raises(QuadratureError):
+        zeta_odd_integral(2, 1e-16)
+
+
+def test_adaptive_integrator_calls_f_at_most_45_times():
+    # the rule on [0, 1] and on its two halves, whether the panel settles or not
+    cases = [
+        (lambda x: x * x, 1e-12),
+        (lambda x: math.sin(math.pi * x) / x, 1e-10),
+        (lambda x: 1.0 / x, 1e-6),
+        (lambda x: 1.0 / (x - 1.0 / 3.0), 1e-6),
+        (lambda x: math.nan, 1.0),
+        (math.exp, 1e-300),
+    ]
+    for f, tol in cases:
+        calls = []
+
+        def g(x, f=f):
+            calls.append(x)
+            return f(x)
+
+        try:
+            adaptive_integrate(g, tol)
+        except QuadratureError:
+            pass
+        assert len(calls) == 45, (tol, len(calls))
+        assert 0.0 < min(calls) and max(calls) < 1.0
 
 
 def test_zeta_odd_integrals_match_series_oracle():
@@ -439,9 +465,10 @@ def test_integral_routes_match_mpmath_at_every_k():
         assert abs(beta_even_integral(k, 1e-12) - beta) <= 1e-14 * beta, k
 
 
-def test_beta_route_integrates_one_panel(monkeypatch):
-    # the folded integrand has its singularity on the edge u = 1, so the
-    # route needs no forced breakpoint: one panel of 3 x 15 nodes settles it
+def test_both_routes_integrate_one_panel(monkeypatch):
+    # each integrand has its singularity on an edge of [0, 1], so the route
+    # needs no forced breakpoint: one panel of 3 x 15 nodes settles it at
+    # every k and every tol down to 1e-15
     calls = []
     integrate = quadrature.adaptive_integrate
 
@@ -453,11 +480,12 @@ def test_beta_route_integrates_one_panel(monkeypatch):
         return integrate(g, tol)
 
     monkeypatch.setattr(quadrature, "adaptive_integrate", counting)
-    for k in (0, 1, 2, 5, 12, 40, 84):
-        for tol in (1e-8, 1e-12):
-            calls.clear()
-            beta_even_integral(k, tol)
-            assert 0 < len(calls) <= 45, (k, tol, len(calls))
+    for route, least in ((zeta_odd_integral, 1), (beta_even_integral, 0)):
+        for k in range(least, MAX_INTEGRAL_K + 1):
+            for tol in (1e-6, 1e-12, 1e-15):
+                calls.clear()
+                route(k, tol)
+                assert len(calls) == 45, (route.__name__, k, tol, len(calls))
 
 
 def test_beta_even_integrals_match_series_oracle():
