@@ -7,9 +7,13 @@ usage errors (bad flags, domain violations).  JSON output is canonical:
 keys sorted, floats in shortest round-trip form, so parse-and-redump is
 byte-identical.
 
-Each family of ``eval``, ``series`` and ``integrals`` is one record of
-``_FAMILIES``: the options it needs, the options it takes and their
-defaults, and how its value is shown; ``cmd_family`` binds an argv to it.
+Every command is one ``_Command`` of ``_COMMANDS``: its help, its output
+formats, its options and the error of a missing or low one.  Each of its
+families is one record of ``_FAMILIES``: the options it needs, the options
+it takes and their defaults, and how its value is shown.  ``build_parser``
+builds every subcommand from the two tables in one loop, and
+``cmd_family`` binds an argv to its family, calls it, and prints what it
+shows through ``_emit``.
 An argv with several usage faults reports the first by one rule:
 argparse's own errors, then each option the family does not read, in
 parser order, then each option it needs that is missing or too small, in
@@ -31,16 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .classical_polys import bernoulli_poly, euler_poly
 from .exact_core import _STR_BITS, PiScalar, _decimal, format_pi_scalar, format_rational
 
-__all__ = [
-    "OutputRecord",
-    "main",
-    "cmd_poly",
-    "cmd_apostol",
-    "cmd_coeffs",
-    "cmd_family",
-    "cmd_table",
-    "cmd_verify",
-]
+__all__ = ["OutputRecord", "main", "cmd_family"]
 
 MAX_TABLE_K = 30
 
@@ -66,9 +61,9 @@ _Shown = Tuple[Dict[str, object], List[str]]
 
 
 def _emit(args: argparse.Namespace, doc: Dict[str, object], lines: Sequence[str]) -> None:
-    """The one output path of every command but ``verify``: ``doc`` as
-    canonical JSON for ``--format json``, otherwise the text ``lines``."""
-    if args.format == "json":
+    """The one output path of every command: ``doc`` as canonical JSON for
+    ``--format json``, otherwise the text ``lines``."""
+    if getattr(args, "format", "plain") == "json":
         print(_json(doc))
     else:
         for line in lines:
@@ -137,53 +132,6 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-_POLYS = {"bernoulli": bernoulli_poly, "euler": euler_poly}
-
-# family -> (name of the deformed polynomial in apostol_polys, least k)
-_APOSTOL = {
-    "euler": ("apostol_euler_poly", 0),
-    "bernoulli": ("apostol_bernoulli_poly", 1),
-}
-
-
-def cmd_poly(args: argparse.Namespace) -> int:
-    _require(args.k >= 0, "k must be >= 0")
-    coeffs = [format_rational(c) for c in _POLYS[args.family](args.k).coeffs]
-    doc = {"kind": "%s_poly" % args.family, "params": {"k": args.k}, "coeffs": coeffs}
-    _emit(args, doc, [" ".join(coeffs)])
-    return 0
-
-
-def cmd_apostol(args: argparse.Namespace) -> int:
-    name, least = _APOSTOL[args.family]
-    _require(args.k >= least, "k must be >= %d" % least)
-    layer = _public("apostol_polys")
-    p = getattr(layer, name)(args.k, complex(args.lambda_re, args.lambda_im), dps=args.dps)
-    coeffs = [layer._finite_complex(c, "coefficient %d" % j) for j, c in enumerate(p.coeffs)]
-    doc = {
-        "kind": "apostol_%s_poly" % args.family,
-        "params": {"k": args.k, "lambda_re": args.lambda_re, "lambda_im": args.lambda_im},
-        "coeffs": [[c.real, c.imag] for c in coeffs],
-    }
-    _emit(args, doc, [
-        "%d %s %s" % (j, _fmt(c.real, args.digits), _fmt(c.imag, args.digits))
-        for j, c in enumerate(coeffs)
-    ])
-    return 0
-
-
-def cmd_coeffs(args: argparse.Namespace) -> int:
-    _require(args.order >= 0, "order must be >= 0")
-    values = _public("%s_taylor_coeffs" % args.family)(args.mu, args.order)
-    doc = {
-        "kind": "%s_taylor" % args.family,
-        "params": {"mu": args.mu, "order": args.order},
-        "coeffs": list(values),
-    }
-    _emit(args, doc, ["%d %s" % (j, _fmt(v, args.digits)) for j, v in enumerate(values)])
-    return 0
-
-
 def _show_exact(
     args: argparse.Namespace, kind: str, params: Dict[str, object], x: PiScalar,
     method: str = "closed_form",
@@ -239,6 +187,82 @@ def _show_sum(
     ]
 
 
+def _show_poly(args: argparse.Namespace, kind: str, params: Dict[str, object], p) -> _Shown:
+    """A polynomial's exact coefficients, low to high."""
+    coeffs = [format_rational(c) for c in p.coeffs]
+    return {"kind": kind, "params": params, "coeffs": coeffs}, [" ".join(coeffs)]
+
+
+def _apostol(name: str, k: int, lambda_re: float, lambda_im: float, dps: Optional[int]):
+    return _public(name)(k, complex(lambda_re, lambda_im), dps=dps)
+
+
+def _show_apostol(args: argparse.Namespace, kind: str, params: Dict[str, object], p) -> _Shown:
+    """A deformed polynomial's coefficients as doubles; its JSON leaves out dps."""
+    finite = _public("apostol_polys")._finite_complex
+    coeffs = [finite(c, "coefficient %d" % j) for j, c in enumerate(p.coeffs)]
+    doc = {"kind": kind, "params": {name: v for name, v in params.items() if name != "dps"},
+           "coeffs": [[c.real, c.imag] for c in coeffs]}
+    return doc, ["%d %s %s" % (j, _fmt(c.real, args.digits), _fmt(c.imag, args.digits))
+                 for j, c in enumerate(coeffs)]
+
+
+def _show_taylor(
+    args: argparse.Namespace, kind: str, params: Dict[str, object], values: List[float]
+) -> _Shown:
+    doc = {"kind": kind, "params": params, "coeffs": list(values)}
+    return doc, ["%d %s" % (j, _fmt(v, args.digits)) for j, v in enumerate(values)]
+
+
+# (LaTeX?, constant family?) -> (header lines, row template, footer lines)
+_TEXT_TABLES = {
+    (False, True): ((), "k=%d  %s  %s", ()),
+    (False, False): ((), "k=%d  %s", ()),
+    (True, True): ((r"\begin{tabular}{rll}", r"k & exact & decimal \\"),
+                   r"%d & $%s$ & %s \\", (r"\end{tabular}",)),
+    (True, False): ((r"\begin{tabular}{rl}", r"k & coefficients \\"),
+                    r"%d & %s \\", (r"\end{tabular}",)),
+}
+
+
+def _column(name: str, least: int, max_k: int) -> List[Tuple[int, object]]:
+    """(k, the public name's value at k) for k from least to max_k."""
+    _require(max_k <= MAX_TABLE_K, "--max-k %d exceeds the cap %d" % (max_k, MAX_TABLE_K))
+    return [(k, _public(name)(k)) for k in range(least, max_k + 1)]
+
+
+def _show_table(
+    args: argparse.Namespace, kind: str, params: Dict[str, object], column, exact: bool
+) -> _Shown:
+    """A row per k: an exact constant and its decimal, or a polynomial's
+    coefficients."""
+    rows, body = [], []
+    for k, v in column:
+        if exact:
+            approx = _fmt(float(v), args.digits)
+            rows.append((k, (_latex_pi if args.format == "latex" else format_pi_scalar)(v), approx))
+            body.append({"k": k, "exact": _exact_dict(v), "approx": approx})
+        else:
+            coeffs = [format_rational(c) for c in v.coeffs]
+            rows.append((k, " ".join(coeffs)))
+            body.append({"k": k, "coeffs": coeffs})
+    if args.format == "csv":
+        buf = io.StringIO()
+        columns = ("k", "exact", "approx") if exact else ("k", "coeffs")
+        csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+        lines = buf.getvalue().splitlines()
+    else:
+        head, template, foot = _TEXT_TABLES[args.format == "latex", exact]
+        lines = [*head, *(template % row for row in rows), *foot]
+    return {"kind": kind, "params": {"family": args.family, **params}, "rows": body}, lines
+
+
+def _show_report(args: argparse.Namespace, kind: str, params: Dict[str, object], results) -> _Shown:
+    """verify's report; its document records whether every check passed."""
+    return ({"kind": kind, "params": params, "passed": all(r.passed for r in results)},
+            [_public("format_report")(results)])
+
+
 def _poly_cos(k: int, m: int) -> PiScalar:
     return _public("exact_poly_trig_integral")(bernoulli_poly(2 * k), _public("OscKernel").cos(m))
 
@@ -247,33 +271,58 @@ def _poly_sin(k: int, m: int) -> PiScalar:
     return _public("exact_poly_trig_integral")(euler_poly(2 * k), _public("OscKernel").sin(m))
 
 
-# One family of eval, series or integrals: its public function's name, or a
-# function, called with the values of the options it needs, then of those it
+# One family of a command: its public function's name, or a function,
+# called with the values of the options it needs, then of the others it
 # takes; needs: option -> least value, None for any; takes: option -> its
-# default; show(args, kind, params, value) -> _Shown; kind: the JSON kind,
-# None for the family's name; note: what follows the error of a missing or
-# low option; pinned: option -> the one value it may be given, which it
-# ignores.
+# default, filled in before needs are checked; show(args, kind, params,
+# value) -> _Shown; kind: the JSON kind, None for the family's name; note:
+# what follows the error of a missing or low option; pinned: option -> the
+# one value it may be given, which it ignores.  An option is named by its
+# argparse dest.
 _Family = namedtuple("_Family", "call needs takes show kind note pinned", defaults=(None, "", {}))
 
+# One command: its help, its output formats (none: text only, no --format or
+# --digits), the arguments after the family in parser order (positional name
+# or flag -> add_argument keywords), the error of a missing or low option,
+# and the name of its family argument.
+_Command = namedtuple("_Command", "help formats options usage choose", defaults=("family",))
 
-# command -> (help, output formats, the options after the family in parser
-# order: name -> add_argument keywords, the error of a missing or low option)
 _COMMANDS = {
-    "eval": ("closed-form values: series constants and lattice sums", ("plain", "json", "latex"),
-             {"k": {"type": int}, "mu": {"type": float}, "method": {"default": "auto"}},
-             "%(family)s needs --%(name)s%(least)s"),
-    "series": ("brute-force series oracles with certified bounds", ("plain", "json"),
-               {"s": {"type": int}, "k": {"type": int}, "mu": {"type": float},
-                "theta": {"type": float}, "tol": {"type": float}, "terms": {"type": int}},
-               "series %(family)s needs %(all)s"),
-    "integrals": ("exact oscillatory integrals and numeric integral routes", ("plain", "json"),
-                  {"k": {"type": int, "required": True}, "m": {"type": int},
-                   "mu": {"type": float}, "tol": {"type": float}},
-                  "%(family)s needs --%(name)s%(least)s"),
+    "poly": _Command("classical polynomial coefficients, exact rationals", ("plain", "json"),
+                     {"k": {"type": int}}, "%(name)s must be%(least)s"),
+    "apostol": _Command("deformed polynomial coefficients at a complex parameter", ("plain", "json"),
+                        {"k": {"type": int}, "--lambda-re": {"type": float, "required": True},
+                         "--lambda-im": {"type": float},
+                         "--dps": {"type": int, "help": "working decimal digits, >= 1 (default 40)"}},
+                        "%(name)s must be%(least)s"),
+    "coeffs": _Command("Taylor coefficients of sec(w/2) or -cot(w/2) about mu", ("plain", "json"),
+                       {"--mu": {"type": float, "required": True}, "--order": {"type": int}},
+                       "%(name)s must be%(least)s"),
+    "eval": _Command("closed-form values: series constants and lattice sums", ("plain", "json", "latex"),
+                     {"--k": {"type": int}, "--mu": {"type": float}, "--method": {"default": "auto"}},
+                     "%(family)s needs --%(name)s%(least)s"),
+    "series": _Command("brute-force series oracles with certified bounds", ("plain", "json"),
+                       {"--s": {"type": int}, "--k": {"type": int}, "--mu": {"type": float},
+                        "--theta": {"type": float}, "--tol": {"type": float}, "--terms": {"type": int}},
+                       "series %(family)s needs %(all)s"),
+    "integrals": _Command("exact oscillatory integrals and numeric integral routes", ("plain", "json"),
+                          {"--k": {"type": int, "required": True}, "--m": {"type": int},
+                           "--mu": {"type": float}, "--tol": {"type": float}},
+                          "%(family)s needs --%(name)s%(least)s"),
+    "table": _Command("value tables for the series families and polynomial families",
+                      ("plain", "json", "csv", "latex"), {"--max-k": {"type": int, "required": True}},
+                      "--%(name)s must be%(least)s"),
+    "verify": _Command("run the self-verification suites", (), {"--seed": {"type": int}}, "", "suite"),
 }
 
 _FAMILIES = {
+    "poly": {name: _Family(name + "_poly", {"k": 0}, {}, _show_poly, name + "_poly")
+             for name in ("bernoulli", "euler")},
+    "apostol": {name: _Family(partial(_apostol, "apostol_%s_poly" % name), {"k": least, "lambda_re": None},
+                              {"lambda_im": 0.0, "dps": None}, _show_apostol, "apostol_%s_poly" % name)
+                for name, least in (("euler", 0), ("bernoulli", 1))},
+    "coeffs": {name: _Family(name + "_taylor_coeffs", {"mu": None, "order": 0}, {"order": 8},
+                             _show_taylor, name + "_taylor") for name in ("sec", "cot")},
     "eval": {
         "zeta": _Family("zeta_even", {"k": 1}, {}, _show_exact, note=" (value is zeta(2k))"),
         "beta": _Family("beta_odd", {"k": 0}, {}, _show_exact, note=" (value is beta(2k+1))"),
@@ -302,101 +351,46 @@ _FAMILIES = {
                              "beta_even_integral"),
     },
 }
-
-# the families of eval with an exact value, which table also lists
-_EXACT = {name: family for name, family in _FAMILIES["eval"].items() if family.show is _show_exact}
+# table lists the families of eval with an exact value, then the classical polynomials
+_FAMILIES["table"] = {
+    **{name: _Family(partial(_column, family.call, family.needs["k"]), {"max_k": 0}, {},
+                     partial(_show_table, exact=True), "table")
+       for name, family in _FAMILIES["eval"].items() if family.show is _show_exact},
+    **{name: _Family(partial(_column, name + "_poly", 0), {"max_k": 0}, {},
+                     partial(_show_table, exact=False), "table") for name in _FAMILIES["poly"]},
+}
+_FAMILIES["verify"] = {suite: _Family("run_" + suite.replace("-", "_"), {}, {"seed": 42}, _show_report)
+                       for suite in ("all", "closed-vs-oracle", "hurwitz", "identities", "integrals")}
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    """eval, series or integrals of one family: reject each option of the
-    command that the family does not read, check those it needs, fill in
-    the defaults of those it takes, then call it and show the result."""
-    family = _FAMILIES[args.command][args.family]
-    _, _, options, usage = _COMMANDS[args.command]
-    for name, keywords in options.items():
-        pin = family.pinned.get(name)
+    """Every command, for one family: reject each option of the command that
+    the family does not read, fill in the defaults of those it takes, check
+    those it needs, then call it and print what it shows; 1 when that
+    records a failed check."""
+    command = _COMMANDS[args.command]
+    name = getattr(args, command.choose)
+    family = _FAMILIES[args.command][name]
+    for flag, keywords in command.options.items():
+        dest = flag.lstrip("-").replace("-", "_")
+        pin = family.pinned.get(dest)
         _require(
-            name in family.needs or name in family.takes
-            or getattr(args, name) in (keywords.get("default"), pin),
-            "%s takes no --%s%s" % (args.family, name,
-                                    "" if pin is None else " (or --%s %d)" % (name, pin)),
+            dest in family.needs or dest in family.takes
+            or getattr(args, dest) in (keywords.get("default"), pin),
+            "%s takes no %s%s" % (name, flag, "" if pin is None else " (or %s %d)" % (flag, pin)),
         )
-    params: Dict[str, object] = {}
-    for name, least in family.needs.items():
-        value = params[name] = getattr(args, name)
-        _require(value is not None and (least is None or value >= least), usage % {
-            "family": args.family, "name": name, "least": "" if least is None else " >= %d" % least,
+    params = {dest: getattr(args, dest) for dest in (*family.needs, *family.takes)}
+    params.update({dest: default for dest, default in family.takes.items() if params[dest] is None})
+    for dest, least in family.needs.items():
+        value = params[dest]
+        _require(value is not None and (least is None or value >= least), command.usage % {
+            "family": name, "name": dest.replace("_", "-"),
+            "least": "" if least is None else " >= %d" % least,
             "all": " and ".join("--" + need for need in family.needs)} + family.note)
-    for name, default in family.takes.items():
-        value = getattr(args, name)
-        params[name] = default if value is None else value
     call = family.call if callable(family.call) else _public(family.call)
-    _emit(args, *family.show(args, family.kind or args.family, params, call(*params.values())))
-    return 0
-
-
-# (LaTeX?, constant family?) -> (header lines, row template, footer lines)
-_TEXT_TABLES = {
-    (False, True): ((), "k=%d  %s  %s", ()),
-    (False, False): ((), "k=%d  %s", ()),
-    (True, True): ((r"\begin{tabular}{rll}", r"k & exact & decimal \\"),
-                   r"%d & $%s$ & %s \\", (r"\end{tabular}",)),
-    (True, False): ((r"\begin{tabular}{rl}", r"k & coefficients \\"),
-                    r"%d & %s \\", (r"\end{tabular}",)),
-}
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    _require(args.max_k >= 0, "--max-k must be >= 0")
-    _require(args.max_k <= MAX_TABLE_K, "--max-k %d exceeds the cap %d" % (args.max_k, MAX_TABLE_K))
-    family = _EXACT.get(args.family)  # None for a polynomial family
-    rows, body = [], []
-    if family is not None:
-        show = _latex_pi if args.format == "latex" else format_pi_scalar
-        for k in range(family.needs["k"], args.max_k + 1):
-            v = _public(family.call)(k)
-            approx = _fmt(float(v), args.digits)
-            rows.append((k, show(v), approx))
-            body.append({"k": k, "exact": _exact_dict(v), "approx": approx})
-        columns = ("k", "exact", "approx")
-    else:
-        for k in range(args.max_k + 1):
-            coeffs = [format_rational(c) for c in _POLYS[args.family](k).coeffs]
-            rows.append((k, " ".join(coeffs)))
-            body.append({"k": k, "coeffs": coeffs})
-        columns = ("k", "coeffs")
-    if args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
-        lines = buf.getvalue().splitlines()
-    else:
-        head, template, foot = _TEXT_TABLES[args.format == "latex", family is not None]
-        lines = [*head, *(template % row for row in rows), *foot]
-    doc = {"kind": "table", "params": {"family": args.family, "max_k": args.max_k}, "rows": body}
+    doc, lines = family.show(args, family.kind or name, params, call(*params.values()))
     _emit(args, doc, lines)
-    return 0
-
-
-# suite -> public name of its runner
-_SUITES = {
-    "identities": "run_identities",
-    "closed-vs-oracle": "run_closed_vs_oracle",
-    "integrals": "run_integrals",
-    "hurwitz": "run_hurwitz",
-    "all": "run_all",
-}
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    results = _public(_SUITES[args.suite])(seed=args.seed)
-    print(_public("format_report")(results))
-    return 0 if all(r.passed for r in results) else 1
-
-
-def _add_format(sp: argparse.ArgumentParser, choices=("plain", "json")) -> None:
-    sp.add_argument("--format", choices=list(choices), default="plain")
-    sp.add_argument("--digits", type=int, default=15,
-                    help="significant digits of each printed decimal and of the JSON approx strings")
+    return 0 if doc.get("passed", True) else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -417,49 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("poly", help="classical polynomial coefficients, exact rationals")
-    sp.add_argument("family", choices=list(_POLYS))
-    sp.add_argument("k", type=int)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_poly)
-
-    sp = sub.add_parser("apostol", help="deformed polynomial coefficients at a complex parameter")
-    sp.add_argument("family", choices=list(_APOSTOL))
-    sp.add_argument("k", type=int)
-    sp.add_argument("--lambda-re", type=float, required=True)
-    sp.add_argument("--lambda-im", type=float, default=0.0)
-    sp.add_argument("--dps", type=int, default=None,
-                    help="working decimal digits, >= 1 (default 40)")
-    _add_format(sp)
-    sp.set_defaults(func=cmd_apostol)
-
-    sp = sub.add_parser("coeffs", help="Taylor coefficients of sec(w/2) or -cot(w/2) about mu")
-    sp.add_argument("family", choices=["sec", "cot"])
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--order", type=int, default=8)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_coeffs)
-
-    for command, (help_text, formats, options, _) in _COMMANDS.items():
+    for command, (help_text, formats, options, _, choose) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
-        sp.add_argument("family", choices=list(_FAMILIES[command]))
-        for name, keywords in options.items():
-            sp.add_argument("--" + name, **keywords)
-        _add_format(sp, formats)
-        sp.set_defaults(func=cmd_family)
-
-    sp = sub.add_parser("table", help="value tables for the series families and polynomial families")
-    sp.add_argument("family", choices=[*_EXACT, *_POLYS])
-    sp.add_argument("--max-k", type=int, required=True)
-    _add_format(sp, ("plain", "json", "csv", "latex"))
-    sp.set_defaults(func=cmd_table)
-
-    sp = sub.add_parser("verify", help="run the self-verification suites")
-    sp.add_argument("suite", choices=sorted(_SUITES))
-    sp.add_argument("--seed", type=int, default=42)
-    sp.set_defaults(func=cmd_verify)
-
+        sp.add_argument(choose, choices=list(_FAMILIES[command]))
+        for flag, keywords in options.items():
+            sp.add_argument(flag, **keywords)
+        if formats:
+            sp.add_argument("--format", choices=list(formats), default="plain")
+            sp.add_argument("--digits", type=int, default=15, help=(
+                "significant digits of each printed decimal and of the JSON approx strings"))
     return parser
 
 
@@ -471,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         _require(getattr(args, "digits", 1) >= 1, "--digits must be >= 1")
-        return int(args.func(args))
+        return cmd_family(args)
     except ValueError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2

@@ -17,9 +17,9 @@ closed arithmetic; this module layers on top of them:
 * the mechanisms every layer shares, each written once: _Record, the
   immutable base of the package's value types (here because PiScalar and
   Poly derive from it, and import telesum loads this module), _check_int,
-  the one check of an integer parameter and its bounds, _beyond_range, the
-  one error for a value past the double range, and _horner, Horner's rule
-  in any arithmetic.
+  the one check of an integer parameter and its bounds, _check_tol, that of
+  a tolerance, _beyond_range, the one error for a value past the double
+  range, and _horner, Horner's rule in any arithmetic.
 
 It needs nothing beyond the standard library.
 
@@ -117,6 +117,15 @@ def _check_int(value: object, name: str, least: Optional[int] = None,
     if most is not None and n > most:
         raise ValueError("%s must be <= %d, %s" % (name, most, why))
     return n
+
+
+def _check_tol(value: object, name: str) -> float:
+    """value as a float, for every tolerance parameter of the package: one
+    that is not a positive finite real raises ValueError."""
+    tol = float(value)
+    if not (tol > 0.0) or not math.isfinite(tol):
+        raise ValueError("%s must be a positive finite real" % name)
+    return tol
 
 
 def binomial(n: int, k: int) -> int:

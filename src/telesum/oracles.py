@@ -66,7 +66,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exact_core import (_COT, _INT, _SEC, PiScalar, ToleranceUnreachable, _beyond_range, _check_int,
-                         _pole_distance, _Record)
+                         _check_tol, _pole_distance, _Record)
 
 __all__ = [
     "SumResult",
@@ -523,9 +523,7 @@ def _to_tolerance(target_tol: float, start: Callable[[float], int], cap: int,
     the first attempt whose floor alone exceeds target_tol, or the attempt at
     the cap, raises ToleranceUnreachable with achieved = its bound.
     """
-    target_tol = float(target_tol)
-    if not (target_tol > 0.0) or not math.isfinite(target_tol):
-        raise ValueError("target_tol must be a positive finite real")
+    target_tol = _check_tol(target_tol, "target_tol")
     # cheapest possible bound: roundoff floor at abs sum ~ 1
     if 16.0 * _EPS > target_tol:
         raise ToleranceUnreachable(

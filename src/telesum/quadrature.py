@@ -24,7 +24,6 @@ integral loads numpy.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
@@ -36,6 +35,7 @@ from .exact_core import (
     ToleranceUnreachable,
     _beyond_range,
     _check_int,
+    _check_tol,
     _horner,
     _pi_fixed,
     _pole_distance,
@@ -66,7 +66,6 @@ MAX_INTEGRAL_K = 84
 _MAX_K_WHY = "where (2k+1)! leaves the double range"
 
 _LN2 = math.log(2.0)
-_TINY = math.ulp(0.0)  # the least positive double
 
 
 class OscKernel(_Record):
@@ -237,13 +236,6 @@ def _gl15(f: Callable[[float], float], a: float, b: float) -> float:
     return half * math.fsum(w * f(mid + half * t) for t, w in _GL15)
 
 
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise ValueError("tol must be a positive finite real")
-    return tol
-
-
 def adaptive_integrate(f: Callable[[float], float], tol: float) -> float:
     """Integral of f over [0, 1] from one 15-point Gauss-Legendre panel,
     absolute tolerance.
@@ -254,12 +246,17 @@ def adaptive_integrate(f: Callable[[float], float], tol: float) -> float:
     Gauss-Legendre nodes are interior to their panel, so f is never
     evaluated at x = 0 or x = 1 and may have a removable singularity there.
     """
-    tol = _check_tol(tol)
+    return _one_panel(f, 1.0, _check_tol(tol, "tol"))
+
+
+def _one_panel(f: Callable[[float], float], scale: float, tol: float) -> float:
+    """scale times the integral of f over [0, 1], the rule's defect and tol
+    both in the units of the result."""
     coarse = _gl15(f, 0.0, 1.0)
     fine = _gl15(f, 0.0, 0.5) + _gl15(f, 0.5, 1.0)
-    defect = abs(coarse - fine)
+    defect = abs(scale) * abs(coarse - fine)
     if defect <= tol:
-        return fine
+        return scale * fine
     raise QuadratureError("the rule on [0, 1] and on its halves differ by %.3e > tol %.3e"
                           % (defect, tol), achieved=math.inf)
 
@@ -273,12 +270,7 @@ def _scaled_integral(
     """scale times the integral over [0, 1] of integrand(p(x), x), p the
     polynomial with the given coefficients, to absolute tolerance tol."""
     fc = [float(c) for c in coeffs]
-    # tol / |scale| leaves the double range for a huge tol over a tiny scale
-    # (|scale| is 9.1e-171 for zeta at k = 84), where any defect passes, and
-    # for a tiny tol over a large one, where none does
-    inner = min(max(_check_tol(tol) / abs(scale), _TINY), sys.float_info.max)
-    integral = adaptive_integrate(lambda x: integrand(_horner(fc, x, 0.0), x), inner)
-    return scale * integral
+    return _one_panel(lambda x: integrand(_horner(fc, x, 0.0), x), scale, _check_tol(tol, "tol"))
 
 
 def _cospi_half(u: float) -> float:

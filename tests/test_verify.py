@@ -91,12 +91,14 @@ def test_forty_one_checks_with_unique_names():
 
 
 def test_the_cli_suites_are_the_verify_tables(monkeypatch):
-    assert set(cli._SUITES) == set(verify._TABLES) | {"all"}
+    # each family record of the verify command calls the runner of its suite
+    suites = cli._FAMILIES["verify"]
+    assert set(suites) == set(verify._TABLES) | {"all"}
     monkeypatch.setattr(verify, "_run", lambda table, seed: list(table))
     for suite, table in verify._TABLES.items():
-        assert getattr(verify, cli._SUITES[suite])() == table, suite
+        assert getattr(verify, suites[suite].call)() == table, suite
     everything = [c for table in verify._TABLES.values() for c in table]
-    assert getattr(verify, cli._SUITES["all"])() == everything
+    assert getattr(verify, suites["all"].call)() == everything
 
 
 def test_a_nan_defect_fails_its_check(monkeypatch):
