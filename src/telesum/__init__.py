@@ -28,7 +28,6 @@ from .exact_core import (
     Poly,
     Rational,
     ToleranceUnreachable,
-    binomial,
     collapse_pi_terms,
     format_pi_scalar,
     format_rational,

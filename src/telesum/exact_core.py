@@ -5,9 +5,13 @@ the canonical lowest-terms form (positive denominator, gcd 1) and exact
 closed arithmetic; this module layers on top of them:
 
 * ``PiScalar`` -- exact scalars of the form (rational) * pi**n, the result
-  type of every closed-form evaluation in this package; ``float()`` of one
-  is correctly rounded by _ziv_float, the package's one Ziv loop;
-* ``Poly`` -- dense univariate polynomials with rational coefficients;
+  type of every closed-form evaluation in this package; one scales by an
+  int or a Fraction, and ``float()`` of one is correctly rounded by
+  _ziv_float, the package's one Ziv loop;
+* ``Poly`` -- dense univariate polynomials with rational coefficients, each
+  built once from its coefficients; one scales by an int or a Fraction and
+  evaluates exactly at a rational point, and the poly_* functions give its
+  derivative, its reflection p(1 - x) and its integral over [0, 1];
 * pi in integers: its floor at 1152 fraction bits from Machin's formula
   (more on demand), directed bounds on its powers, each grown from the last
   one formed at its precision, and _pole_distance, the one domain check and
@@ -41,7 +45,6 @@ __all__ = [
     "RationalLike",
     "InternalConsistencyError",
     "ToleranceUnreachable",
-    "binomial",
     "PiScalar",
     "Poly",
     "poly_eval",
@@ -128,12 +131,6 @@ def _check_tol(value: object, name: str) -> float:
     return tol
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); zero when k > n."""
-    n, k = _check_int(n, "n", 0), _check_int(k, "k", 0)
-    return math.comb(n, k) if k <= n else 0
-
-
 class _Record:
     """An immutable record whose fields are its class's __slots__, each set
     once in __init__; equality, hash and repr are a frozen dataclass's."""
@@ -163,10 +160,8 @@ class PiScalar(_Record):
     """Exact scalar ``coeff * pi**pi_power``.
 
     The zero scalar is canonicalized to ``pi_power == 0`` so that structural
-    equality coincides with value equality.  Addition and subtraction are
-    defined only between scalars carrying the same power of pi (a zero
-    operand is always compatible); nothing downstream needs mixed-power
-    addition, and refusing it keeps the type exact.
+    equality coincides with value equality.  It scales by an int or a
+    Fraction, which keeps it exact.
     """
 
     __slots__ = ("coeff", "pi_power")
@@ -180,53 +175,12 @@ class PiScalar(_Record):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_power", pi_power)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def _check_addable(self, other: "PiScalar") -> int:
-        if self.is_zero:
-            return other.pi_power
-        if other.is_zero:
-            return self.pi_power
-        if self.pi_power != other.pi_power:
-            raise ValueError(
-                "cannot add pi^%d and pi^%d terms exactly"
-                % (self.pi_power, other.pi_power)
-            )
-        return self.pi_power
-
-    def __add__(self, other: "PiScalar") -> "PiScalar":
-        if not isinstance(other, PiScalar):
-            return NotImplemented
-        power = self._check_addable(other)
-        return PiScalar(self.coeff + other.coeff, power)
-
-    def __sub__(self, other: "PiScalar") -> "PiScalar":
-        if not isinstance(other, PiScalar):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "PiScalar":
-        return PiScalar(-self.coeff, self.pi_power)
-
     def __mul__(self, other: object) -> "PiScalar":
-        if isinstance(other, PiScalar):
-            return PiScalar(self.coeff * other.coeff, self.pi_power + other.pi_power)
         if isinstance(other, (int, Fraction)):
             return PiScalar(self.coeff * other, self.pi_power)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "PiScalar":
-        if isinstance(other, PiScalar):
-            if other.is_zero:
-                raise ZeroDivisionError("division by zero PiScalar")
-            return PiScalar(self.coeff / other.coeff, self.pi_power - other.pi_power)
-        if isinstance(other, (int, Fraction)):
-            return PiScalar(self.coeff / other, self.pi_power)
-        return NotImplemented
 
     def __float__(self) -> float:
         """The double nearest to coeff * pi**pi_power: +-inf or +-0.0 only
@@ -461,6 +415,7 @@ class Poly(_Record):
 
     ``coeffs[i]`` multiplies x**i.  Trailing zero coefficients are trimmed at
     construction, so the zero polynomial is the empty tuple and has degree -1.
+    It scales by an int or a Fraction, which keeps it exact.
     """
 
     __slots__ = ("coeffs",)
@@ -472,48 +427,11 @@ class Poly(_Record):
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @staticmethod
-    def monomial(n: int, c: RationalLike = 1) -> "Poly":
-        return Poly([0] * _check_int(n, "n", 0) + [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: object) -> "Poly":
-        if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
         return NotImplemented

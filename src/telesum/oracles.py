@@ -701,11 +701,13 @@ def sum_Z(k: int, mu: float, N: int = 10000) -> SumResult:
     )
 
 
-def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float, r_lo: float = 0.0) -> SumResult:
+def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float, r_lo: float = 0.0,
+                 m0: bool = True) -> SumResult:
     """sum_Ztilde's body: the sum of (m*a - c)**-(k+1) over m = -N..N, a > 0,
     with c = n*a + r: each term is formed as (m - n)*a - r.  Term i is that
     of m = i - N, or at k = 0 the pair of m = i + 1 and -m, and term N the
-    m = 0 term.  At k >= 1 with a majorant the terms run centre-out, and the
+    m = 0 term, which is left out, 0.0, when m0 is false (k >= 1 at spacing
+    1 only).  At k >= 1 with a majorant the terms run centre-out, and the
     first, (-r)**-p, is corrected by r_lo, the rest of the residual, as
     sum_Z corrects its m = 0 pair."""
     p = k + 1
@@ -780,6 +782,8 @@ def _lattice_sum(k: int, a: float, N: int, c: float, n: int, r: float, r_lo: flo
                 np.copysign(terms, x, out=terms)
             if start == 0 and r_lo:  # m = n: the exact residual's power
                 terms[0] += terms[0] * correction
+            if not m0 and start <= N < start + terms.size:
+                terms[N - start] = 0.0
 
         up_est, up_bound = _power_tail(a, -r, float(p), N + 1 - n)
         dn_est, dn_bound = _power_tail(a, r, float(p), N + 1 + n)
@@ -920,10 +924,13 @@ def herglotz_residual(theta: float, N: int = 10000) -> Tuple[float, float]:
 
 
 def herglotz_limit(theta: float, N: int = 1000000) -> float:
-    """Truncated lattice sum minus its pole term: g_N(theta) - 1/theta**2.
+    """Truncated lattice sum without its m = 0 term: g_N(theta) - 1/theta**2.
 
     Tends to pi**2 / 3 as theta -> 0 (with N large enough that the
-    truncation error at the given theta is negligible).
+    truncation error at the given theta is negligible).  The window is
+    summed with that term left out, rather than the term subtracted from the
+    rounded sum, so nothing cancels: a small theta keeps the value's full
+    precision, and one whose 1/theta**2 lies past the double range is fine.
     """
-    theta = _pole_distance(theta, "theta", _INT)[0]
-    return sum_inverse_square(theta, N).value - 1.0 / theta ** 2
+    (theta, *_), N = _check_window(theta, 1.0, N, "theta")
+    return _lattice_sum(1, 1.0, N, -theta, 0, -theta, m0=False).value

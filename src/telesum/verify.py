@@ -3,14 +3,15 @@ exact and numeric integrals, and truncated trigonometric expansions.
 
 Each suite is an ordered table of checks, (name, tol, check, note),
 and one runner (_run) executes any table.  It makes one random.Random(seed)
-per suite and hands it to the checks in table order, so the seed fixes every
-draw and every defect.  A numeric check returns its measured defect and
-passes within the tolerance of its own table entry: the defects are in
-different units, some ratios to a certified bound and some absolute errors,
-so no one number could stand for them all.  An exact check (tol _EXACT in
-the table) returns whether its identity holds; it reports defect 0 or 1
-against tol 0.  Any arithmetic failure inside a check becomes a failing
-result with defect inf, and the suite goes on.
+per suite, the seed an integer >= 0, and hands it to the checks in table
+order, so the seed fixes every draw and every defect.  A numeric check
+returns its measured defect and passes within the tolerance of its own
+table entry: the defects are in different units, some ratios to a
+certified bound and some absolute errors, so no one number could stand for
+them all.  An exact check (tol _EXACT in the table) returns whether its
+identity holds; it reports defect 0 or 1 against tol 0.  Any arithmetic
+failure inside a check becomes a failing result with defect inf, and the
+suite goes on.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .classical_polys import (
     lambda_even,
     zeta_even,
 )
-from .exact_core import (PiScalar, Poly, _horner, _Record, poly_derivative, poly_eval, poly_integral_01,
-                         poly_reflect)
+from .exact_core import (PiScalar, Poly, _check_int, _horner, _Record, poly_derivative, poly_eval,
+                         poly_integral_01, poly_reflect)
 
 __all__ = [
     "CheckResult",
@@ -583,8 +584,9 @@ _TABLES = {
 
 
 def _run(table: Sequence[_Check], seed: int) -> List[CheckResult]:
-    """Run the checks of one table in order with one rng seeded by seed."""
-    rng = random.Random(seed)
+    """Run the checks of one table in order with one rng seeded by seed, an
+    integer >= 0."""
+    rng = random.Random(_check_int(seed, "seed", 0))
     out: List[CheckResult] = []
     for check in table:
         exact = check.tol is _EXACT

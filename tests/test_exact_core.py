@@ -16,7 +16,6 @@ from mpmath.libmp import mpf_pi, to_fixed
 from telesum import (
     PiScalar,
     Poly,
-    binomial,
     collapse_pi_terms,
     format_pi_scalar,
     format_rational,
@@ -59,12 +58,6 @@ def test_format_rational():
     assert Fraction(-read(num[1:]), read(den)) == big
 
 
-def test_binomial_matches_math_comb():
-    for n in range(0, 31):
-        for k in range(0, n + 1):
-            assert binomial(n, k) == math.comb(n, k)
-
-
 # ---------------------------------------------------------------- pi scalars
 
 
@@ -73,34 +66,18 @@ def test_pi_scalar_equality_and_zero():
     assert PiScalar(Fraction(1, 6), 2) != PiScalar(Fraction(1, 6), 3)
     # every zero compares equal no matter the recorded power
     assert PiScalar(0, 5) == PiScalar(Fraction(0), 0)
-    assert PiScalar(0, 5).is_zero
+    assert PiScalar(0, 5).coeff == 0
 
 
-def test_pi_scalar_arithmetic():
+def test_pi_scalar_scales_by_rationals_only():
     a = PiScalar(Fraction(1, 2), 2)
-    b = PiScalar(Fraction(1, 3), 2)
-    assert a + b == PiScalar(Fraction(5, 6), 2)
-    assert a - b == PiScalar(Fraction(1, 6), 2)
-    assert a * PiScalar(Fraction(1, 5), 3) == PiScalar(Fraction(1, 10), 5)
     assert a * Fraction(2) == PiScalar(Fraction(1), 2)
-
-
-def test_pi_scalar_division():
-    a = PiScalar(Fraction(1, 2), 5)
-    assert a / PiScalar(Fraction(1, 3), 2) == PiScalar(Fraction(3, 2), 3)
-    assert a / 4 == PiScalar(Fraction(1, 8), 5)
-    assert a / Fraction(3, 7) == PiScalar(Fraction(7, 6), 5)
-    # Fraction's own ZeroDivisionError would name Fraction, not PiScalar
-    with pytest.raises(ZeroDivisionError, match="division by zero PiScalar"):
-        a / PiScalar(0, 2)
-    # a float would make the result inexact
-    with pytest.raises(TypeError):
-        a / 2.0
-
-
-def test_pi_scalar_cross_power_addition_rejected():
-    with pytest.raises(ValueError):
-        PiScalar(Fraction(1, 2), 2) + PiScalar(Fraction(1, 5), 3)
+    assert 3 * a == PiScalar(Fraction(3, 2), 2)
+    assert a * 0 == PiScalar(0)
+    # a float would make the result inexact, and no route multiplies two
+    for other in (2.0, a):
+        with pytest.raises(TypeError):
+            a * other
 
 
 def _nearest_double(coeff, pi_power):
@@ -305,16 +282,19 @@ def test_collapse_pi_terms():
 def test_poly_normalization():
     assert Poly([Fraction(1), Fraction(0), Fraction(0)]).coeffs == (Fraction(1),)
     assert Poly([]).degree == -1
-    assert Poly([]).is_zero
-    assert Poly([Fraction(0)]).is_zero
+    assert Poly([]).coeffs == ()
+    assert Poly([Fraction(0)]).coeffs == ()
     assert Poly([Fraction(0), Fraction(1)]).degree == 1
 
 
 def test_poly_arithmetic_and_eval():
     p = Poly([Fraction(1), Fraction(2), Fraction(3)])
-    q = Poly([Fraction(0), Fraction(1)])
-    assert (p + q).coeffs == (Fraction(1), Fraction(3), Fraction(3))
-    assert (p * q).coeffs == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
+    assert (p * Fraction(1, 2)).coeffs == (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    assert (2 * p).coeffs == (Fraction(2), Fraction(4), Fraction(6))
+    assert (p * 0).coeffs == ()
+    for other in (2.0, p):
+        with pytest.raises(TypeError):
+            p * other
     assert poly_eval(p, Fraction(1, 2)) == Fraction(11, 4)
     assert poly_integral_01(p) == Fraction(3)
     assert poly_derivative(p).coeffs == (Fraction(2), Fraction(6))
@@ -341,13 +321,6 @@ def test_derivative_integrates_back_on_unit_interval(p):
     lhs = poly_integral_01(poly_derivative(p))
     rhs = poly_eval(p, Fraction(1)) - poly_eval(p, Fraction(0))
     assert lhs == rhs
-
-
-@given(p=small_polys, q=small_polys, x=rationals)
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_product_rule_under_evaluation(p, q, x):
-    """Property: (pq)(x) == p(x) q(x) with exact rational arithmetic."""
-    assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
 
 
 def test_horner_runs_from_the_highest_coefficient():

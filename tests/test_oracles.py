@@ -975,6 +975,18 @@ def test_herglotz_small_argument_limit():
     assert got == pytest.approx(math.pi**2 / 3, abs=1e-4)
 
 
+def test_herglotz_limit_keeps_its_precision_at_small_arguments():
+    # the sum is taken without its m = 0 term, so nothing cancels: subtracting
+    # 1/theta**2 from the rounded sum lost every digit by theta = 1e-8
+    for theta in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, -1e-9, 0.3, -0.45, 2.5):
+        with mpmath.workdps(60):
+            t = mpmath.mpf(theta)
+            want = float(mpmath.pi**2 / mpmath.sin(mpmath.pi * t) ** 2 - 1 / t**2)
+        assert abs(herglotz_limit(theta, N=10**4) - want) <= 1e-12, theta
+    # 1/theta**2 lies past the double range; the limit does not
+    assert abs(herglotz_limit(1e-200, N=10**4) - math.pi**2 / 3) <= 1e-12
+
+
 # ------------------------------------------------------------------- hurwitz
 
 

@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "ToleranceUnreachable", "Z", "ZTILDE_TABLE", "Z_TABLE", "Z_table",
     "Ztilde", "Ztilde0", "Ztilde_table", "adaptive_integrate", "apostol_bernoulli_poly",
     "apostol_euler_poly", "bernoulli_number", "bernoulli_poly", "beta_even_integral",
-    "beta_odd", "binomial", "collapse_pi_terms", "cospi", "cot_taylor_coeffs", "ek_mu",
+    "beta_odd", "collapse_pi_terms", "cospi", "cot_taylor_coeffs", "ek_mu",
     "ek_mu_imag_residue", "ektilde_mu", "ektilde_mu_imag_residue", "eta_even",
     "euler_number", "euler_poly", "exact_apostol_integral", "exact_poly_trig_integral",
     "format_pi_scalar", "format_rational", "format_report", "herglotz_limit",
@@ -60,7 +60,6 @@ PUBLIC_SIGNATURES = {
     "bernoulli_poly": ("k",),
     "beta_even_integral": ("k", "tol"),
     "beta_odd": ("k",),
-    "binomial": ("n", "k"),
     "collapse_pi_terms": ("terms",),
     "cospi": ("y",),
     "cot_taylor_coeffs": ("mu", "K"),
@@ -293,8 +292,9 @@ def test_star_import_binds_every_public_name():
     exec("from telesum import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
     assert namespace["sum_zeta"] is telesum.oracles.sum_zeta
-    # the number cache grows on demand, so nothing fills it ahead of use
-    assert not {"precompute", "DEFAULT_CACHE_DEPTH"} & set(namespace)
+    # the number cache grows on demand, so nothing fills it ahead of use, and
+    # binomial, which nothing called, is gone
+    assert not {"precompute", "DEFAULT_CACHE_DEPTH", "binomial"} & set(namespace)
 
 
 def test_unknown_attribute_raises():
@@ -302,6 +302,8 @@ def test_unknown_attribute_raises():
         telesum.no_such_name
     with pytest.raises(AttributeError, match="precompute"):
         telesum.precompute
+    with pytest.raises(AttributeError, match="binomial"):
+        telesum.binomial
 
 
 def test_lazy_layers_stay_importable_as_modules():
@@ -317,10 +319,7 @@ def test_lazy_layers_stay_importable_as_modules():
 # a valid value).  One rule holds for all of them (exact_core._check_int).
 _T = telesum
 INTEGER_PARAMETERS = [
-    ("binomial n", lambda v: _T.binomial(v, 2), 5),
-    ("binomial k", lambda v: _T.binomial(5, v), 2),
     ("PiScalar pi_power", lambda v: _T.PiScalar(_T.Rational(1, 3), v), 2),
-    ("Poly.monomial n", lambda v: _T.Poly.monomial(v, 3), 2),
     ("bernoulli_number k", lambda v: _T.bernoulli_number(v), 2),
     ("bernoulli_poly k", lambda v: _T.bernoulli_poly(v), 2),
     ("euler_poly k", lambda v: _T.euler_poly(v), 2),
@@ -362,6 +361,8 @@ INTEGER_PARAMETERS = [
     ("herglotz_limit N", lambda v: _T.herglotz_limit(0.3, v), 100),
     ("hurwitz_partial k", lambda v: _T.hurwitz_partial("B_even", v, 0.3, M=100), 2),
     ("hurwitz_partial M", lambda v: _T.hurwitz_partial("B_even", 2, 0.3, M=v), 100),
+    # every run_* hands its seed to verify._run, which checks it before any row runs
+    ("verify seed", lambda v: _T.verify._run([], v), 2),
 ]
 
 

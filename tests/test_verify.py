@@ -26,6 +26,11 @@ EXACT_ROWS = {
 }
 
 
+def _plus_power(p, i):
+    # p + x**i, for i <= deg p
+    return Poly(c + (j == i) for j, c in enumerate(p.coeffs))
+
+
 def test_exact_checks_ignore_an_explicit_tolerance(monkeypatch):
     # no runner takes a tolerance: every row is held to its own table entry,
     # and an exact row to 0, which B_n + 1 fails on four identities
@@ -33,7 +38,7 @@ def test_exact_checks_ignore_an_explicit_tolerance(monkeypatch):
                 verify.run_hurwitz, verify.run_all):
         with pytest.raises(TypeError, match="'tol'"):
             run(tol=1.0)
-    monkeypatch.setattr(verify, "bernoulli_poly", lambda n: bernoulli_poly(n) + Poly([1]))
+    monkeypatch.setattr(verify, "bernoulli_poly", lambda n: _plus_power(bernoulli_poly(n), 0))
     rows = verify.run_identities() + verify.run_integrals()
     checks = verify._TABLES["identities"] + verify._TABLES["integrals"]
     assert [r.tol for r in rows] == [0.0 if c.tol is verify._EXACT else c.tol for c in checks]
@@ -58,7 +63,7 @@ def test_the_bernoulli_lift_at_one_is_checked_against_its_difference_equation(mo
     row = "bernoulli-type lift at deformation parameter 1"
     check = next(c for c in verify._TABLES["identities"] if c.name == row)
     assert check.fn(None) <= 1e-30
-    broken = lambda n: bernoulli_poly(n) + Poly([0, 0, 1]) if n == 3 else bernoulli_poly(n)
+    broken = lambda n: _plus_power(bernoulli_poly(n), 2) if n == 3 else bernoulli_poly(n)
     for module in (apostol_polys, verify):
         monkeypatch.setattr(module, "bernoulli_poly", broken)
     assert apostol_polys.apostol_bernoulli_poly(3, 1).coeffs[2] == -0.5
@@ -117,3 +122,44 @@ def test_a_nan_defect_fails_its_check(monkeypatch):
     for defects in ([math.nan, 1.0], [1.0, math.nan, 2.0], [2.0, math.nan]):
         assert math.isnan(verify._worst(defects))
     assert verify._worst([0.5, 2.0, 1.0]) == 2.0
+
+
+def _failed(rows, table):
+    # every row of the table ran, in order; the failing ones, name -> defect
+    assert [r.name for r in rows] == [c.name for c in verify._TABLES[table]]
+    return {r.name: r.defect for r in rows if not r.passed}
+
+
+def test_a_kernel_sum_one_ulp_off_fails_its_row(monkeypatch):
+    exact_sum = oracles._exact_sum
+
+    def one_ulp_off(values):
+        value, magnitude = exact_sum(values)
+        return math.nextafter(value, math.inf), magnitude
+
+    monkeypatch.setattr(oracles, "_exact_sum", one_ulp_off)
+    failed = _failed(verify.run_identities(), "identities")
+    assert failed == {"exact summation kernel against math.fsum": 1.0}
+
+
+def test_a_truncated_sum_residual_that_does_not_decay_fails_its_row(monkeypatch):
+    monkeypatch.setattr(oracles, "herglotz_residual", lambda theta, N=10000: (0.0, 1e-3))
+    failed = _failed(verify.run_closed_vs_oracle(), "closed-vs-oracle")
+    assert failed == {"functional-equation residual of the truncated sum decays": math.inf}
+
+
+@pytest.mark.parametrize("row", ["sine expansion of odd-degree polynomials",
+                                 "odd-harmonic sine expansion, even degree",
+                                 "odd-harmonic cosine expansion, odd degree"])
+def test_an_expansion_that_misses_an_exact_zero_fails_its_row(monkeypatch, row):
+    # each of these polynomials vanishes at a lattice point of the grid,
+    # where the expansion must give an exact zero, not a tiny value
+    hurwitz_partial = oracles.hurwitz_partial
+    broken = verify._EXPANSIONS[row][0]
+
+    def tiny_for_zero(kind, k, x, M=100000):
+        value = hurwitz_partial(kind, k, x, M)
+        return 1e-300 if kind == broken and value == 0.0 else value
+
+    monkeypatch.setattr(oracles, "hurwitz_partial", tiny_for_zero)
+    assert _failed(verify.run_hurwitz(), "hurwitz") == {row: math.inf}
